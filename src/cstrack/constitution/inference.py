@@ -7,14 +7,13 @@ query. Assignments are enumerated in chunks as bit patterns and all rule
 evaluation is vectorized over the chunk.
 
 Because the set of satisfying assignments depends only on program
-structure, it is computed once and memoized; re-weighting it under new
-parameter vectors is cheap. That is what makes per-particle evaluation
-with position-dependent map parameters affordable.
+structure, it is computed once (CompiledQuery) and re-weighted under new
+parameter vectors cheaply. That is what makes per-particle evaluation
+with position-dependent map parameters affordable; a single query under
+the program's own parameters (query_probability) takes the same path.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -71,13 +70,6 @@ def _bit_chunks(k: int):
         yield idx, bits
 
 
-def _assignment_weights(params: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    w = np.ones(bits.shape[0])
-    for i in range(bits.shape[1]):
-        w *= np.where(bits[:, i], params[i], 1.0 - params[i])
-    return w
-
-
 def _resolve_query(gp: GroundProgram, query: Atom | None) -> int:
     if query is None:
         return gp.query
@@ -91,34 +83,8 @@ def _resolve_query(gp: GroundProgram, query: Atom | None) -> int:
 
 def query_probability(gp: GroundProgram, query: Atom | None = None,
                       limit: int = DEFAULT_ATOM_LIMIT) -> float:
-    """Exact probability of the query atom under the ground program."""
-    k = gp.n_probabilistic
-    if k > limit:
-        raise CapacityError(
-            f"{k} probabilistic ground atoms exceed the enumeration limit "
-            f"({limit}); factor the program or precompute a field"
-        )
-    params = gp.static_params()
-    rbh = _rules_by_head(gp)
-    q_idx = _resolve_query(gp, query)
-    parts = []
-    for _, bits in _bit_chunks(k):
-        vals = _eval_assignments(gp, bits, rbh)
-        weights = _assignment_weights(params, bits)
-        parts.append(float(weights[vals[q_idx]].sum()))
-    return math.fsum(parts)
-
-
-def total_probability_mass(gp: GroundProgram, limit: int = DEFAULT_ATOM_LIMIT) -> float:
-    """Sum of assignment weights over all models (must be 1)."""
-    k = gp.n_probabilistic
-    if k > limit:
-        raise CapacityError(f"{k} probabilistic ground atoms exceed the limit ({limit})")
-    params = gp.static_params()
-    parts = []
-    for _, bits in _bit_chunks(k):
-        parts.append(float(_assignment_weights(params, bits).sum()))
-    return math.fsum(parts)
+    """Exact probability of the query atom under the program's own parameters."""
+    return CompiledQuery(gp, query, limit).evaluate(gp.static_params())
 
 
 class CompiledQuery:

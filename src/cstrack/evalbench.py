@@ -4,34 +4,31 @@ Scenarios generate ground-truth tracks whose maneuvers are rejection-
 sampled against a precomputed compliance field (compliant agents steer
 toward high-probability regions, incompliant agents away), then compare
 the rule-aware filter against the plain particle filter on identical
-measurement sequences, initial clouds, and random draws.
+measurement sequences, initial clouds, and random draws. The comparison
+is trust.sweep, the same tau experiment calibration runs: its tau = 0
+arm is the plain filter, bit for bit, and serves as the baseline.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constitution import environment_atoms, parse, precompute_field
 from .constitution.field import ConstitutionField
-from .errors import ConfigurationError, DegenerateBeliefError, FormatError, StuckAgentError
+from .errors import ConfigurationError, FormatError, StuckAgentError
 from .grids import GridSpec
-from .ingest import Track
-from .particlefilter import FilterConfig, run_filter
+from .particlefilter import FilterConfig
 from .relations import RelationKind
 from .starmap import build_starmap
-from .trust import position_mae
-from .vectormap import load_geojson, perturbations_from_config
+from .trust import sweep
+from .vectormap import load_geojson, load_perturbation_config, perturbations_from_config
 
 MAX_REJECTIONS = 1000
-
-
-def mae(estimates, ground_truth) -> float:
-    """Mean Euclidean position error over aligned timestamps."""
-    return position_mae(estimates, ground_truth)
 
 
 def simulate_agent(
@@ -165,46 +162,33 @@ class MetricReport:
 def run_ablation(scenario: Scenario, taus=None, n_seeds=None) -> MetricReport:
     """Baseline vs rule-aware runs over seeds x tracks x trust ratios.
 
-    Per (seed, track): one noisy measurement sequence and one filter seed
-    are drawn; the baseline and every tau arm consume both unchanged, so
-    arms differ in the trust ratio alone. Degenerate runs are recorded as
-    NaN rows rather than aborting the sweep.
+    Each seed runs one trust.sweep over the distinct ratios plus 0: per
+    track, the baseline (the tau = 0 arm) and every tau arm filter the same
+    noisy measurements from the same filter seed, so arms differ in the
+    trust ratio alone. A track whose baseline degenerates is dropped;
+    other degenerate runs are recorded as NaN rows. Rows follow the
+    caller's tau order.
     """
-    taus = tuple(taus) if taus is not None else scenario.taus
+    taus = tuple(float(t) for t in (taus if taus is not None else scenario.taus))
+    if any(not 0.0 <= tau <= 1.0 for tau in taus):
+        raise ConfigurationError("bench trust ratios must lie in [0, 1]")
     n_seeds = n_seeds if n_seeds is not None else scenario.n_seeds
-    config = scenario.filter_config
+    arms = sorted({0.0, *taus})
+    column = [arms.index(tau) for tau in taus]
     evaluate = field_evaluator(scenario.field)
+    tracks = scenario.truth_tracks
     report = MetricReport()
-    seed_roots = np.random.SeedSequence(scenario.seed).spawn(n_seeds)
-    for s in range(n_seeds):
-        track_seeds = seed_roots[s].spawn(len(scenario.truth_tracks))
-        for t, truth in enumerate(scenario.truth_tracks):
-            noise_seq, filter_seq = track_seeds[t].spawn(2)
-            noise = config.draw_measurement_noise(
-                np.random.default_rng(noise_seq), len(truth)
-            )
-            measurements = truth + noise
-            try:
-                base_est, _ = run_filter(
-                    measurements, config, np.random.default_rng(filter_seq)
-                )
-                base_mae = mae(base_est, truth[1:])
-            except DegenerateBeliefError:
+    for s, seed_root in enumerate(np.random.SeedSequence(scenario.seed).spawn(n_seeds)):
+        mae = sweep(tracks, seed_root.spawn(len(tracks)), scenario.filter_config,
+                    evaluate, arms)
+        for t, row in enumerate(mae):
+            base_mae = float(row[0])
+            if np.isnan(base_mae):
                 continue
-            for tau in taus:
-                try:
-                    est, _ = run_filter(
-                        measurements, config, np.random.default_rng(filter_seq),
-                        evaluate=evaluate, tau=tau,
-                    )
-                    run_mae = mae(est, truth[1:])
-                except DegenerateBeliefError:
-                    run_mae = float("nan")
+            for tau, j in zip(taus, column):
                 report.rows.append(
-                    RunRow(
-                        seed=s, track=t, tau=float(tau),
-                        mae_filter=run_mae, mae_baseline=base_mae,
-                    )
+                    RunRow(seed=s, track=t, tau=tau,
+                           mae_filter=float(row[j]), mae_baseline=base_mae)
                 )
     return report
 
@@ -223,26 +207,28 @@ def field_evaluator(f: ConstitutionField):
     return evaluate
 
 
-def tracks_as_truth(tracks: list[Track]) -> tuple[list[np.ndarray], float]:
-    """Uniform-dt track positions for scenario ground truth."""
-    if not tracks:
-        raise ConfigurationError("no tracks given")
-    dts = {t.dt for t in tracks}
-    if len(dts) != 1 or None in dts:
-        raise ConfigurationError("tracks must share one uniform dt; resample first")
-    return [np.asarray(t.positions, dtype=float) for t in tracks], float(tracks[0].dt)
-
-
 # ---------------------------------------------------------------------------
 # Scenario loading (External interface: scenario spec JSON)
 
 
-def _inline_or_path(entry, base_dir, loader, inline_key):
+def _inline_or_path(entry, base_dir: pathlib.Path, loader):
+    """loader applied to an {"inline": value} entry's value, or to the path
+    (relative to base_dir) that a string entry names."""
     if isinstance(entry, dict):
-        if inline_key not in entry:
-            raise FormatError(f"inline object must carry {inline_key!r}")
-        return entry[inline_key]
-    return loader(base_dir / entry) if base_dir is not None else loader(entry)
+        if "inline" not in entry:
+            raise FormatError(f"inline object must carry 'inline', got keys {sorted(entry)}")
+        return loader(entry["inline"])
+    if not isinstance(entry, str):
+        raise FormatError(f"expected a path or an inline object, got {entry!r}")
+    return loader(base_dir / entry)
+
+
+def _parse_program(source):
+    if isinstance(source, pathlib.Path):
+        source = source.read_text(encoding="utf-8")
+    if not isinstance(source, str):
+        raise FormatError("an inline constitution must be program text")
+    return parse(source)
 
 
 def load_scenario(path) -> Scenario:
@@ -257,8 +243,6 @@ def load_scenario(path) -> Scenario:
       agents: {count, mode, start, velocity, speed?, steps, kick_std}
       filter: FilterConfig fields
     """
-    import pathlib
-
     path = pathlib.Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -273,30 +257,29 @@ def load_scenario(path) -> Scenario:
         n_samples = int(spec.get("starmap_samples", 50))
         taus = tuple(float(t) for t in spec.get("taus", (0.0, 0.5, 1.0)))
         n_seeds = int(spec.get("n_seeds", 5))
-        agents = spec["agents"]
         filter_cfg = FilterConfig.from_json(spec.get("filter", {}))
+        agents = spec["agents"]
+        count = int(agents.get("count", 1))
+        steps = int(agents["steps"])
+        dt = float(agents.get("dt", filter_cfg.dt))
+        mode = agents.get("mode", "compliant")
+        kick = float(agents.get("kick_std", 0.05))
+        start = np.asarray(agents["start"], dtype=float)
+        velocity = np.asarray(agents.get("velocity", (0.0, 0.0)), dtype=float)
         map_entry = spec["map"]
         perturb_entry = spec["perturbations"]
         constitution_entry = spec["constitution"]
     except KeyError as exc:
         raise FormatError(f"scenario spec is missing {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad scenario spec {path}: {exc}") from exc
+    if dt != filter_cfg.dt:
+        raise ConfigurationError("agent dt must match the filter dt")
 
-    if isinstance(map_entry, dict):
-        vmap, _ = load_geojson(map_entry["inline"])
-    else:
-        vmap, _ = load_geojson(base / map_entry)
-    perturb_cfg = (
-        perturb_entry["inline"]
-        if isinstance(perturb_entry, dict)
-        else json.loads((base / perturb_entry).read_text())
-    )
-    program_text = (
-        constitution_entry["inline"]
-        if isinstance(constitution_entry, dict)
-        else (base / constitution_entry).read_text()
-    )
+    vmap, _ = _inline_or_path(map_entry, base, load_geojson)
+    perturb_cfg = _inline_or_path(perturb_entry, base, load_perturbation_config)
+    program = _inline_or_path(constitution_entry, base, _parse_program)
 
-    program = parse(program_text)
     relations = sorted(
         {(RelationKind(pred), tag) for pred, _, tag in environment_atoms(program)}
     )
@@ -309,15 +292,6 @@ def load_scenario(path) -> Scenario:
     f = precompute_field(program, layers, grid)
 
     agent_rng = np.random.default_rng(seeds[1])
-    count = int(agents.get("count", 1))
-    steps = int(agents["steps"])
-    dt = float(agents.get("dt", filter_cfg.dt))
-    if dt != filter_cfg.dt:
-        raise ConfigurationError("agent dt must match the filter dt")
-    mode = agents.get("mode", "compliant")
-    kick = float(agents.get("kick_std", 0.05))
-    start = np.asarray(agents["start"], dtype=float)
-    velocity = np.asarray(agents.get("velocity", (0.0, 0.0)), dtype=float)
     tracks = [
         simulate_agent(f, start, velocity, steps, dt, mode, agent_rng, kick_std=kick)
         for _ in range(count)

@@ -23,17 +23,6 @@ from .errors import ConfigurationError, DegenerateBeliefError
 _WEIGHT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class State:
-    """Planar kinematic state: position (m) and velocity (m/s)."""
-
-    p: tuple[float, float]
-    v: tuple[float, float]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p[0], self.p[1], self.v[0], self.v[1]])
-
-
 def cv_process_noise(dt: float, sigma_a: float) -> np.ndarray:
     """Continuous white-noise-acceleration covariance, per-axis blocks.
 
@@ -143,12 +132,6 @@ class ParticleBelief:
     def effective_sample_size(self) -> float:
         return float(1.0 / np.square(self.weights).sum())
 
-    def states(self) -> list[State]:
-        return [
-            State(p=(float(p[0]), float(p[1])), v=(float(v[0]), float(v[1])))
-            for p, v in zip(self.positions, self.velocities)
-        ]
-
     @classmethod
     def from_arrays(cls, positions, velocities, weights=None) -> "ParticleBelief":
         positions = np.array(positions, dtype=float).reshape(-1, 2)
@@ -213,23 +196,20 @@ def update_measurement(belief: ParticleBelief, z, meas: MeasurementModel
     return replace(belief, weights=raw / norm), norm
 
 
-def update_constitution(belief: ParticleBelief, z, evaluate, tau: float
+def update_constitution(belief: ParticleBelief, probs, tau: float
                         ) -> ParticleBelief:
-    """Blend compliance probabilities into the weights.
+    """Blend per-particle compliance probabilities into the weights.
 
-    evaluate(positions (N, 2), velocities (N, 2), z (2,)) -> P in [0, 1]
-    per particle. tau = 0 returns the belief unchanged without calling the
-    evaluator: the blended factor is the constant 1, and skipping the
-    (mathematically exact) renormalization keeps the no-op bit-exact.
+    probs: P(constitution | particle) in [0, 1], one per particle. tau = 0
+    returns the belief unchanged: the blended factor is the constant 1,
+    and skipping the (mathematically exact) renormalization keeps the
+    no-op bit-exact.
     """
     if not 0.0 <= tau <= 1.0:
         raise ConfigurationError(f"tau must lie in [0, 1], got {tau}")
     if tau == 0.0:
         return belief
-    z = np.asarray(z, dtype=float)
-    probs = np.asarray(
-        evaluate(belief.positions, belief.velocities, z), dtype=float
-    ).reshape(-1)
+    probs = np.asarray(probs, dtype=float).reshape(-1)
     if probs.shape != (belief.size,):
         raise ConfigurationError("evaluator returned a wrong-sized probability vector")
     if ((probs < -1e-9) | (probs > 1.0 + 1e-9)).any() or not np.isfinite(probs).all():
@@ -257,14 +237,6 @@ def resample(belief: ParticleBelief, rng: np.random.Generator) -> ParticleBelief
         velocities=belief.velocities[idx].copy(),
         weights=np.full(n, 1.0 / n),
     )
-
-
-def maybe_resample(belief: ParticleBelief, rng: np.random.Generator,
-                   ess_ratio: float = 0.5) -> tuple[ParticleBelief, bool]:
-    """Resample when the effective sample size drops below ess_ratio * N."""
-    if belief.effective_sample_size() < ess_ratio * belief.size:
-        return resample(belief, rng), True
-    return belief, False
 
 
 def estimate(belief: ParticleBelief) -> tuple[np.ndarray, np.ndarray]:
@@ -461,9 +433,7 @@ def run_filter(
                 evaluate(belief.positions, belief.velocities, z), dtype=float
             ).reshape(-1)
             mean_prob = float(probs.mean())
-            belief = update_constitution(
-                belief, z, lambda _p, _v, _z, probs=probs: probs, tau
-            )
+            belief = update_constitution(belief, probs, tau)
         ess = belief.effective_sample_size()
         resampled = ess < config.ess_ratio * belief.size
         if resampled:

@@ -1,11 +1,15 @@
-"""Trust features and trust-ratio calibration.
+"""Trust features, the trust-ratio sweep, and trust-ratio calibration.
 
 Each track gets a discrete feature triple (vessel type, waterway-bound,
-anchoring), held constant over the journey. Calibration runs the full
-tracking loop over historical tracks for every candidate trust ratio and
-picks, per feature bucket, the ratio minimizing the bucket-mean position
-error; ties resolve to the smallest ratio, and since every grid contains
-0, a calibrated bucket can never do worse in-sample than the plain filter.
+anchoring), held constant over the journey. sweep() is the one tau
+experiment of the package: every track is filtered once per candidate
+ratio against one seeded synthetic-noise measurement sequence and one
+filter seed, and scored by position error. Calibration sweeps historical
+tracks and picks, per feature bucket, the ratio minimizing the
+bucket-mean position error; ties resolve to the smallest ratio, and since
+every grid contains 0, a calibrated bucket can never do worse in-sample
+than the plain filter. The synthetic benchmark (evalbench.run_ablation)
+runs the same sweep, with the tau = 0 arm as its baseline.
 """
 
 from __future__ import annotations
@@ -217,6 +221,35 @@ def position_mae(estimates: np.ndarray, truth: np.ndarray) -> float:
     return float(np.linalg.norm(estimates - truth, axis=1).mean())
 
 
+def sweep(truths, track_seeds, config: FilterConfig, evaluate, taus) -> np.ndarray:
+    """Position MAE of every (track, tau) arm; NaN marks a degenerate run.
+
+    truths: (T, 2) ground-truth positions per track; track_seeds: one
+    SeedSequence per track. Each track spawns a noise seed and a filter
+    seed: the noise is drawn once, and every arm filters the same
+    measurements from a fresh generator on the filter seed, so the arms
+    differ in tau alone. At tau = 0 run_filter never calls evaluate, so
+    that arm is bit-identical to the plain filter.
+    """
+    mae = np.full((len(truths), len(taus)), np.nan)
+    for i, (truth, seq) in enumerate(zip(truths, track_seeds)):
+        noise_seq, filter_seq = seq.spawn(2)
+        truth = np.asarray(truth, dtype=float)
+        measurements = truth + config.draw_measurement_noise(
+            np.random.default_rng(noise_seq), len(truth)
+        )
+        for j, tau in enumerate(taus):
+            try:
+                estimates, _ = run_filter(
+                    measurements, config, np.random.default_rng(filter_seq),
+                    evaluate=evaluate, tau=tau,
+                )
+            except DegenerateBeliefError:
+                continue
+            mae[i, j] = position_mae(estimates, truth[1:])
+    return mae
+
+
 def calibrate(
     tracks: list[Track],
     evaluate,
@@ -228,10 +261,9 @@ def calibrate(
 ) -> tuple[TrustTable, CalibrationReport]:
     """Grid-search the trust ratio per feature bucket on historical tracks.
 
-    Every track is filtered once per candidate ratio against the same
-    synthetic-noise measurement sequence and the same filter seed, so the
-    ratio is the only difference between arms. Tracks whose runs
-    degenerate are skipped and counted. evaluate is the per-particle
+    Every track is swept over the grid (see sweep), so the ratio is the
+    only difference between arms. Tracks whose runs degenerate under any
+    ratio are skipped and counted. evaluate is the per-particle
     compliance evaluator shared by all runs (None tracks nothing but
     still exercises the grid; useful for smoke tests).
     """
@@ -247,29 +279,15 @@ def calibrate(
     if len(features) != len(tracks):
         raise ConfigurationError("one feature triple per track required")
 
-    seeds = np.random.SeedSequence(seed).spawn(len(tracks))
     buckets: dict[TrustFeatures, list[int]] = {}
     for i, feat in enumerate(features):
         buckets.setdefault(feat, []).append(i)
 
-    # MAE per (track, tau); NaN marks degenerate runs.
-    mae = np.full((len(tracks), len(tau_grid)), np.nan)
-    for i, track in enumerate(tracks):
-        noise_rng, filter_seed = seeds[i].spawn(2)
-        truth = np.asarray(track.positions, dtype=float)
-        noise = config.draw_measurement_noise(
-            np.random.default_rng(noise_rng), len(truth)
-        )
-        measurements = truth + noise
-        for j, tau in enumerate(tau_grid):
-            rng = np.random.default_rng(filter_seed)
-            try:
-                estimates, _ = run_filter(
-                    measurements, config, rng, evaluate=evaluate, tau=tau
-                )
-            except DegenerateBeliefError:
-                continue
-            mae[i, j] = position_mae(estimates, truth[1:])
+    mae = sweep(
+        [track.positions for track in tracks],
+        np.random.SeedSequence(seed).spawn(len(tracks)),
+        config, evaluate, tau_grid,
+    )
 
     entries = []
     report = CalibrationReport()

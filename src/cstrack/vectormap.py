@@ -370,14 +370,18 @@ def perturbations_from_config(vmap: VectorMap, config: dict) -> dict[int, Featur
     return out
 
 
-def load_perturbation_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad perturbation config {path}: {exc}") from exc
+def load_perturbation_config(source) -> dict:
+    """The pattern -> spreads mapping from a JSON file or a parsed object."""
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source, "r", encoding="utf-8") as fh:
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"bad perturbation config {source}: {exc}") from exc
+    else:
+        obj = source
     if not isinstance(obj, dict):
-        raise FormatError(f"perturbation config {path} must be a JSON object")
+        raise FormatError("a perturbation config must be a JSON object")
     return obj
 
 

@@ -43,7 +43,6 @@ from cstrack.particlefilter import (
     MeasurementModel,
     ParticleBelief,
     ProcessModel,
-    maybe_resample,
     predict,
     resample,
     run_filter,
@@ -358,12 +357,12 @@ def test_criterion_09_filter_statistics():
         z = belief.positions[int(rng.integers(n))] + rng.normal(scale=5.0, size=2)
         belief, _ = update_measurement(belief, z, meas)
         belief.validate()
-        probs = rng.uniform(size=n)
         belief = update_constitution(
-            belief, z, lambda p, v, zz, probs=probs: probs, tau=float(rng.uniform())
+            belief, rng.uniform(size=n), tau=float(rng.uniform())
         )
         belief.validate()
-        belief, _ = maybe_resample(belief, rng)
+        if belief.effective_sample_size() < 0.5 * belief.size:
+            belief = resample(belief, rng)
         belief.validate()
 
     weights = np.array([0.5, 0.3, 0.2])

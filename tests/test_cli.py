@@ -271,6 +271,39 @@ class TestBench:
         spec.write_text(json.dumps(doc))
         assert run_cli("bench", "--scenario", spec, "--out-dir", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("key, entry", [
+        ("map", {"geojson": {}}),
+        ("perturbations", 7),
+        ("constitution", {"inline": ["not", "text"]}),
+        ("agents", {"count": 1}),
+    ])
+    def test_malformed_entry_is_user_error(self, tmp_path, capsys, key, entry):
+        doc = world.scenario_spec(taus=(0.0,), n_seeds=1, steps=5, particles=50,
+                                  samples=4)
+        doc[key] = entry
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps(doc))
+        assert run_cli("bench", "--scenario", spec, "--out-dir", tmp_path / "o") == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_path_entries_match_inline(self, paths, tmp_path):
+        # Map, perturbations and constitution given as files next to the
+        # scenario load exactly like the same content inline.
+        outs = []
+        for name in ("inline", "paths"):
+            doc = world.scenario_spec(taus=(0.0, 1.0), n_seeds=1, steps=8,
+                                      particles=60, samples=4)
+            if name == "paths":
+                for key, file_key in (("map", "map"), ("perturbations", "perturb"),
+                                      ("constitution", "constitution")):
+                    doc[key] = paths[file_key].name
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(json.dumps(doc))
+            out_dir = tmp_path / f"out_{name}"
+            assert run_cli("bench", "--scenario", spec, "--out-dir", out_dir) == 0
+            outs.append((out_dir / "runs.csv").read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestEntryPoint:
     def test_console_script_version(self):

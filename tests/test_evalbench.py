@@ -9,7 +9,6 @@ from cstrack.evalbench import (
     Scenario,
     field_evaluator,
     load_scenario,
-    mae,
     run_ablation,
     simulate_agent,
 )
@@ -80,16 +79,6 @@ class TestSimulateAgent:
                            np.random.default_rng(0))
 
 
-class TestMae:
-    def test_identical(self):
-        a = np.random.default_rng(0).normal(size=(7, 2))
-        assert mae(a, a) == 0.0
-
-    def test_offset(self):
-        a = np.zeros((5, 2))
-        assert mae(a + [0.0, 4.0], a) == pytest.approx(4.0)
-
-
 def plateau_field(half=25.0, shoulder=25.0, floor=0.01,
                   bbox=(-200.0, -400.0, 3200.0, 400.0), rows=33, cols=35):
     # Flat-top corridor with Gaussian shoulders and a small floor, the
@@ -151,6 +140,45 @@ class TestRunAblation:
         lines = (tmp_path / "runs.csv").read_text().strip().splitlines()
         assert lines[0] == "seed,track,tau,mae,mae_baseline,relative_mae"
         assert len(lines) == 1 + len(report.rows)
+
+    def straight_scenario(self, value, tracks, taus):
+        config = FilterConfig(particles=100, dt=10.0, sigma_a=0.3,
+                              measurement_noise_std=50.0)
+        return Scenario(field=constant_field(value), truth_tracks=tracks, dt=10.0,
+                        filter_config=config, taus=taus, n_seeds=1, seed=3)
+
+    def line(self, steps=12):
+        return np.column_stack([np.arange(steps) * 50.0, np.zeros(steps)])
+
+    def test_degenerate_arm_is_nan_row(self):
+        # Zero compliance everywhere: the tau = 1 update zeroes every weight.
+        report = run_ablation(self.straight_scenario(0.0, [self.line()], (0.0, 1.0)))
+        assert [row.tau for row in report.rows] == [0.0, 1.0]
+        base, degenerate = report.rows
+        assert np.isfinite(base.mae_filter) and base.mae_filter == base.mae_baseline
+        assert np.isnan(degenerate.mae_filter)
+        assert degenerate.mae_baseline == base.mae_baseline
+
+    def test_degenerate_baseline_drops_track(self):
+        # A 1e6 m jump leaves every particle with zero measurement likelihood
+        # in the plain filter, so that track has no baseline and no rows.
+        jump = self.line()
+        jump[6:, 1] += 1e6
+        report = run_ablation(
+            self.straight_scenario(1.0, [jump, self.line()], (0.0, 0.5))
+        )
+        assert [(row.track, row.tau) for row in report.rows] == [(1, 0.0), (1, 0.5)]
+
+    def test_rows_keep_caller_tau_order(self):
+        report = run_ablation(small_scenario(taus=(1.0, 0.0, 1.0), n_seeds=1))
+        assert [row.tau for row in report.rows] == [1.0, 0.0, 1.0] * 2
+        first = report.rows[:3]
+        assert first[0].mae_filter == first[2].mae_filter
+        assert first[1].mae_filter == first[1].mae_baseline
+
+    def test_taus_outside_unit_interval_rejected(self):
+        with pytest.raises(ConfigurationError):
+            run_ablation(small_scenario(n_seeds=1), taus=(-0.5,))
 
     def test_reruns_identical(self):
         a = run_ablation(small_scenario(n_seeds=2))

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from cstrack.constitution import (
     Atom,
+    AtomLiteral,
+    CategoricalClause,
     CompiledQuery,
+    Program,
     ground,
     parse,
     query_probability,
 )
-from cstrack.constitution.inference import total_probability_mass
 from cstrack.errors import CapacityError
 
 from wmc_oracle import oracle_probability, random_program
@@ -121,11 +123,24 @@ class TestInvariants:
             query_probability(gp, limit=5)
 
     def test_total_mass_is_one(self):
+        # nq :- \+ q. splits every model between q and nq, so the two
+        # query probabilities partition the total mass.
         rng = np.random.default_rng(3)
+        nq = Atom("nq")
         for _ in range(10):
             program, _ = random_program(rng, max_facts=6, max_rules=6)
-            gp = ground(program)
-            assert total_probability_mass(gp) == pytest.approx(1.0, abs=1e-9)
+            extended = Program(
+                clauses=program.clauses + (
+                    CategoricalClause(
+                        prob=1.0, head=nq,
+                        body=(AtomLiteral(program.query, negated=True),),
+                    ),
+                ),
+                query=nq,
+            )
+            gp = ground(extended)
+            total = query_probability(gp, query=program.query) + query_probability(gp)
+            assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_determinism_across_calls(self):
         program, _ = random_program(np.random.default_rng(5), 8, 8)
@@ -215,15 +230,15 @@ class TestAgainstGenerativeMonteCarlo:
 
 
 class TestCompiledQuery:
-    def test_matches_query_probability(self):
+    def test_matches_oracle(self):
         rng = np.random.default_rng(77)
         for _ in range(10):
-            program, _ = random_program(rng, 8, 8)
+            program, op = random_program(rng, 8, 8)
             gp = ground(program)
             compiled = CompiledQuery(gp)
             params = gp.static_params()
             assert compiled.evaluate(params) == pytest.approx(
-                query_probability(gp), abs=1e-12
+                oracle_probability(op), abs=1e-12
             )
 
     def test_batch_rows_equal_scalar_calls_bitwise(self):

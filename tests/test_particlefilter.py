@@ -12,7 +12,6 @@ from cstrack.particlefilter import (
     ProcessModel,
     cv_process_noise,
     estimate,
-    maybe_resample,
     predict,
     resample,
     run_filter,
@@ -109,43 +108,29 @@ class TestMeasurementUpdate:
 
 
 class TestConstitutionUpdate:
-    def evaluator(self, probs):
-        return lambda p, v, z: np.asarray(probs)
-
     def test_tau_zero_is_bitwise_noop(self):
         belief = ParticleBelief.from_arrays(
             [(0, 0), (1, 1)], np.zeros((2, 2)), weights=[0.3, 0.7]
         )
-        called = []
-
-        def evaluate(p, v, z):
-            called.append(True)
-            return np.zeros(len(p))
-
-        out = update_constitution(belief, (0, 0), evaluate, tau=0.0)
+        out = update_constitution(belief, np.zeros(2), tau=0.0)
         assert out is belief
-        assert not called
 
     def test_tau_one_weights_by_probability(self):
         belief = ParticleBelief.from_arrays([(0, 0), (1, 1)], np.zeros((2, 2)))
-        out = update_constitution(
-            belief, (0, 0), self.evaluator([0.8, 0.2]), tau=1.0
-        )
+        out = update_constitution(belief, [0.8, 0.2], tau=1.0)
         np.testing.assert_allclose(out.weights, [0.8, 0.2], atol=1e-15)
 
     def test_half_tau_all_zero_probs_is_uniform(self):
         belief = ParticleBelief.from_arrays(
             [(0, 0), (1, 1), (2, 2)], np.zeros((3, 2)), weights=[0.5, 0.25, 0.25]
         )
-        out = update_constitution(
-            belief, (0, 0), self.evaluator([0.0, 0.0, 0.0]), tau=0.5
-        )
+        out = update_constitution(belief, [0.0, 0.0, 0.0], tau=0.5)
         np.testing.assert_allclose(out.weights, belief.weights, atol=1e-15)
 
     def test_tau_one_all_zero_raises(self):
         belief = ParticleBelief.from_arrays([(0, 0)], [(0, 0)])
         with pytest.raises(DegenerateBeliefError):
-            update_constitution(belief, (0, 0), self.evaluator([0.0]), tau=1.0)
+            update_constitution(belief, [0.0], tau=1.0)
 
     def test_scale_invariance_of_positive_factors(self):
         # Multiplying all compliance factors by a constant cancels in the
@@ -153,22 +138,21 @@ class TestConstitutionUpdate:
         belief = ParticleBelief.from_arrays(
             [(0, 0), (1, 1)], np.zeros((2, 2)), weights=[0.4, 0.6]
         )
-        a = update_constitution(belief, (0, 0), self.evaluator([0.2, 0.6]), tau=1.0)
-        b = update_constitution(belief, (0, 0), self.evaluator([0.1, 0.3]), tau=1.0)
+        a = update_constitution(belief, [0.2, 0.6], tau=1.0)
+        b = update_constitution(belief, [0.1, 0.3], tau=1.0)
         np.testing.assert_allclose(a.weights, b.weights, atol=1e-12)
 
     def test_invalid_tau_rejected(self):
         belief = ParticleBelief.from_arrays([(0, 0)], [(0, 0)])
         with pytest.raises(ConfigurationError):
-            update_constitution(belief, (0, 0), self.evaluator([1.0]), tau=1.5)
+            update_constitution(belief, [1.0], tau=1.5)
 
 
 class TestResampling:
     def test_uniform_weights_not_triggered(self):
         belief = ParticleBelief.from_arrays(np.zeros((10, 2)), np.zeros((10, 2)))
         assert belief.effective_sample_size() == pytest.approx(10.0)
-        _, resampled = maybe_resample(belief, np.random.default_rng(0))
-        assert not resampled
+        assert belief.effective_sample_size() >= 0.5 * belief.size
 
     def test_single_heavy_particle_dominates(self):
         weights = np.zeros(8)
@@ -271,12 +255,12 @@ class TestWeightSimplexFuzz:
             z = belief.positions[rng.integers(n)] + rng.normal(scale=5.0, size=2)
             belief, _ = update_measurement(belief, z, meas)
             belief.validate()
-            probs = rng.uniform(size=n)
             belief = update_constitution(
-                belief, z, lambda p, v, zz, probs=probs: probs, tau=float(rng.uniform())
+                belief, rng.uniform(size=n), tau=float(rng.uniform())
             )
             belief.validate()
-            belief, _ = maybe_resample(belief, rng)
+            if belief.effective_sample_size() < 0.5 * belief.size:
+                belief = resample(belief, rng)
             belief.validate()
 
 
@@ -301,14 +285,20 @@ class TestRunFilter:
         rng = np.random.default_rng(2)
         noisy = truth + rng.normal(scale=3.0, size=truth.shape)
         config = FilterConfig(particles=200, dt=1.0, measurement_noise_std=3.0)
+        calls = []
 
-        def evaluate(p, v, z):  # pragma: no cover - must never be called
-            raise AssertionError("evaluator called despite tau = 0")
+        def evaluate(p, v, z):
+            calls.append(len(p))
+            return np.full(len(p), 0.5)
 
         a, _ = run_filter(noisy, config, np.random.default_rng(3))
         b, _ = run_filter(noisy, config, np.random.default_rng(3),
                           evaluate=evaluate, tau=0.0)
         assert (a == b).all()
+        assert calls == []
+        # The counter does see an active compliance step: one call per step.
+        run_filter(noisy, config, np.random.default_rng(3), evaluate=evaluate, tau=0.5)
+        assert calls == [200] * (len(truth) - 1)
 
     def test_compliance_pull_improves_biased_prior(self):
         # Compliance concentrated on the true corridor (y = 0) should pull

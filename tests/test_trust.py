@@ -194,6 +194,21 @@ class TestCalibrate:
         assert sum(report.histogram_by_bucket().values()) == len(report.buckets)
         assert sum(report.histogram_by_track().values()) == len(tracks)
 
+    def test_degenerate_track_is_skipped(self):
+        # Zero compliance everywhere: the tau = 1 arm degenerates, so the
+        # only track is skipped and the bucket falls back to default_tau.
+        track = make_track({"vessel_type": 70, "sog_median_kn": 8.0})
+        table, report = calibrate(
+            [track], lambda p, v, z: np.zeros(len(p)), self.config(),
+            tau_grid=(0.0, 1.0), seed=2, default_tau=0.3,
+        )
+        bucket = report.buckets[0]
+        assert bucket.skipped_tracks == 1
+        assert bucket.track_count == 1
+        assert bucket.chosen_tau == 0.3
+        assert table.lookup(extract_features(track)) == 0.3
+        assert bucket.mae_per_tau == (np.inf, np.inf)
+
     def test_report_csv(self, tmp_path):
         tracks = [make_track({"vessel_type": 70, "sog_median_kn": 8.0})]
         _, report = calibrate(
