@@ -22,9 +22,14 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .constitution import ConstitutionEvaluator, environment_atoms, parse, precompute_field
+from .constitution import (
+    ConstitutionEvaluator,
+    environment_atoms,
+    parse_file,
+    precompute_field,
+)
 from .errors import ConfigurationError, CstrackError
-from .evalbench import field_evaluator, load_scenario, run_ablation
+from .evalbench import load_scenario, run_ablation
 from .grids import GridSpec
 from .ingest import (
     DEFAULT_DT_S,
@@ -104,16 +109,12 @@ def _load_filter_config(args) -> FilterConfig:
 
 
 def _evaluator_for(program, layers, mode: str, limit: int):
-    """Per-particle compliance evaluator in field or direct mode."""
+    """Per-particle compliance evaluator: a field on the starmap grid, or
+    per-particle inference (direct mode)."""
     if mode == "field":
-        if not layers:
-            grid = GridSpec(bbox=(-1.0, -1.0, 1.0, 1.0), rows=2, cols=2)
-        else:
-            grid = layers[0].grid
-        f = precompute_field(program, layers, grid, limit=limit)
-        return field_evaluator(f)
-    evaluator = ConstitutionEvaluator(program, layers, limit=limit)
-    return evaluator.particle_evaluator()
+        field = precompute_field(program, layers, layers[0].grid, limit=limit)
+        return field.particle_probabilities
+    return ConstitutionEvaluator(program, layers, limit=limit).particle_probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +168,7 @@ def cmd_build_starmap(args) -> int:
     if args.relations:
         relations = _parse_relations(args.relations)
     elif args.constitution:
-        program = parse(pathlib.Path(args.constitution).read_text(encoding="utf-8"))
+        program = parse_file(args.constitution)
         relations = sorted(
             {(RelationKind(p), t) for p, _, t in environment_atoms(program)}
         )
@@ -200,7 +201,7 @@ def cmd_build_starmap(args) -> int:
 
 
 def cmd_field(args) -> int:
-    program = parse(pathlib.Path(args.constitution).read_text(encoding="utf-8"))
+    program = parse_file(args.constitution)
     layers, _ = load_starmap(args.starmap)
     grid = (
         _grid_from_args(args, default_bbox=layers[0].grid.bbox,
@@ -239,7 +240,7 @@ def cmd_track(args) -> int:
                 "tracking with the constitution needs --constitution and --starmap "
                 "(or pass --no-constitution)"
             )
-        program = parse(pathlib.Path(args.constitution).read_text(encoding="utf-8"))
+        program = parse_file(args.constitution)
         layers, _ = load_starmap(args.starmap)
         evaluate = _evaluator_for(program, layers, args.mode, args.limit)
     seeds = np.random.SeedSequence(args.seed).spawn(len(tracks))
@@ -297,7 +298,7 @@ def cmd_calibrate(args) -> int:
     if len(dts) != 1:
         raise ConfigurationError(f"tracks carry mixed dt values {sorted(dts)}")
     config = dataclasses.replace(_load_filter_config(args), dt=float(dts.pop()))
-    program = parse(pathlib.Path(args.constitution).read_text(encoding="utf-8"))
+    program = parse_file(args.constitution)
     layers, _ = load_starmap(args.starmap)
     evaluate = _evaluator_for(program, layers, args.mode, args.limit)
     tau_grid = tuple(float(t) for t in args.tau_grid.split(","))

@@ -21,7 +21,6 @@ from .inference import CompiledQuery, query_probability
 from .environment import (
     ConstitutionEvaluator,
     bind_environment,
-    constitution_probability,
     environment_atoms,
 )
 from .field import ConstitutionField, precompute_field
@@ -43,7 +42,6 @@ __all__ = [
     "Program",
     "Variable",
     "bind_environment",
-    "constitution_probability",
     "environment_atoms",
     "format_atom",
     "format_clause",

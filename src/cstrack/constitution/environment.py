@@ -16,13 +16,20 @@ The ConstitutionEvaluator performs the same binding symbolically, keeping
 re-weighted for thousands of particle positions at once. Program structure
 never depends on the interpolated values, only on the program text and on
 which layers exist, so all points share one compiled structure.
+
+bind_environment, the reference path, raises on a flagged or out-of-bbox
+point. The evaluator instead returns NaN for such a row, and its
+particle_probabilities (direct mode) first clamps positions and the
+measurement into the layers' common bbox, exactly as field mode clamps
+into the field's bbox.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, OutOfBoundsError
+from ..grids import clamp_to_bbox
 from ..relations import RelationKind
 from ..starmap import StaRMapLayer, find_layer, interpolate_many
 from .grounder import (
@@ -156,6 +163,11 @@ def bind_environment(program: Program, layers: list[StaRMapLayer], state,
         if entry["head"].key() in existing:
             continue
         point = state if entry["at"] == "state" else measurement
+        grid = entry["layer"].grid
+        if not grid.contains(point)[0]:
+            raise OutOfBoundsError(
+                f"point ({point[0]}, {point[1]}) outside grid bbox {grid.bbox}"
+            )
         mean, std = interpolate_many(entry["layer"], point.reshape(1, 2))
         mean, std = float(mean[0]), float(std[0])
         if not (np.isfinite(mean) and np.isfinite(std)):
@@ -215,24 +227,27 @@ class ConstitutionEvaluator:
         self.layers = layers
         plan = _slot_plan(program, layers)
         self._slots = {entry["slot"]: entry for entry in plan}
+        # Intersection of the slot layers' bboxes (unbounded without slots).
+        bboxes = [entry["layer"].grid.bbox for entry in plan]
+        self._bbox = (
+            max((b[0] for b in bboxes), default=-np.inf),
+            max((b[1] for b in bboxes), default=-np.inf),
+            min((b[2] for b in bboxes), default=np.inf),
+            min((b[3] for b in bboxes), default=np.inf),
+        )
         template = _template_program(program, plan)
         self.ground_program = ground(template)
         self.compiled = CompiledQuery(self.ground_program, limit=limit)
 
-    @property
-    def query_atom(self) -> Atom:
-        return _bound_query(self.program)
-
-    def _slot_moments(self, slot: str, states: np.ndarray, measurements: np.ndarray,
-                      allow_outside: bool):
+    def _slot_moments(self, slot: str, states: np.ndarray, measurements: np.ndarray):
         entry = self._slots[slot]
         points = states if entry["at"] == "state" else measurements
-        mean, std = interpolate_many(entry["layer"], points, allow_outside=allow_outside)
+        mean, std = interpolate_many(entry["layer"], points)
         return np.atleast_1d(mean), np.atleast_1d(std)
 
-    def parameter_matrix(self, states: np.ndarray, measurements: np.ndarray,
-                         allow_outside: bool = False) -> np.ndarray:
-        """(N, k) Bernoulli parameters for each (state, measurement) row."""
+    def parameter_matrix(self, states: np.ndarray, measurements: np.ndarray) -> np.ndarray:
+        """(N, k) Bernoulli parameters for each (state, measurement) row;
+        NaN entries where a slot's point is flagged or outside its layer."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
         if measurements.shape[0] == 1 and states.shape[0] > 1:
@@ -245,9 +260,7 @@ class ConstitutionEvaluator:
 
         def moments(slot):
             if slot not in moment_cache:
-                moment_cache[slot] = self._slot_moments(
-                    slot, states, measurements, allow_outside
-                )
+                moment_cache[slot] = self._slot_moments(slot, states, measurements)
             return moment_cache[slot]
 
         for i, spec in enumerate(gp.fact_params):
@@ -266,65 +279,27 @@ class ConstitutionEvaluator:
                 params[:, i] = chain_cache[key][spec.index]
         return params
 
-    def probabilities(self, states: np.ndarray, measurements: np.ndarray,
-                      allow_outside: bool = False) -> np.ndarray:
-        """P(constitution | state, measurement) per row; NaN where flagged."""
-        params = self.parameter_matrix(states, measurements, allow_outside)
-        bad = ~np.isfinite(params).all(axis=1)
-        if bad.any():
-            if not allow_outside:
-                raise ConfigurationError(
-                    "environment parameters are undefined (flagged layer cells) "
-                    "at some query points"
-                )
-            params = np.where(np.isfinite(params), params, 0.5)
-        out = self.compiled.evaluate(params)
-        out = np.asarray(out, dtype=float).reshape(-1)
+    def probabilities(self, states: np.ndarray, measurements: np.ndarray) -> np.ndarray:
+        """P(constitution | state, measurement) per row; NaN where a row
+        reads a flagged layer cell or a point outside a layer."""
+        params = self.parameter_matrix(states, measurements)
+        defined = np.isfinite(params).all(axis=1)
+        out = np.full(len(params), np.nan)
+        # Rows are evaluated independently, so evaluating the defined rows
+        # alone gives them the same bits as a full batch.
+        out[defined] = self.compiled.evaluate(params[defined])
         if ((out < -1e-9) | (out > 1 + 1e-9)).any():
             raise AssertionError("query probability escaped [0, 1]")
-        out = np.clip(out, 0.0, 1.0)
-        out[bad] = np.nan
-        return out
+        return np.clip(out, 0.0, 1.0)
 
-    def probability(self, state, measurement) -> float:
-        out = self.probabilities(
-            np.asarray(state, dtype=float).reshape(1, 2),
-            np.asarray(measurement, dtype=float).reshape(1, 2),
-        )
-        return float(out[0])
+    def particle_probabilities(self, positions, velocities, z) -> np.ndarray:
+        """Per-particle compliance (direct mode); NaN where undefined.
 
-    def particle_evaluator(self):
-        """Per-particle adapter for the tracking loop (direct mode).
-
-        Particle positions and the shared measurement are clamped into the
-        layers' bbox (constant extrapolation at the map edge) so stray
-        particles stay evaluable.
+        Positions and the shared measurement z are clamped into the
+        layers' common bbox (constant extrapolation at the map edge).
         """
-        bboxes = [entry["layer"].grid.bbox for entry in self._slots.values()]
-
-        def clamp(points):
-            if not bboxes:
-                return points
-            xmin = max(b[0] for b in bboxes)
-            ymin = max(b[1] for b in bboxes)
-            xmax = min(b[2] for b in bboxes)
-            ymax = min(b[3] for b in bboxes)
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            return np.column_stack(
-                [np.clip(pts[:, 0], xmin, xmax), np.clip(pts[:, 1], ymin, ymax)]
-            )
-
-        def evaluate(positions, velocities, z):
-            states = clamp(positions)
-            meas = clamp(np.broadcast_to(np.asarray(z, dtype=float), states.shape))
-            return self.probabilities(states, meas)
-
-        return evaluate
-
-
-def constitution_probability(program: Program, layers: list[StaRMapLayer], state,
-                             measurement, limit: int = DEFAULT_ATOM_LIMIT) -> float:
-    """Probability that the constitution holds at one state/measurement pair."""
-    return ConstitutionEvaluator(program, layers, limit=limit).probability(
-        state, measurement
-    )
+        states = clamp_to_bbox(positions, self._bbox)
+        meas = clamp_to_bbox(
+            np.broadcast_to(np.asarray(z, dtype=float), states.shape), self._bbox
+        )
+        return self.probabilities(states, meas)

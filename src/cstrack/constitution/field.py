@@ -2,7 +2,12 @@
 
 When the environment and measurement policy are static, evaluating the
 constitution on a grid once and interpolating afterwards replaces per-point
-inference in the tracking loop.
+inference in the tracking loop (field mode). Field mode and direct mode
+(ConstitutionEvaluator) share the per-particle protocol
+particle_probabilities(positions, velocities, z) -> (N,): both clamp
+positions into the bbox through grids.clamp_to_bbox, and both return NaN
+wherever the interpolation touches a flagged node. What the filter does
+with NaN is decided by particlefilter.update_constitution alone.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, FormatError
-from ..grids import GridSpec, bilinear, write_pgm
+from ..grids import GridSpec, bilinear, clamp_to_bbox, write_pgm
 from ..starmap import StaRMapLayer
 from .environment import ConstitutionEvaluator
 from .inference import DEFAULT_ATOM_LIMIT
@@ -35,18 +40,17 @@ class ConstitutionField:
             )
         self.values.setflags(write=False)
 
-    def at(self, points) -> np.ndarray:
-        """Bilinear interpolation; raises outside the bbox."""
-        return bilinear(self.grid, self.values, points)
-
     def at_clamped(self, points) -> np.ndarray:
         """Bilinear interpolation with points clamped into the bbox."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        xmin, ymin, xmax, ymax = self.grid.bbox
-        clamped = np.column_stack(
-            [np.clip(pts[:, 0], xmin, xmax), np.clip(pts[:, 1], ymin, ymax)]
-        )
-        return bilinear(self.grid, self.values, clamped)
+        return bilinear(self.grid, self.values, clamp_to_bbox(points, self.grid.bbox))
+
+    def particle_probabilities(self, positions, velocities, z) -> np.ndarray:
+        """Per-particle compliance (field mode); NaN where undefined.
+
+        z is not read: the field fixed the measurement when it was
+        precomputed.
+        """
+        return self.at_clamped(positions)
 
     def to_json(self) -> dict:
         return {
@@ -112,5 +116,5 @@ def precompute_field(program: Program, layers: list[StaRMapLayer], grid: GridSpe
         meas = np.broadcast_to(
             np.asarray(measurement, dtype=float).reshape(1, 2), points.shape
         )
-    values = evaluator.probabilities(points, meas, allow_outside=True)
+    values = evaluator.probabilities(points, meas)
     return ConstitutionField(grid=grid, values=values.reshape(grid.rows, grid.cols))

@@ -6,7 +6,10 @@ toward high-probability regions, incompliant agents away), then compare
 the rule-aware filter against the plain particle filter on identical
 measurement sequences, initial clouds, and random draws. The comparison
 is trust.sweep, the same tau experiment calibration runs: its tau = 0
-arm is the plain filter, bit for bit, and serves as the baseline.
+arm is the plain filter, bit for bit, and serves as the baseline. The
+filter reads the scenario field through its particle_probabilities, the
+same field-mode evaluator the CLI uses; an agent treats a NaN field value
+as acceptance 0, while the filter leaves NaN to update_constitution.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitution import environment_atoms, parse, precompute_field
+from .constitution import environment_atoms, parse, parse_file, precompute_field
 from .constitution.field import ConstitutionField
 from .errors import ConfigurationError, FormatError, StuckAgentError
 from .grids import GridSpec
@@ -175,7 +178,7 @@ def run_ablation(scenario: Scenario, taus=None, n_seeds=None) -> MetricReport:
     n_seeds = n_seeds if n_seeds is not None else scenario.n_seeds
     arms = sorted({0.0, *taus})
     column = [arms.index(tau) for tau in taus]
-    evaluate = field_evaluator(scenario.field)
+    evaluate = scenario.field.particle_probabilities
     tracks = scenario.truth_tracks
     report = MetricReport()
     for s, seed_root in enumerate(np.random.SeedSequence(scenario.seed).spawn(n_seeds)):
@@ -191,20 +194,6 @@ def run_ablation(scenario: Scenario, taus=None, n_seeds=None) -> MetricReport:
                            mae_filter=float(row[j]), mae_baseline=base_mae)
                 )
     return report
-
-
-def field_evaluator(f: ConstitutionField):
-    """Per-particle evaluator backed by a precomputed field.
-
-    Positions outside the field bbox are clamped to its edge (constant
-    extrapolation), which keeps stray particles evaluable.
-    """
-
-    def evaluate(positions, velocities, z):
-        values = f.at_clamped(positions)
-        return np.where(np.isfinite(values), values, 0.0)
-
-    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +214,7 @@ def _inline_or_path(entry, base_dir: pathlib.Path, loader):
 
 def _parse_program(source):
     if isinstance(source, pathlib.Path):
-        source = source.read_text(encoding="utf-8")
+        return parse_file(source)
     if not isinstance(source, str):
         raise FormatError("an inline constitution must be program text")
     return parse(source)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, OutOfBoundsError
+from .errors import ConfigurationError
 
 # Queries this close (in node units) to an exact node snap onto it, so that
 # node lookups return stored values bit-for-bit.
@@ -78,12 +78,10 @@ def _fractional_index(coords: np.ndarray, lo: float, hi: float, n: int) -> np.nd
     return u
 
 
-def bilinear(grid: GridSpec, values: np.ndarray, points: np.ndarray,
-             allow_outside: bool = False) -> np.ndarray:
+def bilinear(grid: GridSpec, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of a (rows, cols) value raster at query points.
 
-    Points outside the bbox raise OutOfBoundsError unless allow_outside is
-    set, in which case they yield NaN. NaN cells propagate into any query
+    Points outside the bbox yield NaN. NaN cells propagate into any query
     whose four surrounding nodes include them.
     """
     values = np.asarray(values, dtype=float)
@@ -93,9 +91,6 @@ def bilinear(grid: GridSpec, values: np.ndarray, points: np.ndarray,
         )
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     inside = grid.contains(pts)
-    if not allow_outside and not inside.all():
-        bad = pts[~inside][0]
-        raise OutOfBoundsError(f"point ({bad[0]}, {bad[1]}) outside grid bbox {grid.bbox}")
 
     xmin, ymin, xmax, ymax = grid.bbox
     u = _fractional_index(pts[:, 0], xmin, xmax, grid.cols)
@@ -103,8 +98,13 @@ def bilinear(grid: GridSpec, values: np.ndarray, points: np.ndarray,
     u = np.clip(u, 0.0, grid.cols - 1.0)
     v = np.clip(v, 0.0, grid.rows - 1.0)
 
-    j0 = np.clip(np.floor(u).astype(int), 0, grid.cols - 2)
-    i0 = np.clip(np.floor(v).astype(int), 0, grid.rows - 2)
+    # An exact node is detected before the cell index is clipped: on the
+    # last row or column the clipped cell sees the node at fraction 1, and
+    # a NaN neighbour times weight 0 would poison the blend.
+    fu, fv = np.floor(u), np.floor(v)
+    exact = (fu == u) & (fv == v)
+    j0 = np.clip(fu.astype(int), 0, grid.cols - 2)
+    i0 = np.clip(fv.astype(int), 0, grid.rows - 2)
     fx = u - j0
     fy = v - i0
 
@@ -118,15 +118,24 @@ def bilinear(grid: GridSpec, values: np.ndarray, points: np.ndarray,
         + v10 * fy * (1.0 - fx)
         + v11 * fy * fx
     )
-    # Exactness at nodes: fall back to the stored value when both fractions
-    # snapped to zero, avoiding the (tiny) rounding of the blend above.
-    exact = (fx == 0.0) & (fy == 0.0)
+    # Exactness at nodes: return the stored value, avoiding the (tiny)
+    # rounding of the blend above.
     if exact.any():
-        out = np.where(exact, values[i0, j0], out)
+        out[exact] = values[v[exact].astype(int), u[exact].astype(int)]
     out = np.where(inside, out, np.nan)
     if np.isscalar(points[0]) or np.asarray(points).ndim == 1:
         return float(out[0])
     return out
+
+
+def clamp_to_bbox(points, bbox) -> np.ndarray:
+    """(N, 2) points with each coordinate clipped into bbox (xmin, ymin,
+    xmax, ymax): constant extrapolation at the edge of a raster."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    xmin, ymin, xmax, ymax = bbox
+    return np.column_stack(
+        [np.clip(pts[:, 0], xmin, xmax), np.clip(pts[:, 1], ymin, ymax)]
+    )
 
 
 def write_pgm(path, values: np.ndarray, vmin: float | None = None,

@@ -9,6 +9,13 @@ one extra multiplicative weight factor per step:
 blending the compliance likelihood with a uniform density. tau = 0 is an
 exact no-op (implemented as such, so a tau = 0 run is bit-identical to a
 filter without the compliance step), tau = 1 weights purely by compliance.
+
+Compliance comes from an evaluator evaluate(positions, velocities, z) ->
+(N,) with values in [0, 1] and NaN where compliance is undefined (a
+flagged map cell). update_constitution owns the one policy for NaN: such
+a particle gets the weight-averaged factor of the defined particles, so
+the step neither rewards nor penalizes it, and a step with no defined
+particle leaves the belief unchanged.
 """
 
 from __future__ import annotations
@@ -86,16 +93,9 @@ class MeasurementModel:
             raise ConfigurationError("measurement noise R must be positive definite")
         object.__setattr__(self, "R", R)
 
-    @property
-    def H(self) -> np.ndarray:
-        return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-
     @classmethod
     def isotropic(cls, std_m: float) -> "MeasurementModel":
         return cls(R=np.eye(2) * float(std_m) ** 2)
-
-    def sample(self, position: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.asarray(position, dtype=float) + _psd_factor(self.R) @ rng.standard_normal(2)
 
 
 @dataclass(frozen=True)
@@ -200,8 +200,11 @@ def update_constitution(belief: ParticleBelief, probs, tau: float
                         ) -> ParticleBelief:
     """Blend per-particle compliance probabilities into the weights.
 
-    probs: P(constitution | particle) in [0, 1], one per particle. tau = 0
-    returns the belief unchanged: the blended factor is the constant 1,
+    probs: P(constitution | particle) in [0, 1], one per particle, NaN
+    where undefined. An undefined particle gets the weighted mean factor
+    of the defined ones, sum(w * f) / sum(w), so the step leaves its
+    weight unchanged. tau = 0, or a step in which no defined particle
+    carries weight, returns the belief itself: the factor is a constant,
     and skipping the (mathematically exact) renormalization keeps the
     no-op bit-exact.
     """
@@ -212,9 +215,16 @@ def update_constitution(belief: ParticleBelief, probs, tau: float
     probs = np.asarray(probs, dtype=float).reshape(-1)
     if probs.shape != (belief.size,):
         raise ConfigurationError("evaluator returned a wrong-sized probability vector")
-    if ((probs < -1e-9) | (probs > 1.0 + 1e-9)).any() or not np.isfinite(probs).all():
+    if ((probs < -1e-9) | (probs > 1.0 + 1e-9)).any():
         raise ConfigurationError("evaluator returned probabilities outside [0, 1]")
     factor = tau * np.clip(probs, 0.0, 1.0) + (1.0 - tau)
+    undefined = np.isnan(factor)
+    if undefined.any():
+        defined_weights = belief.weights[~undefined]
+        mass = float(defined_weights.sum())
+        if mass == 0.0:
+            return belief
+        factor[undefined] = float(defined_weights @ factor[~undefined]) / mass
     raw = belief.weights * factor
     norm = float(raw.sum())
     if norm <= 0.0:
@@ -261,7 +271,7 @@ class ConstitutionSampleSet:
     measurements: np.ndarray  # (N, 2) sampled measurements
 
     def __post_init__(self):
-        if ((self.values < 0) | (self.values > 1)).any():
+        if not ((self.values >= 0) & (self.values <= 1)).all():  # NaN fails too
             raise ConfigurationError("compliance probabilities outside [0, 1]")
 
 
@@ -304,18 +314,12 @@ class FilterConfig:
     measurement_noise_std: float = 50.0
     R: tuple | None = None  # full 2x2 covariance; overrides the isotropic std
     ess_ratio: float = 0.5
-    constitution_mode: str = "field"  # "field" | "direct"
-    constitution_samples: int = 100
     init_position_std: float | None = None  # default: measurement noise std
     init_speed_std: float = 2.0
 
     def __post_init__(self):
         if self.particles < 1:
             raise ConfigurationError("particles must be >= 1")
-        if self.constitution_mode not in ("field", "direct"):
-            raise ConfigurationError(
-                f"unknown constitution mode {self.constitution_mode!r}"
-            )
         if not 0.0 < self.ess_ratio <= 1.0:
             raise ConfigurationError("ess_ratio must lie in (0, 1]")
 
@@ -344,8 +348,6 @@ class FilterConfig:
             "measurement_noise_std": self.measurement_noise_std,
             "R": None if self.R is None else [list(row) for row in self.R],
             "ess_ratio": self.ess_ratio,
-            "constitution_mode": self.constitution_mode,
-            "constitution_samples": self.constitution_samples,
             "init_position_std": self.init_position_std,
             "init_speed_std": self.init_speed_std,
         }
@@ -432,7 +434,8 @@ def run_filter(
             probs = np.asarray(
                 evaluate(belief.positions, belief.velocities, z), dtype=float
             ).reshape(-1)
-            mean_prob = float(probs.mean())
+            defined = probs[~np.isnan(probs)]
+            mean_prob = float(defined.mean()) if defined.size else None
             belief = update_constitution(belief, probs, tau)
         ess = belief.effective_sample_size()
         resampled = ess < config.ess_ratio * belief.size

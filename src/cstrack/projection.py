@@ -39,17 +39,3 @@ class LocalFrame:
         lon = self.origin_lon + np.degrees(x / (EARTH_RADIUS_M * scale))
         lat = self.origin_lat + np.degrees(y / EARTH_RADIUS_M)
         return lon, lat
-
-
-def project(lat, lon, origin: tuple[float, float]):
-    """Project (lat, lon) degrees to (x, y) meters about origin=(lon, lat)."""
-    frame = LocalFrame(origin_lon=origin[0], origin_lat=origin[1])
-    x, y = frame.to_xy(lon, lat)
-    return x, y
-
-
-def unproject(x, y, origin: tuple[float, float]):
-    """Inverse of project; returns (lat, lon) degrees."""
-    frame = LocalFrame(origin_lon=origin[0], origin_lat=origin[1])
-    lon, lat = frame.to_lonlat(x, y)
-    return lat, lon

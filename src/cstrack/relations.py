@@ -19,7 +19,6 @@ without rebuilding map structure.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
@@ -198,12 +197,3 @@ def eval_relation_many(vmap: VectorMap, rel: RelationKind, points: np.ndarray,
                        tag: str, vertices: np.ndarray | None = None) -> np.ndarray:
     """Evaluate a relation at many points, optionally on variant vertices."""
     return _EVALUATORS[RelationKind(rel)](vmap, points, tag, vertices=vertices)
-
-
-def eval_relation(vmap: VectorMap, rel: RelationKind, point, tag: str) -> float:
-    """Evaluate a relation at a single point on the map as-is."""
-    out = eval_relation_many(vmap, rel, np.asarray(point, dtype=float).reshape(1, 2), tag)
-    val = float(out[0])
-    if RelationKind(rel) is RelationKind.DISTANCE and math.isinf(val):
-        return math.inf
-    return val

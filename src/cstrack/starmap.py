@@ -75,27 +75,6 @@ def _moment_arrays(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def estimate_moments(
-    vmap: VectorMap,
-    perturbations: dict[int, FeaturePerturbation],
-    rel: RelationKind,
-    tag: str,
-    point,
-    n: int,
-    rng: int | np.random.Generator,
-) -> tuple[float, float]:
-    """Empirical (mean, std) of a relation at one point over n map variants."""
-    if n < 2:
-        raise ValueError(f"need at least 2 samples for a variance estimate, got {n}")
-    variants = sample_vertex_variants(vmap, perturbations, n, rng)
-    point = np.asarray(point, dtype=float).reshape(1, 2)
-    samples = np.empty((n, 1))
-    for k in range(n):
-        samples[k] = eval_relation_many(vmap, rel, point, tag, vertices=variants[k])
-    mean, std = _moment_arrays(samples)
-    return float(mean[0]), float(std[0])
-
-
 def build_starmap(
     vmap: VectorMap,
     perturbations: dict[int, FeaturePerturbation],
@@ -142,17 +121,11 @@ def build_starmap(
     return layers
 
 
-def interpolate(layer: StaRMapLayer, point) -> tuple[float, float]:
-    """Bilinear (mean, std) at a point inside the layer bbox."""
-    mean = bilinear(layer.grid, layer.mean, np.asarray(point, dtype=float))
-    std = bilinear(layer.grid, layer.std, np.asarray(point, dtype=float))
-    return float(mean), float(std)
-
-
-def interpolate_many(layer: StaRMapLayer, points: np.ndarray,
-                     allow_outside: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    mean = bilinear(layer.grid, layer.mean, points, allow_outside=allow_outside)
-    std = bilinear(layer.grid, layer.std, points, allow_outside=allow_outside)
+def interpolate_many(layer: StaRMapLayer,
+                     points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear (mean, std) at each point; NaN outside the layer bbox."""
+    mean = bilinear(layer.grid, layer.mean, points)
+    std = bilinear(layer.grid, layer.std, points)
     return mean, std
 
 
@@ -225,6 +198,8 @@ def starmap_from_json(obj: dict) -> tuple[list[StaRMapLayer], tuple[float, float
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad starmap JSON: {exc}") from exc
+    if not layers:
+        raise FormatError("starmap has no layers")
     origin = obj.get("origin_lonlat")
     return layers, tuple(origin) if origin else None
 

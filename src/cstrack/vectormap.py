@@ -175,15 +175,6 @@ class VectorMap:
     def features_with_tag(self, tag: str) -> list[int]:
         return [f for f, tags in enumerate(self.tags_of_feature) if tag in tags]
 
-    def has_tag(self, tag: str) -> bool:
-        return any(tag in tags for tags in self.tags_of_feature)
-
-    def all_tags(self) -> list[str]:
-        out: set[str] = set()
-        for tags in self.tags_of_feature:
-            out |= tags
-        return sorted(out)
-
     @classmethod
     def build(cls, features: list[MapFeature]) -> "VectorMap":
         """Assemble a map; each MapFeature becomes one feature id."""
@@ -314,15 +305,6 @@ def sample_vertex_variants(
             phi, t = perturbations[fid].sample(gen)
             out[k, idx[fid]] = vmap.vertices[idx[fid]] @ phi.T + t
     return out
-
-
-def sample_map_variant(
-    vmap: VectorMap,
-    perturbations: dict[int, FeaturePerturbation],
-    rng: int | np.random.Generator,
-) -> VectorMap:
-    """Draw a single randomized map variant as a full VectorMap."""
-    return vmap.with_vertices(sample_vertex_variants(vmap, perturbations, 1, rng)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from cstrack.demo import (
     channel_track,
     harbor_geojson,
 )
-from cstrack.evalbench import Scenario, field_evaluator, run_ablation, simulate_agent
+from cstrack.evalbench import Scenario, run_ablation, simulate_agent
 from cstrack.grids import GridSpec
 from cstrack.ingest import Track
 from cstrack.kde import BoundedDensity
@@ -49,8 +49,8 @@ from cstrack.particlefilter import (
     update_constitution,
     update_measurement,
 )
-from cstrack.relations import RelationKind
-from cstrack.starmap import build_starmap, estimate_moments
+from cstrack.relations import RelationKind, eval_relation_many
+from cstrack.starmap import build_starmap
 from cstrack.trust import calibrate, extract_features, position_mae
 from cstrack.vectormap import (
     FeaturePerturbation,
@@ -165,7 +165,7 @@ def test_criterion_02_baseline_recovery(corridor):
     steps = 501
     truth = np.column_stack([50.0 * np.arange(steps), np.zeros(steps)])
     noisy = truth + np.random.default_rng(21).normal(scale=50.0, size=truth.shape)
-    evaluate = field_evaluator(corridor["field"])
+    evaluate = corridor["field"].particle_probabilities
 
     base_est, base_records = run_filter(
         noisy, CORRIDOR_CONFIG, np.random.default_rng(22)
@@ -182,24 +182,30 @@ def test_criterion_02_baseline_recovery(corridor):
 
 @criterion("3 moment estimators (exact zero-spread; 3 sigma/sqrt(N) line case)")
 def test_criterion_03_moment_estimators():
-    from cstrack.relations import eval_relation
-
+    # Each estimate is the starmap cell at node 0 of a 2 x 2 grid whose
+    # lower-left corner is the query point.
     square = VectorMap.build(
         [polygon_feature([(0, 0), (10, 0), (10, 10), (0, 10)], ["land"])]
     )
     identity = {0: FeaturePerturbation.identity()}
-    mean, std = estimate_moments(
-        square, identity, RelationKind.DISTANCE, "land", (25.0, 5.0), n=32, rng=0
+    grid = GridSpec(bbox=(25.0, 5.0, 26.0, 6.0), rows=2, cols=2)
+    (layer,) = build_starmap(
+        square, identity, [(RelationKind.DISTANCE, "land")], grid, n=32, rng=0
     )
+    mean, std = layer.mean[0, 0], layer.std[0, 0]
     assert std == 0.0
-    assert mean == eval_relation(square, RelationKind.DISTANCE, (25.0, 5.0), "land")
+    assert mean == eval_relation_many(
+        square, RelationKind.DISTANCE, np.array([[25.0, 5.0]]), "land"
+    )[0]
 
     sigma, d, n = 1.0, 100.0, 10_000
     line = VectorMap.build([line_feature([(-1e7, 0.0), (1e7, 0.0)], ["way"])])
     perturb = {0: FeaturePerturbation(translation_cov=((0.0, 0.0), (0.0, sigma**2)))}
-    mean, std = estimate_moments(
-        line, perturb, RelationKind.DISTANCE, "way", (0.0, d), n=n, rng=5
+    grid = GridSpec(bbox=(0.0, d, 1.0, d + 1.0), rows=2, cols=2)
+    (layer,) = build_starmap(
+        line, perturb, [(RelationKind.DISTANCE, "way")], grid, n=n, rng=5
     )
+    mean, std = layer.mean[0, 0], layer.std[0, 0]
     bound = 3.0 * sigma / math.sqrt(n)
     assert abs(mean - d) < bound, f"mean {mean} vs {d} (bound {bound})"
     assert abs(std - sigma) < bound, f"std {std} vs {sigma} (bound {bound})"
@@ -225,7 +231,7 @@ def test_criterion_05_compliant_improvement(corridor):
         _as_track(p, 10.0, f"train{i}")
         for i, p in enumerate(corridor["agents"]("compliant", 3, seed=301))
     ]
-    evaluate = field_evaluator(corridor["field"])
+    evaluate = corridor["field"].particle_probabilities
     table, report = calibrate(
         training, evaluate, CORRIDOR_CONFIG,
         tau_grid=(0.0, 0.25, 0.5, 0.75, 1.0), seed=302,
@@ -258,7 +264,7 @@ def test_criterion_06_incompliant_safety(corridor):
             corridor["agents"]("incompliant", 3, seed=401, start_y=140.0)
         )
     ]
-    evaluate = field_evaluator(corridor["field"])
+    evaluate = corridor["field"].particle_probabilities
     table, report = calibrate(
         training, evaluate, CORRIDOR_CONFIG,
         tau_grid=(0.0, 0.25, 0.5, 0.75, 1.0), seed=402,
@@ -285,10 +291,10 @@ def test_criterion_07_field_vs_direct(harbor):
     truth = channel_track(steps=40, dt_s=30.0)
     noisy = truth + np.random.default_rng(51).normal(scale=50.0, size=truth.shape)
 
-    field_eval = field_evaluator(harbor["field"])
+    field_eval = harbor["field"].particle_probabilities
     direct_eval = ConstitutionEvaluator(
         harbor["program"], harbor["layers"]
-    ).particle_evaluator()
+    ).particle_probabilities
 
     maes = {}
     for label, evaluate in (("field", field_eval), ("direct", direct_eval)):

@@ -2,9 +2,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cstrack.cli import main
+from cstrack.grids import GridSpec
+from cstrack.relations import RelationKind
+from cstrack.starmap import StaRMapLayer, save_starmap
 
 import world
 
@@ -28,6 +32,26 @@ def build_starmap(paths, tmp_path, out="starmap.json", seed=3):
     )
     assert code == 0
     return out_path
+
+
+def flagged_centre_starmap(tmp_path):
+    """3 x 3 over:corridor starmap over the world's bbox; the centre cell,
+    which the recorded track crosses, is flagged."""
+    grid = GridSpec(bbox=(-300.0, -300.0, 3900.0, 300.0), rows=3, cols=3)
+    mean, std = np.ones((3, 3)), np.zeros((3, 3))
+    mean[1, 1] = std[1, 1] = np.nan
+    layer = StaRMapLayer(relation=RelationKind.OVER, tag="corridor", grid=grid,
+                         mean=mean, std=std, sample_count=2)
+    out = tmp_path / "flagged.json"
+    save_starmap([layer], out)
+    return out
+
+
+def empty_starmap(tmp_path):
+    out = tmp_path / "empty.json"
+    out.write_text(json.dumps({"bbox": [-300, -300, 3900, 300], "resolution": [3, 3],
+                               "sample_count": 2, "origin_lonlat": None, "layers": []}))
+    return out
 
 
 def ingest(paths, tmp_path, out="tracks.json"):
@@ -123,6 +147,19 @@ class TestField:
         assert code == 2
         assert "over" in capsys.readouterr().err
 
+    def test_flagged_cell_is_one_undefined_node(self, paths, tmp_path):
+        out = tmp_path / "field.json"
+        assert run_cli("field", "--constitution", paths["constitution"],
+                       "--starmap", flagged_centre_starmap(tmp_path), "--out", out) == 0
+        values = json.loads(out.read_text())["values"]
+        assert values.count(None) == 1 and values[4] is None
+
+    def test_empty_starmap_is_user_error(self, paths, tmp_path, capsys):
+        code = run_cli("field", "--constitution", paths["constitution"],
+                       "--starmap", empty_starmap(tmp_path), "--out", tmp_path / "f.json")
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, paths, tmp_path):
         starmap = build_starmap(paths, tmp_path)
         outs = []
@@ -186,6 +223,44 @@ class TestTrack:
                        "--out-logs", tmp_path / "l.jsonl", "--out-summary", summary)
         assert code == 0
         assert json.loads(summary.read_text())["tracks"][0]["tau"] == 0.7
+
+    @pytest.mark.parametrize("mode", ["field", "direct"])
+    def test_flagged_centre_cell_runs_at_full_trust(self, paths, tmp_path, mode):
+        tracks = ingest(paths, tmp_path)
+        logs = tmp_path / "steps.jsonl"
+        code = run_cli("track", "--tracks", tracks,
+                       "--constitution", paths["constitution"],
+                       "--starmap", flagged_centre_starmap(tmp_path), "--tau", 1,
+                       "--mode", mode, "--particles", 150, "--meas-std", 40,
+                       "--out-logs", logs, "--out-summary", tmp_path / "s.json")
+        assert code == 0
+        for line in logs.read_text().splitlines():
+            prob = json.loads(line)["mean_constitution_prob"]
+            assert prob is None or 0.0 <= prob <= 1.0
+
+    def test_empty_starmap_is_user_error(self, paths, tmp_path, capsys):
+        tracks = ingest(paths, tmp_path)
+        code = run_cli("track", "--tracks", tracks,
+                       "--constitution", paths["constitution"],
+                       "--starmap", empty_starmap(tmp_path), "--tau", 0.5,
+                       "--out-logs", tmp_path / "l.jsonl",
+                       "--out-summary", tmp_path / "s.json")
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("constitution_mode", "direct"),
+                                            ("constitution_samples", 100)])
+    def test_removed_filter_config_keys_rejected(self, paths, tmp_path, capsys,
+                                                 key, value):
+        tracks = ingest(paths, tmp_path)
+        config = tmp_path / "filter.json"
+        config.write_text(json.dumps({"particles": 50, key: value}))
+        code = run_cli("track", "--tracks", tracks, "--no-constitution",
+                       "--filter-config", config,
+                       "--out-logs", tmp_path / "l.jsonl",
+                       "--out-summary", tmp_path / "s.json")
+        assert code == 2
+        assert "unknown filter config keys" in capsys.readouterr().err
 
     def test_missing_starmap_is_user_error(self, paths, tmp_path):
         tracks = ingest(paths, tmp_path)

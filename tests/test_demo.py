@@ -43,7 +43,7 @@ def harbor_field(harbor):
 def test_marine_model_separates_land_from_waterway(harbor_field):
     # Qualitative check: compliance is high along the marked channel and
     # low over land and shoaling water.
-    at = lambda x, y: float(harbor_field.at(np.array([[x, y]]))[0])
+    at = lambda x, y: float(harbor_field.at_clamped(np.array([[x, y]]))[0])
     channel = [at(0.0, y) for y in (-1500.0, -500.0, 500.0, 1500.0)]
     land = [at(-1750.0, 0.0), at(1750.0, 800.0)]
     shallow_off_lane = at(800.0, 1200.0)
@@ -87,10 +87,10 @@ def test_perception_is_swappable_text(harbor):
     tug = parse("1.0 :: purpose(towing).\n0.95 :: underway.\n" + base_rules)
     cargo = parse(MARINE_CONSTITUTION)
     off_lane_deep = (450.0, -200.0)  # well off the waterway, still deep
-    p_tug = precompute_field(tug, harbor["layers"], harbor["grid"]).at(
+    p_tug = precompute_field(tug, harbor["layers"], harbor["grid"]).at_clamped(
         np.array([off_lane_deep])
     )[0]
-    p_cargo = harbor["field"].at(np.array([off_lane_deep]))[0]
+    p_cargo = harbor["field"].at_clamped(np.array([off_lane_deep]))[0]
     assert p_tug > 0.8
     assert p_cargo < 0.3
 

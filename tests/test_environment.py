@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cstrack.constitution import (
     Atom,
@@ -8,7 +9,6 @@ from cstrack.constitution import (
     ConstitutionEvaluator,
     ContinuousClause,
     bind_environment,
-    constitution_probability,
     environment_atoms,
     format_clause,
     ground,
@@ -33,6 +33,15 @@ def flat_layer(rel, tag, mean, std, bbox=(0.0, 0.0, 100.0, 100.0), rows=3, cols=
         std=np.full((rows, cols), float(std)),
         sample_count=2,
     )
+
+
+def constitution_probability(program, layers, state, measurement):
+    """Direct-mode probability at one (state, measurement) pair."""
+    out = ConstitutionEvaluator(program, layers).probabilities(
+        np.reshape(np.asarray(state, dtype=float), (1, 2)),
+        np.reshape(np.asarray(measurement, dtype=float), (1, 2)),
+    )
+    return float(out[0])
 
 
 def gradient_layer(rel, tag, bbox=(0.0, 0.0, 100.0, 100.0), rows=5, cols=5):
@@ -217,15 +226,28 @@ class TestEvaluatorBatch:
         pts = rng.uniform(0.0, 100.0, size=(64, 2))
         batch = ev.probabilities(pts, pts)
         for i in range(len(pts)):
-            assert ev.probability(pts[i], pts[i]) == batch[i]
+            assert ev.probabilities(pts[i : i + 1], pts[i : i + 1])[0] == batch[i]
 
-    def test_outside_points_flagged_when_allowed(self):
+    def test_outside_and_flagged_points_are_nan(self):
         program = parse("1.0 :: constitution(X, Z) :- over(X, land).")
+        layer = gradient_layer("over", "land")
+        mean = layer.mean.copy()
+        mean[0, 0] = np.nan
+        flagged = StaRMapLayer(relation=layer.relation, tag=layer.tag, grid=layer.grid,
+                               mean=mean, std=layer.std.copy(), sample_count=2)
+        ev = ConstitutionEvaluator(program, [flagged])
+        pts = np.array([[50.0, 50.0], [500.0, 50.0], [10.0, 10.0]])
+        out = ev.probabilities(pts, pts)
+        assert out[0] == 0.5
+        assert np.isnan(out[1]) and np.isnan(out[2])
+
+    def test_particle_probabilities_clamp_into_the_layer_bbox(self):
+        program = parse("1.0 :: constitution(X, Z) :- over(X, land), over(Z, land).")
         ev = ConstitutionEvaluator(program, [gradient_layer("over", "land")])
-        pts = np.array([[50.0, 50.0], [500.0, 50.0]])
-        out = ev.probabilities(pts, pts, allow_outside=True)
-        assert np.isfinite(out[0])
-        assert np.isnan(out[1])
+        out = ev.particle_probabilities(
+            np.array([[500.0, 50.0], [-500.0, 50.0]]), None, np.array([1e6, 50.0])
+        )
+        np.testing.assert_array_equal(out, [1.0, 0.0])
 
 
 class TestPrecomputeField:
@@ -279,3 +301,49 @@ class TestPrecomputeField:
         field = ConstitutionField(grid=grid, values=np.array([[0.0, 1.0], [0.0, 1.0]]))
         vals = field.at_clamped(np.array([[-5.0, 0.5], [5.0, 0.5]]))
         assert vals[0] == 0.0 and vals[1] == 1.0
+
+
+class TestModeAgreement:
+    """Field mode and direct mode clamp alike and share one NaN mask."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        rows=st.integers(2, 6),
+        cols=st.integers(2, 6),
+        a=st.integers(1, 100),
+        b=st.integers(0, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_field_and_direct_modes_agree(self, rows, cols, a, b, seed):
+        # P = 1 - (1 - a * m)(1 - b) is affine in the over-layer mean m, so
+        # interpolating P (field) and interpolating m (direct) commute.
+        rng = np.random.default_rng(seed)
+        grid = GridSpec(bbox=(-50.0, 20.0, 150.0, 120.0), rows=rows, cols=cols)
+        flagged = rng.uniform(size=(rows, cols)) < 0.2
+        layer = StaRMapLayer(
+            relation=RelationKind.OVER, tag="land", grid=grid,
+            mean=np.where(flagged, np.nan, rng.uniform(size=(rows, cols))),
+            std=np.where(flagged, np.nan, rng.uniform(0.0, 0.3, size=(rows, cols))),
+            sample_count=2,
+        )
+        program = parse(
+            f"{a / 100} :: constitution(X, Z) :- over(X, land).\n"
+            f"{b / 100} :: constitution(X, Z).\n"
+        )
+        field = precompute_field(program, [layer], grid)
+        np.testing.assert_array_equal(np.isnan(field.values), flagged)
+
+        points = np.vstack([
+            rng.uniform((-50.0, 20.0), (150.0, 120.0), size=(100, 2)),
+            rng.uniform((-250.0, -80.0), (350.0, 220.0), size=(100, 2)),
+            grid.node_points()[rng.integers(rows * cols, size=50)],
+        ])
+        z = points[0]
+        via_field = field.particle_probabilities(points, None, z)
+        direct = ConstitutionEvaluator(program, [layer]).particle_probabilities(
+            points, None, z
+        )
+        undefined = np.isnan(via_field)
+        np.testing.assert_array_equal(np.isnan(direct), undefined)
+        np.testing.assert_allclose(direct[~undefined], via_field[~undefined],
+                                   rtol=0.0, atol=1e-12)

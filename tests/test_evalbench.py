@@ -7,7 +7,6 @@ from cstrack.constitution.field import ConstitutionField
 from cstrack.errors import ConfigurationError, StuckAgentError
 from cstrack.evalbench import (
     Scenario,
-    field_evaluator,
     load_scenario,
     run_ablation,
     simulate_agent,
@@ -251,6 +250,5 @@ class TestScenarioLoading:
 class TestFieldEvaluator:
     def test_clamps_outside_points(self):
         f = corridor_field()
-        evaluate = field_evaluator(f)
-        vals = evaluate(np.array([[0.0, 0.0], [0.0, 1e6]]), None, None)
+        vals = f.particle_probabilities(np.array([[0.0, 0.0], [0.0, 1e6]]), None, None)
         assert vals[0] == 1.0 and vals[1] == 0.0

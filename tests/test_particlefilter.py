@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cstrack.constitution import ConstitutionEvaluator, parse, precompute_field
 from cstrack.errors import ConfigurationError, DegenerateBeliefError
+from cstrack.grids import GridSpec
 from cstrack.particlefilter import (
     FilterConfig,
     MeasurementModel,
@@ -19,6 +21,8 @@ from cstrack.particlefilter import (
     update_constitution,
     update_measurement,
 )
+from cstrack.relations import RelationKind
+from cstrack.starmap import StaRMapLayer
 
 
 def single_particle(p, v):
@@ -147,6 +151,34 @@ class TestConstitutionUpdate:
         with pytest.raises(ConfigurationError):
             update_constitution(belief, [1.0], tau=1.5)
 
+    def test_undefined_particles_keep_their_weights(self):
+        belief = ParticleBelief.from_arrays(
+            np.zeros((4, 2)), np.zeros((4, 2)), weights=[0.1, 0.2, 0.3, 0.4]
+        )
+        out = update_constitution(belief, [0.9, np.nan, 0.1, np.nan], tau=0.7)
+        out.validate()
+        np.testing.assert_allclose(out.weights[[1, 3]], [0.2, 0.4], rtol=1e-12)
+        # The defined particles split their mass by their blended factors.
+        ratio = (0.1 * (0.7 * 0.9 + 0.3)) / (0.3 * (0.7 * 0.1 + 0.3))
+        assert out.weights[0] / out.weights[2] == pytest.approx(ratio, rel=1e-12)
+
+    def test_all_undefined_step_returns_the_belief(self):
+        belief = ParticleBelief.from_arrays(
+            [(0, 0), (1, 1)], np.zeros((2, 2)), weights=[0.3, 0.7]
+        )
+        assert update_constitution(belief, [np.nan, np.nan], tau=1.0) is belief
+
+    def test_tau_one_undefined_and_zero_raises(self):
+        belief = ParticleBelief.from_arrays(np.zeros((3, 2)), np.zeros((3, 2)))
+        with pytest.raises(DegenerateBeliefError):
+            update_constitution(belief, [np.nan, 0.0, 0.0], tau=1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_probability_rejected(self, bad):
+        belief = ParticleBelief.from_arrays(np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ConfigurationError):
+            update_constitution(belief, [0.5, bad], tau=0.5)
+
 
 class TestResampling:
     def test_uniform_weights_not_triggered(self):
@@ -238,6 +270,15 @@ class TestSampleSet:
         share = (out.states[:, 0] < 50).mean()
         assert abs(share - 0.9) < 0.03
 
+    def test_undefined_values_rejected(self):
+        belief = ParticleBelief.from_arrays(np.zeros((4, 2)), np.zeros((4, 2)))
+        with pytest.raises(ConfigurationError):
+            sample_constitution_set(
+                belief, MeasurementModel.isotropic(1.0),
+                lambda p, v, z: np.full(len(p), np.nan), n=5,
+                rng=np.random.default_rng(0),
+            )
+
 
 class TestWeightSimplexFuzz:
     @settings(deadline=None, max_examples=25)
@@ -299,6 +340,28 @@ class TestRunFilter:
         # The counter does see an active compliance step: one call per step.
         run_filter(noisy, config, np.random.default_rng(3), evaluate=evaluate, tau=0.5)
         assert calls == [200] * (len(truth) - 1)
+
+    def test_layer_flagged_everywhere_tracks_like_tau_zero(self):
+        # No particle has a defined compliance, so every tau = 1 step keeps
+        # the belief, in field mode and in direct mode alike.
+        truth = self.track()
+        noisy = truth + np.random.default_rng(6).normal(scale=3.0, size=truth.shape)
+        config = FilterConfig(particles=200, dt=1.0, measurement_noise_std=3.0)
+        grid = GridSpec(bbox=(-50.0, -50.0, 250.0, 130.0), rows=3, cols=3)
+        layer = StaRMapLayer(
+            relation=RelationKind.OVER, tag="land", grid=grid,
+            mean=np.full((3, 3), np.nan), std=np.full((3, 3), np.nan), sample_count=2,
+        )
+        program = parse("1.0 :: constitution(X, Z) :- over(X, land).")
+        base = run_filter(noisy, config, np.random.default_rng(7))
+        for evaluate in (
+            precompute_field(program, [layer], grid).particle_probabilities,
+            ConstitutionEvaluator(program, [layer]).particle_probabilities,
+        ):
+            est, records = run_filter(noisy, config, np.random.default_rng(7),
+                                      evaluate=evaluate, tau=1.0)
+            assert np.array_equal(est, base[0])
+            assert records == base[1]
 
     def test_compliance_pull_improves_biased_prior(self):
         # Compliance concentrated on the true corridor (y = 0) should pull

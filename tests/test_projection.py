@@ -3,9 +3,10 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
-from cstrack.projection import EARTH_RADIUS_M, LocalFrame, project, unproject
+from cstrack.projection import EARTH_RADIUS_M, LocalFrame
 
 ORIGIN = (-74.05, 40.65)  # (lon, lat)
+FRAME = LocalFrame(origin_lon=ORIGIN[0], origin_lat=ORIGIN[1])
 
 
 def great_circle_m(lat1, lon1, lat2, lon2):
@@ -18,13 +19,13 @@ def great_circle_m(lat1, lon1, lat2, lon2):
 
 
 def test_origin_maps_to_zero():
-    x, y = project(ORIGIN[1], ORIGIN[0], ORIGIN)
+    x, y = FRAME.to_xy(ORIGIN[0], ORIGIN[1])
     assert x == 0.0 and y == 0.0
 
 
 def test_hundredth_degree_north():
     # R * 0.01 deg in radians = 1111.949 m on the oracle sphere.
-    x, y = project(ORIGIN[1] + 0.01, ORIGIN[0], ORIGIN)
+    x, y = FRAME.to_xy(ORIGIN[0], ORIGIN[1] + 0.01)
     oracle = great_circle_m(ORIGIN[1], ORIGIN[0], ORIGIN[1] + 0.01, ORIGIN[0])
     assert abs(float(y) - oracle) < 0.5
     assert abs(float(x)) < 1e-9
@@ -36,8 +37,8 @@ def test_hundredth_degree_north():
 )
 def test_round_trip(dlat, dlon):
     lat, lon = ORIGIN[1] + dlat, ORIGIN[0] + dlon
-    x, y = project(lat, lon, ORIGIN)
-    lat2, lon2 = unproject(x, y, ORIGIN)
+    x, y = FRAME.to_xy(lon, lat)
+    lon2, lat2 = FRAME.to_lonlat(x, y)
     assert abs(float(lat2) - lat) < 1e-9
     assert abs(float(lon2) - lon) < 1e-9
 
@@ -77,7 +78,7 @@ def test_array_inputs():
 def test_project_unproject_are_mutually_inverse_on_arrays():
     xs = np.linspace(-5000, 5000, 7)
     ys = np.linspace(-5000, 5000, 7)
-    lat, lon = unproject(xs, ys, ORIGIN)
-    x2, y2 = project(lat, lon, ORIGIN)
+    lon, lat = FRAME.to_lonlat(xs, ys)
+    x2, y2 = FRAME.to_xy(lon, lat)
     np.testing.assert_allclose(x2, xs, atol=1e-6)
     np.testing.assert_allclose(y2, ys, atol=1e-6)

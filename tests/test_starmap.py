@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cstrack.errors import ConfigurationError, OutOfBoundsError
-from cstrack.grids import GridSpec
-from cstrack.relations import RelationKind, eval_relation
+from cstrack.errors import ConfigurationError
+from cstrack.grids import GridSpec, bilinear
+from cstrack.relations import RelationKind, eval_relation_many
 from cstrack.starmap import (
     StaRMapLayer,
     build_starmap,
-    estimate_moments,
     find_layer,
-    interpolate,
+    interpolate_many,
     load_starmap,
     save_starmap,
     starmap_from_json,
@@ -31,6 +30,20 @@ def square_map(points=SQUARE, tag="land"):
 
 def identity_for(vmap):
     return {f: FeaturePerturbation.identity() for f in range(vmap.n_features)}
+
+
+def point_moments(vmap, perturbations, rel, tag, point, n, rng):
+    """Layer (mean, std) at one point: node 0 of a 2 x 2 starmap grid whose
+    lower-left corner is the point."""
+    x, y = point
+    grid = GridSpec(bbox=(x, y, x + 1.0, y + 1.0), rows=2, cols=2)
+    (layer,) = build_starmap(vmap, perturbations, [(rel, tag)], grid, n=n, rng=rng)
+    return layer.mean[0, 0], layer.std[0, 0]
+
+
+def interpolate(layer, point):
+    mean, std = interpolate_many(layer, np.array([point], dtype=float))
+    return mean[0], std[0]
 
 
 class TestGridSpec:
@@ -53,17 +66,19 @@ class TestGridSpec:
 class TestEstimateMoments:
     def test_zero_spread_matches_deterministic_relation(self):
         vmap = square_map()
-        mean, std = estimate_moments(
+        mean, std = point_moments(
             vmap, identity_for(vmap), RelationKind.DISTANCE, "land", (20.0, 5.0),
             n=16, rng=0,
         )
-        assert mean == eval_relation(vmap, RelationKind.DISTANCE, (20.0, 5.0), "land")
+        assert mean == eval_relation_many(
+            vmap, RelationKind.DISTANCE, np.array([[20.0, 5.0]]), "land"
+        )[0]
         assert std == 0.0
 
     def test_requires_two_samples(self):
         vmap = square_map()
         with pytest.raises(ValueError):
-            estimate_moments(
+            point_moments(
                 vmap, identity_for(vmap), RelationKind.OVER, "land", (5, 5), n=1, rng=0
             )
 
@@ -73,7 +88,7 @@ class TestEstimateMoments:
         vmap = square_map()
         pert = {0: FeaturePerturbation.isotropic(translation_std_m=3.0)}
         n = 64
-        mean, std = estimate_moments(
+        mean, std = point_moments(
             vmap, pert, RelationKind.DISTANCE, "land", (30.0, 5.0), n=n, rng=123
         )
         from cstrack.relations import eval_relation_many
@@ -105,7 +120,7 @@ class TestEstimateMoments:
         pert = {0: FeaturePerturbation(translation_cov=((sigma**2, 0.0), (0.0, sigma**2)))}
         point = (10.5, 5.0)
         n = 4000
-        mean, _ = estimate_moments(
+        mean, _ = point_moments(
             vmap, pert, RelationKind.OVER, "land", point, n=n, rng=99
         )
         rng = np.random.default_rng(99)
@@ -127,7 +142,7 @@ class TestEstimateMoments:
         sigma, d, n = 1.0, 100.0, 10_000
         vmap = VectorMap.build([line_feature([(-1e7, 0.0), (1e7, 0.0)], ["way"])])
         pert = {0: FeaturePerturbation(translation_cov=((0.0, 0.0), (0.0, sigma**2)))}
-        mean, std = estimate_moments(
+        mean, std = point_moments(
             vmap, pert, RelationKind.DISTANCE, "way", (0.0, d), n=n, rng=5
         )
         bound = 3.0 * sigma / math.sqrt(n)
@@ -169,9 +184,9 @@ class TestBuildStarmap:
         assert layers[0].flagged.all()
         assert not layers[1].flagged.any()
 
-    def test_shared_variants_match_estimate_moments(self):
-        # Layer cells equal estimate_moments at the node for the same seed,
-        # because the variant set is drawn once and shared.
+    def test_shared_variants_match_single_point_moments(self):
+        # A cell of a 3 x 3 layer equals the same node built alone for the
+        # same seed, because the variant set is drawn once and shared.
         vmap = square_map()
         pert = {0: FeaturePerturbation.isotropic(translation_std_m=2.0)}
         grid = GridSpec(bbox=(-20.0, -20.0, 30.0, 30.0), rows=3, cols=3)
@@ -179,7 +194,7 @@ class TestBuildStarmap:
             vmap, pert, [(RelationKind.DISTANCE, "land")], grid, n=32, rng=11
         )
         node = grid.node_points()[4]
-        mean, std = estimate_moments(
+        mean, std = point_moments(
             vmap, pert, RelationKind.DISTANCE, "land", node, n=32, rng=11
         )
         assert abs(layers[0].mean.ravel()[4] - mean) < 1e-12
@@ -230,9 +245,9 @@ class TestInterpolate:
         mean, _ = interpolate(layer, (0.5, 0.0))
         assert mean == pytest.approx(0.5, abs=1e-12)
 
-    def test_outside_raises(self):
-        with pytest.raises(OutOfBoundsError):
-            interpolate(self.layer(), (1.5, 0.5))
+    def test_outside_is_nan(self):
+        mean, std = interpolate(self.layer(), (1.5, 0.5))
+        assert math.isnan(mean) and math.isnan(std)
 
     @settings(deadline=None, max_examples=80)
     @given(st.floats(0.001, 0.999), st.floats(0.001, 0.999))
@@ -259,6 +274,15 @@ class TestInterpolate:
         )
         m, _ = interpolate(layer, (0.5, 0.5))
         assert math.isnan(m)
+
+    def test_nodes_next_to_a_flagged_node_are_exact(self):
+        # Every finite node returns its stored value, also on the last row
+        # and column, whose cell index is clipped.
+        grid = GridSpec(bbox=(0.0, 0.0, 2.0, 2.0), rows=3, cols=3)
+        values = np.ones((3, 3))
+        values[1, 1] = np.nan
+        out = bilinear(grid, values, grid.node_points())
+        np.testing.assert_array_equal(out, values.ravel())
 
 
 class TestPersistence:

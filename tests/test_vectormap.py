@@ -14,7 +14,6 @@ from cstrack.vectormap import (
     perturbations_from_config,
     point_feature,
     polygon_feature,
-    sample_map_variant,
     sample_vertex_variants,
 )
 
@@ -27,6 +26,11 @@ def square_map(tags=("land",)):
 
 def identity_for(vmap):
     return {f: FeaturePerturbation.identity() for f in range(vmap.n_features)}
+
+
+def one_variant(vmap, perturbations, rng):
+    """A single randomized map variant as a full VectorMap."""
+    return vmap.with_vertices(sample_vertex_variants(vmap, perturbations, 1, rng)[0])
 
 
 class TestBuild:
@@ -76,13 +80,13 @@ class TestBuild:
 class TestPerturbationSampling:
     def test_zero_spread_reproduces_input_exactly(self):
         vmap = square_map()
-        out = sample_map_variant(vmap, identity_for(vmap), rng=3)
+        out = one_variant(vmap, identity_for(vmap), rng=3)
         assert (out.vertices == vmap.vertices).all()
 
     def test_deterministic_translation_shifts_every_vertex(self):
         vmap = square_map()
         pert = {0: FeaturePerturbation(translation_mean=(10.0, 0.0))}
-        out = sample_map_variant(vmap, pert, rng=3)
+        out = one_variant(vmap, pert, rng=3)
         np.testing.assert_array_equal(out.vertices, vmap.vertices + [10.0, 0.0])
         assert out.edges == vmap.edges
         assert out.tags_of_feature == vmap.tags_of_feature
@@ -90,7 +94,7 @@ class TestPerturbationSampling:
     def test_missing_entry_is_configuration_error(self):
         vmap = square_map()
         with pytest.raises(ConfigurationError):
-            sample_map_variant(vmap, {}, rng=0)
+            one_variant(vmap, {}, rng=0)
 
     def test_same_seed_bit_identical(self):
         vmap = square_map()
@@ -141,7 +145,7 @@ class TestPerturbationSampling:
             0: FeaturePerturbation.isotropic(translation_std_m=4.0),
             1: FeaturePerturbation.isotropic(rotation_std_rad=0.05),
         }
-        variant = sample_map_variant(vmap, pert, rng=21)
+        variant = one_variant(vmap, pert, rng=21)
         variant.validate()
         parent = list(range(len(variant.vertices)))
 
