@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import pathlib
@@ -21,7 +20,7 @@ import traceback
 
 import numpy as np
 
-from . import __version__
+from . import __version__, jsonio
 from .constitution import (
     ConstitutionEvaluator,
     environment_atoms,
@@ -108,13 +107,12 @@ def _load_filter_config(args) -> FilterConfig:
     return dataclasses.replace(config, **overrides) if overrides else config
 
 
-def _evaluator_for(program, layers, mode: str, limit: int):
+def _evaluator_for(program, layers, mode: str):
     """Per-particle compliance evaluator: a field on the starmap grid, or
     per-particle inference (direct mode)."""
     if mode == "field":
-        field = precompute_field(program, layers, layers[0].grid, limit=limit)
-        return field.particle_probabilities
-    return ConstitutionEvaluator(program, layers, limit=limit).particle_probabilities
+        return precompute_field(program, layers, layers[0].grid).particle_probabilities
+    return ConstitutionEvaluator(program, layers).particle_probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +212,7 @@ def cmd_field(args) -> int:
         _parse_pair(args.measurement, "--measurement") if args.measurement else "state"
     )
     started = time.perf_counter()
-    f = precompute_field(program, layers, grid, measurement=measurement,
-                         limit=args.limit)
+    f = precompute_field(program, layers, grid, measurement=measurement)
     elapsed = time.perf_counter() - started
     finite = f.values[np.isfinite(f.values)]
     if finite.size and ((finite < 0).any() or (finite > 1).any()):
@@ -242,7 +239,7 @@ def cmd_track(args) -> int:
             )
         program = parse_file(args.constitution)
         layers, _ = load_starmap(args.starmap)
-        evaluate = _evaluator_for(program, layers, args.mode, args.limit)
+        evaluate = _evaluator_for(program, layers, args.mode)
     seeds = np.random.SeedSequence(args.seed).spawn(len(tracks))
     summary = []
     started = time.perf_counter()
@@ -269,7 +266,7 @@ def cmd_track(args) -> int:
             )
             for record in records:
                 doc = {"vessel_id": track.vessel_id, **record.to_json()}
-                logs.write(json.dumps(doc) + "\n")
+                logs.write(jsonio.dumps_line(doc) + "\n")
             summary.append(
                 {
                     "vessel_id": track.vessel_id,
@@ -281,9 +278,7 @@ def cmd_track(args) -> int:
                 }
             )
     elapsed = time.perf_counter() - started
-    with open(args.out_summary, "w", encoding="utf-8") as fh:
-        json.dump({"tracks": summary, "master_seed": args.seed}, fh, indent=1)
-        fh.write("\n")
+    jsonio.dump({"tracks": summary, "master_seed": args.seed}, args.out_summary)
     print(f"tracked {len(tracks)} tracks in {elapsed:.2f} s -> {args.out_logs}")
     return EXIT_OK
 
@@ -300,7 +295,7 @@ def cmd_calibrate(args) -> int:
     config = dataclasses.replace(_load_filter_config(args), dt=float(dts.pop()))
     program = parse_file(args.constitution)
     layers, _ = load_starmap(args.starmap)
-    evaluate = _evaluator_for(program, layers, args.mode, args.limit)
+    evaluate = _evaluator_for(program, layers, args.mode)
     tau_grid = tuple(float(t) for t in args.tau_grid.split(","))
     started = time.perf_counter()
     table, report = calibrate(
@@ -394,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurement", help="fixed measurement point x,y in meters "
                                          "(default: measurement = state)")
     p.add_argument("--pgm", help="also write the raster as a PGM image")
-    p.add_argument("--limit", type=int, default=24,
-                   help="probabilistic-atom enumeration limit")
     p.set_defaults(handler=cmd_field)
 
     p = sub.add_parser("track", help="run the particle filter over tracks")
@@ -414,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--particles", type=int)
     p.add_argument("--meas-std", type=float)
     p.add_argument("--sigma-a", type=float)
-    p.add_argument("--limit", type=int, default=24)
     p.add_argument("--out-logs", required=True, help="JSON Lines step log")
     p.add_argument("--out-summary", required=True, help="per-track summary JSON")
     p.set_defaults(handler=cmd_track)
@@ -431,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--particles", type=int)
     p.add_argument("--meas-std", type=float)
     p.add_argument("--sigma-a", type=float)
-    p.add_argument("--limit", type=int, default=24)
     p.add_argument("--out-table", required=True)
     p.add_argument("--out-report", required=True)
     p.add_argument("--out-hist", help="histogram CSV of optimal ratios")

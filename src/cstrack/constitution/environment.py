@@ -39,7 +39,7 @@ from .grounder import (
     ground,
     interval_probabilities,
 )
-from .inference import CompiledQuery, DEFAULT_ATOM_LIMIT
+from .inference import CompiledQuery
 from .terms import (
     Atom,
     CategoricalClause,
@@ -221,8 +221,7 @@ def _template_program(program: Program, plan) -> Program:
 class ConstitutionEvaluator:
     """Compiled constitution query with per-point environment parameters."""
 
-    def __init__(self, program: Program, layers: list[StaRMapLayer],
-                 limit: int = DEFAULT_ATOM_LIMIT):
+    def __init__(self, program: Program, layers: list[StaRMapLayer]):
         self.program = program
         self.layers = layers
         plan = _slot_plan(program, layers)
@@ -237,7 +236,7 @@ class ConstitutionEvaluator:
         )
         template = _template_program(program, plan)
         self.ground_program = ground(template)
-        self.compiled = CompiledQuery(self.ground_program, limit=limit)
+        self.compiled = CompiledQuery(self.ground_program)
 
     def _slot_moments(self, slot: str, states: np.ndarray, measurements: np.ndarray):
         entry = self._slots[slot]
@@ -292,11 +291,12 @@ class ConstitutionEvaluator:
             raise AssertionError("query probability escaped [0, 1]")
         return np.clip(out, 0.0, 1.0)
 
-    def particle_probabilities(self, positions, velocities, z) -> np.ndarray:
+    def particle_probabilities(self, positions, z) -> np.ndarray:
         """Per-particle compliance (direct mode); NaN where undefined.
 
-        Positions and the shared measurement z are clamped into the
-        layers' common bbox (constant extrapolation at the map edge).
+        Positions and the measurement z, one shared (2,) point or one
+        (N, 2) row per position, are clamped into the layers' common bbox
+        (constant extrapolation at the map edge).
         """
         states = clamp_to_bbox(positions, self._bbox)
         meas = clamp_to_bbox(

@@ -4,24 +4,24 @@ When the environment and measurement policy are static, evaluating the
 constitution on a grid once and interpolating afterwards replaces per-point
 inference in the tracking loop (field mode). Field mode and direct mode
 (ConstitutionEvaluator) share the per-particle protocol
-particle_probabilities(positions, velocities, z) -> (N,): both clamp
-positions into the bbox through grids.clamp_to_bbox, and both return NaN
-wherever the interpolation touches a flagged node. What the filter does
-with NaN is decided by particlefilter.update_constitution alone.
+particle_probabilities(positions, z) -> (N,), with z of shape (2,) or
+(N, 2): both clamp positions into the bbox through grids.clamp_to_bbox,
+and both return NaN wherever the interpolation gives a flagged node a
+nonzero weight. What the filter does with NaN is decided by
+particlefilter.update_constitution alone.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .. import jsonio
 from ..errors import ConfigurationError, FormatError
 from ..grids import GridSpec, bilinear, clamp_to_bbox, write_pgm
 from ..starmap import StaRMapLayer
 from .environment import ConstitutionEvaluator
-from .inference import DEFAULT_ATOM_LIMIT
 from .terms import Program
 
 
@@ -44,7 +44,7 @@ class ConstitutionField:
         """Bilinear interpolation with points clamped into the bbox."""
         return bilinear(self.grid, self.values, clamp_to_bbox(points, self.grid.bbox))
 
-    def particle_probabilities(self, positions, velocities, z) -> np.ndarray:
+    def particle_probabilities(self, positions, z) -> np.ndarray:
         """Per-particle compliance (field mode); NaN where undefined.
 
         z is not read: the field fixed the measurement when it was
@@ -56,8 +56,7 @@ class ConstitutionField:
         return {
             "bbox": list(self.grid.bbox),
             "resolution": [self.grid.rows, self.grid.cols],
-            "values": [None if not np.isfinite(v) else float(v)
-                       for v in self.values.ravel()],
+            "values": jsonio.floats_to_json(self.values),
         }
 
     @classmethod
@@ -66,9 +65,7 @@ class ConstitutionField:
             rows, cols = (int(v) for v in obj["resolution"])
             grid = GridSpec(bbox=tuple(float(v) for v in obj["bbox"]),
                             rows=rows, cols=cols)
-            flat = np.array(
-                [np.nan if v is None else float(v) for v in obj["values"]]
-            )
+            flat = jsonio.floats_from_json(obj["values"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad field JSON: {exc}") from exc
         if flat.size != rows * cols:
@@ -76,26 +73,18 @@ class ConstitutionField:
         return cls(grid=grid, values=flat.reshape(rows, cols))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
+        jsonio.dump(self.to_json(), path)
 
     @classmethod
     def load(cls, path) -> "ConstitutionField":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"bad field file {path}: {exc}") from exc
-        return cls.from_json(obj)
+        return cls.from_json(jsonio.load(path, "field file"))
 
     def write_pgm(self, path) -> None:
         write_pgm(path, self.values, vmin=0.0, vmax=1.0)
 
 
 def precompute_field(program: Program, layers: list[StaRMapLayer], grid: GridSpec,
-                     measurement="state",
-                     limit: int = DEFAULT_ATOM_LIMIT) -> ConstitutionField:
+                     measurement="state") -> ConstitutionField:
     """Evaluate the constitution at every grid node.
 
     measurement policy: the string "state" evaluates each node with the
@@ -103,7 +92,7 @@ def precompute_field(program: Program, layers: list[StaRMapLayer], grid: GridSpe
     measurement for all nodes. Nodes over flagged starmap cells (or outside
     the starmap bbox) are flagged NaN rather than aborting the build.
     """
-    evaluator = ConstitutionEvaluator(program, layers, limit=limit)
+    evaluator = ConstitutionEvaluator(program, layers)
     points = grid.node_points()
     if isinstance(measurement, str):
         if measurement != "state":

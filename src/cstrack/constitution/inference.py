@@ -81,10 +81,9 @@ def _resolve_query(gp: GroundProgram, query: Atom | None) -> int:
     return idx
 
 
-def query_probability(gp: GroundProgram, query: Atom | None = None,
-                      limit: int = DEFAULT_ATOM_LIMIT) -> float:
+def query_probability(gp: GroundProgram, query: Atom | None = None) -> float:
     """Exact probability of the query atom under the program's own parameters."""
-    return CompiledQuery(gp, query, limit).evaluate(gp.static_params())
+    return CompiledQuery(gp, query).evaluate(gp.static_params())
 
 
 class CompiledQuery:
@@ -95,13 +94,12 @@ class CompiledQuery:
     bit-identical.
     """
 
-    def __init__(self, gp: GroundProgram, query: Atom | None = None,
-                 limit: int = DEFAULT_ATOM_LIMIT):
+    def __init__(self, gp: GroundProgram, query: Atom | None = None):
         k = gp.n_probabilistic
-        if k > limit:
+        if k > DEFAULT_ATOM_LIMIT:
             raise CapacityError(
                 f"{k} probabilistic ground atoms exceed the enumeration limit "
-                f"({limit}); factor the program or precompute a field"
+                f"({DEFAULT_ATOM_LIMIT}); factor the program or precompute a field"
             )
         self.ground_program = gp
         self.k = k

@@ -10,11 +10,11 @@ the anchorage.
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import numpy as np
 
+from . import jsonio
 from .projection import LocalFrame
 
 HARBOR_ORIGIN = (-74.05, 40.66)  # lon, lat
@@ -132,9 +132,7 @@ def write_demo(directory) -> dict[str, pathlib.Path]:
         "perturbations": directory / "perturbations.json",
         "constitution": directory / "marine.cst",
     }
-    paths["map"].write_text(json.dumps(harbor_geojson(), indent=1) + "\n")
-    paths["perturbations"].write_text(
-        json.dumps(HARBOR_PERTURBATIONS, indent=1) + "\n"
-    )
+    jsonio.dump(harbor_geojson(), paths["map"])
+    jsonio.dump(HARBOR_PERTURBATIONS, paths["perturbations"])
     paths["constitution"].write_text(MARINE_CONSTITUTION)
     return paths

@@ -15,12 +15,12 @@ as acceptance 0, while the filter leaves NaN to update_constitution.
 from __future__ import annotations
 
 import csv
-import json
 import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .constitution import environment_atoms, parse, parse_file, precompute_field
 from .constitution.field import ConstitutionField
 from .errors import ConfigurationError, FormatError, StuckAgentError
@@ -99,7 +99,7 @@ class RunRow:
     seed: int
     track: int
     tau: float
-    mae_filter: float
+    mae_filter: float  # NaN for a degenerate arm
     mae_baseline: float
 
     @property
@@ -114,12 +114,15 @@ class MetricReport:
     rows: list[RunRow] = field(default_factory=list)
 
     def aggregate(self) -> dict:
+        """Per-tau statistics over the defined runs; like calibrate's bucket
+        means, they leave degenerate arms out."""
         out: dict[str, dict] = {}
         taus = sorted({row.tau for row in self.rows})
         for tau in taus:
-            rel = [row.relative for row in self.rows if row.tau == tau
-                   and row.relative is not None]
-            absolute = [row.mae_filter for row in self.rows if row.tau == tau]
+            defined = [row for row in self.rows
+                       if row.tau == tau and not np.isnan(row.mae_filter)]
+            rel = [row.relative for row in defined if row.relative is not None]
+            absolute = [row.mae_filter for row in defined]
             out[str(tau)] = {
                 "relative_mae_mean": float(np.mean(rel)) if rel else None,
                 "relative_mae_std": float(np.std(rel)) if rel else None,
@@ -136,9 +139,9 @@ class MetricReport:
                     "seed": r.seed,
                     "track": r.track,
                     "tau": r.tau,
-                    "mae": r.mae_filter,
+                    "mae": jsonio.float_to_json(r.mae_filter),
                     "mae_baseline": r.mae_baseline,
-                    "relative_mae": r.relative,
+                    "relative_mae": jsonio.float_to_json(r.relative),
                 }
                 for r in self.rows
             ],
@@ -146,9 +149,7 @@ class MetricReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
+        jsonio.dump(self.to_json(), path)
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -233,11 +234,7 @@ def load_scenario(path) -> Scenario:
       filter: FilterConfig fields
     """
     path = pathlib.Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad scenario file {path}: {exc}") from exc
+    spec = jsonio.load(path, "scenario file")
     base = path.parent
     try:
         name = spec.get("name", path.stem)

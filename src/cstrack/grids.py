@@ -81,8 +81,10 @@ def _fractional_index(coords: np.ndarray, lo: float, hi: float, n: int) -> np.nd
 def bilinear(grid: GridSpec, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of a (rows, cols) value raster at query points.
 
-    Points outside the bbox yield NaN. NaN cells propagate into any query
-    whose four surrounding nodes include them.
+    Points outside the bbox yield NaN. A NaN cell propagates into a query
+    exactly when it has a nonzero weight there, so a query on a grid line
+    or at a node reads only the nodes it lies between, and a query at a
+    node returns its stored value.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.rows, grid.cols):
@@ -98,30 +100,21 @@ def bilinear(grid: GridSpec, values: np.ndarray, points: np.ndarray) -> np.ndarr
     u = np.clip(u, 0.0, grid.cols - 1.0)
     v = np.clip(v, 0.0, grid.rows - 1.0)
 
-    # An exact node is detected before the cell index is clipped: on the
-    # last row or column the clipped cell sees the node at fraction 1, and
-    # a NaN neighbour times weight 0 would poison the blend.
-    fu, fv = np.floor(u), np.floor(v)
-    exact = (fu == u) & (fv == v)
-    j0 = np.clip(fu.astype(int), 0, grid.cols - 2)
-    i0 = np.clip(fv.astype(int), 0, grid.rows - 2)
+    j0 = np.clip(np.floor(u).astype(int), 0, grid.cols - 2)
+    i0 = np.clip(np.floor(v).astype(int), 0, grid.rows - 2)
     fx = u - j0
     fy = v - i0
 
-    v00 = values[i0, j0]
-    v01 = values[i0, j0 + 1]
-    v10 = values[i0 + 1, j0]
-    v11 = values[i0 + 1, j0 + 1]
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    # A node at weight 0 is dropped from the blend: NaN * 0 would be NaN.
+    x0, x1, y0, y1 = gx != 0, fx != 0, gy != 0, fy != 0
     out = (
-        v00 * (1.0 - fy) * (1.0 - fx)
-        + v01 * (1.0 - fy) * fx
-        + v10 * fy * (1.0 - fx)
-        + v11 * fy * fx
+        np.where(y0 & x0, values[i0, j0] * gy * gx, 0.0)
+        + np.where(y0 & x1, values[i0, j0 + 1] * gy * fx, 0.0)
+        + np.where(y1 & x0, values[i0 + 1, j0] * fy * gx, 0.0)
+        + np.where(y1 & x1, values[i0 + 1, j0 + 1] * fy * fx, 0.0)
     )
-    # Exactness at nodes: return the stored value, avoiding the (tiny)
-    # rounding of the blend above.
-    if exact.any():
-        out[exact] = values[v[exact].astype(int), u[exact].astype(int)]
     out = np.where(inside, out, np.nan)
     if np.isscalar(points[0]) or np.asarray(points).ndim == 1:
         return float(out[0])

@@ -10,12 +10,12 @@ uniform time grid in the shared local tangent frame.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
+from . import jsonio
 from .errors import ConfigurationError, FormatError
 from .projection import LocalFrame
 
@@ -75,9 +75,11 @@ def _parse_timestamp(text: str) -> float:
 
 
 def _optional_float(raw: str | None) -> float | None:
+    """An optional column's value; blank and non-finite values are missing."""
     if raw is None or raw.strip() == "":
         return None
-    return float(raw)
+    value = float(raw)
+    return value if np.isfinite(value) else None
 
 
 def read_ais_csv(path, column_map: dict[str, str] | None = None
@@ -316,15 +318,8 @@ def save_tracks(tracks: list[Track], frame: LocalFrame, path,
     doc = tracks_to_json(tracks, frame)
     if stats is not None:
         doc["ingest_stats"] = stats.to_json()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    jsonio.dump(doc, path)
 
 
 def load_tracks(path) -> tuple[list[Track], LocalFrame]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad tracks file {path}: {exc}") from exc
-    return tracks_from_json(obj)
+    return tracks_from_json(jsonio.load(path, "tracks file"))

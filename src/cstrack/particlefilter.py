@@ -10,22 +10,23 @@ blending the compliance likelihood with a uniform density. tau = 0 is an
 exact no-op (implemented as such, so a tau = 0 run is bit-identical to a
 filter without the compliance step), tau = 1 weights purely by compliance.
 
-Compliance comes from an evaluator evaluate(positions, velocities, z) ->
-(N,) with values in [0, 1] and NaN where compliance is undefined (a
-flagged map cell). update_constitution owns the one policy for NaN: such
-a particle gets the weight-averaged factor of the defined particles, so
-the step neither rewards nor penalizes it, and a step with no defined
-particle leaves the belief unchanged.
+Compliance comes from an evaluator evaluate(positions, z) -> (N,), with z
+one (2,) measurement or one (N, 2) row per position, values in [0, 1] and
+NaN where compliance is undefined (a flagged map cell).
+update_constitution owns the one policy for NaN: such a particle gets the
+weight-averaged factor of the defined particles, so the step neither
+rewards nor penalizes it, and a step with no defined particle leaves the
+belief unchanged.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateBeliefError
+from . import jsonio
+from .errors import ConfigurationError, DegenerateBeliefError, FormatError
 
 _WEIGHT_TOL = 1e-9
 
@@ -283,16 +284,9 @@ def sample_constitution_set(belief: ParticleBelief, meas: MeasurementModel,
         raise ConfigurationError(f"need at least one sample, got {n}")
     idx = rng.choice(belief.size, size=n, p=belief.weights)
     positions = belief.positions[idx]
-    velocities = belief.velocities[idx]
     noise = rng.standard_normal((n, 2)) @ _psd_factor(meas.R).T
     measurements = positions + noise
-    values = np.empty(n)
-    for i in range(n):
-        values[i] = float(
-            np.asarray(
-                evaluate(positions[i : i + 1], velocities[i : i + 1], measurements[i])
-            ).reshape(-1)[0]
-        )
+    values = np.asarray(evaluate(positions, measurements), dtype=float).reshape(-1)
     return ConstitutionSampleSet(
         values=np.clip(values, 0.0, 1.0),
         states=positions,
@@ -325,20 +319,20 @@ class FilterConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FilterConfig":
+        if not isinstance(obj, dict):
+            raise FormatError("a filter config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(obj) - known
         if unknown:
             raise ConfigurationError(f"unknown filter config keys: {sorted(unknown)}")
-        return cls(**obj)
+        try:
+            return cls(**obj)
+        except TypeError as exc:  # a value of the wrong type
+            raise FormatError(f"bad filter config: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "FilterConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"bad filter config {path}: {exc}") from exc
-        return cls.from_json(obj)
+        return cls.from_json(jsonio.load(path, "filter config"))
 
     def to_json(self) -> dict:
         return {
@@ -431,9 +425,7 @@ def run_filter(
         belief, norm = update_measurement(belief, z, meas_model)
         mean_prob = None
         if active:
-            probs = np.asarray(
-                evaluate(belief.positions, belief.velocities, z), dtype=float
-            ).reshape(-1)
+            probs = np.asarray(evaluate(belief.positions, z), dtype=float).reshape(-1)
             defined = probs[~np.isnan(probs)]
             mean_prob = float(defined.mean()) if defined.size else None
             belief = update_constitution(belief, probs, tau)

@@ -8,16 +8,16 @@ are independent of evaluation order and the sampling cost is amortized.
 
 Cells whose relation evaluation fails (e.g. distance to a tag that is
 absent from the map) are flagged; flagged cells hold NaN and poison any
-interpolation that touches them.
+interpolation that gives them a nonzero weight.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
 from .errors import ConfigurationError, FormatError, NoDepthDataError
 from .grids import GridSpec, bilinear, write_pgm
 from .relations import RelationKind, eval_relation_many
@@ -144,12 +144,8 @@ def find_layer(layers: list[StaRMapLayer], rel: RelationKind, tag: str) -> StaRM
 # Persistence
 
 
-def _array_to_json(arr: np.ndarray) -> list:
-    return [None if not np.isfinite(v) else float(v) for v in arr.ravel()]
-
-
 def _array_from_json(values, rows: int, cols: int) -> np.ndarray:
-    arr = np.array([np.nan if v is None else float(v) for v in values])
+    arr = jsonio.floats_from_json(values)
     if arr.size != rows * cols:
         raise FormatError(f"layer array has {arr.size} cells, expected {rows * cols}")
     return arr.reshape(rows, cols)
@@ -172,8 +168,8 @@ def starmap_to_json(layers: list[StaRMapLayer],
             {
                 "relation": layer.relation.value,
                 "tag": layer.tag,
-                "mean": _array_to_json(layer.mean),
-                "std": _array_to_json(layer.std),
+                "mean": jsonio.floats_to_json(layer.mean),
+                "std": jsonio.floats_to_json(layer.std),
             }
             for layer in layers
         ],
@@ -205,18 +201,11 @@ def starmap_from_json(obj: dict) -> tuple[list[StaRMapLayer], tuple[float, float
 
 
 def save_starmap(layers, path, origin_lonlat=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(starmap_to_json(layers, origin_lonlat), fh, indent=1)
-        fh.write("\n")
+    jsonio.dump(starmap_to_json(layers, origin_lonlat), path)
 
 
 def load_starmap(path) -> tuple[list[StaRMapLayer], tuple[float, float] | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad starmap file {path}: {exc}") from exc
-    return starmap_from_json(obj)
+    return starmap_from_json(jsonio.load(path, "starmap file"))
 
 
 def write_layer_pgm(layer: StaRMapLayer, path, which: str = "mean") -> None:

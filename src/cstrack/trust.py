@@ -15,11 +15,11 @@ runs the same sweep, with the tau = 0 arm as its baseline.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .errors import ConfigurationError, DegenerateBeliefError, FormatError
 from .ingest import Track
 from .particlefilter import FilterConfig, run_filter
@@ -136,17 +136,11 @@ class TrustTable:
             raise FormatError(f"bad trust table: {exc}") from exc
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
+        jsonio.dump(self.to_json(), path)
 
     @classmethod
     def load(cls, path) -> "TrustTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return cls.from_json(json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"bad trust table file {path}: {exc}") from exc
+        return cls.from_json(jsonio.load(path, "trust table file"))
 
 
 @dataclass
@@ -162,7 +156,7 @@ class BucketReport:
         return {
             "features": self.features.key(),
             "tau_grid": list(self.tau_grid),
-            "mae_per_tau": [None if not np.isfinite(v) else v for v in self.mae_per_tau],
+            "mae_per_tau": jsonio.floats_to_json(self.mae_per_tau),
             "chosen_tau": self.chosen_tau,
             "track_count": self.track_count,
             "skipped_tracks": self.skipped_tracks,
@@ -195,9 +189,7 @@ class CalibrationReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
+        jsonio.dump(self.to_json(), path)
 
     def write_histogram_csv(self, path) -> None:
         by_bucket = self.histogram_by_bucket()

@@ -11,11 +11,11 @@ variant, so features move rigidly.
 from __future__ import annotations
 
 import fnmatch
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .errors import ConfigurationError, FormatError
 from .projection import LocalFrame
 
@@ -87,7 +87,12 @@ class FeaturePerturbation:
 
 @dataclass(frozen=True)
 class MapFeature:
-    """One feature to assemble into a VectorMap: local geometry plus tags."""
+    """One feature to assemble into a VectorMap: local geometry plus tags.
+
+    Its rings are exactly the declared ones: edges that happen to close a
+    loop do not make a ring (polygon_feature and load_geojson declare
+    every polygon ring).
+    """
 
     points: tuple[tuple[float, float], ...]
     tags: frozenset[str]
@@ -193,11 +198,7 @@ class VectorMap:
             ds = list(feat.depths) + [None] * (len(feat.points) - len(feat.depths))
             depths.extend(np.nan if d is None else float(d) for d in ds)
             edges.extend((base + a, base + b) for a, b in feat.edges)
-            declared = [tuple(base + i for i in ring) for ring in feat.rings]
-            if declared:
-                rings.extend(declared)
-            else:
-                rings.extend(_detect_rings(len(feat.points), feat.edges, base))
+            rings.extend(tuple(base + i for i in ring) for ring in feat.rings)
             tags.append(frozenset(feat.tags))
         vmap = cls(
             vertices=np.asarray(verts, dtype=float).reshape(len(verts), 2),
@@ -209,59 +210,6 @@ class VectorMap:
         )
         vmap.validate()
         return vmap
-
-    def with_vertices(self, vertices: np.ndarray) -> "VectorMap":
-        """Same structure over replaced coordinates (for map variants)."""
-        return VectorMap(
-            vertices=np.array(vertices, dtype=float),
-            edges=self.edges,
-            feature_of_vertex=self.feature_of_vertex,
-            tags_of_feature=self.tags_of_feature,
-            rings=self.rings,
-            depth_of_vertex=self.depth_of_vertex,
-        )
-
-
-def _detect_rings(n_pts: int, edges, base: int):
-    """Find components that form one simple cycle (every vertex degree 2)."""
-    if not edges:
-        return []
-    adj: dict[int, list[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    seen: set[int] = set()
-    rings = []
-    for start in range(n_pts):
-        if start in seen or start not in adj:
-            continue
-        component = []
-        stack = [start]
-        comp_seen = set()
-        while stack:
-            v = stack.pop()
-            if v in comp_seen:
-                continue
-            comp_seen.add(v)
-            component.append(v)
-            stack.extend(adj.get(v, []))
-        seen |= comp_seen
-        if any(len(adj.get(v, [])) != 2 for v in component):
-            continue
-        # Trace the unique cycle.
-        ring = [start]
-        prev, cur = None, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            if cur == start:
-                break
-            ring.append(cur)
-        if len(ring) == len(component) and len(ring) >= 3:
-            rings.append(tuple(base + v for v in ring))
-    return rings
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +302,7 @@ def perturbations_from_config(vmap: VectorMap, config: dict) -> dict[int, Featur
 
 def load_perturbation_config(source) -> dict:
     """The pattern -> spreads mapping from a JSON file or a parsed object."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"bad perturbation config {source}: {exc}") from exc
-    else:
-        obj = source
+    obj = jsonio.load_source(source, "perturbation config")
     if not isinstance(obj, dict):
         raise FormatError("a perturbation config must be a JSON object")
     return obj
@@ -384,14 +325,7 @@ def load_geojson(source, origin: tuple[float, float] | None = None
     properties.tags list; Point features may carry properties.depth in
     meters. Polygon rings become closed cycles, LineStrings open chains.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"bad GeoJSON {source}: {exc}") from exc
-    else:
-        obj = source
+    obj = jsonio.load_source(source, "GeoJSON")
     if not isinstance(obj, dict) or obj.get("type") != "FeatureCollection":
         raise FormatError("expected a GeoJSON FeatureCollection")
     features = obj.get("features", [])

@@ -312,15 +312,15 @@ def test_criterion_07_field_vs_direct(harbor):
     positions = truth[20] + rng.normal(scale=60.0, size=(2000, 2))
     z = truth[20]
     for evaluate in (field_eval, direct_eval):
-        evaluate(positions, None, z)  # warm-up
+        evaluate(positions, z)  # warm-up
     reps = 10
     t0 = time.perf_counter()
     for _ in range(reps):
-        field_eval(positions, None, z)
+        field_eval(positions, z)
     t_field = (time.perf_counter() - t0) / reps
     t0 = time.perf_counter()
     for _ in range(reps):
-        direct_eval(positions, None, z)
+        direct_eval(positions, z)
     t_direct = (time.perf_counter() - t0) / reps
     ratio = t_direct / t_field
     assert ratio >= 10.0, f"direct/field cost ratio {ratio:.1f}"

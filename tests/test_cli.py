@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from cstrack.cli import main
+from cstrack.constitution import ConstitutionEvaluator, parse, precompute_field
 from cstrack.grids import GridSpec
 from cstrack.relations import RelationKind
-from cstrack.starmap import StaRMapLayer, save_starmap
+from cstrack.starmap import StaRMapLayer, load_starmap, save_starmap
 
 import world
 
@@ -45,6 +46,14 @@ def flagged_centre_starmap(tmp_path):
     out = tmp_path / "flagged.json"
     save_starmap([layer], out)
     return out
+
+
+def strict_loads(text):
+    """json.loads that rejects the NaN and Infinity tokens RFC 8259 lacks."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def empty_starmap(tmp_path):
@@ -262,6 +271,34 @@ class TestTrack:
         assert code == 2
         assert "unknown filter config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["{not json", "5", '["particles"]',
+                                      '{"particles": "many"}'])
+    def test_malformed_filter_config_is_user_error(self, paths, tmp_path, capsys,
+                                                   text):
+        tracks = ingest(paths, tmp_path)
+        config = tmp_path / "filter.json"
+        config.write_text(text)
+        code = run_cli("track", "--tracks", tracks, "--no-constitution",
+                       "--filter-config", config,
+                       "--out-logs", tmp_path / "l.jsonl",
+                       "--out-summary", tmp_path / "s.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "filter config" in err and "Traceback" not in err
+
+    def test_edge_clamped_particle_is_defined_in_both_modes(self, paths, tmp_path):
+        # Clamped onto the top and bottom bbox edges, these particles lie
+        # between two finite edge nodes; the flagged centre has weight 0.
+        layers, _ = load_starmap(flagged_centre_starmap(tmp_path))
+        program = parse(paths["constitution"].read_text())
+        positions = np.array([[1000.0, 500.0], [2500.0, -900.0]])
+        z = np.array([1000.0, 0.0])
+        for evaluate in (
+            precompute_field(program, layers, layers[0].grid).particle_probabilities,
+            ConstitutionEvaluator(program, layers).particle_probabilities,
+        ):
+            np.testing.assert_array_equal(evaluate(positions, z), [1.0, 1.0])
+
     def test_missing_starmap_is_user_error(self, paths, tmp_path):
         tracks = ingest(paths, tmp_path)
         code = run_cli("track", "--tracks", tracks, "--tau", 0.5,
@@ -378,6 +415,45 @@ class TestBench:
             assert run_cli("bench", "--scenario", spec, "--out-dir", out_dir) == 0
             outs.append((out_dir / "runs.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestStrictJson:
+    def test_every_output_parses_strictly(self, paths, tmp_path):
+        # One run of every subcommand, with a flagged starmap cell and a
+        # bench arm that degenerates: undefined numbers are written as null.
+        tracks = ingest(paths, tmp_path)
+        build_starmap(paths, tmp_path)
+        flagged = flagged_centre_starmap(tmp_path)
+        common = ["--constitution", paths["constitution"], "--starmap", flagged]
+        assert run_cli("field", *common, "--out", tmp_path / "field.json") == 0
+        assert run_cli("track", "--tracks", tracks, *common, "--tau", 1,
+                       "--particles", 100, "--meas-std", 40,
+                       "--out-logs", tmp_path / "steps.jsonl",
+                       "--out-summary", tmp_path / "summary.json") == 0
+        assert run_cli("calibrate", "--tracks", tracks, *common,
+                       "--tau-grid", "0,1", "--particles", 100, "--meas-std", 40,
+                       "--out-table", tmp_path / "table.json",
+                       "--out-report", tmp_path / "calibration.json") == 0
+        doc = world.scenario_spec(taus=(0.0, 1.0), n_seeds=1, steps=8,
+                                  particles=60, samples=4)
+        doc["constitution"] = {
+            "inline": "0.0 :: constitution(X, Z) :- over(X, corridor).\n"
+        }
+        doc["agents"]["mode"] = "incompliant"
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps(doc))
+        assert run_cli("bench", "--scenario", spec, "--out-dir", tmp_path / "bench") == 0
+
+        written = ["tracks.json", "starmap.json", "field.json", "summary.json",
+                   "table.json", "calibration.json", "bench/report.json"]
+        docs = {name: strict_loads((tmp_path / name).read_text()) for name in written}
+        for line in (tmp_path / "steps.jsonl").read_text().splitlines():
+            strict_loads(line)
+        assert docs["field.json"]["values"][4] is None
+        degenerate = [row for row in docs["bench/report.json"]["per_run"]
+                      if row["tau"] == 1.0]
+        assert degenerate and all(row["mae"] is None and row["relative_mae"] is None
+                                  for row in degenerate)
 
 
 class TestEntryPoint:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from cstrack.constitution import environment_atoms, parse, precompute_field
+from cstrack.constitution import (
+    ConstitutionEvaluator,
+    environment_atoms,
+    parse,
+    precompute_field,
+)
 from cstrack.demo import (
     HARBOR_BBOX_M,
     HARBOR_ORIGIN,
@@ -63,7 +68,7 @@ def test_straddling_belief_gives_bimodal_sample_set(harbor_field):
         np.vstack([on_channel, on_land]), np.zeros((120, 2))
     )
 
-    def evaluate(positions, velocities, z):
+    def evaluate(positions, z):
         return harbor_field.at_clamped(positions)
 
     samples = sample_constitution_set(
@@ -73,6 +78,28 @@ def test_straddling_belief_gives_bimodal_sample_set(harbor_field):
     low = (samples.values < 0.2).mean()
     high = (samples.values > 0.8).mean()
     assert low > 0.25 and high > 0.25
+
+
+def test_sample_set_evaluates_in_one_batch(harbor):
+    # One direct-mode call over all (state, measurement) rows gives the bits
+    # of one call per sample, also for samples clamped from outside the bbox.
+    evaluate = ConstitutionEvaluator(
+        parse(MARINE_CONSTITUTION), harbor["layers"]
+    ).particle_probabilities
+    rng = np.random.default_rng(12)
+    belief = ParticleBelief.from_arrays(
+        rng.uniform(-2500.0, 2500.0, size=(200, 2)), np.zeros((200, 2))
+    )
+    samples = sample_constitution_set(
+        belief, MeasurementModel.isotropic(50.0), evaluate, n=400,
+        rng=np.random.default_rng(13),
+    )
+    assert (np.abs(samples.states) > 2000.0).any()
+    one_by_one = [
+        evaluate(state[None], z)[0]
+        for state, z in zip(samples.states, samples.measurements)
+    ]
+    np.testing.assert_array_equal(samples.values, np.clip(one_by_one, 0.0, 1.0))
 
 
 def test_perception_is_swappable_text(harbor):

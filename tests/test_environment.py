@@ -245,7 +245,7 @@ class TestEvaluatorBatch:
         program = parse("1.0 :: constitution(X, Z) :- over(X, land), over(Z, land).")
         ev = ConstitutionEvaluator(program, [gradient_layer("over", "land")])
         out = ev.particle_probabilities(
-            np.array([[500.0, 50.0], [-500.0, 50.0]]), None, np.array([1e6, 50.0])
+            np.array([[500.0, 50.0], [-500.0, 50.0]]), np.array([1e6, 50.0])
         )
         np.testing.assert_array_equal(out, [1.0, 0.0])
 
@@ -339,9 +339,9 @@ class TestModeAgreement:
             grid.node_points()[rng.integers(rows * cols, size=50)],
         ])
         z = points[0]
-        via_field = field.particle_probabilities(points, None, z)
+        via_field = field.particle_probabilities(points, z)
         direct = ConstitutionEvaluator(program, [layer]).particle_probabilities(
-            points, None, z
+            points, z
         )
         undefined = np.isnan(via_field)
         np.testing.assert_array_equal(np.isnan(direct), undefined)

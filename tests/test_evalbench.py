@@ -6,6 +6,8 @@ import pytest
 from cstrack.constitution.field import ConstitutionField
 from cstrack.errors import ConfigurationError, StuckAgentError
 from cstrack.evalbench import (
+    MetricReport,
+    RunRow,
     Scenario,
     load_scenario,
     run_ablation,
@@ -18,6 +20,10 @@ from cstrack.particlefilter import FilterConfig
 def constant_field(value=1.0, bbox=(-200.0, -200.0, 3200.0, 200.0), rows=5, cols=25):
     grid = GridSpec(bbox=bbox, rows=rows, cols=cols)
     return ConstitutionField(grid=grid, values=np.full((rows, cols), value))
+
+
+def reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 def corridor_field(width=60.0, bbox=(-200.0, -300.0, 3200.0, 300.0), rows=13, cols=35):
@@ -158,6 +164,31 @@ class TestRunAblation:
         assert np.isnan(degenerate.mae_filter)
         assert degenerate.mae_baseline == base.mae_baseline
 
+    def test_degenerate_arm_saves_null(self, tmp_path):
+        report = run_ablation(self.straight_scenario(0.0, [self.line()], (0.0, 1.0)))
+        report.save(tmp_path / "report.json")
+        doc = json.loads((tmp_path / "report.json").read_text(),
+                         parse_constant=reject_constant)
+        base, degenerate = doc["per_run"]
+        assert degenerate["mae"] is None and degenerate["relative_mae"] is None
+        assert degenerate["mae_baseline"] == base["mae"]
+        assert doc["aggregate"]["1.0"] == {
+            "relative_mae_mean": None, "relative_mae_std": None,
+            "relative_mae_median": None, "mae_mean": None, "runs": 0,
+        }
+        assert doc["aggregate"]["0.0"]["mae_mean"] == base["mae"]
+        assert doc["aggregate"]["0.0"]["runs"] == 1
+
+    def test_aggregate_over_defined_runs(self):
+        report = MetricReport(rows=[
+            RunRow(seed=0, track=0, tau=1.0, mae_filter=30.0, mae_baseline=40.0),
+            RunRow(seed=0, track=1, tau=1.0, mae_filter=float("nan"), mae_baseline=50.0),
+        ])
+        assert report.aggregate()["1.0"] == {
+            "relative_mae_mean": 0.75, "relative_mae_std": 0.0,
+            "relative_mae_median": 0.75, "mae_mean": 30.0, "runs": 1,
+        }
+
     def test_degenerate_baseline_drops_track(self):
         # A 1e6 m jump leaves every particle with zero measurement likelihood
         # in the plain filter, so that track has no baseline and no rows.
@@ -250,5 +281,5 @@ class TestScenarioLoading:
 class TestFieldEvaluator:
     def test_clamps_outside_points(self):
         f = corridor_field()
-        vals = f.particle_probabilities(np.array([[0.0, 0.0], [0.0, 1e6]]), None, None)
+        vals = f.particle_probabilities(np.array([[0.0, 0.0], [0.0, 1e6]]), None)
         assert vals[0] == 1.0 and vals[1] == 0.0

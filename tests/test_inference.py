@@ -14,6 +14,7 @@ from cstrack.constitution import (
     parse,
     query_probability,
 )
+from cstrack.constitution.inference import DEFAULT_ATOM_LIMIT
 from cstrack.errors import CapacityError
 
 from wmc_oracle import oracle_probability, random_program
@@ -116,11 +117,14 @@ class TestComparisonQueries:
 
 class TestInvariants:
     def test_capacity_error(self):
-        text = "\n".join(f"0.5 :: a{i}." for i in range(6))
-        text += "\nq :- a0, a1, a2, a3, a4, a5."
+        # 25 independent facts exceed DEFAULT_ATOM_LIMIT = 24; the check
+        # runs before enumeration, so the test stays fast.
+        text = "\n".join(f"0.5 :: a{i}." for i in range(25))
+        text += "\nq :- " + ", ".join(f"a{i}" for i in range(25)) + "."
         gp = ground(parse(text), query=Atom("q"))
+        assert gp.n_probabilistic == DEFAULT_ATOM_LIMIT + 1
         with pytest.raises(CapacityError):
-            query_probability(gp, limit=5)
+            query_probability(gp)
 
     def test_total_mass_is_one(self):
         # nq :- \+ q. splits every model between q and nq, so the two

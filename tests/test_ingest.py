@@ -68,6 +68,15 @@ class TestReadCsv:
             stats.records_kept + stats.dropped_invalid + stats.dropped_duplicate
         )
 
+    def test_non_finite_optional_fields_are_missing(self, tmp_path):
+        path = write_csv(
+            tmp_path, ["123,2020-01-01T00:00:00,40.0,-74.0,nan,inf,nan,NaN\n"]
+        )
+        records, stats = read_ais_csv(path)
+        assert stats.records_kept == 1
+        rec = records[0]
+        assert (rec.sog, rec.cog, rec.vessel_type, rec.draft) == (None,) * 4
+
     def test_missing_mandatory_column(self, tmp_path):
         path = write_csv(tmp_path, ["123,40.0\n"], header="MMSI,LAT\n")
         with pytest.raises(FormatError):

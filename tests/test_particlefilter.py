@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstrack.constitution import ConstitutionEvaluator, parse, precompute_field
-from cstrack.errors import ConfigurationError, DegenerateBeliefError
+from cstrack.errors import ConfigurationError, DegenerateBeliefError, FormatError
 from cstrack.grids import GridSpec
 from cstrack.particlefilter import (
     FilterConfig,
@@ -251,7 +251,7 @@ class TestSampleSet:
         )
         out = sample_constitution_set(
             belief, MeasurementModel.isotropic(1.0),
-            lambda p, v, z: np.full(len(p), 0.7), n=25,
+            lambda p, z: np.full(len(p), 0.7), n=25,
             rng=np.random.default_rng(5),
         )
         assert out.values.shape == (25,)
@@ -264,7 +264,7 @@ class TestSampleSet:
         )
         out = sample_constitution_set(
             belief, MeasurementModel.isotropic(0.1),
-            lambda p, v, z: np.zeros(len(p)), n=2000,
+            lambda p, z: np.zeros(len(p)), n=2000,
             rng=np.random.default_rng(11),
         )
         share = (out.states[:, 0] < 50).mean()
@@ -275,7 +275,7 @@ class TestSampleSet:
         with pytest.raises(ConfigurationError):
             sample_constitution_set(
                 belief, MeasurementModel.isotropic(1.0),
-                lambda p, v, z: np.full(len(p), np.nan), n=5,
+                lambda p, z: np.full(len(p), np.nan), n=5,
                 rng=np.random.default_rng(0),
             )
 
@@ -328,7 +328,7 @@ class TestRunFilter:
         config = FilterConfig(particles=200, dt=1.0, measurement_noise_std=3.0)
         calls = []
 
-        def evaluate(p, v, z):
+        def evaluate(p, z):
             calls.append(len(p))
             return np.full(len(p), 0.5)
 
@@ -373,7 +373,7 @@ class TestRunFilter:
         config = FilterConfig(particles=800, dt=1.0, sigma_a=0.2,
                               measurement_noise_std=30.0)
 
-        def evaluate(p, v, z):
+        def evaluate(p, z):
             return np.exp(-0.5 * (p[:, 1] / 10.0) ** 2)
 
         base, _ = run_filter(noisy, config, np.random.default_rng(5))
@@ -391,6 +391,12 @@ class TestRunFilter:
         np.testing.assert_allclose(np.cov(noise.T), R, rtol=0.05, atol=50.0)
         round_tripped = FilterConfig.from_json(config.to_json())
         assert round_tripped.measurement_model().R[0, 1] == 400.0
+
+    def test_malformed_config_file_is_format_error(self, tmp_path):
+        path = tmp_path / "filter.json"
+        path.write_text("{not json")
+        with pytest.raises(FormatError, match="bad filter config"):
+            FilterConfig.load(path)
 
     def test_records_fields(self):
         truth = self.track(steps=5)

@@ -284,6 +284,15 @@ class TestInterpolate:
         out = bilinear(grid, values, grid.node_points())
         np.testing.assert_array_equal(out, values.ravel())
 
+    def test_grid_line_next_to_a_flagged_node_is_defined(self):
+        # (1.5, 4.0) lies on the top edge between the finite nodes [4, 1]
+        # and [4, 2]; the flagged node [3, 1] below them has weight 0.
+        grid = GridSpec(bbox=(0.0, 0.0, 4.0, 4.0), rows=5, cols=5)
+        values = np.ones((5, 5))
+        values[3, 1] = np.nan
+        assert bilinear(grid, values, np.array([[1.5, 4.0]]))[0] == 1.0
+        assert np.isnan(bilinear(grid, values, np.array([[1.5, 3.5]]))[0])
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
