@@ -152,14 +152,17 @@ class MetricReport:
         jsonio.dump(self.to_json(), path)
 
     def write_csv(self, path) -> None:
+        """One row per run; an undefined number (NaN or None) is an empty
+        cell, as it is null in the JSON report."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["seed", "track", "tau", "mae", "mae_baseline", "relative_mae"]
             )
             for r in self.rows:
+                numbers = (r.mae_filter, r.mae_baseline, r.relative)
                 writer.writerow(
-                    [r.seed, r.track, r.tau, r.mae_filter, r.mae_baseline, r.relative]
+                    [r.seed, r.track, r.tau, *map(jsonio.float_to_json, numbers)]
                 )
 
 

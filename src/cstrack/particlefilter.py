@@ -22,6 +22,7 @@ belief unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -59,10 +60,14 @@ def _check_spsd(mat: np.ndarray, name: str) -> np.ndarray:
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
+    """A read-only F with F F^T = cov; models cache it and share it."""
     if not cov.any():
-        return np.zeros_like(cov)
-    w, q = np.linalg.eigh(cov)
-    return q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+        factor = np.zeros_like(cov)
+    else:
+        w, q = np.linalg.eigh(cov)
+        factor = q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+    factor.setflags(write=False)
+    return factor
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,11 @@ class ProcessModel:
     def constant_velocity(cls, dt: float, sigma_a: float) -> "ProcessModel":
         return cls(dt=dt, Q=cv_process_noise(dt, sigma_a))
 
+    @cached_property
+    def noise_factor(self) -> np.ndarray:
+        """F with F F^T = Q, computed once per model."""
+        return _psd_factor(self.Q)
+
 
 @dataclass(frozen=True)
 class MeasurementModel:
@@ -97,6 +107,23 @@ class MeasurementModel:
     @classmethod
     def isotropic(cls, std_m: float) -> "MeasurementModel":
         return cls(R=np.eye(2) * float(std_m) ** 2)
+
+    @cached_property
+    def noise_factor(self) -> np.ndarray:
+        """F with F F^T = R, computed once per model."""
+        return _psd_factor(self.R)
+
+    @cached_property
+    def _inverse_and_norm(self) -> tuple[np.ndarray, float]:
+        inv = np.linalg.inv(self.R)
+        inv.setflags(write=False)
+        return inv, 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(self.R)))
+
+    def likelihood(self, deltas: np.ndarray) -> np.ndarray:
+        """Density of N(0, R) at each row of deltas."""
+        inv, norm = self._inverse_and_norm
+        quad = np.einsum("ni,ij,nj->n", deltas, inv, deltas)
+        return norm * np.exp(-0.5 * quad)
 
 
 @dataclass(frozen=True)
@@ -163,20 +190,12 @@ def predict(belief: ParticleBelief, process: ProcessModel,
     positions = belief.positions + belief.velocities * process.dt
     velocities = belief.velocities
     if process.Q.any():
-        noise = rng.standard_normal((belief.size, 4)) @ _psd_factor(process.Q).T
+        noise = rng.standard_normal((belief.size, 4)) @ process.noise_factor.T
         positions = positions + noise[:, :2]
         velocities = velocities + noise[:, 2:]
     if not (np.isfinite(positions).all() and np.isfinite(velocities).all()):
         raise ConfigurationError("prediction produced non-finite states")
     return replace(belief, positions=positions, velocities=velocities)
-
-
-def gaussian_likelihood(deltas: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Density of N(0, R) at each row of deltas."""
-    inv = np.linalg.inv(R)
-    norm = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(R)))
-    quad = np.einsum("ni,ij,nj->n", deltas, inv, deltas)
-    return norm * np.exp(-0.5 * quad)
 
 
 def update_measurement(belief: ParticleBelief, z, meas: MeasurementModel
@@ -187,7 +206,7 @@ def update_measurement(belief: ParticleBelief, z, meas: MeasurementModel
     Monte Carlo estimate of the measurement's marginal density).
     """
     z = np.asarray(z, dtype=float)
-    likelihood = gaussian_likelihood(belief.positions - z, meas.R)
+    likelihood = meas.likelihood(belief.positions - z)
     raw = belief.weights * likelihood
     norm = float(raw.sum())
     if norm <= 0.0 or not np.isfinite(norm):
@@ -284,7 +303,7 @@ def sample_constitution_set(belief: ParticleBelief, meas: MeasurementModel,
         raise ConfigurationError(f"need at least one sample, got {n}")
     idx = rng.choice(belief.size, size=n, p=belief.weights)
     positions = belief.positions[idx]
-    noise = rng.standard_normal((n, 2)) @ _psd_factor(meas.R).T
+    noise = rng.standard_normal((n, 2)) @ meas.noise_factor.T
     measurements = positions + noise
     values = np.asarray(evaluate(positions, measurements), dtype=float).reshape(-1)
     return ConstitutionSampleSet(
@@ -356,7 +375,7 @@ class FilterConfig:
 
     def draw_measurement_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """(n, 2) noise consistent with the configured measurement model."""
-        return rng.standard_normal((n, 2)) @ _psd_factor(self.measurement_model().R).T
+        return rng.standard_normal((n, 2)) @ self.measurement_model().noise_factor.T
 
 
 @dataclass(frozen=True)

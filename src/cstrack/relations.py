@@ -9,11 +9,18 @@ Three relations are supported:
   segment of any feature carrying the tag; 0 inside a closed tagged ring.
   +inf when no feature carries the tag ("no feature" sentinel).
 * depth(point, tag): inverse-distance-weighted (power 2) interpolation of
-  the depth attributes of the 4 nearest tagged sounding vertices.
+  the depth attributes of the 4 nearest tagged sounding vertices. The 4
+  nearest are the first 4 soundings ordered by (squared distance, sounding
+  index), so ties go to the lower index, and the weighted sums add them in
+  that order. A point within 1e-9 m of a sounding (an exact hit) takes the
+  depth of the first exact candidate in that order. A non-finite point
+  has depth NaN.
 
 All evaluators are vectorized over query points and accept an optional
 replacement vertex array so randomized map variants can be evaluated
-without rebuilding map structure.
+without rebuilding map structure. Depth finds its candidates with a k-d
+tree built per call (Bentley, CACM 1975); over tests ring boundaries only
+for points inside the ring's bbox grown by a margin.
 """
 
 from __future__ import annotations
@@ -21,14 +28,22 @@ from __future__ import annotations
 import enum
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import NoDepthDataError
 from .vectormap import VectorMap
 
 _BOUNDARY_EPS = 1e-9
 _IDW_NEIGHBORS = 4
+# Ring tests skip points farther than this outside the ring's bbox: they
+# are neither inside nor within _BOUNDARY_EPS of an edge. Generously above
+# both _BOUNDARY_EPS and the rounding of the crossing abscissa.
+_BBOX_MARGIN = 1e-6
+# Candidates whose k-th and (k+1)-th squared distances lie within this
+# relative gap are re-ranked against every sounding.
+_TIE_RTOL = 1e-9
 
-# Cap on the size of broadcast (points x segments) blocks.
+# Cap on the size of broadcast (points x segments or soundings) blocks.
 _CHUNK_CELLS = 4_000_000
 
 
@@ -82,12 +97,6 @@ def _segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray)
     return out
 
 
-def _points_on_boundary(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    if len(starts) == 0:
-        return np.zeros(len(points), dtype=bool)
-    return _segment_distances(points, starts, ends) <= _BOUNDARY_EPS
-
-
 def _inside_ring(points: np.ndarray, ring_xy: np.ndarray) -> np.ndarray:
     """Even-odd crossing test for one ring (boundary not handled here)."""
     x = points[:, 0][:, None]
@@ -116,10 +125,12 @@ def eval_over_many(vmap: VectorMap, points: np.ndarray, tag: str,
     inside = np.zeros(len(points), dtype=bool)
     for ring in rings:
         ring_xy = verts[list(ring)]
-        inside |= _inside_ring(points, ring_xy)
-        starts = ring_xy
-        ends = np.roll(ring_xy, -1, axis=0)
-        inside |= _points_on_boundary(points, starts, ends)
+        lo = ring_xy.min(axis=0) - _BBOX_MARGIN
+        hi = ring_xy.max(axis=0) + _BBOX_MARGIN
+        near = np.flatnonzero(((points >= lo) & (points <= hi)).all(axis=1))
+        p = points[near]
+        on_edge = _segment_distances(p, ring_xy, np.roll(ring_xy, -1, axis=0)) <= _BOUNDARY_EPS
+        inside[near] |= _inside_ring(p, ring_xy) | on_edge
     return inside.astype(float)
 
 
@@ -148,6 +159,40 @@ def eval_distance_many(vmap: VectorMap, points: np.ndarray, tag: str,
     return dist
 
 
+def _ranked(points: np.ndarray, soundings: np.ndarray,
+            idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of candidate indices ordered by (squared distance, index),
+    with the squared distances in the same order."""
+    diff = points[:, None, :] - soundings[idx]
+    d2 = np.einsum("cvj,cvj->cv", diff, diff)
+    order = np.lexsort((idx, d2))
+    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(d2, order, axis=1)
+
+
+def _nearest_soundings(points: np.ndarray, soundings: np.ndarray,
+                       k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and squared distances of the k nearest soundings per point,
+    ranked by (squared distance, index).
+
+    The k-d tree proposes k + 1 candidates. A row whose k-th and (k+1)-th
+    candidates tie, or nearly tie so that the tree's rounding could rank
+    them apart from ours, is ranked against every sounding instead.
+    """
+    n = len(soundings)
+    m = min(k + 1, n)
+    _, idx = cKDTree(soundings).query(points, k=m)
+    idx, d2 = _ranked(points, soundings, idx.reshape(len(points), m))
+    if m < n:
+        tied = np.flatnonzero(d2[:, k] - d2[:, k - 1] <= _TIE_RTOL * d2[:, k])
+        step = max(1, _CHUNK_CELLS // n)
+        for lo in range(0, len(tied), step):
+            rows = tied[lo : lo + step]
+            every = np.broadcast_to(np.arange(n), (len(rows), n))
+            full_idx, full_d2 = _ranked(points[rows], soundings, every)
+            idx[rows], d2[rows] = full_idx[:, :m], full_d2[:, :m]
+    return idx[:, :k], d2[:, :k]
+
+
 def eval_depth_many(vmap: VectorMap, points: np.ndarray, tag: str,
                     vertices: np.ndarray | None = None) -> np.ndarray:
     verts = vmap.vertices if vertices is None else vertices
@@ -162,27 +207,19 @@ def eval_depth_many(vmap: VectorMap, points: np.ndarray, tag: str,
     soundings = verts[has_depth]
     values = vmap.depth_of_vertex[has_depth]
     k = min(_IDW_NEIGHBORS, len(has_depth))
-    out = np.empty(len(points))
-    step = max(1, _CHUNK_CELLS // max(len(soundings), 1))
-    for lo in range(0, len(points), step):
-        p = points[lo : lo + step]
-        diff = p[:, None, :] - soundings[None, :, :]
-        d2 = np.einsum("cvj,cvj->cv", diff, diff)
-        if k < d2.shape[1]:
-            nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        else:
-            nearest = np.broadcast_to(np.arange(k), (len(p), k))
-        nd2 = np.take_along_axis(d2, nearest, axis=1)
-        nval = values[nearest]
-        exact = nd2 <= _BOUNDARY_EPS**2
-        hit = exact.any(axis=1)
-        # IDW with power 2; exact hits short-circuit to the node value.
-        w = np.where(exact, 0.0, 1.0 / np.where(exact, 1.0, nd2))
-        denom = w.sum(axis=1)
-        idw = (w * nval).sum(axis=1) / np.where(denom > 0, denom, 1.0)
-        first_exact = np.argmax(exact, axis=1)
-        node_val = nval[np.arange(len(p)), first_exact]
-        out[lo : lo + step] = np.where(hit, node_val, idw)
+    out = np.full(len(points), np.nan)
+    finite = np.isfinite(points).all(axis=1)
+    nearest, nd2 = _nearest_soundings(points[finite], soundings, k)
+    nval = values[nearest]
+    exact = nd2 <= _BOUNDARY_EPS**2
+    hit = exact.any(axis=1)
+    # IDW with power 2; exact hits short-circuit to the node value.
+    w = np.where(exact, 0.0, 1.0 / np.where(exact, 1.0, nd2))
+    denom = w.sum(axis=1)
+    idw = (w * nval).sum(axis=1) / np.where(denom > 0, denom, 1.0)
+    first_exact = np.argmax(exact, axis=1)
+    node_val = nval[np.arange(len(nval)), first_exact]
+    out[finite] = np.where(hit, node_val, idw)
     return out
 
 

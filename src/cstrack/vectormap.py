@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +63,9 @@ class FeaturePerturbation:
             scale_std=float(scale_std),
         )
 
-    def _chol(self) -> np.ndarray:
+    @cached_property
+    def _translation_factor(self) -> np.ndarray:
+        """F with F F^T = translation_cov, computed once per perturbation."""
         cov = np.asarray(self.translation_cov, dtype=float)
         if not cov.any():
             return np.zeros((2, 2))
@@ -81,7 +84,7 @@ class FeaturePerturbation:
         scale = 1.0 + self.scale_std * raw[1]
         c, s = np.cos(angle), np.sin(angle)
         phi = np.array([[scale * c, -scale * s], [scale * s, scale * c]])
-        t = np.asarray(self.translation_mean, dtype=float) + self._chol() @ raw[2:]
+        t = np.asarray(self.translation_mean, dtype=float) + self._translation_factor @ raw[2:]
         return phi, t
 
 

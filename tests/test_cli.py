@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 
@@ -122,6 +123,29 @@ class TestBuildStarmap:
         assert code == 0
         assert (pgm_dir / "over_corridor.pgm").exists()
         assert (pgm_dir / "distance_corridor.pgm").exists()
+
+
+    def test_verbose_logs_one_line_per_layer(self, paths, tmp_path, caplog, capsys):
+        def build(out, *flags):
+            code = run_cli(
+                "build-starmap", "--map", paths["map"], "--perturb", paths["perturb"],
+                "--relations", "over:corridor,distance:corridor",
+                "--bbox=-300,-300,3900,300", "--rows", 6, "--cols", 10,
+                "--samples", 8, "--out", tmp_path / out, *flags,
+            )
+            assert code == 0
+            return capsys.readouterr()
+
+        quiet = build("quiet.json")
+        caplog.set_level(logging.INFO, logger="cstrack")
+        loud = build("loud.json", "-v")
+        lines = [r.getMessage() for r in caplog.records if r.name == "cstrack.starmap"]
+        assert [line.split(":", 2)[:2] for line in lines] == [
+            ["layer over", "corridor"], ["layer distance", "corridor"]]
+        assert all(line.endswith("flagged fraction 0.0000") for line in lines)
+        assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()
+        assert quiet.out.split(" in ")[0] == loud.out.split(" in ")[0] == (
+            "built 2 layers (6x10, 8 samples)")
 
 
 class TestField:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -178,6 +179,21 @@ class TestRunAblation:
         }
         assert doc["aggregate"]["0.0"]["mae_mean"] == base["mae"]
         assert doc["aggregate"]["0.0"]["runs"] == 1
+
+    def test_undefined_numbers_are_empty_csv_cells(self, tmp_path):
+        report = run_ablation(self.straight_scenario(0.0, [self.line()], (0.0, 1.0)))
+        report.rows.append(
+            RunRow(seed=9, track=0, tau=0.5, mae_filter=0.0, mae_baseline=0.0)
+        )
+        report.write_csv(tmp_path / "runs.csv")
+        text = (tmp_path / "runs.csv").read_text()
+        assert "nan" not in text.lower()
+        with open(tmp_path / "runs.csv", newline="") as fh:
+            header, base, degenerate, zero_baseline = csv.reader(fh)
+        assert float(base[3]) == report.rows[0].mae_filter
+        assert degenerate[3] == "" and degenerate[5] == ""
+        assert float(degenerate[4]) == report.rows[1].mae_baseline
+        assert zero_baseline[3:] == ["0.0", "0.0", ""]
 
     def test_aggregate_over_defined_runs(self):
         report = MetricReport(rows=[

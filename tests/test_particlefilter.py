@@ -69,6 +69,23 @@ class TestPredict:
         out = predict(belief, process, np.random.default_rng(0))
         np.testing.assert_array_equal(out.weights, belief.weights)
 
+    def test_cached_factor_gives_the_bits_of_a_fresh_one(self):
+        process = ProcessModel.constant_velocity(2.0, 0.5)
+        belief = ParticleBelief.from_arrays(np.zeros((50, 2)), np.ones((50, 2)))
+        out = predict(predict(belief, process, np.random.default_rng(4)), process,
+                      np.random.default_rng(5))
+        w, q = np.linalg.eigh(process.Q)
+        fresh = q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+        expect = belief
+        for seed in (4, 5):
+            noise = np.random.default_rng(seed).standard_normal((50, 4)) @ fresh.T
+            expect = ParticleBelief.from_arrays(
+                expect.positions + expect.velocities * 2.0 + noise[:, :2],
+                expect.velocities + noise[:, 2:],
+            )
+        np.testing.assert_array_equal(out.positions, expect.positions)
+        np.testing.assert_array_equal(out.velocities, expect.velocities)
+
 
 class TestMeasurementUpdate:
     def test_symmetric_particles_equal_weights(self):
@@ -104,6 +121,16 @@ class TestMeasurementUpdate:
         belief = ParticleBelief.from_arrays([(1e9, 1e9)], [(0.0, 0.0)])
         with pytest.raises(DegenerateBeliefError):
             update_measurement(belief, (0.0, 0.0), MeasurementModel.isotropic(1.0))
+
+    def test_cached_inverse_gives_the_bits_of_a_fresh_one(self):
+        R = np.array([[9.0, 2.5], [2.5, 4.0]])
+        deltas = np.random.default_rng(6).normal(0.0, 3.0, (40, 2))
+        meas = MeasurementModel(R=R)
+        for _ in range(2):  # the second call reads the cached terms
+            got = meas.likelihood(deltas)
+            quad = np.einsum("ni,ij,nj->n", deltas, np.linalg.inv(R), deltas)
+            fresh = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(R))) * np.exp(-0.5 * quad)
+            np.testing.assert_array_equal(got, fresh)
 
     def test_normalization_constant_is_marginal_density(self):
         belief = ParticleBelief.from_arrays([(0.0, 0.0)], [(0.0, 0.0)])

@@ -13,6 +13,8 @@ from cstrack.vectormap import (
     polygon_feature,
 )
 
+import brute_force
+
 SQUARE = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]
 
 
@@ -154,3 +156,113 @@ class TestVariantOverride:
         many = eval_relation_many(square_map, RelationKind.DISTANCE, pts, "land")
         for p, expect in zip(pts, many):
             assert relation_at(square_map, RelationKind.DISTANCE, p, "land") == expect
+
+
+def sounding_map(positions, depths):
+    return VectorMap.build([
+        point_feature((float(x), float(y)), ["water"], depth=float(d))
+        for (x, y), d in zip(positions, depths)
+    ])
+
+
+lattice = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+    lambda c: (10.0 * c[0], 10.0 * c[1])
+)
+free_point = st.tuples(st.floats(-40, 40), st.floats(-40, 40))
+
+
+class TestDepthMatchesBruteForce:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        # Past 16 soundings the k-d tree splits its leaves and stops
+        # breaking ties by index.
+        positions=st.lists(st.one_of(lattice, free_point), min_size=1, max_size=40),
+        queries=st.lists(
+            st.one_of(
+                lattice,
+                lattice.map(lambda p: (p[0] + 5.0, p[1] + 5.0)),  # lattice-cell centres
+                lattice.map(lambda p: (p[0] + 5.0, p[1])),  # edge midpoints
+                free_point,
+                st.tuples(st.sampled_from([-1e5, 1e5]), st.floats(-1e5, 1e5)),
+            ),
+            min_size=1, max_size=40,
+        ),
+        data=st.data(),
+    )
+    def test_bit_equal_to_full_ranking(self, positions, queries, data):
+        # Lattice positions repeat (duplicated soundings with different
+        # depths) and tie; queries at soundings are exact hits.
+        depths = [1.0 + i for i in range(len(positions))]
+        data.draw(st.randoms()).shuffle(depths)
+        hits = data.draw(st.lists(st.sampled_from(positions), max_size=5))
+        points = np.array(queries + hits, dtype=float)
+        got = eval_relation_many(sounding_map(positions, depths), RelationKind.DEPTH,
+                                 points, "water")
+        expect = brute_force.depth(points, np.array(positions), np.array(depths))
+        np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("side", [3, 5, 7])
+    def test_lattice_ties_match_full_ranking(self, side):
+        # A lattice with every other node doubled; queries on the half
+        # lattice tie the 4th and 5th nearest soundings in most rows.
+        rng = np.random.default_rng(side)
+        nodes = np.array([(10.0 * i, 10.0 * j) for i in range(side) for j in range(side)])
+        positions = np.vstack([nodes, nodes[::2]])
+        depths = rng.permutation(len(positions)) + 1.0
+        half = 5.0 * np.arange(-1, 2 * side)
+        points = np.array([(x, y) for x in half for y in half])
+        got = eval_relation_many(sounding_map(positions, depths), RelationKind.DEPTH,
+                                 points, "water")
+        np.testing.assert_array_equal(got, brute_force.depth(points, positions, depths))
+
+    def test_eight_way_tie_takes_the_four_lowest_indices(self):
+        on_circle = [(10, 0), (0, 10), (-10, 0), (0, -10),
+                     (6, 8), (-6, 8), (6, -8), (-6, -8)]
+        vmap = sounding_map(on_circle, range(1, 9))
+        assert relation_at(vmap, RelationKind.DEPTH, (0.0, 0.0), "water") == 2.5
+
+    def test_non_finite_point_is_nan(self):
+        vmap = sounding_map([(0, 0), (10, 0)], [1.0, 2.0])
+        got = eval_relation_many(vmap, RelationKind.DEPTH,
+                                 np.array([[np.nan, 0.0], [0.0, 0.0]]), "water")
+        assert np.isnan(got[0]) and got[1] == 1.0
+
+
+def random_ring(rng, n):
+    """A star-shaped ring, rotated and shifted off the origin."""
+    angles = np.sort(rng.uniform(0, 2 * np.pi, n))
+    local = rng.uniform(5, 50, n)[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+    turn = rng.uniform(0, 2 * np.pi)
+    rot = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+    return local @ rot.T + rng.uniform(-100, 100, 2)
+
+
+class TestOverMatchesBruteForce:
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equal_to_unpruned_test(self, seed):
+        rng = np.random.default_rng(seed)
+        rings = [random_ring(rng, int(rng.integers(3, 9))) for _ in range(2)]
+        vmap = VectorMap.build([polygon_feature(r, ["land"]) for r in rings])
+        lo = np.min([r.min(axis=0) for r in rings], axis=0)
+        hi = np.max([r.max(axis=0) for r in rings], axis=0)
+        t = rng.uniform(0, 1, (20, 1))
+        ring = rings[0]
+        edge = np.arange(20) % len(ring)
+        on_edges = ring[edge] + t * (np.roll(ring, -1, axis=0)[edge] - ring[edge])
+        # Just beyond and just inside the pruning margin of each ring's bbox.
+        offsets = np.array([1.5e-6, 0.5e-6, 1e-10, -1e-10])
+        beyond = []
+        for r in rings:
+            r_lo, r_hi = r.min(axis=0), r.max(axis=0)
+            for off in offsets:
+                for v in r:
+                    beyond += [(r_lo[0] - off, v[1]), (r_hi[0] + off, v[1]),
+                               (v[0], r_lo[1] - off), (v[0], r_hi[1] + off)]
+        points = np.vstack([
+            rng.uniform(lo - 20, hi + 20, (300, 2)),
+            *rings, on_edges, np.array(beyond),
+        ])
+        got = eval_relation_many(vmap, RelationKind.OVER, points, "land")
+        np.testing.assert_array_equal(got, brute_force.over(points, rings))
+        assert got[300:300 + sum(len(r) for r in rings)].all()  # vertices

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cstrack.demo import HARBOR_PERTURBATIONS, harbor_geojson
 from cstrack.errors import ConfigurationError, FormatError
 from cstrack.projection import LocalFrame
 from cstrack.vectormap import (
@@ -16,6 +17,8 @@ from cstrack.vectormap import (
     polygon_feature,
     sample_vertex_variants,
 )
+
+import brute_force
 
 SQUARE = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]
 
@@ -167,6 +170,24 @@ class TestPerturbationSampling:
         samples = variants[:, 1, :]
         assert np.allclose(samples[:, 1], 0.0, atol=1e-12)
         assert abs(samples[:, 0].mean() - 10.0) < 0.3
+
+    def test_harbor_variants_match_a_factor_per_draw(self):
+        # The translation factor is computed once per perturbation; the
+        # reference recomputes it (an eigh) on every draw.
+        vmap, _ = load_geojson(harbor_geojson())
+        pert = perturbations_from_config(vmap, HARBOR_PERTURBATIONS)
+        got = sample_vertex_variants(vmap, pert, 5, rng=11)
+        np.testing.assert_array_equal(got, brute_force.vertex_variants(vmap, pert, 5, 11))
+
+    def test_correlated_translation_matches_a_factor_per_draw(self):
+        vmap = VectorMap.build([polygon_feature(SQUARE, ["land"]),
+                                line_feature([(50, 0), (60, 5)], ["way"])])
+        shared = FeaturePerturbation(translation_mean=(1.0, -2.0),
+                                     translation_cov=((4.0, 1.5), (1.5, 2.0)),
+                                     rotation_std=0.01, scale_std=0.02)
+        pert = {0: shared, 1: shared}
+        got = sample_vertex_variants(vmap, pert, 20, rng=3)
+        np.testing.assert_array_equal(got, brute_force.vertex_variants(vmap, pert, 20, 3))
 
     def test_invalid_covariance_rejected(self):
         with pytest.raises(ConfigurationError):
