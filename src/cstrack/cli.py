@@ -97,14 +97,11 @@ def _grid_from_args(args, default_bbox=None, default_rows=100, default_cols=100)
 
 def _load_filter_config(args) -> FilterConfig:
     config = FilterConfig.load(args.filter_config) if args.filter_config else FilterConfig()
-    overrides = {}
-    if getattr(args, "particles", None) is not None:
-        overrides["particles"] = args.particles
-    if getattr(args, "meas_std", None) is not None:
-        overrides["measurement_noise_std"] = args.meas_std
-    if getattr(args, "sigma_a", None) is not None:
-        overrides["sigma_a"] = args.sigma_a
-    return dataclasses.replace(config, **overrides) if overrides else config
+    overrides = {"particles": args.particles, "measurement_noise_std": args.meas_std,
+                 "sigma_a": args.sigma_a}
+    return dataclasses.replace(
+        config, **{key: value for key, value in overrides.items() if value is not None}
+    )
 
 
 def _evaluator_for(program, layers, mode: str):
@@ -260,7 +257,7 @@ def cmd_track(args) -> int:
                 np.asarray(track.positions, dtype=float),
                 run_config,
                 np.random.default_rng(seeds[i]),
-                evaluate=evaluate if tau > 0 else None,
+                evaluate=evaluate,
                 tau=tau,
                 t0=float(track.times[0]),
             )
@@ -350,6 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed; all randomness derives from it")
         p.add_argument("-v", "--verbose", action="store_true", help="info logging")
 
+    def filter_options(p):
+        p.add_argument("--mode", choices=("field", "direct"), default="field",
+                       help="compliance evaluation: precomputed field or per-particle")
+        p.add_argument("--filter-config", help="FilterConfig JSON file")
+        p.add_argument("--particles", type=int)
+        p.add_argument("--meas-std", type=float)
+        p.add_argument("--sigma-a", type=float)
+
     p = sub.add_parser("ingest", help="AIS CSV -> uniform tracks JSON")
     common(p)
     p.add_argument("--csv", required=True)
@@ -401,12 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     tau_source.add_argument("--trust-table", help="calibrated trust table JSON")
     tau_source.add_argument("--no-constitution", action="store_true",
                             help="plain particle filter baseline")
-    p.add_argument("--mode", choices=("field", "direct"), default="field",
-                   help="compliance evaluation: precomputed field or per-particle")
-    p.add_argument("--filter-config", help="FilterConfig JSON file")
-    p.add_argument("--particles", type=int)
-    p.add_argument("--meas-std", type=float)
-    p.add_argument("--sigma-a", type=float)
+    filter_options(p)
     p.add_argument("--out-logs", required=True, help="JSON Lines step log")
     p.add_argument("--out-summary", required=True, help="per-track summary JSON")
     p.set_defaults(handler=cmd_track)
@@ -418,11 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starmap", required=True)
     p.add_argument("--tau-grid", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--default-tau", type=float, default=0.0)
-    p.add_argument("--mode", choices=("field", "direct"), default="field")
-    p.add_argument("--filter-config")
-    p.add_argument("--particles", type=int)
-    p.add_argument("--meas-std", type=float)
-    p.add_argument("--sigma-a", type=float)
+    filter_options(p)
     p.add_argument("--out-table", required=True)
     p.add_argument("--out-report", required=True)
     p.add_argument("--out-hist", help="histogram CSV of optimal ratios")

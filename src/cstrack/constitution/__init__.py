@@ -1,4 +1,11 @@
-"""Probabilistic rule programs: DSL, grounding, and exact inference."""
+"""Probabilistic rule programs: DSL, grounding, and exact inference.
+
+One path evaluates a constitution: ConstitutionEvaluator binds the
+program's environment atoms to starmap layers, ground() grounds the
+program's own query, and CompiledQuery.evaluate maps an (N, k) batch of
+parameter vectors to (N,) probabilities. precompute_field runs that path
+once per grid node for field mode.
+"""
 
 from .terms import (
     Atom,
@@ -17,12 +24,8 @@ from .terms import (
 )
 from .parser import parse, parse_file
 from .grounder import GroundProgram, GroundRule, ground
-from .inference import CompiledQuery, query_probability
-from .environment import (
-    ConstitutionEvaluator,
-    bind_environment,
-    environment_atoms,
-)
+from .inference import CompiledQuery
+from .environment import ConstitutionEvaluator, environment_atoms
 from .field import ConstitutionField, precompute_field
 
 __all__ = [
@@ -41,7 +44,6 @@ __all__ = [
     "NormalSpec",
     "Program",
     "Variable",
-    "bind_environment",
     "environment_atoms",
     "format_atom",
     "format_clause",
@@ -50,5 +52,4 @@ __all__ = [
     "parse",
     "parse_file",
     "precompute_field",
-    "query_probability",
 ]

@@ -1,34 +1,33 @@
 """Binding environment relations in a program to starmap layers.
 
 Occurrences of the predicates over/distance/depth with a query variable as
-location and a constant tag are "environment atoms". Binding rewrites each
-as an independent ground fact whose parameters come from the matching
-starmap layer, interpolated at the state (first query variable) or
-measurement (second query variable) location:
+location and a constant tag are "environment atoms"; the first query
+variable is the state and the second the measurement. Each environment
+atom becomes an independent ground fact whose parameters come from the
+matching starmap layer, interpolated at its variable's point:
 
 * over(X, g)            -> Bernoulli fact with p = clamp(mean, 0, 1)
 * distance/depth(X, g)  -> Normal(mean, max(std, 1e-3 m)) quantity
 
 and the query variables themselves are bound to fresh constants (x, z).
+A program that already defines such a ground fact keeps its own (user
+override).
 
-The ConstitutionEvaluator performs the same binding symbolically, keeping
-(layer, point) parameter slots open so one compiled query can be
-re-weighted for thousands of particle positions at once. Program structure
-never depends on the interpolated values, only on the program text and on
-which layers exist, so all points share one compiled structure.
-
-bind_environment, the reference path, raises on a flagged or out-of-bbox
-point. The evaluator instead returns NaN for such a row, and its
-particle_probabilities (direct mode) first clamps positions and the
-measurement into the layers' common bbox, exactly as field mode clamps
-into the field's bbox.
+The ConstitutionEvaluator binds each environment atom to an open
+(layer, point) parameter slot, so one compiled query is re-weighted for
+thousands of (state, measurement) rows at once. Program structure never
+depends on the interpolated values, only on the program text and on which
+layers exist, so all rows share one compiled structure. A row that reads a
+flagged layer cell or a point outside a layer is NaN; particle_probabilities
+(direct mode) first clamps positions and the measurement into the layers'
+common bbox, exactly as field mode clamps into the field's bbox.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError, OutOfBoundsError
+from ..errors import ConfigurationError
 from ..grids import clamp_to_bbox
 from ..relations import RelationKind
 from ..starmap import StaRMapLayer, find_layer, interpolate_many
@@ -52,8 +51,7 @@ from .terms import (
 )
 
 SIGMA_FLOOR_M = 1e-3
-STATE_CONSTANT = "x"
-MEASUREMENT_CONSTANT = "z"
+_ROLES = (("state", "x"), ("measurement", "z"))
 
 _ENV_PREDICATES = {
     "over": RelationKind.OVER,
@@ -62,8 +60,11 @@ _ENV_PREDICATES = {
 }
 
 
-def _query_variables(program: Program) -> list[str]:
-    return [a.name for a in program.query.args if isinstance(a, Variable)]
+def _query_roles(program: Program) -> dict[str, tuple[str, str]]:
+    """Query variable -> (role, constant): the first query variable is the
+    state, the second the measurement."""
+    names = [a.name for a in program.query.args if isinstance(a, Variable)]
+    return dict(zip(names, _ROLES))
 
 
 def environment_atoms(program: Program) -> list[tuple[str, str, str]]:
@@ -89,12 +90,7 @@ def environment_atoms(program: Program) -> list[tuple[str, str, str]]:
 
 def _slot_plan(program: Program, layers: list[StaRMapLayer]):
     """Resolve environment occurrences to layers and query-point roles."""
-    qvars = _query_variables(program)
-    roles = {}
-    if qvars:
-        roles[qvars[0]] = "state"
-    if len(qvars) > 1:
-        roles[qvars[1]] = "measurement"
+    roles = _query_roles(program)
     plan = []
     for predicate, var, tag in environment_atoms(program):
         if var not in roles:
@@ -102,119 +98,42 @@ def _slot_plan(program: Program, layers: list[StaRMapLayer]):
                 f"environment atom {predicate}({var}, {tag}) uses variable {var}, "
                 f"which is not a query variable of {format_atom(program.query)}"
             )
-        layer = find_layer(layers, _ENV_PREDICATES[predicate], tag)
-        at = roles[var]
-        const = STATE_CONSTANT if at == "state" else MEASUREMENT_CONSTANT
-        head = Atom(predicate, (Constant(const), Constant(tag)))
-        slot = f"{predicate}:{tag}@{at}"
+        at, const = roles[var]
         plan.append(
             {
                 "predicate": predicate,
-                "tag": tag,
                 "at": at,
-                "layer": layer,
-                "head": head,
-                "slot": slot,
+                "layer": find_layer(layers, _ENV_PREDICATES[predicate], tag),
+                "head": Atom(predicate, (Constant(const), Constant(tag))),
+                "slot": f"{predicate}:{tag}@{at}",
             }
         )
     return plan
 
 
-def _existing_heads(program: Program) -> set[str]:
-    return {c.head.key() for c in program.clauses if c.head.is_ground()}
-
-
-def _bound_query(program: Program) -> Atom:
-    qvars = _query_variables(program)
-    binding = {}
-    if qvars:
-        binding[qvars[0]] = STATE_CONSTANT
-    if len(qvars) > 1:
-        binding[qvars[1]] = MEASUREMENT_CONSTANT
-    return program.query.substitute(binding)
-
-
-def _bound_domains(program: Program) -> tuple:
-    qvars = _query_variables(program)
-    extra = []
-    if qvars:
-        extra.append((qvars[0], (STATE_CONSTANT,)))
-    if len(qvars) > 1:
-        extra.append((qvars[1], (MEASUREMENT_CONSTANT,)))
-    kept = [d for d in program.domains if d[0] not in {e[0] for e in extra}]
-    return tuple(kept + extra)
-
-
-def bind_environment(program: Program, layers: list[StaRMapLayer], state,
-                     measurement) -> Program:
-    """Concrete binding: environment facts with interpolated parameters.
-
-    The returned program is self-contained (no open slots); grounding and
-    querying it is the reference path against which the slotted evaluator
-    is checked. Facts whose ground head already appears as a clause head in
-    the program are left to the program text (user override).
-    """
-    state = np.asarray(state, dtype=float)
-    measurement = np.asarray(measurement, dtype=float)
-    plan = _slot_plan(program, layers)
-    existing = _existing_heads(program)
-    env_clauses = []
-    for entry in plan:
-        if entry["head"].key() in existing:
-            continue
-        point = state if entry["at"] == "state" else measurement
-        grid = entry["layer"].grid
-        if not grid.contains(point)[0]:
-            raise OutOfBoundsError(
-                f"point ({point[0]}, {point[1]}) outside grid bbox {grid.bbox}"
-            )
-        mean, std = interpolate_many(entry["layer"], point.reshape(1, 2))
-        mean, std = float(mean[0]), float(std[0])
-        if not (np.isfinite(mean) and np.isfinite(std)):
-            raise ConfigurationError(
-                f"layer {entry['predicate']}:{entry['tag']} is flagged around "
-                f"({point[0]:.1f}, {point[1]:.1f}); cannot bind {entry['slot']}"
-            )
-        if entry["predicate"] == "over":
-            env_clauses.append(
-                CategoricalClause(prob=min(max(mean, 0.0), 1.0), head=entry["head"])
-            )
-        else:
-            env_clauses.append(
-                ContinuousClause(
-                    head=entry["head"],
-                    dist=NormalSpec(mean=mean, std=max(std, SIGMA_FLOOR_M)),
-                )
-            )
+def _bind(program: Program, plan, clause_for) -> Program:
+    """The program with clause_for(entry) added for each plan entry whose
+    ground head the program does not define itself (user override), and
+    with the query variables bound to their constants."""
+    existing = {c.head.key() for c in program.clauses if c.head.is_ground()}
+    env_clauses = tuple(
+        clause_for(entry) for entry in plan if entry["head"].key() not in existing
+    )
+    binding = {var: const for var, (_, const) in _query_roles(program).items()}
+    domains = tuple(d for d in program.domains if d[0] not in binding)
     return Program(
-        clauses=program.clauses + tuple(env_clauses),
-        query=_bound_query(program),
-        domains=_bound_domains(program),
+        clauses=program.clauses + env_clauses,
+        query=program.query.substitute(binding),
+        domains=domains + tuple((var, (const,)) for var, const in binding.items()),
     )
 
 
-def _template_program(program: Program, plan) -> Program:
-    existing = _existing_heads(program)
-    env_clauses = []
-    for entry in plan:
-        if entry["head"].key() in existing:
-            continue
-        if entry["predicate"] == "over":
-            env_clauses.append(
-                CategoricalClause(prob=0.5, head=entry["head"], slot=entry["slot"])
-            )
-        else:
-            env_clauses.append(
-                ContinuousClause(
-                    head=entry["head"],
-                    dist=NormalSpec(mean=0.0, std=1.0),
-                    slot=entry["slot"],
-                )
-            )
-    return Program(
-        clauses=program.clauses + tuple(env_clauses),
-        query=_bound_query(program),
-        domains=_bound_domains(program),
+def _template_clause(entry):
+    """An environment fact whose parameters are read from entry's slot."""
+    if entry["predicate"] == "over":
+        return CategoricalClause(prob=0.5, head=entry["head"], slot=entry["slot"])
+    return ContinuousClause(
+        head=entry["head"], dist=NormalSpec(mean=0.0, std=1.0), slot=entry["slot"]
     )
 
 
@@ -222,8 +141,6 @@ class ConstitutionEvaluator:
     """Compiled constitution query with per-point environment parameters."""
 
     def __init__(self, program: Program, layers: list[StaRMapLayer]):
-        self.program = program
-        self.layers = layers
         plan = _slot_plan(program, layers)
         self._slots = {entry["slot"]: entry for entry in plan}
         # Intersection of the slot layers' bboxes (unbounded without slots).
@@ -234,24 +151,14 @@ class ConstitutionEvaluator:
             min((b[2] for b in bboxes), default=np.inf),
             min((b[3] for b in bboxes), default=np.inf),
         )
-        template = _template_program(program, plan)
-        self.ground_program = ground(template)
+        self.ground_program = ground(_bind(program, plan, _template_clause))
         self.compiled = CompiledQuery(self.ground_program)
 
-    def _slot_moments(self, slot: str, states: np.ndarray, measurements: np.ndarray):
-        entry = self._slots[slot]
-        points = states if entry["at"] == "state" else measurements
-        mean, std = interpolate_many(entry["layer"], points)
-        return np.atleast_1d(mean), np.atleast_1d(std)
-
     def parameter_matrix(self, states: np.ndarray, measurements: np.ndarray) -> np.ndarray:
-        """(N, k) Bernoulli parameters for each (state, measurement) row;
-        NaN entries where a slot's point is flagged or outside its layer."""
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
-        if measurements.shape[0] == 1 and states.shape[0] > 1:
-            measurements = np.broadcast_to(measurements, states.shape)
-        n = states.shape[0]
+        """(N, k) Bernoulli parameters for matching (N, 2) states and
+        measurements; NaN entries where a slot's point is flagged or outside
+        its layer."""
+        n = len(states)
         gp = self.ground_program
         params = np.empty((n, gp.n_probabilistic))
         moment_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -259,7 +166,9 @@ class ConstitutionEvaluator:
 
         def moments(slot):
             if slot not in moment_cache:
-                moment_cache[slot] = self._slot_moments(slot, states, measurements)
+                entry = self._slots[slot]
+                points = states if entry["at"] == "state" else measurements
+                moment_cache[slot] = interpolate_many(entry["layer"], points)
             return moment_cache[slot]
 
         for i, spec in enumerate(gp.fact_params):

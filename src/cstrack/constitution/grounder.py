@@ -33,7 +33,6 @@ from scipy.special import ndtr
 
 from ..errors import GroundingError, UnsupportedProgramError
 from .terms import (
-    Atom,
     AtomLiteral,
     BernoulliSpec,
     CategoricalClause,
@@ -92,28 +91,6 @@ class GroundProgram:
     def n_probabilistic(self) -> int:
         return len(self.fact_atoms)
 
-    def atom_index(self, atom: Atom) -> int | None:
-        try:
-            return self.atom_names.index(atom.key())
-        except ValueError:
-            return None
-
-    def static_params(self) -> np.ndarray:
-        """Parameter vector when no environment slots are present."""
-        out = np.empty(len(self.fact_params))
-        for i, spec in enumerate(self.fact_params):
-            if not isinstance(spec, StaticParam):
-                raise GroundingError(
-                    f"parameter of {self.atom_names[self.fact_atoms[i]]} depends on an "
-                    "environment binding; evaluate through a ConstitutionEvaluator"
-                )
-            out[i] = spec.value
-        return out
-
-
-def normal_cdf(x):
-    return ndtr(x)
-
 
 def interval_probabilities(mean, std, thresholds: tuple[float, ...]) -> np.ndarray:
     """Probabilities of the m+1 intervals cut by m sorted thresholds.
@@ -122,7 +99,7 @@ def interval_probabilities(mean, std, thresholds: tuple[float, ...]) -> np.ndarr
     """
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
-    cdf = np.stack([normal_cdf((b - mean) / std) for b in thresholds])
+    cdf = np.stack([ndtr((b - mean) / std) for b in thresholds])
     first = cdf[0:1]
     mids = np.diff(cdf, axis=0)
     last = 1.0 - cdf[-1:]
@@ -181,7 +158,7 @@ def _substitute_literal(lit, binding):
     return Comparison(atom=lit.atom.substitute(binding), op=lit.op, bounds=lit.bounds)
 
 
-def _instantiate(program: Program, query: Atom) -> list:
+def _instantiate(program: Program) -> list:
     explicit = program.domain_map()
     herbrand = tuple(program.constants())
     ground_clauses = []
@@ -249,19 +226,19 @@ class _Builder:
         self.rules.append(GroundRule(head=head, body=tuple(body)))
 
 
-def ground(program: Program, query: Atom | None = None) -> GroundProgram:
+def ground(program: Program) -> GroundProgram:
     """Ground a program and compile it for enumeration-based inference.
 
-    The query (default: the program's) must be ground; only clauses
-    backward-reachable from it are kept.
+    The program's query must be ground; only clauses backward-reachable
+    from it are kept.
     """
-    query = query if query is not None else program.query
+    query = program.query
     if not query.is_ground():
         raise GroundingError(
             f"query {format_atom(query)} has unbound variables; bind the "
-            "environment first or pass a ground query"
+            "environment first"
         )
-    clauses = _instantiate(program, query)
+    clauses = _instantiate(program)
 
     # Bernoulli-distributed "continuous" heads are plain categorical facts.
     normalized = []

@@ -9,17 +9,18 @@ evaluation is vectorized over the chunk.
 Because the set of satisfying assignments depends only on program
 structure, it is computed once (CompiledQuery) and re-weighted under new
 parameter vectors cheaply. That is what makes per-particle evaluation
-with position-dependent map parameters affordable; a single query under
-the program's own parameters (query_probability) takes the same path.
+with position-dependent map parameters affordable. The engine has one
+input and one output shape: CompiledQuery(gp) compiles the ground
+program's own query, and evaluate maps an (N, k) batch of parameter
+vectors to (N,) query probabilities.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CapacityError, GroundingError
+from ..errors import CapacityError
 from .grounder import GroundProgram
-from .terms import Atom
 
 DEFAULT_ATOM_LIMIT = 24
 _CHUNK_BITS = 16
@@ -33,14 +34,12 @@ def _rules_by_head(gp: GroundProgram) -> dict[int, list]:
 
 
 def _eval_assignments(gp: GroundProgram, fact_bits: np.ndarray,
-                      rules_by_head=None) -> np.ndarray:
+                      rules_by_head: dict[int, list]) -> np.ndarray:
     """Truth values of every atom under each assignment.
 
     fact_bits: (C, k) bool, column i = value of gp.fact_atoms[i].
     Returns (n_atoms, C) bool.
     """
-    if rules_by_head is None:
-        rules_by_head = _rules_by_head(gp)
     c = fact_bits.shape[0]
     vals = np.zeros((len(gp.atom_names), c), dtype=bool)
     for i, atom in enumerate(gp.fact_atoms):
@@ -60,55 +59,36 @@ def _eval_assignments(gp: GroundProgram, fact_bits: np.ndarray,
 
 
 def _bit_chunks(k: int):
-    """Yield (offset, bits) covering all 2**k assignments."""
+    """Yield (C, k) bool chunks covering all 2**k assignments."""
     total = 1 << k
     step = min(total, 1 << _CHUNK_BITS)
     cols = np.arange(k, dtype=np.uint64)
     for lo in range(0, total, step):
         idx = np.arange(lo, min(lo + step, total), dtype=np.uint64)
         bits = ((idx[:, None] >> cols[None, :]) & 1).astype(bool)
-        yield idx, bits
-
-
-def _resolve_query(gp: GroundProgram, query: Atom | None) -> int:
-    if query is None:
-        return gp.query
-    idx = gp.atom_index(query)
-    if idx is None:
-        raise GroundingError(
-            f"query atom {query.key()} does not occur in the ground program"
-        )
-    return idx
-
-
-def query_probability(gp: GroundProgram, query: Atom | None = None) -> float:
-    """Exact probability of the query atom under the program's own parameters."""
-    return CompiledQuery(gp, query).evaluate(gp.static_params())
+        yield bits
 
 
 class CompiledQuery:
     """Satisfying-assignment table of a ground query, reusable across parameters.
 
     evaluate() computes the query probability for many parameter vectors at
-    once; a single shared code path keeps scalar and batched evaluation
-    bit-identical.
+    once; each row's result does not depend on the other rows of the batch.
     """
 
-    def __init__(self, gp: GroundProgram, query: Atom | None = None):
+    def __init__(self, gp: GroundProgram):
         k = gp.n_probabilistic
         if k > DEFAULT_ATOM_LIMIT:
             raise CapacityError(
                 f"{k} probabilistic ground atoms exceed the enumeration limit "
                 f"({DEFAULT_ATOM_LIMIT}); factor the program or precompute a field"
             )
-        self.ground_program = gp
         self.k = k
-        q_idx = _resolve_query(gp, query)
         rbh = _rules_by_head(gp)
         chunks = []
-        for idx, bits in _bit_chunks(k):
+        for bits in _bit_chunks(k):
             vals = _eval_assignments(gp, bits, rbh)
-            chunks.append(bits[vals[q_idx]])
+            chunks.append(bits[vals[gp.query]])
         self.satisfying_bits = (
             np.concatenate(chunks) if chunks else np.zeros((0, k), dtype=bool)
         )
@@ -118,20 +98,20 @@ class CompiledQuery:
         return self.satisfying_bits.shape[0]
 
     def evaluate(self, params: np.ndarray) -> np.ndarray:
-        """Query probabilities for a (N, k) batch of parameter vectors."""
+        """(N,) query probabilities for an (N, k) batch of parameter vectors."""
         params = np.asarray(params, dtype=float)
-        single = params.ndim == 1
-        params = np.atleast_2d(params)
-        if params.shape[1] != self.k:
-            raise ValueError(f"expected {self.k} parameters, got {params.shape[1]}")
+        if params.ndim != 2 or params.shape[1] != self.k:
+            raise ValueError(
+                f"expected an (N, {self.k}) parameter batch, got shape {params.shape}"
+            )
         bits = self.satisfying_bits
         n = params.shape[0]
         if bits.shape[0] == 0:
-            out = np.zeros(n)
-            return float(out[0]) if single else out
+            return np.zeros(n)
         # Fixed mask blocking and per-row contiguous reductions keep the
-        # floating-point result identical for every batch shape, so scalar
-        # queries and precomputed fields agree bit for bit.
+        # floating-point result identical for every batch shape, so a row
+        # evaluated alone and the same row in a precomputed field agree
+        # bit for bit.
         out = np.empty(n)
         mask_block = min(bits.shape[0], 1 << _CHUNK_BITS)
         row_step = max(1, 4_000_000 // mask_block)
@@ -146,4 +126,4 @@ class CompiledQuery:
                     prod *= np.where(block[:, i][None, :], col, 1.0 - col)
                 acc += prod.sum(axis=1)
             out[rlo : rlo + row_step] = acc
-        return float(out[0]) if single else out
+        return out

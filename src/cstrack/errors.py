@@ -39,10 +39,6 @@ class CapacityError(CstrackError):
     """Too many probabilistic ground atoms for exhaustive enumeration."""
 
 
-class OutOfBoundsError(CstrackError):
-    """Query point outside a raster's bounding box."""
-
-
 class NoDepthDataError(CstrackError):
     """Depth relation requested for a tag with no depth soundings."""
 

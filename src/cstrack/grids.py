@@ -33,6 +33,8 @@ class GridSpec:
             raise ConfigurationError(
                 f"grid needs at least 2x2 nodes, got {self.rows}x{self.cols}"
             )
+        if not np.isfinite(self.bbox).all():
+            raise ConfigurationError(f"grid bbox must be finite: {self.bbox}")
         if not (xmax > xmin and ymax > ymin):
             raise ConfigurationError(f"grid bbox has no area: {self.bbox}")
 
@@ -58,9 +60,6 @@ class GridSpec:
             & (points[:, 1] >= ymin)
             & (points[:, 1] <= ymax)
         )
-
-    def to_json(self) -> dict:
-        return {"bbox": list(self.bbox), "rows": self.rows, "cols": self.cols}
 
     @classmethod
     def from_json(cls, obj: dict) -> "GridSpec":
@@ -115,10 +114,7 @@ def bilinear(grid: GridSpec, values: np.ndarray, points: np.ndarray) -> np.ndarr
         + np.where(y1 & x0, values[i0 + 1, j0] * fy * gx, 0.0)
         + np.where(y1 & x1, values[i0 + 1, j0 + 1] * fy * fx, 0.0)
     )
-    out = np.where(inside, out, np.nan)
-    if np.isscalar(points[0]) or np.asarray(points).ndim == 1:
-        return float(out[0])
-    return out
+    return np.where(inside, out, np.nan)
 
 
 def clamp_to_bbox(points, bbox) -> np.ndarray:

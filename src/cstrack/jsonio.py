@@ -5,13 +5,18 @@ float is written as null and read back as NaN; writers pass their float
 arrays through floats_to_json (or one value through float_to_json), and
 the encoder runs with allow_nan=False, so a stray NaN raises instead of
 writing a token that RFC 8259 does not allow. A file that does not parse
-raises FormatError("bad <what> <path>: ...").
+raises FormatError("bad <what> <path>: ..."). A file is written whole or
+not at all: dump writes a temporary file next to the target and renames
+it over the target, so a failed write leaves the old file as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import shutil
 
 import numpy as np
 
@@ -46,9 +51,19 @@ def dumps_line(obj) -> str:
 
 
 def dump(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, allow_nan=False)
-        fh.write("\n")
+    """Write obj to path in the convention above, whole or not at all."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=1, allow_nan=False)
+            fh.write("\n")
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(path, tmp)  # as open(path, "w") keeps it
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load(path, what: str):

@@ -21,6 +21,8 @@ belief unchanged.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -52,6 +54,8 @@ def cv_process_noise(dt: float, sigma_a: float) -> np.ndarray:
 
 def _check_spsd(mat: np.ndarray, name: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
+    if not np.isfinite(mat).all():
+        raise ConfigurationError(f"{name} must be finite")
     if not np.allclose(mat, mat.T):
         raise ConfigurationError(f"{name} must be symmetric")
     if np.linalg.eigvalsh(mat).min() < -1e-9:
@@ -99,7 +103,10 @@ class MeasurementModel:
     R: np.ndarray  # (2, 2)
 
     def __post_init__(self):
-        R = _check_spsd(self.R, "measurement noise R")
+        R = np.asarray(self.R, dtype=float)
+        if R.shape != (2, 2):
+            raise ConfigurationError(f"measurement noise R must be 2x2, got {R.shape}")
+        R = _check_spsd(R, "measurement noise R")
         if np.linalg.eigvalsh(R).min() <= 0:
             raise ConfigurationError("measurement noise R must be positive definite")
         object.__setattr__(self, "R", R)
@@ -331,8 +338,26 @@ class FilterConfig:
     init_speed_std: float = 2.0
 
     def __post_init__(self):
-        if self.particles < 1:
-            raise ConfigurationError("particles must be >= 1")
+        try:  # check the fields and build both models once, here
+            self._check_fields()
+            self.process_model, self.measurement_model
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"filter config: {exc}") from exc
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad filter config: {exc}") from exc
+
+    def _check_fields(self) -> None:
+        n = self.particles
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ConfigurationError(f"particles must be an integer >= 1, got {n!r}")
+        for name in ("dt", "sigma_a", "measurement_noise_std", "ess_ratio",
+                     "init_position_std", "init_speed_std"):
+            value = getattr(self, name)
+            if value is None and name == "init_position_std":
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 < self.ess_ratio <= 1.0:
             raise ConfigurationError("ess_ratio must lie in (0, 1]")
 
@@ -344,10 +369,7 @@ class FilterConfig:
         unknown = set(obj) - known
         if unknown:
             raise ConfigurationError(f"unknown filter config keys: {sorted(unknown)}")
-        try:
-            return cls(**obj)
-        except TypeError as exc:  # a value of the wrong type
-            raise FormatError(f"bad filter config: {exc}") from exc
+        return cls(**obj)
 
     @classmethod
     def load(cls, path) -> "FilterConfig":
@@ -365,9 +387,11 @@ class FilterConfig:
             "init_speed_std": self.init_speed_std,
         }
 
+    @cached_property
     def process_model(self) -> ProcessModel:
         return ProcessModel.constant_velocity(self.dt, self.sigma_a)
 
+    @cached_property
     def measurement_model(self) -> MeasurementModel:
         if self.R is not None:
             return MeasurementModel(R=np.asarray(self.R, dtype=float))
@@ -375,7 +399,7 @@ class FilterConfig:
 
     def draw_measurement_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """(n, 2) noise consistent with the configured measurement model."""
-        return rng.standard_normal((n, 2)) @ self.measurement_model().noise_factor.T
+        return rng.standard_normal((n, 2)) @ self.measurement_model.noise_factor.T
 
 
 @dataclass(frozen=True)
@@ -425,8 +449,8 @@ def run_filter(
     measurements = np.asarray(measurements, dtype=float)
     if measurements.ndim != 2 or measurements.shape[1] != 2 or len(measurements) < 2:
         raise ConfigurationError("need a (T, 2) measurement array with T >= 2")
-    process = config.process_model()
-    meas_model = config.measurement_model()
+    process = config.process_model
+    meas_model = config.measurement_model
     pos_std = (
         config.init_position_std
         if config.init_position_std is not None

@@ -14,17 +14,16 @@ import numpy as np
 import pytest
 
 import world
+from reference_binding import exact_probability
 from wmc_oracle import oracle_probability, random_program
 
 from cstrack.cli import main as cli_main
 from cstrack.constitution import (
-    Atom,
     ConstitutionEvaluator,
     environment_atoms,
     ground,
     parse,
     precompute_field,
-    query_probability,
 )
 from cstrack.demo import (
     HARBOR_BBOX_M,
@@ -153,7 +152,7 @@ def test_criterion_01_wmc_oracle_equivalence():
         program, oracle_rep = random_program(
             rng, max_facts=10, max_rules=10, max_choices=10
         )
-        engine = query_probability(ground(program))
+        engine = exact_probability(ground(program))
         oracle = oracle_probability(oracle_rep)
         assert abs(engine - oracle) < 1e-9
     elapsed = time.perf_counter() - started
@@ -213,11 +212,11 @@ def test_criterion_03_moment_estimators():
 
 @criterion("4 comparison compilation (0.5 exact; quadrature 1e-7)")
 def test_criterion_04_comparison_compilation():
-    gp = ground(parse("d ~ normal(100, 1). q :- d > 100."), query=Atom("q"))
-    assert abs(query_probability(gp) - 0.5) < 1e-9
+    gp = ground(parse("d ~ normal(100, 1). q :- d > 100. query(q)."))
+    assert abs(exact_probability(gp) - 0.5) < 1e-9
 
-    gp = ground(parse("d ~ normal(100, 1). q :- d between [99, 101]."), query=Atom("q"))
-    engine = query_probability(gp)
+    gp = ground(parse("d ~ normal(100, 1). q :- d between [99, 101]. query(q)."))
+    engine = exact_probability(gp)
     xs = np.linspace(99.0, 101.0, 400_001)
     pdf = np.exp(-0.5 * (xs - 100.0) ** 2) / math.sqrt(2 * math.pi)
     quadrature = float(np.trapezoid(pdf, xs))

@@ -1,5 +1,7 @@
 import json
 import logging
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -111,6 +113,18 @@ class TestBuildStarmap:
             "--relations", "over:corridor", "--out", tmp_path / "o.json",
         )
         assert code == 2
+
+    def test_infinite_bbox_is_user_error_and_writes_nothing(self, paths, tmp_path,
+                                                             capsys):
+        out = tmp_path / "sm.json"
+        code = run_cli(
+            "build-starmap", "--map", paths["map"], "--perturb", paths["perturb"],
+            "--relations", "over:corridor", "--bbox=-inf,-300,3900,300",
+            "--samples", 8, "--out", out,
+        )
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert list(tmp_path.glob("sm.json*")) == []
 
     def test_explicit_relations_and_pgm(self, paths, tmp_path):
         pgm_dir = tmp_path / "pgm"
@@ -296,7 +310,8 @@ class TestTrack:
         assert "unknown filter config keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["{not json", "5", '["particles"]',
-                                      '{"particles": "many"}'])
+                                      '{"particles": "many"}', '{"particles": 200.5}',
+                                      '{"sigma_a": "x"}', '{"R": [[1, 0], [0]]}'])
     def test_malformed_filter_config_is_user_error(self, paths, tmp_path, capsys,
                                                    text):
         tracks = ingest(paths, tmp_path)
@@ -480,18 +495,21 @@ class TestStrictJson:
                                   for row in degenerate)
 
 
+def run_module(*argv):
+    """python -m cstrack.cli in a child that imports this checkout's src."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cstrack.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_console_script_version(self):
-        out = subprocess.run(
-            [sys.executable, "-m", "cstrack.cli", "--version"],
-            capture_output=True, text=True,
-        )
+        out = run_module("--version")
         assert out.returncode == 0
         assert "cstrack" in out.stdout
 
     def test_usage_error_exit_code(self):
-        out = subprocess.run(
-            [sys.executable, "-m", "cstrack.cli", "no-such-command"],
-            capture_output=True, text=True,
-        )
+        out = run_module("no-such-command")
         assert out.returncode == 2

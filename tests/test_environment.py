@@ -8,19 +8,19 @@ from cstrack.constitution import (
     Constant,
     ConstitutionEvaluator,
     ContinuousClause,
-    bind_environment,
     environment_atoms,
     format_clause,
     ground,
     parse,
     precompute_field,
-    query_probability,
 )
 from cstrack.constitution.field import ConstitutionField
-from cstrack.errors import ConfigurationError, OutOfBoundsError
+from cstrack.errors import ConfigurationError
 from cstrack.grids import GridSpec
 from cstrack.relations import RelationKind
 from cstrack.starmap import StaRMapLayer
+
+from reference_binding import OutOfBoundsError, bind_environment, exact_probability
 
 
 def flat_layer(rel, tag, mean, std, bbox=(0.0, 0.0, 100.0, 100.0), rows=3, cols=3):
@@ -119,6 +119,16 @@ class TestBindEnvironment:
                 program, [flat_layer("over", "land", 1, 0)], (500, 50), (50, 50)
             )
 
+    def test_flagged_cell_is_configuration_error(self):
+        program = parse("1.0 :: constitution(X, Z) :- over(X, land).")
+        layer = flat_layer("over", "land", 1.0, 0.0)
+        mean = layer.mean.copy()
+        mean[1, 1] = np.nan  # the node at (50, 50)
+        flagged = StaRMapLayer(relation=layer.relation, tag=layer.tag, grid=layer.grid,
+                               mean=mean, std=layer.std.copy(), sample_count=2)
+        with pytest.raises(ConfigurationError, match="flagged"):
+            bind_environment(program, [flagged], (50, 50), (50, 50))
+
     def test_mean_clamped_into_unit_interval(self):
         program = parse("1.0 :: constitution(X, Z) :- over(X, land).")
         bound = bind_environment(
@@ -170,7 +180,7 @@ class TestConstitutionProbability:
         for point in [(10.0, 10.0), (50.0, 50.0), (90.0, 20.0)]:
             fast = constitution_probability(program, layers, point, point)
             bound = bind_environment(program, layers, point, point)
-            reference = query_probability(ground(bound))
+            reference = exact_probability(ground(bound))
             assert fast == pytest.approx(reference, abs=1e-12)
 
     def test_matches_generic_path_with_measurement_atoms(self):
@@ -194,7 +204,7 @@ class TestConstitutionProbability:
             state = rng.uniform(5.0, 95.0, 2)
             meas = rng.uniform(5.0, 95.0, 2)
             fast = constitution_probability(program, layers, state, meas)
-            reference = query_probability(
+            reference = exact_probability(
                 ground(bind_environment(program, layers, state, meas))
             )
             assert fast == pytest.approx(reference, abs=1e-12)

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cstrack.constitution import Atom, Constant, ground, parse
+from cstrack.constitution import Atom, ground, parse
 from cstrack.constitution.grounder import (
     StaticParam,
     chain_parameters,
@@ -12,7 +14,7 @@ from cstrack.errors import GroundingError, UnsupportedProgramError
 
 
 def q(text, query):
-    return ground(parse(text), query=Atom(query))
+    return ground(dataclasses.replace(parse(text), query=Atom(query)))
 
 
 class TestGrounding:
@@ -28,8 +30,9 @@ class TestGrounding:
         assert "ok(m)" in names and "ok(n)" in names
 
     def test_domain_directive_restricts(self):
-        text = "0.5 :: edge(m). 0.5 :: edge(n). ok(X) :- edge(X). domain(X, [m])."
-        gp = ground(parse(text), query=Atom("ok", (Constant("m"),)))
+        text = ("0.5 :: edge(m). 0.5 :: edge(n). ok(X) :- edge(X). domain(X, [m]). "
+                "query(ok(m)).")
+        gp = ground(parse(text))
         assert "ok(n)" not in gp.atom_names
 
     def test_relevance_reduction_drops_unreachable(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,16 +13,21 @@ from cstrack.constitution import (
     Program,
     ground,
     parse,
-    query_probability,
 )
 from cstrack.constitution.inference import DEFAULT_ATOM_LIMIT
 from cstrack.errors import CapacityError
 
+from reference_binding import exact_probability, static_params
 from wmc_oracle import oracle_probability, random_program
 
 
+def ground_text(text, query):
+    """The ground program of text with query atom `query` (no arguments)."""
+    return ground(dataclasses.replace(parse(text), query=Atom(query)))
+
+
 def prob(text, query):
-    return query_probability(ground(parse(text), query=Atom(query)))
+    return exact_probability(ground_text(text, query))
 
 
 def normal_quadrature(mean, std, lo, hi, n=400_001):
@@ -121,10 +127,10 @@ class TestInvariants:
         # runs before enumeration, so the test stays fast.
         text = "\n".join(f"0.5 :: a{i}." for i in range(25))
         text += "\nq :- " + ", ".join(f"a{i}" for i in range(25)) + "."
-        gp = ground(parse(text), query=Atom("q"))
+        gp = ground_text(text, "q")
         assert gp.n_probabilistic == DEFAULT_ATOM_LIMIT + 1
         with pytest.raises(CapacityError):
-            query_probability(gp)
+            CompiledQuery(gp)
 
     def test_total_mass_is_one(self):
         # nq :- \+ q. splits every model between q and nq, so the two
@@ -143,14 +149,14 @@ class TestInvariants:
                 query=nq,
             )
             gp = ground(extended)
-            total = query_probability(gp, query=program.query) + query_probability(gp)
+            total = exact_probability(gp, query=program.query) + exact_probability(gp)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_determinism_across_calls(self):
         program, _ = random_program(np.random.default_rng(5), 8, 8)
         gp1 = ground(program)
         gp2 = ground(program)
-        assert query_probability(gp1) == query_probability(gp2)
+        assert exact_probability(gp1) == exact_probability(gp2)
 
     @settings(deadline=None, max_examples=30)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -162,8 +168,8 @@ class TestInvariants:
         assert p2 >= p1 - 1e-12
 
     def test_query_probability_of_other_atom(self):
-        gp = ground(parse("0.25 :: a. b :- a. q :- b."), query=Atom("q"))
-        assert query_probability(gp, query=Atom("b")) == pytest.approx(0.25)
+        gp = ground_text("0.25 :: a. b :- a. q :- b.", "q")
+        assert exact_probability(gp, query=Atom("b")) == pytest.approx(0.25)
 
     def test_monotone_on_random_positive_programs(self):
         # Raising any fact probability cannot lower the query probability
@@ -181,11 +187,11 @@ class TestInvariants:
             lines.append(f"goal :- {pool[-1]}.")
             bumped = str(rng.choice(list(facts)))
             text = "\n".join(lines)
-            low = query_probability(ground(parse(text), query=Atom("goal")))
+            low = prob(text, "goal")
             text_hi = text.replace(
                 f"{facts[bumped]} :: {bumped}.", f"{min(facts[bumped] + 0.15, 1.0)} :: {bumped}."
             )
-            high = query_probability(ground(parse(text_hi), query=Atom("goal")))
+            high = prob(text_hi, "goal")
             assert high >= low - 1e-12
 
 
@@ -194,7 +200,7 @@ class TestAgainstBruteForceOracle:
         rng = np.random.default_rng(2024)
         for _ in range(40):
             program, op = random_program(rng, max_facts=8, max_rules=8)
-            engine = query_probability(ground(program))
+            engine = exact_probability(ground(program))
             oracle = oracle_probability(op)
             assert engine == pytest.approx(oracle, abs=1e-9)
 
@@ -218,7 +224,7 @@ class TestAgainstGenerativeMonteCarlo:
         goal :- w2.
         goal :- w3.
         """
-        engine = query_probability(ground(parse(text), query=Atom("goal")))
+        engine = prob(text, "goal")
         rng = np.random.default_rng(0)
         n = 1_000_000
         windy = rng.uniform(size=n) < 0.6
@@ -240,10 +246,8 @@ class TestCompiledQuery:
             program, op = random_program(rng, 8, 8)
             gp = ground(program)
             compiled = CompiledQuery(gp)
-            params = gp.static_params()
-            assert compiled.evaluate(params) == pytest.approx(
-                oracle_probability(op), abs=1e-12
-            )
+            (value,) = compiled.evaluate(static_params(gp)[None, :])
+            assert value == pytest.approx(oracle_probability(op), abs=1e-12)
 
     def test_batch_rows_equal_scalar_calls_bitwise(self):
         program, _ = random_program(np.random.default_rng(8), 8, 8)
@@ -254,10 +258,16 @@ class TestCompiledQuery:
         batch = rng.uniform(0.0, 1.0, size=(57, k))
         batched = compiled.evaluate(batch)
         for i in range(batch.shape[0]):
-            assert compiled.evaluate(batch[i]) == batched[i]
+            assert compiled.evaluate(batch[i : i + 1])[0] == batched[i]
 
     def test_zero_and_one_parameters(self):
-        gp = ground(parse("0.5 :: a. q :- a."), query=Atom("q"))
-        compiled = CompiledQuery(gp)
-        assert compiled.evaluate(np.array([0.0])) == 0.0
-        assert compiled.evaluate(np.array([1.0])) == 1.0
+        compiled = CompiledQuery(ground_text("0.5 :: a. q :- a.", "q"))
+        np.testing.assert_array_equal(
+            compiled.evaluate(np.array([[0.0], [1.0]])), [0.0, 1.0]
+        )
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3, 2), (0,)])
+    def test_rejects_anything_but_an_n_by_k_batch(self, shape):
+        compiled = CompiledQuery(ground_text("0.5 :: a. q :- a.", "q"))
+        with pytest.raises(ValueError):
+            compiled.evaluate(np.zeros(shape))

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -34,6 +36,32 @@ def test_stray_non_finite_float_raises(tmp_path, bad):
         jsonio.dump({"a": bad}, tmp_path / "doc.json")
     with pytest.raises(ValueError):
         jsonio.dumps_line({"a": bad})
+
+
+def test_failed_dump_keeps_the_old_file(tmp_path):
+    path = tmp_path / "doc.json"
+    jsonio.dump({"a": 1}, path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        jsonio.dump({"a": 1, "b": float("nan")}, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["doc.json"]
+
+
+def mode(path) -> int:
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def test_dump_gives_the_mode_open_gives(tmp_path):
+    with open(tmp_path / "plain.json", "w"):
+        pass
+    jsonio.dump({}, tmp_path / "new.json")
+    assert mode(tmp_path / "new.json") == mode(tmp_path / "plain.json")
+    existing = tmp_path / "existing.json"
+    existing.write_text("{}")
+    os.chmod(existing, 0o640)
+    jsonio.dump({"a": 1}, existing)
+    assert mode(existing) == 0o640
 
 
 def test_unparsable_file_is_format_error(tmp_path):

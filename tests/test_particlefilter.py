@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstrack.constitution import ConstitutionEvaluator, parse, precompute_field
-from cstrack.errors import ConfigurationError, DegenerateBeliefError, FormatError
+from cstrack.errors import (
+    ConfigurationError,
+    CstrackError,
+    DegenerateBeliefError,
+    FormatError,
+)
 from cstrack.grids import GridSpec
 from cstrack.particlefilter import (
     FilterConfig,
@@ -412,18 +417,42 @@ class TestRunFilter:
 
     def test_full_r_matrix_config(self):
         config = FilterConfig(particles=32, R=((2500.0, 400.0), (400.0, 900.0)))
-        R = config.measurement_model().R
+        R = config.measurement_model.R
         np.testing.assert_array_equal(R, [[2500.0, 400.0], [400.0, 900.0]])
         noise = config.draw_measurement_noise(np.random.default_rng(0), 50_000)
         np.testing.assert_allclose(np.cov(noise.T), R, rtol=0.05, atol=50.0)
         round_tripped = FilterConfig.from_json(config.to_json())
-        assert round_tripped.measurement_model().R[0, 1] == 400.0
+        assert round_tripped.measurement_model.R[0, 1] == 400.0
 
     def test_malformed_config_file_is_format_error(self, tmp_path):
         path = tmp_path / "filter.json"
         path.write_text("{not json")
         with pytest.raises(FormatError, match="bad filter config"):
             FilterConfig.load(path)
+
+    @pytest.mark.parametrize("obj", [{"particles": 200.5}, {"particles": True},
+                                     {"sigma_a": "x"}, {"dt": float("nan")},
+                                     {"R": [[1, 0], [0]]}, {"R": [[1.0]]}])
+    def test_wrongly_typed_config_is_user_error(self, obj):
+        with pytest.raises(CstrackError, match="filter config"):
+            FilterConfig.from_json(obj)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.dictionaries(
+        st.sampled_from(sorted(FilterConfig.__dataclass_fields__)),
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=3),
+            lambda inner: st.lists(inner, max_size=3),
+            max_leaves=6,
+        ),
+    ))
+    def test_from_json_returns_a_config_or_a_user_error(self, obj):
+        try:
+            config = FilterConfig.from_json(obj)
+        except CstrackError:
+            return
+        assert config.particles >= 1 and config.measurement_model.R.shape == (2, 2)
 
     def test_records_fields(self):
         truth = self.track(steps=5)

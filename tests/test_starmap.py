@@ -53,6 +53,14 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError):
             GridSpec(bbox=(0, 0, 0, 1), rows=5, cols=5)
 
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("value", [-np.inf, np.inf])
+    def test_rejects_infinite_bbox(self, position, value):
+        bbox = [-2000.0, -2000.0, 2000.0, 2000.0]
+        bbox[position] = value
+        with pytest.raises(ConfigurationError, match="finite"):
+            GridSpec(bbox=tuple(bbox), rows=2, cols=2)
+
     def test_node_points_row_major(self):
         grid = GridSpec(bbox=(0.0, 0.0, 1.0, 2.0), rows=3, cols=2)
         pts = grid.node_points()
@@ -274,6 +282,12 @@ class TestInterpolate:
         )
         m, _ = interpolate(layer, (0.5, 0.5))
         assert math.isnan(m)
+
+    def test_one_point_gives_an_array(self):
+        grid = GridSpec(bbox=(0.0, 0.0, 1.0, 1.0), rows=2, cols=2)
+        out = bilinear(grid, np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0.5, 0.5]))
+        assert isinstance(out, np.ndarray)
+        np.testing.assert_array_equal(out, [1.5])
 
     def test_nodes_next_to_a_flagged_node_are_exact(self):
         # Every finite node returns its stored value, also on the last row
