@@ -240,7 +240,7 @@ def cmd_track(args) -> int:
     seeds = np.random.SeedSequence(args.seed).spawn(len(tracks))
     summary = []
     started = time.perf_counter()
-    with open(args.out_logs, "w", encoding="utf-8") as logs:
+    with jsonio.atomic_write(args.out_logs) as logs:
         for i, track in enumerate(tracks):
             if track.dt is None:
                 raise ConfigurationError(

@@ -134,5 +134,6 @@ def write_demo(directory) -> dict[str, pathlib.Path]:
     }
     jsonio.dump(harbor_geojson(), paths["map"])
     jsonio.dump(HARBOR_PERTURBATIONS, paths["perturbations"])
-    paths["constitution"].write_text(MARINE_CONSTITUTION)
+    with jsonio.atomic_write(paths["constitution"]) as fh:
+        fh.write(MARINE_CONSTITUTION)
     return paths

@@ -154,7 +154,7 @@ class MetricReport:
     def write_csv(self, path) -> None:
         """One row per run; an undefined number (NaN or None) is an empty
         cell, as it is null in the JSON report."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with jsonio.atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["seed", "track", "tau", "mae", "mae_baseline", "relative_mae"]

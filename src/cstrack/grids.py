@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
 from .errors import ConfigurationError
 
 # Queries this close (in node units) to an exact node snap onto it, so that
@@ -71,9 +72,11 @@ class GridSpec:
 
 
 def _fractional_index(coords: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
-    u = (coords - lo) / (hi - lo) * (n - 1)
+    u = coords - lo
+    u /= hi - lo
+    u *= n - 1
     snapped = np.round(u)
-    u = np.where(np.abs(u - snapped) < _NODE_SNAP, snapped, u)
+    np.copyto(u, snapped, where=np.abs(u - snapped) < _NODE_SNAP)
     return u
 
 
@@ -94,27 +97,31 @@ def bilinear(grid: GridSpec, values: np.ndarray, points: np.ndarray) -> np.ndarr
     inside = grid.contains(pts)
 
     xmin, ymin, xmax, ymax = grid.bbox
-    u = _fractional_index(pts[:, 0], xmin, xmax, grid.cols)
-    v = _fractional_index(pts[:, 1], ymin, ymax, grid.rows)
-    u = np.clip(u, 0.0, grid.cols - 1.0)
-    v = np.clip(v, 0.0, grid.rows - 1.0)
-
-    j0 = np.clip(np.floor(u).astype(int), 0, grid.cols - 2)
-    i0 = np.clip(np.floor(v).astype(int), 0, grid.rows - 2)
-    fx = u - j0
-    fy = v - i0
-
+    rows, cols = grid.rows, grid.cols
+    # Fractional node indices, clipped into the raster, become the offsets
+    # fx, fy within the cell, in place.
+    fx = np.clip(_fractional_index(pts[:, 0], xmin, xmax, cols), 0.0, cols - 1.0)
+    fy = np.clip(_fractional_index(pts[:, 1], ymin, ymax, rows), 0.0, rows - 1.0)
+    j0 = np.clip(np.floor(fx).astype(int), 0, cols - 2)
+    k = np.clip(np.floor(fy).astype(int), 0, rows - 2)
+    fx -= j0
+    fy -= k
     gx = 1.0 - fx
     gy = 1.0 - fy
+    # k: flat row-major index of the cell's lower-left node; the other
+    # three are at +1, +cols and +cols+1.
+    k *= cols
+    k += j0
+    flat = values.ravel()
     # A node at weight 0 is dropped from the blend: NaN * 0 would be NaN.
     x0, x1, y0, y1 = gx != 0, fx != 0, gy != 0, fy != 0
-    out = (
-        np.where(y0 & x0, values[i0, j0] * gy * gx, 0.0)
-        + np.where(y0 & x1, values[i0, j0 + 1] * gy * fx, 0.0)
-        + np.where(y1 & x0, values[i0 + 1, j0] * fy * gx, 0.0)
-        + np.where(y1 & x1, values[i0 + 1, j0 + 1] * fy * fx, 0.0)
-    )
-    return np.where(inside, out, np.nan)
+    out = np.where(y0 & x0, flat.take(k) * gy * gx, 0.0)
+    out += np.where(y0 & x1, flat.take(k + 1) * gy * fx, 0.0)
+    k += cols
+    out += np.where(y1 & x0, flat.take(k) * fy * gx, 0.0)
+    out += np.where(y1 & x1, flat.take(k + 1) * fy * fx, 0.0)
+    out[~inside] = np.nan
+    return out
 
 
 def clamp_to_bbox(points, bbox) -> np.ndarray:
@@ -122,9 +129,10 @@ def clamp_to_bbox(points, bbox) -> np.ndarray:
     xmax, ymax): constant extrapolation at the edge of a raster."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     xmin, ymin, xmax, ymax = bbox
-    return np.column_stack(
-        [np.clip(pts[:, 0], xmin, xmax), np.clip(pts[:, 1], ymin, ymax)]
-    )
+    out = np.empty((len(pts), 2))
+    for col, lo, hi in ((0, xmin, xmax), (1, ymin, ymax)):
+        np.minimum(np.maximum(pts[:, col], lo), hi, out=out[:, col])
+    return out
 
 
 def write_pgm(path, values: np.ndarray, vmin: float | None = None,
@@ -147,5 +155,5 @@ def write_pgm(path, values: np.ndarray, vmin: float | None = None,
     flipped = pixels[::-1]  # row 0 of the grid is south; images start north
     lines = ["P2", f"{values.shape[1]} {values.shape[0]}", "255"]
     lines.extend(" ".join(str(v) for v in row) for row in flipped)
-    with open(path, "w", encoding="ascii") as fh:
+    with jsonio.atomic_write(path, encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

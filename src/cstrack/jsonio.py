@@ -5,9 +5,10 @@ float is written as null and read back as NaN; writers pass their float
 arrays through floats_to_json (or one value through float_to_json), and
 the encoder runs with allow_nan=False, so a stray NaN raises instead of
 writing a token that RFC 8259 does not allow. A file that does not parse
-raises FormatError("bad <what> <path>: ..."). A file is written whole or
-not at all: dump writes a temporary file next to the target and renames
-it over the target, so a failed write leaves the old file as it was.
+raises FormatError("bad <what> <path>: ..."). Every file cstrack writes,
+JSON or not, goes through atomic_write: it is written to a temporary file
+next to the target and renamed over the target, so a failed write leaves
+the old file as it was.
 """
 
 from __future__ import annotations
@@ -50,13 +51,18 @@ def dumps_line(obj) -> str:
     return json.dumps(obj, allow_nan=False)
 
 
-def dump(obj, path) -> None:
-    """Write obj to path in the convention above, whole or not at all."""
+@contextlib.contextmanager
+def atomic_write(path, encoding: str = "utf-8", newline: str | None = None):
+    """A text file handle whose contents replace path when the block ends.
+
+    The handle writes a temporary file next to the target; a clean exit
+    renames it over the target, any exception removes it, so path holds
+    either its old bytes or the complete new ones.
+    """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=1, allow_nan=False)
-            fh.write("\n")
+        with open(tmp, "w", encoding=encoding, newline=newline) as fh:
+            yield fh
         with contextlib.suppress(FileNotFoundError):
             shutil.copymode(path, tmp)  # as open(path, "w") keeps it
         os.replace(tmp, path)
@@ -64,6 +70,13 @@ def dump(obj, path) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def dump(obj, path) -> None:
+    """Write obj to path in the convention above, whole or not at all."""
+    with atomic_write(path) as fh:
+        json.dump(obj, fh, indent=1, allow_nan=False)
+        fh.write("\n")
 
 
 def load(path, what: str):

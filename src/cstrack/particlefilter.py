@@ -10,6 +10,13 @@ blending the compliance likelihood with a uniform density. tau = 0 is an
 exact no-op (implemented as such, so a tau = 0 run is bit-identical to a
 filter without the compliance step), tau = 1 weights purely by compliance.
 
+There is one step loop, filter_arms: it advances one arm per trust ratio
+on a shared (arms, particles) axis, each arm with its own generator, and
+an arm's results are bit-identical to the same arm run alone. run_filter
+is its one-arm case with a step log; trust.sweep runs all ratios of a
+track in one call. An arm whose weights all vanish is frozen as NaN
+while the others go on; run_filter raises DegenerateBeliefError for it.
+
 Compliance comes from an evaluator evaluate(positions, z) -> (N,), with z
 one (2,) measurement or one (N, 2) row per position, values in [0, 1] and
 NaN where compliance is undefined (a flagged map cell).
@@ -127,9 +134,16 @@ class MeasurementModel:
         return inv, 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(self.R)))
 
     def likelihood(self, deltas: np.ndarray) -> np.ndarray:
-        """Density of N(0, R) at each row of deltas."""
+        """Density of N(0, R) at each (..., 2) row of deltas."""
         inv, norm = self._inverse_and_norm
-        quad = np.einsum("ni,ij,nj->n", deltas, inv, deltas)
+        d0, d1 = deltas[..., 0], deltas[..., 1]
+        # d^T R^-1 d term by term in row-major order, the summation order
+        # of numpy's generic contraction for three or more rows; the tests
+        # check the bits against it.
+        quad = d0 * inv[0, 0] * d0
+        quad += d0 * inv[0, 1] * d1
+        quad += d1 * inv[1, 0] * d0
+        quad += d1 * inv[1, 1] * d1
         return norm * np.exp(-0.5 * quad)
 
 
@@ -189,20 +203,120 @@ class ParticleBelief:
 
 # ---------------------------------------------------------------------------
 # Filter steps
+#
+# The step kernels work on a stack of A arms, one trust ratio each: states
+# (A, N, 4) in state order (px, py, vx, vy) and weights (A, N). Every
+# operation is elementwise or reduces each arm's own row, so an arm's bits
+# do not depend on which other arms share the stack. predict,
+# update_measurement, update_constitution, resample and estimate are the
+# one-arm case on a ParticleBelief. Elementwise work on state columns goes
+# one column at a time: numpy is several times faster on one long strided
+# column than on many rows of two.
+
+
+def _states(belief: ParticleBelief) -> np.ndarray:
+    return np.concatenate([belief.positions, belief.velocities], axis=1)
+
+
+def _move(states: np.ndarray, process: ProcessModel, rngs) -> None:
+    """Constant-velocity move plus Q noise, in place; one generator per arm.
+
+    Arms seeded alike keep equal generator states until their resampling
+    steps differ, and equal states draw equal noise. So the noise is drawn
+    and transformed once per distinct state, and every other generator in
+    that state is set to the state the draw left, as if it had drawn too.
+    """
+    for i in (0, 1):
+        states[..., i] += states[..., i + 2] * process.dt
+    if process.Q.any():
+        drawn: dict[str, tuple[np.random.Generator, np.ndarray]] = {}
+        for arm_states, rng in zip(states, rngs):
+            key = repr(rng.bit_generator.state)
+            if key in drawn:
+                source, noise = drawn[key]
+                rng.bit_generator.state = source.bit_generator.state
+            else:
+                noise = rng.standard_normal(arm_states.shape) @ process.noise_factor.T
+                drawn[key] = rng, noise
+            arm_states += noise
+    if not np.isfinite(states).all():
+        raise ConfigurationError("prediction produced non-finite states")
+
+
+def _positions(states: np.ndarray, offset=(0.0, 0.0)) -> np.ndarray:
+    """(..., 2) copy of the positions (columns 0 and 1) minus offset."""
+    out = np.empty((*states.shape[:-1], 2))
+    for i in (0, 1):
+        np.subtract(states[..., i], offset[i], out=out[..., i])
+    return out
+
+
+def _renormalize(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each arm's row divided by its sum; returns weights, sums and the
+    mask of arms whose sum is positive and finite (the others are dead)."""
+    norm = raw.sum(axis=1)
+    alive = np.isfinite(norm) & (norm > 0.0)
+    return raw / np.where(alive, norm, 1.0)[:, None], norm, alive
+
+
+def _compliance_factor(weights: np.ndarray, probs: np.ndarray, taus: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """tau * probs + (1 - tau) per arm under the NaN policy (module
+    docstring); returns the factors and the mask of arms the step changes
+    (those with a defined particle that carries weight)."""
+    if ((probs < -1e-9) | (probs > 1.0 + 1e-9)).any():
+        raise ConfigurationError("evaluator returned probabilities outside [0, 1]")
+    taus = taus[:, None]
+    factor = taus * np.clip(probs, 0.0, 1.0) + (1.0 - taus)
+    undefined = np.isnan(factor)
+    changed = np.ones(len(factor), dtype=bool)
+    for arm in np.flatnonzero(undefined.any(axis=1)):
+        undef = undefined[arm]
+        defined_weights = weights[arm][~undef]
+        mass = float(defined_weights.sum())
+        if mass == 0.0:
+            changed[arm] = False
+        else:
+            factor[arm, undef] = float(defined_weights @ factor[arm][~undef]) / mass
+    return factor, changed
+
+
+def _resample_index(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Systematic resampling: the particle each of N uniform slots copies."""
+    n = len(weights)
+    u = (rng.uniform() + np.arange(n)) / n
+    cumulative = np.cumsum(weights)
+    cumulative[-1] = 1.0
+    return np.searchsorted(cumulative, u, side="left")
+
+
+def _covariance_trace(weights: np.ndarray, states: np.ndarray, mean: np.ndarray) -> float:
+    """Trace of the weighted covariance sum(w * (s - mean)(s - mean)^T).
+
+    Each diagonal entry is summed sequentially over the particles, as
+    numpy's generic contraction sums, so the logged trace keeps the bits
+    the tests check against it.
+    """
+    trace = 0.0
+    for i in range(states.shape[1]):
+        centered = states[:, i] - mean[i]
+        trace += np.cumsum(weights * centered * centered)[-1]
+    return float(trace)
 
 
 def predict(belief: ParticleBelief, process: ProcessModel,
             rng: np.random.Generator) -> ParticleBelief:
     """Advance every particle by the constant-velocity model plus Q noise."""
-    positions = belief.positions + belief.velocities * process.dt
-    velocities = belief.velocities
-    if process.Q.any():
-        noise = rng.standard_normal((belief.size, 4)) @ process.noise_factor.T
-        positions = positions + noise[:, :2]
-        velocities = velocities + noise[:, 2:]
-    if not (np.isfinite(positions).all() and np.isfinite(velocities).all()):
-        raise ConfigurationError("prediction produced non-finite states")
-    return replace(belief, positions=positions, velocities=velocities)
+    states = _states(belief)[None]
+    _move(states, process, (rng,))
+    return replace(belief, positions=states[0, :, :2], velocities=states[0, :, 2:])
+
+
+_MEASUREMENT_DEGENERATE = "all particle weights vanished in the measurement update"
+_COMPLIANCE_DEGENERATE = (
+    "all particle weights vanished in the compliance update (tau = 1 "
+    "with zero compliance probability everywhere)"
+)
 
 
 def update_measurement(belief: ParticleBelief, z, meas: MeasurementModel
@@ -213,14 +327,11 @@ def update_measurement(belief: ParticleBelief, z, meas: MeasurementModel
     Monte Carlo estimate of the measurement's marginal density).
     """
     z = np.asarray(z, dtype=float)
-    likelihood = meas.likelihood(belief.positions - z)
-    raw = belief.weights * likelihood
-    norm = float(raw.sum())
-    if norm <= 0.0 or not np.isfinite(norm):
-        raise DegenerateBeliefError(
-            "all particle weights vanished in the measurement update"
-        )
-    return replace(belief, weights=raw / norm), norm
+    raw = belief.weights * meas.likelihood(_positions(belief.positions, z))
+    weights, norm, alive = _renormalize(raw[None])
+    if not alive[0]:
+        raise DegenerateBeliefError(_MEASUREMENT_DEGENERATE)
+    return replace(belief, weights=weights[0]), float(norm[0])
 
 
 def update_constitution(belief: ParticleBelief, probs, tau: float
@@ -242,47 +353,32 @@ def update_constitution(belief: ParticleBelief, probs, tau: float
     probs = np.asarray(probs, dtype=float).reshape(-1)
     if probs.shape != (belief.size,):
         raise ConfigurationError("evaluator returned a wrong-sized probability vector")
-    if ((probs < -1e-9) | (probs > 1.0 + 1e-9)).any():
-        raise ConfigurationError("evaluator returned probabilities outside [0, 1]")
-    factor = tau * np.clip(probs, 0.0, 1.0) + (1.0 - tau)
-    undefined = np.isnan(factor)
-    if undefined.any():
-        defined_weights = belief.weights[~undefined]
-        mass = float(defined_weights.sum())
-        if mass == 0.0:
-            return belief
-        factor[undefined] = float(defined_weights @ factor[~undefined]) / mass
-    raw = belief.weights * factor
-    norm = float(raw.sum())
-    if norm <= 0.0:
-        raise DegenerateBeliefError(
-            "all particle weights vanished in the compliance update (tau = 1 "
-            "with zero compliance probability everywhere)"
-        )
-    return replace(belief, weights=raw / norm)
+    factor, changed = _compliance_factor(
+        belief.weights[None], probs[None], np.array([tau])
+    )
+    if not changed[0]:
+        return belief
+    weights, _, alive = _renormalize(belief.weights * factor)
+    if not alive[0]:
+        raise DegenerateBeliefError(_COMPLIANCE_DEGENERATE)
+    return replace(belief, weights=weights[0])
 
 
 def resample(belief: ParticleBelief, rng: np.random.Generator) -> ParticleBelief:
     """Systematic resampling to uniform weights."""
-    n = belief.size
-    u = (rng.uniform() + np.arange(n)) / n
-    cumulative = np.cumsum(belief.weights)
-    cumulative[-1] = 1.0
-    idx = np.searchsorted(cumulative, u, side="left")
+    idx = _resample_index(belief.weights, rng)
     return ParticleBelief(
-        positions=belief.positions[idx].copy(),
-        velocities=belief.velocities[idx].copy(),
-        weights=np.full(n, 1.0 / n),
+        positions=belief.positions[idx],
+        velocities=belief.velocities[idx],
+        weights=np.full(belief.size, 1.0 / belief.size),
     )
 
 
-def estimate(belief: ParticleBelief) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted mean state (4,) and weighted covariance (4, 4)."""
-    states = np.hstack([belief.positions, belief.velocities])
+def estimate(belief: ParticleBelief) -> tuple[np.ndarray, float]:
+    """Weighted mean state (4,) and the trace of the weighted covariance."""
+    states = _states(belief)
     mean = belief.weights @ states
-    centered = states - mean
-    cov = np.einsum("n,ni,nj->ij", belief.weights, centered, centered)
-    return mean, cov
+    return mean, _covariance_trace(belief.weights, states, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -430,21 +526,30 @@ class StepRecord:
         }
 
 
-def run_filter(
+def filter_arms(
     measurements: np.ndarray,
     config: FilterConfig,
-    rng: np.random.Generator,
+    rngs,
+    taus,
     evaluate=None,
-    tau: float = 0.0,
     t0: float = 0.0,
-) -> tuple[np.ndarray, list[StepRecord]]:
-    """Track one measurement sequence; returns position estimates and logs.
+    log: bool = False,
+) -> tuple[np.ndarray, list[str | None], list[StepRecord]]:
+    """Track one measurement sequence once per trust ratio, all arms together.
 
-    measurements: (T, 2) positions, the first of which initializes the
-    belief. Step order: predict, measurement update, compliance update,
-    conditional resampling, estimate. With tau = 0 (or no evaluator) the
-    compliance update is skipped and the run consumes exactly the same
-    random draws as a plain particle filter.
+    measurements: (T, 2) positions, the first of which initializes each
+    arm's belief; rngs and taus: one generator and one ratio per arm. Step
+    order: predict, measurement update, compliance update, conditional
+    resampling, estimate. An arm draws from its own generator in the order
+    a lone filter would, so each arm's bits are those of the same run
+    alone. An arm at tau = 0 (every arm when evaluate is None) skips the
+    compliance update and consumes exactly the draws of a plain particle
+    filter; the other live arms share one evaluate call per step.
+
+    Returns the (A, T - 1, 2) position estimates, per arm None or the
+    reason it degenerated (its estimates are then NaN), and, with log, the
+    StepRecords of arm 0; sweeps leave log off and skip the covariance
+    trace and the mean compliance that only the records carry.
     """
     measurements = np.asarray(measurements, dtype=float)
     if measurements.ndim != 2 or measurements.shape[1] != 2 or len(measurements) < 2:
@@ -456,38 +561,110 @@ def run_filter(
         if config.init_position_std is not None
         else config.measurement_noise_std
     )
-    belief = ParticleBelief.from_gaussian(
-        measurements[0], config.particles, rng,
-        position_std=pos_std, speed_std=config.init_speed_std,
-    )
-    active = evaluate is not None and tau > 0.0
-    estimates = np.empty((len(measurements) - 1, 2))
-    records: list[StepRecord] = []
-    for step, z in enumerate(measurements[1:], start=1):
-        belief = predict(belief, process, rng)
-        belief, norm = update_measurement(belief, z, meas_model)
-        mean_prob = None
-        if active:
-            probs = np.asarray(evaluate(belief.positions, z), dtype=float).reshape(-1)
-            defined = probs[~np.isnan(probs)]
-            mean_prob = float(defined.mean()) if defined.size else None
-            belief = update_constitution(belief, probs, tau)
-        ess = belief.effective_sample_size()
-        resampled = ess < config.ess_ratio * belief.size
-        if resampled:
-            belief = resample(belief, rng)
-        mean, cov = estimate(belief)
-        estimates[step - 1] = mean[:2]
-        records.append(
-            StepRecord(
-                t=t0 + step * config.dt,
-                estimate_position=(float(mean[0]), float(mean[1])),
-                estimate_velocity=(float(mean[2]), float(mean[3])),
-                covariance_trace=float(np.trace(cov)),
-                n_eff=ess,
-                norm_const=norm,
-                mean_constitution_prob=mean_prob,
-                resampled=resampled,
-            )
+    rngs = list(rngs)
+    taus = np.array(taus, dtype=float).reshape(-1)
+    if len(taus) != len(rngs) or len({id(rng) for rng in rngs}) != len(rngs):
+        raise ConfigurationError("need one generator of its own per trust ratio")
+    for tau in taus:
+        if not 0.0 <= tau <= 1.0:
+            raise ConfigurationError(f"tau must lie in [0, 1], got {tau}")
+    n = config.particles
+    states = np.empty((len(rngs), n, 4))
+    weights = np.empty((len(rngs), n))
+    for arm, rng in enumerate(rngs):
+        belief = ParticleBelief.from_gaussian(
+            measurements[0], n, rng,
+            position_std=pos_std, speed_std=config.init_speed_std,
         )
-    return estimates, records
+        states[arm] = _states(belief)
+        weights[arm] = belief.weights
+    # Rows of states, weights, rngs and taus belong to the live arms ids.
+    ids = np.arange(len(rngs))
+    failures: list[str | None] = [None] * len(rngs)
+    estimates = np.full((len(rngs), len(measurements) - 1, 2), np.nan)
+    records: list[StepRecord] = []
+
+    def drop(dead: np.ndarray, reason: str) -> None:
+        nonlocal states, weights, rngs, taus, ids
+        for arm in ids[dead]:
+            failures[arm] = reason
+        keep = ~dead
+        states, weights, taus, ids = states[keep], weights[keep], taus[keep], ids[keep]
+        rngs = [rng for rng, k in zip(rngs, keep) if k]
+
+    for step, z in enumerate(measurements[1:], start=1):
+        _move(states, process, rngs)
+        raw = weights * meas_model.likelihood(_positions(states, z))
+        weights, norms, alive = _renormalize(raw)
+        norm_const = float(norms[0])  # arm 0's, if it is still live; for the log
+        if not alive.all():
+            drop(~alive, _MEASUREMENT_DEGENERATE)
+        mean_prob = None
+        active = np.flatnonzero(taus > 0.0) if evaluate is not None else ()
+        if len(active):
+            positions = _positions(states[active]).reshape(-1, 2)
+            probs = np.asarray(evaluate(positions, z), dtype=float).reshape(-1)
+            if probs.shape != (len(positions),):
+                raise ConfigurationError("evaluator returned a wrong-sized probability vector")
+            probs = probs.reshape(len(active), n)
+            if log and ids[active[0]] == 0:
+                defined = probs[0][~np.isnan(probs[0])]
+                mean_prob = float(defined.mean()) if defined.size else None
+            factor, changed = _compliance_factor(weights[active], probs, taus[active])
+            active = active[changed]
+            blended, _, alive = _renormalize(weights[active] * factor[changed])
+            weights[active] = blended
+            if not alive.all():
+                dead = np.zeros(len(ids), dtype=bool)
+                dead[active[~alive]] = True
+                drop(dead, _COMPLIANCE_DEGENERATE)
+        if not len(ids):
+            break
+        ess = 1.0 / np.square(weights).sum(axis=1)
+        resampled = ess < config.ess_ratio * n
+        for row in np.flatnonzero(resampled):
+            states[row] = states[row, _resample_index(weights[row], rngs[row])]
+            weights[row] = 1.0 / n
+        means = [w @ arm_states for w, arm_states in zip(weights, states)]
+        estimates[ids, step - 1] = np.array(means)[:, :2]
+        if log and ids[0] == 0:
+            mean = means[0]
+            records.append(
+                StepRecord(
+                    t=t0 + step * config.dt,
+                    estimate_position=(float(mean[0]), float(mean[1])),
+                    estimate_velocity=(float(mean[2]), float(mean[3])),
+                    covariance_trace=_covariance_trace(weights[0], states[0], mean),
+                    n_eff=float(ess[0]),
+                    norm_const=norm_const,
+                    mean_constitution_prob=mean_prob,
+                    resampled=bool(resampled[0]),
+                )
+            )
+    for arm, reason in enumerate(failures):
+        if reason is not None:
+            estimates[arm] = np.nan
+    return estimates, failures, records
+
+
+def run_filter(
+    measurements: np.ndarray,
+    config: FilterConfig,
+    rng: np.random.Generator,
+    evaluate=None,
+    tau: float = 0.0,
+    t0: float = 0.0,
+) -> tuple[np.ndarray, list[StepRecord]]:
+    """Track one measurement sequence; returns position estimates and logs.
+
+    The one-arm case of filter_arms, with the step records built. With
+    tau = 0 (or no evaluator) the compliance update is skipped and the run
+    consumes exactly the same random draws as a plain particle filter. A
+    run whose weights all vanish raises DegenerateBeliefError.
+    """
+    estimates, failures, records = filter_arms(
+        measurements, config, (rng,), (tau,), evaluate=evaluate, t0=t0, log=True,
+    )
+    if failures[0] is not None:
+        raise DegenerateBeliefError(failures[0])
+    return estimates[0], records

@@ -4,7 +4,8 @@ Each track gets a discrete feature triple (vessel type, waterway-bound,
 anchoring), held constant over the journey. sweep() is the one tau
 experiment of the package: every track is filtered once per candidate
 ratio against one seeded synthetic-noise measurement sequence and one
-filter seed, and scored by position error. Calibration sweeps historical
+filter seed, all ratios of a track in one particlefilter.filter_arms
+pass, and scored by position error. Calibration sweeps historical
 tracks and picks, per feature bucket, the ratio minimizing the
 bucket-mean position error; ties resolve to the smallest ratio, and since
 every grid contains 0, a calibrated bucket can never do worse in-sample
@@ -20,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .errors import ConfigurationError, DegenerateBeliefError, FormatError
+from .errors import ConfigurationError, FormatError
 from .ingest import Track
-from .particlefilter import FilterConfig, run_filter
+from .particlefilter import FilterConfig, filter_arms
 
 # AIS ship-type code ranges (ITU-R M.1371 summary table).
 _TYPE_RANGES = [
@@ -195,7 +196,7 @@ class CalibrationReport:
         by_bucket = self.histogram_by_bucket()
         by_track = self.histogram_by_track()
         taus = sorted(set(by_bucket) | set(by_track))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with jsonio.atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["tau", "optimal_for_buckets", "optimal_for_tracks"])
             for tau in taus:
@@ -220,8 +221,9 @@ def sweep(truths, track_seeds, config: FilterConfig, evaluate, taus) -> np.ndarr
     SeedSequence per track. Each track spawns a noise seed and a filter
     seed: the noise is drawn once, and every arm filters the same
     measurements from a fresh generator on the filter seed, so the arms
-    differ in tau alone. At tau = 0 run_filter never calls evaluate, so
-    that arm is bit-identical to the plain filter.
+    differ in tau alone. All arms of a track advance together in one
+    filter_arms call, each with the bits it has run alone; the tau = 0 arm
+    never calls evaluate, so it is bit-identical to the plain filter.
     """
     mae = np.full((len(truths), len(taus)), np.nan)
     for i, (truth, seq) in enumerate(zip(truths, track_seeds)):
@@ -230,15 +232,13 @@ def sweep(truths, track_seeds, config: FilterConfig, evaluate, taus) -> np.ndarr
         measurements = truth + config.draw_measurement_noise(
             np.random.default_rng(noise_seq), len(truth)
         )
-        for j, tau in enumerate(taus):
-            try:
-                estimates, _ = run_filter(
-                    measurements, config, np.random.default_rng(filter_seq),
-                    evaluate=evaluate, tau=tau,
-                )
-            except DegenerateBeliefError:
-                continue
-            mae[i, j] = position_mae(estimates, truth[1:])
+        estimates, failures, _ = filter_arms(
+            measurements, config, [np.random.default_rng(filter_seq) for _ in taus],
+            taus, evaluate=evaluate,
+        )
+        for j, failure in enumerate(failures):
+            if failure is None:
+                mae[i, j] = position_mae(estimates[j], truth[1:])
     return mae
 
 

@@ -237,6 +237,23 @@ class TestTrack:
             outs[label] = logs.read_bytes()
         assert outs["tau0"] == outs["none"]
 
+    def test_track_failing_partway_keeps_the_old_step_log(self, paths, tmp_path):
+        # The second track has no uniform dt, so track fails after the
+        # first track's records; the step log of the earlier run stays.
+        tracks = ingest(paths, tmp_path)
+        logs = tmp_path / "steps.jsonl"
+        args = ["--no-constitution", "--particles", 50, "--out-logs", logs,
+                "--out-summary", tmp_path / "s.json"]
+        assert run_cli("track", "--tracks", tracks, "--seed", 9, *args) == 0
+        before = logs.read_bytes()
+        doc = json.loads(tracks.read_text())
+        doc["tracks"].append(dict(doc["tracks"][0], vessel_id="late", dt=None))
+        bad = tmp_path / "bad_tracks.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("track", "--tracks", bad, "--seed", 10, *args) == 2
+        assert logs.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_field_and_direct_modes_run(self, paths, tmp_path):
         starmap = build_starmap(paths, tmp_path)
         tracks = ingest(paths, tmp_path)

@@ -48,6 +48,25 @@ def test_failed_dump_keeps_the_old_file(tmp_path):
     assert os.listdir(tmp_path) == ["doc.json"]
 
 
+def test_write_failing_partway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "runs.csv"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="disk full"):
+        with jsonio.atomic_write(path, newline="") as fh:
+            fh.write("seed,track\n0,")
+            raise RuntimeError("disk full")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["runs.csv"]
+
+
+def test_failing_write_leaves_no_new_file(tmp_path):
+    with pytest.raises(RuntimeError):
+        with jsonio.atomic_write(tmp_path / "image.pgm", encoding="ascii") as fh:
+            fh.write("P2\n")
+            raise RuntimeError("interrupted")
+    assert os.listdir(tmp_path) == []
+
+
 def mode(path) -> int:
     return stat.S_IMODE(os.stat(path).st_mode)
 

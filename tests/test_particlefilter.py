@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cstrack.constitution import ConstitutionEvaluator, parse, precompute_field
+from cstrack.constitution.field import ConstitutionField
 from cstrack.errors import (
     ConfigurationError,
     CstrackError,
@@ -19,6 +20,7 @@ from cstrack.particlefilter import (
     ProcessModel,
     cv_process_noise,
     estimate,
+    filter_arms,
     predict,
     resample,
     run_filter,
@@ -249,9 +251,9 @@ class TestResampling:
 class TestEstimate:
     def test_single_particle(self):
         belief = single_particle((2.0, 3.0), (0.5, -0.5))
-        mean, cov = estimate(belief)
+        mean, trace = estimate(belief)
         np.testing.assert_array_equal(mean, [2.0, 3.0, 0.5, -0.5])
-        np.testing.assert_array_equal(cov, np.zeros((4, 4)))
+        assert trace == 0.0
 
     def test_two_equal_particles(self):
         belief = ParticleBelief.from_arrays([(0, 0), (2, 0)], np.zeros((2, 2)))
@@ -265,7 +267,7 @@ class TestEstimate:
             rng.normal(size=(n, 2)), rng.normal(size=(n, 2)),
             weights=rng.uniform(0.01, 1.0, n),
         )
-        mean, cov = estimate(belief)
+        mean, trace = estimate(belief)
         states = np.hstack([belief.positions, belief.velocities])
         oracle_mean = (belief.weights[:, None] * states).sum(axis=0)
         centered = states - oracle_mean
@@ -273,7 +275,7 @@ class TestEstimate:
             w * np.outer(c, c) for w, c in zip(belief.weights, centered)
         )
         np.testing.assert_allclose(mean, oracle_mean, atol=1e-12)
-        np.testing.assert_allclose(cov, oracle_cov, atol=1e-12)
+        assert trace == pytest.approx(np.trace(oracle_cov), rel=0, abs=1e-12)
 
 
 class TestSampleSet:
@@ -463,3 +465,202 @@ class TestRunFilter:
             "t", "estimate", "covariance_trace", "n_eff", "norm_const",
             "mean_constitution_prob", "resampled",
         }
+
+
+class TestEinsumFreeStep:
+    """The step's hand-written sums give the bits of np.einsum over
+    particle counts and isotropic and full R. For one or two rows einsum
+    itself sums the quadratic form in another order, so with a
+    non-diagonal R the likelihood matches from three rows on."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.booleans())
+    def test_likelihood_matches_einsum(self, seed, n, isotropic):
+        assume(isotropic or n >= 3)
+        rng = np.random.default_rng(seed)
+        if isotropic:
+            meas = MeasurementModel.isotropic(rng.uniform(0.5, 300.0))
+        else:
+            a = rng.normal(scale=30.0, size=(2, 2))
+            meas = MeasurementModel(R=a @ a.T + np.eye(2))
+        deltas = rng.normal(scale=rng.uniform(0.1, 500.0), size=(n, 2))
+        inv, norm = np.linalg.inv(meas.R), 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(meas.R)))
+        quad = np.einsum("ni,ij,nj->n", deltas, inv, deltas)
+        np.testing.assert_array_equal(meas.likelihood(deltas), norm * np.exp(-0.5 * quad))
+
+    @pytest.mark.parametrize("n", [8191, 100_000])
+    def test_large_counts_match_einsum(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(scale=30.0, size=(2, 2))
+        meas = MeasurementModel(R=a @ a.T + np.eye(2))
+        deltas = rng.normal(scale=80.0, size=(n, 2))
+        quad = np.einsum("ni,ij,nj->n", deltas, np.linalg.inv(meas.R), deltas)
+        np.testing.assert_array_equal(meas.likelihood(deltas),
+                                      meas._inverse_and_norm[1] * np.exp(-0.5 * quad))
+        belief = ParticleBelief.from_arrays(deltas, rng.normal(size=(n, 2)),
+                                            weights=rng.uniform(size=n))
+        mean, trace = estimate(belief)
+        centered = np.hstack([belief.positions, belief.velocities]) - mean
+        cov = np.einsum("n,ni,nj->ij", belief.weights, centered, centered)
+        assert trace == float(np.trace(cov))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000))
+    def test_covariance_trace_matches_einsum(self, seed, n):
+        rng = np.random.default_rng(seed)
+        belief = ParticleBelief.from_arrays(
+            rng.normal(scale=rng.uniform(0.1, 500.0), size=(n, 2)),
+            rng.normal(size=(n, 2)), weights=rng.uniform(0.01, 1.0, n),
+        )
+        mean, trace = estimate(belief)
+        states = np.hstack([belief.positions, belief.velocities])
+        assert np.array_equal(mean, belief.weights @ states)
+        centered = states - mean
+        cov = np.einsum("n,ni,nj->ij", belief.weights, centered, centered)
+        assert trace == float(np.trace(cov))
+
+
+def _arms_world(seed: int, field_kind: str):
+    """A short noisy track and a field-mode evaluator on a 5 x 5 grid:
+    field_kind "zero" (tau = 1 degenerates), "nan" (random values with
+    flagged cells), "flagged" (every cell, so no step changes a belief)
+    or "random"."""
+    rng = np.random.default_rng(seed)
+    steps = 8
+    truth = np.column_stack([np.arange(steps) * 4.0, np.arange(steps) * 1.5])
+    measurements = truth + rng.normal(scale=3.0, size=truth.shape)
+    grid = GridSpec(bbox=(-20.0, -20.0, 50.0, 30.0), rows=5, cols=5)
+    values = rng.uniform(size=(5, 5))
+    if field_kind == "zero":
+        values[:] = 0.0
+    elif field_kind == "nan":
+        values[rng.uniform(size=(5, 5)) < 0.3] = np.nan
+    elif field_kind == "flagged":
+        values[:] = np.nan
+    evaluate = ConstitutionField(grid, values).particle_probabilities
+    config = FilterConfig(particles=int(rng.integers(20, 120)), dt=1.0, sigma_a=0.5,
+                          measurement_noise_std=3.0, ess_ratio=float(rng.uniform(0.3, 1.0)))
+    return measurements, config, evaluate
+
+
+def stepwise_run(measurements, config, rng, evaluate, tau):
+    """The filter loop spelled out with the one-arm step functions, as
+    run_filter read before the arms axis; returns the estimates."""
+    belief = ParticleBelief.from_gaussian(
+        measurements[0], config.particles, rng,
+        position_std=config.measurement_noise_std, speed_std=config.init_speed_std,
+    )
+    out = []
+    for z in measurements[1:]:
+        belief = predict(belief, config.process_model, rng)
+        belief, _ = update_measurement(belief, z, config.measurement_model)
+        if tau > 0.0:
+            belief = update_constitution(belief, evaluate(belief.positions, z), tau)
+        if belief.effective_sample_size() < config.ess_ratio * belief.size:
+            belief = resample(belief, rng)
+        out.append(estimate(belief)[0][:2])
+    return np.array(out)
+
+
+def outcome(run):
+    """("ok", estimates) or ("raised", message) of a filter run."""
+    try:
+        return "ok", run()
+    except DegenerateBeliefError as exc:
+        return "raised", str(exc)
+
+
+class TestFilterArms:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), min_size=1, max_size=7),
+        st.sampled_from(["zero", "nan", "flagged", "random"]),
+    )
+    def test_every_arm_is_a_lone_run_bit_for_bit(self, seed, taus, field_kind):
+        measurements, config, evaluate = _arms_world(seed, field_kind)
+        filter_seed = np.random.SeedSequence(seed)
+        estimates, failures, records = filter_arms(
+            measurements, config, [np.random.default_rng(filter_seed) for _ in taus],
+            taus, evaluate=evaluate,
+        )
+        assert estimates.shape == (len(taus), len(measurements) - 1, 2)
+        assert records == []
+        for j, tau in enumerate(taus):
+            alone = outcome(lambda: run_filter(measurements, config,
+                                               np.random.default_rng(filter_seed),
+                                               evaluate=evaluate, tau=tau)[0])
+            stepwise = outcome(lambda: stepwise_run(measurements, config,
+                                                    np.random.default_rng(filter_seed),
+                                                    evaluate, tau))
+            if failures[j] is None:
+                assert alone[0] == stepwise[0] == "ok"
+                assert np.array_equal(estimates[j], alone[1])
+                assert np.array_equal(estimates[j], stepwise[1])
+            else:
+                assert alone == stepwise == ("raised", failures[j])
+                assert np.isnan(estimates[j]).all()
+
+    def test_tau_zero_arm_is_the_plain_filter(self):
+        measurements, config, evaluate = _arms_world(11, "nan")
+        taus = (0.0, 0.5, 0.0, 1.0)
+        estimates, failures, _ = filter_arms(
+            measurements, config, [np.random.default_rng(5) for _ in taus], taus,
+            evaluate=evaluate,
+        )
+        plain, _ = run_filter(measurements, config, np.random.default_rng(5))
+        assert failures == [None] * 4
+        assert np.array_equal(estimates[0], plain)
+        assert np.array_equal(estimates[2], plain)
+
+    def test_degenerate_arm_is_frozen_and_the_others_go_on(self):
+        measurements, config, evaluate = _arms_world(3, "zero")
+        taus = (0.0, 1.0, 0.5)
+        estimates, failures, _ = filter_arms(
+            measurements, config, [np.random.default_rng(8) for _ in taus], taus,
+            evaluate=evaluate,
+        )
+        assert failures[0] is None and failures[2] is None
+        assert "compliance update" in failures[1]
+        assert np.isnan(estimates[1]).all()
+        assert np.isfinite(estimates[[0, 2]]).all()
+        with pytest.raises(DegenerateBeliefError, match="compliance update"):
+            run_filter(measurements, config, np.random.default_rng(8),
+                       evaluate=evaluate, tau=1.0)
+
+    def test_live_arms_share_one_evaluate_call_per_step(self):
+        measurements, config, field_eval = _arms_world(4, "random")
+        calls = []
+
+        def evaluate(p, z):
+            calls.append(len(p))
+            return field_eval(p, z)
+
+        taus = (0.0, 0.3, 1.0)
+        filter_arms(measurements, config, [np.random.default_rng(1) for _ in taus],
+                    taus, evaluate=evaluate)
+        assert calls == [2 * config.particles] * (len(measurements) - 1)
+
+    def test_log_gives_the_run_filter_records(self):
+        measurements, config, evaluate = _arms_world(6, "nan")
+        _, records = run_filter(measurements, config, np.random.default_rng(2),
+                                evaluate=evaluate, tau=0.7, t0=100.0)
+        _, _, logged = filter_arms(measurements, config, [np.random.default_rng(2)], [0.7],
+                                   evaluate=evaluate, t0=100.0, log=True)
+        assert logged == records
+        assert [r.t for r in records] == [100.0 + step for step in range(1, 8)]
+
+    @pytest.mark.parametrize("taus", [(0.0, -0.1), (1.5,), (float("nan"),)])
+    def test_tau_outside_unit_interval_rejected(self, taus):
+        measurements, config, evaluate = _arms_world(0, "random")
+        with pytest.raises(ConfigurationError, match="tau must lie in"):
+            filter_arms(measurements, config,
+                        [np.random.default_rng(0) for _ in taus], taus, evaluate=evaluate)
+
+    def test_each_arm_needs_its_own_generator(self):
+        measurements, config, _ = _arms_world(0, "random")
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match="generator"):
+            filter_arms(measurements, config, [rng, rng], (0.0, 0.5))
+        with pytest.raises(ConfigurationError, match="generator"):
+            filter_arms(measurements, config, [rng], (0.0, 0.5))
