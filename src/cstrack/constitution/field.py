@@ -13,13 +13,13 @@ particlefilter.update_constitution alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import jsonio
 from ..errors import ConfigurationError, FormatError
-from ..grids import GridSpec, bilinear, clamp_to_bbox, write_pgm
+from ..grids import GridSpec, bilinear_clamped, write_pgm
 from ..starmap import StaRMapLayer
 from .environment import ConstitutionEvaluator
 from .terms import Program
@@ -31,6 +31,7 @@ class ConstitutionField:
 
     grid: GridSpec
     values: np.ndarray  # (rows, cols)
+    _masked: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.values.shape != (self.grid.rows, self.grid.cols):
@@ -39,10 +40,14 @@ class ConstitutionField:
                 f"{self.grid.rows}x{self.grid.cols}"
             )
         self.values.setflags(write=False)
+        # Lookups need zero-weight masks only if some cell is NaN, infinite
+        # or carries a sign bit; the values never change.
+        masked = not (np.isfinite(self.values) & ~np.signbit(self.values)).all()
+        object.__setattr__(self, "_masked", bool(masked))
 
     def at_clamped(self, points) -> np.ndarray:
         """Bilinear interpolation with points clamped into the bbox."""
-        return bilinear(self.grid, self.values, clamp_to_bbox(points, self.grid.bbox))
+        return bilinear_clamped(self.grid, self.values, points, self._masked)
 
     def particle_probabilities(self, positions, z) -> np.ndarray:
         """Per-particle compliance (field mode); NaN where undefined.

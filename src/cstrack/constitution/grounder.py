@@ -227,7 +227,7 @@ class _Builder:
 
 
 def ground(program: Program) -> GroundProgram:
-    """Ground a program and compile it for enumeration-based inference.
+    """Ground a program into the propositional form that inference compiles to a BDD.
 
     The program's query must be ground; only clauses backward-reachable
     from it are kept.

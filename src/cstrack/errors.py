@@ -36,7 +36,7 @@ class GroundingError(CstrackError):
 
 
 class CapacityError(CstrackError):
-    """Too many probabilistic ground atoms for exhaustive enumeration."""
+    """The ground query's BDD exceeds the compiler's node limit or recursion depth."""
 
 
 class NoDepthDataError(CstrackError):

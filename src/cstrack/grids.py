@@ -80,6 +80,41 @@ def _fractional_index(coords: np.ndarray, lo: float, hi: float, n: int) -> np.nd
     return u
 
 
+def _blend(grid: GridSpec, flat: np.ndarray, pts: np.ndarray, clip: bool,
+           masked: bool) -> np.ndarray:
+    """The four corner values of each point's cell times their weights
+    (v * gy * gx), summed corner by corner. clip=False needs points in the
+    bbox, whose fractional indices lie in the raster already. masked drops
+    the corners at weight 0: NaN * 0 would be NaN."""
+    xmin, ymin, xmax, ymax = grid.bbox
+    rows, cols = grid.rows, grid.cols
+    fx = _fractional_index(pts[:, 0], xmin, xmax, cols)
+    fy = _fractional_index(pts[:, 1], ymin, ymax, rows)
+    if clip:
+        fx = np.clip(fx, 0.0, cols - 1.0)
+        fy = np.clip(fy, 0.0, rows - 1.0)
+    # Offsets fx, fy within the cell, in place; k is the flat row-major
+    # index of the cell's lower-left node.
+    j0 = np.clip(fx.astype(int), 0, cols - 2)
+    k = np.clip(fy.astype(int), 0, rows - 2)
+    fx -= j0
+    fy -= k
+    k *= cols
+    k += j0
+    gx, gy = 1.0 - fx, 1.0 - fy
+    out = None
+    for node, wy, wx in ((k, gy, gx), (k + 1, gy, fx), (k + cols, fy, gx),
+                         (k + cols + 1, fy, fx)):
+        term = flat.take(node) * wy * wx
+        if masked:
+            term = np.where((wy != 0) & (wx != 0), term, 0.0)
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
+
+
 def bilinear(grid: GridSpec, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of a (rows, cols) value raster at query points.
 
@@ -94,34 +129,21 @@ def bilinear(grid: GridSpec, values: np.ndarray, points: np.ndarray) -> np.ndarr
             f"raster shape {values.shape} does not match grid {grid.rows}x{grid.cols}"
         )
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    inside = grid.contains(pts)
-
-    xmin, ymin, xmax, ymax = grid.bbox
-    rows, cols = grid.rows, grid.cols
-    # Fractional node indices, clipped into the raster, become the offsets
-    # fx, fy within the cell, in place.
-    fx = np.clip(_fractional_index(pts[:, 0], xmin, xmax, cols), 0.0, cols - 1.0)
-    fy = np.clip(_fractional_index(pts[:, 1], ymin, ymax, rows), 0.0, rows - 1.0)
-    j0 = np.clip(np.floor(fx).astype(int), 0, cols - 2)
-    k = np.clip(np.floor(fy).astype(int), 0, rows - 2)
-    fx -= j0
-    fy -= k
-    gx = 1.0 - fx
-    gy = 1.0 - fy
-    # k: flat row-major index of the cell's lower-left node; the other
-    # three are at +1, +cols and +cols+1.
-    k *= cols
-    k += j0
-    flat = values.ravel()
-    # A node at weight 0 is dropped from the blend: NaN * 0 would be NaN.
-    x0, x1, y0, y1 = gx != 0, fx != 0, gy != 0, fy != 0
-    out = np.where(y0 & x0, flat.take(k) * gy * gx, 0.0)
-    out += np.where(y0 & x1, flat.take(k + 1) * gy * fx, 0.0)
-    k += cols
-    out += np.where(y1 & x0, flat.take(k) * fy * gx, 0.0)
-    out += np.where(y1 & x1, flat.take(k + 1) * fy * fx, 0.0)
-    out[~inside] = np.nan
+    out = _blend(grid, values.ravel(), pts, clip=True, masked=True)
+    out[~grid.contains(pts)] = np.nan
     return out
+
+
+def bilinear_clamped(grid: GridSpec, values: np.ndarray, points,
+                     masked: bool) -> np.ndarray:
+    """bilinear(grid, values, clamp_to_bbox(points, grid.bbox)), bit for bit,
+    without the bbox test and the clipping (a NaN point stays NaN through
+    the arithmetic). masked=False also skips the zero-weight masks: exact if
+    every cell is finite with a clear sign bit, so that a corner at weight 0
+    adds +0.0."""
+    pts = clamp_to_bbox(points, grid.bbox)
+    return _blend(grid, np.asarray(values, dtype=float).ravel(), pts, clip=False,
+                  masked=masked)
 
 
 def clamp_to_bbox(points, bbox) -> np.ndarray:

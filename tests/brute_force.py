@@ -1,13 +1,17 @@
-"""Brute-force references for the map relations and the variant sampler.
+"""Brute-force references for the map relations, the variant sampler and
+the query's model count.
 
 Each one does the whole computation the plain way: depth ranks every
 sounding for every point, the over test checks every ring edge for every
-point, and the sampler factors the translation covariance on every draw.
-The evaluators in cstrack prune or cache that work; tests compare them
-with these references bit for bit.
+point, the sampler factors the translation covariance on every draw, and
+the model count evaluates the ground program under every assignment.
+The evaluators in cstrack prune, cache or compile that work; tests
+compare them with these references exactly.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -75,3 +79,18 @@ def vertex_variants(vmap, perturbations, n: int, seed: int) -> np.ndarray:
             mine = vmap.feature_of_vertex == fid
             out[k, mine] = vmap.vertices[mine] @ phi.T + t
     return out
+
+
+def satisfying_count(gp) -> int:
+    """Assignments of a ground program's probabilistic atoms whose unique
+    model makes its query true, by evaluating the rules under each one."""
+    count = 0
+    for bits in itertools.product((False, True), repeat=gp.n_probabilistic):
+        true = {atom for atom, bit in zip(gp.fact_atoms, bits) if bit}
+        for atom in gp.topo_order:
+            if any(rule.head == atom
+                   and all((abs(code) - 1 in true) == (code > 0) for code in rule.body)
+                   for rule in gp.rules):
+                true.add(atom)
+        count += gp.query in true
+    return count

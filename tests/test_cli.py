@@ -217,6 +217,35 @@ class TestField:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("command", ["field", "track"])
+    def test_verbose_logs_the_compiled_query(self, paths, tmp_path, caplog, capsys, command):
+        starmap = build_starmap(paths, tmp_path)
+        common = ["--constitution", paths["constitution"], "--starmap", starmap]
+        if command == "track":
+            common += ["--tracks", ingest(paths, tmp_path), "--mode", "direct",
+                       "--particles", 50, "--seed", 9]
+
+        def run(tag, *flags):
+            outs = ([tmp_path / f"{tag}.json"] if command == "field" else
+                    [tmp_path / f"{tag}.jsonl", tmp_path / f"{tag}.json"])
+            names = ["--out"] if command == "field" else ["--out-logs", "--out-summary"]
+            argv = [a for pair in zip(names, outs) for a in pair]
+            assert run_cli(command, *common, *argv, *flags) == 0
+            return [out.read_bytes() for out in outs], capsys.readouterr().out
+
+        capsys.readouterr()
+        quiet = run("quiet")
+        caplog.set_level(logging.INFO, logger="cstrack")
+        loud = run("loud", "-v")
+        lines = [r.getMessage() for r in caplog.records if r.name == "cstrack.constitution"]
+        # over(x, corridor) or the 0.02 leak: two facts, two nodes, three
+        # of the four assignments.
+        assert [line.rsplit(", ", 1)[0] for line in lines] == [
+            "compiled query: k=2, 2 BDD nodes, 3 satisfying assignments"]
+        assert lines[0].endswith(" ms")
+        assert quiet[0] == loud[0]
+        assert quiet[1].split(" in ")[0] == loud[1].split(" in ")[0]
+
 
 class TestTrack:
     def test_tau_zero_equals_no_constitution_bitwise(self, paths, tmp_path):

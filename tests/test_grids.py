@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cstrack.grids import GridSpec, bilinear, clamp_to_bbox
+from cstrack.constitution import ConstitutionField
+from cstrack.grids import GridSpec, bilinear, bilinear_clamped, clamp_to_bbox
 
 
 def oracle_bilinear(grid, values, points):
@@ -78,6 +79,32 @@ def test_bilinear_and_clamp_give_the_oracle_bits(case):
     assert np.array_equal(clamped, oracle_clamp(pts, grid.bbox), equal_nan=True)
     assert np.array_equal(bilinear(grid, values, clamped),
                           oracle_bilinear(grid, values, clamped), equal_nan=True)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf points
+@settings(deadline=None, max_examples=200)
+@given(grid_case(), st.sampled_from(["as drawn", "probabilities", "with NaN", "signed zero"]))
+def test_field_lookup_is_bilinear_of_the_clamped_points(case, raster):
+    # at_clamped skips the bbox test, the clipping and, on a raster of
+    # finite cells with clear sign bits, the zero-weight masks.
+    grid, values, pts = case
+    rng = np.random.default_rng(values.size)
+    if raster != "as drawn":
+        values = rng.uniform(0.0, 1.0, size=values.shape)
+        values[rng.uniform(size=values.shape) < 0.3] = 0.0
+    if raster == "with NaN":
+        values[rng.integers(grid.rows), rng.integers(grid.cols)] = np.nan
+    if raster == "signed zero":
+        values[rng.integers(grid.rows), rng.integers(grid.cols)] = -0.0
+    field = ConstitutionField(grid, values)
+    for points in (pts, pts[23:], pts[:20]):  # with and without NaN points
+        expect = bilinear(grid, values, clamp_to_bbox(points, grid.bbox))
+        assert same_bits(field.at_clamped(points), expect)
+        assert same_bits(bilinear_clamped(grid, values, points, masked=True), expect)
 
 
 def test_one_point_clamps_to_one_row():

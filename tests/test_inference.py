@@ -14,9 +14,9 @@ from cstrack.constitution import (
     ground,
     parse,
 )
-from cstrack.constitution.inference import DEFAULT_ATOM_LIMIT
 from cstrack.errors import CapacityError
 
+from brute_force import satisfying_count
 from reference_binding import exact_probability, static_params
 from wmc_oracle import oracle_probability, random_program
 
@@ -123,14 +123,44 @@ class TestComparisonQueries:
 
 class TestInvariants:
     def test_capacity_error(self):
-        # 25 independent facts exceed DEFAULT_ATOM_LIMIT = 24; the check
-        # runs before enumeration, so the test stays fast.
-        text = "\n".join(f"0.5 :: a{i}." for i in range(25))
-        text += "\nq :- " + ", ".join(f"a{i}" for i in range(25)) + "."
+        # q :- a_i, b_i with every a before every b: under the fact order
+        # the BDD must remember which a_i hold before it reads any b_i, so
+        # it has about 2**n nodes. At n = 20 that exceeds the node limit,
+        # which is checked as nodes are made, so the test stays fast.
+        n = 20
+        text = "\n".join(f"0.5 :: a{i}." for i in range(n))
+        text += "\n" + "\n".join(f"0.5 :: b{i}." for i in range(n))
+        text += "\n" + "\n".join(f"q :- a{i}, b{i}." for i in range(n))
         gp = ground_text(text, "q")
-        assert gp.n_probabilistic == DEFAULT_ATOM_LIMIT + 1
+        assert gp.n_probabilistic == 2 * n
         with pytest.raises(CapacityError):
             CompiledQuery(gp)
+
+    def test_too_deep_a_diagram_is_a_capacity_error(self):
+        # Negating a 1500-fact conjunction recurses once per variable,
+        # beyond the interpreter's recursion limit; that is a capacity
+        # error (exit 2), not an internal one.
+        n = 1500
+        text = "\n".join(f"0.5 :: a{i}." for i in range(n))
+        text += "\np :- " + ", ".join(f"a{i}" for i in reversed(range(n))) + "."
+        text += "\nq :- \\+ p."
+        with pytest.raises(CapacityError, match="too deep"):
+            CompiledQuery(ground_text(text, "q"))
+
+    @pytest.mark.parametrize("k", [24, 30])
+    def test_long_chain_compiles_linearly(self, k):
+        # q :- a_i for each i: one node per fact, beyond what enumeration
+        # over 2**k assignments could reach.
+        probs = np.random.default_rng(k).uniform(0.05, 0.95, size=k)
+        text = "\n".join(f"{float(p)!r} :: a{i}." for i, p in enumerate(probs))
+        text += "\n" + "\n".join(f"q :- a{i}." for i in range(k))
+        compiled = CompiledQuery(ground_text(text, "q"))
+        assert (compiled.k, compiled.size, compiled.n_satisfying) == (k, k, 2**k - 1)
+        rows = np.random.default_rng(k + 1).uniform(0.0, 1.0, size=(50, k))
+        rows[0] = probs
+        np.testing.assert_allclose(
+            compiled.evaluate(rows), 1.0 - np.prod(1.0 - rows, axis=1), rtol=0, atol=1e-12
+        )
 
     def test_total_mass_is_one(self):
         # nq :- \+ q. splits every model between q and nq, so the two
@@ -237,6 +267,52 @@ class TestAgainstGenerativeMonteCarlo:
         mc = goal.mean()
         se = math.sqrt(mc * (1 - mc) / n)
         assert abs(engine - mc) < 4 * se
+
+
+# Programs the random generator does not produce: a query that is a fact,
+# an underivable query and a tautology, with their exact probabilities.
+EDGE_PROGRAMS = [
+    ("0.3 :: a. 0.6 :: b. q :- b.", "a", 0.3),
+    (r"0.3 :: a. 0.6 :: b. q :- a, \+ a. q :- b, ghost.", "q", 0.0),
+    (r"0.3 :: a. 0.6 :: b. q :- a. q :- \+ a, b. q :- \+ a, \+ b.", "q", 1.0),
+]
+
+
+class TestCircuitProperties:
+    """The compiled circuit against enumeration, on random and edge programs."""
+
+    @staticmethod
+    def check(gp, expected):
+        compiled = CompiledQuery(gp)
+        value = compiled.evaluate(static_params(gp)[None, :])[0]
+        assert value == pytest.approx(expected, abs=1e-12)
+        assert compiled.n_satisfying == satisfying_count(gp)
+        assert 0 <= compiled.size <= 2**gp.n_probabilistic
+        rows = np.random.default_rng(compiled.size).uniform(0.0, 1.0, size=(9, gp.n_probabilistic))
+        rows[0] = 0.0
+        rows[1] = 1.0
+        batched = compiled.evaluate(rows)
+        for i in range(len(rows)):
+            assert compiled.evaluate(rows[i : i + 1])[0] == batched[i]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_program(self, seed):
+        program, op = random_program(np.random.default_rng(seed), max_facts=6, max_rules=8)
+        self.check(ground(program), oracle_probability(op))
+
+    @pytest.mark.parametrize("text,query,expected", EDGE_PROGRAMS)
+    def test_edge_program(self, text, query, expected):
+        self.check(ground_text(text, query), expected)
+
+    def test_constant_queries_are_terminals(self):
+        for text, query, expected in EDGE_PROGRAMS[1:]:
+            compiled = CompiledQuery(ground_text(text, query))
+            assert compiled.size == 0
+            assert compiled.n_satisfying == int(expected) * 2**compiled.k
+            np.testing.assert_array_equal(
+                compiled.evaluate(np.full((3, compiled.k), 0.5)), [expected] * 3
+            )
 
 
 class TestCompiledQuery:
