@@ -214,6 +214,8 @@ def cmd_field(args) -> int:
     finite = f.values[np.isfinite(f.values)]
     if finite.size and ((finite < 0).any() or (finite > 1).any()):
         raise AssertionError("field values escaped [0, 1]")
+    log.info("field %dx%d: NaN fraction %.4f", grid.rows, grid.cols,
+             float(np.isnan(f.values).mean()))
     f.save(args.out)
     if args.pgm:
         f.write_pgm(args.pgm)
@@ -300,6 +302,8 @@ def cmd_calibrate(args) -> int:
         default_tau=args.default_tau,
     )
     elapsed = time.perf_counter() - started
+    log.info("calibrate: %d of %d tracks skipped (degenerate under some tau)",
+             sum(b.skipped_tracks for b in report.buckets), len(tracks))
     table.save(args.out_table)
     report.save(args.out_report)
     if args.out_hist:

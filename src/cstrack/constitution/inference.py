@@ -84,6 +84,16 @@ class _Diagram:
                 v, self.apply(conj, ulo, wlo), self.apply(conj, uhi, whi))
         return self.memo[key]
 
+    def fold(self, conj: bool, operands: list[int]) -> int:
+        """AND of the operands if conj, else OR, folded highest top
+        variable first: each step then adds nodes above the diagram built
+        so far instead of rebuilding it, so a chain of k operands makes
+        about k nodes rather than k**2 / 2."""
+        acc = int(conj)
+        for u in sorted(operands, key=self.var.__getitem__, reverse=True):
+            acc = self.apply(conj, acc, u)
+        return acc
+
 
 class CompiledQuery:
     """BDD of a ground query, reusable across parameters.
@@ -105,14 +115,14 @@ class CompiledQuery:
             rules_by_head.setdefault(rule.head, []).append(rule)
         try:
             for atom in gp.topo_order:
-                disj = 0
+                bodies = []
                 for rule in rules_by_head[atom]:
-                    conj = 1
+                    lits = []
                     for code in rule.body:
                         lit = f.get(abs(code) - 1, 0)  # undefined atoms are false
-                        conj = bdd.apply(True, conj, bdd.negate(lit) if code < 0 else lit)
-                    disj = bdd.apply(False, disj, conj)
-                f[atom] = disj
+                        lits.append(bdd.negate(lit) if code < 0 else lit)
+                    bodies.append(bdd.fold(True, lits))
+                f[atom] = bdd.fold(False, bodies)
         except RecursionError:  # the recursion goes one level per variable
             raise CapacityError(f"the ground query's BDD over {self.k} variables is "
                                 "too deep to compile") from None

@@ -16,16 +16,27 @@ Three relations are supported:
   depth of the first exact candidate in that order. A non-finite point
   has depth NaN.
 
-All evaluators are vectorized over query points and accept an optional
-replacement vertex array so randomized map variants can be evaluated
-without rebuilding map structure. Depth finds its candidates with a k-d
-tree built per call (Bentley, CACM 1975); over tests ring boundaries only
-for points inside the ring's bbox grown by a margin.
+`eval_relation_many` evaluates one relation at many points on the map's
+own vertices, on one replacement vertex array (V, 2), or on a whole stack
+of randomized map variants (n, V, 2) at once; the tagged map structure is
+found once per call. Over and distance take blocks of variants one segment
+or ring edge at a time, and test a ring only at points inside the union of
+its bboxes over the stack, grown by a margin.
+
+Depth ranks each point's soundings over one candidate set per call that is
+exact for every variant of the stack. Let ref_j be the mean position of
+sounding j over the stack and b_j its largest displacement from ref_j. In
+every variant the k soundings nearest x in the reference lie within U(x),
+the largest |x - ref_j| + b_j among them, so a sounding with
+|x - ref_j| - b_j > U(x) is strictly farther than the k-th nearest and never
+ranks. One k-d tree over the reference positions (Bentley, CACM 1975)
+finds the candidates.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -39,12 +50,13 @@ _IDW_NEIGHBORS = 4
 # are neither inside nor within _BOUNDARY_EPS of an edge. Generously above
 # both _BOUNDARY_EPS and the rounding of the crossing abscissa.
 _BBOX_MARGIN = 1e-6
-# Candidates whose k-th and (k+1)-th squared distances lie within this
-# relative gap are re-ranked against every sounding.
-_TIE_RTOL = 1e-9
+# The depth candidate filter widens U(x) by this much of (U(x) + the
+# coordinate scale + 1 m), far above the rounding of the distances it
+# compares and of their squares' underflow. The slack only adds candidates.
+_CANDIDATE_SLACK = 1e-9
 
-# Cap on the size of broadcast (points x segments or soundings) blocks.
-_CHUNK_CELLS = 4_000_000
+# Cap on the cells of one (variants x points [x candidates]) block.
+_BLOCK_CELLS = 32_768
 
 
 class RelationKind(str, enum.Enum):
@@ -70,167 +82,183 @@ def _tagged_structure(vmap: VectorMap, tag: str):
         [(a, b) for a, b in vmap.edges if vmap.feature_of_vertex[a] in fids],
         dtype=int,
     ).reshape(-1, 2)
-    rings = [r for r in vmap.rings if vmap.feature_of_vertex[r[0]] in fids]
+    rings = [list(r) for r in vmap.rings if vmap.feature_of_vertex[r[0]] in fids]
     return vert_idx, edge_idx, rings
 
 
-def _segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Min distance from each point to any of the segments, chunked."""
-    n_pts = len(points)
-    n_seg = len(starts)
-    if n_seg == 0:
-        return np.full(n_pts, np.inf)
-    out = np.full(n_pts, np.inf)
-    step = max(1, _CHUNK_CELLS // max(n_seg, 1))
-    d = ends - starts  # (S, 2)
-    seg_len2 = np.einsum("ij,ij->i", d, d)
-    safe_len2 = np.where(seg_len2 > 0, seg_len2, 1.0)
-    for lo in range(0, n_pts, step):
-        p = points[lo : lo + step]  # (C, 2)
-        rel = p[:, None, :] - starts[None, :, :]  # (C, S, 2)
-        t = np.einsum("csj,sj->cs", rel, d) / safe_len2
-        t = np.clip(t, 0.0, 1.0)
-        closest = starts[None, :, :] + t[:, :, None] * d[None, :, :]
-        diff = p[:, None, :] - closest
-        dist2 = np.einsum("csj,csj->cs", diff, diff)
-        out[lo : lo + step] = np.sqrt(dist2.min(axis=1))
-    return out
+def _blocks(n: int, cells_per_variant: int):
+    """Slices of the variant axis holding about _BLOCK_CELLS cells each."""
+    step = max(1, _BLOCK_CELLS // max(cells_per_variant, 1))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def _segment_distances(points: np.ndarray, starts: np.ndarray,
+                       ends: np.ndarray) -> np.ndarray:
+    """(B, P) min distance from each point to any of each variant's
+    segments, given as (B, S, 2) starts and ends; one segment at a time."""
+    px, py = points[:, 0], points[:, 1]
+    best = np.full((starts.shape[0], len(points)), np.inf)
+    for s in range(starts.shape[1]):
+        sx, sy = starts[:, s, 0, None], starts[:, s, 1, None]
+        dx, dy = ends[:, s, 0, None] - sx, ends[:, s, 1, None] - sy
+        len2 = dx * dx + dy * dy
+        t = ((px - sx) * dx + (py - sy) * dy) / np.where(len2 > 0, len2, 1.0)
+        np.clip(t, 0.0, 1.0, out=t)
+        gx = px - (sx + t * dx)
+        gy = py - (sy + t * dy)
+        np.minimum(best, gx * gx + gy * gy, out=best)
+    return np.sqrt(best)
 
 
 def _inside_ring(points: np.ndarray, ring_xy: np.ndarray) -> np.ndarray:
-    """Even-odd crossing test for one ring (boundary not handled here)."""
-    x = points[:, 0][:, None]
-    y = points[:, 1][:, None]
-    x1 = ring_xy[:, 0][None, :]
-    y1 = ring_xy[:, 1][None, :]
-    x2 = np.roll(ring_xy[:, 0], -1)[None, :]
-    y2 = np.roll(ring_xy[:, 1], -1)[None, :]
-    straddles = (y1 > y) != (y2 > y)
+    """(B, P) even-odd crossing test of each variant's ring (B, R, 2),
+    one edge at a time (boundary not handled here)."""
+    x, y = points[:, 0], points[:, 1]
+    inside = np.zeros((ring_xy.shape[0], len(points)), dtype=bool)
+    nxt = np.roll(ring_xy, -1, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x_cross = (x2 - x1) * (y - y1) / (y2 - y1) + x1
-    hits = straddles & (x < x_cross)
-    return hits.sum(axis=1) % 2 == 1
+        for e in range(ring_xy.shape[1]):
+            x1, y1 = ring_xy[:, e, 0, None], ring_xy[:, e, 1, None]
+            x2, y2 = nxt[:, e, 0, None], nxt[:, e, 1, None]
+            x_cross = (x2 - x1) * (y - y1) / (y2 - y1) + x1
+            inside ^= ((y1 > y) != (y2 > y)) & (x < x_cross)
+    return inside
 
 
-def eval_over_many(vmap: VectorMap, points: np.ndarray, tag: str,
-                   vertices: np.ndarray | None = None) -> np.ndarray:
-    verts = vmap.vertices if vertices is None else vertices
-    struct = _tagged_structure(vmap, tag)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if struct is None:
-        return np.zeros(len(points))
-    _, _, rings = struct
-    if not rings:
-        return np.zeros(len(points))
-    inside = np.zeros(len(points), dtype=bool)
+def _over(points: np.ndarray, stack: np.ndarray, rings) -> np.ndarray:
+    inside = np.zeros((len(stack), len(points)), dtype=bool)
     for ring in rings:
-        ring_xy = verts[list(ring)]
-        lo = ring_xy.min(axis=0) - _BBOX_MARGIN
-        hi = ring_xy.max(axis=0) + _BBOX_MARGIN
+        # Points outside every variant's grown bbox are neither inside nor
+        # on an edge in any of them.
+        ring_xy = stack[:, ring]
+        lo = ring_xy.min(axis=(0, 1)) - _BBOX_MARGIN
+        hi = ring_xy.max(axis=(0, 1)) + _BBOX_MARGIN
         near = np.flatnonzero(((points >= lo) & (points <= hi)).all(axis=1))
         p = points[near]
-        on_edge = _segment_distances(p, ring_xy, np.roll(ring_xy, -1, axis=0)) <= _BOUNDARY_EPS
-        inside[near] |= _inside_ring(p, ring_xy) | on_edge
+        for blk in _blocks(len(stack), len(near)):
+            gap = _segment_distances(p, ring_xy[blk], np.roll(ring_xy[blk], -1, axis=1))
+            inside[blk, near] |= _inside_ring(p, ring_xy[blk]) | (gap <= _BOUNDARY_EPS)
     return inside.astype(float)
 
 
-def eval_distance_many(vmap: VectorMap, points: np.ndarray, tag: str,
-                       vertices: np.ndarray | None = None) -> np.ndarray:
-    verts = vmap.vertices if vertices is None else vertices
-    struct = _tagged_structure(vmap, tag)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if struct is None:
-        return np.full(len(points), np.inf)
-    vert_idx, edge_idx, rings = struct
-    starts = verts[edge_idx[:, 0]] if len(edge_idx) else np.zeros((0, 2))
-    ends = verts[edge_idx[:, 1]] if len(edge_idx) else np.zeros((0, 2))
-    dist = _segment_distances(points, starts, ends)
-    # Isolated tagged vertices (and endpoints, redundantly) also count.
-    tagged = verts[vert_idx]
-    step = max(1, _CHUNK_CELLS // max(len(tagged), 1))
-    for lo in range(0, len(points), step):
-        p = points[lo : lo + step]
-        diff = p[:, None, :] - tagged[None, :, :]
-        d2 = np.einsum("cvj,cvj->cv", diff, diff)
-        dist[lo : lo + step] = np.minimum(dist[lo : lo + step], np.sqrt(d2.min(axis=1)))
+def _distance(points: np.ndarray, stack: np.ndarray, vert_idx, edge_idx, rings) -> np.ndarray:
+    # Tagged vertices (isolated ones, and endpoints redundantly) count as
+    # zero-length segments.
+    start_idx = np.concatenate([edge_idx[:, 0], vert_idx])
+    end_idx = np.concatenate([edge_idx[:, 1], vert_idx])
+    out = np.empty((len(stack), len(points)))
+    for blk in _blocks(len(stack), len(points)):
+        out[blk] = _segment_distances(points, stack[blk][:, start_idx], stack[blk][:, end_idx])
     if rings:
-        inside = eval_over_many(vmap, points, tag, vertices=vertices) > 0
-        dist = np.where(inside, 0.0, dist)
-    return dist
-
-
-def _ranked(points: np.ndarray, soundings: np.ndarray,
-            idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of candidate indices ordered by (squared distance, index),
-    with the squared distances in the same order."""
-    diff = points[:, None, :] - soundings[idx]
-    d2 = np.einsum("cvj,cvj->cv", diff, diff)
-    order = np.lexsort((idx, d2))
-    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(d2, order, axis=1)
-
-
-def _nearest_soundings(points: np.ndarray, soundings: np.ndarray,
-                       k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and squared distances of the k nearest soundings per point,
-    ranked by (squared distance, index).
-
-    The k-d tree proposes k + 1 candidates. A row whose k-th and (k+1)-th
-    candidates tie, or nearly tie so that the tree's rounding could rank
-    them apart from ours, is ranked against every sounding instead.
-    """
-    n = len(soundings)
-    m = min(k + 1, n)
-    _, idx = cKDTree(soundings).query(points, k=m)
-    idx, d2 = _ranked(points, soundings, idx.reshape(len(points), m))
-    if m < n:
-        tied = np.flatnonzero(d2[:, k] - d2[:, k - 1] <= _TIE_RTOL * d2[:, k])
-        step = max(1, _CHUNK_CELLS // n)
-        for lo in range(0, len(tied), step):
-            rows = tied[lo : lo + step]
-            every = np.broadcast_to(np.arange(n), (len(rows), n))
-            full_idx, full_d2 = _ranked(points[rows], soundings, every)
-            idx[rows], d2[rows] = full_idx[:, :m], full_d2[:, :m]
-    return idx[:, :k], d2[:, :k]
-
-
-def eval_depth_many(vmap: VectorMap, points: np.ndarray, tag: str,
-                    vertices: np.ndarray | None = None) -> np.ndarray:
-    verts = vmap.vertices if vertices is None else vertices
-    struct = _tagged_structure(vmap, tag)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if struct is None:
-        raise NoDepthDataError(f"no feature carries tag {tag!r}")
-    vert_idx = struct[0]
-    has_depth = vert_idx[np.isfinite(vmap.depth_of_vertex[vert_idx])]
-    if len(has_depth) == 0:
-        raise NoDepthDataError(f"no depth soundings on features tagged {tag!r}")
-    soundings = verts[has_depth]
-    values = vmap.depth_of_vertex[has_depth]
-    k = min(_IDW_NEIGHBORS, len(has_depth))
-    out = np.full(len(points), np.nan)
-    finite = np.isfinite(points).all(axis=1)
-    nearest, nd2 = _nearest_soundings(points[finite], soundings, k)
-    nval = values[nearest]
-    exact = nd2 <= _BOUNDARY_EPS**2
-    hit = exact.any(axis=1)
-    # IDW with power 2; exact hits short-circuit to the node value.
-    w = np.where(exact, 0.0, 1.0 / np.where(exact, 1.0, nd2))
-    denom = w.sum(axis=1)
-    idw = (w * nval).sum(axis=1) / np.where(denom > 0, denom, 1.0)
-    first_exact = np.argmax(exact, axis=1)
-    node_val = nval[np.arange(len(nval)), first_exact]
-    out[finite] = np.where(hit, node_val, idw)
+        out[_over(points, stack, rings) > 0] = 0.0
     return out
 
 
-_EVALUATORS = {
-    RelationKind.OVER: eval_over_many,
-    RelationKind.DISTANCE: eval_distance_many,
-    RelationKind.DEPTH: eval_depth_many,
-}
+def _idw(nd2: np.ndarray, nval: np.ndarray) -> np.ndarray:
+    """IDW with power 2 over the last axis, ranked nearest first; exact
+    hits short-circuit to the first exact node's value."""
+    exact = nd2 <= _BOUNDARY_EPS**2
+    w = np.where(exact, 0.0, 1.0 / np.where(exact, 1.0, nd2))
+    denom = w.sum(axis=-1)
+    out = (w * nval).sum(axis=-1) / np.where(denom > 0, denom, 1.0)
+    hit = exact.any(axis=-1)
+    if hit.any():
+        first = np.argmax(exact[hit], axis=-1)
+        out[hit] = nval[hit][np.arange(len(first)), first]
+    return out
+
+
+def _depth_candidates(points: np.ndarray, soundings: np.ndarray, k: int):
+    """Candidate soundings per point: a superset of the k nearest in every
+    variant of the (n, m, 2) stack. Returns one (sel, cand) group per
+    candidate count c: the indices of the points with c candidates and
+    their (len(sel), c) candidates, index-sorted along each row."""
+    ref = soundings.mean(axis=0)
+    b = np.sqrt(((soundings - ref) ** 2).sum(axis=-1)).max(axis=0)
+    tree = cKDTree(ref)
+    d_k, i_k = tree.query(points, k=k)
+    upper = (d_k.reshape(len(points), k) + b[i_k.reshape(len(points), k)]).max(axis=1)
+    scale = max(np.abs(points).max(initial=0.0), np.abs(soundings).max())
+    slack = _CANDIDATE_SLACK * (upper + scale + 1.0)
+    upper += slack
+    # The ball holds every sounding the filter below keeps, with room for
+    # the tree's own rounding.
+    found = tree.query_ball_point(points, upper + b.max() + slack, return_sorted=True)
+    counts = np.fromiter(map(len, found), dtype=int, count=len(found))
+    flat = np.fromiter(itertools.chain.from_iterable(found), dtype=int, count=counts.sum())
+    rows = np.repeat(np.arange(len(points)), counts)
+    gap = points[rows] - ref[flat]
+    keep = np.hypot(gap[:, 0], gap[:, 1]) - b[flat] <= upper[rows]
+    rows, flat = rows[keep], flat[keep]
+    counts = np.bincount(rows, minlength=len(points))
+    flat = flat[np.argsort(counts[rows], kind="stable")]
+    groups, lo = [], 0
+    for c in np.unique(counts):
+        sel = np.flatnonzero(counts == c)
+        groups.append((sel, flat[lo : lo + len(sel) * c].reshape(len(sel), c)))
+        lo += len(sel) * c
+    return groups
+
+
+def _depth(vmap: VectorMap, points: np.ndarray, tag: str, vert_idx, stack: np.ndarray,
+           stats: dict | None) -> np.ndarray:
+    has_depth = vert_idx[np.isfinite(vmap.depth_of_vertex[vert_idx])]
+    if len(has_depth) == 0:
+        raise NoDepthDataError(f"no depth soundings on features tagged {tag!r}")
+    values = vmap.depth_of_vertex[has_depth]
+    k = min(_IDW_NEIGHBORS, len(has_depth))
+    out = np.full((len(stack), len(points)), np.nan)
+    finite = np.flatnonzero(np.isfinite(points).all(axis=1))
+    if len(finite) == 0:
+        return out
+    soundings = stack[:, has_depth]
+    sx, sy = soundings[..., 0], soundings[..., 1]
+    groups = _depth_candidates(points[finite], soundings, k)
+    if stats is not None:
+        sizes = np.concatenate([np.full(len(sel), cand.shape[1]) for sel, cand in groups])
+        stats["candidates_mean"] = float(sizes.mean())
+        stats["candidates_max"] = int(sizes.max())
+    for sel, cand in groups:
+        rows = finite[sel]
+        px, py = points[rows, 0, None], points[rows, 1, None]
+        # Flat offsets of each (point, candidate) row.
+        row_base = np.arange(cand.size, step=cand.shape[1])[:, None]
+        for blk in _blocks(len(stack), cand.size):
+            d2 = np.subtract(px, sx[blk][:, cand])
+            d2 *= d2
+            dy = np.subtract(py, sy[blk][:, cand])
+            dy *= dy
+            d2 += dy
+            # Candidates are index-sorted, so a stable sort ranks by
+            # (squared distance, index).
+            order = np.argsort(d2, axis=-1, kind="stable")[..., :k] + row_base
+            nd2 = d2.reshape(len(d2), -1)[np.arange(len(d2))[:, None, None], order]
+            out[blk, rows] = _idw(nd2, values[cand.ravel()[order]])
+    return out
 
 
 def eval_relation_many(vmap: VectorMap, rel: RelationKind, points: np.ndarray,
-                       tag: str, vertices: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate a relation at many points, optionally on variant vertices."""
-    return _EVALUATORS[RelationKind(rel)](vmap, points, tag, vertices=vertices)
+                       tag: str, vertices: np.ndarray | None = None,
+                       stats: dict | None = None) -> np.ndarray:
+    """Evaluate a relation at many points, (P,) on the map's vertices or on
+    one variant's (V, 2) vertices, (n, P) on a stack of n variants.
+
+    A dict passed as `stats` receives the depth candidate counts per point
+    (`candidates_mean`, `candidates_max`).
+    """
+    verts = vmap.vertices if vertices is None else np.asarray(vertices, dtype=float)
+    stack = verts.reshape((-1,) + verts.shape[-2:])
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    rel = RelationKind(rel)
+    struct = _tagged_structure(vmap, tag)
+    if struct is None and rel is RelationKind.DEPTH:
+        raise NoDepthDataError(f"no feature carries tag {tag!r}")
+    if struct is None:  # no tagged feature: never over one, infinitely far
+        out = np.full((len(stack), len(points)), 0.0 if rel is RelationKind.OVER else np.inf)
+    elif rel is RelationKind.OVER:
+        out = _over(points, stack, struct[2])
+    elif rel is RelationKind.DISTANCE:
+        out = _distance(points, stack, *struct)
+    else:
+        out = _depth(vmap, points, tag, struct[0], stack, stats)
+    return out if verts.ndim == 3 else out[0]

@@ -10,9 +10,13 @@ Cells whose relation evaluation fails (e.g. distance to a tag that is
 absent from the map) are flagged; flagged cells hold NaN and poison any
 interpolation that gives them a nonzero weight.
 
+Each layer takes one relation evaluation over the whole (n, V, 2) variant
+stack, which returns the (n, nodes) samples directly.
+
 build_starmap logs one INFO line per layer (relation:tag, wall time,
-flagged fraction); `cstrack build-starmap -v` shows them on stderr. The
-timings never reach the layers or the files written from them.
+flagged fraction, and for depth the mean and max candidate soundings per
+node); `cstrack build-starmap -v` shows them on stderr. The timings never
+reach the layers or the files written from them.
 """
 
 from __future__ import annotations
@@ -108,14 +112,12 @@ def build_starmap(
     for rel, tag in relations:
         started = time.perf_counter()
         rel = RelationKind(rel)
-        samples = np.empty((n, len(points)))
+        stats: dict = {}
         try:
-            for k in range(n):
-                samples[k] = eval_relation_many(
-                    vmap, rel, points, tag, vertices=variants[k]
-                )
+            samples = eval_relation_many(vmap, rel, points, tag, vertices=variants,
+                                         stats=stats)
         except NoDepthDataError:
-            samples[:] = np.nan  # whole layer flagged, build continues
+            samples = np.full((n, len(points)), np.nan)  # whole layer flagged
         mean, std = _moment_arrays(samples)
         layer = StaRMapLayer(
             relation=rel,
@@ -127,8 +129,10 @@ def build_starmap(
         )
         layer.validate()
         layers.append(layer)
-        log.info("layer %s:%s: %.3f s, flagged fraction %.4f", rel.value, tag,
-                 time.perf_counter() - started, float(layer.flagged.mean()))
+        extra = ("" if not stats else ", depth candidates per node mean %.2f max %d"
+                 % (stats["candidates_mean"], stats["candidates_max"]))
+        log.info("layer %s:%s: %.3f s, flagged fraction %.4f%s", rel.value, tag,
+                 time.perf_counter() - started, float(layer.flagged.mean()), extra)
     return layers
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from cstrack.cli import main
 from cstrack.constitution import ConstitutionEvaluator, parse, precompute_field
+from cstrack.demo import write_demo
 from cstrack.grids import GridSpec
 from cstrack.relations import RelationKind
 from cstrack.starmap import StaRMapLayer, load_starmap, save_starmap
@@ -161,6 +162,23 @@ class TestBuildStarmap:
         assert quiet.out.split(" in ")[0] == loud.out.split(" in ")[0] == (
             "built 2 layers (6x10, 8 samples)")
 
+    def test_verbose_depth_line_counts_candidates(self, tmp_path, caplog, capsys):
+        files = write_demo(tmp_path)
+        caplog.set_level(logging.INFO, logger="cstrack")
+        code = run_cli(
+            "build-starmap", "--map", files["map"], "--perturb", files["perturbations"],
+            "--relations", "depth:water", "--bbox=-2000,-2000,2000,2000",
+            "--rows", 9, "--cols", 9, "--samples", 4, "--out", tmp_path / "sm.json", "-v",
+        )
+        assert code == 0
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "cstrack.starmap"]
+        head, counts = line.split(", depth candidates per node mean ")
+        assert head.startswith("layer depth:water: ")
+        assert head.endswith("flagged fraction 0.0000")
+        mean, peak = counts.split(" max ")
+        # Never fewer than the 4 IDW neighbours, a handful on the demo map.
+        assert 4.0 <= float(mean) <= int(peak) <= 12
+
 
 class TestField:
     def test_constant_one_constitution(self, paths, tmp_path):
@@ -200,6 +218,14 @@ class TestField:
                        "--starmap", flagged_centre_starmap(tmp_path), "--out", out) == 0
         values = json.loads(out.read_text())["values"]
         assert values.count(None) == 1 and values[4] is None
+
+    def test_verbose_logs_the_nan_fraction(self, paths, tmp_path, caplog, capsys):
+        caplog.set_level(logging.INFO, logger="cstrack")
+        assert run_cli("field", "--constitution", paths["constitution"],
+                       "--starmap", flagged_centre_starmap(tmp_path),
+                       "--out", tmp_path / "field.json", "-v") == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "cstrack"]
+        assert "field 3x3: NaN fraction 0.1111" in lines
 
     def test_empty_starmap_is_user_error(self, paths, tmp_path, capsys):
         code = run_cli("field", "--constitution", paths["constitution"],
@@ -428,6 +454,22 @@ class TestCalibrate:
         report = json.loads(report_path.read_text())
         assert sum(report["histogram_by_track"].values()) == 1
         assert hist_path.read_text().startswith("tau,")
+
+    def test_verbose_logs_the_skipped_tracks(self, paths, tmp_path, caplog, capsys):
+        # Zero compliance everywhere: the tau = 1 arm degenerates, so the
+        # only track is skipped.
+        zero = tmp_path / "zero.cst"
+        zero.write_text(
+            "1.0 :: constitution(X, Z) :- over(X, corridor), \\+ over(X, corridor).\n")
+        caplog.set_level(logging.INFO, logger="cstrack")
+        code = run_cli("calibrate", "--tracks", ingest(paths, tmp_path),
+                       "--constitution", zero, "--starmap", build_starmap(paths, tmp_path),
+                       "--tau-grid", "0,1", "--particles", 50, "--seed", 2,
+                       "--out-table", tmp_path / "t.json",
+                       "--out-report", tmp_path / "r.json", "-v")
+        assert code == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "cstrack"]
+        assert "calibrate: 1 of 1 tracks skipped (degenerate under some tau)" in lines
 
     def test_empty_inputs_exit_2(self, paths, tmp_path):
         empty = tmp_path / "empty.json"

@@ -147,10 +147,12 @@ class TestInvariants:
         with pytest.raises(CapacityError, match="too deep"):
             CompiledQuery(ground_text(text, "q"))
 
-    @pytest.mark.parametrize("k", [24, 30])
+    @pytest.mark.parametrize("k", [24, 30, 900])
     def test_long_chain_compiles_linearly(self, k):
         # q :- a_i for each i: one node per fact, beyond what enumeration
-        # over 2**k assignments could reach.
+        # over 2**k assignments could reach. Folding the rules highest
+        # variable first keeps the compilation linear too: at k = 900 a
+        # lowest-first fold would make about k**2 / 2 nodes, over the limit.
         probs = np.random.default_rng(k).uniform(0.05, 0.95, size=k)
         text = "\n".join(f"{float(p)!r} :: a{i}." for i, p in enumerate(probs))
         text += "\n" + "\n".join(f"q :- a{i}." for i in range(k))

@@ -228,6 +228,64 @@ class TestDepthMatchesBruteForce:
         assert np.isnan(got[0]) and got[1] == 1.0
 
 
+def moved(rng, positions, kind):
+    """One map variant of the sounding positions."""
+    if kind == "lattice":  # exact moves: every tie of the base map stays a tie
+        out = positions * 2.0 ** rng.integers(-1, 2) + 10.0 * rng.integers(-3, 4, 2)
+        return out[:, ::-1] if rng.random() < 0.5 else out
+    if kind == "similarity":  # rotation and scale about the frame origin
+        turn, scale = rng.uniform(-0.3, 0.3), rng.uniform(0.7, 1.3)
+        rot = scale * np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+        return positions @ rot.T + rng.normal(0.0, 5.0, 2)
+    return positions + rng.normal(0.0, rng.uniform(0.0, 20.0), positions.shape)
+
+
+class TestStackedDepth:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        positions=st.one_of(
+            st.lists(st.one_of(lattice, free_point), min_size=1, max_size=4),
+            st.lists(st.one_of(lattice, free_point), min_size=5, max_size=30),
+        ),
+        kinds=st.lists(st.sampled_from(["lattice", "similarity", "jitter"]),
+                       min_size=1, max_size=5),
+        queries=st.lists(
+            st.one_of(
+                lattice,
+                lattice.map(lambda p: (p[0] + 5.0, p[1] + 5.0)),
+                free_point,
+                st.tuples(st.sampled_from([-1e5, 1e5]), st.floats(-1e5, 1e5)),
+                st.tuples(st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(-40, 40)),
+            ),
+            min_size=1, max_size=30,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_stack_equals_each_variant_and_full_ranking(self, positions, kinds, queries,
+                                                        seed, data):
+        # Lattice positions repeat and tie; large rotations and scales
+        # move the far soundings most; queries at a variant's soundings
+        # are exact hits in that variant.
+        rng = np.random.default_rng(seed)
+        base = np.array(positions, dtype=float)
+        stack = np.array([moved(rng, base, kind) for kind in kinds])
+        depths = rng.permutation(len(base)) + 1.0
+        hits = data.draw(st.lists(st.tuples(st.integers(0, len(stack) - 1),
+                                            st.integers(0, len(base) - 1)), max_size=5))
+        points = np.array(queries + [tuple(stack[v, j]) for v, j in hits], dtype=float)
+        vmap = sounding_map(positions, depths)
+        got = eval_relation_many(vmap, RelationKind.DEPTH, points, "water", vertices=stack)
+        assert got.shape == (len(stack), len(points))
+        finite = np.isfinite(points).all(axis=1)
+        for v, verts in enumerate(stack):
+            one = eval_relation_many(vmap, RelationKind.DEPTH, points, "water", vertices=verts)
+            np.testing.assert_array_equal(got[v], one)
+            np.testing.assert_array_equal(
+                got[v][finite], brute_force.depth(points[finite], verts, depths))
+        assert np.isnan(got[:, ~finite]).all()
+
+
 def random_ring(rng, n):
     """A star-shaped ring, rotated and shifted off the origin."""
     angles = np.sort(rng.uniform(0, 2 * np.pi, n))

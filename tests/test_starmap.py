@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cstrack import demo, starmap
 from cstrack.errors import ConfigurationError
 from cstrack.grids import GridSpec, bilinear
 from cstrack.relations import RelationKind, eval_relation_many
@@ -18,7 +19,14 @@ from cstrack.starmap import (
     starmap_to_json,
     write_layer_pgm,
 )
-from cstrack.vectormap import FeaturePerturbation, VectorMap, polygon_feature
+from cstrack.vectormap import (
+    FeaturePerturbation,
+    VectorMap,
+    load_geojson,
+    perturbations_from_config,
+    polygon_feature,
+    sample_vertex_variants,
+)
 
 SQUARE = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]
 BIG_SQUARE = [(-100.0, -100.0), (100.0, -100.0), (100.0, 100.0), (-100.0, 100.0)]
@@ -232,6 +240,41 @@ class TestBuildStarmap:
         )
         assert (layers[0].mean >= 0.99).all()
         assert ((layers[0].mean >= 0.0) & (layers[0].mean <= 1.0)).all()
+
+
+HEAVY_PERTURBATIONS = {
+    "*": {"translation_std_m": 30.0, "rotation_std_rad": 0.02, "scale_std": 0.03},
+}
+
+
+class TestStackedBuild:
+    @pytest.mark.parametrize("config", [demo.HARBOR_PERTURBATIONS, HEAVY_PERTURBATIONS],
+                             ids=["demo", "heavy"])
+    def test_samples_equal_per_variant_evaluation(self, config, monkeypatch):
+        # Each layer's one call over the variant stack gives the samples
+        # that one call per variant gives, bit for bit.
+        vmap, _ = load_geojson(demo.harbor_geojson())
+        perturbations = perturbations_from_config(vmap, config)
+        grid = GridSpec(bbox=demo.HARBOR_BBOX_M, rows=25, cols=25)
+        relations = [(RelationKind.OVER, "land"), (RelationKind.OVER, "anchorage"),
+                     (RelationKind.DISTANCE, "way"), (RelationKind.DEPTH, "water")]
+        samples = {}
+
+        def recording(vmap, rel, points, tag, **kwargs):
+            samples[(rel, tag)] = eval_relation_many(vmap, rel, points, tag, **kwargs)
+            return samples[(rel, tag)]
+
+        monkeypatch.setattr(starmap, "eval_relation_many", recording)
+        layers = build_starmap(vmap, perturbations, relations, grid, n=10, rng=11)
+        variants = sample_vertex_variants(vmap, perturbations, 10, rng=11)
+        for layer, (rel, tag) in zip(layers, relations):
+            each = np.array([
+                eval_relation_many(vmap, rel, grid.node_points(), tag, vertices=v)
+                for v in variants
+            ])
+            assert np.isfinite(each).all()
+            np.testing.assert_array_equal(samples[(rel, tag)], each)
+            np.testing.assert_array_equal(layer.mean.ravel(), each.sum(axis=0) / 10)
 
 
 class TestInterpolate:
