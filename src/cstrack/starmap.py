@@ -97,7 +97,7 @@ def build_starmap(
 ) -> list[StaRMapLayer]:
     """Build one layer per (relation, tag) pair on a shared variant set."""
     if n < 2:
-        raise ValueError(f"need at least 2 samples for a variance estimate, got {n}")
+        raise ConfigurationError(f"need at least 2 samples for a variance estimate, got {n}")
     if not relations:
         raise ConfigurationError("no (relation, tag) pairs requested")
     seen = set()

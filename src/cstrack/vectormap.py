@@ -6,6 +6,10 @@ scalar depth sounding. Each feature has an associated perturbation model (a
 random linear map plus a random translation) from which randomized map
 variants are drawn; all vertices of one feature share a single draw per
 variant, so features move rigidly.
+
+sample_vertex_variants takes every draw of a call at once, an
+(n, n_features, 4) block of standard normals in variant-major order, and
+then applies them one feature at a time over all n variants together.
 """
 
 from __future__ import annotations
@@ -72,21 +76,6 @@ class FeaturePerturbation:
         # PSD-safe factor; plain Cholesky rejects singular covariances.
         w, q = np.linalg.eigh(cov)
         return q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-
-    def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Draw one (linear map, translation) pair.
-
-        Always consumes exactly four standard normals so that draw streams
-        line up across configurations sharing a seed.
-        """
-        raw = rng.standard_normal(4)
-        angle = self.rotation_std * raw[0]
-        scale = 1.0 + self.scale_std * raw[1]
-        c, s = np.cos(angle), np.sin(angle)
-        phi = np.array([[scale * c, -scale * s], [scale * s, scale * c]])
-        t = np.asarray(self.translation_mean, dtype=float) + self._translation_factor @ raw[2:]
-        return phi, t
-
 
 @dataclass(frozen=True)
 class MapFeature:
@@ -219,12 +208,6 @@ class VectorMap:
 # Variant sampling
 
 
-def _feature_indices(vmap: VectorMap) -> list[np.ndarray]:
-    return [
-        np.flatnonzero(vmap.feature_of_vertex == fid) for fid in range(vmap.n_features)
-    ]
-
-
 def _require_full_coverage(vmap: VectorMap, perturbations) -> None:
     missing = [f for f in range(vmap.n_features) if f not in perturbations]
     if missing:
@@ -242,19 +225,30 @@ def sample_vertex_variants(
 ) -> np.ndarray:
     """Draw n randomized vertex sets, shape (n, V, 2).
 
-    One (linear map, translation) pair is drawn per feature per variant and
-    applied to all the feature's vertices; edges, tags and depths are
-    untouched by construction.
+    The draw takes four standard normals per feature per variant,
+    variant-major: r = standard_normal((n, n_features, 4)), so the stream
+    lines up across configurations sharing a seed. For feature f in
+    variant k, angle = rotation_std * r[k, f, 0], scale = 1 + scale_std *
+    r[k, f, 1] and translation = translation_mean + F @ r[k, f, 2:]. The
+    linear map and the translation are applied to all the feature's
+    vertices; edges, tags and depths are untouched by construction.
     """
     _require_full_coverage(vmap, perturbations)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    idx = _feature_indices(vmap)
+    raw = gen.standard_normal((n, vmap.n_features, 4))
     out = np.empty((n, len(vmap.vertices), 2))
-    for k in range(n):
-        out[k] = vmap.vertices
-        for fid in range(vmap.n_features):
-            phi, t = perturbations[fid].sample(gen)
-            out[k, idx[fid]] = vmap.vertices[idx[fid]] @ phi.T + t
+    for fid in range(vmap.n_features):
+        idx = np.flatnonzero(vmap.feature_of_vertex == fid)
+        p, r = perturbations[fid], raw[:, fid]
+        angle = p.rotation_std * r[:, 0]
+        scale = 1.0 + p.scale_std * r[:, 1]
+        c, s = np.cos(angle), np.sin(angle)
+        phi = np.stack([scale * c, -scale * s, scale * s, scale * c], axis=1).reshape(n, 2, 2)
+        # These operand layouts give each variant the bits of a one-variant
+        # `vertices @ phi.T + t`: BLAS picks its kernel by layout.
+        t = (np.asarray(p.translation_mean, dtype=float)
+             + (p._translation_factor @ r[:, 2:, None])[..., 0])
+        out[:, idx] = vmap.vertices[idx][None] @ phi.transpose(0, 2, 1) + t[:, None]
     return out
 
 

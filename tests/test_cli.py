@@ -127,6 +127,20 @@ class TestBuildStarmap:
         assert "finite" in capsys.readouterr().err
         assert list(tmp_path.glob("sm.json*")) == []
 
+    @pytest.mark.parametrize("samples", [1, 0, -3])
+    def test_too_few_samples_is_user_error_and_writes_nothing(self, paths, tmp_path,
+                                                               capsys, samples):
+        code = run_cli(
+            "build-starmap", "--map", paths["map"], "--perturb", paths["perturb"],
+            "--relations", "over:corridor", "--bbox=-300,-300,3900,300",
+            "--rows", 4, "--cols", 4, "--samples", samples, "--out", tmp_path / "sm.json",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "at least 2 samples" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.glob("sm.json*")) == []
+
     def test_explicit_relations_and_pgm(self, paths, tmp_path):
         pgm_dir = tmp_path / "pgm"
         code = run_cli(

@@ -286,6 +286,13 @@ class TestScenarioLoading:
         report = run_ablation(scenario, taus=(0.0,), n_seeds=1)
         assert report.rows and report.rows[0].relative == 1.0
 
+    def test_one_starmap_sample_is_configuration_error(self, tmp_path):
+        path = self.write_scenario(tmp_path)
+        spec = json.loads(path.read_text())
+        path.write_text(json.dumps({**spec, "starmap_samples": 1}))
+        with pytest.raises(ConfigurationError, match="at least 2 samples"):
+            load_scenario(path)
+
     def test_loading_deterministic(self, tmp_path):
         path = self.write_scenario(tmp_path)
         a = load_scenario(path)

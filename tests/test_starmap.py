@@ -93,7 +93,7 @@ class TestEstimateMoments:
 
     def test_requires_two_samples(self):
         vmap = square_map()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             point_moments(
                 vmap, identity_for(vmap), RelationKind.OVER, "land", (5, 5), n=1, rng=0
             )

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cstrack.demo import HARBOR_PERTURBATIONS, harbor_geojson
 from cstrack.errors import ConfigurationError, FormatError
@@ -117,11 +118,10 @@ class TestPerturbationSampling:
     def test_rotation_applies_about_frame_origin(self):
         vmap = VectorMap.build([point_feature((1.0, 0.0), ["buoy"])])
         pert = {0: FeaturePerturbation(rotation_std=0.5)}
-        rng = np.random.default_rng(9)
-        phi, t = pert[0].sample(rng)
-        expected = vmap.vertices @ phi.T + t
-        got = sample_vertex_variants(vmap, pert, 1, rng=9)[0]
-        np.testing.assert_allclose(got, expected, atol=1e-15)
+        got = sample_vertex_variants(vmap, pert, 1, rng=9)
+        np.testing.assert_array_equal(got, brute_force.vertex_variants(vmap, pert, 1, 9))
+        # A pure rotation about the origin keeps the vertex's distance to it.
+        assert abs(np.linalg.norm(got[0, 0]) - 1.0) < 1e-15
 
     def test_feature_partition_stable_under_sampling(self):
         # Connected components never cross features, and a sampled variant
@@ -194,6 +194,75 @@ class TestPerturbationSampling:
             FeaturePerturbation(translation_cov=((1.0, 2.0), (0.0, 1.0)))
         with pytest.raises(ConfigurationError):
             FeaturePerturbation(translation_cov=((-1.0, 0.0), (0.0, 1.0)))
+
+
+spread = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def perturbation(draw):
+    """Identity, isotropic, correlated or singular (rank-one) translation."""
+    kind = draw(st.sampled_from(["identity", "isotropic", "correlated", "singular"]))
+    if kind == "identity":
+        return FeaturePerturbation.identity()
+    if kind == "isotropic":
+        return FeaturePerturbation.isotropic(
+            translation_std_m=draw(st.one_of(st.just(0.0), st.floats(0.1, 50.0))),
+            rotation_std_rad=draw(spread), scale_std=draw(spread))
+    a = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4)))
+    a = a.reshape(2, 2)
+    if kind == "singular":
+        a[:, 1] = 0.0  # cov = a a^T has rank at most one
+    cov = a @ a.T
+    return FeaturePerturbation(
+        translation_mean=tuple(draw(st.lists(st.floats(-100.0, 100.0),
+                                             min_size=2, max_size=2))),
+        translation_cov=tuple(map(tuple, cov)),
+        rotation_std=draw(spread), scale_std=draw(spread))
+
+
+@st.composite
+def perturbed_map(draw):
+    """Point (one or many vertices), line and polygon features, one
+    perturbation each, placed near or far from the frame origin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = []
+    for kind in draw(st.lists(st.sampled_from(["point", "line", "polygon"]),
+                              min_size=1, max_size=6)):
+        size = draw(st.one_of(st.integers(1, 4), st.integers(5, 300)))
+        if kind == "polygon":
+            size = max(size, 3)
+        pts = rng.uniform(-1.0, 1.0, (size, 2)) * draw(st.sampled_from([10.0, 5e3, 1e5]))
+        pts = [tuple(p) for p in pts]
+        if kind == "point":
+            features.append(MapFeature(points=tuple(pts), tags=frozenset({"buoy"})))
+        elif kind == "line":
+            features.append(line_feature(pts, ["way"]))
+        else:
+            features.append(polygon_feature(pts, ["land"]))
+    vmap = VectorMap.build(features)
+    pert = {f: draw(perturbation()) for f in range(vmap.n_features)}
+    return vmap, pert
+
+
+def buoys_case():
+    """Single-vertex features with rotation, scale and a correlated
+    translation: the case where operand layout decides the last bit."""
+    vmap = VectorMap.build([point_feature((x, 0.5 * x - 300.0), ["buoy"])
+                            for x in (1.0, -2500.0, 4000.0)])
+    shared = FeaturePerturbation(translation_mean=(3.0, -1.0),
+                                 translation_cov=((9.0, 2.0), (2.0, 4.0)),
+                                 rotation_std=0.05, scale_std=0.02)
+    return vmap, {f: shared for f in range(vmap.n_features)}
+
+
+@settings(deadline=None, max_examples=150)
+@given(perturbed_map(), st.integers(1, 100), st.integers(0, 2**32 - 1))
+@example(buoys_case(), 100, 17)
+def test_batched_sampling_is_bit_equal_to_a_draw_per_feature_and_variant(case, n, seed):
+    vmap, pert = case
+    got = sample_vertex_variants(vmap, pert, n, seed)
+    np.testing.assert_array_equal(got, brute_force.vertex_variants(vmap, pert, n, seed))
 
 
 class TestPerturbationConfig:
