@@ -166,6 +166,16 @@ class MetricReport:
                 )
 
 
+def _check_arms(taus, n_seeds: int) -> None:
+    """Reject a sweep that would run nothing or cannot run."""
+    if not taus:
+        raise ConfigurationError("bench needs at least 1 trust ratio")
+    if any(not 0.0 <= tau <= 1.0 for tau in taus):
+        raise ConfigurationError("bench trust ratios must lie in [0, 1]")
+    if n_seeds < 1:
+        raise ConfigurationError(f"bench needs at least 1 seed, got {n_seeds}")
+
+
 def run_ablation(scenario: Scenario, taus=None, n_seeds=None) -> MetricReport:
     """Baseline vs rule-aware runs over seeds x tracks x trust ratios.
 
@@ -177,9 +187,8 @@ def run_ablation(scenario: Scenario, taus=None, n_seeds=None) -> MetricReport:
     caller's tau order.
     """
     taus = tuple(float(t) for t in (taus if taus is not None else scenario.taus))
-    if any(not 0.0 <= tau <= 1.0 for tau in taus):
-        raise ConfigurationError("bench trust ratios must lie in [0, 1]")
     n_seeds = n_seeds if n_seeds is not None else scenario.n_seeds
+    _check_arms(taus, n_seeds)
     arms = sorted({0.0, *taus})
     column = [arms.index(tau) for tau in taus]
     evaluate = scenario.field.particle_probabilities
@@ -235,6 +244,8 @@ def load_scenario(path) -> Scenario:
       grid: {bbox, rows, cols}, starmap_samples
       agents: {count, mode, start, velocity, speed?, steps, kick_std}
       filter: FilterConfig fields
+    A sweep with no trust ratio, fewer than 1 seed or no agent is a
+    ConfigurationError, raised before the starmap is built.
     """
     path = pathlib.Path(path)
     spec = jsonio.load(path, "scenario file")
@@ -264,6 +275,9 @@ def load_scenario(path) -> Scenario:
         raise FormatError(f"bad scenario spec {path}: {exc}") from exc
     if dt != filter_cfg.dt:
         raise ConfigurationError("agent dt must match the filter dt")
+    _check_arms(taus, n_seeds)
+    if count < 1:
+        raise ConfigurationError(f"bench needs at least 1 agent, got {count}")
 
     vmap, _ = _inline_or_path(map_entry, base, load_geojson)
     perturb_cfg = _inline_or_path(perturb_entry, base, load_perturbation_config)

@@ -9,6 +9,17 @@ raises FormatError("bad <what> <path>: ..."). Every file cstrack writes,
 JSON or not, goes through atomic_write: it is written to a temporary file
 next to the target and renamed over the target, so a failed write leaves
 the old file as it was.
+
+dump writes the bytes of json.dump(obj, fh, indent=1, allow_nan=False)
+and a newline and, like it, raises ValueError on a NaN or an infinity and
+TypeError on a value or key JSON has no type for. It lays out dicts and
+lists as that indented encoder does, but encodes every scalar, key and
+flat list of numbers (int, float and their subclasses, bool and
+numpy.float64 among them, and None) with the C encoder. A flat list goes
+in runs of up to _RUN numbers, one call each, and is re-indented: the
+encoder separates items with ", ", which no number, null, true or false
+contains. The text reaches the file one run or scalar at a time, never as
+one string.
 """
 
 from __future__ import annotations
@@ -72,10 +83,55 @@ def atomic_write(path, encoding: str = "utf-8", newline: str | None = None):
         raise
 
 
+_encode = json.JSONEncoder(allow_nan=False).encode
+# Numbers per C encoder call: long runs amortise the call, short ones keep
+# the strings it builds small.
+_RUN = 1024
+
+
+def _is_number_list(items) -> bool:
+    return all(t is type(None) or issubclass(t, (int, float)) for t in set(map(type, items)))
+
+
+def _key(key) -> str:
+    """A dict key as json's encoder turns it into a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encode(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _chunks(obj, level: int):
+    """The text of obj at indent=1, nested level deep, piece by piece."""
+    if isinstance(obj, (list, tuple)) and obj:
+        pad = "\n" + " " * (level + 1)
+        close = "\n" + " " * level + "]"
+        if _is_number_list(obj):
+            for lo in range(0, len(obj), _RUN):
+                yield ("," if lo else "[") + pad + _encode(obj[lo:lo + _RUN])[1:-1].replace(
+                    ", ", "," + pad)
+            yield close
+            return
+        for i, item in enumerate(obj):
+            yield ("," if i else "[") + pad
+            yield from _chunks(item, level + 1)
+        yield close
+    elif isinstance(obj, dict) and obj:
+        pad = "\n" + " " * (level + 1)
+        for i, (key, value) in enumerate(obj.items()):
+            yield ("," if i else "{") + pad + _encode(_key(key)) + ": "
+            yield from _chunks(value, level + 1)
+        yield "\n" + " " * level + "}"
+    else:  # a scalar or an empty container
+        yield _encode(obj)
+
+
 def dump(obj, path) -> None:
     """Write obj to path in the convention above, whole or not at all."""
     with atomic_write(path) as fh:
-        json.dump(obj, fh, indent=1, allow_nan=False)
+        for chunk in _chunks(obj, 0):
+            fh.write(chunk)
         fh.write("\n")
 
 

@@ -19,18 +19,45 @@ Three relations are supported:
 `eval_relation_many` evaluates one relation at many points on the map's
 own vertices, on one replacement vertex array (V, 2), or on a whole stack
 of randomized map variants (n, V, 2) at once; the tagged map structure is
-found once per call. Over and distance take blocks of variants one segment
-or ring edge at a time, and test a ring only at points inside the union of
-its bboxes over the stack, grown by a margin.
+found once per call. Each relation tests every variant only where the
+variants can disagree. The three pruning rules below are exact: the stack
+gives the bits of each variant evaluated alone with every test made.
 
-Depth ranks each point's soundings over one candidate set per call that is
-exact for every variant of the stack. Let ref_j be the mean position of
-sounding j over the stack and b_j its largest displacement from ref_j. In
+All three start from a reference position ref_j of each vertex j, its mean
+over the stack, and b_j, its largest displacement from ref_j. Moving each
+vertex linearly from ref_j to its place in a variant moves every point of
+an edge by at most the larger b of its two ends.
+
+Over. Let g(x) be the least, over a ring's edges, of x's distance to the
+reference edge less that edge's b. If g(x) > _BOUNDARY_EPS, no variant's
+ring comes within _BOUNDARY_EPS of x, and x's even-odd crossing parity is
+the same in every variant as in the reference ring: parity is the winding
+number mod 2, which no deformation of a closed curve that never crosses x
+can change (Hormann & Agathos, CGTA 2001, on point-in-polygon tests). So
+x is tested once, on the reference ring, and only the band of points
+with g(x) <= _BOUNDARY_EPS gets the test in every variant.
+
+Distance. For each tagged segment s (edges, and vertices as zero-length
+segments) with reference distance r_s(x) and b_s the larger b of its
+ends, every variant's distance d_s(x) lies in [r_s - b_s, r_s + b_s]. So
+no variant's nearest segment is farther than U(x) = min_t (r_t + b_t), a
+segment with r_s - b_s > U(x) is never nearest, and each point is measured
+in every variant against its candidates only. Points sharing a candidate
+set are measured together; the minimum over a point's candidates is the
+minimum over all segments, bit for bit, in any order.
+
+Depth ranks each point's soundings over one candidate set per call. In
 every variant the k soundings nearest x in the reference lie within U(x),
 the largest |x - ref_j| + b_j among them, so a sounding with
 |x - ref_j| - b_j > U(x) is strictly farther than the k-th nearest and never
 ranks. One k-d tree over the reference positions (Bentley, CACM 1975)
 finds the candidates.
+
+Every bound is widened by a margin far above the rounding of the distances
+it compares (_CANDIDATE_SLACK); a wider margin only tests more points or
+keeps more candidates. A non-finite point falls in every band and keeps
+every segment, so over and distance give it the full test (over 0,
+distance NaN).
 """
 
 from __future__ import annotations
@@ -46,13 +73,9 @@ from .vectormap import VectorMap
 
 _BOUNDARY_EPS = 1e-9
 _IDW_NEIGHBORS = 4
-# Ring tests skip points farther than this outside the ring's bbox: they
-# are neither inside nor within _BOUNDARY_EPS of an edge. Generously above
-# both _BOUNDARY_EPS and the rounding of the crossing abscissa.
-_BBOX_MARGIN = 1e-6
-# The depth candidate filter widens U(x) by this much of (U(x) + the
-# coordinate scale + 1 m), far above the rounding of the distances it
-# compares and of their squares' underflow. The slack only adds candidates.
+# The pruning bounds are widened by this much of (the bound + the
+# coordinate scale + 1 m), far above the rounding of the distances they
+# compare, of the crossing abscissa and of the squares' underflow.
 _CANDIDATE_SLACK = 1e-9
 
 # Cap on the cells of one (variants x points [x candidates]) block.
@@ -92,6 +115,18 @@ def _blocks(n: int, cells_per_variant: int):
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
+def _segment_d2(px, py, sx, sy, ex, ey):
+    """Squared distances from points (px, py) to the segments from (sx, sy)
+    to (ex, ey), broadcast against each other."""
+    dx, dy = ex - sx, ey - sy
+    len2 = dx * dx + dy * dy
+    t = ((px - sx) * dx + (py - sy) * dy) / np.where(len2 > 0, len2, 1.0)
+    np.clip(t, 0.0, 1.0, out=t)
+    gx = px - (sx + t * dx)
+    gy = py - (sy + t * dy)
+    return gx * gx + gy * gy
+
+
 def _segment_distances(points: np.ndarray, starts: np.ndarray,
                        ends: np.ndarray) -> np.ndarray:
     """(B, P) min distance from each point to any of each variant's
@@ -99,15 +134,31 @@ def _segment_distances(points: np.ndarray, starts: np.ndarray,
     px, py = points[:, 0], points[:, 1]
     best = np.full((starts.shape[0], len(points)), np.inf)
     for s in range(starts.shape[1]):
-        sx, sy = starts[:, s, 0, None], starts[:, s, 1, None]
-        dx, dy = ends[:, s, 0, None] - sx, ends[:, s, 1, None] - sy
-        len2 = dx * dx + dy * dy
-        t = ((px - sx) * dx + (py - sy) * dy) / np.where(len2 > 0, len2, 1.0)
-        np.clip(t, 0.0, 1.0, out=t)
-        gx = px - (sx + t * dx)
-        gy = py - (sy + t * dy)
-        np.minimum(best, gx * gx + gy * gy, out=best)
+        np.minimum(best, _segment_d2(px, py, starts[:, s, 0, None], starts[:, s, 1, None],
+                                     ends[:, s, 0, None], ends[:, s, 1, None]), out=best)
     return np.sqrt(best)
+
+
+def _reference(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean position of each vertex of an (n, k, 2) stack, and each
+    vertex's largest displacement from it."""
+    ref = xy.mean(axis=0)
+    return ref, np.sqrt(((xy - ref) ** 2).sum(axis=-1)).max(axis=0)
+
+
+def _reference_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Distances (P,) from the points to each reference segment in turn."""
+    px, py = points[:, 0], points[:, 1]
+    for (sx, sy), (ex, ey) in zip(starts, ends):
+        yield np.sqrt(_segment_d2(px, py, sx, sy, ex, ey))
+
+
+def _slack(bound: np.ndarray, points: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """The margin _CANDIDATE_SLACK gives a bound on distances between the
+    finite points and the coordinates xy."""
+    finite = points[np.isfinite(points).all(axis=1)]
+    scale = max(np.abs(finite).max(initial=0.0), np.abs(xy).max(initial=0.0))
+    return _CANDIDATE_SLACK * (np.abs(bound) + scale + 1.0)
 
 
 def _inside_ring(points: np.ndarray, ring_xy: np.ndarray) -> np.ndarray:
@@ -125,32 +176,72 @@ def _inside_ring(points: np.ndarray, ring_xy: np.ndarray) -> np.ndarray:
     return inside
 
 
-def _over(points: np.ndarray, stack: np.ndarray, rings) -> np.ndarray:
-    inside = np.zeros((len(stack), len(points)), dtype=bool)
+def _over(points: np.ndarray, stack: np.ndarray, rings,
+          stats: dict | None = None) -> np.ndarray:
+    inside = np.zeros((len(stack), len(points)))
+    # Points out of a ring's band take its reference ring's answer.
+    shared = np.zeros(len(points), dtype=bool)
+    in_band = np.zeros(len(points), dtype=bool)
     for ring in rings:
-        # Points outside every variant's grown bbox are neither inside nor
-        # on an edge in any of them.
         ring_xy = stack[:, ring]
-        lo = ring_xy.min(axis=(0, 1)) - _BBOX_MARGIN
-        hi = ring_xy.max(axis=(0, 1)) + _BBOX_MARGIN
-        near = np.flatnonzero(((points >= lo) & (points <= hi)).all(axis=1))
-        p = points[near]
-        for blk in _blocks(len(stack), len(near)):
+        ref, b = _reference(ring_xy)
+        # Clearance of each point from the ring in every variant: the
+        # distance to each reference edge less the edge's largest move.
+        clear = np.full(len(points), np.inf)
+        for d, b_edge in zip(_reference_distances(points, ref, np.roll(ref, -1, axis=0)),
+                             np.maximum(b, np.roll(b, -1))):
+            np.minimum(clear, d - b_edge, out=clear)
+        # Written so that NaN (a non-finite point) falls in the band.
+        far = clear > _BOUNDARY_EPS + _slack(clear, points, ring_xy)
+        band = np.flatnonzero(~far)
+        in_band[band] = True
+        shared[far] |= _inside_ring(points[far], ref[None])[0]
+        p = points[band]
+        for blk in _blocks(len(stack), len(band)):
             gap = _segment_distances(p, ring_xy[blk], np.roll(ring_xy[blk], -1, axis=1))
-            inside[blk, near] |= _inside_ring(p, ring_xy[blk]) | (gap <= _BOUNDARY_EPS)
-    return inside.astype(float)
+            hit = _inside_ring(p, ring_xy[blk]) | (gap <= _BOUNDARY_EPS)
+            inside[blk, band] = np.maximum(inside[blk, band], hit)
+    inside[:, shared] = 1.0
+    if stats is not None:
+        stats["band_fraction"] = float(in_band.mean())
+    return inside
 
 
-def _distance(points: np.ndarray, stack: np.ndarray, vert_idx, edge_idx, rings) -> np.ndarray:
+def _distance(points: np.ndarray, stack: np.ndarray, vert_idx, edge_idx, rings,
+              stats: dict | None = None) -> np.ndarray:
     # Tagged vertices (isolated ones, and endpoints redundantly) count as
     # zero-length segments.
     start_idx = np.concatenate([edge_idx[:, 0], vert_idx])
     end_idx = np.concatenate([edge_idx[:, 1], vert_idx])
+    starts, ends = stack[:, start_idx], stack[:, end_idx]
+    ref_a, b_a = _reference(starts)
+    ref_b, b_b = _reference(ends)
+    b = np.maximum(b_a, b_b)
+    # No variant's nearest segment is farther than upper.
+    upper = np.full(len(points), np.inf)
+    for r, b_s in zip(_reference_distances(points, ref_a, ref_b), b):
+        np.minimum(upper, r + b_s, out=upper)
+    upper += _slack(upper, points, starts)
+    # Written so that NaN (a non-finite point) keeps every segment.
+    keep = np.array([~(r - b_s > upper) for r, b_s in
+                     zip(_reference_distances(points, ref_a, ref_b), b)])
+    counts = keep.sum(axis=0)
+    # One pass per distinct candidate set, over the points that share it.
+    packed = np.packbits(keep, axis=0)
+    order = np.lexsort(packed)
+    key = packed[:, order]
+    new_set = np.flatnonzero((key[:, 1:] != key[:, :-1]).any(axis=0)) + 1
     out = np.empty((len(stack), len(points)))
-    for blk in _blocks(len(stack), len(points)):
-        out[blk] = _segment_distances(points, stack[blk][:, start_idx], stack[blk][:, end_idx])
+    for sel in np.split(order, new_set):
+        segs = np.flatnonzero(keep[:, sel[0]])
+        p = points[sel]
+        for blk in _blocks(len(stack), len(sel)):
+            out[blk, sel] = _segment_distances(p, starts[blk][:, segs], ends[blk][:, segs])
+    if stats is not None:
+        stats["segments_mean"] = float(counts.mean())
+        stats["segments_max"] = int(counts.max())
     if rings:
-        out[_over(points, stack, rings) > 0] = 0.0
+        out[_over(points, stack, rings, stats) > 0] = 0.0
     return out
 
 
@@ -173,13 +264,11 @@ def _depth_candidates(points: np.ndarray, soundings: np.ndarray, k: int):
     variant of the (n, m, 2) stack. Returns one (sel, cand) group per
     candidate count c: the indices of the points with c candidates and
     their (len(sel), c) candidates, index-sorted along each row."""
-    ref = soundings.mean(axis=0)
-    b = np.sqrt(((soundings - ref) ** 2).sum(axis=-1)).max(axis=0)
+    ref, b = _reference(soundings)
     tree = cKDTree(ref)
     d_k, i_k = tree.query(points, k=k)
     upper = (d_k.reshape(len(points), k) + b[i_k.reshape(len(points), k)]).max(axis=1)
-    scale = max(np.abs(points).max(initial=0.0), np.abs(soundings).max())
-    slack = _CANDIDATE_SLACK * (upper + scale + 1.0)
+    slack = _slack(upper, points, soundings)
     upper += slack
     # The ball holds every sounding the filter below keeps, with room for
     # the tree's own rounding.
@@ -243,8 +332,12 @@ def eval_relation_many(vmap: VectorMap, rel: RelationKind, points: np.ndarray,
     """Evaluate a relation at many points, (P,) on the map's vertices or on
     one variant's (V, 2) vertices, (n, P) on a stack of n variants.
 
-    A dict passed as `stats` receives the depth candidate counts per point
-    (`candidates_mean`, `candidates_max`).
+    A dict passed as `stats` receives how much of the work each point took:
+    for over (and for distance to a tag with closed rings) the share of
+    points tested in every variant (`band_fraction`), for distance the
+    candidate segments per point (`segments_mean`, `segments_max`), for
+    depth the candidate soundings per point (`candidates_mean`,
+    `candidates_max`).
     """
     verts = vmap.vertices if vertices is None else np.asarray(vertices, dtype=float)
     stack = verts.reshape((-1,) + verts.shape[-2:])
@@ -256,9 +349,9 @@ def eval_relation_many(vmap: VectorMap, rel: RelationKind, points: np.ndarray,
     if struct is None:  # no tagged feature: never over one, infinitely far
         out = np.full((len(stack), len(points)), 0.0 if rel is RelationKind.OVER else np.inf)
     elif rel is RelationKind.OVER:
-        out = _over(points, stack, struct[2])
+        out = _over(points, stack, struct[2], stats)
     elif rel is RelationKind.DISTANCE:
-        out = _distance(points, stack, *struct)
+        out = _distance(points, stack, *struct, stats)
     else:
         out = _depth(vmap, points, tag, struct[0], stack, stats)
     return out if verts.ndim == 3 else out[0]

@@ -14,9 +14,11 @@ Each layer takes one relation evaluation over the whole (n, V, 2) variant
 stack, which returns the (n, nodes) samples directly.
 
 build_starmap logs one INFO line per layer (relation:tag, wall time,
-flagged fraction, and for depth the mean and max candidate soundings per
-node); `cstrack build-starmap -v` shows them on stderr. The timings never
-reach the layers or the files written from them.
+flagged fraction, and how much of the relation's work each node took: for
+over the share of nodes tested in every variant, for distance the mean and
+max candidate segments per node, for depth the mean and max candidate
+soundings per node); `cstrack build-starmap -v` shows them on stderr. The
+timings and counts never reach the layers or the files written from them.
 """
 
 from __future__ import annotations
@@ -87,6 +89,14 @@ def _moment_arrays(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
+# How the INFO line of a layer reports the stats eval_relation_many fills.
+_STAT_TEXTS = (
+    (("segments_mean", "segments_max"), ", candidate segments per node mean %.2f max %d"),
+    (("band_fraction",), ", share of nodes tested per variant %.4f"),
+    (("candidates_mean", "candidates_max"), ", depth candidates per node mean %.2f max %d"),
+)
+
+
 def build_starmap(
     vmap: VectorMap,
     perturbations: dict[int, FeaturePerturbation],
@@ -119,6 +129,8 @@ def build_starmap(
         except NoDepthDataError:
             samples = np.full((n, len(points)), np.nan)  # whole layer flagged
         mean, std = _moment_arrays(samples)
+        # Two layers' (n, nodes) samples alive at once would set the peak.
+        del samples
         layer = StaRMapLayer(
             relation=rel,
             tag=tag,
@@ -129,8 +141,8 @@ def build_starmap(
         )
         layer.validate()
         layers.append(layer)
-        extra = ("" if not stats else ", depth candidates per node mean %.2f max %d"
-                 % (stats["candidates_mean"], stats["candidates_max"]))
+        extra = "".join(text % tuple(stats[k] for k in keys)
+                        for keys, text in _STAT_TEXTS if keys[0] in stats)
         log.info("layer %s:%s: %.3f s, flagged fraction %.4f%s", rel.value, tag,
                  time.perf_counter() - started, float(layer.flagged.mean()), extra)
     return layers

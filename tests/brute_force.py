@@ -3,7 +3,8 @@ the query's model count.
 
 Each one does the whole computation the plain way: depth ranks every
 sounding for every point, the over test checks every ring edge for every
-point, the sampler factors the translation covariance on every draw, and
+point, distance measures every point against every tagged segment and
+vertex, the sampler factors the translation covariance on every draw, and
 the model count evaluates the ground program under every assignment.
 The evaluators in cstrack prune, cache or compile that work; tests
 compare them with these references exactly.
@@ -55,6 +56,22 @@ def over(points: np.ndarray, rings: list[np.ndarray]) -> np.ndarray:
         gap = points[:, None, :] - (ring[None, :, :] + t[:, :, None] * d[None, :, :])
         inside |= np.sqrt(np.einsum("csj,csj->cs", gap, gap).min(axis=1)) <= EPS
     return inside.astype(float)
+
+
+def distance(points: np.ndarray, segments: np.ndarray, rings: list[np.ndarray]) -> np.ndarray:
+    """Distance to the nearest of the (S, 2, 2) segments (a vertex is a
+    zero-length one), 0 where over is 1: the same projection formula for
+    every (point, segment) pair, one (P, S) array."""
+    points = np.asarray(points, dtype=float)
+    px, py = points[:, :1], points[:, 1:]
+    sx, sy = segments[:, 0, 0], segments[:, 0, 1]
+    dx, dy = segments[:, 1, 0] - sx, segments[:, 1, 1] - sy
+    len2 = dx * dx + dy * dy
+    with np.errstate(invalid="ignore"):
+        t = np.clip(((px - sx) * dx + (py - sy) * dy) / np.where(len2 > 0, len2, 1.0), 0.0, 1.0)
+        gx, gy = px - (sx + t * dx), py - (sy + t * dy)
+        out = np.sqrt((gx * gx + gy * gy).min(axis=1))
+    return np.where(over(points, rings) > 0, 0.0, out)
 
 
 def vertex_variants(vmap, perturbations, n: int, seed: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -171,7 +172,12 @@ class TestBuildStarmap:
         lines = [r.getMessage() for r in caplog.records if r.name == "cstrack.starmap"]
         assert [line.split(":", 2)[:2] for line in lines] == [
             ["layer over", "corridor"], ["layer distance", "corridor"]]
-        assert all(line.endswith("flagged fraction 0.0000") for line in lines)
+        # The corridor is narrower than the grid spacing: no node is near it.
+        assert re.fullmatch(r"layer over:corridor: \d+\.\d{3} s, flagged fraction 0\.0000, "
+                            r"share of nodes tested per variant 0\.0000", lines[0])
+        assert re.fullmatch(r"layer distance:corridor: \d+\.\d{3} s, flagged fraction 0\.0000, "
+                            r"candidate segments per node mean \d\.\d\d max [1-8], "
+                            r"share of nodes tested per variant 0\.0000", lines[1])
         assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()
         assert quiet.out.split(" in ")[0] == loud.out.split(" in ")[0] == (
             "built 2 layers (6x10, 8 samples)")
@@ -192,6 +198,33 @@ class TestBuildStarmap:
         mean, peak = counts.split(" max ")
         # Never fewer than the 4 IDW neighbours, a handful on the demo map.
         assert 4.0 <= float(mean) <= int(peak) <= 12
+
+    def test_verbose_over_and_distance_lines_count_their_work(self, tmp_path, caplog,
+                                                              capsys):
+        files = write_demo(tmp_path)
+
+        def build(out, *flags):
+            code = run_cli(
+                "build-starmap", "--map", files["map"], "--perturb", files["perturbations"],
+                "--relations", "over:land,distance:way", "--bbox=-2000,-2000,2000,2000",
+                "--rows", 40, "--cols", 40, "--samples", 6, "--out", tmp_path / out, *flags,
+            )
+            assert code == 0
+
+        build("quiet.json")
+        caplog.set_level(logging.INFO, logger="cstrack")
+        build("loud.json", "-v")
+        over, dist = [r.getMessage() for r in caplog.records if r.name == "cstrack.starmap"]
+        share = re.fullmatch(r"layer over:land: \d+\.\d{3} s, flagged fraction 0\.0000, "
+                             r"share of nodes tested per variant (\d\.\d{4})", over)
+        # The bank edges cross the grid: some nodes are near them, most not.
+        assert 0.0 < float(share[1]) < 0.5
+        counts = re.fullmatch(r"layer distance:way: \d+\.\d{3} s, flagged fraction 0\.0000, "
+                              r"candidate segments per node mean (\d\.\d\d) max (\d)", dist)
+        # The waterway has 3 edges and 4 vertices; every node keeps its
+        # nearest segment.
+        assert 1.0 <= float(counts[1]) <= int(counts[2]) <= 7
+        assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()
 
 
 class TestField:
@@ -538,6 +571,28 @@ class TestBench:
         spec.write_text(json.dumps(doc))
         assert run_cli("bench", "--scenario", spec, "--out-dir", tmp_path / "o") == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, flags", [
+        ({}, ["--n-seeds", "-2"]),
+        ({}, ["--n-seeds", "0"]),
+        ({"n_seeds": -1}, []),
+        ({"n_seeds": 0}, []),
+        ({"taus": []}, []),
+        ({"agents": {"count": 0}}, []),
+    ])
+    def test_sweep_that_runs_nothing_is_user_error(self, tmp_path, capsys, change, flags):
+        doc = world.scenario_spec(taus=(0.0,), n_seeds=1, steps=5, particles=50,
+                                  samples=4)
+        for key, value in change.items():
+            doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        assert run_cli("bench", "--scenario", spec, "--out-dir", out_dir, *flags) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "at least 1" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_path_entries_match_inline(self, paths, tmp_path):
         # Map, perturbations and constitution given as files next to the

@@ -226,6 +226,11 @@ class TestRunAblation:
         with pytest.raises(ConfigurationError):
             run_ablation(small_scenario(n_seeds=1), taus=(-0.5,))
 
+    @pytest.mark.parametrize("kwargs", [{"n_seeds": 0}, {"n_seeds": -2}, {"taus": ()}])
+    def test_sweep_that_runs_nothing_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError, match="at least"):
+            run_ablation(small_scenario(n_seeds=1), **kwargs)
+
     def test_reruns_identical(self):
         a = run_ablation(small_scenario(n_seeds=2))
         b = run_ablation(small_scenario(n_seeds=2))
@@ -291,6 +296,25 @@ class TestScenarioLoading:
         spec = json.loads(path.read_text())
         path.write_text(json.dumps({**spec, "starmap_samples": 1}))
         with pytest.raises(ConfigurationError, match="at least 2 samples"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("change", [
+        {"n_seeds": 0}, {"n_seeds": -1}, {"taus": []}, {"taus": [0.5, 2.0]},
+    ])
+    def test_bad_sweep_rejected_before_building(self, tmp_path, change):
+        path = self.write_scenario(tmp_path)
+        spec = json.loads(path.read_text())
+        # A map that cannot load shows that nothing is built first.
+        path.write_text(json.dumps({**spec, **change, "map": "missing.geojson"}))
+        with pytest.raises(ConfigurationError):
+            load_scenario(path)
+
+    def test_no_agents_rejected(self, tmp_path):
+        path = self.write_scenario(tmp_path)
+        spec = json.loads(path.read_text())
+        spec["agents"]["count"] = 0
+        path.write_text(json.dumps(spec))
+        with pytest.raises(ConfigurationError, match="at least 1 agent"):
             load_scenario(path)
 
     def test_loading_deterministic(self, tmp_path):

@@ -5,6 +5,7 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cstrack import jsonio
 from cstrack.errors import FormatError
@@ -36,6 +37,69 @@ def test_stray_non_finite_float_raises(tmp_path, bad):
         jsonio.dump({"a": bad}, tmp_path / "doc.json")
     with pytest.raises(ValueError):
         jsonio.dumps_line({"a": bad})
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+numbers = st.one_of(
+    finite, finite.map(np.float64), st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308]),
+    st.integers(-2**70, 2**70), st.sampled_from([2**53 + 1, -(2**63), 2**64]),
+    st.booleans(), st.none(),
+)
+keys = st.one_of(st.text(), finite, st.integers(-2**70, 2**70), st.booleans(), st.none())
+documents = st.recursive(
+    st.one_of(numbers, st.text(), st.lists(numbers, max_size=30)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(keys, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(doc=documents)
+def test_dump_writes_the_bytes_of_json_dump(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "generated.json"
+    jsonio.dump(doc, path)
+    expect = json.dumps(doc, indent=1, allow_nan=False) + "\n"
+    assert path.read_bytes() == expect.encode("utf-8")
+
+
+def test_dump_writes_escapes_and_large_numbers_as_json_does(tmp_path):
+    doc = {"é\n\"\\\u2028": ["\x00", "\U0001f600"], 1: [], 2.5: {}, None: [[]],
+           True: [2**64, -0.0, 5e-324, 1e308, np.float64(0.1), None, False]}
+    path = tmp_path / "doc.json"
+    jsonio.dump(doc, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("size", [1023, 1024, 1025, 2048, 3001])
+def test_long_number_lists_match_json_dump(tmp_path, size):
+    values = np.random.default_rng(size).normal(size=size)
+    values[::7] = np.nan
+    doc = {"mean": jsonio.floats_to_json(values), "n": [[size, True, None] * 400]}
+    path = tmp_path / "doc.json"
+    jsonio.dump(doc, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    [float("nan")], [1.0, np.float64("inf")], {"a": {"b": [0.5, float("-inf")]}},
+    {"a": float("inf")}, {float("nan"): 1}, [[1, 2], [3, float("nan")]],
+])
+def test_non_finite_raises_and_leaves_no_file(tmp_path, doc):
+    with pytest.raises(ValueError):
+        jsonio.dump(doc, tmp_path / "doc.json")
+    assert os.listdir(tmp_path) == []
+
+
+def test_unknown_type_raises_as_json_does(tmp_path):
+    for doc in ([np.int64(1)], {(1, 2): 3}, {"a": object()}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=1)
+        with pytest.raises(TypeError):
+            jsonio.dump(doc, tmp_path / "doc.json")
+    assert os.listdir(tmp_path) == []
 
 
 def test_failed_dump_keeps_the_old_file(tmp_path):

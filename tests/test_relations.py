@@ -324,3 +324,128 @@ class TestOverMatchesBruteForce:
         got = eval_relation_many(vmap, RelationKind.OVER, points, "land")
         np.testing.assert_array_equal(got, brute_force.over(points, rings))
         assert got[300:300 + sum(len(r) for r in rings)].all()  # vertices
+
+
+def tagged_segments(vmap, verts, tag):
+    """Each tagged edge, and each tagged vertex as a zero-length segment,
+    of one variant: (S, 2, 2)."""
+    fids = set(vmap.features_with_tag(tag))
+    pairs = [(a, b) for a, b in vmap.edges if vmap.feature_of_vertex[a] in fids]
+    pairs += [(i, i) for i, f in enumerate(vmap.feature_of_vertex) if f in fids]
+    return verts[np.array(pairs)]
+
+
+def tagged_rings(vmap, verts, tag):
+    fids = set(vmap.features_with_tag(tag))
+    return [verts[list(r)] for r in vmap.rings if vmap.feature_of_vertex[r[0]] in fids]
+
+
+def band_edge_points(rng, ring_stack, count):
+    """Points at b - 1e-6 and b + 1e-6 from a reference edge, on both sides,
+    for b the edge's and the ring's largest vertex move from the mean."""
+    ref = ring_stack.mean(axis=0)
+    moves = np.sqrt(((ring_stack - ref) ** 2).sum(axis=-1)).max(axis=0)
+    nxt = np.roll(np.arange(len(ref)), -1)
+    out = []
+    for e in rng.integers(0, len(ref), count):
+        along = ref[nxt[e]] - ref[e]
+        length = np.hypot(*along)
+        if length == 0:
+            continue
+        normal = np.array([-along[1], along[0]]) / length
+        foot = ref[e] + rng.uniform(0, 1) * along
+        for b in (max(moves[e], moves[nxt[e]]), moves.max()):
+            for offset in (b - 1e-6, b + 1e-6):
+                out += [foot + offset * normal, foot - offset * normal]
+    return out
+
+
+class TestStackedOverAndDistance:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n_rings=st.integers(1, 2),
+        line=st.booleans(),
+        buoy=st.booleans(),
+        kinds=st.lists(st.sampled_from(["lattice", "similarity", "jitter"]),
+                       min_size=1, max_size=5),
+        zero_spread=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_each_variant_and_brute_force(self, n_rings, line, buoy, kinds,
+                                                       zero_spread, seed):
+        rng = np.random.default_rng(seed)
+        features = [polygon_feature(random_ring(rng, int(rng.integers(3, 9))), ["land"])
+                    for _ in range(n_rings)]
+        if line:
+            features.append(line_feature(rng.uniform(-100, 100, (3, 2)), ["land"]))
+        if buoy:
+            features.append(point_feature(tuple(rng.uniform(-100, 100, 2)), ["land"]))
+        features.append(polygon_feature(random_ring(rng, 4), ["sea"]))  # never counted
+        vmap = VectorMap.build(features)
+        if zero_spread:
+            stack = np.repeat(moved(rng, vmap.vertices, kinds[0])[None], len(kinds), axis=0)
+        else:
+            stack = np.array([moved(rng, vmap.vertices, kind) for kind in kinds])
+        # On a variant's edges and vertices, just inside and outside the
+        # band of each ring, anywhere, far away, and not finite.
+        v = rng.integers(0, len(stack), 20)
+        a, b = np.array(vmap.edges)[rng.integers(0, len(vmap.edges), 20)].T
+        on_edges = stack[v, a] + rng.uniform(0, 1, (20, 1)) * (stack[v, b] - stack[v, a])
+        near = [p for ring in vmap.rings for p in band_edge_points(rng, stack[:, list(ring)], 4)]
+        points = np.vstack([
+            on_edges, stack[v, rng.integers(0, len(vmap.vertices), 20)], np.array(near),
+            rng.uniform(-200, 200, (40, 2)),
+            np.column_stack([rng.choice([-1e5, 1e5], 4), rng.uniform(-1e5, 1e5, 4)]),
+            [[np.nan, 0.0], [np.inf, 1.0], [-np.inf, 1.0], [0.0, -np.inf], [np.nan, np.inf]],
+        ])
+        finite = np.isfinite(points).all(axis=1)
+        for rel, oracle, undefined in (
+            (RelationKind.OVER, lambda verts: brute_force.over(
+                points[finite], tagged_rings(vmap, verts, "land")), 0.0),
+            (RelationKind.DISTANCE, lambda verts: brute_force.distance(
+                points[finite], tagged_segments(vmap, verts, "land"),
+                tagged_rings(vmap, verts, "land")), np.nan),
+        ):
+            with np.errstate(invalid="ignore"):
+                got = eval_relation_many(vmap, rel, points, "land", vertices=stack)
+                assert got.shape == (len(stack), len(points))
+                for row, verts in zip(got, stack):
+                    one = eval_relation_many(vmap, rel, points, "land", vertices=verts)
+                    np.testing.assert_array_equal(row, one)
+                    np.testing.assert_array_equal(row[finite], oracle(verts))
+            np.testing.assert_array_equal(got[:, ~finite], undefined)
+
+    @pytest.mark.parametrize("move", [1.0, 7.5])
+    def test_pruning_bounds_are_tight(self, move):
+        # Two variants translate every vertex by +-move across the x axis,
+        # so each vertex moves exactly b = move from its mean. A point
+        # b - 1e-6 off the reference square is inside (over) the variant
+        # that moves toward it, and of two buoys 10 m apart a point
+        # between them is nearest the far one in a variant when it is
+        # less than b off the midpoint.
+        shift = np.array([0.0, move])
+        square = VectorMap.build([polygon_feature(SQUARE, ["land"])])
+        buoys = VectorMap.build([point_feature((0.0, 0.0), ["buoy"]),
+                                 point_feature((0.0, 10.0), ["buoy"])])
+        for vmap, tag, points in (
+            (square, "land", [(5.0, -move + 1e-6), (5.0, -move - 1e-6),
+                              (5.0, 10.0 + move - 1e-6), (5.0, 10.0 + move + 1e-6)]),
+            (buoys, "buoy", [(0.0, 5.0 + move - 1e-6), (0.0, 5.0 + move + 1e-6),
+                             (0.0, 5.0 - move + 1e-6), (0.0, 5.0 - move - 1e-6)]),
+        ):
+            points = np.array(points)
+            stack = np.array([vmap.vertices + shift, vmap.vertices - shift])
+            for rel in (RelationKind.OVER, RelationKind.DISTANCE):
+                got = eval_relation_many(vmap, rel, points, tag, vertices=stack)
+                for row, verts in zip(got, stack):
+                    expect = (brute_force.over(points, tagged_rings(vmap, verts, tag))
+                              if rel is RelationKind.OVER else brute_force.distance(
+                                  points, tagged_segments(vmap, verts, tag),
+                                  tagged_rings(vmap, verts, tag)))
+                    np.testing.assert_array_equal(row, expect)
+        # The points just inside the band are over land in one variant.
+        inside = eval_relation_many(square, RelationKind.OVER,
+                                    np.array([(5.0, -move + 1e-6)]), "land",
+                                    vertices=np.array([square.vertices + shift,
+                                                       square.vertices - shift]))
+        assert inside[:, 0].tolist() == [0.0, 1.0]
