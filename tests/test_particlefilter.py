@@ -16,99 +16,97 @@ from cstrack.grids import GridSpec
 from cstrack.particlefilter import (
     FilterConfig,
     MeasurementModel,
-    ParticleBelief,
     ProcessModel,
     cv_process_noise,
-    estimate,
     filter_arms,
-    predict,
-    resample,
     run_filter,
-    sample_constitution_set,
-    update_constitution,
-    update_measurement,
 )
 from cstrack.relations import RelationKind
 from cstrack.starmap import StaRMapLayer
+from reference_filter import (
+    belief,
+    effective_sample_size,
+    estimate,
+    predict,
+    resample,
+    stepwise_run,
+    update_constitution,
+    update_measurement,
+    validate,
+)
 
 
 def single_particle(p, v):
-    return ParticleBelief.from_arrays([p], [v])
+    return belief([p], [v])
 
 
 class TestPredict:
     def test_deterministic_transition(self):
-        belief = single_particle((0.0, 0.0), (1.0, 2.0))
+        states, weights = single_particle((0.0, 0.0), (1.0, 2.0))
         process = ProcessModel(dt=1.0, Q=np.zeros((4, 4)))
-        out = predict(belief, process, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.positions, [[1.0, 2.0]])
-        np.testing.assert_array_equal(out.velocities, [[1.0, 2.0]])
+        out, _ = predict(states, weights, process, np.random.default_rng(0))
+        np.testing.assert_array_equal(out[:, :2], [[1.0, 2.0]])
+        np.testing.assert_array_equal(out[:, 2:], [[1.0, 2.0]])
 
     def test_zero_dt_rejected_but_tiny_ok(self):
         with pytest.raises(ConfigurationError):
             ProcessModel(dt=0.0, Q=np.zeros((4, 4)))
 
     def test_identity_with_zero_q_and_velocity(self):
-        belief = single_particle((3.0, 4.0), (0.0, 0.0))
+        states, weights = single_particle((3.0, 4.0), (0.0, 0.0))
         process = ProcessModel(dt=5.0, Q=np.zeros((4, 4)))
-        out = predict(belief, process, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.positions, belief.positions)
+        out, _ = predict(states, weights, process, np.random.default_rng(0))
+        np.testing.assert_array_equal(out[:, :2], states[:, :2])
 
     def test_noise_covariance_matches_q(self):
         # Monte Carlo vs the analytic position block of Q.
         sigma_a, dt, n = 0.5, 2.0, 100_000
         q = cv_process_noise(dt, sigma_a)
-        belief = ParticleBelief.from_arrays(
-            np.zeros((n, 2)), np.zeros((n, 2))
-        )
+        states, weights = belief(np.zeros((n, 2)), np.zeros((n, 2)))
         process = ProcessModel(dt=dt, Q=q)
-        out = predict(belief, process, np.random.default_rng(7))
-        sample_cov = np.cov(out.positions.T)
+        out, _ = predict(states, weights, process, np.random.default_rng(7))
+        sample_cov = np.cov(out[:, :2].T)
         np.testing.assert_allclose(
             sample_cov, q[:2, :2], rtol=0.05, atol=0.05 * q[0, 0]
         )
 
     def test_weights_unchanged(self):
-        belief = ParticleBelief.from_arrays(
-            [(0, 0), (1, 1)], [(0, 0), (0, 0)], weights=[0.25, 0.75]
-        )
+        states, weights = belief([(0, 0), (1, 1)], [(0, 0), (0, 0)], weights=[0.25, 0.75])
         process = ProcessModel.constant_velocity(1.0, 0.1)
-        out = predict(belief, process, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.weights, belief.weights)
+        _, out = predict(states, weights, process, np.random.default_rng(0))
+        np.testing.assert_array_equal(out, weights)
 
     def test_cached_factor_gives_the_bits_of_a_fresh_one(self):
         process = ProcessModel.constant_velocity(2.0, 0.5)
-        belief = ParticleBelief.from_arrays(np.zeros((50, 2)), np.ones((50, 2)))
-        out = predict(predict(belief, process, np.random.default_rng(4)), process,
-                      np.random.default_rng(5))
+        states, weights = belief(np.zeros((50, 2)), np.ones((50, 2)))
+        out, _ = predict(*predict(states, weights, process, np.random.default_rng(4)),
+                         process, np.random.default_rng(5))
         w, q = np.linalg.eigh(process.Q)
         fresh = q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-        expect = belief
+        expect = states
         for seed in (4, 5):
             noise = np.random.default_rng(seed).standard_normal((50, 4)) @ fresh.T
-            expect = ParticleBelief.from_arrays(
-                expect.positions + expect.velocities * 2.0 + noise[:, :2],
-                expect.velocities + noise[:, 2:],
-            )
-        np.testing.assert_array_equal(out.positions, expect.positions)
-        np.testing.assert_array_equal(out.velocities, expect.velocities)
+            expect = np.hstack([expect[:, :2] + expect[:, 2:] * 2.0 + noise[:, :2],
+                                expect[:, 2:] + noise[:, 2:]])
+        np.testing.assert_array_equal(out[:, :2], expect[:, :2])
+        np.testing.assert_array_equal(out[:, 2:], expect[:, 2:])
 
 
 class TestMeasurementUpdate:
     def test_symmetric_particles_equal_weights(self):
-        belief = ParticleBelief.from_arrays([(0.0, 1.0), (0.0, -1.0)], np.zeros((2, 2)))
-        out, _ = update_measurement(belief, (0.0, 0.0), MeasurementModel.isotropic(1.0))
-        np.testing.assert_allclose(out.weights, [0.5, 0.5], atol=1e-15)
+        states, weights = belief([(0.0, 1.0), (0.0, -1.0)], np.zeros((2, 2)))
+        out, _ = update_measurement(states, weights, (0.0, 0.0),
+                                    MeasurementModel.isotropic(1.0))
+        np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_weight_ratio_at_three_sigma(self):
         # Gaussian density ratio between a particle at z and one 3 sigma
         # away is exp(4.5).
         std = 2.0
-        belief = ParticleBelief.from_arrays(
-            [(0.0, 0.0), (3.0 * std, 0.0)], np.zeros((2, 2))
-        )
-        out, _ = update_measurement(belief, (0.0, 0.0), MeasurementModel.isotropic(std))
-        ratio = out.weights[0] / out.weights[1]
+        states, weights = belief([(0.0, 0.0), (3.0 * std, 0.0)], np.zeros((2, 2)))
+        out, _ = update_measurement(states, weights, (0.0, 0.0),
+                                    MeasurementModel.isotropic(std))
+        ratio = out[0] / out[1]
         assert ratio == pytest.approx(math.exp(4.5), rel=1e-9)
 
     def test_flat_likelihood_keeps_priors(self):
@@ -116,18 +114,18 @@ class TestMeasurementUpdate:
         # flat to ~1e-6, so posterior weights match priors at that scale.
         rng = np.random.default_rng(3)
         weights = rng.uniform(0.1, 1.0, 16)
-        belief = ParticleBelief.from_arrays(
+        states, weights = belief(
             rng.uniform(-0.5, 0.5, (16, 2)), np.zeros((16, 2)), weights=weights
         )
         out, _ = update_measurement(
-            belief, (0.0, 0.0), MeasurementModel(R=np.eye(2) * 1e6)
+            states, weights, (0.0, 0.0), MeasurementModel(R=np.eye(2) * 1e6)
         )
-        np.testing.assert_allclose(out.weights, belief.weights, atol=1e-6)
+        np.testing.assert_allclose(out, weights, atol=1e-6)
 
     def test_degenerate_update_raises(self):
-        belief = ParticleBelief.from_arrays([(1e9, 1e9)], [(0.0, 0.0)])
+        states, weights = belief([(1e9, 1e9)], [(0.0, 0.0)])
         with pytest.raises(DegenerateBeliefError):
-            update_measurement(belief, (0.0, 0.0), MeasurementModel.isotropic(1.0))
+            update_measurement(states, weights, (0.0, 0.0), MeasurementModel.isotropic(1.0))
 
     def test_cached_inverse_gives_the_bits_of_a_fresh_one(self):
         R = np.array([[9.0, 2.5], [2.5, 4.0]])
@@ -140,109 +138,102 @@ class TestMeasurementUpdate:
             np.testing.assert_array_equal(got, fresh)
 
     def test_normalization_constant_is_marginal_density(self):
-        belief = ParticleBelief.from_arrays([(0.0, 0.0)], [(0.0, 0.0)])
-        _, norm = update_measurement(belief, (0.0, 0.0), MeasurementModel.isotropic(1.0))
+        states, weights = belief([(0.0, 0.0)], [(0.0, 0.0)])
+        _, norm = update_measurement(states, weights, (0.0, 0.0),
+                                     MeasurementModel.isotropic(1.0))
         assert norm == pytest.approx(1.0 / (2 * math.pi), rel=1e-12)
 
 
 class TestConstitutionUpdate:
     def test_tau_zero_is_bitwise_noop(self):
-        belief = ParticleBelief.from_arrays(
-            [(0, 0), (1, 1)], np.zeros((2, 2)), weights=[0.3, 0.7]
-        )
-        out = update_constitution(belief, np.zeros(2), tau=0.0)
-        assert out is belief
+        _, weights = belief([(0, 0), (1, 1)], np.zeros((2, 2)), weights=[0.3, 0.7])
+        out = update_constitution(weights, np.zeros(2), tau=0.0)
+        assert out is weights
 
     def test_tau_one_weights_by_probability(self):
-        belief = ParticleBelief.from_arrays([(0, 0), (1, 1)], np.zeros((2, 2)))
-        out = update_constitution(belief, [0.8, 0.2], tau=1.0)
-        np.testing.assert_allclose(out.weights, [0.8, 0.2], atol=1e-15)
+        _, weights = belief([(0, 0), (1, 1)], np.zeros((2, 2)))
+        out = update_constitution(weights, [0.8, 0.2], tau=1.0)
+        np.testing.assert_allclose(out, [0.8, 0.2], atol=1e-15)
 
     def test_half_tau_all_zero_probs_is_uniform(self):
-        belief = ParticleBelief.from_arrays(
+        _, weights = belief(
             [(0, 0), (1, 1), (2, 2)], np.zeros((3, 2)), weights=[0.5, 0.25, 0.25]
         )
-        out = update_constitution(belief, [0.0, 0.0, 0.0], tau=0.5)
-        np.testing.assert_allclose(out.weights, belief.weights, atol=1e-15)
+        out = update_constitution(weights, [0.0, 0.0, 0.0], tau=0.5)
+        np.testing.assert_allclose(out, weights, atol=1e-15)
 
     def test_tau_one_all_zero_raises(self):
-        belief = ParticleBelief.from_arrays([(0, 0)], [(0, 0)])
+        _, weights = belief([(0, 0)], [(0, 0)])
         with pytest.raises(DegenerateBeliefError):
-            update_constitution(belief, [0.0], tau=1.0)
+            update_constitution(weights, [0.0], tau=1.0)
 
     def test_scale_invariance_of_positive_factors(self):
         # Multiplying all compliance factors by a constant cancels in the
         # normalization.
-        belief = ParticleBelief.from_arrays(
-            [(0, 0), (1, 1)], np.zeros((2, 2)), weights=[0.4, 0.6]
-        )
-        a = update_constitution(belief, [0.2, 0.6], tau=1.0)
-        b = update_constitution(belief, [0.1, 0.3], tau=1.0)
-        np.testing.assert_allclose(a.weights, b.weights, atol=1e-12)
+        _, weights = belief([(0, 0), (1, 1)], np.zeros((2, 2)), weights=[0.4, 0.6])
+        a = update_constitution(weights, [0.2, 0.6], tau=1.0)
+        b = update_constitution(weights, [0.1, 0.3], tau=1.0)
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_invalid_tau_rejected(self):
-        belief = ParticleBelief.from_arrays([(0, 0)], [(0, 0)])
+        _, weights = belief([(0, 0)], [(0, 0)])
         with pytest.raises(ConfigurationError):
-            update_constitution(belief, [1.0], tau=1.5)
+            update_constitution(weights, [1.0], tau=1.5)
 
     def test_undefined_particles_keep_their_weights(self):
-        belief = ParticleBelief.from_arrays(
+        states, weights = belief(
             np.zeros((4, 2)), np.zeros((4, 2)), weights=[0.1, 0.2, 0.3, 0.4]
         )
-        out = update_constitution(belief, [0.9, np.nan, 0.1, np.nan], tau=0.7)
-        out.validate()
-        np.testing.assert_allclose(out.weights[[1, 3]], [0.2, 0.4], rtol=1e-12)
+        out = update_constitution(weights, [0.9, np.nan, 0.1, np.nan], tau=0.7)
+        validate(states, out)
+        np.testing.assert_allclose(out[[1, 3]], [0.2, 0.4], rtol=1e-12)
         # The defined particles split their mass by their blended factors.
         ratio = (0.1 * (0.7 * 0.9 + 0.3)) / (0.3 * (0.7 * 0.1 + 0.3))
-        assert out.weights[0] / out.weights[2] == pytest.approx(ratio, rel=1e-12)
+        assert out[0] / out[2] == pytest.approx(ratio, rel=1e-12)
 
     def test_all_undefined_step_returns_the_belief(self):
-        belief = ParticleBelief.from_arrays(
-            [(0, 0), (1, 1)], np.zeros((2, 2)), weights=[0.3, 0.7]
-        )
-        assert update_constitution(belief, [np.nan, np.nan], tau=1.0) is belief
+        _, weights = belief([(0, 0), (1, 1)], np.zeros((2, 2)), weights=[0.3, 0.7])
+        assert update_constitution(weights, [np.nan, np.nan], tau=1.0) is weights
 
     def test_tau_one_undefined_and_zero_raises(self):
-        belief = ParticleBelief.from_arrays(np.zeros((3, 2)), np.zeros((3, 2)))
+        _, weights = belief(np.zeros((3, 2)), np.zeros((3, 2)))
         with pytest.raises(DegenerateBeliefError):
-            update_constitution(belief, [np.nan, 0.0, 0.0], tau=1.0)
+            update_constitution(weights, [np.nan, 0.0, 0.0], tau=1.0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_probability_rejected(self, bad):
-        belief = ParticleBelief.from_arrays(np.zeros((2, 2)), np.zeros((2, 2)))
+        _, weights = belief(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ConfigurationError):
-            update_constitution(belief, [0.5, bad], tau=0.5)
+            update_constitution(weights, [0.5, bad], tau=0.5)
 
 
 class TestResampling:
     def test_uniform_weights_not_triggered(self):
-        belief = ParticleBelief.from_arrays(np.zeros((10, 2)), np.zeros((10, 2)))
-        assert belief.effective_sample_size() == pytest.approx(10.0)
-        assert belief.effective_sample_size() >= 0.5 * belief.size
+        _, weights = belief(np.zeros((10, 2)), np.zeros((10, 2)))
+        assert effective_sample_size(weights) == pytest.approx(10.0)
+        assert effective_sample_size(weights) >= 0.5 * len(weights)
 
     def test_single_heavy_particle_dominates(self):
         weights = np.zeros(8)
         weights[3] = 1.0
-        belief = ParticleBelief.from_arrays(
-            np.arange(16).reshape(8, 2), np.zeros((8, 2)), weights=weights
-        )
-        out = resample(belief, np.random.default_rng(1))
-        assert (out.positions == belief.positions[3]).all()
-        np.testing.assert_allclose(out.weights, 1.0 / 8)
+        states, weights = belief(np.arange(16).reshape(8, 2), np.zeros((8, 2)),
+                                 weights=weights)
+        out, out_weights = resample(states, weights, np.random.default_rng(1))
+        assert (out[:, :2] == states[3, :2]).all()
+        np.testing.assert_allclose(out_weights, 1.0 / 8)
 
     def test_frequencies_match_weights(self):
         # Multinomial expectation oracle: over many passes the copy
         # frequencies converge to the weights; +-0.005 at ~1e5 draws.
         weights = np.array([0.5, 0.3, 0.2])
-        belief = ParticleBelief.from_arrays(
-            [(0, 0), (1, 0), (2, 0)], np.zeros((3, 2)), weights=weights
-        )
+        states, weights = belief([(0, 0), (1, 0), (2, 0)], np.zeros((3, 2)),
+                                 weights=weights)
         rng = np.random.default_rng(42)
         counts = np.zeros(3)
         passes = 33_334
         for _ in range(passes):
-            out = resample(belief, rng)
-            ids = out.positions[:, 0].astype(int)
+            out, _ = resample(states, weights, rng)
+            ids = out[:, 0].astype(int)
             counts += np.bincount(ids, minlength=3)
         freqs = counts / (passes * 3)
         np.testing.assert_allclose(freqs, weights, atol=0.005)
@@ -250,68 +241,29 @@ class TestResampling:
 
 class TestEstimate:
     def test_single_particle(self):
-        belief = single_particle((2.0, 3.0), (0.5, -0.5))
-        mean, trace = estimate(belief)
+        mean, trace = estimate(*single_particle((2.0, 3.0), (0.5, -0.5)))
         np.testing.assert_array_equal(mean, [2.0, 3.0, 0.5, -0.5])
         assert trace == 0.0
 
     def test_two_equal_particles(self):
-        belief = ParticleBelief.from_arrays([(0, 0), (2, 0)], np.zeros((2, 2)))
-        mean, _ = estimate(belief)
+        mean, _ = estimate(*belief([(0, 0), (2, 0)], np.zeros((2, 2))))
         np.testing.assert_allclose(mean[:2], [1.0, 0.0])
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(9)
         n = 200
-        belief = ParticleBelief.from_arrays(
+        states, weights = belief(
             rng.normal(size=(n, 2)), rng.normal(size=(n, 2)),
             weights=rng.uniform(0.01, 1.0, n),
         )
-        mean, trace = estimate(belief)
-        states = np.hstack([belief.positions, belief.velocities])
-        oracle_mean = (belief.weights[:, None] * states).sum(axis=0)
+        mean, trace = estimate(states, weights)
+        oracle_mean = (weights[:, None] * states).sum(axis=0)
         centered = states - oracle_mean
         oracle_cov = sum(
-            w * np.outer(c, c) for w, c in zip(belief.weights, centered)
+            w * np.outer(c, c) for w, c in zip(weights, centered)
         )
         np.testing.assert_allclose(mean, oracle_mean, atol=1e-12)
         assert trace == pytest.approx(np.trace(oracle_cov), rel=0, abs=1e-12)
-
-
-class TestSampleSet:
-    def test_constant_evaluator(self):
-        belief = ParticleBelief.from_arrays(
-            np.random.default_rng(0).normal(size=(32, 2)), np.zeros((32, 2))
-        )
-        out = sample_constitution_set(
-            belief, MeasurementModel.isotropic(1.0),
-            lambda p, z: np.full(len(p), 0.7), n=25,
-            rng=np.random.default_rng(5),
-        )
-        assert out.values.shape == (25,)
-        assert (out.values == 0.7).all()
-
-    def test_weight_proportional_sampling(self):
-        weights = np.array([0.9, 0.1])
-        belief = ParticleBelief.from_arrays(
-            [(0.0, 0.0), (100.0, 0.0)], np.zeros((2, 2)), weights=weights
-        )
-        out = sample_constitution_set(
-            belief, MeasurementModel.isotropic(0.1),
-            lambda p, z: np.zeros(len(p)), n=2000,
-            rng=np.random.default_rng(11),
-        )
-        share = (out.states[:, 0] < 50).mean()
-        assert abs(share - 0.9) < 0.03
-
-    def test_undefined_values_rejected(self):
-        belief = ParticleBelief.from_arrays(np.zeros((4, 2)), np.zeros((4, 2)))
-        with pytest.raises(ConfigurationError):
-            sample_constitution_set(
-                belief, MeasurementModel.isotropic(1.0),
-                lambda p, z: np.full(len(p), np.nan), n=5,
-                rng=np.random.default_rng(0),
-            )
 
 
 class TestWeightSimplexFuzz:
@@ -320,23 +272,23 @@ class TestWeightSimplexFuzz:
     def test_updates_preserve_simplex(self, seed):
         rng = np.random.default_rng(seed)
         n = 64
-        belief = ParticleBelief.from_arrays(
+        states, weights = belief(
             rng.normal(scale=30.0, size=(n, 2)), rng.normal(size=(n, 2))
         )
         process = ProcessModel.constant_velocity(1.0, 0.3)
         meas = MeasurementModel.isotropic(20.0)
         for _ in range(5):
-            belief = predict(belief, process, rng)
-            z = belief.positions[rng.integers(n)] + rng.normal(scale=5.0, size=2)
-            belief, _ = update_measurement(belief, z, meas)
-            belief.validate()
-            belief = update_constitution(
-                belief, rng.uniform(size=n), tau=float(rng.uniform())
+            states, weights = predict(states, weights, process, rng)
+            z = states[rng.integers(n), :2] + rng.normal(scale=5.0, size=2)
+            weights, _ = update_measurement(states, weights, z, meas)
+            validate(states, weights)
+            weights = update_constitution(
+                weights, rng.uniform(size=n), tau=float(rng.uniform())
             )
-            belief.validate()
-            if belief.effective_sample_size() < 0.5 * belief.size:
-                belief = resample(belief, rng)
-            belief.validate()
+            validate(states, weights)
+            if effective_sample_size(weights) < 0.5 * n:
+                states, weights = resample(states, weights, rng)
+            validate(states, weights)
 
 
 class TestRunFilter:
@@ -497,26 +449,25 @@ class TestEinsumFreeStep:
         quad = np.einsum("ni,ij,nj->n", deltas, np.linalg.inv(meas.R), deltas)
         np.testing.assert_array_equal(meas.likelihood(deltas),
                                       meas._inverse_and_norm[1] * np.exp(-0.5 * quad))
-        belief = ParticleBelief.from_arrays(deltas, rng.normal(size=(n, 2)),
-                                            weights=rng.uniform(size=n))
-        mean, trace = estimate(belief)
-        centered = np.hstack([belief.positions, belief.velocities]) - mean
-        cov = np.einsum("n,ni,nj->ij", belief.weights, centered, centered)
+        states, weights = belief(deltas, rng.normal(size=(n, 2)),
+                                 weights=rng.uniform(size=n))
+        mean, trace = estimate(states, weights)
+        centered = states - mean
+        cov = np.einsum("n,ni,nj->ij", weights, centered, centered)
         assert trace == float(np.trace(cov))
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3000))
     def test_covariance_trace_matches_einsum(self, seed, n):
         rng = np.random.default_rng(seed)
-        belief = ParticleBelief.from_arrays(
+        states, weights = belief(
             rng.normal(scale=rng.uniform(0.1, 500.0), size=(n, 2)),
             rng.normal(size=(n, 2)), weights=rng.uniform(0.01, 1.0, n),
         )
-        mean, trace = estimate(belief)
-        states = np.hstack([belief.positions, belief.velocities])
-        assert np.array_equal(mean, belief.weights @ states)
+        mean, trace = estimate(states, weights)
+        assert np.array_equal(mean, weights @ states)
         centered = states - mean
-        cov = np.einsum("n,ni,nj->ij", belief.weights, centered, centered)
+        cov = np.einsum("n,ni,nj->ij", weights, centered, centered)
         assert trace == float(np.trace(cov))
 
 
@@ -543,25 +494,6 @@ def _arms_world(seed: int, field_kind: str):
     return measurements, config, evaluate
 
 
-def stepwise_run(measurements, config, rng, evaluate, tau):
-    """The filter loop spelled out with the one-arm step functions, as
-    run_filter read before the arms axis; returns the estimates."""
-    belief = ParticleBelief.from_gaussian(
-        measurements[0], config.particles, rng,
-        position_std=config.measurement_noise_std, speed_std=config.init_speed_std,
-    )
-    out = []
-    for z in measurements[1:]:
-        belief = predict(belief, config.process_model, rng)
-        belief, _ = update_measurement(belief, z, config.measurement_model)
-        if tau > 0.0:
-            belief = update_constitution(belief, evaluate(belief.positions, z), tau)
-        if belief.effective_sample_size() < config.ess_ratio * belief.size:
-            belief = resample(belief, rng)
-        out.append(estimate(belief)[0][:2])
-    return np.array(out)
-
-
 def outcome(run):
     """("ok", estimates) or ("raised", message) of a filter run."""
     try:
@@ -580,26 +512,39 @@ class TestFilterArms:
     def test_every_arm_is_a_lone_run_bit_for_bit(self, seed, taus, field_kind):
         measurements, config, evaluate = _arms_world(seed, field_kind)
         filter_seed = np.random.SeedSequence(seed)
-        estimates, failures, records = filter_arms(
-            measurements, config, [np.random.default_rng(filter_seed) for _ in taus],
-            taus, evaluate=evaluate,
-        )
+
+        def arms(log):
+            return filter_arms(
+                measurements, config, [np.random.default_rng(filter_seed) for _ in taus],
+                taus, evaluate=evaluate, t0=30.0, log=log,
+            )
+
+        estimates, failures, records = arms(log=False)
         assert estimates.shape == (len(taus), len(measurements) - 1, 2)
         assert records == []
+        logged_estimates, logged_failures, logged = arms(log=True)
+        assert np.array_equal(logged_estimates, estimates, equal_nan=True)
+        assert logged_failures == failures
         for j, tau in enumerate(taus):
             alone = outcome(lambda: run_filter(measurements, config,
                                                np.random.default_rng(filter_seed),
                                                evaluate=evaluate, tau=tau)[0])
-            stepwise = outcome(lambda: stepwise_run(measurements, config,
-                                                    np.random.default_rng(filter_seed),
-                                                    evaluate, tau))
+            stepwise, failure, stepwise_records = stepwise_run(
+                measurements, config, np.random.default_rng(filter_seed), evaluate, tau,
+                t0=30.0,
+            )
+            assert failure == failures[j]
             if failures[j] is None:
-                assert alone[0] == stepwise[0] == "ok"
+                assert alone[0] == "ok"
                 assert np.array_equal(estimates[j], alone[1])
-                assert np.array_equal(estimates[j], stepwise[1])
+                assert np.array_equal(estimates[j], stepwise)
             else:
-                assert alone == stepwise == ("raised", failures[j])
+                assert alone == ("raised", failures[j])
+                assert stepwise is None
                 assert np.isnan(estimates[j]).all()
+            if j == 0:
+                # Arm 0's step log, field for field, up to a degenerate step.
+                assert logged == stepwise_records
 
     def test_tau_zero_arm_is_the_plain_filter(self):
         measurements, config, evaluate = _arms_world(11, "nan")
