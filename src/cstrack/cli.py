@@ -95,8 +95,9 @@ def _grid_from_args(args, default_bbox=None, default_rows=100, default_cols=100)
     )
     if bbox is None:
         raise ConfigurationError("no --bbox given and no default available")
-    return GridSpec(bbox=bbox, rows=args.rows or default_rows,
-                    cols=args.cols or default_cols)
+    return GridSpec(bbox=bbox,
+                    rows=default_rows if args.rows is None else args.rows,
+                    cols=default_cols if args.cols is None else args.cols)
 
 
 def _load_filter_config(args) -> FilterConfig:
@@ -208,7 +209,7 @@ def cmd_field(args) -> int:
         _grid_from_args(args, default_bbox=layers[0].grid.bbox,
                         default_rows=layers[0].grid.rows,
                         default_cols=layers[0].grid.cols)
-        if (args.bbox is not None or args.rows or args.cols)
+        if args.bbox is not None or args.rows is not None or args.cols is not None
         else layers[0].grid
     )
     measurement = (
@@ -391,9 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--origin", help="lon,lat of the local frame origin")
-    p.add_argument("--bbox", help="grid bbox in meters: xmin,ymin,xmax,ymax")
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
+    p.add_argument("--bbox", help="grid bbox in meters: xmin,ymin,xmax,ymax "
+                                  "(default: the map's extent)")
+    p.add_argument("--rows", type=int, help="grid rows, at least 2 (default 100)")
+    p.add_argument("--cols", type=int, help="grid columns, at least 2 (default 100)")
     p.add_argument("--samples", type=int, default=100,
                    help="number of randomized map variants")
     p.add_argument("--relations", help="layers to build: over:land,distance:way,...")
@@ -406,9 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constitution", required=True)
     p.add_argument("--starmap", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--bbox")
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
+    p.add_argument("--bbox", help="grid bbox in meters: xmin,ymin,xmax,ymax "
+                                  "(default: the starmap's)")
+    p.add_argument("--rows", type=int, help="grid rows, at least 2 (default: the starmap's)")
+    p.add_argument("--cols", type=int,
+                   help="grid columns, at least 2 (default: the starmap's)")
     p.add_argument("--measurement", help="fixed measurement point x,y in meters "
                                          "(default: measurement = state)")
     p.add_argument("--pgm", help="also write the raster as a PGM image")

@@ -75,7 +75,7 @@ def _fractional_index(coords: np.ndarray, lo: float, hi: float, n: int) -> np.nd
     u = coords - lo
     u /= hi - lo
     u *= n - 1
-    snapped = np.round(u)
+    snapped = np.rint(u)
     np.copyto(u, snapped, where=np.abs(u - snapped) < _NODE_SNAP)
     return u
 
@@ -91,12 +91,14 @@ def _blend(grid: GridSpec, flat: np.ndarray, pts: np.ndarray, clip: bool,
     fx = _fractional_index(pts[:, 0], xmin, xmax, cols)
     fy = _fractional_index(pts[:, 1], ymin, ymax, rows)
     if clip:
-        fx = np.clip(fx, 0.0, cols - 1.0)
-        fy = np.clip(fy, 0.0, rows - 1.0)
+        np.minimum(np.maximum(fx, 0.0, out=fx), cols - 1.0, out=fx)
+        np.minimum(np.maximum(fy, 0.0, out=fy), rows - 1.0, out=fy)
     # Offsets fx, fy within the cell, in place; k is the flat row-major
     # index of the cell's lower-left node.
-    j0 = np.clip(fx.astype(int), 0, cols - 2)
-    k = np.clip(fy.astype(int), 0, rows - 2)
+    j0 = fx.astype(int)
+    np.maximum(np.minimum(j0, cols - 2, out=j0), 0, out=j0)
+    k = fy.astype(int)
+    np.maximum(np.minimum(k, rows - 2, out=k), 0, out=k)
     fx -= j0
     fy -= k
     k *= cols
@@ -105,7 +107,9 @@ def _blend(grid: GridSpec, flat: np.ndarray, pts: np.ndarray, clip: bool,
     out = None
     for node, wy, wx in ((k, gy, gx), (k + 1, gy, fx), (k + cols, fy, gx),
                          (k + cols + 1, fy, fx)):
-        term = flat.take(node) * wy * wx
+        term = flat.take(node)
+        term *= wy
+        term *= wx
         if masked:
             term = np.where((wy != 0) & (wx != 0), term, 0.0)
         if out is None:

@@ -454,7 +454,7 @@ def filter_arms(
         ess = 1.0 / np.square(weights).sum(axis=1)
         resampled = ess < config.ess_ratio * n
         for row in np.flatnonzero(resampled):
-            states[row] = states[row, _resample_index(weights[row], rngs[row])]
+            states[row] = states[row].take(_resample_index(weights[row], rngs[row]), axis=0)
             weights[row] = 1.0 / n
         means = [w @ arm_states for w, arm_states in zip(weights, states)]
         estimates[ids, step - 1] = np.array(means)[:, :2]

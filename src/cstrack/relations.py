@@ -51,7 +51,13 @@ every variant the k soundings nearest x in the reference lie within U(x),
 the largest |x - ref_j| + b_j among them, so a sounding with
 |x - ref_j| - b_j > U(x) is strictly farther than the k-th nearest and never
 ranks. One k-d tree over the reference positions (Bentley, CACM 1975)
-finds the candidates.
+finds the candidates. Points with the same number c of candidates are
+ranked together, so that every pass runs over whole rows rather than
+over the c candidates of one point: each point's coordinates repeat
+across its c candidates, a block of B variants gives one (B, P, c) array
+of squared distances, and the k nearest are gathered rank by rank, by
+flat offsets, into (k, B, P) squared distances and depths whose k rows
+_idw adds in rank order.
 
 Every bound is widened by a margin far above the rounding of the distances
 it compares (_CANDIDATE_SLACK); a wider margin only tests more points or
@@ -246,16 +252,24 @@ def _distance(points: np.ndarray, stack: np.ndarray, vert_idx, edge_idx, rings,
 
 
 def _idw(nd2: np.ndarray, nval: np.ndarray) -> np.ndarray:
-    """IDW with power 2 over the last axis, ranked nearest first; exact
-    hits short-circuit to the first exact node's value."""
+    """IDW with power 2, given rank by rank: row r of the (k, ...) squared
+    distances nd2 and values nval holds every point's r-th nearest node.
+    The weighted sums add the k rows in rank order, each a whole-row pass;
+    exact hits short-circuit to the first exact node's value."""
     exact = nd2 <= _BOUNDARY_EPS**2
-    w = np.where(exact, 0.0, 1.0 / np.where(exact, 1.0, nd2))
-    denom = w.sum(axis=-1)
-    out = (w * nval).sum(axis=-1) / np.where(denom > 0, denom, 1.0)
-    hit = exact.any(axis=-1)
-    if hit.any():
-        first = np.argmax(exact[hit], axis=-1)
-        out[hit] = nval[hit][np.arange(len(first)), first]
+    with np.errstate(divide="ignore"):
+        w = 1.0 / nd2
+    np.copyto(w, 0.0, where=exact)
+    wv = w * nval
+    denom, out = w[0], wv[0]
+    for r in range(1, len(w)):
+        denom += w[r]
+        out += wv[r]
+    out /= np.where(denom > 0, denom, 1.0)
+    if exact.any():
+        hit = exact.any(axis=0)
+        first = np.argmax(exact[:, hit], axis=0)
+        out[hit] = nval[:, hit][first, np.arange(len(first))]
     return out
 
 
@@ -301,7 +315,8 @@ def _depth(vmap: VectorMap, points: np.ndarray, tag: str, vert_idx, stack: np.nd
     if len(finite) == 0:
         return out
     soundings = stack[:, has_depth]
-    sx, sy = soundings[..., 0], soundings[..., 1]
+    sx = np.ascontiguousarray(soundings[..., 0])
+    sy = np.ascontiguousarray(soundings[..., 1])
     groups = _depth_candidates(points[finite], soundings, k)
     if stats is not None:
         sizes = np.concatenate([np.full(len(sel), cand.shape[1]) for sel, cand in groups])
@@ -309,20 +324,29 @@ def _depth(vmap: VectorMap, points: np.ndarray, tag: str, vert_idx, stack: np.nd
         stats["candidates_max"] = int(sizes.max())
     for sel, cand in groups:
         rows = finite[sel]
-        px, py = points[rows, 0, None], points[rows, 1, None]
-        # Flat offsets of each (point, candidate) row.
-        row_base = np.arange(cand.size, step=cand.shape[1])[:, None]
+        c = cand.shape[1]
+        # Each point repeated over its c candidates, so that every pass
+        # below runs over whole rows.
+        px = np.repeat(points[rows, 0, None], c, axis=1)
+        py = np.repeat(points[rows, 1, None], c, axis=1)
+        cand_values = values[cand].ravel()
+        # Flat offsets of each point's candidates within one variant.
+        row_base = np.arange(cand.size, step=c)
         for blk in _blocks(len(stack), cand.size):
-            d2 = np.subtract(px, sx[blk][:, cand])
+            d2 = np.subtract(px, sx[blk].take(cand, axis=1))
             d2 *= d2
-            dy = np.subtract(py, sy[blk][:, cand])
+            dy = np.subtract(py, sy[blk].take(cand, axis=1))
             dy *= dy
             d2 += dy
             # Candidates are index-sorted, so a stable sort ranks by
-            # (squared distance, index).
-            order = np.argsort(d2, axis=-1, kind="stable")[..., :k] + row_base
-            nd2 = d2.reshape(len(d2), -1)[np.arange(len(d2))[:, None, None], order]
-            out[blk, rows] = _idw(nd2, values[cand.ravel()[order]])
+            # (squared distance, index). The flat offsets of the k nearest
+            # go rank by rank into a C-ordered (k, B, P) array: first
+            # within a variant (the depths), then within d2.
+            nearest = np.add(np.argsort(d2, axis=-1, kind="stable")[..., :k].transpose(2, 0, 1),
+                             row_base, out=np.empty((k,) + d2.shape[:2], dtype=np.intp))
+            nval = cand_values.take(nearest)
+            nearest += np.arange(0, d2.size, cand.size)[:, None]
+            out[blk, rows] = _idw(d2.take(nearest), nval)
     return out
 
 

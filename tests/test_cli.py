@@ -142,6 +142,20 @@ class TestBuildStarmap:
         assert "Traceback" not in err
         assert list(tmp_path.glob("sm.json*")) == []
 
+    @pytest.mark.parametrize("flag, value", [("--rows", 0), ("--rows", 1), ("--cols", 0),
+                                             ("--cols", -3)])
+    def test_too_small_grid_is_user_error_and_writes_nothing(self, paths, tmp_path, capsys,
+                                                             flag, value):
+        argv = ["build-starmap", "--map", paths["map"], "--perturb", paths["perturb"],
+                "--relations", "over:corridor", "--bbox=-300,-300,3900,300",
+                "--rows", 4, "--cols", 4, "--samples", 4, "--out", tmp_path / "sm.json"]
+        argv[argv.index(flag) + 1] = value
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "at least 2x2 nodes" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.glob("sm.json*")) == []
+
     def test_explicit_relations_and_pgm(self, paths, tmp_path):
         pgm_dir = tmp_path / "pgm"
         code = run_cli(
@@ -279,6 +293,22 @@ class TestField:
                        "--starmap", empty_starmap(tmp_path), "--out", tmp_path / "f.json")
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--rows", 0], ["--rows", 1], ["--cols", 0],
+                                       ["--rows", -3, "--cols", 5]])
+    def test_too_small_grid_is_user_error_and_writes_nothing(self, paths, tmp_path, capsys,
+                                                             flags):
+        starmap = build_starmap(paths, tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        code = run_cli("field", "--constitution", paths["constitution"], "--starmap", starmap,
+                       "--out", out / "field.json", *flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "at least 2x2 nodes" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     def test_rerun_byte_identical(self, paths, tmp_path):
         starmap = build_starmap(paths, tmp_path)

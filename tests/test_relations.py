@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cstrack import relations
 from cstrack.errors import NoDepthDataError
 from cstrack.relations import RelationKind, eval_relation_many
 from cstrack.vectormap import (
@@ -284,6 +285,31 @@ class TestStackedDepth:
             np.testing.assert_array_equal(
                 got[v][finite], brute_force.depth(points[finite], verts, depths))
         assert np.isnan(got[:, ~finite]).all()
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_blocks_equal_each_variant_and_full_ranking(self, monkeypatch, seed):
+        # Blocks of a few variants each, over several candidate groups:
+        # the flat gathers offset each variant of a block by its place.
+        rng = np.random.default_rng(seed)
+        base = np.vstack([rng.uniform(-200, 200, (40, 2)),
+                          40.0 * rng.integers(-4, 5, (10, 2))])
+        # Small moves keep the candidate sets small and of several sizes;
+        # the unmoved variant keeps the lattice ties.
+        stack = np.array([base] + [base + rng.normal(0.0, 2.0, base.shape) for _ in range(6)])
+        depths = rng.permutation(len(base)) + 1.0
+        points = np.vstack([rng.uniform(-220, 220, (40, 2)), 20.0 * rng.integers(-8, 9, (10, 2)),
+                            stack[rng.integers(len(stack)), :5]])
+        monkeypatch.setattr(relations, "_BLOCK_CELLS", 200)
+        groups = relations._depth_candidates(points, stack, 4)
+        per_block = [relations._BLOCK_CELLS // cand.size for _, cand in groups]
+        assert len(groups) > 1 and any(1 < b < len(stack) for b in per_block)
+        vmap = sounding_map(base, depths)
+        got = eval_relation_many(vmap, RelationKind.DEPTH, points, "water", vertices=stack)
+        for v, verts in enumerate(stack):
+            one = eval_relation_many(vmap, RelationKind.DEPTH, points, "water", vertices=verts)
+            assert got[v].tobytes() == one.tobytes()
+            assert got[v].tobytes() == brute_force.depth(points, verts, depths).tobytes()
 
 
 def random_ring(rng, n):
