@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import logging
 import math
 import os
@@ -28,7 +29,7 @@ from .constitution import (
     parse_file,
     precompute_field,
 )
-from .errors import ConfigurationError, CstrackError, DegenerateBeliefError
+from .errors import ConfigurationError, CstrackError
 from .evalbench import load_scenario, run_ablation
 from .grids import GridSpec
 from .ingest import (
@@ -40,7 +41,7 @@ from .ingest import (
     save_tracks,
     segment_tracks,
 )
-from .particlefilter import FilterConfig, run_filter
+from .particlefilter import FilterConfig, filter_arms
 from .projection import LocalFrame
 from .relations import RelationKind
 from .starmap import build_starmap, load_starmap, save_starmap, write_layer_pgm
@@ -66,6 +67,17 @@ def _parse_numbers(text: str, what: str, form: str | None = None) -> tuple[float
         shape = f"'{form}'" if form else "a comma-separated list"
         raise ConfigurationError(f"{what} must be {shape} of finite numbers, got {text!r}")
     return values
+
+
+def _seed(text: str) -> int:
+    """A --seed value; numpy seeds are non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
 
 
 def _parse_relations(text: str) -> list[tuple[RelationKind, str]]:
@@ -232,7 +244,29 @@ def cmd_field(args) -> int:
     return EXIT_OK
 
 
+# Particles one filter_arms block of track holds: 8 arms at 2000
+# particles. Blocks bound the memory; a track's bits do not depend on them.
+_BLOCK_PARTICLES = 16_384
+
+
+def _track_blocks(tracks, arms: int) -> list[list[int]]:
+    """Indices of consecutive tracks with equal dt, at most arms per block."""
+    blocks = []
+    for _, run in itertools.groupby(range(len(tracks)), key=lambda i: tracks[i].dt):
+        run = list(run)
+        blocks.extend(run[lo:lo + arms] for lo in range(0, len(run), arms))
+    return blocks
+
+
 def cmd_track(args) -> int:
+    """Filter every track, one arm per track, a block of tracks at a time.
+
+    Each track gets its own child seed and trust ratio, and its step lines
+    and summary entry are those of the track filtered alone. Blocks hold
+    consecutive tracks of equal dt (see _BLOCK_PARTICLES); each block's
+    lines and entries are written in input order before the next block
+    runs. A degenerate track writes no step lines and gets a failure entry.
+    """
     tracks, _ = load_tracks(args.tracks)
     config = _load_filter_config(args)
     use_constitution = not args.no_constitution
@@ -247,48 +281,51 @@ def cmd_track(args) -> int:
         program = parse_file(args.constitution)
         layers, _ = load_starmap(args.starmap)
         evaluate = _evaluator_for(program, layers, args.mode)
+    for track in tracks:
+        if track.dt is None:
+            raise ConfigurationError(
+                f"track {track.vessel_id} has no uniform dt; run ingest first"
+            )
+    if use_constitution and trust_table is not None:
+        taus = [trust_table.lookup(extract_features(track)) for track in tracks]
+    else:
+        tau = args.tau if use_constitution and args.tau is not None else 0.0
+        taus = [tau] * len(tracks)
     seeds = np.random.SeedSequence(args.seed).spawn(len(tracks))
     summary = []
     started = time.perf_counter()
     with jsonio.atomic_write(args.out_logs) as logs:
-        for i, track in enumerate(tracks):
-            if track.dt is None:
-                raise ConfigurationError(
-                    f"track {track.vessel_id} has no uniform dt; run ingest first"
-                )
-            if use_constitution and trust_table is not None:
-                tau = trust_table.lookup(extract_features(track))
-            elif use_constitution:
-                tau = args.tau if args.tau is not None else 0.0
-            else:
-                tau = 0.0
-            run_config = dataclasses.replace(config, dt=float(track.dt))
-            try:
-                estimates, records = run_filter(
-                    np.asarray(track.positions, dtype=float),
-                    run_config,
-                    np.random.default_rng(seeds[i]),
-                    evaluate=evaluate,
-                    tau=tau,
-                    t0=float(track.times[0]),
-                )
-            except DegenerateBeliefError as exc:
-                summary.append({"vessel_id": track.vessel_id, "tau": tau, "steps": 0,
-                                "mae_vs_recorded": None, "failure": str(exc)})
-                continue
-            for record in records:
-                doc = {"vessel_id": track.vessel_id, **record.to_json()}
-                logs.write(jsonio.dumps_line(doc) + "\n")
-            summary.append(
-                {
-                    "vessel_id": track.vessel_id,
-                    "tau": tau,
-                    "steps": len(records),
-                    "mae_vs_recorded": position_mae(
-                        estimates, np.asarray(track.positions[1:], dtype=float)
-                    ),
-                }
+        for block in _track_blocks(tracks, max(1, _BLOCK_PARTICLES // config.particles)):
+            estimates, failures, records = filter_arms(
+                [np.asarray(tracks[i].positions, dtype=float) for i in block],
+                dataclasses.replace(config, dt=float(tracks[block[0]].dt)),
+                [np.random.default_rng(seeds[i]) for i in block],
+                [taus[i] for i in block],
+                evaluate=evaluate,
+                t0s=[float(tracks[i].times[0]) for i in block],
+                log=True,
             )
+            for i, track_estimates, failure, track_records in zip(
+                    block, estimates, failures, records):
+                track = tracks[i]
+                if failure is not None:
+                    summary.append({"vessel_id": track.vessel_id, "tau": taus[i],
+                                    "steps": 0, "mae_vs_recorded": None,
+                                    "failure": failure})
+                    continue
+                for record in track_records:
+                    doc = {"vessel_id": track.vessel_id, **record.to_json()}
+                    logs.write(jsonio.dumps_line(doc) + "\n")
+                summary.append(
+                    {
+                        "vessel_id": track.vessel_id,
+                        "tau": taus[i],
+                        "steps": len(track_records),
+                        "mae_vs_recorded": position_mae(
+                            track_estimates, np.asarray(track.positions[1:], dtype=float)
+                        ),
+                    }
+                )
     elapsed = time.perf_counter() - started
     log.info("track: %d of %d tracks degenerate (no step lines written)",
              sum("failure" in entry for entry in summary), len(tracks))
@@ -362,8 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0,
-                       help="master seed; all randomness derives from it")
+        p.add_argument("--seed", type=_seed, default=0,
+                       help="master seed, a non-negative integer; all randomness "
+                            "derives from it")
         p.add_argument("-v", "--verbose", action="store_true", help="info logging")
 
     def filter_options(p):

@@ -10,12 +10,13 @@ blending the compliance likelihood with a uniform density. tau = 0 is an
 exact no-op (implemented as such, so a tau = 0 run is bit-identical to a
 filter without the compliance step), tau = 1 weights purely by compliance.
 
-There is one step loop, filter_arms: it advances one arm per trust ratio
-on a shared (arms, particles) axis, each arm with its own generator, and
-an arm's results are bit-identical to the same arm run alone. run_filter
-is its one-arm case with a step log; trust.sweep runs all ratios of a
-track in one call. An arm whose weights all vanish is frozen as NaN
-while the others go on; run_filter raises DegenerateBeliefError for it.
+There is one step loop, filter_arms: it advances several arms on a
+shared (arms, particles) axis, each with its own measurement sequence,
+generator and trust ratio, and an arm's results are bit-identical to the
+same arm run alone. trust.sweep runs all ratios of a track in one call,
+one arm per ratio on the same measurements; cli track runs blocks of
+tracks, one arm per track. An arm whose weights all vanish is frozen as
+NaN while the others go on, and an arm retires when its sequence ends.
 
 Compliance comes from an evaluator evaluate(positions, z) -> (N,), with z
 one (2,) measurement or one (N, 2) row per position, values in [0, 1] and
@@ -36,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jsonio
-from .errors import ConfigurationError, DegenerateBeliefError, FormatError
+from .errors import ConfigurationError, FormatError
 
 
 def cv_process_noise(dt: float, sigma_a: float) -> np.ndarray:
@@ -182,10 +183,12 @@ def _move(states: np.ndarray, process: ProcessModel, rngs) -> None:
 
 
 def _positions(states: np.ndarray, offset=(0.0, 0.0)) -> np.ndarray:
-    """(..., 2) copy of the positions (columns 0 and 1) minus offset."""
+    """(..., 2) copy of the positions (columns 0 and 1) minus offset, one
+    (2,) point or, for an (A, N, 4) stack, one (A, 2) row per arm."""
+    offset = np.asarray(offset, dtype=float)
     out = np.empty((*states.shape[:-1], 2))
     for i in (0, 1):
-        np.subtract(states[..., i], offset[i], out=out[..., i])
+        np.subtract(states[..., i], offset[..., i, None], out=out[..., i])
     return out
 
 
@@ -360,33 +363,50 @@ class StepRecord:
 
 
 def filter_arms(
-    measurements: np.ndarray,
+    measurements,
     config: FilterConfig,
     rngs,
     taus,
     evaluate=None,
-    t0: float = 0.0,
+    t0s=None,
     log: bool = False,
-) -> tuple[np.ndarray, list[str | None], list[StepRecord]]:
-    """Track one measurement sequence once per trust ratio, all arms together.
+) -> tuple[list[np.ndarray], list[str | None], list[list[StepRecord]]]:
+    """Advance several filter arms together, each on its own measurements.
 
-    measurements: (T, 2) positions, the first of which initializes each
-    arm's belief; rngs and taus: one generator and one ratio per arm. Step
-    order: predict, measurement update, compliance update, conditional
-    resampling, estimate. An arm draws from its own generator in the order
-    a lone filter would, so each arm's bits are those of the same run
-    alone. An arm at tau = 0 (every arm when evaluate is None) skips the
-    compliance update and consumes exactly the draws of a plain particle
-    filter; the other live arms share one evaluate call per step.
+    measurements: one (T_a, 2) position sequence per arm, whose first row
+    initializes the arm's belief; rngs, taus and t0s (default 0): one
+    generator, one trust ratio and one start time per arm. One config, and
+    so one dt, covers every arm. Step order: predict, measurement update,
+    compliance update, conditional resampling, estimate. An arm draws from
+    its own generator in the order a lone filter would, so each arm's bits
+    are those of the same arm run alone. An arm at tau = 0 (every arm when
+    evaluate is None) skips the compliance update and consumes exactly the
+    draws of a plain particle filter; the other live arms share one
+    evaluate call per step. It gets one (2,) z when every arm has the same
+    measurements, as in a sweep, and one z row per position otherwise. An
+    arm retires when its sequence ends.
 
-    Returns the (A, T - 1, 2) position estimates, per arm None or the
-    reason it degenerated (its estimates are then NaN), and, with log, the
-    StepRecords of arm 0; sweeps leave log off and skip the covariance
-    trace and the mean compliance that only the records carry.
+    Returns per arm the (T_a - 1, 2) position estimates, None or the
+    reason it degenerated (its estimates are then NaN), and, with log, its
+    StepRecords up to its last completed step; sweeps leave log off and
+    skip the covariance trace and the mean compliance that only the
+    records carry.
     """
-    measurements = np.asarray(measurements, dtype=float)
-    if measurements.ndim != 2 or measurements.shape[1] != 2 or len(measurements) < 2:
-        raise ConfigurationError("need a (T, 2) measurement array with T >= 2")
+    measurements = [np.asarray(m, dtype=float) for m in measurements]
+    for m in measurements:
+        if m.ndim != 2 or m.shape[1] != 2 or len(m) < 2:
+            raise ConfigurationError("need a (T, 2) measurement array with T >= 2 per arm")
+    rngs = list(rngs)
+    taus = np.array(taus, dtype=float).reshape(-1)
+    n_arms = len(rngs)
+    if len(taus) != n_arms or len({id(rng) for rng in rngs}) != n_arms:
+        raise ConfigurationError("need one generator of its own per trust ratio")
+    for tau in taus:
+        if not 0.0 <= tau <= 1.0:
+            raise ConfigurationError(f"tau must lie in [0, 1], got {tau}")
+    t0s = [0.0] * n_arms if t0s is None else [float(t0) for t0 in t0s]
+    if len(measurements) != n_arms or len(t0s) != n_arms:
+        raise ConfigurationError("need one measurement sequence and one t0 per arm")
     process = config.process_model
     meas_model = config.measurement_model
     pos_std = (
@@ -394,53 +414,66 @@ def filter_arms(
         if config.init_position_std is not None
         else config.measurement_noise_std
     )
-    rngs = list(rngs)
-    taus = np.array(taus, dtype=float).reshape(-1)
-    if len(taus) != len(rngs) or len({id(rng) for rng in rngs}) != len(rngs):
-        raise ConfigurationError("need one generator of its own per trust ratio")
-    for tau in taus:
-        if not 0.0 <= tau <= 1.0:
-            raise ConfigurationError(f"tau must lie in [0, 1], got {tau}")
+    lengths = np.array([len(m) for m in measurements], dtype=int)
+    ends = set(lengths.tolist())
+    # Every arm's measurements on one (A, T_max, 2) axis, NaN past its end.
+    zs = np.full((n_arms, lengths.max(initial=2), 2), np.nan)
+    for arm, m in enumerate(measurements):
+        zs[arm, :len(m)] = m
+    # When every arm has the same measurement bits, as in a sweep, each step
+    # uses one (2,) z, as a lone run does; else one row per arm, and the
+    # evaluator gets one row per position.
+    shared = all(np.array_equal(row.view(np.int64), zs[0].view(np.int64)) for row in zs)
     n = config.particles
-    states = np.empty((len(rngs), n, 4))
-    # Each arm's cloud around the first measurement, at rest on average;
+    states = np.empty((n_arms, n, 4))
+    # Each arm's cloud around its first measurement, at rest on average;
     # positions are drawn before velocities, and that order fixes the bits.
     for arm, rng in enumerate(rngs):
-        states[arm, :, :2] = measurements[0] + pos_std * rng.standard_normal((n, 2))
+        states[arm, :, :2] = zs[arm, 0] + pos_std * rng.standard_normal((n, 2))
         states[arm, :, 2:] = config.init_speed_std * rng.standard_normal((n, 2))
-    weights = np.full((len(rngs), n), 1.0 / n)
+    weights = np.full((n_arms, n), 1.0 / n)
     # Rows of states, weights, rngs and taus belong to the live arms ids.
-    ids = np.arange(len(rngs))
-    failures: list[str | None] = [None] * len(rngs)
-    estimates = np.full((len(rngs), len(measurements) - 1, 2), np.nan)
-    records: list[StepRecord] = []
+    ids = np.arange(n_arms)
+    failures: list[str | None] = [None] * n_arms
+    estimates = np.full((n_arms, zs.shape[1] - 1, 2), np.nan)
+    records: list[list[StepRecord]] = [[] for _ in range(n_arms)]
+    norm_consts = np.empty(n_arms)  # per arm id, for the log
 
-    def drop(dead: np.ndarray, reason: str) -> None:
+    def drop(gone: np.ndarray, reason: str | None) -> None:
+        """Retire the rows in mask gone; reason None for an ended sequence."""
         nonlocal states, weights, rngs, taus, ids
-        for arm in ids[dead]:
+        for arm in ids[gone]:
             failures[arm] = reason
-        keep = ~dead
+        keep = ~gone
         states, weights, taus, ids = states[keep], weights[keep], taus[keep], ids[keep]
         rngs = [rng for rng, k in zip(rngs, keep) if k]
 
-    for step, z in enumerate(measurements[1:], start=1):
+    for step in range(1, zs.shape[1]):
+        if step in ends:
+            drop(lengths[ids] <= step, None)
+        if not len(ids):
+            break
+        z = zs[0, step] if shared else zs[ids, step]
         _move(states, process, rngs)
         raw = weights * meas_model.likelihood(_positions(states, z))
         weights, norms, alive = _renormalize(raw)
-        norm_const = float(norms[0])  # arm 0's, if it is still live; for the log
+        norm_consts[ids] = norms
         if not alive.all():
             drop(~alive, _MEASUREMENT_DEGENERATE)
-        mean_prob = None
+        mean_probs: dict[int, float | None] = {}
         active = np.flatnonzero(taus > 0.0) if evaluate is not None else ()
         if len(active):
             positions = _positions(states[active]).reshape(-1, 2)
+            if not shared:
+                z = np.repeat(zs[ids[active], step], n, axis=0)
             probs = np.asarray(evaluate(positions, z), dtype=float).reshape(-1)
             if probs.shape != (len(positions),):
                 raise ConfigurationError("evaluator returned a wrong-sized probability vector")
             probs = probs.reshape(len(active), n)
-            if log and ids[active[0]] == 0:
-                defined = probs[0][~np.isnan(probs[0])]
-                mean_prob = float(defined.mean()) if defined.size else None
+            if log:
+                for arm, arm_probs in zip(ids[active], probs):
+                    defined = arm_probs[~np.isnan(arm_probs)]
+                    mean_probs[arm] = float(defined.mean()) if defined.size else None
             factor, changed = _compliance_factor(weights[active], probs, taus[active])
             active = active[changed]
             blended, _, alive = _renormalize(weights[active] * factor[changed])
@@ -458,44 +491,22 @@ def filter_arms(
             weights[row] = 1.0 / n
         means = [w @ arm_states for w, arm_states in zip(weights, states)]
         estimates[ids, step - 1] = np.array(means)[:, :2]
-        if log and ids[0] == 0:
-            mean = means[0]
-            records.append(
-                StepRecord(
-                    t=t0 + step * config.dt,
-                    estimate_position=(float(mean[0]), float(mean[1])),
-                    estimate_velocity=(float(mean[2]), float(mean[3])),
-                    covariance_trace=_covariance_trace(weights[0], states[0], mean),
-                    n_eff=float(ess[0]),
-                    norm_const=norm_const,
-                    mean_constitution_prob=mean_prob,
-                    resampled=bool(resampled[0]),
+        if log:
+            for row, arm in enumerate(ids):
+                mean = means[row]
+                records[arm].append(
+                    StepRecord(
+                        t=t0s[arm] + step * config.dt,
+                        estimate_position=(float(mean[0]), float(mean[1])),
+                        estimate_velocity=(float(mean[2]), float(mean[3])),
+                        covariance_trace=_covariance_trace(weights[row], states[row], mean),
+                        n_eff=float(ess[row]),
+                        norm_const=float(norm_consts[arm]),
+                        mean_constitution_prob=mean_probs.get(arm),
+                        resampled=bool(resampled[row]),
+                    )
                 )
-            )
     for arm, reason in enumerate(failures):
         if reason is not None:
             estimates[arm] = np.nan
-    return estimates, failures, records
-
-
-def run_filter(
-    measurements: np.ndarray,
-    config: FilterConfig,
-    rng: np.random.Generator,
-    evaluate=None,
-    tau: float = 0.0,
-    t0: float = 0.0,
-) -> tuple[np.ndarray, list[StepRecord]]:
-    """Track one measurement sequence; returns position estimates and logs.
-
-    The one-arm case of filter_arms, with the step records built. With
-    tau = 0 (or no evaluator) the compliance update is skipped and the run
-    consumes exactly the same random draws as a plain particle filter. A
-    run whose weights all vanish raises DegenerateBeliefError.
-    """
-    estimates, failures, records = filter_arms(
-        measurements, config, (rng,), (tau,), evaluate=evaluate, t0=t0, log=True,
-    )
-    if failures[0] is not None:
-        raise DegenerateBeliefError(failures[0])
-    return estimates[0], records
+    return [estimates[arm, :length - 1] for arm, length in enumerate(lengths)], failures, records

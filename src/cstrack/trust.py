@@ -222,8 +222,9 @@ def sweep(truths, track_seeds, config: FilterConfig, evaluate, taus) -> np.ndarr
     seed: the noise is drawn once, and every arm filters the same
     measurements from a fresh generator on the filter seed, so the arms
     differ in tau alone. All arms of a track advance together in one
-    filter_arms call, each with the bits it has run alone; the tau = 0 arm
-    never calls evaluate, so it is bit-identical to the plain filter.
+    filter_arms call, which gets the track's measurements once per arm;
+    each arm has the bits it has run alone, and the tau = 0 arm never
+    calls evaluate, so it is bit-identical to the plain filter.
     """
     mae = np.full((len(truths), len(taus)), np.nan)
     for i, (truth, seq) in enumerate(zip(truths, track_seeds)):
@@ -233,8 +234,8 @@ def sweep(truths, track_seeds, config: FilterConfig, evaluate, taus) -> np.ndarr
             np.random.default_rng(noise_seq), len(truth)
         )
         estimates, failures, _ = filter_arms(
-            measurements, config, [np.random.default_rng(filter_seq) for _ in taus],
-            taus, evaluate=evaluate,
+            [measurements] * len(taus), config,
+            [np.random.default_rng(filter_seq) for _ in taus], taus, evaluate=evaluate,
         )
         for j, failure in enumerate(failures):
             if failure is None:

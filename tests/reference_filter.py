@@ -6,7 +6,8 @@ update_measurement, update_constitution, resample and estimate are the
 steps of one lone filter on that pair, built on the same kernels as
 particlefilter.filter_arms. stepwise_run composes them into the filter
 loop one step at a time; tests compare every arm of filter_arms with it
-bit for bit.
+bit for bit. run_filter is the one-arm case of filter_arms itself, with
+the step records built and a degenerate run raised.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from cstrack.particlefilter import (
     _positions,
     _renormalize,
     _resample_index,
+    filter_arms,
 )
 
 
@@ -164,3 +166,19 @@ def stepwise_run(measurements, config, rng, evaluate, tau, t0=0.0):
             resampled=resampled,
         ))
     return np.array(estimates), None, records
+
+
+def run_filter(measurements, config, rng, evaluate=None, tau=0.0, t0=0.0):
+    """Track one measurement sequence; returns position estimates and logs.
+
+    The one-arm case of filter_arms, with the step records built. With
+    tau = 0 (or no evaluator) the compliance update is skipped and the run
+    consumes exactly the same random draws as a plain particle filter. A
+    run whose weights all vanish raises DegenerateBeliefError.
+    """
+    estimates, failures, records = filter_arms(
+        (measurements,), config, (rng,), (tau,), evaluate=evaluate, t0s=(t0,), log=True,
+    )
+    if failures[0] is not None:
+        raise DegenerateBeliefError(failures[0])
+    return estimates[0], records[0]

@@ -21,6 +21,7 @@ from reference_filter import (
     effective_sample_size,
     predict,
     resample,
+    run_filter,
     update_constitution,
     update_measurement,
     validate,
@@ -51,7 +52,6 @@ from cstrack.particlefilter import (
     FilterConfig,
     MeasurementModel,
     ProcessModel,
-    run_filter,
 )
 from cstrack.relations import RelationKind, eval_relation_many
 from cstrack.starmap import build_starmap

@@ -5,18 +5,25 @@ import pathlib
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cstrack import cli, jsonio
 from cstrack.cli import main
 from cstrack.constitution import ConstitutionEvaluator, parse, precompute_field
 from cstrack.demo import write_demo
 from cstrack.grids import GridSpec
+from cstrack.ingest import load_tracks
+from cstrack.particlefilter import FilterConfig
 from cstrack.relations import RelationKind
 from cstrack.starmap import StaRMapLayer, load_starmap, save_starmap
+from cstrack.trust import TrustTable, extract_features, position_mae
 
 import world
+from reference_filter import stepwise_run
 
 
 @pytest.fixture
@@ -386,6 +393,49 @@ class TestTrack:
         assert logs.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("dt", "x"), ("dt", 0), ("dt", -60.0), ("dt", True),
+        ("positions", "one short"), ("velocities", "one short"), ("velocities", "3 wide"),
+        ("times", "nested"), ("positions", "null row"), ("times", "null row"),
+        ("vessel_type", "70"), ("draft", "deep"), ("sog_median_kn", [0.1]),
+    ])
+    def test_malformed_tracks_file_is_user_error_and_writes_nothing(
+            self, paths, tmp_path, capsys, key, value):
+        # The middle one of three tracks is broken; metadata is read by the
+        # trust table, so give one.
+        doc = json.loads(ingest(paths, tmp_path).read_text())
+        good = doc["tracks"][0]
+        bad = dict(good, vessel_id="bad", metadata=dict(good["metadata"]))
+        if key == "dt":
+            bad["dt"] = value
+        elif key in ("vessel_type", "draft", "sog_median_kn"):
+            bad["metadata"][key] = value
+        elif value == "one short":
+            bad[key] = good[key][:-1]
+        elif value == "3 wide":
+            bad[key] = [row + [0.0] for row in good[key]]
+        elif value == "null row":
+            bad[key] = list(good[key])
+            bad[key][5] = None if key == "times" else [None, None]
+        else:
+            bad[key] = [[t] for t in good[key]]
+        doc["tracks"] = [good, bad, dict(good, vessel_id="last")]
+        tracks = tmp_path / "bad_tracks.json"
+        tracks.write_text(json.dumps(doc))
+        table = tmp_path / "trust.json"
+        table.write_text(json.dumps({"default_tau": 0.5, "entries": []}))
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        code = run_cli("track", "--tracks", tracks, "--constitution", paths["constitution"],
+                       "--starmap", build_starmap(paths, tmp_path), "--trust-table", table,
+                       "--particles", 50, "--out-logs", out / "l.jsonl",
+                       "--out-summary", out / "s.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: bad tracks JSON" in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_field_and_direct_modes_run(self, paths, tmp_path):
         starmap = build_starmap(paths, tmp_path)
         tracks = ingest(paths, tmp_path)
@@ -552,6 +602,151 @@ class TestTrack:
         assert {"vessel_id", "t", "estimate", "covariance_trace", "n_eff",
                 "norm_const", "mean_constitution_prob", "resampled"} <= set(rec)
         assert rec["mean_constitution_prob"] is not None
+
+
+BLOCK_PARTICLES = 20
+VESSEL_TYPES = {"cargo": 70, "fishing": 30, "unknown": None}
+
+
+@pytest.fixture(scope="module")
+def block_world(tmp_path_factory):
+    """A 5 x 15 over:corridor starmap over the world's bbox, random west
+    of x = 1800 m with two flagged cells and 0 from x = 2100 m on, where a
+    track at tau = 1 degenerates; and a program that reads both the state
+    and the measurement."""
+    directory = tmp_path_factory.mktemp("blocks")
+    grid = GridSpec(bbox=(-300.0, -300.0, 3900.0, 300.0), rows=5, cols=15)
+    xs = grid.node_points()[:, 0].reshape(5, 15)
+    mean = np.where(xs <= 1800.0, np.random.default_rng(14).uniform(0.3, 1.0, (5, 15)), 0.0)
+    std = np.zeros((5, 15))
+    for cell in ((1, 3), (3, 5)):
+        mean[cell] = std[cell] = np.nan
+    layer = StaRMapLayer(relation=RelationKind.OVER, tag="corridor", grid=grid,
+                         mean=mean, std=std, sample_count=2)
+    starmap = directory / "starmap.json"
+    save_starmap([layer], starmap)
+    program = directory / "program.cst"
+    program.write_text("1.0 :: constitution(X, Z) :- over(X, corridor), over(Z, corridor).\n")
+    return directory, starmap, program
+
+
+def write_block_tracks(path, cases, seed):
+    """One track per (samples, dt, t0, vessel type, east) case: 1 m/s
+    eastward from a random start, east of x = 2700 m when east is set."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for k, (samples, dt, t0, kind, east) in enumerate(cases):
+        times = float(t0) + dt * np.arange(samples)
+        x0 = rng.uniform(2700.0, 2900.0) if east else rng.uniform(0.0, 700.0)
+        positions = np.column_stack([x0 + (times - times[0]),
+                                     rng.normal(0.0, 15.0, samples)])
+        docs.append({"vessel_id": f"v{k}", "dt": dt, "times": times.tolist(),
+                     "positions": positions.tolist(),
+                     "velocities": np.tile([1.0, 0.0], (samples, 1)).tolist(),
+                     "metadata": {"vessel_type": VESSEL_TYPES[kind], "draft": None,
+                                  "sog_median_kn": None}})
+    path.write_text(json.dumps({"origin_lonlat": list(world.ORIGIN), "tracks": docs}))
+
+
+def lone_track_outputs(tracks_path, starmap, program_path, mode, table, seed):
+    """The step log bytes and summary entries of every track run alone
+    through the stepwise reference filter, on its own child seed."""
+    tracks, _ = load_tracks(tracks_path)
+    layers, _ = load_starmap(starmap)
+    program = parse(program_path.read_text())
+    evaluator = (precompute_field(program, layers, layers[0].grid) if mode == "field"
+                 else ConstitutionEvaluator(program, layers))
+    lines, entries = [], []
+    for track, track_seed in zip(tracks, np.random.SeedSequence(seed).spawn(len(tracks))):
+        tau = table.lookup(extract_features(track))
+        config = FilterConfig(particles=BLOCK_PARTICLES, dt=float(track.dt),
+                              measurement_noise_std=40.0)
+        estimates, failure, records = stepwise_run(
+            track.positions, config, np.random.default_rng(track_seed),
+            evaluator.particle_probabilities, tau, t0=float(track.times[0]),
+        )
+        if failure is not None:
+            entries.append({"vessel_id": track.vessel_id, "tau": tau, "steps": 0,
+                            "mae_vs_recorded": None, "failure": failure})
+            continue
+        lines += [jsonio.dumps_line({"vessel_id": track.vessel_id, **r.to_json()}) + "\n"
+                  for r in records]
+        entries.append({"vessel_id": track.vessel_id, "tau": tau, "steps": len(records),
+                        "mae_vs_recorded": position_mae(estimates, track.positions[1:])})
+    return "".join(lines).encode(), entries
+
+
+def check_blocks_equal_lone_runs(block_world, cases, mode, cargo_tau, default_tau, arms,
+                                 seed):
+    """Run track over the cases in blocks of at most arms tracks; every
+    track's step lines and summary entry must be those of its lone run.
+    Returns the arm count of every filter_arms call."""
+    directory, starmap, program = block_world
+    tracks = directory / "tracks.json"
+    write_block_tracks(tracks, cases, seed)
+    table = TrustTable.from_json({"default_tau": default_tau, "entries": [
+        {"vessel_type": "cargo", "waterway_bound": True, "anchoring": False,
+         "tau": cargo_tau},
+        {"vessel_type": "fishing", "waterway_bound": False, "anchoring": False,
+         "tau": 0.0},
+    ]})
+    table.save(directory / "table.json")
+    logs, summary = directory / "steps.jsonl", directory / "summary.json"
+    block_arms = []
+    real_filter_arms = cli.filter_arms
+
+    def counting_filter_arms(measurements, *args, **kwargs):
+        block_arms.append(len(measurements))
+        return real_filter_arms(measurements, *args, **kwargs)
+
+    # A block holds floor(_BLOCK_PARTICLES / particles) arms.
+    with mock.patch.object(cli, "_BLOCK_PARTICLES", arms * BLOCK_PARTICLES + 19), \
+            mock.patch.object(cli, "filter_arms", counting_filter_arms):
+        code = run_cli("track", "--tracks", tracks, "--constitution", program,
+                       "--starmap", starmap, "--trust-table", directory / "table.json",
+                       "--mode", mode, "--particles", BLOCK_PARTICLES, "--meas-std", 40,
+                       "--seed", seed, "--out-logs", logs, "--out-summary", summary)
+    assert code == 0
+    want_logs, want_entries = lone_track_outputs(tracks, starmap, program, mode, table, seed)
+    assert json.loads(summary.read_text()) == {"tracks": want_entries, "master_seed": seed}
+    assert logs.read_bytes() == want_logs
+    return block_arms
+
+
+class TestTrackBlocks:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.tuples(st.integers(2, 10), st.sampled_from([30.0, 60.0]),
+                           st.integers(0, 5000), st.sampled_from(sorted(VESSEL_TYPES)),
+                           st.booleans()),
+                 min_size=1, max_size=7),
+        st.sampled_from(["field", "direct"]),
+        st.sampled_from([0.5, 1.0]),
+        st.sampled_from([0.0, 0.3, 1.0]),
+        st.sampled_from([1, 3, 8]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_track_gets_the_bits_of_its_lone_run(self, block_world, cases, mode,
+                                                       cargo_tau, default_tau, arms, seed):
+        block_arms = check_blocks_equal_lone_runs(block_world, cases, mode, cargo_tau,
+                                                  default_tau, arms, seed)
+        assert sum(block_arms) == len(cases) and max(block_arms) <= arms
+
+    @pytest.mark.parametrize("mode", ["field", "direct"])
+    def test_mixed_blocks_with_a_degenerate_track_in_mid_block(self, block_world, mode):
+        # Four tracks at dt = 60 s (blocks of 3 and 1), then two at dt = 30 s;
+        # the east cargo track degenerates at tau = 1 between a tau = 0 and
+        # a tau = 0.3 track, and every track has its own length and t0.
+        cases = [(6, 60.0, 0, "fishing", False), (5, 60.0, 100, "cargo", True),
+                 (8, 60.0, 50, "unknown", False), (3, 60.0, 20, "cargo", False),
+                 (4, 30.0, 7, "cargo", False), (2, 30.0, 9, "fishing", False)]
+        block_arms = check_blocks_equal_lone_runs(block_world, cases, mode, cargo_tau=1.0,
+                                                  default_tau=0.3, arms=3, seed=5)
+        assert block_arms == [3, 1, 2]
+        entries = json.loads((block_world[0] / "summary.json").read_text())["tracks"]
+        assert [e["tau"] for e in entries] == [0.0, 1.0, 0.3, 1.0, 1.0, 0.0]
+        assert [("failure" in e) for e in entries] == [False, True, False, False, False,
+                                                        False]
 
 
 class TestCalibrate:
@@ -730,6 +925,41 @@ class TestNumberFlags:
         assert f"error: {flag} must be" in err and "finite numbers" in err
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("command", ["build-starmap", "track", "calibrate"])
+    @pytest.mark.parametrize("seed", ["-1", "-7", "x"])
+    def test_bad_seed_is_user_error_and_writes_nothing(self, paths, tmp_path, capsys,
+                                                       command, seed):
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "build-starmap":
+            argv = ["--map", paths["map"], "--perturb", paths["perturb"],
+                    "--relations", "over:corridor", "--samples", 4,
+                    "--rows", 4, "--cols", 4, "--out", out / "sm.json"]
+        elif command == "track":
+            argv = ["--tracks", ingest(paths, tmp_path), "--no-constitution",
+                    "--particles", 50, "--out-logs", out / "l.jsonl",
+                    "--out-summary", out / "s.json"]
+        else:
+            argv = ["--tracks", ingest(paths, tmp_path),
+                    "--constitution", paths["constitution"],
+                    "--starmap", build_starmap(paths, tmp_path), "--particles", 50,
+                    "--out-table", out / "t.json", "--out-report", out / "r.json"]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *argv, f"--seed={seed}")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --seed: must be a non-negative integer" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_zero_seed_runs(self, paths, tmp_path):
+        assert run_cli("track", "--tracks", ingest(paths, tmp_path), "--no-constitution",
+                       "--particles", 50, "--seed", 0, "--out-logs", tmp_path / "l.jsonl",
+                       "--out-summary", tmp_path / "s.json") == 0
 
 
 class TestStrictJson:

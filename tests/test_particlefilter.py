@@ -19,7 +19,6 @@ from cstrack.particlefilter import (
     ProcessModel,
     cv_process_noise,
     filter_arms,
-    run_filter,
 )
 from cstrack.relations import RelationKind
 from cstrack.starmap import StaRMapLayer
@@ -29,6 +28,7 @@ from reference_filter import (
     estimate,
     predict,
     resample,
+    run_filter,
     stepwise_run,
     update_constitution,
     update_measurement,
@@ -515,13 +515,14 @@ class TestFilterArms:
 
         def arms(log):
             return filter_arms(
-                measurements, config, [np.random.default_rng(filter_seed) for _ in taus],
-                taus, evaluate=evaluate, t0=30.0, log=log,
+                [measurements] * len(taus), config,
+                [np.random.default_rng(filter_seed) for _ in taus],
+                taus, evaluate=evaluate, t0s=[30.0] * len(taus), log=log,
             )
 
         estimates, failures, records = arms(log=False)
-        assert estimates.shape == (len(taus), len(measurements) - 1, 2)
-        assert records == []
+        assert [e.shape for e in estimates] == [(len(measurements) - 1, 2)] * len(taus)
+        assert records == [[]] * len(taus)
         logged_estimates, logged_failures, logged = arms(log=True)
         assert np.array_equal(logged_estimates, estimates, equal_nan=True)
         assert logged_failures == failures
@@ -542,16 +543,51 @@ class TestFilterArms:
                 assert alone == ("raised", failures[j])
                 assert stepwise is None
                 assert np.isnan(estimates[j]).all()
-            if j == 0:
-                # Arm 0's step log, field for field, up to a degenerate step.
-                assert logged == stepwise_records
+            # Every arm's step log, field for field, up to a degenerate step.
+            assert logged[j] == stepwise_records
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(2, 8),
+                           st.sampled_from([0.0, 0.5, 1.0])), min_size=1, max_size=5),
+        st.sampled_from(["zero", "nan", "random"]),
+    )
+    def test_arms_on_their_own_sequences_are_lone_runs(self, seed, arms, field_kind):
+        # Each arm tracks its own slice of the track from its own t0, under
+        # an evaluator that reads z, so an arm must get its own measurement.
+        measurements, config, field_eval = _arms_world(seed, field_kind)
+
+        def evaluate(p, z):
+            return field_eval(p, z) * np.exp(-np.square(p - z).sum(axis=1) / 400.0)
+
+        sequences = [measurements[min(start, 8 - length):][:length]
+                     for start, length, _ in arms]
+        taus = [tau for _, _, tau in arms]
+        t0s = [10.0 * k for k in range(len(arms))]
+        estimates, failures, records = filter_arms(
+            sequences, config, [np.random.default_rng([seed, k]) for k in range(len(arms))],
+            taus, evaluate=evaluate, t0s=t0s, log=True,
+        )
+        for k, sequence in enumerate(sequences):
+            stepwise, failure, stepwise_records = stepwise_run(
+                sequence, config, np.random.default_rng([seed, k]), evaluate, taus[k],
+                t0=t0s[k],
+            )
+            assert failures[k] == failure
+            assert records[k] == stepwise_records
+            assert estimates[k].shape == (len(sequence) - 1, 2)
+            if failure is None:
+                assert np.array_equal(estimates[k], stepwise)
+            else:
+                assert np.isnan(estimates[k]).all()
 
     def test_tau_zero_arm_is_the_plain_filter(self):
         measurements, config, evaluate = _arms_world(11, "nan")
         taus = (0.0, 0.5, 0.0, 1.0)
         estimates, failures, _ = filter_arms(
-            measurements, config, [np.random.default_rng(5) for _ in taus], taus,
-            evaluate=evaluate,
+            [measurements] * len(taus), config, [np.random.default_rng(5) for _ in taus],
+            taus, evaluate=evaluate,
         )
         plain, _ = run_filter(measurements, config, np.random.default_rng(5))
         assert failures == [None] * 4
@@ -562,13 +598,13 @@ class TestFilterArms:
         measurements, config, evaluate = _arms_world(3, "zero")
         taus = (0.0, 1.0, 0.5)
         estimates, failures, _ = filter_arms(
-            measurements, config, [np.random.default_rng(8) for _ in taus], taus,
-            evaluate=evaluate,
+            [measurements] * len(taus), config, [np.random.default_rng(8) for _ in taus],
+            taus, evaluate=evaluate,
         )
         assert failures[0] is None and failures[2] is None
         assert "compliance update" in failures[1]
         assert np.isnan(estimates[1]).all()
-        assert np.isfinite(estimates[[0, 2]]).all()
+        assert np.isfinite(estimates[0]).all() and np.isfinite(estimates[2]).all()
         with pytest.raises(DegenerateBeliefError, match="compliance update"):
             run_filter(measurements, config, np.random.default_rng(8),
                        evaluate=evaluate, tau=1.0)
@@ -582,30 +618,40 @@ class TestFilterArms:
             return field_eval(p, z)
 
         taus = (0.0, 0.3, 1.0)
-        filter_arms(measurements, config, [np.random.default_rng(1) for _ in taus],
-                    taus, evaluate=evaluate)
+        filter_arms([measurements] * len(taus), config,
+                    [np.random.default_rng(1) for _ in taus], taus, evaluate=evaluate)
         assert calls == [2 * config.particles] * (len(measurements) - 1)
 
     def test_log_gives_the_run_filter_records(self):
         measurements, config, evaluate = _arms_world(6, "nan")
         _, records = run_filter(measurements, config, np.random.default_rng(2),
                                 evaluate=evaluate, tau=0.7, t0=100.0)
-        _, _, logged = filter_arms(measurements, config, [np.random.default_rng(2)], [0.7],
-                                   evaluate=evaluate, t0=100.0, log=True)
-        assert logged == records
+        _, _, logged = filter_arms([measurements], config, [np.random.default_rng(2)], [0.7],
+                                   evaluate=evaluate, t0s=[100.0], log=True)
+        assert logged == [records]
         assert [r.t for r in records] == [100.0 + step for step in range(1, 8)]
 
     @pytest.mark.parametrize("taus", [(0.0, -0.1), (1.5,), (float("nan"),)])
     def test_tau_outside_unit_interval_rejected(self, taus):
         measurements, config, evaluate = _arms_world(0, "random")
         with pytest.raises(ConfigurationError, match="tau must lie in"):
-            filter_arms(measurements, config,
+            filter_arms([measurements] * len(taus), config,
                         [np.random.default_rng(0) for _ in taus], taus, evaluate=evaluate)
+
+    def test_each_arm_needs_its_own_sequence_and_t0(self):
+        measurements, config, _ = _arms_world(0, "random")
+        rngs = [np.random.default_rng(k) for k in range(2)]
+        with pytest.raises(ConfigurationError, match="T >= 2 per arm"):
+            filter_arms([measurements, measurements[:1]], config, rngs, (0.0, 0.5))
+        with pytest.raises(ConfigurationError, match="one measurement sequence"):
+            filter_arms([measurements], config, rngs, (0.0, 0.5))
+        with pytest.raises(ConfigurationError, match="one t0"):
+            filter_arms([measurements] * 2, config, rngs, (0.0, 0.5), t0s=[0.0])
 
     def test_each_arm_needs_its_own_generator(self):
         measurements, config, _ = _arms_world(0, "random")
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError, match="generator"):
-            filter_arms(measurements, config, [rng, rng], (0.0, 0.5))
+            filter_arms([measurements] * 2, config, [rng, rng], (0.0, 0.5))
         with pytest.raises(ConfigurationError, match="generator"):
-            filter_arms(measurements, config, [rng], (0.0, 0.5))
+            filter_arms([measurements] * 2, config, [rng], (0.0, 0.5))
