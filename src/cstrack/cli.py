@@ -2,7 +2,8 @@
 
 Subcommands: ingest, build-starmap, field, track, calibrate, bench. Every
 command takes one --seed (the logged master seed) from which all child
-seeds derive, and writes byte-identical outputs on reruns with identical
+seeds derive, except bench, whose seeds derive from the scenario's seed.
+Every command writes byte-identical outputs on reruns with identical
 inputs. Exit codes: 0 success, 2 user or configuration error, 3 internal
 invariant violation.
 """
@@ -100,13 +101,12 @@ def _parse_relations(text: str) -> list[tuple[RelationKind, str]]:
     return out
 
 
-def _grid_from_args(args, default_bbox=None, default_rows=100, default_cols=100) -> GridSpec:
+def _grid_from_args(args, default_bbox, default_rows=100, default_cols=100) -> GridSpec:
+    """The grid of --bbox, --rows and --cols; each flag not given takes its default."""
     bbox = (
         _parse_numbers(args.bbox, "--bbox", "xmin,ymin,xmax,ymax")
         if args.bbox is not None else default_bbox
     )
-    if bbox is None:
-        raise ConfigurationError("no --bbox given and no default available")
     return GridSpec(bbox=bbox,
                     rows=default_rows if args.rows is None else args.rows,
                     cols=default_cols if args.cols is None else args.cols)
@@ -196,7 +196,7 @@ def cmd_build_starmap(args) -> int:
         float(vmap.vertices[:, 0].min()), float(vmap.vertices[:, 1].min()),
         float(vmap.vertices[:, 0].max()), float(vmap.vertices[:, 1].max()),
     )
-    grid = _grid_from_args(args, default_bbox=default_bbox)
+    grid = _grid_from_args(args, default_bbox)
     started = time.perf_counter()
     layers = build_starmap(
         vmap, perturbations, relations, grid, n=args.samples,
@@ -217,13 +217,8 @@ def cmd_build_starmap(args) -> int:
 def cmd_field(args) -> int:
     program = parse_file(args.constitution)
     layers, _ = load_starmap(args.starmap)
-    grid = (
-        _grid_from_args(args, default_bbox=layers[0].grid.bbox,
-                        default_rows=layers[0].grid.rows,
-                        default_cols=layers[0].grid.cols)
-        if args.bbox is not None or args.rows is not None or args.cols is not None
-        else layers[0].grid
-    )
+    starmap_grid = layers[0].grid
+    grid = _grid_from_args(args, starmap_grid.bbox, starmap_grid.rows, starmap_grid.cols)
     measurement = (
         _parse_numbers(args.measurement, "--measurement", "x,y")
         if args.measurement is not None else "state"
@@ -398,10 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cstrack {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=_seed, default=0,
-                       help="master seed, a non-negative integer; all randomness "
-                            "derives from it")
+    def common(p, seed_help="master seed, a non-negative integer; all randomness "
+                            "derives from it"):
+        p.add_argument("--seed", type=_seed, default=0, help=seed_help)
         p.add_argument("-v", "--verbose", action="store_true", help="info logging")
 
     def filter_options(p):
@@ -485,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_calibrate)
 
     p = sub.add_parser("bench", help="run a synthetic ablation scenario")
-    common(p)
+    common(p, seed_help="logged only: bench's randomness derives from the scenario's "
+                        "seed key")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--taus", help="override the scenario's trust ratios")
@@ -496,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    level = os.environ.get("CSTRACK_LOG_LEVEL", "INFO" if args.verbose else "WARNING")
-    logging.basicConfig(level=level, stream=sys.stderr,
+    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
+                        stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
     log.info("master seed: %d", args.seed)
     try:

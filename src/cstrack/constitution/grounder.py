@@ -261,10 +261,6 @@ def ground(program: Program) -> GroundProgram:
                 raise UnsupportedProgramError(
                     f"continuous quantity {key} has more than one defining clause"
                 )
-            if key in (c.head.key() for c in categorical):
-                raise UnsupportedProgramError(
-                    f"{key} is defined both as continuous and categorical"
-                )
             continuous[key] = clause
         else:
             categorical.append(clause)

@@ -242,10 +242,11 @@ def load_scenario(path) -> Scenario:
       perturbations: json path | {"inline": {...}}
       constitution: .cst path | {"inline": "text"}
       grid: {bbox, rows, cols}, starmap_samples
-      agents: {count, mode, start, velocity, speed?, steps, kick_std}
+      agents: {count, mode, start, velocity, steps, dt, kick_std}
       filter: FilterConfig fields
-    A sweep with no trust ratio, fewer than 1 seed or no agent is a
-    ConfigurationError, raised before the starmap is built.
+    agents.dt defaults to, and must equal, the filter's dt. A sweep with
+    no trust ratio, fewer than 1 seed or no agent is a ConfigurationError,
+    raised before the starmap is built.
     """
     path = pathlib.Path(path)
     spec = jsonio.load(path, "scenario file")

@@ -140,7 +140,7 @@ def load(path, what: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an overlong integer
             raise FormatError(f"bad {what} {path}: {exc}") from exc
 
 

@@ -71,9 +71,3 @@ class BoundedDensity:
 
 def _phi(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
-def kde_density(samples, bandwidth: float | None = None) -> BoundedDensity:
-    """Density of a compliance sample set (accepts the raw values array)."""
-    values = getattr(samples, "values", samples)
-    return BoundedDensity(values, bandwidth=bandwidth)

@@ -307,18 +307,6 @@ class FilterConfig:
     def load(cls, path) -> "FilterConfig":
         return cls.from_json(jsonio.load(path, "filter config"))
 
-    def to_json(self) -> dict:
-        return {
-            "particles": self.particles,
-            "dt": self.dt,
-            "sigma_a": self.sigma_a,
-            "measurement_noise_std": self.measurement_noise_std,
-            "R": None if self.R is None else [list(row) for row in self.R],
-            "ess_ratio": self.ess_ratio,
-            "init_position_std": self.init_position_std,
-            "init_speed_std": self.init_speed_std,
-        }
-
     @cached_property
     def process_model(self) -> ProcessModel:
         return ProcessModel.constant_velocity(self.dt, self.sigma_a)

@@ -235,9 +235,9 @@ def load_starmap(path) -> tuple[list[StaRMapLayer], tuple[float, float] | None]:
     return starmap_from_json(jsonio.load(path, "starmap file"))
 
 
-def write_layer_pgm(layer: StaRMapLayer, path, which: str = "mean") -> None:
-    arr = layer.mean if which == "mean" else layer.std
-    if layer.relation is RelationKind.OVER and which == "mean":
-        write_pgm(path, arr, vmin=0.0, vmax=1.0)
+def write_layer_pgm(layer: StaRMapLayer, path) -> None:
+    """The layer's mean raster; an over layer is scaled on [0, 1]."""
+    if layer.relation is RelationKind.OVER:
+        write_pgm(path, layer.mean, vmin=0.0, vmax=1.0)
     else:
-        write_pgm(path, arr)
+        write_pgm(path, layer.mean)

@@ -39,8 +39,8 @@ _TYPE_RANGES = [
     (80, 89, "tanker"),
 ]
 
-DEFAULT_DRAFT_THRESHOLD_M = 9.0
-DEFAULT_ANCHOR_SOG_KN = 0.5
+DRAFT_THRESHOLD_M = 9.0
+ANCHOR_SOG_KN = 0.5
 DEFAULT_TAU_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 
 
@@ -63,24 +63,23 @@ class TrustFeatures:
         return f"{self.vessel_type}|{int(self.waterway_bound)}|{int(self.anchoring)}"
 
 
-def extract_features(track: Track,
-                     draft_threshold_m: float = DEFAULT_DRAFT_THRESHOLD_M,
-                     anchor_sog_kn: float = DEFAULT_ANCHOR_SOG_KN) -> TrustFeatures:
+def extract_features(track: Track) -> TrustFeatures:
     """Derive the feature triple from a track's metadata.
 
-    waterway_bound: deep draft or a cargo/tanker type code; anchoring:
-    median speed over ground below the threshold. Missing metadata falls
-    back to the "unknown" type and False flags.
+    waterway_bound: draft of at least DRAFT_THRESHOLD_M or a cargo/tanker
+    type code; anchoring: median speed over ground below ANCHOR_SOG_KN
+    knots. Missing metadata falls back to the "unknown" type and False
+    flags.
     """
     meta = track.metadata or {}
     vtype = vessel_type_name(meta.get("vessel_type"))
     draft = meta.get("draft")
     waterway_bound = bool(
-        (draft is not None and draft >= draft_threshold_m)
+        (draft is not None and draft >= DRAFT_THRESHOLD_M)
         or vtype in ("cargo", "tanker")
     )
     sog = meta.get("sog_median_kn")
-    anchoring = bool(sog is not None and sog < anchor_sog_kn)
+    anchoring = bool(sog is not None and sog < ANCHOR_SOG_KN)
     return TrustFeatures(
         vessel_type=vtype, waterway_bound=waterway_bound, anchoring=anchoring
     )
@@ -249,7 +248,6 @@ def calibrate(
     config: FilterConfig,
     tau_grid=DEFAULT_TAU_GRID,
     seed: int = 0,
-    features: list[TrustFeatures] | None = None,
     default_tau: float = 0.0,
 ) -> tuple[TrustTable, CalibrationReport]:
     """Grid-search the trust ratio per feature bucket on historical tracks.
@@ -267,14 +265,10 @@ def calibrate(
         raise ConfigurationError("tau grid must contain 0 (the safety fallback)")
     if not tracks:
         raise ConfigurationError("no tracks to calibrate on")
-    if features is None:
-        features = [extract_features(t) for t in tracks]
-    if len(features) != len(tracks):
-        raise ConfigurationError("one feature triple per track required")
 
     buckets: dict[TrustFeatures, list[int]] = {}
-    for i, feat in enumerate(features):
-        buckets.setdefault(feat, []).append(i)
+    for i, track in enumerate(tracks):
+        buckets.setdefault(extract_features(track), []).append(i)
 
     mae = sweep(
         [track.positions for track in tracks],

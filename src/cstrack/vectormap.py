@@ -15,6 +15,9 @@ then applies them one feature at a time over all n variants together.
 from __future__ import annotations
 
 import fnmatch
+import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -261,28 +264,31 @@ def perturbations_from_config(vmap: VectorMap, config: dict) -> dict[int, Featur
 
     Patterns are fnmatch globs matched against each feature's tags in config
     order; the first entry matching any tag wins. A feature matching nothing
-    is a configuration error (add a "*" entry for a catch-all).
+    is a configuration error (add a "*" entry for a catch-all). Every spread
+    is a finite, non-negative JSON number; a missing one is 0.
     """
     entries = []
     for pattern, params in config.items():
         if not isinstance(params, dict):
             raise ConfigurationError(f"perturbation entry {pattern!r} must be an object")
-        known = {"translation_std_m", "rotation_std_rad", "scale_std"}
-        unknown = set(params) - known
+        unknown = set(params) - {"translation_std_m", "rotation_std_rad", "scale_std"}
         if unknown:
             raise ConfigurationError(
                 f"unknown perturbation keys {sorted(unknown)} under {pattern!r}"
             )
-        entries.append(
-            (
-                pattern,
-                FeaturePerturbation.isotropic(
-                    translation_std_m=params.get("translation_std_m", 0.0),
-                    rotation_std_rad=params.get("rotation_std_rad", 0.0),
-                    scale_std=params.get("scale_std", 0.0),
-                ),
-            )
-        )
+        for key, value in params.items():
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 <= value < math.inf):
+                raise ConfigurationError(
+                    f"perturbation {key} under {pattern!r} must be a finite number "
+                    f">= 0, got {value!r}"
+                )
+        try:
+            entries.append((pattern, FeaturePerturbation.isotropic(**params)))
+        except OverflowError as exc:  # a spread or its square beyond float range
+            raise ConfigurationError(
+                f"perturbation spreads under {pattern!r} are too large: {exc}"
+            ) from exc
     out: dict[int, FeaturePerturbation] = {}
     for fid, tags in enumerate(vmap.tags_of_feature):
         for pattern, perturbation in entries:
@@ -308,19 +314,22 @@ def load_perturbation_config(source) -> dict:
 # ---------------------------------------------------------------------------
 # GeoJSON ingestion
 
-_GEOM_HANDLERS = {"Point", "MultiPoint", "LineString", "MultiLineString",
-                  "Polygon", "MultiPolygon"}
+# A tuple, not a set: a geometry type read from JSON may be unhashable.
+_GEOM_HANDLERS = ("Point", "MultiPoint", "LineString", "MultiLineString",
+                  "Polygon", "MultiPolygon")
 
 
 def load_geojson(source, origin: tuple[float, float] | None = None
                  ) -> tuple[VectorMap, LocalFrame]:
     """Load a GeoJSON FeatureCollection into a VectorMap.
 
-    Coordinates are lon/lat degrees and are projected into a tangent frame
-    centered on `origin` (lon, lat) or, by default, the midpoint of the
-    collection's coordinate bounds. Every feature must carry a nonempty
-    properties.tags list; Point features may carry properties.depth in
-    meters. Polygon rings become closed cycles, LineStrings open chains.
+    Coordinates are lon/lat degrees within [-180, 180] and [-90, 90], and
+    are projected into a tangent frame centered on `origin` (lon, lat) or,
+    by default, the midpoint of the collection's coordinate bounds. Every
+    feature must carry a nonempty properties.tags list; Point features may
+    carry a finite properties.depth in meters. Polygon rings become closed
+    cycles, LineStrings open chains. One pass reads every feature in
+    lon/lat; the vertices are projected once the origin is known.
     """
     obj = jsonio.load_source(source, "GeoJSON")
     if not isinstance(obj, dict) or obj.get("type") != "FeatureCollection":
@@ -329,30 +338,16 @@ def load_geojson(source, origin: tuple[float, float] | None = None
     if not isinstance(features, list) or not features:
         raise FormatError("FeatureCollection has no features")
 
-    all_lon: list[float] = []
-    all_lat: list[float] = []
-    for feat in features:
-        geom = (feat or {}).get("geometry") or {}
-        for lon, lat in _iter_coords(geom):
-            all_lon.append(lon)
-            all_lat.append(lat)
-    if not all_lon:
-        raise FormatError("FeatureCollection contains no coordinates")
-    if origin is None:
-        origin = (
-            (min(all_lon) + max(all_lon)) / 2.0,
-            (min(all_lat) + max(all_lat)) / 2.0,
-        )
-    frame = LocalFrame(origin_lon=origin[0], origin_lat=origin[1])
-
-    map_features: list[MapFeature] = []
+    parsed = []  # per feature: tags, lon/lat points, edges, rings, depths
     for i, feat in enumerate(features):
-        props = (feat or {}).get("properties") or {}
-        tags = props.get("tags")
+        if not isinstance(feat, dict):
+            raise FormatError(f"feature {i} is not a JSON object")
+        props = feat.get("properties") or {}
+        tags = props.get("tags") if isinstance(props, dict) else None
         if not isinstance(tags, list) or not tags or not all(isinstance(t, str) for t in tags):
             raise FormatError(f"feature {i} needs a nonempty properties.tags string list")
         geom = feat.get("geometry") or {}
-        gtype = geom.get("type")
+        gtype = geom.get("type") if isinstance(geom, dict) else None
         if gtype not in _GEOM_HANDLERS:
             raise FormatError(f"feature {i}: unsupported geometry type {gtype!r}")
         points: list[tuple[float, float]] = []
@@ -360,9 +355,8 @@ def load_geojson(source, origin: tuple[float, float] | None = None
         rings: list[tuple[int, ...]] = []
         depths: list[float | None] = []
 
-        def add_point(lonlat, depth=None):
-            x, y = frame.to_xy(lonlat[0], lonlat[1])
-            points.append((float(x), float(y)))
+        def add_point(c, depth=None):
+            points.append((_number(c[0]), _number(c[1])))
             depths.append(depth)
             return len(points) - 1
 
@@ -381,11 +375,11 @@ def load_geojson(source, origin: tuple[float, float] | None = None
 
         coords = geom.get("coordinates")
         try:
-            if gtype == "Point":
-                add_point(coords, depth=props.get("depth"))
-            elif gtype == "MultiPoint":
-                for c in coords:
-                    add_point(c, depth=props.get("depth"))
+            if gtype in ("Point", "MultiPoint"):
+                depth = props.get("depth")
+                depth = None if depth is None else _number(depth)
+                for c in [coords] if gtype == "Point" else coords:
+                    add_point(c, depth)
             elif gtype == "LineString":
                 add_chain(coords, close=False)
             elif gtype == "MultiLineString":
@@ -398,37 +392,29 @@ def load_geojson(source, origin: tuple[float, float] | None = None
                 for poly in coords:
                     for ring in poly:
                         add_chain(ring, close=True)
-        except (TypeError, IndexError) as exc:
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"feature {i}: malformed coordinates: {exc}") from exc
+        parsed.append((tags, points, edges, rings, depths))
+    lon, lat = np.array([p for _, points, *_ in parsed for p in points]).reshape(-1, 2).T
+    if not lon.size:
+        raise FormatError("FeatureCollection contains no coordinates")
+    if (np.abs(lon) > 180).any() or (np.abs(lat) > 90).any():
+        raise FormatError("coordinates must lie in lon [-180, 180], lat [-90, 90] degrees")
+    if origin is None:
+        origin = (float(lon.min() + lon.max()) / 2.0, float(lat.min() + lat.max()) / 2.0)
+    frame = LocalFrame(origin_lon=origin[0], origin_lat=origin[1])
+    x, y = frame.to_xy(lon, lat)
+    xy = zip(x.tolist(), y.tolist())
+    return VectorMap.build([
+        MapFeature(points=tuple(itertools.islice(xy, len(points))), tags=frozenset(tags),
+                   edges=tuple(edges), rings=tuple(rings), depths=tuple(depths))
+        for tags, points, edges, rings, depths in parsed
+    ]), frame
 
-        map_features.append(
-            MapFeature(
-                points=tuple(points),
-                tags=frozenset(tags),
-                edges=tuple(edges),
-                rings=tuple(rings),
-                depths=tuple(depths),
-            )
-        )
-    return VectorMap.build(map_features), frame
 
-
-def _iter_coords(geom):
-    gtype = geom.get("type")
-    coords = geom.get("coordinates")
-    if coords is None:
-        return
-    if gtype == "Point":
-        yield coords[0], coords[1]
-    elif gtype in ("MultiPoint", "LineString"):
-        for c in coords:
-            yield c[0], c[1]
-    elif gtype in ("MultiLineString", "Polygon"):
-        for chain in coords:
-            for c in chain:
-                yield c[0], c[1]
-    elif gtype == "MultiPolygon":
-        for poly in coords:
-            for ring in poly:
-                for c in ring:
-                    yield c[0], c[1]
+def _number(value) -> float:
+    """A finite JSON number (not a bool) as a float; ValueError otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)

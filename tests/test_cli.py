@@ -1,10 +1,16 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import logging
+import operator
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -246,6 +252,111 @@ class TestBuildStarmap:
         # nearest segment.
         assert 1.0 <= float(counts[1]) <= int(counts[2]) <= 7
         assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()
+
+
+def json_paths(doc, prefix=()):
+    """The path (keys and indices) of every value in a JSON document."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from json_paths(value, prefix + (key,))
+
+
+def mutate(doc, path, kind, value):
+    """A copy of doc with the value at path replaced by value, deleted, or
+    emptied (a container; any other value is replaced)."""
+    box, path = [copy.deepcopy(doc)], (0,) + path
+    parent = functools.reduce(operator.getitem, path[:-1], box)
+    key = path[-1]
+    if kind == "delete" and parent is not box:
+        del parent[key]
+    elif kind == "empty" and isinstance(parent[key], (dict, list)):
+        parent[key] = type(parent[key])()
+    else:
+        parent[key] = value
+    return box[0]
+
+
+FUZZ_VALUES = [None, True, 0, 7, -1, "ab", "nan", [], {}, [1.0], [[]], "Point",
+               "LineString", "MultiPolygon", float("nan"), float("inf"), -float("inf"),
+               1e308, -1e308, 10**400]
+
+
+def build_starmap_from_docs(directory, geojson, perturbations, *flags):
+    """Run build-starmap on the world's program and the given map and
+    perturbation documents; return the exit code, stderr and output path."""
+    directory = pathlib.Path(directory)
+    (directory / "map.geojson").write_text(json.dumps(geojson))
+    (directory / "perturb.json").write_text(json.dumps(perturbations))
+    (directory / "rules.cst").write_text(world.CONSTITUTION)
+    out = directory / "sm.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli("build-starmap", "--map", directory / "map.geojson",
+                       "--perturb", directory / "perturb.json",
+                       "--constitution", directory / "rules.cst", "--rows", 4, "--cols", 5,
+                       "--samples", 3, "--seed", 1, "--out", out, *flags)
+    return code, err.getvalue(), out
+
+
+def with_buoy(coordinates):
+    geojson = world.corridor_geojson()
+    geojson["features"].append({"type": "Feature", "properties": {"tags": ["buoy"]},
+                                "geometry": {"type": "Point", "coordinates": coordinates}})
+    return geojson
+
+
+class TestMapInputs:
+    @pytest.mark.parametrize("geojson, perturbations", [
+        (with_buoy([-74.0]), world.PERTURBATIONS),
+        (with_buoy("ab"), world.PERTURBATIONS),
+        (mutate(world.corridor_geojson(), ("features", 0, "geometry", "coordinates", 0, 2),
+                "replace", "ab"), world.PERTURBATIONS),
+        (mutate(world.corridor_geojson(), ("features", 0), "replace", 7),
+         world.PERTURBATIONS),
+        (with_buoy([-74.0, float("nan")]), world.PERTURBATIONS),
+        (with_buoy([1e308, 40.6]), world.PERTURBATIONS),
+        (world.corridor_geojson(), {"*": {"translation_std_m": "x"}}),
+        (world.corridor_geojson(), {"*": {"translation_std_m": None}}),
+        (world.corridor_geojson(), {"*": {"translation_std_m": [1]}}),
+        (world.corridor_geojson(), {"*": {"translation_std_m": -1.0}}),
+        (world.corridor_geojson(), {"*": {"translation_std_m": 1e200}}),
+        (world.corridor_geojson(), {"*": {"rotation_std_rad": "nan"}}),
+        (world.corridor_geojson(), {"*": {"rotation_std_rad": float("nan")}}),
+        (world.corridor_geojson(), {"*": {"scale_std": True}}),
+    ], ids=["point-one-coordinate", "point-string", "ring-string-pair", "feature-number",
+            "point-nan-latitude", "point-longitude-out-of-range", "translation-string",
+            "translation-null", "translation-list", "translation-negative",
+            "translation-square-overflows", "rotation-string-nan", "rotation-nan",
+            "scale-bool"])
+    def test_malformed_map_input_is_user_error_and_writes_nothing(self, tmp_path,
+                                                                  geojson, perturbations):
+        code, err, out = build_starmap_from_docs(tmp_path, geojson, perturbations)
+        assert code == 2, err
+        assert "error:" in err and "Traceback" not in err
+        assert list(tmp_path.glob("sm.json*")) == []
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_mutated_map_inputs_exit_0_or_2(self, data):
+        docs = {"map": world.corridor_geojson(), "perturb": world.PERTURBATIONS}
+        for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+            name = data.draw(st.sampled_from(sorted(docs)), label="document")
+            # sampled_from favours early entries: put the deepest values,
+            # the map's coordinates, first.
+            paths = sorted(json_paths(docs[name]), key=len, reverse=True)
+            path = data.draw(st.sampled_from(paths), label="path")
+            docs[name] = mutate(docs[name], path,
+                                data.draw(st.sampled_from(["replace", "delete", "empty"])),
+                                data.draw(st.sampled_from(FUZZ_VALUES)))
+        flags = data.draw(st.sampled_from([(), ("--bbox=-300,-300,3900,300",)]))
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err, out = build_starmap_from_docs(tmp, docs["map"], docs["perturb"],
+                                                     *flags)
+            assert code in (0, 2), err
+            assert "Traceback" not in err
+            assert out.exists() == (code == 0)
+            assert list(pathlib.Path(tmp).glob("sm.json.*")) == []
 
 
 class TestField:

@@ -64,6 +64,13 @@ class TestGrounding:
         with pytest.raises(UnsupportedProgramError):
             q("d ~ normal(0, 1). d ~ normal(1, 1). q :- d > 0.", "q")
 
+    @pytest.mark.parametrize("text", ["d ~ normal(0, 1). 0.5 :: d. q :- d > 0.",
+                                      "0.5 :: d. d ~ normal(0, 1). q :- d > 0."])
+    def test_continuous_and_categorical_head_rejected(self, text):
+        with pytest.raises(UnsupportedProgramError,
+                           match="both as continuous and categorical"):
+            q(text, "q")
+
     def test_comparison_on_undefined_quantity_rejected(self):
         with pytest.raises(GroundingError):
             q("q :- d > 0.", "q")

@@ -154,6 +154,15 @@ def test_unparsable_file_is_format_error(tmp_path):
         jsonio.load(path, "thing file")
 
 
+@pytest.mark.parametrize("content", [b'{"a": "\xff"}', b"1" * 5000],
+                         ids=["bad-utf8", "overlong-integer"])
+def test_unreadable_text_is_format_error(tmp_path, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match=r"^bad thing file .*doc\.json: "):
+        jsonio.load(path, "thing file")
+
+
 def test_load_source_passes_parsed_objects_through(tmp_path):
     obj = {"k": [1, 2]}
     assert jsonio.load_source(obj, "thing") is obj

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cstrack.kde import BANDWIDTH_FLOOR, BoundedDensity, kde_density, silverman_bandwidth
+from cstrack.kde import BANDWIDTH_FLOOR, BoundedDensity, silverman_bandwidth
 
 
 class TestBandwidth:
@@ -64,13 +64,6 @@ class TestDensity:
 
     def test_integral_one_for_edge_hugging_samples(self):
         dens = BoundedDensity(np.array([0.0, 0.0, 1.0, 0.01, 0.99]), bandwidth=0.3)
-        assert dens.integral() == pytest.approx(1.0, abs=1e-3)
-
-    def test_kde_density_accepts_sample_set_like(self):
-        class FakeSet:
-            values = np.array([0.2, 0.4, 0.6])
-
-        dens = kde_density(FakeSet())
         assert dens.integral() == pytest.approx(1.0, abs=1e-3)
 
     def test_scalar_input_returns_float(self):

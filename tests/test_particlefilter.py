@@ -375,8 +375,9 @@ class TestRunFilter:
         np.testing.assert_array_equal(R, [[2500.0, 400.0], [400.0, 900.0]])
         noise = config.draw_measurement_noise(np.random.default_rng(0), 50_000)
         np.testing.assert_allclose(np.cov(noise.T), R, rtol=0.05, atol=50.0)
-        round_tripped = FilterConfig.from_json(config.to_json())
-        assert round_tripped.measurement_model.R[0, 1] == 400.0
+        from_file = FilterConfig.from_json({"particles": 32,
+                                            "R": [[2500.0, 400.0], [400.0, 900.0]]})
+        np.testing.assert_array_equal(from_file.measurement_model.R, R)
 
     def test_malformed_config_file_is_format_error(self, tmp_path):
         path = tmp_path / "filter.json"
