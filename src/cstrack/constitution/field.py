@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import jsonio
 from ..errors import ConfigurationError, FormatError
-from ..grids import GridSpec, bilinear_clamped, write_pgm
+from ..grids import GridSpec, bilinear_clamped, raster_grid, write_pgm
 from ..starmap import StaRMapLayer
 from .environment import ConstitutionEvaluator
 from .terms import Program
@@ -67,15 +67,11 @@ class ConstitutionField:
     @classmethod
     def from_json(cls, obj: dict) -> "ConstitutionField":
         try:
-            rows, cols = (int(v) for v in obj["resolution"])
-            grid = GridSpec(bbox=tuple(float(v) for v in obj["bbox"]),
-                            rows=rows, cols=cols)
-            flat = jsonio.floats_from_json(obj["values"])
-        except (KeyError, TypeError, ValueError) as exc:
+            grid = raster_grid(obj)
+            flat = jsonio.floats(obj["values"], "values", grid.rows * grid.cols)
+        except (KeyError, TypeError, FormatError) as exc:
             raise FormatError(f"bad field JSON: {exc}") from exc
-        if flat.size != rows * cols:
-            raise FormatError(f"field has {flat.size} cells, expected {rows * cols}")
-        return cls(grid=grid, values=flat.reshape(rows, cols))
+        return cls(grid=grid, values=flat.reshape(grid.rows, grid.cols))
 
     def save(self, path) -> None:
         jsonio.dump(self.to_json(), path)

@@ -32,6 +32,7 @@ from .trust import sweep
 from .vectormap import load_geojson, load_perturbation_config, perturbations_from_config
 
 MAX_REJECTIONS = 1000
+MAX_SEEDS, MAX_AGENTS, MAX_STEPS = 1000, 1000, 100_000  # per sweep, scenario, agent
 
 
 def simulate_agent(
@@ -172,8 +173,8 @@ def _check_arms(taus, n_seeds: int) -> None:
         raise ConfigurationError("bench needs at least 1 trust ratio")
     if any(not 0.0 <= tau <= 1.0 for tau in taus):
         raise ConfigurationError("bench trust ratios must lie in [0, 1]")
-    if n_seeds < 1:
-        raise ConfigurationError(f"bench needs at least 1 seed, got {n_seeds}")
+    if not 1 <= n_seeds <= MAX_SEEDS:
+        raise ConfigurationError(f"bench needs at least 1 seed, at most {MAX_SEEDS}: {n_seeds}")
 
 
 def run_ablation(scenario: Scenario, taus=None, n_seeds=None) -> MetricReport:
@@ -228,15 +229,13 @@ def _inline_or_path(entry, base_dir: pathlib.Path, loader):
 def _parse_program(source):
     if isinstance(source, pathlib.Path):
         return parse_file(source)
-    if not isinstance(source, str):
-        raise FormatError("an inline constitution must be program text")
-    return parse(source)
+    return parse(jsonio.typed(source, str, "an inline constitution"))
 
 
 def load_scenario(path) -> Scenario:
     """Build a Scenario from its JSON spec.
 
-    Schema (paths are relative to the scenario file):
+    Schema (paths are relative to the scenario file; README gives ranges):
       name, seed, taus, n_seeds
       map: geojson path | {"inline": featurecollection}
       perturbations: json path | {"inline": {...}}
@@ -244,41 +243,40 @@ def load_scenario(path) -> Scenario:
       grid: {bbox, rows, cols}, starmap_samples
       agents: {count, mode, start, velocity, steps, dt, kick_std}
       filter: FilterConfig fields
-    agents.dt defaults to, and must equal, the filter's dt. A sweep with
-    no trust ratio, fewer than 1 seed or no agent is a ConfigurationError,
-    raised before the starmap is built.
+    agents.dt defaults to, and must equal, the filter's dt. A malformed or
+    out-of-range value is a user error, raised before the starmap is built.
     """
     path = pathlib.Path(path)
-    spec = jsonio.load(path, "scenario file")
+    spec = jsonio.typed(jsonio.load(path, "scenario file"), dict, "scenario spec")
     base = path.parent
     try:
-        name = spec.get("name", path.stem)
-        seed = int(spec.get("seed", 0))
-        grid = GridSpec.from_json(spec["grid"])
-        n_samples = int(spec.get("starmap_samples", 50))
-        taus = tuple(float(t) for t in spec.get("taus", (0.0, 0.5, 1.0)))
-        n_seeds = int(spec.get("n_seeds", 5))
+        name = jsonio.typed(spec.get("name", path.stem), str, "name")
+        seed = jsonio.number(spec.get("seed", 0), "seed", integer=True, lo=0)
+        grid = GridSpec.from_json(jsonio.typed(spec["grid"], dict, "grid"), "grid.")
+        samples = jsonio.number(spec.get("starmap_samples", 50), "starmap_samples", integer=True)
+        taus = tuple(jsonio.floats(spec.get("taus", [0.0, 0.5, 1.0]), "taus").tolist())
+        n_seeds = jsonio.number(spec.get("n_seeds", 5), "n_seeds", integer=True)
         filter_cfg = FilterConfig.from_json(spec.get("filter", {}))
-        agents = spec["agents"]
-        count = int(agents.get("count", 1))
-        steps = int(agents["steps"])
-        dt = float(agents.get("dt", filter_cfg.dt))
-        mode = agents.get("mode", "compliant")
-        kick = float(agents.get("kick_std", 0.05))
-        start = np.asarray(agents["start"], dtype=float)
-        velocity = np.asarray(agents.get("velocity", (0.0, 0.0)), dtype=float)
+        agents = jsonio.typed(spec["agents"], dict, "agents")
+        count = jsonio.number(agents.get("count", 1), "agents.count", integer=True)
+        steps = jsonio.number(agents["steps"], "agents.steps", integer=True, lo=1, hi=MAX_STEPS)
+        dt = jsonio.number(agents.get("dt", filter_cfg.dt), "agents.dt")
+        mode = jsonio.typed(agents.get("mode", "compliant"), str, "agents.mode")
+        kick = jsonio.number(agents.get("kick_std", 0.05), "agents.kick_std", lo=0)
+        start = jsonio.point(agents["start"], "agents.start")
+        velocity = jsonio.point(agents.get("velocity", (0.0, 0.0)), "agents.velocity")
         map_entry = spec["map"]
         perturb_entry = spec["perturbations"]
         constitution_entry = spec["constitution"]
     except KeyError as exc:
         raise FormatError(f"scenario spec is missing {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except FormatError as exc:
         raise FormatError(f"bad scenario spec {path}: {exc}") from exc
     if dt != filter_cfg.dt:
         raise ConfigurationError("agent dt must match the filter dt")
     _check_arms(taus, n_seeds)
-    if count < 1:
-        raise ConfigurationError(f"bench needs at least 1 agent, got {count}")
+    if not 1 <= count <= MAX_AGENTS:
+        raise ConfigurationError(f"bench needs at least 1 agent, at most {MAX_AGENTS}: {count}")
 
     vmap, _ = _inline_or_path(map_entry, base, load_geojson)
     perturb_cfg = _inline_or_path(perturb_entry, base, load_perturbation_config)
@@ -290,7 +288,7 @@ def load_scenario(path) -> Scenario:
     perturbations = perturbations_from_config(vmap, perturb_cfg)
     seeds = np.random.SeedSequence(seed).spawn(2)
     layers = build_starmap(
-        vmap, perturbations, relations, grid, n=n_samples,
+        vmap, perturbations, relations, grid, n=samples,
         rng=np.random.default_rng(seeds[0]),
     )
     f = precompute_field(program, layers, grid)

@@ -19,6 +19,9 @@ from .errors import ConfigurationError
 # node lookups return stored values bit-for-bit.
 _NODE_SNAP = 1e-9
 
+# The most nodes a grid may have; every layer and field allocates per node.
+MAX_GRID_NODES = 1_000_000
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -30,10 +33,9 @@ class GridSpec:
 
     def __post_init__(self):
         xmin, ymin, xmax, ymax = self.bbox
-        if self.rows < 2 or self.cols < 2:
-            raise ConfigurationError(
-                f"grid needs at least 2x2 nodes, got {self.rows}x{self.cols}"
-            )
+        if self.rows < 2 or self.cols < 2 or self.rows * self.cols > MAX_GRID_NODES:
+            raise ConfigurationError(f"grid needs at least 2x2 nodes and at most "
+                                     f"{MAX_GRID_NODES}, got {self.rows}x{self.cols}")
         if not np.isfinite(self.bbox).all():
             raise ConfigurationError(f"grid bbox must be finite: {self.bbox}")
         if not (xmax > xmin and ymax > ymin):
@@ -63,12 +65,19 @@ class GridSpec:
         )
 
     @classmethod
-    def from_json(cls, obj: dict) -> "GridSpec":
-        try:
-            bbox = tuple(float(v) for v in obj["bbox"])
-            return cls(bbox=bbox, rows=int(obj["rows"]), cols=int(obj["cols"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad grid spec: {exc}") from exc
+    def from_json(cls, obj: dict, prefix: str = "") -> "GridSpec":
+        """The grid of a JSON object's bbox [xmin, ymin, xmax, ymax], rows
+        and cols; FormatError naming prefix + the key of a malformed value."""
+        return cls(bbox=tuple(jsonio.floats(obj["bbox"], prefix + "bbox", 4).tolist()),
+                   rows=jsonio.number(obj["rows"], prefix + "rows", integer=True),
+                   cols=jsonio.number(obj["cols"], prefix + "cols", integer=True))
+
+
+def raster_grid(obj: dict) -> GridSpec:
+    """The grid of a starmap or field file: bbox and resolution [rows, cols]."""
+    jsonio.floats(obj["resolution"], "resolution", 2)
+    rows, cols = obj["resolution"]
+    return GridSpec.from_json({"bbox": obj["bbox"], "rows": rows, "cols": cols})
 
 
 def _fractional_index(coords: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:

@@ -10,8 +10,6 @@ uniform time grid in the shared local tangent frame.
 from __future__ import annotations
 
 import csv
-import math
-import numbers
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -299,53 +297,33 @@ def tracks_to_json(tracks: list[Track], frame: LocalFrame) -> dict:
 _NUMERIC_METADATA = ("vessel_type", "draft", "sog_median_kn")
 
 
-def _is_finite_number(value) -> bool:
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and math.isfinite(value))
-
-
-def _track_from_json(entry: dict) -> Track:
-    vessel_id = str(entry["vessel_id"])
-    times = np.asarray(entry["times"], dtype=float)
-    positions = np.asarray(entry["positions"], dtype=float)
-    velocities = np.asarray(entry["velocities"], dtype=float)
-    if (times.ndim != 1 or positions.shape != (len(times), 2)
-            or velocities.shape != (len(times), 2)):
-        raise FormatError(
-            f"bad tracks JSON: track {vessel_id} needs T times and (T, 2) positions and "
-            f"velocities, got shapes {times.shape}, {positions.shape}, {velocities.shape}"
-        )
-    if not all(np.isfinite(a).all() for a in (times, positions, velocities)):
-        raise FormatError(
-            f"bad tracks JSON: track {vessel_id} has a null or non-finite time, "
-            f"position or velocity"
-        )
-    dt = entry.get("dt")
-    if dt is not None and not (_is_finite_number(dt) and dt > 0):
-        raise FormatError(
-            f"bad tracks JSON: track {vessel_id} dt must be null or a finite "
-            f"positive number, got {dt!r}"
-        )
-    metadata = dict(entry.get("metadata", {}))
-    for key in _NUMERIC_METADATA:
-        value = metadata.get(key)
-        if value is not None and not _is_finite_number(value):
-            raise FormatError(
-                f"bad tracks JSON: track {vessel_id} metadata {key} must be a "
-                f"finite number or null, got {value!r}"
-            )
+def _track_from_json(entry: dict, key: str) -> Track:
+    vessel_id = jsonio.typed(entry["vessel_id"], str, f"{key}.vessel_id")
+    times = jsonio.floats(entry["times"], f"{key}.times")
+    positions, velocities = (
+        np.array([jsonio.point(row, f"{key}.{name}")
+                  for row in jsonio.typed(entry[name], list, f"{key}.{name}")]).reshape(-1, 2)
+        for name in ("positions", "velocities"))
+    if not (len(positions) == len(velocities) == len(times) and np.isfinite(times).all()):
+        raise FormatError(f"{key} needs T finite times, positions and velocities, got "
+                          f"{len(times)}, {len(positions)} and {len(velocities)}")
+    dt = None if entry.get("dt") is None else jsonio.number(entry["dt"], f"{key}.dt", above=0)
+    metadata = dict(jsonio.typed(entry.get("metadata", {}), dict, f"{key}.metadata"))
+    for name in _NUMERIC_METADATA:
+        if metadata.get(name) is not None:
+            jsonio.number(metadata[name], f"{key}.metadata.{name}")
     return Track(vessel_id=vessel_id, times=times, positions=positions,
                  velocities=velocities, metadata=metadata, dt=dt)
 
 
 def tracks_from_json(obj: dict) -> tuple[list[Track], LocalFrame]:
     try:
-        origin = obj["origin_lonlat"]
-        frame = LocalFrame(origin_lon=float(origin[0]), origin_lat=float(origin[1]))
-        tracks = [_track_from_json(entry) for entry in obj["tracks"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        lon, lat = jsonio.point(obj["origin_lonlat"], "origin_lonlat")
+        tracks = [_track_from_json(entry, f"tracks[{i}]")
+                  for i, entry in enumerate(obj["tracks"])]
+    except (KeyError, TypeError, FormatError) as exc:
         raise FormatError(f"bad tracks JSON: {exc}") from exc
-    return tracks, frame
+    return tracks, LocalFrame(origin_lon=lon, origin_lat=lat)
 
 
 def save_tracks(tracks: list[Track], frame: LocalFrame, path,

@@ -10,6 +10,11 @@ JSON or not, goes through atomic_write: it is written to a temporary file
 next to the target and renamed over the target, so a failed write leaves
 the old file as it was.
 
+Readers hold what they parse to one number rule: a number is a JSON number
+(not true or false) and finite, an integer a JSON integer. number(),
+floats(), point() and typed() check a value, a flat list of numbers and
+nulls, a pair and a string, bool or container, naming the key on error.
+
 dump writes the bytes of json.dump(obj, fh, indent=1, allow_nan=False)
 and a newline and, like it, raises ValueError on a NaN or an infinity and
 TypeError on a value or key JSON has no type for. It lays out dicts and
@@ -27,7 +32,9 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import os
+import reprlib
 import shutil
 
 import numpy as np
@@ -44,12 +51,53 @@ def floats_to_json(values) -> list:
     return out
 
 
-def floats_from_json(values) -> np.ndarray:
-    """The inverse of floats_to_json: a 1-D float array, NaN for null."""
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a flat list of numbers, got shape {arr.shape}")
+def number(value, key: str, integer: bool = False, lo=None, hi=None, above=None):
+    """value as a Python int (integer) or float under the number rule, at
+    least lo, at most hi and above `above` where given; FormatError naming
+    key otherwise."""
+    out = None
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, kind) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an integer beyond float range
+            out = int(value) if integer else float(value)
+    if (out is None or not (integer or math.isfinite(out)) or (lo is not None and out < lo)
+            or (hi is not None and out > hi) or (above is not None and out <= above)):
+        bounds = "".join(f", {op} {bound}" for op, bound in ((">=", lo), (">", above), ("<=", hi))
+                         if bound is not None)
+        raise FormatError(f"{key} must be {'an integer' if integer else 'a finite number'}"
+                          f"{bounds}, got {reprlib.repr(value)}")
+    return out
+
+
+def floats(values, key: str, size: int | None = None) -> np.ndarray:
+    """The inverse of floats_to_json: a 1-D float array, NaN for null;
+    FormatError naming key unless values is a list of (size, if given)
+    finite numbers and nulls. One type scan and one vectorised pass."""
+    arr = None
+    if (isinstance(values, (list, tuple)) and size in (None, len(values))
+            and set(map(type, values)) <= {float, int, type(None)}):
+        with contextlib.suppress(OverflowError):  # an integer beyond float range
+            arr = np.array(values, dtype=float)
+    if arr is None or np.isinf(arr).any():
+        raise FormatError(f"{key} must be a list of {'' if size is None else f'{size} '}"
+                          f"finite numbers or nulls, got {reprlib.repr(values)}")
     return arr
+
+
+def point(values, key: str) -> tuple[float, float]:
+    """A JSON pair of numbers as two floats; FormatError naming key otherwise."""
+    if not isinstance(values, (list, tuple)) or len(values) != 2:
+        raise FormatError(f"{key} must be a pair of finite numbers, got {reprlib.repr(values)}")
+    return number(values[0], key), number(values[1], key)
+
+
+def typed(value, kind: type, key: str):
+    """value if its type is exactly kind (str, bool, list or dict);
+    FormatError naming key otherwise."""
+    if type(value) is not kind:
+        name = {str: "a string", bool: "true or false", list: "a list", dict: "an object"}[kind]
+        raise FormatError(f"{key} must be {name}, got {reprlib.repr(value)}")
+    return value
 
 
 def float_to_json(value: float | None) -> float | None:

@@ -29,8 +29,6 @@ arm's weights unchanged.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -256,6 +254,10 @@ _COMPLIANCE_DEGENERATE = (
 # Configuration and the step loop
 
 
+# The most particles one arm may carry; every step allocates per particle.
+MAX_PARTICLES = 1_000_000
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     """Tracking loop configuration (External interface: JSON file)."""
@@ -271,32 +273,23 @@ class FilterConfig:
 
     def __post_init__(self):
         try:  # check the fields and build both models once, here
-            self._check_fields()
+            jsonio.number(self.particles, "particles", integer=True, lo=1, hi=MAX_PARTICLES)
+            jsonio.number(self.ess_ratio, "ess_ratio", above=0.0, hi=1.0)
+            for name in ("dt", "sigma_a", "measurement_noise_std", "init_position_std",
+                         "init_speed_std"):
+                if getattr(self, name) is not None or name != "init_position_std":
+                    jsonio.number(getattr(self, name), name)
+            if self.R is not None:  # a ragged R fails in the model
+                jsonio.floats([value for row in self.R for value in row], "R", 4)
             self.process_model, self.measurement_model
         except ConfigurationError as exc:
             raise ConfigurationError(f"filter config: {exc}") from exc
-        except (ArithmeticError, TypeError, ValueError) as exc:
+        except (ArithmeticError, TypeError, ValueError, FormatError) as exc:
             raise FormatError(f"bad filter config: {exc}") from exc
-
-    def _check_fields(self) -> None:
-        n = self.particles
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ConfigurationError(f"particles must be an integer >= 1, got {n!r}")
-        for name in ("dt", "sigma_a", "measurement_noise_std", "ess_ratio",
-                     "init_position_std", "init_speed_std"):
-            value = getattr(self, name)
-            if value is None and name == "init_position_std":
-                continue
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-        if not 0.0 < self.ess_ratio <= 1.0:
-            raise ConfigurationError("ess_ratio must lie in (0, 1]")
 
     @classmethod
     def from_json(cls, obj: dict) -> "FilterConfig":
-        if not isinstance(obj, dict):
-            raise FormatError("a filter config must be a JSON object")
+        jsonio.typed(obj, dict, "filter config")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(obj) - known
         if unknown:

@@ -31,11 +31,15 @@ import numpy as np
 
 from . import jsonio
 from .errors import ConfigurationError, FormatError, NoDepthDataError
-from .grids import GridSpec, bilinear, write_pgm
+from .grids import GridSpec, bilinear, raster_grid, write_pgm
 from .relations import RelationKind, eval_relation_many
 from .vectormap import FeaturePerturbation, VectorMap, sample_vertex_variants
 
 log = logging.getLogger(__name__)
+
+# The most map variants one build samples; a layer holds (samples, nodes)
+# relation values while it is built.
+MAX_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,9 @@ def build_starmap(
     rng: int | np.random.Generator,
 ) -> list[StaRMapLayer]:
     """Build one layer per (relation, tag) pair on a shared variant set."""
-    if n < 2:
-        raise ConfigurationError(f"need at least 2 samples for a variance estimate, got {n}")
+    if not 2 <= n <= MAX_SAMPLES:
+        raise ConfigurationError(f"need at least 2 samples for a variance estimate and "
+                                 f"at most {MAX_SAMPLES}, got {n}")
     if not relations:
         raise ConfigurationError("no (relation, tag) pairs requested")
     seen = set()
@@ -171,13 +176,6 @@ def find_layer(layers: list[StaRMapLayer], rel: RelationKind, tag: str) -> StaRM
 # Persistence
 
 
-def _array_from_json(values, rows: int, cols: int) -> np.ndarray:
-    arr = jsonio.floats_from_json(values)
-    if arr.size != rows * cols:
-        raise FormatError(f"layer array has {arr.size} cells, expected {rows * cols}")
-    return arr.reshape(rows, cols)
-
-
 def starmap_to_json(layers: list[StaRMapLayer],
                     origin_lonlat: tuple[float, float] | None = None) -> dict:
     if not layers:
@@ -205,26 +203,22 @@ def starmap_to_json(layers: list[StaRMapLayer],
 
 def starmap_from_json(obj: dict) -> tuple[list[StaRMapLayer], tuple[float, float] | None]:
     try:
-        rows, cols = (int(v) for v in obj["resolution"])
-        grid = GridSpec(bbox=tuple(float(v) for v in obj["bbox"]), rows=rows, cols=cols)
-        n = int(obj["sample_count"])
-        layers = [
-            StaRMapLayer(
-                relation=RelationKind.parse(entry["relation"]),
-                tag=str(entry["tag"]),
-                grid=grid,
-                mean=_array_from_json(entry["mean"], rows, cols),
-                std=_array_from_json(entry["std"], rows, cols),
-                sample_count=n,
-            )
-            for entry in obj["layers"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        grid = raster_grid(obj)
+        n = jsonio.number(obj["sample_count"], "sample_count", integer=True)
+        layers = []
+        for i, entry in enumerate(obj["layers"]):
+            mean, std = (jsonio.floats(entry[name], f"layers[{i}].{name}", grid.rows * grid.cols)
+                         .reshape(grid.rows, grid.cols) for name in ("mean", "std"))
+            relation, tag = (jsonio.typed(entry[name], str, f"layers[{i}].{name}")
+                             for name in ("relation", "tag"))
+            layers.append(StaRMapLayer(RelationKind.parse(relation), tag, grid, mean, std, n))
+        origin = obj.get("origin_lonlat")
+        origin = None if origin is None else jsonio.point(origin, "origin_lonlat")
+    except (KeyError, TypeError, ValueError, FormatError) as exc:
         raise FormatError(f"bad starmap JSON: {exc}") from exc
     if not layers:
         raise FormatError("starmap has no layers")
-    origin = obj.get("origin_lonlat")
-    return layers, tuple(origin) if origin else None
+    return layers, origin
 
 
 def save_starmap(layers, path, origin_lonlat=None) -> None:

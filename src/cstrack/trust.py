@@ -85,6 +85,10 @@ def extract_features(track: Track) -> TrustFeatures:
     )
 
 
+# The JSON type of each TrustFeatures field, in field order.
+_FEATURE_TYPES = (("vessel_type", str), ("waterway_bound", bool), ("anchoring", bool))
+
+
 @dataclass(frozen=True)
 class TrustTable:
     entries: tuple[tuple[TrustFeatures, float], ...]
@@ -121,19 +125,15 @@ class TrustTable:
     def from_json(cls, obj: dict) -> "TrustTable":
         try:
             entries = tuple(
-                (
-                    TrustFeatures(
-                        vessel_type=str(e["vessel_type"]),
-                        waterway_bound=bool(e["waterway_bound"]),
-                        anchoring=bool(e["anchoring"]),
-                    ),
-                    float(e["tau"]),
-                )
-                for e in obj["entries"]
+                (TrustFeatures(*(jsonio.typed(e[name], kind, f"entries[{i}].{name}")
+                                 for name, kind in _FEATURE_TYPES)),
+                 jsonio.number(e["tau"], f"entries[{i}].tau"))
+                for i, e in enumerate(obj["entries"])
             )
-            return cls(entries=entries, default_tau=float(obj.get("default_tau", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+            default_tau = jsonio.number(obj.get("default_tau", 0.0), "default_tau")
+        except (KeyError, TypeError, FormatError) as exc:
             raise FormatError(f"bad trust table: {exc}") from exc
+        return cls(entries=entries, default_tau=default_tau)
 
     def save(self, path) -> None:
         jsonio.dump(self.to_json(), path)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import fnmatch
 import itertools
-import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -258,6 +256,10 @@ def sample_vertex_variants(
 # ---------------------------------------------------------------------------
 # Perturbation configuration (JSON: tag pattern -> spreads)
 
+# The largest spread of each kind: with vertices within about 4e7 m of the
+# origin, every variant coordinate and its square stay finite.
+MAX_SPREADS = {"translation_std_m": 1e7, "rotation_std_rad": 10.0, "scale_std": 10.0}
+
 
 def perturbations_from_config(vmap: VectorMap, config: dict) -> dict[int, FeaturePerturbation]:
     """Resolve a pattern->spreads mapping to per-feature perturbations.
@@ -265,30 +267,20 @@ def perturbations_from_config(vmap: VectorMap, config: dict) -> dict[int, Featur
     Patterns are fnmatch globs matched against each feature's tags in config
     order; the first entry matching any tag wins. A feature matching nothing
     is a configuration error (add a "*" entry for a catch-all). Every spread
-    is a finite, non-negative JSON number; a missing one is 0.
+    is a JSON number in [0, MAX_SPREADS[key]]; a missing one is 0.
     """
     entries = []
     for pattern, params in config.items():
-        if not isinstance(params, dict):
-            raise ConfigurationError(f"perturbation entry {pattern!r} must be an object")
-        unknown = set(params) - {"translation_std_m", "rotation_std_rad", "scale_std"}
+        jsonio.typed(params, dict, f"perturbation entry {pattern!r}")
+        unknown = set(params) - set(MAX_SPREADS)
         if unknown:
             raise ConfigurationError(
                 f"unknown perturbation keys {sorted(unknown)} under {pattern!r}"
             )
-        for key, value in params.items():
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0 <= value < math.inf):
-                raise ConfigurationError(
-                    f"perturbation {key} under {pattern!r} must be a finite number "
-                    f">= 0, got {value!r}"
-                )
-        try:
-            entries.append((pattern, FeaturePerturbation.isotropic(**params)))
-        except OverflowError as exc:  # a spread or its square beyond float range
-            raise ConfigurationError(
-                f"perturbation spreads under {pattern!r} are too large: {exc}"
-            ) from exc
+        spreads = {key: jsonio.number(value, f"perturbation {key} under {pattern!r}", lo=0,
+                                      hi=MAX_SPREADS[key])
+                   for key, value in params.items()}
+        entries.append((pattern, FeaturePerturbation.isotropic(**spreads)))
     out: dict[int, FeaturePerturbation] = {}
     for fid, tags in enumerate(vmap.tags_of_feature):
         for pattern, perturbation in entries:
@@ -305,10 +297,8 @@ def perturbations_from_config(vmap: VectorMap, config: dict) -> dict[int, Featur
 
 def load_perturbation_config(source) -> dict:
     """The pattern -> spreads mapping from a JSON file or a parsed object."""
-    obj = jsonio.load_source(source, "perturbation config")
-    if not isinstance(obj, dict):
-        raise FormatError("a perturbation config must be a JSON object")
-    return obj
+    return jsonio.typed(jsonio.load_source(source, "perturbation config"), dict,
+                        "a perturbation config")
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +330,7 @@ def load_geojson(source, origin: tuple[float, float] | None = None
 
     parsed = []  # per feature: tags, lon/lat points, edges, rings, depths
     for i, feat in enumerate(features):
-        if not isinstance(feat, dict):
-            raise FormatError(f"feature {i} is not a JSON object")
+        jsonio.typed(feat, dict, f"feature {i}")
         props = feat.get("properties") or {}
         tags = props.get("tags") if isinstance(props, dict) else None
         if not isinstance(tags, list) or not tags or not all(isinstance(t, str) for t in tags):
@@ -356,7 +345,8 @@ def load_geojson(source, origin: tuple[float, float] | None = None
         depths: list[float | None] = []
 
         def add_point(c, depth=None):
-            points.append((_number(c[0]), _number(c[1])))
+            key = f"feature {i} coordinates"
+            points.append((jsonio.number(c[0], key), jsonio.number(c[1], key)))
             depths.append(depth)
             return len(points) - 1
 
@@ -377,7 +367,7 @@ def load_geojson(source, origin: tuple[float, float] | None = None
         try:
             if gtype in ("Point", "MultiPoint"):
                 depth = props.get("depth")
-                depth = None if depth is None else _number(depth)
+                depth = None if depth is None else jsonio.number(depth, f"feature {i} depth")
                 for c in [coords] if gtype == "Point" else coords:
                     add_point(c, depth)
             elif gtype == "LineString":
@@ -392,7 +382,7 @@ def load_geojson(source, origin: tuple[float, float] | None = None
                 for poly in coords:
                     for ring in poly:
                         add_chain(ring, close=True)
-        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        except (LookupError, TypeError) as exc:
             raise FormatError(f"feature {i}: malformed coordinates: {exc}") from exc
         parsed.append((tags, points, edges, rings, depths))
     lon, lat = np.array([p for _, points, *_ in parsed for p in points]).reshape(-1, 2).T
@@ -410,11 +400,3 @@ def load_geojson(source, origin: tuple[float, float] | None = None
                    edges=tuple(edges), rings=tuple(rings), depths=tuple(depths))
         for tags, points, edges, rings, depths in parsed
     ]), frame
-
-
-def _number(value) -> float:
-    """A finite JSON number (not a bool) as a float; ValueError otherwise."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)

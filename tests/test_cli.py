@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import logging
+import math
 import operator
 import os
 import pathlib
@@ -306,6 +307,144 @@ def with_buoy(coordinates):
     return geojson
 
 
+@functools.lru_cache(maxsize=None)
+def input_docs() -> dict:
+    """Small copies of the criterion-10 world's input documents: tracks,
+    starmap, trust table, filter config and bench scenario."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        paths = world.write_world(tmp)
+        paths["csv"].write_text(world.ais_csv_text(steps=6))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli("ingest", "--csv", paths["csv"], "--out", tmp / "tracks.json",
+                           "--dt", 60, f"--origin={world.ORIGIN[0]},{world.ORIGIN[1]}") == 0
+            assert run_cli("build-starmap", "--map", paths["map"], "--perturb",
+                           paths["perturb"], "--constitution", paths["constitution"],
+                           "--bbox=-300,-300,3900,300", "--rows", 3, "--cols", 4,
+                           "--samples", 3, "--seed", 2, "--out", tmp / "starmap.json") == 0
+        docs = {name: json.loads((tmp / f"{name}.json").read_text())
+                for name in ("tracks", "starmap")}
+    docs["trust"] = {"default_tau": 0.5, "entries": [
+        {"vessel_type": "cargo", "waterway_bound": True, "anchoring": False, "tau": 0.6}]}
+    docs["filter"] = {"particles": 40, "dt": 60.0, "sigma_a": 0.05,
+                      "measurement_noise_std": 40.0, "ess_ratio": 0.5}
+    docs["scenario"] = world.scenario_spec(taus=(0.0, 0.5), n_seeds=1, steps=4,
+                                           particles=30, samples=3)
+    return docs
+
+
+# The documents each subcommand reads.
+COMMAND_INPUTS = {"field": ("starmap",), "track": ("tracks", "starmap", "trust", "filter"),
+                  "calibrate": ("tracks", "starmap", "filter"), "bench": ("scenario",)}
+
+
+def run_on_docs(directory, command, docs, *flags):
+    """Run command on the given documents (the rest from input_docs) in
+    directory, writing into directory/out; return exit code, stderr and
+    the output directory."""
+    directory = pathlib.Path(directory)
+    for name, doc in {**input_docs(), **docs}.items():
+        (directory / f"{name}.json").write_text(json.dumps(doc))
+    (directory / "rules.cst").write_text(world.CONSTITUTION)
+    out = directory / "out"
+    out.mkdir()
+    reads = ["--constitution", directory / "rules.cst",
+             "--starmap", directory / "starmap.json"]
+    tracks = ["--tracks", directory / "tracks.json",
+              "--filter-config", directory / "filter.json"]
+    argv = {
+        "field": [*reads, "--out", out / "field.json", "--pgm", out / "field.pgm"],
+        "track": [*tracks, *reads, "--trust-table", directory / "trust.json",
+                  "--out-logs", out / "steps.jsonl", "--out-summary", out / "summary.json"],
+        "calibrate": [*tracks, *reads, "--tau-grid", "0,0.5",
+                      "--out-table", out / "table.json", "--out-report", out / "report.json",
+                      "--out-hist", out / "hist.csv"],
+        "bench": ["--scenario", directory / "scenario.json", "--out-dir", out / "bench"],
+    }[command]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(command, *argv, *flags)
+    return code, err.getvalue(), out
+
+
+def assert_numbers_finite(value):
+    if isinstance(value, float):
+        assert math.isfinite(value)
+    elif isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            assert_numbers_finite(item)
+
+
+def check_outcome(code, err, out):
+    """Exit 0 or 2 without a traceback; exit 2 writes nothing, and every
+    number an exit-0 run writes is finite or null."""
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    written = [path for path in out.rglob("*") if path.is_file()]
+    if code == 2:
+        assert "error:" in err
+        assert written == []
+    for path in written:
+        assert not path.name.endswith(".tmp")
+        if path.suffix == ".json":
+            assert_numbers_finite(strict_loads(path.read_text()))
+        elif path.suffix == ".jsonl":
+            for line in path.read_text().splitlines():
+                assert_numbers_finite(strict_loads(line))
+        elif path.suffix == ".csv":
+            for cell in path.read_text().replace("\n", ",").split(","):
+                with contextlib.suppress(ValueError):
+                    assert math.isfinite(float(cell))
+
+
+NOT_A_STRING = [None, True, 0, -1, 1.5, [], {}, [1.0], 1e308, 10**400]
+NOT_A_PAIR = [None, True, 0, -1, 1.5, 1e308, 10**400, [], [1.0]]
+
+# (command, document, path, value): values that break the number rule or
+# a key's type; a lax reader crashes on the first group and coerces the
+# second.
+MALFORMED_INPUTS = [
+    *[("field", "starmap", ("layers", 0, "relation"), v) for v in NOT_A_STRING],
+    ("field", "starmap", ("layers", 0, "mean", 2), 10**400),
+    ("field", "starmap", ("layers", 0, "std", 2), 10**400),
+    *[("field", "starmap", ("origin_lonlat",), v) for v in (True, 7, -1, 1.5, 1e308, 10**400)],
+    ("track", "trust", ("entries", 0, "tau"), 10**400),
+    ("track", "trust", ("default_tau",), 10**400),
+    ("track", "tracks", ("origin_lonlat",), []),
+    ("track", "tracks", ("origin_lonlat",), [-74.0]),
+    ("track", "tracks", ("tracks", 0, "dt"), 10**400),
+    ("track", "tracks", ("tracks", 0, "times", 2), 10**400),
+    ("bench", "scenario", ("seed",), -1),
+    ("bench", "scenario", ("seed",), -1.5),
+    ("bench", "scenario", ("agents", "steps"), -1),
+    ("bench", "scenario", ("agents", "steps"), -1.5),
+    *[("bench", "scenario", ("agents", "start"), v) for v in NOT_A_PAIR],
+    ("bench", "scenario", ("agents", "kick_std"), 10**400),
+    ("bench", "scenario", ("agents", "velocity"), 10**400),
+    ("bench", "scenario", ("agents", "velocity"), []),
+    # coerced by a lax reader
+    ("bench", "scenario", ("seed",), 1.5),
+    ("bench", "scenario", ("agents", "steps"), 1.5),
+    ("bench", "scenario", ("n_seeds",), True),
+    ("track", "tracks", ("tracks", 0, "vessel_id"), None),
+    ("field", "starmap", ("origin_lonlat",), "x"),
+    ("track", "trust", ("entries", 0, "waterway_bound"), "false"),
+    ("track", "trust", ("entries", 0, "vessel_type"), None),
+    ("track", "trust", ("entries", 0, "tau"), True),
+]
+
+# Sizes far beyond every bound: each must be refused before anything of
+# that size is allocated.
+HUGE_SIZES = [
+    ("bench", ("grid", "rows"), ()), ("bench", ("starmap_samples",), ()),
+    ("bench", ("n_seeds",), ()), ("bench", ("agents", "steps"), ()),
+    ("bench", ("agents", "count"), ()), ("bench", ("filter", "particles"), ()),
+    ("bench", (), ("--n-seeds",)), ("field", (), ("--rows",)),
+    ("track", (), ("--particles",)), ("calibrate", (), ("--particles",)),
+    ("build-starmap", (), ("--rows",)), ("build-starmap", (), ("--samples",)),
+]
+
+
 class TestMapInputs:
     @pytest.mark.parametrize("geojson, perturbations", [
         (with_buoy([-74.0]), world.PERTURBATIONS),
@@ -324,11 +463,13 @@ class TestMapInputs:
         (world.corridor_geojson(), {"*": {"rotation_std_rad": "nan"}}),
         (world.corridor_geojson(), {"*": {"rotation_std_rad": float("nan")}}),
         (world.corridor_geojson(), {"*": {"scale_std": True}}),
+        (world.corridor_geojson(), {"*": {"scale_std": 1e300}}),
+        (world.corridor_geojson(), {"*": {"translation_std_m": 1e150}}),
     ], ids=["point-one-coordinate", "point-string", "ring-string-pair", "feature-number",
             "point-nan-latitude", "point-longitude-out-of-range", "translation-string",
             "translation-null", "translation-list", "translation-negative",
             "translation-square-overflows", "rotation-string-nan", "rotation-nan",
-            "scale-bool"])
+            "scale-bool", "scale-overflows-vertices", "translation-overflows-distances"])
     def test_malformed_map_input_is_user_error_and_writes_nothing(self, tmp_path,
                                                                   geojson, perturbations):
         code, err, out = build_starmap_from_docs(tmp_path, geojson, perturbations)
@@ -357,6 +498,55 @@ class TestMapInputs:
             assert "Traceback" not in err
             assert out.exists() == (code == 0)
             assert list(pathlib.Path(tmp).glob("sm.json.*")) == []
+
+    @pytest.mark.parametrize("command, name, path, value", MALFORMED_INPUTS,
+                             ids=[f"{name}-{'.'.join(map(str, path))}-{value!r:.12}"
+                                  for _, name, path, value in MALFORMED_INPUTS])
+    def test_malformed_input_file_is_user_error_naming_the_key(self, tmp_path, command,
+                                                               name, path, value):
+        doc = mutate(input_docs()[name], path, "replace", value)
+        code, err, out = run_on_docs(tmp_path, command, {name: doc})
+        assert code == 2, err
+        check_outcome(code, err, out)
+        assert [key for key in path if isinstance(key, str)][-1] in err
+
+    @pytest.mark.parametrize("command, path, flags", HUGE_SIZES,
+                             ids=[f"{command}-{'.'.join(path) or flags[0]}"
+                                  for command, path, flags in HUGE_SIZES])
+    def test_huge_size_is_user_error_before_allocating(self, tmp_path, command, path,
+                                                       flags):
+        flags = [*flags, str(10**12)] if flags else []
+        if command == "build-starmap":
+            code, err, out = build_starmap_from_docs(tmp_path, world.corridor_geojson(),
+                                                     world.PERTURBATIONS, *flags)
+            assert code == 2, err
+            assert "error:" in err and "Traceback" not in err and not out.exists()
+            return
+        docs = {}
+        if path:
+            docs["scenario"] = mutate(input_docs()["scenario"], path, "replace", 10**12)
+        code, err, out = run_on_docs(tmp_path, command, docs, *flags)
+        assert code == 2, err
+        check_outcome(code, err, out)
+
+    @pytest.mark.parametrize("command, examples", [("field", 120), ("track", 120),
+                                                   ("calibrate", 80), ("bench", 80)])
+    def test_mutated_inputs_exit_0_or_2(self, command, examples):
+        @settings(deadline=None, max_examples=examples, database=None)
+        @given(st.data())
+        def fuzz(data):
+            docs = {name: input_docs()[name] for name in COMMAND_INPUTS[command]}
+            for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+                name = data.draw(st.sampled_from(sorted(docs)), label="document")
+                paths = sorted(json_paths(docs[name]), key=len)
+                path = data.draw(st.sampled_from(paths), label="path")
+                docs[name] = mutate(docs[name], path,
+                                    data.draw(st.sampled_from(["replace", "delete", "empty"])),
+                                    data.draw(st.sampled_from(FUZZ_VALUES)))
+            with tempfile.TemporaryDirectory() as tmp:
+                check_outcome(*run_on_docs(tmp, command, docs))
+
+        fuzz()
 
 
 class TestField:

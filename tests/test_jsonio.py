@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import pathlib
+import re
 import stat
 
 import numpy as np
@@ -15,14 +17,14 @@ def test_floats_round_trip_with_null_for_non_finite():
     values = np.array([[0.5, np.nan], [np.inf, -2.0]])
     encoded = jsonio.floats_to_json(values)
     assert encoded == [0.5, None, None, -2.0]
-    decoded = jsonio.floats_from_json(encoded)
+    decoded = jsonio.floats(encoded, "values")
     assert decoded[0] == 0.5 and decoded[3] == -2.0
     assert math.isnan(decoded[1]) and math.isnan(decoded[2])
 
 
 def test_nested_float_list_rejected():
-    with pytest.raises(ValueError):
-        jsonio.floats_from_json([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(FormatError, match="^values must be a list of finite numbers"):
+        jsonio.floats([[1.0, 2.0], [3.0, 4.0]], "values")
 
 
 def test_dump_writes_the_convention(tmp_path):
@@ -170,3 +172,56 @@ def test_load_source_passes_parsed_objects_through(tmp_path):
     path.write_text(json.dumps(obj))
     assert jsonio.load_source(path, "thing") == obj
     assert jsonio.load_source(str(path), "thing") == obj
+
+
+@pytest.mark.parametrize("value, kwargs, expect", [
+    (3, {}, 3.0), (2.5, {}, 2.5), (np.float64(0.5), {}, 0.5), (-0.0, {"lo": 0}, 0.0),
+    (7, {"integer": True}, 7), (10**400, {"integer": True}, 10**400), (1, {"hi": 1}, 1.0),
+    (5e-324, {"above": 0}, 5e-324), (1e308, {}, 1e308),
+])
+def test_number_returns_a_python_number(value, kwargs, expect):
+    out = jsonio.number(value, "k", **kwargs)
+    assert out == expect and type(out) is (int if kwargs.get("integer") else float)
+
+
+@pytest.mark.parametrize("value, kwargs", [
+    (True, {}), (False, {"integer": True}), ("1", {}), (None, {}), ([1], {}), ({}, {}),
+    (float("nan"), {}), (float("inf"), {}), (-float("inf"), {}), (10**400, {}),
+    (1.0, {"integer": True}), (1.5, {"integer": True}), (-1, {"lo": 0}), (2, {"hi": 1}),
+    (0, {"above": 0}), (10**400, {"integer": True, "hi": 10}),
+])
+def test_number_rule_rejects_naming_the_key(value, kwargs):
+    with pytest.raises(FormatError, match=r"^agents\.steps must be (a finite number|an "
+                                          r"integer).*, got "):
+        jsonio.number(value, "agents.steps", **kwargs)
+
+
+@pytest.mark.parametrize("values, size", [
+    ([True], None), (["1"], None), ([[1.0]], None), ([10**400], None), ([float("inf")], None),
+    ("ab", None), ({}, None), (None, None), (1.0, None), ([1.0, 2.0], 3), ([], 1),
+])
+def test_floats_rejects_naming_the_key(values, size):
+    with pytest.raises(FormatError, match=r"^layers\[0\]\.mean must be a list of "):
+        jsonio.floats(values, "layers[0].mean", size)
+
+
+def test_point_and_typed():
+    assert jsonio.point([1, 2.5], "start") == (1.0, 2.5)
+    for bad in ([1], [1, 2, 3], [1, None], "ab", None, [True, 1]):
+        with pytest.raises(FormatError, match="^start must be "):
+            jsonio.point(bad, "start")
+    assert jsonio.typed("cargo", str, "vessel_type") == "cargo"
+    for value, kind in ((None, str), ("false", bool), (1, bool), ([], dict), ({}, list)):
+        with pytest.raises(FormatError, match="^key must be "):
+            jsonio.typed(value, kind, "key")
+
+
+def test_only_jsonio_parses_json_and_applies_the_number_rule():
+    src = pathlib.Path(jsonio.__file__).parent
+    pattern = re.compile(r"json\.(dump|load)|JSONDecodeError|numbers\.(Real|Integral)"
+                         r"|isinstance\([^)]*\bbool\b")
+    offenders = [f"{path.relative_to(src)}:{line}"
+                 for path in sorted(src.rglob("*.py")) if path.name != "jsonio.py"
+                 for line, text in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(text)]
+    assert offenders == []

@@ -17,6 +17,8 @@ from cstrack.particlefilter import (
     FilterConfig,
     MeasurementModel,
     ProcessModel,
+    _compliance_factor,
+    _resample_index,
     cv_process_noise,
     filter_arms,
 )
@@ -237,6 +239,51 @@ class TestResampling:
             counts += np.bincount(ids, minlength=3)
         freqs = counts / (passes * 3)
         np.testing.assert_allclose(freqs, weights, atol=0.005)
+
+
+class FixedUniform:
+    """A generator stub whose uniform draw is the given value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def uniform(self):
+        return self.value
+
+
+class TestKernelBoundaries:
+    """The kernels on exact ties and rounding edges."""
+
+    def test_last_slot_stays_in_range_when_the_weights_sum_below_one(self):
+        weights = np.full(10, 0.1)
+        assert np.cumsum(weights)[-1] < 1.0
+        index = _resample_index(weights, FixedUniform(np.nextafter(1.0, 0.0)))
+        assert (index < 10).all() and index[-1] == 9
+
+    def test_slot_on_a_cumulative_boundary_copies_the_particle_below_it(self):
+        index = _resample_index(np.full(4, 0.25), FixedUniform(0.0))
+        np.testing.assert_array_equal(index, [0, 0, 1, 2])
+
+    def test_ess_exactly_at_the_threshold_does_not_resample(self):
+        # Particles start at one point and never move, so the measurement
+        # keeps the weights uniform; tau = 1 and compliance [1, 1, 0, 0]
+        # leave [0.5, 0.5, 0, 0], an ESS of exactly 2 = 0.5 * 4.
+        config = FilterConfig(particles=4, dt=1.0, sigma_a=0.0, measurement_noise_std=1.0,
+                              ess_ratio=0.5, init_position_std=0.0, init_speed_std=0.0)
+        _, failures, records = filter_arms(
+            [np.zeros((2, 2))], config, [np.random.default_rng(0)], [1.0],
+            evaluate=lambda positions, z: np.tile([1.0, 1.0, 0.0, 0.0], len(positions) // 4),
+            log=True)
+        assert failures == [None]
+        assert records[0][0].n_eff == 2.0
+        assert not records[0][0].resampled
+
+    def test_subnormal_defined_mass_still_sets_the_undefined_factor(self):
+        weights = np.array([[1e-310, 1.0]])
+        factor, changed = _compliance_factor(weights, np.array([[0.5, np.nan]]),
+                                             np.array([1.0]))
+        assert changed.tolist() == [True]
+        assert factor[0, 1] == pytest.approx(0.5, rel=1e-3)
 
 
 class TestEstimate:
