@@ -149,7 +149,8 @@ def cmd_ingest(args) -> int:
             resampled.append(resample_track(track, dt=args.dt))
         except ConfigurationError:
             skipped += 1
-    log.info("ingested %d records into %d tracks (%d too short for dt=%s)",
+    log.info("ingested %d records into %d tracks (%d skipped: shorter than dt=%s "
+             "or a coordinate beyond the bound)",
              stats.records_kept, len(resampled), skipped, args.dt)
     if not resampled:
         raise ConfigurationError("no track survived segmentation and resampling")

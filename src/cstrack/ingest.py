@@ -35,6 +35,11 @@ _MANDATORY = ("vessel_id", "timestamp", "lat", "lon")
 DEFAULT_GAP_S = 600.0
 DEFAULT_DT_S = 60.0
 
+# The largest |coordinate| of a position (m) or velocity (m/s) a tracks
+# file may hold: far beyond any local frame on Earth, and small enough
+# that the filter's squared residuals stay finite.
+MAX_COORD = 1e8
+
 
 @dataclass(frozen=True)
 class AisRecord:
@@ -246,6 +251,9 @@ def resample_track(track: Track, dt: float = DEFAULT_DT_S) -> Track:
     The grid starts at the first sample and spans the original range;
     velocities are recomputed by central differences (one-sided at the
     ends). Original samples falling on the grid keep their positions.
+    ConfigurationError if the grid has fewer than 2 samples, or if a
+    position or velocity exceeds MAX_COORD, which a tracks file may not
+    hold.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
@@ -262,11 +270,16 @@ def resample_track(track: Track, dt: float = DEFAULT_DT_S) -> Track:
             np.interp(times, track.times, track.positions[:, 1]),
         ]
     )
+    velocities = _difference_velocities(times, positions)
+    if max(np.abs(positions).max(), np.abs(velocities).max()) > MAX_COORD:
+        raise ConfigurationError(
+            f"track {track.vessel_id} has a coordinate beyond {MAX_COORD:g} at dt={dt:g} s"
+        )
     return Track(
         vessel_id=track.vessel_id,
         times=times,
         positions=positions,
-        velocities=_difference_velocities(times, positions),
+        velocities=velocities,
         metadata=dict(track.metadata),
         dt=dt,
     )
@@ -301,7 +314,7 @@ def _track_from_json(entry: dict, key: str) -> Track:
     vessel_id = jsonio.typed(entry["vessel_id"], str, f"{key}.vessel_id")
     times = jsonio.floats(entry["times"], f"{key}.times")
     positions, velocities = (
-        np.array([jsonio.point(row, f"{key}.{name}")
+        np.array([jsonio.point(row, f"{key}.{name}", lo=-MAX_COORD, hi=MAX_COORD)
                   for row in jsonio.typed(entry[name], list, f"{key}.{name}")]).reshape(-1, 2)
         for name in ("positions", "velocities"))
     if not (len(positions) == len(velocities) == len(times) and np.isfinite(times).all()):

@@ -4,7 +4,9 @@ Files are UTF-8 with indent=1 and a trailing newline. Every non-finite
 float is written as null and read back as NaN; writers pass their float
 arrays through floats_to_json (or one value through float_to_json), and
 the encoder runs with allow_nan=False, so a stray NaN raises instead of
-writing a token that RFC 8259 does not allow. A file that does not parse
+writing a token that RFC 8259 does not allow. The one exception is a
+starmap's layers: starmap.py writes each as one base64 string of float64
+values, in which NaN is stored as its bits. A file that does not parse
 raises FormatError("bad <what> <path>: ..."). Every file cstrack writes,
 JSON or not, goes through atomic_write: it is written to a temporary file
 next to the target and renamed over the target, so a failed write leaves
@@ -84,11 +86,12 @@ def floats(values, key: str, size: int | None = None) -> np.ndarray:
     return arr
 
 
-def point(values, key: str) -> tuple[float, float]:
-    """A JSON pair of numbers as two floats; FormatError naming key otherwise."""
+def point(values, key: str, lo=None, hi=None) -> tuple[float, float]:
+    """A JSON pair of numbers, each in [lo, hi] where given, as two floats;
+    FormatError naming key otherwise."""
     if not isinstance(values, (list, tuple)) or len(values) != 2:
         raise FormatError(f"{key} must be a pair of finite numbers, got {reprlib.repr(values)}")
-    return number(values[0], key), number(values[1], key)
+    return number(values[0], key, lo=lo, hi=hi), number(values[1], key, lo=lo, hi=hi)
 
 
 def typed(value, kind: type, key: str):

@@ -23,7 +23,9 @@ timings and counts never reach the layers or the files written from them.
 
 from __future__ import annotations
 
+import base64
 import logging
+import reprlib
 import time
 from dataclasses import dataclass
 
@@ -175,6 +177,34 @@ def find_layer(layers: list[StaRMapLayer], rel: RelationKind, tag: str) -> StaRM
 # ---------------------------------------------------------------------------
 # Persistence
 
+# How a file stores each layer's mean and std: one base64 string of the
+# row-major, little-endian float64 values, so every value survives bit for
+# bit and NaN marks a flagged cell.
+ENCODING = "base64-float64-le"
+
+
+def _encode(values: np.ndarray) -> str:
+    """The layer blob of values; every non-finite value, whatever its
+    bits, is written as NaN."""
+    values = np.where(np.isfinite(values), values, np.nan)
+    return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _decode(text, key: str, size: int) -> np.ndarray:
+    """The inverse of _encode: a read-only 1-D float array; FormatError
+    naming key unless text is a strict base64 string of size float64
+    values, none of them infinite."""
+    try:
+        raw = base64.b64decode(jsonio.typed(text, str, key), validate=True)
+    except ValueError:  # not base64 (binascii.Error) or not ASCII
+        raw = b""
+    arr = (np.frombuffer(raw, dtype="<f8").astype(float, copy=False)
+           if len(raw) == 8 * size else None)
+    if arr is None or np.isinf(arr).any():
+        raise FormatError(f"{key} must be base64 of {size} little-endian float64 values, "
+                          f"none infinite, got {reprlib.repr(text)}")
+    return arr
+
 
 def starmap_to_json(layers: list[StaRMapLayer],
                     origin_lonlat: tuple[float, float] | None = None) -> dict:
@@ -189,12 +219,13 @@ def starmap_to_json(layers: list[StaRMapLayer],
         "resolution": [grid.rows, grid.cols],
         "sample_count": layers[0].sample_count,
         "origin_lonlat": list(origin_lonlat) if origin_lonlat is not None else None,
+        "encoding": ENCODING,
         "layers": [
             {
                 "relation": layer.relation.value,
                 "tag": layer.tag,
-                "mean": jsonio.floats_to_json(layer.mean),
-                "std": jsonio.floats_to_json(layer.std),
+                "mean": _encode(layer.mean),
+                "std": _encode(layer.std),
             }
             for layer in layers
         ],
@@ -204,10 +235,14 @@ def starmap_to_json(layers: list[StaRMapLayer],
 def starmap_from_json(obj: dict) -> tuple[list[StaRMapLayer], tuple[float, float] | None]:
     try:
         grid = raster_grid(obj)
+        encoding = obj.get("encoding")
+        if encoding != ENCODING:
+            raise FormatError(f"encoding must be {ENCODING!r}, got {reprlib.repr(encoding)}; "
+                              "rebuild the starmap with build-starmap")
         n = jsonio.number(obj["sample_count"], "sample_count", integer=True)
         layers = []
         for i, entry in enumerate(obj["layers"]):
-            mean, std = (jsonio.floats(entry[name], f"layers[{i}].{name}", grid.rows * grid.cols)
+            mean, std = (_decode(entry[name], f"layers[{i}].{name}", grid.rows * grid.cols)
                          .reshape(grid.rows, grid.cols) for name in ("mean", "std"))
             relation, tag = (jsonio.typed(entry[name], str, f"layers[{i}].{name}")
                              for name in ("relation", "tag"))

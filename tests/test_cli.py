@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import copy
 import functools
@@ -26,7 +27,7 @@ from cstrack.grids import GridSpec
 from cstrack.ingest import load_tracks
 from cstrack.particlefilter import FilterConfig
 from cstrack.relations import RelationKind
-from cstrack.starmap import StaRMapLayer, load_starmap, save_starmap
+from cstrack.starmap import ENCODING, StaRMapLayer, load_starmap, save_starmap
 from cstrack.trust import TrustTable, extract_features, position_mae
 
 import world
@@ -78,7 +79,8 @@ def strict_loads(text):
 def empty_starmap(tmp_path):
     out = tmp_path / "empty.json"
     out.write_text(json.dumps({"bbox": [-300, -300, 3900, 300], "resolution": [3, 3],
-                               "sample_count": 2, "origin_lonlat": None, "layers": []}))
+                               "sample_count": 2, "origin_lonlat": None,
+                               "encoding": ENCODING, "layers": []}))
     return out
 
 
@@ -107,6 +109,55 @@ class TestIngest:
         bad.write_text("MMSI,BaseDateTime,LAT,LON\n1,2020-01-01T00:00:00,99.0,0.0\n")
         code = run_cli("ingest", "--csv", bad, "--out", tmp_path / "o.json")
         assert code == 2
+
+    @settings(deadline=None, max_examples=150, database=None)
+    @given(st.data())
+    def test_mutated_csv_exits_0_or_2_and_reads_back(self, data):
+        # Two vessels, five records each; the header is row 0.
+        text = world.ais_csv_text(steps=5) + world.ais_csv_text(
+            steps=5, vessel_id="367000002", speed_mps=3.0).split("\n", 1)[1]
+        rows = [line.split(",") for line in text.splitlines()]
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            row = rows[data.draw(st.integers(0, len(rows) - 1), label="row")]
+            col = data.draw(st.integers(0, len(row) - 1), label="column")
+            value = data.draw(st.sampled_from(["", "nan", "inf", "-inf", "1e400", "ab", None]),
+                              label="value")
+            if value is None:  # a dropped column
+                del row[col]
+            else:
+                row[col] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            (tmp / "ais.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+            (tmp / "out").mkdir()
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli("ingest", "--csv", tmp / "ais.csv",
+                               "--out", tmp / "out" / "tracks.json", "--dt", 60)
+            check_outcome(code, err.getvalue(), tmp / "out")
+            if code == 0:
+                tracks, _ = load_tracks(tmp / "out" / "tracks.json")
+                assert tracks
+
+    @pytest.mark.parametrize("slow_vessel", [False, True])
+    def test_track_beyond_the_coordinate_bound_is_not_written(self, tmp_path, capsys,
+                                                              slow_vessel):
+        # 11 km in 0.1 ms is 1.1e8 m/s, beyond MAX_COORD, which load_tracks refuses.
+        text = "MMSI,BaseDateTime,LAT,LON\n1,0.0,0.0,0.0\n1,0.0001,0.0,0.1\n"
+        if slow_vessel:
+            text += "2,0.0,0.0,0.0\n2,0.0002,0.0,0.0000001\n"
+        (tmp_path / "ais.csv").write_text(text)
+        (tmp_path / "out").mkdir()
+        code = run_cli("ingest", "--csv", tmp_path / "ais.csv",
+                       "--out", tmp_path / "out" / "tracks.json", "--dt", 0.0001)
+        err = capsys.readouterr().err
+        check_outcome(code, err, tmp_path / "out")
+        if slow_vessel:
+            tracks, _ = load_tracks(tmp_path / "out" / "tracks.json")
+            assert [t.vessel_id for t in tracks] == ["2"]
+        else:
+            assert code == 2
+            assert "error: no track survived" in err
 
 
 class TestBuildStarmap:
@@ -263,9 +314,20 @@ def json_paths(doc, prefix=()):
             yield from json_paths(value, prefix + (key,))
 
 
+# Mutations of a nonempty string, at the character index value.
+STRING_MUTATIONS = ("truncate", "flip")
+
+
+def text_at(doc, path) -> bool:
+    """Whether the value at path is a nonempty string."""
+    value = functools.reduce(operator.getitem, path, doc)
+    return isinstance(value, str) and value != ""
+
+
 def mutate(doc, path, kind, value):
-    """A copy of doc with the value at path replaced by value, deleted, or
-    emptied (a container; any other value is replaced)."""
+    """A copy of doc with the value at path replaced by value, deleted,
+    emptied (a container; any other value is replaced), or, for a string,
+    cut at index value or with the low bit of that character flipped."""
     box, path = [copy.deepcopy(doc)], (0,) + path
     parent = functools.reduce(operator.getitem, path[:-1], box)
     key = path[-1]
@@ -273,6 +335,10 @@ def mutate(doc, path, kind, value):
         del parent[key]
     elif kind == "empty" and isinstance(parent[key], (dict, list)):
         parent[key] = type(parent[key])()
+    elif kind in STRING_MUTATIONS:
+        text, i = parent[key], value % len(parent[key])
+        parent[key] = text[:i] + ("" if kind == "truncate" else chr(ord(text[i]) ^ 1)
+                                  + text[i + 1:])
     else:
         parent[key] = value
     return box[0]
@@ -400,13 +466,42 @@ def check_outcome(code, err, out):
 NOT_A_STRING = [None, True, 0, -1, 1.5, [], {}, [1.0], 1e308, 10**400]
 NOT_A_PAIR = [None, True, 0, -1, 1.5, 1e308, 10**400, [], [1.0]]
 
+
+class Missing:
+    """A MALFORMED_INPUTS value that deletes its key."""
+
+    def __repr__(self):
+        return "missing"
+
+
+def blob(values, extra=b""):
+    """A starmap layer string of values (the input_docs starmap has 12
+    cells), with extra bytes after them."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes() + extra).decode()
+
+
+# Layer strings the reader must refuse: not base64 (a lax decoder skips
+# the inserted character), a wrong length, an infinity.
+BAD_BLOBS = {
+    "non-alphabet": blob(np.ones(12))[:64] + "!" + blob(np.ones(12))[64:],
+    "non-ascii": blob(np.ones(12))[:-1] + "\u00e9",
+    "padding-missing": blob(np.ones(12))[:-1],
+    "padding-inside": blob(np.ones(12))[:-4] + "AA=A",
+    "one-value-short": blob(np.ones(11)),
+    "4-bytes-extra": blob(np.ones(12), extra=b"\0" * 4),
+    "inf": blob([*np.ones(11), np.inf]),
+    "minus-inf": blob([-np.inf, *np.ones(11)]),
+}
+
 # (command, document, path, value): values that break the number rule or
 # a key's type; a lax reader crashes on the first group and coerces the
 # second.
 MALFORMED_INPUTS = [
     *[("field", "starmap", ("layers", 0, "relation"), v) for v in NOT_A_STRING],
-    ("field", "starmap", ("layers", 0, "mean", 2), 10**400),
-    ("field", "starmap", ("layers", 0, "std", 2), 10**400),
+    *[("field", "starmap", ("layers", 0, name), v) for name in ("mean", "std")
+      for v in [*NOT_A_STRING, *BAD_BLOBS.values()]],
+    ("field", "starmap", ("encoding",), Missing()),
+    ("field", "starmap", ("encoding",), "float64"),
     *[("field", "starmap", ("origin_lonlat",), v) for v in (True, 7, -1, 1.5, 1e308, 10**400)],
     ("track", "trust", ("entries", 0, "tau"), 10**400),
     ("track", "trust", ("default_tau",), 10**400),
@@ -414,6 +509,8 @@ MALFORMED_INPUTS = [
     ("track", "tracks", ("origin_lonlat",), [-74.0]),
     ("track", "tracks", ("tracks", 0, "dt"), 10**400),
     ("track", "tracks", ("tracks", 0, "times", 2), 10**400),
+    ("track", "tracks", ("tracks", 0, "positions", 2, 0), 1e308),
+    ("track", "tracks", ("tracks", 0, "velocities", 2, 1), -1e308),
     ("bench", "scenario", ("seed",), -1),
     ("bench", "scenario", ("seed",), -1.5),
     ("bench", "scenario", ("agents", "steps"), -1),
@@ -500,11 +597,15 @@ class TestMapInputs:
             assert list(pathlib.Path(tmp).glob("sm.json.*")) == []
 
     @pytest.mark.parametrize("command, name, path, value", MALFORMED_INPUTS,
-                             ids=[f"{name}-{'.'.join(map(str, path))}-{value!r:.12}"
+                             ids=[f"{name}-{'.'.join(map(str, path))}-"
+                                  + next((k for k, v in BAD_BLOBS.items() if v is value),
+                                         f"{value!r:.12}")
                                   for _, name, path, value in MALFORMED_INPUTS])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_input_file_is_user_error_naming_the_key(self, tmp_path, command,
                                                                name, path, value):
-        doc = mutate(input_docs()[name], path, "replace", value)
+        doc = mutate(input_docs()[name], path,
+                     "delete" if isinstance(value, Missing) else "replace", value)
         code, err, out = run_on_docs(tmp_path, command, {name: doc})
         assert code == 2, err
         check_outcome(code, err, out)
@@ -536,13 +637,19 @@ class TestMapInputs:
         @given(st.data())
         def fuzz(data):
             docs = {name: input_docs()[name] for name in COMMAND_INPUTS[command]}
+            kinds = ["replace", "delete", "empty"]
+            if command == "field":  # the layer strings too
+                kinds += STRING_MUTATIONS
             for _ in range(data.draw(st.integers(1, 2), label="mutations")):
                 name = data.draw(st.sampled_from(sorted(docs)), label="document")
-                paths = sorted(json_paths(docs[name]), key=len)
+                doc = docs[name]
+                texts = [path for path in json_paths(doc) if text_at(doc, path)]
+                kind = data.draw(st.sampled_from(kinds if texts else kinds[:3]), label="kind")
+                paths = sorted(texts if kind in STRING_MUTATIONS else json_paths(doc), key=len)
                 path = data.draw(st.sampled_from(paths), label="path")
-                docs[name] = mutate(docs[name], path,
-                                    data.draw(st.sampled_from(["replace", "delete", "empty"])),
-                                    data.draw(st.sampled_from(FUZZ_VALUES)))
+                docs[name] = mutate(doc, path, kind, data.draw(
+                    st.integers(0, 10**6) if kind in STRING_MUTATIONS
+                    else st.sampled_from(FUZZ_VALUES), label="value"))
             with tempfile.TemporaryDirectory() as tmp:
                 check_outcome(*run_on_docs(tmp, command, docs))
 
@@ -600,7 +707,9 @@ class TestField:
         code = run_cli("field", "--constitution", paths["constitution"],
                        "--starmap", empty_starmap(tmp_path), "--out", tmp_path / "f.json")
         assert code == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: starmap has no layers" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags", [["--rows", 0], ["--rows", 1], ["--cols", 0],
                                        ["--rows", -3, "--cols", 5]])
@@ -835,7 +944,9 @@ class TestTrack:
                        "--out-logs", tmp_path / "l.jsonl",
                        "--out-summary", tmp_path / "s.json")
         assert code == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: starmap has no layers" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [("constitution_mode", "direct"),
                                             ("constitution_samples", 100)])
