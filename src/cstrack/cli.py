@@ -134,6 +134,8 @@ def _evaluator_for(program, layers, mode: str):
 
 
 def cmd_ingest(args) -> int:
+    gap_s, dt = (jsonio.number(value, flag, above=0)
+                 for flag, value in (("--gap-s", args.gap_s), ("--dt", args.dt)))
     records, stats = read_ais_csv(args.csv, column_map=_column_map(args.columns))
     if not records:
         raise ConfigurationError(f"{args.csv}: no valid records")
@@ -141,17 +143,17 @@ def cmd_ingest(args) -> int:
     if args.origin is not None:
         lon, lat = _parse_numbers(args.origin, "--origin", "lon,lat")
         frame = LocalFrame(origin_lon=lon, origin_lat=lat)
-    tracks, frame = segment_tracks(records, gap_s=args.gap_s, frame=frame)
+    tracks, frame = segment_tracks(records, gap_s=gap_s, frame=frame)
     resampled = []
     skipped = 0
     for track in tracks:
         try:
-            resampled.append(resample_track(track, dt=args.dt))
+            resampled.append(resample_track(track, dt=dt))
         except ConfigurationError:
             skipped += 1
-    log.info("ingested %d records into %d tracks (%d skipped: shorter than dt=%s "
-             "or a coordinate beyond the bound)",
-             stats.records_kept, len(resampled), skipped, args.dt)
+    log.info("ingested %d records into %d tracks (%d skipped: shorter than dt=%s, "
+             "too many samples or a coordinate beyond the bound)",
+             stats.records_kept, len(resampled), skipped, dt)
     if not resampled:
         raise ConfigurationError("no track survived segmentation and resampling")
     save_tracks(resampled, frame, args.out, stats=stats)

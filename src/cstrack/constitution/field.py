@@ -9,6 +9,10 @@ particle_probabilities(positions, z) -> (N,), with z of shape (2,) or
 and both return NaN wherever the interpolation gives a flagged node a
 nonzero weight. What the filter does with NaN is decided by
 particlefilter._compliance_factor alone.
+
+A field file stores the raster as a starmap stores a layer: the grid's
+bbox and resolution, and the values as one grids.encode_raster string, so
+every value survives bit for bit and NaN marks a flagged node.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import numpy as np
 
 from .. import jsonio
 from ..errors import ConfigurationError, FormatError
-from ..grids import GridSpec, bilinear_clamped, raster_grid, write_pgm
+from ..grids import (ENCODING, GridSpec, bilinear_clamped, decode_raster, encode_raster,
+                     raster_grid, write_pgm)
 from ..starmap import StaRMapLayer
 from .environment import ConstitutionEvaluator
 from .terms import Program
@@ -61,17 +66,18 @@ class ConstitutionField:
         return {
             "bbox": list(self.grid.bbox),
             "resolution": [self.grid.rows, self.grid.cols],
-            "values": jsonio.floats_to_json(self.values),
+            "encoding": ENCODING,
+            "values": encode_raster(self.values),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConstitutionField":
         try:
             grid = raster_grid(obj)
-            flat = jsonio.floats(obj["values"], "values", grid.rows * grid.cols)
+            values = decode_raster(obj["values"], "values", grid)
         except (KeyError, TypeError, FormatError) as exc:
             raise FormatError(f"bad field JSON: {exc}") from exc
-        return cls(grid=grid, values=flat.reshape(grid.rows, grid.cols))
+        return cls(grid=grid, values=values)
 
     def save(self, path) -> None:
         jsonio.dump(self.to_json(), path)

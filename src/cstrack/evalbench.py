@@ -25,6 +25,7 @@ from .constitution import environment_atoms, parse, parse_file, precompute_field
 from .constitution.field import ConstitutionField
 from .errors import ConfigurationError, FormatError, StuckAgentError
 from .grids import GridSpec
+from .ingest import MAX_STEPS
 from .particlefilter import FilterConfig
 from .relations import RelationKind
 from .starmap import build_starmap
@@ -32,7 +33,7 @@ from .trust import sweep
 from .vectormap import load_geojson, load_perturbation_config, perturbations_from_config
 
 MAX_REJECTIONS = 1000
-MAX_SEEDS, MAX_AGENTS, MAX_STEPS = 1000, 1000, 100_000  # per sweep, scenario, agent
+MAX_SEEDS, MAX_AGENTS = 1000, 1000  # per sweep, scenario
 
 
 def simulate_agent(

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import ConfigurationError, FormatError
+from .grids import MAX_COORD
 from .projection import LocalFrame
 
 NOAA_COLUMNS = {
@@ -35,10 +36,9 @@ _MANDATORY = ("vessel_id", "timestamp", "lat", "lon")
 DEFAULT_GAP_S = 600.0
 DEFAULT_DT_S = 60.0
 
-# The largest |coordinate| of a position (m) or velocity (m/s) a tracks
-# file may hold: far beyond any local frame on Earth, and small enough
-# that the filter's squared residuals stay finite.
-MAX_COORD = 1e8
+# The most samples a resampled track may hold, and the most steps a bench
+# agent may take: the filter runs one step per sample.
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -251,14 +251,19 @@ def resample_track(track: Track, dt: float = DEFAULT_DT_S) -> Track:
     The grid starts at the first sample and spans the original range;
     velocities are recomputed by central differences (one-sided at the
     ends). Original samples falling on the grid keep their positions.
-    ConfigurationError if the grid has fewer than 2 samples, or if a
-    position or velocity exceeds MAX_COORD, which a tracks file may not
-    hold.
+    ConfigurationError if the grid has fewer than 2 samples or more than
+    MAX_STEPS, or if a position or velocity exceeds grids.MAX_COORD, which
+    a tracks file may not hold.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     t0, t1 = float(track.times[0]), float(track.times[-1])
-    n = int(np.floor((t1 - t0) / dt)) + 1
+    span = (t1 - t0) / dt
+    if span >= MAX_STEPS:  # floor(span) + 1 samples
+        raise ConfigurationError(
+            f"track {track.vessel_id} needs more than {MAX_STEPS} samples at dt={dt:g} s"
+        )
+    n = int(np.floor(span)) + 1
     if n < 2:
         raise ConfigurationError(
             f"track {track.vessel_id} spans {t1 - t0:.0f} s, shorter than dt={dt:.0f} s"

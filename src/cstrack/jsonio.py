@@ -4,29 +4,18 @@ Files are UTF-8 with indent=1 and a trailing newline. Every non-finite
 float is written as null and read back as NaN; writers pass their float
 arrays through floats_to_json (or one value through float_to_json), and
 the encoder runs with allow_nan=False, so a stray NaN raises instead of
-writing a token that RFC 8259 does not allow. The one exception is a
-starmap's layers: starmap.py writes each as one base64 string of float64
-values, in which NaN is stored as its bits. A file that does not parse
-raises FormatError("bad <what> <path>: ..."). Every file cstrack writes,
-JSON or not, goes through atomic_write: it is written to a temporary file
-next to the target and renamed over the target, so a failed write leaves
-the old file as it was.
+writing a token that RFC 8259 does not allow. The one exception is the
+rasters, a starmap's layers and a compliance field's values: each is one
+string of binary float64 values (grids.encode_raster), in which NaN is
+stored as its bits. A file that does not parse raises FormatError("bad
+<what> <path>: ..."). Every file cstrack writes, JSON or not, goes through
+atomic_write: it is written to a temporary file next to the target and
+renamed over the target, so a failed write leaves the old file as it was.
 
 Readers hold what they parse to one number rule: a number is a JSON number
 (not true or false) and finite, an integer a JSON integer. number(),
 floats(), point() and typed() check a value, a flat list of numbers and
 nulls, a pair and a string, bool or container, naming the key on error.
-
-dump writes the bytes of json.dump(obj, fh, indent=1, allow_nan=False)
-and a newline and, like it, raises ValueError on a NaN or an infinity and
-TypeError on a value or key JSON has no type for. It lays out dicts and
-lists as that indented encoder does, but encodes every scalar, key and
-flat list of numbers (int, float and their subclasses, bool and
-numpy.float64 among them, and None) with the C encoder. A flat list goes
-in runs of up to _RUN numbers, one call each, and is re-indented: the
-encoder separates items with ", ", which no number, null, true or false
-contains. The text reaches the file one run or scalar at a time, never as
-one string.
 """
 
 from __future__ import annotations
@@ -134,55 +123,10 @@ def atomic_write(path, encoding: str = "utf-8", newline: str | None = None):
         raise
 
 
-_encode = json.JSONEncoder(allow_nan=False).encode
-# Numbers per C encoder call: long runs amortise the call, short ones keep
-# the strings it builds small.
-_RUN = 1024
-
-
-def _is_number_list(items) -> bool:
-    return all(t is type(None) or issubclass(t, (int, float)) for t in set(map(type, items)))
-
-
-def _key(key) -> str:
-    """A dict key as json's encoder turns it into a string."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _encode(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _chunks(obj, level: int):
-    """The text of obj at indent=1, nested level deep, piece by piece."""
-    if isinstance(obj, (list, tuple)) and obj:
-        pad = "\n" + " " * (level + 1)
-        close = "\n" + " " * level + "]"
-        if _is_number_list(obj):
-            for lo in range(0, len(obj), _RUN):
-                yield ("," if lo else "[") + pad + _encode(obj[lo:lo + _RUN])[1:-1].replace(
-                    ", ", "," + pad)
-            yield close
-            return
-        for i, item in enumerate(obj):
-            yield ("," if i else "[") + pad
-            yield from _chunks(item, level + 1)
-        yield close
-    elif isinstance(obj, dict) and obj:
-        pad = "\n" + " " * (level + 1)
-        for i, (key, value) in enumerate(obj.items()):
-            yield ("," if i else "{") + pad + _encode(_key(key)) + ": "
-            yield from _chunks(value, level + 1)
-        yield "\n" + " " * level + "}"
-    else:  # a scalar or an empty container
-        yield _encode(obj)
-
-
 def dump(obj, path) -> None:
     """Write obj to path in the convention above, whole or not at all."""
     with atomic_write(path) as fh:
-        for chunk in _chunks(obj, 0):
-            fh.write(chunk)
+        json.dump(obj, fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 

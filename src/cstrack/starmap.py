@@ -23,9 +23,7 @@ timings and counts never reach the layers or the files written from them.
 
 from __future__ import annotations
 
-import base64
 import logging
-import reprlib
 import time
 from dataclasses import dataclass
 
@@ -33,7 +31,8 @@ import numpy as np
 
 from . import jsonio
 from .errors import ConfigurationError, FormatError, NoDepthDataError
-from .grids import GridSpec, bilinear, raster_grid, write_pgm
+from .grids import (ENCODING, GridSpec, bilinear, decode_raster, encode_raster, raster_grid,
+                    write_pgm)
 from .relations import RelationKind, eval_relation_many
 from .vectormap import FeaturePerturbation, VectorMap, sample_vertex_variants
 
@@ -175,35 +174,7 @@ def find_layer(layers: list[StaRMapLayer], rel: RelationKind, tag: str) -> StaRM
 
 
 # ---------------------------------------------------------------------------
-# Persistence
-
-# How a file stores each layer's mean and std: one base64 string of the
-# row-major, little-endian float64 values, so every value survives bit for
-# bit and NaN marks a flagged cell.
-ENCODING = "base64-float64-le"
-
-
-def _encode(values: np.ndarray) -> str:
-    """The layer blob of values; every non-finite value, whatever its
-    bits, is written as NaN."""
-    values = np.where(np.isfinite(values), values, np.nan)
-    return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
-
-
-def _decode(text, key: str, size: int) -> np.ndarray:
-    """The inverse of _encode: a read-only 1-D float array; FormatError
-    naming key unless text is a strict base64 string of size float64
-    values, none of them infinite."""
-    try:
-        raw = base64.b64decode(jsonio.typed(text, str, key), validate=True)
-    except ValueError:  # not base64 (binascii.Error) or not ASCII
-        raw = b""
-    arr = (np.frombuffer(raw, dtype="<f8").astype(float, copy=False)
-           if len(raw) == 8 * size else None)
-    if arr is None or np.isinf(arr).any():
-        raise FormatError(f"{key} must be base64 of {size} little-endian float64 values, "
-                          f"none infinite, got {reprlib.repr(text)}")
-    return arr
+# Persistence: each layer's mean and std as one grids.encode_raster string.
 
 
 def starmap_to_json(layers: list[StaRMapLayer],
@@ -224,8 +195,8 @@ def starmap_to_json(layers: list[StaRMapLayer],
             {
                 "relation": layer.relation.value,
                 "tag": layer.tag,
-                "mean": _encode(layer.mean),
-                "std": _encode(layer.std),
+                "mean": encode_raster(layer.mean),
+                "std": encode_raster(layer.std),
             }
             for layer in layers
         ],
@@ -235,15 +206,11 @@ def starmap_to_json(layers: list[StaRMapLayer],
 def starmap_from_json(obj: dict) -> tuple[list[StaRMapLayer], tuple[float, float] | None]:
     try:
         grid = raster_grid(obj)
-        encoding = obj.get("encoding")
-        if encoding != ENCODING:
-            raise FormatError(f"encoding must be {ENCODING!r}, got {reprlib.repr(encoding)}; "
-                              "rebuild the starmap with build-starmap")
         n = jsonio.number(obj["sample_count"], "sample_count", integer=True)
         layers = []
         for i, entry in enumerate(obj["layers"]):
-            mean, std = (_decode(entry[name], f"layers[{i}].{name}", grid.rows * grid.cols)
-                         .reshape(grid.rows, grid.cols) for name in ("mean", "std"))
+            mean, std = (decode_raster(entry[name], f"layers[{i}].{name}", grid)
+                         for name in ("mean", "std"))
             relation, tag = (jsonio.typed(entry[name], str, f"layers[{i}].{name}")
                              for name in ("relation", "tag"))
             layers.append(StaRMapLayer(RelationKind.parse(relation), tag, grid, mean, std, n))

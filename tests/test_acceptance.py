@@ -6,6 +6,7 @@ module; all randomness is seeded.
 """
 
 import functools
+import hashlib
 import json
 import math
 import statistics
@@ -386,6 +387,18 @@ def test_criterion_09_filter_statistics():
     assert np.abs(freqs - weights).max() <= 0.005
 
 
+def c10_starmap_argv(paths, out_dir):
+    return ["build-starmap", "--map", paths["map"], "--perturb", paths["perturb"],
+            "--constitution", paths["constitution"], "--bbox=-300,-300,3900,300",
+            "--rows", 10, "--cols", 22, "--samples", 12, "--seed", 2,
+            "--out", out_dir / "starmap.json"]
+
+
+def c10_field_argv(paths, starmap, out_dir):
+    return ["field", "--constitution", paths["constitution"], "--starmap", starmap,
+            "--out", out_dir / "field.json", "--pgm", out_dir / "field.pgm", "--seed", 3]
+
+
 @criterion("10 CLI determinism (byte-identical reruns, all subcommands)")
 def test_criterion_10_cli_determinism(tmp_path):
     paths = world.write_world(tmp_path)
@@ -412,24 +425,10 @@ def test_criterion_10_cli_determinism(tmp_path):
     )
     tracks = ingest_dir / "tracks.json"
 
-    starmap_dir = twice(
-        "starmap",
-        lambda sub: ["build-starmap", "--map", paths["map"],
-                     "--perturb", paths["perturb"],
-                     "--constitution", paths["constitution"],
-                     "--bbox=-300,-300,3900,300", "--rows", 10, "--cols", 22,
-                     "--samples", 12, "--seed", 2, "--out", sub / "starmap.json"],
-        ["starmap.json"],
-    )
+    starmap_dir = twice("starmap", lambda sub: c10_starmap_argv(paths, sub), ["starmap.json"])
     starmap = starmap_dir / "starmap.json"
 
-    twice(
-        "field",
-        lambda sub: ["field", "--constitution", paths["constitution"],
-                     "--starmap", starmap, "--out", sub / "field.json",
-                     "--pgm", sub / "field.pgm", "--seed", 3],
-        ["field.json", "field.pgm"],
-    )
+    twice("field", lambda sub: c10_field_argv(paths, starmap, sub), ["field.json", "field.pgm"])
     twice(
         "track",
         lambda sub: ["track", "--tracks", tracks,
@@ -460,3 +459,23 @@ def test_criterion_10_cli_determinism(tmp_path):
                      "--seed", 6],
         ["report.json", "runs.csv"],
     )
+
+
+# The SHA-256 of criterion 10's raster files. They came out the same under
+# OpenBLAS's SkylakeX, Haswell and Nehalem kernels and with numpy's X86_V3
+# and X86_V4 dispatch off, so a change that moves a raster bit must update
+# them and say so.
+C10_RASTER_SHA256 = {
+    "starmap.json": "657c53577b2e96af65407194dbda56b3de4708ec2c4a7e51e8849ed7d65a6a24",
+    "field.json": "8e47c76615e06b2ef185f96dabe1946a5619bf3a9bbdce5682e4597c1a354fd4",
+}
+
+
+def test_criterion_10_raster_files_are_pinned(tmp_path):
+    paths = world.write_world(tmp_path)
+    assert cli_main([str(a) for a in c10_starmap_argv(paths, tmp_path)]) == 0
+    assert cli_main([str(a) for a in c10_field_argv(paths, tmp_path / "starmap.json",
+                                                   tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in C10_RASTER_SHA256}
+    assert digests == C10_RASTER_SHA256

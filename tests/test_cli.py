@@ -21,13 +21,13 @@ from hypothesis import given, settings, strategies as st
 
 from cstrack import cli, jsonio
 from cstrack.cli import main
-from cstrack.constitution import ConstitutionEvaluator, parse, precompute_field
+from cstrack.constitution import ConstitutionEvaluator, ConstitutionField, parse, precompute_field
 from cstrack.demo import write_demo
-from cstrack.grids import GridSpec
+from cstrack.grids import ENCODING, GridSpec
 from cstrack.ingest import load_tracks
 from cstrack.particlefilter import FilterConfig
 from cstrack.relations import RelationKind
-from cstrack.starmap import ENCODING, StaRMapLayer, load_starmap, save_starmap
+from cstrack.starmap import StaRMapLayer, load_starmap, save_starmap
 from cstrack.trust import TrustTable, extract_features, position_mae
 
 import world
@@ -158,6 +158,44 @@ class TestIngest:
         else:
             assert code == 2
             assert "error: no track survived" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--dt", "-60"),
+        ("--gap-s", "nan"), ("--gap-s", "inf"), ("--gap-s", "0"), ("--gap-s", "-600"),
+    ])
+    def test_bad_dt_or_gap_is_user_error_and_writes_nothing(self, paths, tmp_path, capsys,
+                                                             flag, value):
+        (tmp_path / "out").mkdir()
+        code = run_cli("ingest", "--csv", paths["csv"], "--out", tmp_path / "out" / "t.json",
+                       f"{flag}={value}")
+        err = capsys.readouterr().err
+        check_outcome(code, err, tmp_path / "out")
+        assert code == 2
+        assert f"error: {flag} must be a finite number, > 0, got" in err
+
+    @pytest.mark.parametrize("dt", ["1e-9", "1e-300"])
+    def test_track_of_too_many_samples_is_not_written(self, paths, tmp_path, capsys, dt):
+        # The world's track spans 29 minutes: 1.7e12 samples at 1e-9 s.
+        (tmp_path / "out").mkdir()
+        code = run_cli("ingest", "--csv", paths["csv"], "--out", tmp_path / "out" / "t.json",
+                       "--dt", dt)
+        err = capsys.readouterr().err
+        check_outcome(code, err, tmp_path / "out")
+        assert code == 2
+        assert "error: no track survived" in err
+
+    def test_track_of_too_many_samples_is_skipped_and_counted(self, tmp_path, capsys,
+                                                              caplog):
+        # At 1 ms, vessel 1 (1 s) takes 1001 samples, vessel 2 (240 s) 240,001.
+        (tmp_path / "ais.csv").write_text("MMSI,BaseDateTime,LAT,LON\n1,0.0,0.0,0.0\n"
+                                          "1,1.0,0.0,0.00001\n2,0.0,0.0,0.0\n"
+                                          "2,240.0,0.0,0.001\n")
+        caplog.set_level(logging.INFO, logger="cstrack")
+        assert run_cli("ingest", "--csv", tmp_path / "ais.csv", "--out", tmp_path / "t.json",
+                       "--dt", 0.001) == 0
+        tracks, _ = load_tracks(tmp_path / "t.json")
+        assert [(t.vessel_id, len(t.times)) for t in tracks] == [("1", 1001)]
+        assert any("into 1 tracks (1 skipped" in r.getMessage() for r in caplog.records)
 
 
 class TestBuildStarmap:
@@ -511,6 +549,10 @@ MALFORMED_INPUTS = [
     ("track", "tracks", ("tracks", 0, "times", 2), 10**400),
     ("track", "tracks", ("tracks", 0, "positions", 2, 0), 1e308),
     ("track", "tracks", ("tracks", 0, "velocities", 2, 1), -1e308),
+    ("field", "starmap", ("bbox", 0), -1e300),
+    ("field", "starmap", ("bbox", 2), 1.5e8),
+    ("bench", "scenario", ("grid", "bbox", 0), -1e308),
+    ("bench", "scenario", ("grid", "bbox", 3), 1e300),
     ("bench", "scenario", ("seed",), -1),
     ("bench", "scenario", ("seed",), -1.5),
     ("bench", "scenario", ("agents", "steps"), -1),
@@ -611,6 +653,36 @@ class TestMapInputs:
         check_outcome(code, err, out)
         assert [key for key in path if isinstance(key, str)][-1] in err
 
+    @pytest.mark.parametrize("command, bbox", [
+        ("build-starmap", "-1e300,-300,3900,300"), ("build-starmap", "-300,-1.5e8,3900,300"),
+        ("demo-harbor", "-1e300,-300,3900,300"), ("field", "-1e300,-300,3900,300"),
+        ("field", "-300,-300,3900,1.5e8"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bbox_flag_beyond_the_coordinate_bound_is_user_error(self, tmp_path, command,
+                                                                 bbox):
+        if command == "field":
+            code, err, out = run_on_docs(tmp_path, command, {}, f"--bbox={bbox}")
+            check_outcome(code, err, out)
+        else:
+            if command == "build-starmap":
+                code, err, out = build_starmap_from_docs(tmp_path, world.corridor_geojson(),
+                                                         world.PERTURBATIONS, f"--bbox={bbox}")
+            else:  # a depth layer on the demo harbor crashed in relations at -1e300
+                files = write_demo(tmp_path)
+                out = tmp_path / "sm.json"
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = run_cli("build-starmap", "--map", files["map"],
+                                   "--perturb", files["perturbations"],
+                                   "--constitution", files["constitution"], f"--bbox={bbox}",
+                                   "--rows", 5, "--cols", 5, "--samples", 3, "--out", out)
+                err = err.getvalue()
+            assert "Traceback" not in err
+            assert list(tmp_path.glob("sm.json*")) == []
+        assert code == 2, err
+        assert "error: grid bbox must be finite and within [-1e+08, 1e+08] m" in err
+
     @pytest.mark.parametrize("command, path, flags", HUGE_SIZES,
                              ids=[f"{command}-{'.'.join(path) or flags[0]}"
                                   for command, path, flags in HUGE_SIZES])
@@ -665,8 +737,7 @@ class TestField:
         code = run_cli("field", "--constitution", cst, "--starmap", starmap,
                        "--out", out)
         assert code == 0
-        doc = json.loads(out.read_text())
-        assert set(doc["values"]) == {1.0}
+        assert set(ConstitutionField.load(out).values.ravel().tolist()) == {1.0}
 
     def test_values_in_unit_interval(self, paths, tmp_path):
         starmap = build_starmap(paths, tmp_path)
@@ -675,8 +746,9 @@ class TestField:
                        "--starmap", starmap, "--out", out,
                        "--pgm", tmp_path / "field.pgm")
         assert code == 0
-        values = [v for v in json.loads(out.read_text())["values"] if v is not None]
-        assert values and all(0.0 <= v <= 1.0 for v in values)
+        values = ConstitutionField.load(out).values.ravel()
+        values = values[~np.isnan(values)]
+        assert values.size and ((0.0 <= values) & (values <= 1.0)).all()
         assert (tmp_path / "field.pgm").read_text().startswith("P2")
 
     def test_missing_layer_names_atom(self, paths, tmp_path, capsys):
@@ -692,8 +764,8 @@ class TestField:
         out = tmp_path / "field.json"
         assert run_cli("field", "--constitution", paths["constitution"],
                        "--starmap", flagged_centre_starmap(tmp_path), "--out", out) == 0
-        values = json.loads(out.read_text())["values"]
-        assert values.count(None) == 1 and values[4] is None
+        undefined = np.isnan(ConstitutionField.load(out).values.ravel())
+        assert undefined.sum() == 1 and undefined[4]
 
     def test_verbose_logs_the_nan_fraction(self, paths, tmp_path, caplog, capsys):
         caplog.set_level(logging.INFO, logger="cstrack")
@@ -1406,7 +1478,8 @@ class TestStrictJson:
         docs = {name: strict_loads((tmp_path / name).read_text()) for name in written}
         for line in (tmp_path / "steps.jsonl").read_text().splitlines():
             strict_loads(line)
-        assert docs["field.json"]["values"][4] is None
+        undefined = np.isnan(ConstitutionField.load(tmp_path / "field.json").values.ravel())
+        assert undefined.sum() == 1 and undefined[4]
         degenerate = [row for row in docs["bench/report.json"]["per_run"]
                       if row["tau"] == 1.0]
         assert degenerate and all(row["mae"] is None and row["relative_mae"] is None

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from cstrack.constitution import (
     precompute_field,
 )
 from cstrack.constitution.field import ConstitutionField
-from cstrack.errors import ConfigurationError
+from cstrack.errors import ConfigurationError, FormatError
 from cstrack.grids import GridSpec
 from cstrack.relations import RelationKind
 from cstrack.starmap import StaRMapLayer
@@ -305,6 +307,31 @@ class TestPrecomputeField:
         field.save(path)
         loaded = ConstitutionField.load(path)
         np.testing.assert_array_equal(loaded.values, field.values)
+
+    def test_values_survive_the_round_trip_bit_for_bit(self, tmp_path):
+        tiny = np.nextafter(0.0, 1.0)
+        values = np.array([[np.nan, -0.0, tiny], [1.0, 1 / 3, np.nan]])
+        field = ConstitutionField(GridSpec(bbox=(0.0, 0.0, 10.0, 10.0), rows=2, cols=3),
+                                  values)
+        path = tmp_path / "field.json"
+        field.save(path)
+        doc = json.loads(path.read_text())
+        assert doc["encoding"] == "base64-float64-le" and isinstance(doc["values"], str)
+        loaded = ConstitutionField.load(path)
+        assert loaded.grid == field.grid
+        np.testing.assert_array_equal(loaded.values.view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize("encoding", [None, "float64"])
+    def test_number_list_field_file_is_refused(self, tmp_path, encoding):
+        doc = {"bbox": [0.0, 0.0, 10.0, 10.0], "resolution": [2, 2],
+               "values": [0.5, None, 1.0, 0.0]}
+        if encoding is not None:
+            doc["encoding"] = encoding
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="^bad field JSON: encoding must be "
+                                              "'base64-float64-le', got "):
+            ConstitutionField.load(path)
 
     def test_clamped_interpolation(self):
         grid = GridSpec(bbox=(0.0, 0.0, 1.0, 1.0), rows=2, cols=2)

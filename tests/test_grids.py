@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstrack.constitution import ConstitutionField
-from cstrack.grids import GridSpec, bilinear, bilinear_clamped, clamp_to_bbox
+from cstrack.errors import ConfigurationError
+from cstrack.grids import MAX_COORD, GridSpec, bilinear, bilinear_clamped, clamp_to_bbox
 
 
 def oracle_bilinear(grid, values, points):
@@ -115,3 +116,14 @@ def test_field_lookup_is_bilinear_of_the_clamped_points(case, raster):
 def test_one_point_clamps_to_one_row():
     out = clamp_to_bbox([5.0, -5.0], (0.0, 0.0, 1.0, 1.0))
     np.testing.assert_array_equal(out, [[1.0, 0.0]])
+
+
+def test_bbox_is_bounded_by_the_coordinate_bound():
+    assert GridSpec(bbox=(-MAX_COORD, -MAX_COORD, MAX_COORD, MAX_COORD), rows=2, cols=2)
+    beyond = np.nextafter(MAX_COORD, np.inf)
+    for i in range(4):
+        for value in (beyond if i >= 2 else -beyond, np.nan, np.inf):
+            bbox = [-1.0, -1.0, 1.0, 1.0]
+            bbox[i] = value
+            with pytest.raises(ConfigurationError, match="^grid bbox must be finite and within"):
+                GridSpec(bbox=tuple(bbox), rows=2, cols=2)

@@ -3,6 +3,7 @@ import pytest
 
 from cstrack.errors import ConfigurationError, FormatError
 from cstrack.ingest import (
+    MAX_STEPS,
     AisRecord,
     Track,
     load_tracks,
@@ -195,6 +196,21 @@ class TestResample:
         track = self.make_track([0, 30], [0, 30], [0, 0])
         with pytest.raises(ConfigurationError):
             resample_track(track, dt=60.0)
+
+    def test_at_most_max_steps_samples(self):
+        track = self.make_track([0, MAX_STEPS - 1], [0, 1], [0, 0])
+        assert len(resample_track(track, dt=1.0).times) == MAX_STEPS
+        track = self.make_track([0, MAX_STEPS], [0, 1], [0, 0])
+        # At 1e-300 the count is beyond any array, at 5e-324 beyond any float.
+        for dt in (1.0, 1e-9, 1e-300, 5e-324):
+            with pytest.raises(ConfigurationError, match=f"more than {MAX_STEPS} samples"):
+                resample_track(track, dt=dt)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
+    def test_dt_must_be_positive(self, dt):
+        track = self.make_track([0, 60], [0, 1], [0, 0])
+        with pytest.raises(ConfigurationError, match="dt must be positive"):
+            resample_track(track, dt=dt)
 
 
 class TestPersistence:
