@@ -154,43 +154,53 @@ class ConstitutionEvaluator:
         self.ground_program = ground(_bind(program, plan, _template_clause))
         self.compiled = CompiledQuery(self.ground_program)
 
-    def parameter_matrix(self, states: np.ndarray, measurements: np.ndarray) -> np.ndarray:
-        """(N, k) Bernoulli parameters for matching (N, 2) states and
-        measurements; NaN entries where a slot's point is flagged or outside
-        its layer."""
-        n = len(states)
+    def parameter_rows(self, n: int, moments) -> np.ndarray:
+        """(n, k) Bernoulli parameters from moments(layer, at), the (n,)
+        mean and std arrays of a slot's layer at its query point (at is
+        "state" or "measurement"); NaN entries where those are NaN."""
         gp = self.ground_program
         params = np.empty((n, gp.n_probabilistic))
         moment_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         chain_cache: dict[tuple[str, tuple[float, ...]], np.ndarray] = {}
 
-        def moments(slot):
+        def slot_moments(slot):
             if slot not in moment_cache:
                 entry = self._slots[slot]
-                points = states if entry["at"] == "state" else measurements
-                moment_cache[slot] = interpolate_many(entry["layer"], points)
+                moment_cache[slot] = moments(entry["layer"], entry["at"])
             return moment_cache[slot]
 
         for i, spec in enumerate(gp.fact_params):
             if isinstance(spec, StaticParam):
                 params[:, i] = spec.value
             elif isinstance(spec, SlotParam):
-                mean, _ = moments(spec.slot)
+                mean, _ = slot_moments(spec.slot)
                 params[:, i] = np.clip(mean, 0.0, 1.0)
             else:
                 key = (spec.slot, spec.thresholds)
                 if key not in chain_cache:
-                    mean, std = moments(spec.slot)
+                    mean, std = slot_moments(spec.slot)
                     sigma = np.maximum(std, SIGMA_FLOOR_M)
                     q = interval_probabilities(mean, sigma, spec.thresholds)
                     chain_cache[key] = chain_parameters(q)
                 params[:, i] = chain_cache[key][spec.index]
         return params
 
+    def parameter_matrix(self, states: np.ndarray, measurements: np.ndarray) -> np.ndarray:
+        """(N, k) Bernoulli parameters for matching (N, 2) states and
+        measurements; NaN entries where a slot's point is flagged or outside
+        its layer."""
+        points = {"state": states, "measurement": measurements}
+        return self.parameter_rows(
+            len(states), lambda layer, at: interpolate_many(layer, points[at]))
+
     def probabilities(self, states: np.ndarray, measurements: np.ndarray) -> np.ndarray:
         """P(constitution | state, measurement) per row; NaN where a row
         reads a flagged layer cell or a point outside a layer."""
-        params = self.parameter_matrix(states, measurements)
+        return self.row_probabilities(self.parameter_matrix(states, measurements))
+
+    def row_probabilities(self, params: np.ndarray) -> np.ndarray:
+        """P(constitution) per row of an (N, k) parameter matrix; NaN where
+        a row has a NaN parameter."""
         defined = np.isfinite(params).all(axis=1)
         out = np.full(len(params), np.nan)
         # Rows are evaluated independently, so evaluating the defined rows

@@ -25,7 +25,7 @@ from .. import jsonio
 from ..errors import ConfigurationError, FormatError
 from ..grids import (ENCODING, GridSpec, bilinear_clamped, decode_raster, encode_raster,
                      raster_grid, write_pgm)
-from ..starmap import StaRMapLayer
+from ..starmap import StaRMapLayer, interpolate_many, moments_at_nodes
 from .environment import ConstitutionEvaluator
 from .terms import Program
 
@@ -98,19 +98,27 @@ def precompute_field(program: Program, layers: list[StaRMapLayer], grid: GridSpe
     measurement bound to the node itself; a 2-sequence fixes one
     measurement for all nodes. Nodes over flagged starmap cells (or outside
     the starmap bbox) are flagged NaN rather than aborting the build.
+
+    The values are those of ConstitutionEvaluator.probabilities at the
+    node points, bit for bit; a layer on the field's own grid is read at
+    its nodes (starmap.moments_at_nodes) instead of interpolated.
     """
     evaluator = ConstitutionEvaluator(program, layers)
-    points = grid.node_points()
+    n = grid.rows * grid.cols
     if isinstance(measurement, str):
         if measurement != "state":
             raise ConfigurationError(
                 f"unknown measurement policy {measurement!r}; "
                 "use 'state' or a fixed point"
             )
-        meas = points
+        fixed = None
     else:
-        meas = np.broadcast_to(
-            np.asarray(measurement, dtype=float).reshape(1, 2), points.shape
-        )
-    values = evaluator.probabilities(points, meas)
+        fixed = np.broadcast_to(np.asarray(measurement, dtype=float).reshape(1, 2), (n, 2))
+
+    def moments(layer, at):
+        if at == "measurement" and fixed is not None:
+            return interpolate_many(layer, fixed)
+        return moments_at_nodes(layer, grid)
+
+    values = evaluator.row_probabilities(evaluator.parameter_rows(n, moments))
     return ConstitutionField(grid=grid, values=values.reshape(grid.rows, grid.cols))

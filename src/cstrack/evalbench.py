@@ -24,7 +24,7 @@ from . import jsonio
 from .constitution import environment_atoms, parse, parse_file, precompute_field
 from .constitution.field import ConstitutionField
 from .errors import ConfigurationError, FormatError, StuckAgentError
-from .grids import GridSpec
+from .grids import MAX_COORD, GridSpec
 from .ingest import MAX_STEPS
 from .particlefilter import FilterConfig
 from .relations import RelationKind
@@ -263,9 +263,11 @@ def load_scenario(path) -> Scenario:
         steps = jsonio.number(agents["steps"], "agents.steps", integer=True, lo=1, hi=MAX_STEPS)
         dt = jsonio.number(agents.get("dt", filter_cfg.dt), "agents.dt")
         mode = jsonio.typed(agents.get("mode", "compliant"), str, "agents.mode")
-        kick = jsonio.number(agents.get("kick_std", 0.05), "agents.kick_std", lo=0)
+        kick = jsonio.number(agents.get("kick_std", 0.05), "agents.kick_std", lo=0,
+                             hi=MAX_COORD)
         start = jsonio.point(agents["start"], "agents.start")
-        velocity = jsonio.point(agents.get("velocity", (0.0, 0.0)), "agents.velocity")
+        velocity = jsonio.point(agents.get("velocity", (0.0, 0.0)), "agents.velocity",
+                                lo=-MAX_COORD, hi=MAX_COORD)
         map_entry = spec["map"]
         perturb_entry = spec["perturbations"]
         constitution_entry = spec["constitution"]

@@ -30,9 +30,11 @@ _NODE_SNAP = 1e-9
 # The most nodes a grid may have; every layer and field allocates per node.
 MAX_GRID_NODES = 1_000_000
 
-# The largest |coordinate| of a grid bbox (m) and of a track position (m)
-# or velocity (m/s): far beyond any local frame on Earth, and small enough
-# that squared distances and the filter's squared residuals stay finite.
+# The largest |coordinate| of a grid bbox (m), of a track position (m) or
+# velocity (m/s), and of a bench agent's velocity and kick spread and the
+# filter's start-cloud spreads: far beyond any local frame on Earth, and
+# small enough that squared distances and the filter's squared residuals
+# stay finite.
 MAX_COORD = 1e8
 
 # How a file stores a raster: one base64 string of the row-major,
@@ -175,6 +177,19 @@ def _blend(grid: GridSpec, flat: np.ndarray, pts: np.ndarray, clip: bool,
         else:
             out += term
     return out
+
+
+def nodes_read_exactly(grid: GridSpec) -> bool:
+    """Whether bilinear at grid.node_points() returns the stored values
+    plus 0.0: each node's fractional index snaps to its own integer (the
+    nodes lie in the bbox, as linspace keeps both ends exact). False only
+    where the node spacing is so small beside the coordinates that
+    rounding moves a node off its index (a bbox 1e-3 m wide at x = 1e4 m,
+    at 5 nodes a side)."""
+    xmin, ymin, xmax, ymax = grid.bbox
+    return all(np.array_equal(_fractional_index(axis, lo, hi, n), np.arange(n))
+               for axis, lo, hi, n in ((grid.xs, xmin, xmax, grid.cols),
+                                       (grid.ys, ymin, ymax, grid.rows)))
 
 
 def bilinear(grid: GridSpec, values: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import ConfigurationError, FormatError
+from .grids import MAX_COORD
 
 
 def cv_process_noise(dt: float, sigma_a: float) -> np.ndarray:
@@ -275,10 +276,12 @@ class FilterConfig:
         try:  # check the fields and build both models once, here
             jsonio.number(self.particles, "particles", integer=True, lo=1, hi=MAX_PARTICLES)
             jsonio.number(self.ess_ratio, "ess_ratio", above=0.0, hi=1.0)
-            for name in ("dt", "sigma_a", "measurement_noise_std", "init_position_std",
-                         "init_speed_std"):
+            for name in ("dt", "sigma_a", "measurement_noise_std"):
+                jsonio.number(getattr(self, name), name)
+            # The start cloud's spreads, within the coordinate bound.
+            for name in ("init_position_std", "init_speed_std"):
                 if getattr(self, name) is not None or name != "init_position_std":
-                    jsonio.number(getattr(self, name), name)
+                    jsonio.number(getattr(self, name), name, lo=-MAX_COORD, hi=MAX_COORD)
             if self.R is not None:  # a ragged R fails in the model
                 jsonio.floats([value for row in self.R for value in row], "R", 4)
             self.process_model, self.measurement_model

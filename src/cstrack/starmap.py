@@ -31,8 +31,8 @@ import numpy as np
 
 from . import jsonio
 from .errors import ConfigurationError, FormatError, NoDepthDataError
-from .grids import (ENCODING, GridSpec, bilinear, decode_raster, encode_raster, raster_grid,
-                    write_pgm)
+from .grids import (ENCODING, GridSpec, bilinear, decode_raster, encode_raster,
+                    nodes_read_exactly, raster_grid, write_pgm)
 from .relations import RelationKind, eval_relation_many
 from .vectormap import FeaturePerturbation, VectorMap, sample_vertex_variants
 
@@ -160,6 +160,17 @@ def interpolate_many(layer: StaRMapLayer,
     mean = bilinear(layer.grid, layer.mean, points)
     std = bilinear(layer.grid, layer.std, points)
     return mean, std
+
+
+def moments_at_nodes(layer: StaRMapLayer,
+                     grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, std) at each node of grid, row-major: interpolate_many(layer,
+    grid.node_points()), bit for bit. On the layer's own grid that is the
+    stored values plus 0.0 (a stored -0.0 reads +0.0, NaN stays NaN), read
+    without interpolating wherever grids.nodes_read_exactly holds."""
+    if layer.grid == grid and nodes_read_exactly(grid):
+        return layer.mean.ravel() + 0.0, layer.std.ravel() + 0.0
+    return interpolate_many(layer, grid.node_points())
 
 
 def find_layer(layers: list[StaRMapLayer], rel: RelationKind, tag: str) -> StaRMapLayer:

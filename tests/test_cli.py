@@ -561,6 +561,11 @@ MALFORMED_INPUTS = [
     ("bench", "scenario", ("agents", "kick_std"), 10**400),
     ("bench", "scenario", ("agents", "velocity"), 10**400),
     ("bench", "scenario", ("agents", "velocity"), []),
+    # beyond the coordinate bound: overflowed in the agents or the filter
+    ("bench", "scenario", ("agents", "velocity", 0), 1e308),
+    ("bench", "scenario", ("agents", "kick_std"), 1e308),
+    ("bench", "scenario", ("filter", "init_speed_std"), 1e308),
+    ("bench", "scenario", ("filter", "init_position_std"), 1e308),
     # coerced by a lax reader
     ("bench", "scenario", ("seed",), 1.5),
     ("bench", "scenario", ("agents", "steps"), 1.5),

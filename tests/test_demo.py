@@ -44,6 +44,18 @@ def harbor_field(harbor):
     return harbor["field"]
 
 
+def test_field_has_the_bits_of_direct_mode_at_the_starmap_nodes(harbor):
+    # precompute_field reads the layers at their nodes instead of
+    # interpolating them; the values must not move by a bit.
+    program = parse(MARINE_CONSTITUTION)
+    layers = harbor["layers"]
+    nodes = layers[0].grid.node_points()
+    field = precompute_field(program, layers, layers[0].grid)
+    direct = ConstitutionEvaluator(program, layers).probabilities(nodes, nodes)
+    assert np.isfinite(direct).all()
+    np.testing.assert_array_equal(field.values.ravel().view(np.uint64), direct.view(np.uint64))
+
+
 def test_marine_model_separates_land_from_waterway(harbor_field):
     # Qualitative check: compliance is high along the marked channel and
     # low over land and shoaling water.

@@ -299,6 +299,70 @@ class TestPrecomputeField:
         field = precompute_field(program, layers, grid, measurement=(100.0, 50.0))
         assert (field.values == 1.0).all()
 
+    # A program reading an over and a distance layer at the state and at
+    # the measurement: static, slot and chain parameters.
+    NODE_PROGRAM = parse(
+        "0.9 :: constitution(X, Z) :- over(X, land), distance(X, way) < 60.\n"
+        "0.3 :: constitution(X, Z) :- over(Z, land).\n"
+        "0.2 :: constitution(X, Z) :- distance(Z, way) > 20.\n"
+    )
+
+    @staticmethod
+    def flagged_layers(grid, seed=0):
+        """An over and a distance layer on grid with flagged and -0.0 cells."""
+        rng = np.random.default_rng(seed)
+        shape = (grid.rows, grid.cols)
+        flagged = rng.uniform(size=shape) < 0.2
+        over = np.where(rng.uniform(size=shape) < 0.1, -0.0, rng.uniform(size=shape))
+        dist = rng.uniform(0.0, 120.0, shape)
+        std = np.where(rng.uniform(size=shape) < 0.1, -0.0, rng.uniform(0.0, 30.0, shape))
+        return [
+            StaRMapLayer(RelationKind.OVER, "land", grid, np.where(flagged, np.nan, over),
+                         np.where(flagged, np.nan, std), sample_count=2),
+            StaRMapLayer(RelationKind.DISTANCE, "way", grid,
+                         np.where(flagged[:, ::-1], np.nan, dist), std, sample_count=2),
+        ]
+
+    @staticmethod
+    def assert_bits_equal(actual, expected):
+        np.testing.assert_array_equal(np.asarray(actual, dtype=float).view(np.uint64),
+                                      np.asarray(expected, dtype=float).view(np.uint64))
+
+    def test_field_on_the_layers_grid_has_the_bits_of_direct_mode_at_its_nodes(self):
+        grid = GridSpec(bbox=(-50.0, 20.0, 150.0, 120.0), rows=9, cols=13)
+        layers = self.flagged_layers(grid)
+        assert any(layer.flagged.any() for layer in layers)
+        field = precompute_field(self.NODE_PROGRAM, layers, grid)
+        nodes = grid.node_points()
+        direct = ConstitutionEvaluator(self.NODE_PROGRAM, layers).probabilities(nodes, nodes)
+        assert np.isnan(direct).any() and np.isfinite(direct).any()
+        self.assert_bits_equal(field.values.ravel(), direct)
+
+    @pytest.mark.parametrize("other", [
+        GridSpec(bbox=(-50.0, 20.0, 150.0, 120.0), rows=17, cols=25),  # finer
+        GridSpec(bbox=(-90.0, 0.0, 160.0, 130.0), rows=9, cols=13),  # larger
+    ])
+    def test_field_on_another_grid_has_the_interpolated_bits(self, other):
+        grid = GridSpec(bbox=(-50.0, 20.0, 150.0, 120.0), rows=9, cols=13)
+        layers = self.flagged_layers(grid)
+        # One layer on the field's grid, one on the starmap's: mixed grids.
+        mixed = [self.flagged_layers(other, seed=1)[0], layers[1]]
+        nodes = other.node_points()
+        for case in (layers, mixed):
+            field = precompute_field(self.NODE_PROGRAM, case, other)
+            direct = ConstitutionEvaluator(self.NODE_PROGRAM, case).probabilities(nodes, nodes)
+            self.assert_bits_equal(field.values.ravel(), direct)
+
+    @pytest.mark.parametrize("measurement", [(30.0, 70.0), (25.0, 57.5), (1e3, 0.0)])
+    def test_field_with_a_fixed_measurement_has_the_interpolated_bits(self, measurement):
+        grid = GridSpec(bbox=(-50.0, 20.0, 150.0, 120.0), rows=9, cols=13)
+        layers = self.flagged_layers(grid)
+        field = precompute_field(self.NODE_PROGRAM, layers, grid, measurement=measurement)
+        nodes = grid.node_points()
+        meas = np.broadcast_to(np.asarray(measurement), nodes.shape)
+        direct = ConstitutionEvaluator(self.NODE_PROGRAM, layers).probabilities(nodes, meas)
+        self.assert_bits_equal(field.values.ravel(), direct)
+
     def test_json_round_trip(self, tmp_path):
         program = parse("1.0 :: constitution(X, Z) :- over(X, land).")
         grid = GridSpec(bbox=(0.0, 0.0, 100.0, 100.0), rows=3, cols=3)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cstrack import demo, starmap
 from cstrack.errors import ConfigurationError
-from cstrack.grids import GridSpec, bilinear
+from cstrack.grids import MAX_COORD, GridSpec, bilinear, nodes_read_exactly
 from cstrack.relations import RelationKind, eval_relation_many
 from cstrack.starmap import (
     StaRMapLayer,
@@ -15,6 +15,7 @@ from cstrack.starmap import (
     find_layer,
     interpolate_many,
     load_starmap,
+    moments_at_nodes,
     save_starmap,
     starmap_from_json,
     starmap_to_json,
@@ -350,6 +351,81 @@ class TestInterpolate:
         values[3, 1] = np.nan
         assert bilinear(grid, values, np.array([[1.5, 4.0]]))[0] == 1.0
         assert np.isnan(bilinear(grid, values, np.array([[1.5, 3.5]]))[0])
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def odd_raster(rng, rows, cols) -> np.ndarray:
+    """Magnitudes from 1e-300 to 1e300 of either sign, with NaN, 0.0 and
+    -0.0 cells."""
+    values = rng.choice([-1.0, 1.0], (rows, cols)) * 10.0 ** rng.uniform(-300, 300,
+                                                                         (rows, cols))
+    special = rng.integers(0, 8, (rows, cols))
+    for code, value in ((1, np.nan), (2, 0.0), (3, -0.0)):
+        values[special == code] = value
+    return values
+
+
+def random_layer(rng, grid) -> StaRMapLayer:
+    return StaRMapLayer(RelationKind.DISTANCE, "t", grid, odd_raster(rng, grid.rows, grid.cols),
+                        odd_raster(rng, grid.rows, grid.cols), sample_count=2)
+
+
+class TestNodeMoments:
+    """moments_at_nodes reads a layer at its own nodes; it must return the
+    bits of interpolate_many there."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(rows=st.integers(2, 60), cols=st.integers(2, 60),
+           log_size=st.tuples(st.floats(-3, 8), st.floats(-3, 8)),
+           corner=st.tuples(st.floats(-1, 0), st.floats(-1, 0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bilinear_at_the_nodes_returns_the_stored_values(self, rows, cols, log_size,
+                                                            corner, seed):
+        # bbox extents 1e-3 to 1e8 m, each with 0 on or next to its edge.
+        (width, height), (u, v) = 10.0 ** np.array(log_size), corner
+        grid = GridSpec((u * width, v * height, (u + 1) * width, (v + 1) * height),
+                        rows, cols)
+        values = odd_raster(np.random.default_rng(seed), rows, cols)
+        assert nodes_read_exactly(grid)
+        out = bilinear(grid, values, grid.node_points())
+        np.testing.assert_array_equal(bits(out), bits(values.ravel() + 0.0))
+
+    @settings(deadline=None, max_examples=100)
+    @given(rows=st.integers(2, 30), cols=st.integers(2, 30),
+           log_size=st.floats(-3, 8), corner=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_node_moments_have_the_bits_of_interpolate_many(self, rows, cols, log_size,
+                                                            corner, seed):
+        # Anywhere in the coordinate bound, also where a tiny bbox sits far
+        # from 0 and rounding moves nodes off their indices.
+        size = 10.0 ** log_size
+        xmin, ymin = (-MAX_COORD + c * (2 * MAX_COORD - size) for c in corner)
+        grid = GridSpec((xmin, ymin, min(xmin + size, MAX_COORD), min(ymin + size, MAX_COORD)),
+                        rows, cols)
+        layer = random_layer(np.random.default_rng(seed), grid)
+        for got, want in zip(moments_at_nodes(layer, grid),
+                             interpolate_many(layer, grid.node_points())):
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_a_tiny_bbox_far_from_0_is_interpolated(self):
+        grid = GridSpec((12345.678, 0.0, 12345.679, 1e-3), rows=60, cols=60)
+        layer = random_layer(np.random.default_rng(0), grid)
+        assert not nodes_read_exactly(grid)
+        mean, _ = interpolate_many(layer, grid.node_points())
+        assert (bits(mean) != bits(layer.mean.ravel() + 0.0)).any()
+        np.testing.assert_array_equal(bits(moments_at_nodes(layer, grid)[0]), bits(mean))
+
+    def test_another_grid_is_interpolated(self):
+        grid = GridSpec((0.0, 0.0, 10.0, 10.0), rows=4, cols=5)
+        layer = random_layer(np.random.default_rng(1), grid)
+        for other in (GridSpec((0.0, 0.0, 10.0, 10.0), rows=7, cols=5),
+                      GridSpec((-5.0, 0.0, 10.0, 12.0), rows=4, cols=5)):
+            for got, want in zip(moments_at_nodes(layer, other),
+                                 interpolate_many(layer, other.node_points())):
+                np.testing.assert_array_equal(bits(got), bits(want))
 
 
 class TestPersistence:
