@@ -5,8 +5,9 @@ constitution on a grid once and interpolating afterwards replaces per-point
 inference in the tracking loop (field mode). Field mode and direct mode
 (ConstitutionEvaluator) share the per-particle protocol
 particle_probabilities(positions, z) -> (N,), with z of shape (2,) or
-(N, 2): both clamp positions into the bbox through grids.clamp_to_bbox,
-and both return NaN wherever the interpolation gives a flagged node a
+(N, 2): both clamp positions into the bbox (field mode inside
+grids.bilinear_clamped, direct mode through grids.clamp_to_bbox), and
+both return NaN wherever the interpolation gives a flagged node a
 nonzero weight. What the filter does with NaN is decided by
 particlefilter._compliance_factor alone.
 

@@ -131,52 +131,91 @@ def decode_raster(text, key: str, grid: GridSpec) -> np.ndarray:
     return arr.reshape(grid.rows, grid.cols)
 
 
-def _fractional_index(coords: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
-    u = coords - lo
+def _axis(coords: np.ndarray, lo: float, hi: float, n: int):
+    """Cell index i and weights (f, 1 - f) of each coordinate on an axis of
+    n nodes from lo to hi, from its fractional index u = (c - lo) / (hi -
+    lo) * (n - 1), with c clipped into [lo, hi] (NaN to lo) so that u
+    cannot overflow. Exact where f and 1 - f are at least _NODE_SNAP: the
+    coordinate lies strictly inside the axis and off every snap window.
+    Elsewhere (on or next to a grid line, clipped, or NaN) _snapped gives
+    the weights."""
+    u = np.fmin(np.fmax(coords, lo), hi)
+    u -= lo
+    u /= hi - lo
+    u *= n - 1
+    cell = np.floor(u)
+    u -= cell
+    return cell.astype(np.intp), u, 1.0 - u
+
+
+def _snapped(coords: np.ndarray, lo: float, hi: float, n: int):
+    """_axis for any coordinate, by the snap formula: the coordinate is
+    clamped into [lo, hi], and an index within _NODE_SNAP node units of a
+    node snaps onto it; a NaN coordinate reads cell 0 with NaN weights."""
+    u = np.minimum(np.maximum(coords, lo), hi)
+    u -= lo
     u /= hi - lo
     u *= n - 1
     snapped = np.rint(u)
     np.copyto(u, snapped, where=np.abs(u - snapped) < _NODE_SNAP)
-    return u
+    i = np.fmax(u, 0.0).astype(np.intp)
+    np.minimum(i, n - 2, out=i)
+    u -= i
+    return i, u, 1.0 - u
 
 
-def _blend(grid: GridSpec, flat: np.ndarray, pts: np.ndarray, clip: bool,
-           masked: bool) -> np.ndarray:
-    """The four corner values of each point's cell times their weights
-    (v * gy * gx), summed corner by corner. clip=False needs points in the
-    bbox, whose fractional indices lie in the raster already. masked drops
-    the corners at weight 0: NaN * 0 would be NaN."""
+def _stencil(grid: GridSpec, pts: np.ndarray):
+    """Each point's cell and corner weights, for the point clamped into the
+    bbox: k, the flat row-major index of the cell's lower-left node; the
+    corners as (flat offset from k, wy, wx); and the positions of the
+    near points, on or next to a grid line or outside the bbox, whose
+    weights come from _snapped: only these can give a corner weight 0."""
     xmin, ymin, xmax, ymax = grid.bbox
     rows, cols = grid.rows, grid.cols
-    fx = _fractional_index(pts[:, 0], xmin, xmax, cols)
-    fy = _fractional_index(pts[:, 1], ymin, ymax, rows)
-    if clip:
-        np.minimum(np.maximum(fx, 0.0, out=fx), cols - 1.0, out=fx)
-        np.minimum(np.maximum(fy, 0.0, out=fy), rows - 1.0, out=fy)
-    # Offsets fx, fy within the cell, in place; k is the flat row-major
-    # index of the cell's lower-left node.
-    j0 = fx.astype(int)
-    np.maximum(np.minimum(j0, cols - 2, out=j0), 0, out=j0)
-    k = fy.astype(int)
-    np.maximum(np.minimum(k, rows - 2, out=k), 0, out=k)
-    fx -= j0
-    fy -= k
+    j, fx, gx = _axis(pts[:, 0], xmin, xmax, cols)
+    k, fy, gy = _axis(pts[:, 1], ymin, ymax, rows)
+    least = np.minimum(fx, gx)
+    np.minimum(least, fy, out=least)
+    np.minimum(least, gy, out=least)
+    near = np.flatnonzero(least < _NODE_SNAP)
+    if near.size:
+        j[near], fx[near], gx[near] = _snapped(pts[near, 0], xmin, xmax, cols)
+        k[near], fy[near], gy[near] = _snapped(pts[near, 1], ymin, ymax, rows)
     k *= cols
-    k += j0
-    gx, gy = 1.0 - fx, 1.0 - fy
-    out = None
-    for node, wy, wx in ((k, gy, gx), (k + 1, gy, fx), (k + cols, fy, gx),
-                         (k + cols + 1, fy, fx)):
-        term = flat.take(node)
-        term *= wy
-        term *= wx
-        if masked:
-            term = np.where((wy != 0) & (wx != 0), term, 0.0)
-        if out is None:
-            out = term
-        else:
-            out += term
+    k += j
+    return k, ((0, gy, gx), (1, gy, fx), (cols, fy, gx), (cols + 1, fy, fx)), near
+
+
+def _blend(rasters: np.ndarray, k: np.ndarray, corners, dead=None) -> np.ndarray:
+    """(m, N): for each of the m flat rasters, the corner values of each
+    point's cell times their weights (v * wy * wx), summed corner by
+    corner. dead[c] marks the points whose corner c is dropped (adds
+    +0.0); each corner is read from a shifted view of the raster."""
+    out = np.empty((len(rasters), len(k)))
+    for flat, acc in zip(rasters, out):
+        for c, (offset, wy, wx) in enumerate(corners):
+            term = flat[offset:].take(k)
+            term *= wy
+            term = np.multiply(term, wx, out=term if c else acc)  # corner 0 starts acc
+            if dead is not None:
+                term[dead[c]] = 0.0
+            if c:
+                acc += term
     return out
+
+
+def _lookup(rasters: np.ndarray, pts: np.ndarray, grid: GridSpec, masked: bool):
+    """_blend of every raster at the points clamped into the bbox, from one
+    stencil, and the stencil's near positions. masked drops the corners at
+    weight 0 (NaN * 0 would be NaN); only near points have such corners,
+    so only they are blended again with the masks."""
+    k, corners, near = _stencil(grid, pts)
+    out = _blend(rasters, k, corners)
+    if masked and near.size:
+        corners = [(offset, wy[near], wx[near]) for offset, wy, wx in corners]
+        out[:, near] = _blend(rasters, k[near], corners,
+                              [(wy == 0) | (wx == 0) for _, wy, wx in corners])
+    return out, near
 
 
 def nodes_read_exactly(grid: GridSpec) -> bool:
@@ -187,13 +226,15 @@ def nodes_read_exactly(grid: GridSpec) -> bool:
     rounding moves a node off its index (a bbox 1e-3 m wide at x = 1e4 m,
     at 5 nodes a side)."""
     xmin, ymin, xmax, ymax = grid.bbox
-    return all(np.array_equal(_fractional_index(axis, lo, hi, n), np.arange(n))
-               for axis, lo, hi, n in ((grid.xs, xmin, xmax, grid.cols),
-                                       (grid.ys, ymin, ymax, grid.rows)))
+    return all(np.array_equal(np.add(*_snapped(nodes, lo, hi, n)[:2]), np.arange(n))
+               for nodes, lo, hi, n in ((grid.xs, xmin, xmax, grid.cols),
+                                        (grid.ys, ymin, ymax, grid.rows)))
 
 
 def bilinear(grid: GridSpec, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a (rows, cols) value raster at query points.
+    """Bilinear interpolation of a (rows, cols) value raster at query points,
+    or of an (m, rows, cols) stack of rasters, giving (m, N), through one
+    stencil.
 
     Points outside the bbox yield NaN. A NaN cell propagates into a query
     exactly when it has a nonzero weight there, so a query on a grid line
@@ -201,26 +242,26 @@ def bilinear(grid: GridSpec, values: np.ndarray, points: np.ndarray) -> np.ndarr
     node returns its stored value.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape != (grid.rows, grid.cols):
+    if values.shape[-2:] != (grid.rows, grid.cols) or values.ndim not in (2, 3):
         raise ConfigurationError(
             f"raster shape {values.shape} does not match grid {grid.rows}x{grid.cols}"
         )
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = _blend(grid, values.ravel(), pts, clip=True, masked=True)
-    out[~grid.contains(pts)] = np.nan
-    return out
+    out, near = _lookup(values.reshape(-1, grid.rows * grid.cols), pts, grid, masked=True)
+    # Every point outside the bbox is a near point: it was clipped.
+    out[:, near[~grid.contains(pts[near])]] = np.nan
+    return out if values.ndim == 3 else out[0]
 
 
 def bilinear_clamped(grid: GridSpec, values: np.ndarray, points,
                      masked: bool) -> np.ndarray:
     """bilinear(grid, values, clamp_to_bbox(points, grid.bbox)), bit for bit,
-    without the bbox test and the clipping (a NaN point stays NaN through
-    the arithmetic). masked=False also skips the zero-weight masks: exact if
-    every cell is finite with a clear sign bit, so that a corner at weight 0
-    adds +0.0."""
-    pts = clamp_to_bbox(points, grid.bbox)
-    return _blend(grid, np.asarray(values, dtype=float).ravel(), pts, clip=False,
-                  masked=masked)
+    without the bbox test (a NaN point reads NaN through the arithmetic).
+    masked=False also skips the zero-weight masks: exact if every cell is
+    finite with a clear sign bit, so that a corner at weight 0 adds +0.0."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out, _ = _lookup(np.asarray(values, dtype=float).reshape(1, -1), pts, grid, masked)
+    return out[0]
 
 
 def clamp_to_bbox(points, bbox) -> np.ndarray:

@@ -319,8 +319,8 @@ def _track_from_json(entry: dict, key: str) -> Track:
     vessel_id = jsonio.typed(entry["vessel_id"], str, f"{key}.vessel_id")
     times = jsonio.floats(entry["times"], f"{key}.times")
     positions, velocities = (
-        np.array([jsonio.point(row, f"{key}.{name}", lo=-MAX_COORD, hi=MAX_COORD)
-                  for row in jsonio.typed(entry[name], list, f"{key}.{name}")]).reshape(-1, 2)
+        jsonio.points(jsonio.typed(entry[name], list, f"{key}.{name}"), f"{key}.{name}",
+                      lo=-MAX_COORD, hi=MAX_COORD)
         for name in ("positions", "velocities"))
     if not (len(positions) == len(velocities) == len(times) and np.isfinite(times).all()):
         raise FormatError(f"{key} needs T finite times, positions and velocities, got "

@@ -15,12 +15,14 @@ renamed over the target, so a failed write leaves the old file as it was.
 Readers hold what they parse to one number rule: a number is a JSON number
 (not true or false) and finite, an integer a JSON integer. number(),
 floats(), point() and typed() check a value, a flat list of numbers and
-nulls, a pair and a string, bool or container, naming the key on error.
+nulls, a pair and a string, bool or container, naming the key on error;
+points() checks a list of pairs as point() does each.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import numbers
@@ -81,6 +83,21 @@ def point(values, key: str, lo=None, hi=None) -> tuple[float, float]:
     if not isinstance(values, (list, tuple)) or len(values) != 2:
         raise FormatError(f"{key} must be a pair of finite numbers, got {reprlib.repr(values)}")
     return number(values[0], key, lo=lo, hi=hi), number(values[1], key, lo=lo, hi=hi)
+
+
+def points(rows, key: str, lo=None, hi=None) -> np.ndarray:
+    """An (N, 2) float array of a JSON list of pairs of numbers, each in
+    [lo, hi] where given; FormatError naming key otherwise, the message of
+    point() on the first bad row. One type scan and one vectorised pass."""
+    arr = None
+    if (type(rows) is list and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}):
+        with contextlib.suppress(OverflowError):  # an integer beyond float range
+            arr = np.array(rows, dtype=float).reshape(-1, 2)
+    if arr is None or not (np.isfinite(arr).all() and (lo is None or (arr >= lo).all())
+                           and (hi is None or (arr <= hi).all())):
+        arr = np.array([point(row, key, lo=lo, hi=hi) for row in rows]).reshape(-1, 2)
+    return arr
 
 
 def typed(value, kind: type, key: str):

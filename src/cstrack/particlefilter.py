@@ -276,10 +276,10 @@ class FilterConfig:
         try:  # check the fields and build both models once, here
             jsonio.number(self.particles, "particles", integer=True, lo=1, hi=MAX_PARTICLES)
             jsonio.number(self.ess_ratio, "ess_ratio", above=0.0, hi=1.0)
-            for name in ("dt", "sigma_a", "measurement_noise_std"):
-                jsonio.number(getattr(self, name), name)
-            # The start cloud's spreads, within the coordinate bound.
-            for name in ("init_position_std", "init_speed_std"):
+            # The model parameters and the start cloud's spreads, within the
+            # coordinate bound: the models square and cube them.
+            for name in ("dt", "sigma_a", "measurement_noise_std", "init_position_std",
+                         "init_speed_std"):
                 if getattr(self, name) is not None or name != "init_position_std":
                     jsonio.number(getattr(self, name), name, lo=-MAX_COORD, hi=MAX_COORD)
             if self.R is not None:  # a ragged R fails in the model

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,9 @@ class StaRMapLayer:
     mean: np.ndarray  # (rows, cols)
     std: np.ndarray  # (rows, cols)
     sample_count: int
+    # (2, rows, cols): mean and std in one array, of which the two fields
+    # are views, so that one bilinear stencil reads both.
+    moments: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expect = (self.grid.rows, self.grid.cols)
@@ -60,8 +63,11 @@ class StaRMapLayer:
             raise ConfigurationError(
                 f"layer arrays {self.mean.shape} do not match grid {expect}"
             )
-        self.mean.setflags(write=False)
-        self.std.setflags(write=False)
+        moments = np.stack([self.mean, self.std])
+        moments.setflags(write=False)
+        object.__setattr__(self, "moments", moments)
+        object.__setattr__(self, "mean", moments[0])
+        object.__setattr__(self, "std", moments[1])
 
     @property
     def key(self) -> tuple[str, str]:
@@ -156,9 +162,9 @@ def build_starmap(
 
 def interpolate_many(layer: StaRMapLayer,
                      points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear (mean, std) at each point; NaN outside the layer bbox."""
-    mean = bilinear(layer.grid, layer.mean, points)
-    std = bilinear(layer.grid, layer.std, points)
+    """Bilinear (mean, std) at each point, through one stencil; NaN outside
+    the layer bbox."""
+    mean, std = bilinear(layer.grid, layer.moments, points)
     return mean, std
 
 

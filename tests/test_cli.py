@@ -566,6 +566,12 @@ MALFORMED_INPUTS = [
     ("bench", "scenario", ("agents", "kick_std"), 1e308),
     ("bench", "scenario", ("filter", "init_speed_std"), 1e308),
     ("bench", "scenario", ("filter", "init_position_std"), 1e308),
+    # beyond the coordinate bound: overflowed in the filter's models with
+    # a message that named no key
+    *[("bench", "scenario", ("filter", name), 1e200)
+      for name in ("dt", "sigma_a", "measurement_noise_std")],
+    *[("track", "filter", (name,), 1e200) for name in ("dt", "sigma_a", "measurement_noise_std")],
+    ("calibrate", "filter", ("dt",), -1e200),
     # coerced by a lax reader
     ("bench", "scenario", ("seed",), 1.5),
     ("bench", "scenario", ("agents", "steps"), 1.5),

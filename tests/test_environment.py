@@ -407,6 +407,30 @@ class TestPrecomputeField:
 class TestModeAgreement:
     """Field mode and direct mode clamp alike and share one NaN mask."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z", [(50.0, 60.0), (np.nan, 60.0), (np.inf, -np.inf)])
+    def test_nan_and_infinite_positions_without_a_warning(self, z):
+        # A NaN position reads NaN in both modes; an infinite one clamps
+        # onto the bbox edge. Direct mode reads the measurement too.
+        grid = GridSpec(bbox=(-50.0, 20.0, 150.0, 120.0), rows=5, cols=7)
+        rng = np.random.default_rng(3)
+        layer = StaRMapLayer(RelationKind.OVER, "land", grid, rng.uniform(size=(5, 7)),
+                             rng.uniform(0.0, 0.3, size=(5, 7)), sample_count=2)
+        program = parse("0.7 :: constitution(X, Z) :- over(X, land), over(Z, land).")
+        positions = np.array([[np.nan, 60.0], [60.0, np.nan], [np.nan, np.nan],
+                              [np.inf, 60.0], [-np.inf, np.inf], [60.0, -np.inf],
+                              [150.0, 60.0], [-50.0, 120.0], [60.0, 20.0]])
+        edges = positions[6:]
+        for model in (precompute_field(program, [layer], grid),
+                      ConstitutionEvaluator(program, [layer])):
+            out = model.particle_probabilities(positions, z)
+            assert np.isnan(out[:3]).all()
+            np.testing.assert_array_equal(out[3:6], model.particle_probabilities(edges, z))
+            if isinstance(model, ConstitutionEvaluator) and np.isnan(z).any():
+                assert np.isnan(out).all()
+            else:
+                assert np.isfinite(out[3:]).all()
+
     @settings(deadline=None, max_examples=60)
     @given(
         rows=st.integers(2, 6),

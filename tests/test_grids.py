@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_bilinear as reference
 from cstrack.constitution import ConstitutionField
 from cstrack.errors import ConfigurationError
-from cstrack.grids import MAX_COORD, GridSpec, bilinear, bilinear_clamped, clamp_to_bbox
+from cstrack.grids import (MAX_COORD, GridSpec, bilinear, bilinear_clamped, clamp_to_bbox,
+                           nodes_read_exactly)
+from cstrack.relations import RelationKind
+from cstrack.starmap import StaRMapLayer, interpolate_many
 
 
+@np.errstate(invalid="ignore")  # its snap and cast of NaN and inf points
 def oracle_bilinear(grid, values, points):
     """The bilinear formula as first written: 2-D gathers and one np.where
     per node, the outside points masked at the end."""
@@ -76,7 +81,7 @@ def grid_case(draw):
     return grid, values, pts
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf points
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # NaN and inf points
 @settings(deadline=None, max_examples=200)
 @given(grid_case())
 def test_bilinear_and_clamp_give_the_oracle_bits(case):
@@ -91,7 +96,7 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf points
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # NaN and inf points
 @settings(deadline=None, max_examples=200)
 @given(grid_case(), st.sampled_from(["as drawn", "probabilities", "with NaN", "signed zero"]))
 def test_field_lookup_is_bilinear_of_the_clamped_points(case, raster):
@@ -111,6 +116,68 @@ def test_field_lookup_is_bilinear_of_the_clamped_points(case, raster):
         expect = bilinear(grid, values, clamp_to_bbox(points, grid.bbox))
         assert same_bits(field.at_clamped(points), expect)
         assert same_bits(bilinear_clamped(grid, values, points, masked=True), expect)
+
+
+@st.composite
+def kernel_case(draw):
+    """A grid of 2-60 nodes a side, extents 1e-3 to 1e8 m, anywhere within
+    the coordinate bound (or with 0 on an edge); a raster with NaN, +-0.0
+    and magnitudes up to 1e+-300; and points on nodes, on grid lines,
+    1e-10 to 1e-8 node units off a node, inside, outside on every side, at
+    +-0.0, NaN and +-inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = (int(v) for v in rng.integers(2, 61, 2))
+    w, h = 10.0 ** rng.uniform(-3.0, 8.0, 2)
+    x0, y0 = rng.uniform(-MAX_COORD, MAX_COORD - np.array([w, h]))
+    edge = draw(st.sampled_from(["anywhere", "0 at the low edge", "0 at the high edge"]))
+    if edge != "anywhere":
+        x0, y0 = (0.0, 0.0) if edge == "0 at the low edge" else (-w, -h)
+    grid = GridSpec((float(x0), float(y0), float(x0 + w), float(y0 + h)), rows, cols)
+    values = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-300.0, 300.0, (rows, cols))
+    values[rng.uniform(size=values.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = np.nan
+    values[rng.uniform(size=values.shape) < 0.1] = rng.choice([0.0, -0.0])
+    nodes = grid.node_points()
+    spacing = np.array([w / (cols - 1), h / (rows - 1)])
+    near = 10.0 ** rng.uniform(-10.0, -8.0, (16, 2)) * rng.choice([-1.0, 1.0], (16, 2))
+    lo, hi = np.array(grid.bbox[:2]), np.array(grid.bbox[2:])
+    outside = rng.uniform(lo - [w, h], hi + [w, h], (16, 2))
+    outside[:4, 0] = lo[0] - rng.uniform(0.0, w, 4)  # west
+    outside[4:8, 0] = hi[0] + rng.uniform(0.0, w, 4)  # east
+    outside[8:12, 1] = lo[1] - rng.uniform(0.0, h, 4)  # south
+    outside[12:, 1] = hi[1] + rng.uniform(0.0, h, 4)  # north
+    on_lines = rng.uniform(lo, hi, (16, 2))
+    on_lines[:8, 0] = nodes[rng.integers(len(nodes), size=8), 0]
+    on_lines[8:, 1] = nodes[rng.integers(len(nodes), size=8), 1]
+    special = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, y0], [x0, -0.0],
+                        [np.nan, np.nan], [np.nan, y0], [x0, np.nan],
+                        [np.inf, y0], [-np.inf, y0], [x0, np.inf], [x0, -np.inf],
+                        [np.inf, -np.inf], [-MAX_COORD, MAX_COORD]])
+    pts = np.vstack([nodes[rng.integers(len(nodes), size=16)],
+                     nodes[rng.integers(len(nodes), size=16)] + near * spacing,
+                     on_lines, outside, special, rng.uniform(lo, hi, (16, 2))])
+    return grid, values, pts[rng.permutation(len(pts))]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(deadline=None, max_examples=300)
+@given(kernel_case())
+def test_kernel_has_the_bits_of_the_reference(case):
+    # The reference snaps and casts NaN and inf points with warnings.
+    grid, values, pts = case
+    with np.errstate(invalid="ignore"):
+        expect = reference.bilinear(grid, values, pts)
+        expect_clamped = reference.bilinear_clamped(grid, values, pts, masked=True)
+        # Finite cells with clear sign bits: the unmasked lookup is exact.
+        clear = np.abs(np.nan_to_num(values, nan=0.5))
+        expect_unmasked = reference.bilinear_clamped(grid, clear, pts, masked=False)
+        expect_std = reference.bilinear(grid, clear, pts)
+    assert same_bits(bilinear(grid, values, pts), expect)
+    assert same_bits(bilinear_clamped(grid, values, pts, masked=True), expect_clamped)
+    assert same_bits(bilinear_clamped(grid, clear, pts, masked=False), expect_unmasked)
+    layer = StaRMapLayer(RelationKind.DISTANCE, "way", grid, values, clear, sample_count=2)
+    mean, std = interpolate_many(layer, pts)
+    assert same_bits(mean, expect) and same_bits(std, expect_std)
+    assert nodes_read_exactly(grid) == reference.nodes_read_exactly(grid)
 
 
 def test_one_point_clamps_to_one_row():

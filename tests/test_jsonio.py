@@ -216,6 +216,37 @@ def test_point_and_typed():
             jsonio.typed(value, kind, "key")
 
 
+def per_row_points(rows, key, lo=None, hi=None):
+    """points() as one point() call per row."""
+    return np.array([jsonio.point(row, key, lo=lo, hi=hi) for row in rows]).reshape(-1, 2)
+
+
+POINT_ROWS = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=2,
+             max_size=2),
+    st.lists(st.integers(-10**9, 10**9), min_size=2, max_size=2),
+    st.lists(st.sampled_from([True, None, "1", 10**400, 1e308, -1e308, float("nan"),
+                              float("inf"), [1.0], 0, -0.0, 1e8, -1e8]), min_size=1,
+             max_size=3),
+    st.sampled_from([None, "ab", {}, (1.0, 2.0), 1.0]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(POINT_ROWS, max_size=6), st.sampled_from([None, 1e8]))
+def test_points_has_the_result_and_the_error_of_per_row_points(rows, bound):
+    lo = None if bound is None else -bound
+    try:
+        expect = per_row_points(rows, "tracks[0].positions", lo, bound)
+    except FormatError as exc:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(exc))}$"):
+            jsonio.points(rows, "tracks[0].positions", lo, bound)
+    else:
+        out = jsonio.points(rows, "tracks[0].positions", lo, bound)
+        assert out.shape == expect.shape and out.dtype == expect.dtype
+        np.testing.assert_array_equal(out.view(np.uint64), expect.view(np.uint64))
+
+
 def test_only_jsonio_parses_json_and_applies_the_number_rule():
     # One JSON reader and writer (jsonio) and one raster codec (grids).
     src = pathlib.Path(jsonio.__file__).parent
