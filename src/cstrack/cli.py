@@ -297,7 +297,7 @@ def cmd_track(args) -> int:
             estimates, failures, records = filter_arms(
                 [np.asarray(tracks[i].positions, dtype=float) for i in block],
                 dataclasses.replace(config, dt=float(tracks[block[0]].dt)),
-                [np.random.default_rng(seeds[i]) for i in block],
+                [seeds[i] for i in block],
                 [taus[i] for i in block],
                 evaluate=evaluate,
                 t0s=[float(tracks[i].times[0]) for i in block],

@@ -157,7 +157,9 @@ class ConstitutionEvaluator:
     def parameter_rows(self, n: int, moments) -> np.ndarray:
         """(n, k) Bernoulli parameters from moments(layer, at), the (n,)
         mean and std arrays of a slot's layer at its query point (at is
-        "state" or "measurement"); NaN entries where those are NaN."""
+        "state" or "measurement"), or (1,) arrays of one point that every
+        row shares, whose parameters are computed once and fill the column
+        with the bits of n equal rows; NaN entries where those are NaN."""
         gp = self.ground_program
         params = np.empty((n, gp.n_probabilistic))
         moment_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -186,16 +188,17 @@ class ConstitutionEvaluator:
         return params
 
     def parameter_matrix(self, states: np.ndarray, measurements: np.ndarray) -> np.ndarray:
-        """(N, k) Bernoulli parameters for matching (N, 2) states and
-        measurements; NaN entries where a slot's point is flagged or outside
-        its layer."""
+        """(N, k) Bernoulli parameters for (N, 2) states and matching (N, 2)
+        measurements, or one (1, 2) measurement that every state shares;
+        NaN entries where a slot's point is flagged or outside its layer."""
         points = {"state": states, "measurement": measurements}
         return self.parameter_rows(
             len(states), lambda layer, at: interpolate_many(layer, points[at]))
 
     def probabilities(self, states: np.ndarray, measurements: np.ndarray) -> np.ndarray:
-        """P(constitution | state, measurement) per row; NaN where a row
-        reads a flagged layer cell or a point outside a layer."""
+        """P(constitution | state, measurement) per row, measurements as in
+        parameter_matrix; NaN where a row reads a flagged layer cell or a
+        point outside a layer."""
         return self.row_probabilities(self.parameter_matrix(states, measurements))
 
     def row_probabilities(self, params: np.ndarray) -> np.ndarray:
@@ -215,10 +218,10 @@ class ConstitutionEvaluator:
 
         Positions and the measurement z, one shared (2,) point or one
         (N, 2) row per position, are clamped into the layers' common bbox
-        (constant extrapolation at the map edge).
+        (constant extrapolation at the map edge). A shared z is clamped and
+        read once.
         """
         states = clamp_to_bbox(positions, self._bbox)
-        meas = clamp_to_bbox(
-            np.broadcast_to(np.asarray(z, dtype=float), states.shape), self._bbox
-        )
-        return self.probabilities(states, meas)
+        z = np.asarray(z, dtype=float)
+        meas = z[None] if z.shape == (2,) else np.broadcast_to(z, states.shape)
+        return self.probabilities(states, clamp_to_bbox(meas, self._bbox))

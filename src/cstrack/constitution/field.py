@@ -114,7 +114,7 @@ def precompute_field(program: Program, layers: list[StaRMapLayer], grid: GridSpe
             )
         fixed = None
     else:
-        fixed = np.broadcast_to(np.asarray(measurement, dtype=float).reshape(1, 2), (n, 2))
+        fixed = np.asarray(measurement, dtype=float).reshape(1, 2)
 
     def moments(layer, at):
         if at == "measurement" and fixed is not None:

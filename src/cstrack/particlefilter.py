@@ -12,11 +12,13 @@ filter without the compliance step), tau = 1 weights purely by compliance.
 
 There is one step loop, filter_arms: it advances several arms on a
 shared (arms, particles) axis, each with its own measurement sequence,
-generator and trust ratio, and an arm's results are bit-identical to the
-same arm run alone. trust.sweep runs all ratios of a track in one call,
-one arm per ratio on the same measurements; cli track runs blocks of
-tracks, one arm per track. An arm whose weights all vanish is frozen as
-NaN while the others go on, and an arm retires when its sequence ends.
+seed and trust ratio, and an arm's results are bit-identical to the same
+arm run alone on the same seed. trust.sweep runs all ratios of a track in
+one call, one arm per ratio on the same measurements and seed, so the
+arms share their move noise (common random numbers); cli track runs
+blocks of tracks, one arm and one seed per track. An arm whose weights
+all vanish is frozen as NaN while the others go on, and an arm retires
+when its sequence ends.
 
 Compliance comes from an evaluator evaluate(positions, z) -> (N,), with z
 one (2,) measurement or one (N, 2) row per position, values in [0, 1] and
@@ -156,29 +158,52 @@ class MeasurementModel:
 # one long strided column than on many rows of two.
 
 
-def _move(states: np.ndarray, process: ProcessModel, rngs) -> None:
-    """Constant-velocity move plus Q noise, in place; one generator per arm.
+def _move(states: np.ndarray, process: ProcessModel, streams, stream_of: np.ndarray) -> None:
+    """Constant-velocity move plus Q noise, in place.
 
-    Arms seeded alike keep equal generator states until their resampling
-    steps differ, and equal states draw equal noise. So the noise is drawn
-    and transformed once per distinct state, and every other generator in
-    that state is set to the state the draw left, as if it had drawn too.
+    streams: the move generators; stream_of: the stream of each arm. Each
+    stream that moves an arm draws one (N, 4) noise matrix, and every arm
+    on it gets that noise: the common random numbers of a sweep.
     """
     for i in (0, 1):
         states[..., i] += states[..., i + 2] * process.dt
     if process.Q.any():
-        drawn: dict[str, tuple[np.random.Generator, np.ndarray]] = {}
-        for arm_states, rng in zip(states, rngs):
-            key = repr(rng.bit_generator.state)
-            if key in drawn:
-                source, noise = drawn[key]
-                rng.bit_generator.state = source.bit_generator.state
-            else:
-                noise = rng.standard_normal(arm_states.shape) @ process.noise_factor.T
-                drawn[key] = rng, noise
-            arm_states += noise
+        for k in dict.fromkeys(stream_of.tolist()):
+            noise = streams[k].standard_normal(states.shape[1:]) @ process.noise_factor.T
+            for row in np.flatnonzero(stream_of == k):
+                states[row] += noise
     if not np.isfinite(states).all():
         raise ConfigurationError("prediction produced non-finite states")
+
+
+def _streams(seeds) -> tuple[list[np.random.Generator], np.ndarray, list[np.random.Generator]]:
+    """The move generators, the move stream of each arm, and each arm's
+    resampling generator, from one SeedSequence per arm.
+
+    Each distinct seed spawns two children, once: arms on equal seeds
+    share one move generator on the first child, and every arm has a
+    resampling generator of its own on the second. The children are those
+    seed.spawn(2) would hand out next; the seeds themselves are left as
+    given, so a seed passed again gives the same streams again.
+    """
+    moves: list[np.random.Generator] = []
+    resample_children: list[np.random.SeedSequence] = []
+    index: dict[tuple, int] = {}
+    stream_of = np.empty(len(seeds), dtype=int)
+    for arm, seed in enumerate(seeds):
+        if not isinstance(seed, np.random.SeedSequence):
+            raise ConfigurationError(
+                f"need one numpy SeedSequence per trust ratio, got {type(seed).__name__}")
+        key = (repr(seed.entropy), seed.spawn_key, seed.pool_size, seed.n_children_spawned)
+        if key not in index:
+            index[key] = len(moves)
+            move_child, resample_child = np.random.SeedSequence(
+                seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
+                n_children_spawned=seed.n_children_spawned).spawn(2)
+            moves.append(np.random.default_rng(move_child))
+            resample_children.append(resample_child)
+        stream_of[arm] = index[key]
+    return moves, stream_of, [np.random.default_rng(resample_children[k]) for k in stream_of]
 
 
 def _positions(states: np.ndarray, offset=(0.0, 0.0)) -> np.ndarray:
@@ -349,7 +374,7 @@ class StepRecord:
 def filter_arms(
     measurements,
     config: FilterConfig,
-    rngs,
+    seeds,
     taus,
     evaluate=None,
     t0s=None,
@@ -358,17 +383,20 @@ def filter_arms(
     """Advance several filter arms together, each on its own measurements.
 
     measurements: one (T_a, 2) position sequence per arm, whose first row
-    initializes the arm's belief; rngs, taus and t0s (default 0): one
-    generator, one trust ratio and one start time per arm. One config, and
-    so one dt, covers every arm. Step order: predict, measurement update,
-    compliance update, conditional resampling, estimate. An arm draws from
-    its own generator in the order a lone filter would, so each arm's bits
-    are those of the same arm run alone. An arm at tau = 0 (every arm when
-    evaluate is None) skips the compliance update and consumes exactly the
-    draws of a plain particle filter; the other live arms share one
-    evaluate call per step. It gets one (2,) z when every arm has the same
-    measurements, as in a sweep, and one z row per position otherwise. An
-    arm retires when its sequence ends.
+    initializes the arm's belief; seeds, taus and t0s (default 0): one
+    numpy SeedSequence, one trust ratio and one start time per arm. One
+    config, and so one dt, covers every arm. Step order: predict,
+    measurement update, compliance update, conditional resampling,
+    estimate. Each seed gives two streams (see _streams): arms on equal
+    seeds draw their start cloud and each step's move noise once, from one
+    shared move generator, and each arm draws its resampling uniforms from
+    a generator of its own. A stream draws the same values whichever arms
+    share it, so each arm's bits are those of the same arm run alone on
+    the same seed. An arm at tau = 0 (every arm when evaluate is None)
+    skips the compliance update and is exactly a plain particle filter;
+    the other live arms share one evaluate call per step. It gets one (2,)
+    z when every arm has the same measurements, as in a sweep, and one z
+    row per position otherwise. An arm retires when its sequence ends.
 
     Returns per arm the (T_a - 1, 2) position estimates, None or the
     reason it degenerated (its estimates are then NaN), and, with log, its
@@ -380,11 +408,11 @@ def filter_arms(
     for m in measurements:
         if m.ndim != 2 or m.shape[1] != 2 or len(m) < 2:
             raise ConfigurationError("need a (T, 2) measurement array with T >= 2 per arm")
-    rngs = list(rngs)
+    moves, stream_of, resamplers = _streams(list(seeds))
     taus = np.array(taus, dtype=float).reshape(-1)
-    n_arms = len(rngs)
-    if len(taus) != n_arms or len({id(rng) for rng in rngs}) != n_arms:
-        raise ConfigurationError("need one generator of its own per trust ratio")
+    n_arms = len(resamplers)
+    if len(taus) != n_arms:
+        raise ConfigurationError("need one seed per trust ratio")
     for tau in taus:
         if not 0.0 <= tau <= 1.0:
             raise ConfigurationError(f"tau must lie in [0, 1], got {tau}")
@@ -412,11 +440,15 @@ def filter_arms(
     states = np.empty((n_arms, n, 4))
     # Each arm's cloud around its first measurement, at rest on average;
     # positions are drawn before velocities, and that order fixes the bits.
-    for arm, rng in enumerate(rngs):
-        states[arm, :, :2] = zs[arm, 0] + pos_std * rng.standard_normal((n, 2))
-        states[arm, :, 2:] = config.init_speed_std * rng.standard_normal((n, 2))
+    for k, move in enumerate(moves):
+        offsets = pos_std * move.standard_normal((n, 2))
+        velocities = config.init_speed_std * move.standard_normal((n, 2))
+        for arm in np.flatnonzero(stream_of == k):
+            states[arm, :, :2] = zs[arm, 0] + offsets
+            states[arm, :, 2:] = velocities
     weights = np.full((n_arms, n), 1.0 / n)
-    # Rows of states, weights, rngs and taus belong to the live arms ids.
+    # Rows of states, weights, stream_of, resamplers and taus belong to the
+    # live arms ids.
     ids = np.arange(n_arms)
     failures: list[str | None] = [None] * n_arms
     estimates = np.full((n_arms, zs.shape[1] - 1, 2), np.nan)
@@ -425,12 +457,13 @@ def filter_arms(
 
     def drop(gone: np.ndarray, reason: str | None) -> None:
         """Retire the rows in mask gone; reason None for an ended sequence."""
-        nonlocal states, weights, rngs, taus, ids
+        nonlocal states, weights, stream_of, resamplers, taus, ids
         for arm in ids[gone]:
             failures[arm] = reason
         keep = ~gone
         states, weights, taus, ids = states[keep], weights[keep], taus[keep], ids[keep]
-        rngs = [rng for rng, k in zip(rngs, keep) if k]
+        stream_of = stream_of[keep]
+        resamplers = [rng for rng, k in zip(resamplers, keep) if k]
 
     for step in range(1, zs.shape[1]):
         if step in ends:
@@ -438,7 +471,7 @@ def filter_arms(
         if not len(ids):
             break
         z = zs[0, step] if shared else zs[ids, step]
-        _move(states, process, rngs)
+        _move(states, process, moves, stream_of)
         raw = weights * meas_model.likelihood(_positions(states, z))
         weights, norms, alive = _renormalize(raw)
         norm_consts[ids] = norms
@@ -471,7 +504,7 @@ def filter_arms(
         ess = 1.0 / np.square(weights).sum(axis=1)
         resampled = ess < config.ess_ratio * n
         for row in np.flatnonzero(resampled):
-            states[row] = states[row].take(_resample_index(weights[row], rngs[row]), axis=0)
+            states[row] = states[row].take(_resample_index(weights[row], resamplers[row]), axis=0)
             weights[row] = 1.0 / n
         means = [w @ arm_states for w, arm_states in zip(weights, states)]
         estimates[ids, step - 1] = np.array(means)[:, :2]

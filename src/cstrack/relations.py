@@ -257,7 +257,9 @@ def _idw(nd2: np.ndarray, nval: np.ndarray) -> np.ndarray:
     The weighted sums add the k rows in rank order, each a whole-row pass;
     exact hits short-circuit to the first exact node's value."""
     exact = nd2 <= _BOUNDARY_EPS**2
-    with np.errstate(divide="ignore"):
+    # A zero or subnormal nd2 divides by zero or overflows; it is an exact
+    # hit, whose weight is overwritten next.
+    with np.errstate(divide="ignore", over="ignore"):
         w = 1.0 / nd2
     np.copyto(w, 0.0, where=exact)
     wv = w * nval

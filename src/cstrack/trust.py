@@ -219,11 +219,12 @@ def sweep(truths, track_seeds, config: FilterConfig, evaluate, taus) -> np.ndarr
     truths: (T, 2) ground-truth positions per track; track_seeds: one
     SeedSequence per track. Each track spawns a noise seed and a filter
     seed: the noise is drawn once, and every arm filters the same
-    measurements from a fresh generator on the filter seed, so the arms
-    differ in tau alone. All arms of a track advance together in one
-    filter_arms call, which gets the track's measurements once per arm;
-    each arm has the bits it has run alone, and the tau = 0 arm never
-    calls evaluate, so it is bit-identical to the plain filter.
+    measurements on the filter seed, so the arms share their start cloud
+    and move noise (common random numbers) and differ in tau alone. All
+    arms of a track advance together in one filter_arms call, which gets
+    the track's measurements and filter seed once per arm; each arm has
+    the bits it has run alone, and the tau = 0 arm never calls evaluate,
+    so it is bit-identical to the plain filter.
     """
     mae = np.full((len(truths), len(taus)), np.nan)
     for i, (truth, seq) in enumerate(zip(truths, track_seeds)):
@@ -234,7 +235,7 @@ def sweep(truths, track_seeds, config: FilterConfig, evaluate, taus) -> np.ndarr
         )
         estimates, failures, _ = filter_arms(
             [measurements] * len(taus), config,
-            [np.random.default_rng(filter_seq) for _ in taus], taus, evaluate=evaluate,
+            [filter_seq] * len(taus), taus, evaluate=evaluate,
         )
         for j, failure in enumerate(failures):
             if failure is None:

@@ -6,11 +6,16 @@ update_measurement, update_constitution, resample and estimate are the
 steps of one lone filter on that pair, built on the same kernels as
 particlefilter.filter_arms. stepwise_run composes them into the filter
 loop one step at a time; tests compare every arm of filter_arms with it
-bit for bit. run_filter is the one-arm case of filter_arms itself, with
-the step records built and a degenerate run raised.
+bit for bit. It lays out the random streams on its own: a filter seed
+spawns a move child, which draws the start cloud and each step's noise,
+and a resampling child, which draws each resampling step's uniform.
+run_filter is the one-arm case of filter_arms itself, with the step
+records built and a degenerate run raised.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -68,7 +73,7 @@ def predict(states, weights, process, rng):
     """Advance every particle by the constant-velocity model plus Q noise;
     the weights pass through."""
     moved = states[None].copy()
-    _move(moved, process, (rng,))
+    _move(moved, process, (rng,), np.zeros(1, dtype=int))
     return moved[0], weights
 
 
@@ -121,8 +126,9 @@ def estimate(states, weights):
     return mean, _covariance_trace(weights, states, mean)
 
 
-def stepwise_run(measurements, config, rng, evaluate, tau, t0=0.0):
-    """The filter loop spelled out with the one-arm steps.
+def stepwise_run(measurements, config, seed, evaluate, tau, t0=0.0):
+    """The filter loop spelled out with the one-arm steps, on the streams
+    of a SeedSequence seed (left as given).
 
     Returns the (T - 1, 2) position estimates (None if the run
     degenerated), None or the reason it degenerated, and the StepRecords
@@ -133,12 +139,15 @@ def stepwise_run(measurements, config, rng, evaluate, tau, t0=0.0):
         if config.init_position_std is not None
         else config.measurement_noise_std
     )
-    states, weights = gaussian_belief(measurements[0], config.particles, rng,
+    move_seed, resample_seed = copy.deepcopy(seed).spawn(2)
+    move_rng = np.random.default_rng(move_seed)
+    resample_rng = np.random.default_rng(resample_seed)
+    states, weights = gaussian_belief(measurements[0], config.particles, move_rng,
                                       pos_std, config.init_speed_std)
     estimates, records = [], []
     for step, z in enumerate(measurements[1:], start=1):
         try:
-            states, weights = predict(states, weights, config.process_model, rng)
+            states, weights = predict(states, weights, config.process_model, move_rng)
             weights, norm_const = update_measurement(states, weights, z,
                                                      config.measurement_model)
             mean_prob = None
@@ -152,7 +161,7 @@ def stepwise_run(measurements, config, rng, evaluate, tau, t0=0.0):
         n_eff = effective_sample_size(weights)
         resampled = n_eff < config.ess_ratio * len(weights)
         if resampled:
-            states, weights = resample(states, weights, rng)
+            states, weights = resample(states, weights, resample_rng)
         mean, trace = estimate(states, weights)
         estimates.append(mean[:2])
         records.append(StepRecord(
@@ -168,8 +177,9 @@ def stepwise_run(measurements, config, rng, evaluate, tau, t0=0.0):
     return np.array(estimates), None, records
 
 
-def run_filter(measurements, config, rng, evaluate=None, tau=0.0, t0=0.0):
-    """Track one measurement sequence; returns position estimates and logs.
+def run_filter(measurements, config, seed, evaluate=None, tau=0.0, t0=0.0):
+    """Track one measurement sequence from a SeedSequence seed; returns
+    position estimates and logs.
 
     The one-arm case of filter_arms, with the step records built. With
     tau = 0 (or no evaluator) the compliance update is skipped and the run
@@ -177,7 +187,7 @@ def run_filter(measurements, config, rng, evaluate=None, tau=0.0, t0=0.0):
     run whose weights all vanish raises DegenerateBeliefError.
     """
     estimates, failures, records = filter_arms(
-        (measurements,), config, (rng,), (tau,), evaluate=evaluate, t0s=(t0,), log=True,
+        (measurements,), config, (seed,), (tau,), evaluate=evaluate, t0s=(t0,), log=True,
     )
     if failures[0] is not None:
         raise DegenerateBeliefError(failures[0])

@@ -173,10 +173,10 @@ def test_criterion_02_baseline_recovery(corridor):
     evaluate = corridor["field"].particle_probabilities
 
     base_est, base_records = run_filter(
-        noisy, CORRIDOR_CONFIG, np.random.default_rng(22)
+        noisy, CORRIDOR_CONFIG, np.random.SeedSequence(22)
     )
     guided_est, guided_records = run_filter(
-        noisy, CORRIDOR_CONFIG, np.random.default_rng(22), evaluate=evaluate, tau=0.0
+        noisy, CORRIDOR_CONFIG, np.random.SeedSequence(22), evaluate=evaluate, tau=0.0
     )
     assert np.array_equal(base_est, guided_est)  # exact equality required
     for a, b in zip(base_records, guided_records):
@@ -279,9 +279,9 @@ def test_criterion_06_incompliant_safety(corridor):
 
     truth = corridor["agents"]("incompliant", 1, seed=403, start_y=140.0)[0]
     noisy = truth + np.random.default_rng(404).normal(scale=50.0, size=truth.shape)
-    base_est, _ = run_filter(noisy, CORRIDOR_CONFIG, np.random.default_rng(405))
+    base_est, _ = run_filter(noisy, CORRIDOR_CONFIG, np.random.SeedSequence(405))
     guided_est, _ = run_filter(
-        noisy, CORRIDOR_CONFIG, np.random.default_rng(405),
+        noisy, CORRIDOR_CONFIG, np.random.SeedSequence(405),
         evaluate=evaluate, tau=tau_star,
     )
     assert np.array_equal(base_est, guided_est)
@@ -304,7 +304,7 @@ def test_criterion_07_field_vs_direct(harbor):
     maes = {}
     for label, evaluate in (("field", field_eval), ("direct", direct_eval)):
         est, _ = run_filter(
-            noisy, config, np.random.default_rng(52), evaluate=evaluate, tau=0.8
+            noisy, config, np.random.SeedSequence(52), evaluate=evaluate, tau=0.8
         )
         maes[label] = position_mae(est, truth[1:])
     diff = abs(maes["field"] - maes["direct"]) / maes["direct"]

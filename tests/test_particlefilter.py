@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from cstrack.errors import (
     DegenerateBeliefError,
     FormatError,
 )
+from cstrack import particlefilter
 from cstrack.grids import GridSpec
 from cstrack.particlefilter import (
     FilterConfig,
     MeasurementModel,
     ProcessModel,
     _compliance_factor,
+    _move,
     _resample_index,
+    _streams,
     cv_process_noise,
     filter_arms,
 )
@@ -92,6 +96,84 @@ class TestPredict:
                                 expect[:, 2:] + noise[:, 2:]])
         np.testing.assert_array_equal(out[:, :2], expect[:, :2])
         np.testing.assert_array_equal(out[:, 2:], expect[:, 2:])
+
+
+class TestMove:
+    """The move kernel on a stack of arms on two seeds, built by hand."""
+
+    seeds = (np.random.SeedSequence(31), np.random.SeedSequence([31, 2]))
+
+    def stack(self, n=40):
+        rng = np.random.default_rng(8)
+        return rng.normal(scale=50.0, size=(5, n, 4))
+
+    def children(self, k):
+        """A fresh generator on stream k's move child and on its
+        resampling child."""
+        move, resample = np.random.SeedSequence(
+            self.seeds[k].entropy, spawn_key=self.seeds[k].spawn_key).spawn(2)
+        return np.random.default_rng(move), np.random.default_rng(resample)
+
+    def test_streams_follow_the_seeds(self):
+        seeds = [self.seeds[0], self.seeds[1], np.random.SeedSequence(31), self.seeds[0]]
+        moves, stream_of, resamplers = _streams(seeds)
+        assert stream_of.tolist() == [0, 1, 0, 0]
+        assert len({id(rng) for rng in resamplers}) == 4
+        for k, rng in zip(stream_of, resamplers):
+            move, resample = self.children(k)
+            assert rng.bit_generator.state == resample.bit_generator.state
+            assert moves[k].bit_generator.state == move.bit_generator.state
+        assert [seed.n_children_spawned for seed in self.seeds] == [0, 0]
+
+    def test_each_stream_draws_once_per_step_for_all_its_arms(self):
+        process = ProcessModel.constant_velocity(2.0, 0.5)
+        w, q = np.linalg.eigh(process.Q)
+        fresh_factor = q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+        stream_of = np.array([0, 1, 0, 0, 1])
+        moves = [self.children(k)[0] for k in (0, 1)]
+        fresh = [self.children(k)[0] for k in (0, 1)]
+        states = self.stack()
+        for _ in range(3):
+            expect = states.copy()
+            noises = [rng.standard_normal((40, 4)) @ fresh_factor.T for rng in fresh]
+            _move(states, process, moves, stream_of)
+            for arm, k in enumerate(stream_of):
+                expect[arm, :, :2] += expect[arm, :, 2:] * 2.0
+                expect[arm] += noises[k]
+                assert np.array_equal(states[arm], expect[arm])
+            for move, rng in zip(moves, fresh):
+                assert move.bit_generator.state == rng.bit_generator.state
+
+    def test_a_stream_without_arms_draws_nothing(self):
+        process = ProcessModel.constant_velocity(1.0, 0.3)
+        moves = [self.children(k)[0] for k in (0, 1)]
+        idle = self.children(1)[0].bit_generator.state
+        _move(self.stack()[:2], process, moves, np.array([0, 0]))
+        assert moves[1].bit_generator.state == idle
+
+    def test_zero_q_draws_nothing(self):
+        process = ProcessModel(dt=3.0, Q=np.zeros((4, 4)))
+        moves = [self.children(k)[0] for k in (0, 1)]
+        before = [rng.bit_generator.state for rng in moves]
+        states = self.stack()
+        expect = states.copy()
+        expect[..., :2] += expect[..., 2:] * 3.0
+        _move(states, process, moves, np.array([0, 1, 0, 0, 1]))
+        assert np.array_equal(states, expect)
+        assert [rng.bit_generator.state for rng in moves] == before
+
+    def test_non_finite_states_raise(self):
+        process = ProcessModel.constant_velocity(1.0, 0.3)
+        moves = [self.children(k)[0] for k in (0, 1)]
+        states = self.stack()
+        states[3, 7, 2] = np.inf
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            _move(states, process, moves, np.array([0, 1, 0, 0, 1]))
+        states = self.stack()
+        states[1, 0, 0] = np.nan
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            _move(states, ProcessModel(dt=1.0, Q=np.zeros((4, 4))), moves,
+                  np.array([0, 1, 0, 0, 1]))
 
 
 class TestMeasurementUpdate:
@@ -271,7 +353,7 @@ class TestKernelBoundaries:
         config = FilterConfig(particles=4, dt=1.0, sigma_a=0.0, measurement_noise_std=1.0,
                               ess_ratio=0.5, init_position_std=0.0, init_speed_std=0.0)
         _, failures, records = filter_arms(
-            [np.zeros((2, 2))], config, [np.random.default_rng(0)], [1.0],
+            [np.zeros((2, 2))], config, [np.random.SeedSequence(0)], [1.0],
             evaluate=lambda positions, z: np.tile([1.0, 1.0, 0.0, 0.0], len(positions) // 4),
             log=True)
         assert failures == [None]
@@ -349,7 +431,7 @@ class TestRunFilter:
         noisy = truth + rng.normal(scale=3.0, size=truth.shape)
         config = FilterConfig(particles=500, dt=1.0, sigma_a=0.5,
                               measurement_noise_std=3.0)
-        estimates, records = run_filter(noisy, config, np.random.default_rng(1))
+        estimates, records = run_filter(noisy, config, np.random.SeedSequence(1))
         err = np.linalg.norm(estimates[-10:] - truth[-10:], axis=1).mean()
         assert err < 3.0
         assert len(records) == len(truth) - 1
@@ -365,13 +447,13 @@ class TestRunFilter:
             calls.append(len(p))
             return np.full(len(p), 0.5)
 
-        a, _ = run_filter(noisy, config, np.random.default_rng(3))
-        b, _ = run_filter(noisy, config, np.random.default_rng(3),
+        a, _ = run_filter(noisy, config, np.random.SeedSequence(3))
+        b, _ = run_filter(noisy, config, np.random.SeedSequence(3),
                           evaluate=evaluate, tau=0.0)
         assert (a == b).all()
         assert calls == []
         # The counter does see an active compliance step: one call per step.
-        run_filter(noisy, config, np.random.default_rng(3), evaluate=evaluate, tau=0.5)
+        run_filter(noisy, config, np.random.SeedSequence(3), evaluate=evaluate, tau=0.5)
         assert calls == [200] * (len(truth) - 1)
 
     def test_layer_flagged_everywhere_tracks_like_tau_zero(self):
@@ -386,12 +468,12 @@ class TestRunFilter:
             mean=np.full((3, 3), np.nan), std=np.full((3, 3), np.nan), sample_count=2,
         )
         program = parse("1.0 :: constitution(X, Z) :- over(X, land).")
-        base = run_filter(noisy, config, np.random.default_rng(7))
+        base = run_filter(noisy, config, np.random.SeedSequence(7))
         for evaluate in (
             precompute_field(program, [layer], grid).particle_probabilities,
             ConstitutionEvaluator(program, [layer]).particle_probabilities,
         ):
-            est, records = run_filter(noisy, config, np.random.default_rng(7),
+            est, records = run_filter(noisy, config, np.random.SeedSequence(7),
                                       evaluate=evaluate, tau=1.0)
             assert np.array_equal(est, base[0])
             assert records == base[1]
@@ -409,8 +491,8 @@ class TestRunFilter:
         def evaluate(p, z):
             return np.exp(-0.5 * (p[:, 1] / 10.0) ** 2)
 
-        base, _ = run_filter(noisy, config, np.random.default_rng(5))
-        guided, _ = run_filter(noisy, config, np.random.default_rng(5),
+        base, _ = run_filter(noisy, config, np.random.SeedSequence(5))
+        guided, _ = run_filter(noisy, config, np.random.SeedSequence(5),
                              evaluate=evaluate, tau=1.0)
         base_err = np.abs(base[:, 1] - 0.0).mean()
         guided_err = np.abs(guided[:, 1] - 0.0).mean()
@@ -459,7 +541,7 @@ class TestRunFilter:
     def test_records_fields(self):
         truth = self.track(steps=5)
         config = FilterConfig(particles=64, dt=1.0, measurement_noise_std=2.0)
-        _, records = run_filter(truth, config, np.random.default_rng(0))
+        _, records = run_filter(truth, config, np.random.SeedSequence(0))
         rec = records[0].to_json()
         assert set(rec) == {
             "t", "estimate", "covariance_trace", "n_eff", "norm_const",
@@ -564,7 +646,7 @@ class TestFilterArms:
         def arms(log):
             return filter_arms(
                 [measurements] * len(taus), config,
-                [np.random.default_rng(filter_seed) for _ in taus],
+                [filter_seed] * len(taus),
                 taus, evaluate=evaluate, t0s=[30.0] * len(taus), log=log,
             )
 
@@ -576,10 +658,10 @@ class TestFilterArms:
         assert logged_failures == failures
         for j, tau in enumerate(taus):
             alone = outcome(lambda: run_filter(measurements, config,
-                                               np.random.default_rng(filter_seed),
+                                               filter_seed,
                                                evaluate=evaluate, tau=tau)[0])
             stepwise, failure, stepwise_records = stepwise_run(
-                measurements, config, np.random.default_rng(filter_seed), evaluate, tau,
+                measurements, config, filter_seed, evaluate, tau,
                 t0=30.0,
             )
             assert failure == failures[j]
@@ -598,29 +680,31 @@ class TestFilterArms:
     @given(
         st.integers(0, 2**32 - 1),
         st.lists(st.tuples(st.integers(0, 6), st.integers(2, 8),
-                           st.sampled_from([0.0, 0.5, 1.0])), min_size=1, max_size=5),
+                           st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2)),
+                 min_size=1, max_size=5),
         st.sampled_from(["zero", "nan", "random"]),
     )
     def test_arms_on_their_own_sequences_are_lone_runs(self, seed, arms, field_kind):
         # Each arm tracks its own slice of the track from its own t0, under
         # an evaluator that reads z, so an arm must get its own measurement.
+        # Arms on one of three seeds share a move stream, which goes on
+        # drawing after some of its arms end.
         measurements, config, field_eval = _arms_world(seed, field_kind)
 
         def evaluate(p, z):
             return field_eval(p, z) * np.exp(-np.square(p - z).sum(axis=1) / 400.0)
 
         sequences = [measurements[min(start, 8 - length):][:length]
-                     for start, length, _ in arms]
-        taus = [tau for _, _, tau in arms]
+                     for start, length, _, _ in arms]
+        taus = [tau for _, _, tau, _ in arms]
+        seeds = [np.random.SeedSequence([seed, slot]) for _, _, _, slot in arms]
         t0s = [10.0 * k for k in range(len(arms))]
         estimates, failures, records = filter_arms(
-            sequences, config, [np.random.default_rng([seed, k]) for k in range(len(arms))],
-            taus, evaluate=evaluate, t0s=t0s, log=True,
+            sequences, config, seeds, taus, evaluate=evaluate, t0s=t0s, log=True,
         )
         for k, sequence in enumerate(sequences):
             stepwise, failure, stepwise_records = stepwise_run(
-                sequence, config, np.random.default_rng([seed, k]), evaluate, taus[k],
-                t0=t0s[k],
+                sequence, config, seeds[k], evaluate, taus[k], t0=t0s[k],
             )
             assert failures[k] == failure
             assert records[k] == stepwise_records
@@ -634,10 +718,10 @@ class TestFilterArms:
         measurements, config, evaluate = _arms_world(11, "nan")
         taus = (0.0, 0.5, 0.0, 1.0)
         estimates, failures, _ = filter_arms(
-            [measurements] * len(taus), config, [np.random.default_rng(5) for _ in taus],
+            [measurements] * len(taus), config, [np.random.SeedSequence(5) for _ in taus],
             taus, evaluate=evaluate,
         )
-        plain, _ = run_filter(measurements, config, np.random.default_rng(5))
+        plain, _ = run_filter(measurements, config, np.random.SeedSequence(5))
         assert failures == [None] * 4
         assert np.array_equal(estimates[0], plain)
         assert np.array_equal(estimates[2], plain)
@@ -646,7 +730,7 @@ class TestFilterArms:
         measurements, config, evaluate = _arms_world(3, "zero")
         taus = (0.0, 1.0, 0.5)
         estimates, failures, _ = filter_arms(
-            [measurements] * len(taus), config, [np.random.default_rng(8) for _ in taus],
+            [measurements] * len(taus), config, [np.random.SeedSequence(8) for _ in taus],
             taus, evaluate=evaluate,
         )
         assert failures[0] is None and failures[2] is None
@@ -654,8 +738,27 @@ class TestFilterArms:
         assert np.isnan(estimates[1]).all()
         assert np.isfinite(estimates[0]).all() and np.isfinite(estimates[2]).all()
         with pytest.raises(DegenerateBeliefError, match="compliance update"):
-            run_filter(measurements, config, np.random.default_rng(8),
+            run_filter(measurements, config, np.random.SeedSequence(8),
                        evaluate=evaluate, tau=1.0)
+
+    def test_a_sweep_draws_one_start_cloud_and_one_noise_matrix_per_step(self):
+        measurements, config, evaluate = _arms_world(9, "random")
+        taus = (0.0, 0.2, 0.5, 1.0)
+        made = []
+
+        def keeping_streams(seeds):
+            made.append(_streams(seeds))
+            return made[-1]
+
+        with mock.patch.object(particlefilter, "_streams", keeping_streams):
+            filter_arms([measurements] * len(taus), config,
+                        [np.random.SeedSequence(12)] * len(taus), taus, evaluate=evaluate)
+        (moves, stream_of, _), = made
+        assert len(moves) == 1 and stream_of.tolist() == [0] * len(taus)
+        fresh = np.random.default_rng(np.random.SeedSequence(12).spawn(2)[0])
+        for shape in [(config.particles, 2)] * 2 + [(config.particles, 4)] * 7:
+            fresh.standard_normal(shape)
+        assert moves[0].bit_generator.state == fresh.bit_generator.state
 
     def test_live_arms_share_one_evaluate_call_per_step(self):
         measurements, config, field_eval = _arms_world(4, "random")
@@ -667,14 +770,14 @@ class TestFilterArms:
 
         taus = (0.0, 0.3, 1.0)
         filter_arms([measurements] * len(taus), config,
-                    [np.random.default_rng(1) for _ in taus], taus, evaluate=evaluate)
+                    [np.random.SeedSequence(1) for _ in taus], taus, evaluate=evaluate)
         assert calls == [2 * config.particles] * (len(measurements) - 1)
 
     def test_log_gives_the_run_filter_records(self):
         measurements, config, evaluate = _arms_world(6, "nan")
-        _, records = run_filter(measurements, config, np.random.default_rng(2),
+        _, records = run_filter(measurements, config, np.random.SeedSequence(2),
                                 evaluate=evaluate, tau=0.7, t0=100.0)
-        _, _, logged = filter_arms([measurements], config, [np.random.default_rng(2)], [0.7],
+        _, _, logged = filter_arms([measurements], config, [np.random.SeedSequence(2)], [0.7],
                                    evaluate=evaluate, t0s=[100.0], log=True)
         assert logged == [records]
         assert [r.t for r in records] == [100.0 + step for step in range(1, 8)]
@@ -684,22 +787,22 @@ class TestFilterArms:
         measurements, config, evaluate = _arms_world(0, "random")
         with pytest.raises(ConfigurationError, match="tau must lie in"):
             filter_arms([measurements] * len(taus), config,
-                        [np.random.default_rng(0) for _ in taus], taus, evaluate=evaluate)
+                        [np.random.SeedSequence(0) for _ in taus], taus, evaluate=evaluate)
 
     def test_each_arm_needs_its_own_sequence_and_t0(self):
         measurements, config, _ = _arms_world(0, "random")
-        rngs = [np.random.default_rng(k) for k in range(2)]
+        seeds = [np.random.SeedSequence(k) for k in range(2)]
         with pytest.raises(ConfigurationError, match="T >= 2 per arm"):
-            filter_arms([measurements, measurements[:1]], config, rngs, (0.0, 0.5))
+            filter_arms([measurements, measurements[:1]], config, seeds, (0.0, 0.5))
         with pytest.raises(ConfigurationError, match="one measurement sequence"):
-            filter_arms([measurements], config, rngs, (0.0, 0.5))
+            filter_arms([measurements], config, seeds, (0.0, 0.5))
         with pytest.raises(ConfigurationError, match="one t0"):
-            filter_arms([measurements] * 2, config, rngs, (0.0, 0.5), t0s=[0.0])
+            filter_arms([measurements] * 2, config, seeds, (0.0, 0.5), t0s=[0.0])
 
-    def test_each_arm_needs_its_own_generator(self):
+    def test_each_arm_needs_a_seed_sequence(self):
         measurements, config, _ = _arms_world(0, "random")
+        with pytest.raises(ConfigurationError, match="one seed per trust ratio"):
+            filter_arms([measurements] * 2, config, [np.random.SeedSequence(0)], (0.0, 0.5))
         rng = np.random.default_rng(0)
-        with pytest.raises(ConfigurationError, match="generator"):
+        with pytest.raises(ConfigurationError, match="SeedSequence per trust ratio"):
             filter_arms([measurements] * 2, config, [rng, rng], (0.0, 0.5))
-        with pytest.raises(ConfigurationError, match="generator"):
-            filter_arms([measurements] * 2, config, [rng], (0.0, 0.5))

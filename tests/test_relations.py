@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,20 @@ class TestDepthMatchesBruteForce:
                      (6, 8), (-6, 8), (6, -8), (-6, -8)]
         vmap = sounding_map(on_circle, range(1, 9))
         assert relation_at(vmap, RelationKind.DEPTH, (0.0, 0.0), "water") == 2.5
+
+    def test_sounding_a_subnormal_distance_from_a_node_is_an_exact_hit(self):
+        # d^2 = 1e-320 is subnormal, and 1 / d^2 overflows to inf; the point
+        # is an exact hit, so the overflow must stay silent.
+        vmap = sounding_map([(1e-160, 0.0), (10, 0), (0, 10)], [3.0, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = eval_relation_many(vmap, RelationKind.DEPTH,
+                                     np.array([[0.0, 0.0], [5.0, 5.0]]), "water")
+        expect = brute_force.depth(np.array([[0.0, 0.0], [5.0, 5.0]]),
+                                   np.array([(1e-160, 0.0), (10, 0), (0, 10)]),
+                                   np.array([3.0, 1.0, 2.0]))
+        assert got[0] == 3.0
+        np.testing.assert_array_equal(got, expect)
 
     def test_non_finite_point_is_nan(self):
         vmap = sounding_map([(0, 0), (10, 0)], [1.0, 2.0])

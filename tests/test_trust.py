@@ -128,27 +128,42 @@ class TestCalibrate:
         assert table.lookup(extract_features(track)) == 0.0
         assert report.buckets[0].track_count == 1
 
+    def picks(self, tracks):
+        """The chosen tau of the tracks' one bucket at seeds 0-19; each
+        seed's pick must not lose to the baseline in-sample."""
+        chosen = []
+        for seed in range(20):
+            table, report = calibrate(
+                tracks, corridor_evaluator(), self.config(),
+                tau_grid=(0.0, 0.5, 1.0), seed=seed,
+            )
+            bucket = report.buckets[0]
+            assert table.lookup(extract_features(tracks[0])) == bucket.chosen_tau
+            # Safety bound: chosen tau never loses to the baseline in-sample.
+            chosen_idx = bucket.tau_grid.index(bucket.chosen_tau)
+            assert bucket.mae_per_tau[chosen_idx] == min(bucket.mae_per_tau)
+            assert bucket.mae_per_tau[chosen_idx] <= bucket.mae_per_tau[0]
+            chosen.append(bucket.chosen_tau)
+        return chosen
+
+    @staticmethod
+    def mode(values):
+        counts = {value: values.count(value) for value in values}
+        return max(counts, key=counts.get)
+
     def test_compliant_agents_choose_positive_tau(self):
         # Agents glued to the corridor y = 0 under strong measurement
-        # noise: the compliance pull must help, so the argmin moves off 0.
+        # noise: the compliance pull must help, so the argmin moves off 0
+        # at most seeds.
         tracks = [
             make_track({"vessel_type": 70, "draft": 12.0, "sog_median_kn": 8.0})
             for _ in range(3)
         ]
-        table, report = calibrate(
-            tracks, corridor_evaluator(), self.config(),
-            tau_grid=(0.0, 0.5, 1.0), seed=3,
-        )
-        feat = extract_features(tracks[0])
-        assert table.lookup(feat) > 0.0
-        bucket = report.buckets[0]
-        # Safety bound: chosen tau never loses to the baseline in-sample.
-        chosen_idx = bucket.tau_grid.index(bucket.chosen_tau)
-        assert bucket.mae_per_tau[chosen_idx] <= bucket.mae_per_tau[0]
+        assert self.mode(self.picks(tracks)) > 0.0
 
     def test_violating_agents_choose_zero(self):
         # Agents far off the corridor: the evaluator concentrates mass in
-        # the wrong place, so tau = 0 wins.
+        # the wrong place, so tau = 0 wins at most seeds.
         tracks = []
         for _ in range(3):
             base = make_track({"vessel_type": 31, "draft": 3.0, "sog_median_kn": 7.0})
@@ -159,14 +174,7 @@ class TestCalibrate:
                     velocities=base.velocities, metadata=base.metadata, dt=base.dt,
                 )
             )
-        table, report = calibrate(
-            tracks, corridor_evaluator(), self.config(),
-            tau_grid=(0.0, 0.5, 1.0), seed=4,
-        )
-        feat = extract_features(tracks[0])
-        assert table.lookup(feat) == 0.0
-        bucket = report.buckets[0]
-        assert bucket.mae_per_tau[0] <= min(bucket.mae_per_tau)
+        assert self.mode(self.picks(tracks)) == 0.0
 
     def test_grid_must_contain_zero(self):
         track = make_track()
