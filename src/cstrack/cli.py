@@ -36,6 +36,7 @@ from .grids import GridSpec
 from .ingest import (
     DEFAULT_DT_S,
     DEFAULT_GAP_S,
+    MAX_STEPS,
     load_tracks,
     read_ais_csv,
     resample_track,
@@ -68,6 +69,16 @@ def _parse_numbers(text: str, what: str, form: str | None = None) -> tuple[float
         shape = f"'{form}'" if form else "a comma-separated list"
         raise ConfigurationError(f"{what} must be {shape} of finite numbers, got {text!r}")
     return values
+
+
+def _parse_origin(text: str) -> tuple[float, float]:
+    """An --origin value: lon in [-180, 180] and lat in [-90, 90] degrees, so
+    that the frame puts every lon/lat within 2 pi R (about 4e7 m) of it."""
+    lon, lat = _parse_numbers(text, "--origin", "lon,lat")
+    if not (abs(lon) <= 180.0 and abs(lat) <= 90.0):
+        raise ConfigurationError(
+            f"--origin must lie in lon [-180, 180], lat [-90, 90] degrees, got {text!r}")
+    return lon, lat
 
 
 def _seed(text: str) -> int:
@@ -141,7 +152,7 @@ def cmd_ingest(args) -> int:
         raise ConfigurationError(f"{args.csv}: no valid records")
     frame = None
     if args.origin is not None:
-        lon, lat = _parse_numbers(args.origin, "--origin", "lon,lat")
+        lon, lat = _parse_origin(args.origin)
         frame = LocalFrame(origin_lon=lon, origin_lat=lat)
     tracks, frame = segment_tracks(records, gap_s=gap_s, frame=frame)
     resampled = []
@@ -151,9 +162,9 @@ def cmd_ingest(args) -> int:
             resampled.append(resample_track(track, dt=dt))
         except ConfigurationError:
             skipped += 1
-    log.info("ingested %d records into %d tracks (%d skipped: shorter than dt=%s, "
-             "too many samples or a coordinate beyond the bound)",
-             stats.records_kept, len(resampled), skipped, dt)
+    log.info("ingested %d records into %d tracks (%d skipped: shorter than dt=%s "
+             "or more than %d samples)",
+             stats.records_kept, len(resampled), skipped, dt, MAX_STEPS)
     if not resampled:
         raise ConfigurationError("no track survived segmentation and resampling")
     save_tracks(resampled, frame, args.out, stats=stats)
@@ -175,9 +186,7 @@ def _column_map(text: str | None) -> dict | None:
 
 
 def cmd_build_starmap(args) -> int:
-    origin = (
-        _parse_numbers(args.origin, "--origin", "lon,lat") if args.origin is not None else None
-    )
+    origin = _parse_origin(args.origin) if args.origin is not None else None
     vmap, frame = load_geojson(args.map, origin=origin)
     perturbations = perturbations_from_config(
         vmap, load_perturbation_config(args.perturb)
@@ -279,11 +288,6 @@ def cmd_track(args) -> int:
         program = parse_file(args.constitution)
         layers, _ = load_starmap(args.starmap)
         evaluate = _evaluator_for(program, layers, args.mode)
-    for track in tracks:
-        if track.dt is None:
-            raise ConfigurationError(
-                f"track {track.vessel_id} has no uniform dt; run ingest first"
-            )
     if use_constitution and trust_table is not None:
         taus = [trust_table.lookup(extract_features(track)) for track in tracks]
     else:
@@ -337,8 +341,6 @@ def cmd_calibrate(args) -> int:
     if not tracks:
         raise ConfigurationError("no tracks in input")
     dts = {t.dt for t in tracks}
-    if None in dts:
-        raise ConfigurationError("tracks must be resampled to a uniform dt")
     if len(dts) != 1:
         raise ConfigurationError(f"tracks carry mixed dt values {sorted(dts)}")
     config = dataclasses.replace(_load_filter_config(args), dt=float(dts.pop()))

@@ -43,9 +43,5 @@ class NoDepthDataError(CstrackError):
     """Depth relation requested for a tag with no depth soundings."""
 
 
-class DegenerateBeliefError(CstrackError):
-    """All particle weights collapsed to zero during an update."""
-
-
 class StuckAgentError(CstrackError):
     """Synthetic agent exceeded the rejection budget while proposing moves."""

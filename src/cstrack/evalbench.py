@@ -87,8 +87,7 @@ class Scenario:
     """A fully resolved benchmark setup."""
 
     field: ConstitutionField
-    truth_tracks: list[np.ndarray]  # (T, 2) each, shared dt
-    dt: float
+    truth_tracks: list[np.ndarray]  # (T, 2) each, at filter_config.dt
     filter_config: FilterConfig
     taus: tuple[float, ...]
     n_seeds: int
@@ -304,7 +303,6 @@ def load_scenario(path) -> Scenario:
     return Scenario(
         field=f,
         truth_tracks=tracks,
-        dt=dt,
         filter_config=filter_cfg,
         taus=taus,
         n_seeds=n_seeds,

@@ -30,11 +30,10 @@ _NODE_SNAP = 1e-9
 # The most nodes a grid may have; every layer and field allocates per node.
 MAX_GRID_NODES = 1_000_000
 
-# The largest |coordinate| of a grid bbox (m), of a track position (m) or
-# velocity (m/s), and of a bench agent's velocity and kick spread and the
-# filter's start-cloud spreads: far beyond any local frame on Earth, and
-# small enough that squared distances and the filter's squared residuals
-# stay finite.
+# The largest |coordinate| of a grid bbox (m) and a track position (m), and
+# of a bench agent's velocity and kick spread and the filter's start-cloud
+# spreads: far beyond any local frame on Earth, and small enough that
+# squared distances and the filter's squared residuals stay finite.
 MAX_COORD = 1e8
 
 # How a file stores a raster: one base64 string of the row-major,

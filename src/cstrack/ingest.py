@@ -10,6 +10,7 @@ uniform time grid in the shared local tangent frame.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -158,7 +159,6 @@ class Track:
     vessel_id: str
     times: np.ndarray  # (T,) seconds, strictly increasing
     positions: np.ndarray  # (T, 2) meters
-    velocities: np.ndarray  # (T, 2) m/s
     metadata: dict = field(default_factory=dict)
     dt: float | None = None  # uniform spacing; None before resampling
 
@@ -169,23 +169,10 @@ class Track:
             raise ConfigurationError("track timestamps must strictly increase")
         self.times.setflags(write=False)
         self.positions.setflags(write=False)
-        self.velocities.setflags(write=False)
 
     @property
     def size(self) -> int:
         return len(self.times)
-
-
-def _difference_velocities(times: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Central differences, one-sided at the ends."""
-    out = np.empty_like(positions)
-    dt_fwd = (times[1:] - times[:-1])[:, None]
-    out[0] = (positions[1] - positions[0]) / dt_fwd[0]
-    out[-1] = (positions[-1] - positions[-2]) / dt_fwd[-1]
-    if len(times) > 2:
-        span = (times[2:] - times[:-2])[:, None]
-        out[1:-1] = (positions[2:] - positions[:-2]) / span
-    return out
 
 
 def segment_tracks(records: list[AisRecord], gap_s: float = DEFAULT_GAP_S,
@@ -234,13 +221,7 @@ def segment_tracks(records: list[AisRecord], gap_s: float = DEFAULT_GAP_S,
                 "segment": seq,
             }
             tracks.append(
-                Track(
-                    vessel_id=vessel,
-                    times=times,
-                    positions=positions,
-                    velocities=_difference_velocities(times, positions),
-                    metadata=metadata,
-                )
+                Track(vessel_id=vessel, times=times, positions=positions, metadata=metadata)
             )
     return tracks, frame
 
@@ -248,12 +229,10 @@ def segment_tracks(records: list[AisRecord], gap_s: float = DEFAULT_GAP_S,
 def resample_track(track: Track, dt: float = DEFAULT_DT_S) -> Track:
     """Linear position interpolation onto a uniform dt grid.
 
-    The grid starts at the first sample and spans the original range;
-    velocities are recomputed by central differences (one-sided at the
-    ends). Original samples falling on the grid keep their positions.
+    The grid starts at the first sample and spans the original range.
+    Original samples falling on the grid keep their positions.
     ConfigurationError if the grid has fewer than 2 samples or more than
-    MAX_STEPS, or if a position or velocity exceeds grids.MAX_COORD, which
-    a tracks file may not hold.
+    MAX_STEPS.
     """
     if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
@@ -275,16 +254,10 @@ def resample_track(track: Track, dt: float = DEFAULT_DT_S) -> Track:
             np.interp(times, track.times, track.positions[:, 1]),
         ]
     )
-    velocities = _difference_velocities(times, positions)
-    if max(np.abs(positions).max(), np.abs(velocities).max()) > MAX_COORD:
-        raise ConfigurationError(
-            f"track {track.vessel_id} has a coordinate beyond {MAX_COORD:g} at dt={dt:g} s"
-        )
     return Track(
         vessel_id=track.vessel_id,
         times=times,
         positions=positions,
-        velocities=velocities,
         metadata=dict(track.metadata),
         dt=dt,
     )
@@ -295,15 +268,15 @@ def resample_track(track: Track, dt: float = DEFAULT_DT_S) -> Track:
 
 
 def tracks_to_json(tracks: list[Track], frame: LocalFrame) -> dict:
+    """The tracks file of resampled tracks: each track's times are t0 + dt * k."""
     return {
         "origin_lonlat": [frame.origin_lon, frame.origin_lat],
         "tracks": [
             {
                 "vessel_id": t.vessel_id,
+                "t0": float(t.times[0]),
                 "dt": t.dt,
-                "times": [float(v) for v in t.times],
-                "positions": [[float(a), float(b)] for a, b in t.positions],
-                "velocities": [[float(a), float(b)] for a, b in t.velocities],
+                "positions": t.positions.tolist(),
                 "metadata": t.metadata,
             }
             for t in tracks
@@ -317,21 +290,23 @@ _NUMERIC_METADATA = ("vessel_type", "draft", "sog_median_kn")
 
 def _track_from_json(entry: dict, key: str) -> Track:
     vessel_id = jsonio.typed(entry["vessel_id"], str, f"{key}.vessel_id")
-    times = jsonio.floats(entry["times"], f"{key}.times")
-    positions, velocities = (
-        jsonio.points(jsonio.typed(entry[name], list, f"{key}.{name}"), f"{key}.{name}",
-                      lo=-MAX_COORD, hi=MAX_COORD)
-        for name in ("positions", "velocities"))
-    if not (len(positions) == len(velocities) == len(times) and np.isfinite(times).all()):
-        raise FormatError(f"{key} needs T finite times, positions and velocities, got "
-                          f"{len(times)}, {len(positions)} and {len(velocities)}")
-    dt = None if entry.get("dt") is None else jsonio.number(entry["dt"], f"{key}.dt", above=0)
+    positions = jsonio.points(jsonio.typed(entry["positions"], list, f"{key}.positions"),
+                              f"{key}.positions", lo=-MAX_COORD, hi=MAX_COORD)
+    try:  # an older file has no t0, and dt null on a track it did not resample
+        t0 = jsonio.number(entry.get("t0"), f"{key}.t0")
+        dt = jsonio.number(entry.get("dt"), f"{key}.dt", above=0)
+    except FormatError as exc:
+        raise FormatError(f"{exc}; write the tracks file again with ingest") from exc
+    if not math.isfinite(t0 + dt * (len(positions) - 1)):
+        raise FormatError(f"{key}'s last time t0 + dt * (T - 1) must be finite")
     metadata = dict(jsonio.typed(entry.get("metadata", {}), dict, f"{key}.metadata"))
     for name in _NUMERIC_METADATA:
         if metadata.get(name) is not None:
             jsonio.number(metadata[name], f"{key}.metadata.{name}")
-    return Track(vessel_id=vessel_id, times=times, positions=positions,
-                 velocities=velocities, metadata=metadata, dt=dt)
+    # resample_track's grid, so a loaded track has the bits it was saved with
+    times = t0 + dt * np.arange(len(positions))
+    return Track(vessel_id=vessel_id, times=times, positions=positions, metadata=metadata,
+                 dt=dt)
 
 
 def tracks_from_json(obj: dict) -> tuple[list[Track], LocalFrame]:

@@ -19,7 +19,7 @@ import copy
 
 import numpy as np
 
-from cstrack.errors import ConfigurationError, DegenerateBeliefError
+from cstrack.errors import ConfigurationError, CstrackError
 from cstrack.particlefilter import (
     _COMPLIANCE_DEGENERATE,
     _MEASUREMENT_DEGENERATE,
@@ -32,6 +32,10 @@ from cstrack.particlefilter import (
     _resample_index,
     filter_arms,
 )
+
+
+class DegenerateBeliefError(CstrackError):
+    """All particle weights collapsed to zero during an update."""
 
 
 def belief(positions, velocities, weights=None):

@@ -93,13 +93,10 @@ CORRIDOR_CONFIG = FilterConfig(
 
 
 def _as_track(positions: np.ndarray, dt: float, vessel_id: str) -> Track:
-    times = np.arange(len(positions)) * dt
-    velocities = np.gradient(positions, dt, axis=0)
     return Track(
         vessel_id=vessel_id,
-        times=times,
+        times=np.arange(len(positions)) * dt,
         positions=np.asarray(positions, dtype=float),
-        velocities=velocities,
         metadata={"vessel_type": 70, "draft": 11.0, "sog_median_kn": 8.0},
         dt=dt,
     )
@@ -246,7 +243,7 @@ def test_criterion_05_compliant_improvement(corridor):
 
     eval_tracks = corridor["agents"]("compliant", 2, seed=303)
     scenario = Scenario(
-        field=corridor["field"], truth_tracks=eval_tracks, dt=10.0,
+        field=corridor["field"], truth_tracks=eval_tracks,
         filter_config=CORRIDOR_CONFIG, taus=(tau_star,), n_seeds=20, seed=304,
     )
     ablation = run_ablation(scenario)

@@ -1,6 +1,7 @@
 import base64
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import json
@@ -24,8 +25,9 @@ from cstrack.cli import main
 from cstrack.constitution import ConstitutionEvaluator, ConstitutionField, parse, precompute_field
 from cstrack.demo import write_demo
 from cstrack.grids import ENCODING, GridSpec
-from cstrack.ingest import load_tracks
+from cstrack.ingest import Track, load_tracks, save_tracks
 from cstrack.particlefilter import FilterConfig
+from cstrack.projection import EARTH_RADIUS_M, LocalFrame
 from cstrack.relations import RelationKind
 from cstrack.starmap import StaRMapLayer, load_starmap, save_starmap
 from cstrack.trust import TrustTable, extract_features, position_mae
@@ -139,25 +141,33 @@ class TestIngest:
                 tracks, _ = load_tracks(tmp / "out" / "tracks.json")
                 assert tracks
 
-    @pytest.mark.parametrize("slow_vessel", [False, True])
-    def test_track_beyond_the_coordinate_bound_is_not_written(self, tmp_path, capsys,
-                                                              slow_vessel):
-        # 11 km in 0.1 ms is 1.1e8 m/s, beyond MAX_COORD, which load_tracks refuses.
-        text = "MMSI,BaseDateTime,LAT,LON\n1,0.0,0.0,0.0\n1,0.0001,0.0,0.1\n"
-        if slow_vessel:
-            text += "2,0.0,0.0,0.0\n2,0.0002,0.0,0.0000001\n"
-        (tmp_path / "ais.csv").write_text(text)
-        (tmp_path / "out").mkdir()
-        code = run_cli("ingest", "--csv", tmp_path / "ais.csv",
-                       "--out", tmp_path / "out" / "tracks.json", "--dt", 0.0001)
+    def test_track_across_the_globe_from_the_origin_is_written(self, tmp_path):
+        # The farthest a lon/lat lies from an origin in range: 2 pi R east,
+        # inside the bound load_tracks holds positions to. No speed bound
+        # drops the track, whose records are 1e4 km and 0.1 ms apart.
+        (tmp_path / "ais.csv").write_text("MMSI,BaseDateTime,LAT,LON\n"
+                                          "1,0.0,0.0,180.0\n1,0.0001,90.0,180.0\n")
+        assert run_cli("ingest", "--csv", tmp_path / "ais.csv", "--out", tmp_path / "t.json",
+                       "--dt", 0.0001, "--origin=-180,0") == 0
+        (track,), _ = load_tracks(tmp_path / "t.json")
+        np.testing.assert_allclose(
+            track.positions, EARTH_RADIUS_M * np.array([[2 * np.pi, 0.0], [2 * np.pi, np.pi / 2]]))
+
+    @pytest.mark.parametrize("command", ["ingest", "build-starmap"])
+    @pytest.mark.parametrize("origin", ["180.5,40", "-74,-90.5", "1e300,0", "0,1e300"])
+    def test_origin_out_of_range_is_user_error_and_writes_nothing(self, paths, tmp_path,
+                                                                   capsys, command, origin):
+        # 1e300 degrees from the origin is 1.1e304 m, beyond every bound.
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = (["--csv", paths["csv"], "--out", out / "t.json"] if command == "ingest" else
+                ["--map", paths["map"], "--perturb", paths["perturb"], "--relations",
+                 "over:corridor", "--samples", 4, "--out", out / "sm.json"])
+        code = run_cli(command, *argv, f"--origin={origin}")
         err = capsys.readouterr().err
-        check_outcome(code, err, tmp_path / "out")
-        if slow_vessel:
-            tracks, _ = load_tracks(tmp_path / "out" / "tracks.json")
-            assert [t.vessel_id for t in tracks] == ["2"]
-        else:
-            assert code == 2
-            assert "error: no track survived" in err
+        check_outcome(code, err, out)
+        assert code == 2
+        assert "error: --origin must lie in lon [-180, 180], lat [-90, 90] degrees" in err
 
     @pytest.mark.parametrize("flag, value", [
         ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--dt", "-60"),
@@ -546,9 +556,10 @@ MALFORMED_INPUTS = [
     ("track", "tracks", ("origin_lonlat",), []),
     ("track", "tracks", ("origin_lonlat",), [-74.0]),
     ("track", "tracks", ("tracks", 0, "dt"), 10**400),
-    ("track", "tracks", ("tracks", 0, "times", 2), 10**400),
+    ("track", "tracks", ("tracks", 0, "dt"), None),
+    ("track", "tracks", ("tracks", 0, "dt"), 1e308),  # t0 + dt * (T - 1) overflows
+    *[("track", "tracks", ("tracks", 0, "t0"), v) for v in (Missing(), "x", True, 10**400)],
     ("track", "tracks", ("tracks", 0, "positions", 2, 0), 1e308),
-    ("track", "tracks", ("tracks", 0, "velocities", 2, 1), -1e308),
     ("field", "starmap", ("bbox", 0), -1e300),
     ("field", "starmap", ("bbox", 2), 1.5e8),
     ("bench", "scenario", ("grid", "bbox", 0), -1e308),
@@ -867,49 +878,58 @@ class TestTrack:
             outs[label] = logs.read_bytes()
         assert outs["tau0"] == outs["none"]
 
-    def test_track_failing_partway_keeps_the_old_step_log(self, paths, tmp_path):
-        # The second track has no uniform dt, so track fails after the
-        # first track's records; the step log of the earlier run stays.
+    def test_track_failing_partway_keeps_the_old_step_log(self, paths, tmp_path, capsys):
+        # The second track's dt is beyond the filter's bound, so track fails
+        # in its block, after the first block's records; the step log of
+        # the earlier run stays.
         tracks = ingest(paths, tmp_path)
         logs = tmp_path / "steps.jsonl"
         args = ["--no-constitution", "--particles", 50, "--out-logs", logs,
                 "--out-summary", tmp_path / "s.json"]
         assert run_cli("track", "--tracks", tracks, "--seed", 9, *args) == 0
         before = logs.read_bytes()
-        doc = json.loads(tracks.read_text())
-        doc["tracks"].append(dict(doc["tracks"][0], vessel_id="late", dt=None))
+        (track,), frame = load_tracks(tracks)
+        late = Track(vessel_id="late", times=track.times[0] + 2e8 * np.arange(track.size),
+                     positions=track.positions, metadata=track.metadata, dt=2e8)
         bad = tmp_path / "bad_tracks.json"
-        bad.write_text(json.dumps(doc))
-        assert run_cli("track", "--tracks", bad, "--seed", 10, *args) == 2
+        save_tracks([track, late], frame, bad)
+        filter_arms = mock.Mock(side_effect=cli.filter_arms)
+        capsys.readouterr()
+        with mock.patch.object(cli, "filter_arms", filter_arms):
+            assert run_cli("track", "--tracks", bad, "--seed", 10, *args) == 2
+        assert filter_arms.call_count == 1
+        assert "error: bad filter config: dt must be a finite number" in capsys.readouterr().err
         assert logs.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize("key, value", [
-        ("dt", "x"), ("dt", 0), ("dt", -60.0), ("dt", True),
-        ("positions", "one short"), ("velocities", "one short"), ("velocities", "3 wide"),
-        ("times", "nested"), ("positions", "null row"), ("times", "null row"),
-        ("vessel_type", "70"), ("draft", "deep"), ("sog_median_kn", [0.1]),
+        ("dt", "x"), ("dt", 0), ("dt", -60.0), ("dt", True), ("dt", None),
+        ("t0", "x"), ("t0", True), pytest.param("t0", 10**400, id="t0-10**400"),
+        ("t0", Missing()), ("positions", "3 wide"), ("positions", "null row"),
+        ("vessel_type", "70"), ("sog_median_kn", [0.1]), ("draft", "deep"),
+        ("positions", "nested"),
     ])
     def test_malformed_tracks_file_is_user_error_and_writes_nothing(
             self, paths, tmp_path, capsys, key, value):
         # The middle one of three tracks is broken; metadata is read by the
-        # trust table, so give one.
+        # trust table, so give one. A tracks file without t0, or with dt
+        # null, is one from before t0: ingest writes it again.
         doc = json.loads(ingest(paths, tmp_path).read_text())
         good = doc["tracks"][0]
         bad = dict(good, vessel_id="bad", metadata=dict(good["metadata"]))
-        if key == "dt":
-            bad["dt"] = value
+        if isinstance(value, Missing):
+            del bad[key]
+        elif key in ("dt", "t0"):
+            bad[key] = value
         elif key in ("vessel_type", "draft", "sog_median_kn"):
             bad["metadata"][key] = value
-        elif value == "one short":
-            bad[key] = good[key][:-1]
         elif value == "3 wide":
             bad[key] = [row + [0.0] for row in good[key]]
         elif value == "null row":
             bad[key] = list(good[key])
-            bad[key][5] = None if key == "times" else [None, None]
+            bad[key][5] = [None, None]
         else:
-            bad[key] = [[t] for t in good[key]]
+            bad[key] = [[row] for row in good[key]]
         doc["tracks"] = [good, bad, dict(good, vessel_id="last")]
         tracks = tmp_path / "bad_tracks.json"
         tracks.write_text(json.dumps(doc))
@@ -925,6 +945,7 @@ class TestTrack:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: bad tracks JSON" in err and "Traceback" not in err
+        assert (f"tracks[1].{key} " in err and "again with ingest" in err) == (key in ("dt", "t0"))
         assert list(out.iterdir()) == []
 
     def test_field_and_direct_modes_run(self, paths, tmp_path):
@@ -982,12 +1003,11 @@ class TestTrack:
         zero = tmp_path / "zero.cst"
         zero.write_text(
             "1.0 :: constitution(X, Z) :- over(X, corridor), \\+ over(X, corridor).\n")
-        doc = json.loads(ingest(paths, tmp_path).read_text())
-        cargo = doc["tracks"][0]
-        doc["tracks"].append(dict(cargo, vessel_id="other",
-                                  metadata=dict(cargo["metadata"], vessel_type=None)))
+        (cargo,), frame = load_tracks(ingest(paths, tmp_path))
+        other = dataclasses.replace(cargo, vessel_id="other",
+                                    metadata=dict(cargo.metadata, vessel_type=None))
         tracks = tmp_path / "two_tracks.json"
-        tracks.write_text(json.dumps(doc))
+        save_tracks([cargo, other], frame, tracks)
         table = tmp_path / "trust.json"
         table.write_text(json.dumps({
             "default_tau": 0.0,
@@ -1003,7 +1023,7 @@ class TestTrack:
         assert code == 0
         entries = json.loads(summary.read_text())["tracks"]
         assert entries[0] == {
-            "vessel_id": cargo["vessel_id"], "tau": 1.0, "steps": 0,
+            "vessel_id": cargo.vessel_id, "tau": 1.0, "steps": 0,
             "mae_vs_recorded": None,
             "failure": "all particle weights vanished in the compliance update "
                        "(tau = 1 with zero compliance probability everywhere)",
@@ -1127,18 +1147,16 @@ def write_block_tracks(path, cases, seed):
     """One track per (samples, dt, t0, vessel type, east) case: 1 m/s
     eastward from a random start, east of x = 2700 m when east is set."""
     rng = np.random.default_rng(seed)
-    docs = []
+    tracks = []
     for k, (samples, dt, t0, kind, east) in enumerate(cases):
         times = float(t0) + dt * np.arange(samples)
         x0 = rng.uniform(2700.0, 2900.0) if east else rng.uniform(0.0, 700.0)
         positions = np.column_stack([x0 + (times - times[0]),
                                      rng.normal(0.0, 15.0, samples)])
-        docs.append({"vessel_id": f"v{k}", "dt": dt, "times": times.tolist(),
-                     "positions": positions.tolist(),
-                     "velocities": np.tile([1.0, 0.0], (samples, 1)).tolist(),
-                     "metadata": {"vessel_type": VESSEL_TYPES[kind], "draft": None,
-                                  "sog_median_kn": None}})
-    path.write_text(json.dumps({"origin_lonlat": list(world.ORIGIN), "tracks": docs}))
+        tracks.append(Track(vessel_id=f"v{k}", times=times, positions=positions, dt=dt,
+                            metadata={"vessel_type": VESSEL_TYPES[kind], "draft": None,
+                                      "sog_median_kn": None}))
+    save_tracks(tracks, LocalFrame(*world.ORIGIN), path)
 
 
 def lone_track_outputs(tracks_path, starmap, program_path, mode, table, seed):
@@ -1280,7 +1298,7 @@ class TestCalibrate:
 
     def test_empty_inputs_exit_2(self, paths, tmp_path):
         empty = tmp_path / "empty.json"
-        empty.write_text(json.dumps({"origin_lonlat": [0, 0], "tracks": []}))
+        save_tracks([], LocalFrame(0.0, 0.0), empty)
         code = run_cli("calibrate", "--tracks", empty,
                        "--constitution", paths["constitution"],
                        "--starmap", tmp_path / "missing.json",

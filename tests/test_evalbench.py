@@ -107,7 +107,7 @@ def small_scenario(mode="compliant", n_seeds=3, taus=(0.0, 1.0), noise=50.0):
     ]
     config = FilterConfig(particles=400, dt=10.0, sigma_a=0.3,
                           measurement_noise_std=noise)
-    return Scenario(field=f, truth_tracks=tracks, dt=10.0, filter_config=config,
+    return Scenario(field=f, truth_tracks=tracks, filter_config=config,
                     taus=tuple(taus), n_seeds=n_seeds, seed=99)
 
 
@@ -150,7 +150,7 @@ class TestRunAblation:
     def straight_scenario(self, value, tracks, taus):
         config = FilterConfig(particles=100, dt=10.0, sigma_a=0.3,
                               measurement_noise_std=50.0)
-        return Scenario(field=constant_field(value), truth_tracks=tracks, dt=10.0,
+        return Scenario(field=constant_field(value), truth_tracks=tracks,
                         filter_config=config, taus=taus, n_seeds=1, seed=3)
 
     def line(self, steps=12):

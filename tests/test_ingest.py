@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -148,10 +150,7 @@ class TestResample:
     def make_track(self, times, xs, ys):
         times = np.asarray(times, dtype=float)
         positions = np.column_stack([xs, ys]).astype(float)
-        velocities = np.zeros_like(positions)
-        return Track(
-            vessel_id="t", times=times, positions=positions, velocities=velocities
-        )
+        return Track(vessel_id="t", times=times, positions=positions)
 
     def test_uniform_track_unchanged(self):
         track = self.make_track([0, 60, 120], [0, 60, 120], [0, 0, 0])
@@ -163,8 +162,8 @@ class TestResample:
         track = self.make_track([0, 30, 90, 120], [0, 30, 90, 120], [0, 0, 0, 0])
         out = resample_track(track, dt=40.0)
         np.testing.assert_allclose(out.positions[:, 0], [0.0, 40.0, 80.0, 120.0])
-        np.testing.assert_allclose(out.velocities[:, 0], 1.0, atol=1e-12)
-        np.testing.assert_allclose(out.velocities[:, 1], 0.0, atol=1e-12)
+        np.testing.assert_array_equal(out.positions[:, 1], 0.0)
+        np.testing.assert_array_equal(out.times, [0.0, 40.0, 80.0, 120.0])
 
     def test_random_track_matches_interp_oracle(self):
         # Independent piecewise-linear oracle evaluated point by point.
@@ -225,3 +224,23 @@ class TestPersistence:
         assert len(loaded) == 1
         np.testing.assert_allclose(loaded[0].positions, tracks[0].positions)
         assert loaded[0].dt == 60.0
+
+    def test_round_trip_keeps_the_resampled_bits(self, tmp_path):
+        # An epoch t0 and a dt of no short binary form: the loaded times,
+        # t0 + dt * k, are resample_track's bit for bit.
+        rng = np.random.default_rng(11)
+        times = 1.583e9 + np.cumsum(rng.uniform(1.0, 90.0, 40))
+        track = Track(vessel_id="t", times=times, positions=rng.normal(0.0, 1e4, (40, 2)),
+                      metadata={"segment": 0})
+        resampled = [resample_track(track, dt=dt) for dt in (7.3, 60.0, 0.1)]
+        frame = LocalFrame(origin_lon=-74.0, origin_lat=40.6)
+        path = tmp_path / "tracks.json"
+        save_tracks(resampled, frame, path)
+        doc = json.loads(path.read_text())
+        assert [sorted(entry) for entry in doc["tracks"]] == [
+            ["dt", "metadata", "positions", "t0", "vessel_id"]] * 3
+        loaded, _ = load_tracks(path)
+        for got, want in zip(loaded, resampled):
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.positions.tobytes() == want.positions.tobytes()
+            assert (got.dt, got.metadata) == (want.dt, want.metadata)

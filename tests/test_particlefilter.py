@@ -7,12 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cstrack.constitution import ConstitutionEvaluator, parse, precompute_field
 from cstrack.constitution.field import ConstitutionField
-from cstrack.errors import (
-    ConfigurationError,
-    CstrackError,
-    DegenerateBeliefError,
-    FormatError,
-)
+from cstrack.errors import ConfigurationError, CstrackError, FormatError
 from cstrack import particlefilter
 from cstrack.grids import GridSpec
 from cstrack.particlefilter import (
@@ -29,6 +24,7 @@ from cstrack.particlefilter import (
 from cstrack.relations import RelationKind
 from cstrack.starmap import StaRMapLayer
 from reference_filter import (
+    DegenerateBeliefError,
     belief,
     effective_sample_size,
     estimate,

@@ -16,14 +16,11 @@ from cstrack.trust import (
 
 def make_track(metadata=None, steps=30, dt=60.0, speed=(5.0, 0.0)):
     times = np.arange(steps) * dt
-    positions = np.outer(times, np.asarray(speed)) / dt * dt
     positions = np.column_stack([times * speed[0], times * speed[1]])
-    velocities = np.tile(speed, (steps, 1))
     return Track(
         vessel_id="v",
         times=times,
         positions=positions,
-        velocities=velocities,
         metadata=metadata or {},
         dt=dt,
     )
@@ -171,7 +168,7 @@ class TestCalibrate:
             tracks.append(
                 Track(
                     vessel_id="v", times=base.times, positions=shifted,
-                    velocities=base.velocities, metadata=base.metadata, dt=base.dt,
+                    metadata=base.metadata, dt=base.dt,
                 )
             )
         assert self.mode(self.picks(tracks)) == 0.0
