@@ -19,7 +19,7 @@ thousands of (state, measurement) rows at once. Program structure never
 depends on the interpolated values, only on the program text and on which
 layers exist, so all rows share one compiled structure. A row that reads a
 flagged layer cell or a point outside a layer is NaN; particle_probabilities
-(direct mode) first clamps positions and the measurement into the layers'
+(direct mode) first clamps positions and measurements into the layers'
 common bbox, exactly as field mode clamps into the field's bbox.
 """
 
@@ -155,11 +155,11 @@ class ConstitutionEvaluator:
         self.compiled = CompiledQuery(self.ground_program)
 
     def parameter_rows(self, n: int, moments) -> np.ndarray:
-        """(n, k) Bernoulli parameters from moments(layer, at), the (n,)
-        mean and std arrays of a slot's layer at its query point (at is
-        "state" or "measurement"), or (1,) arrays of one point that every
-        row shares, whose parameters are computed once and fill the column
-        with the bits of n equal rows; NaN entries where those are NaN."""
+        """(n, k) Bernoulli parameters from moments(layer, at), the (m,)
+        mean and std arrays of a slot's layer at its query points (at is
+        "state" or "measurement"). The m points fill the n = m * r rows in
+        order, r consecutive rows each, with the bits of r equal rows;
+        NaN entries where those are NaN."""
         gp = self.ground_program
         params = np.empty((n, gp.n_probabilistic))
         moment_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -171,12 +171,15 @@ class ConstitutionEvaluator:
                 moment_cache[slot] = moments(entry["layer"], entry["at"])
             return moment_cache[slot]
 
+        def fill(i, values):
+            params.reshape(len(values), -1, params.shape[1])[:, :, i] = values[:, None]
+
         for i, spec in enumerate(gp.fact_params):
             if isinstance(spec, StaticParam):
                 params[:, i] = spec.value
             elif isinstance(spec, SlotParam):
                 mean, _ = slot_moments(spec.slot)
-                params[:, i] = np.clip(mean, 0.0, 1.0)
+                fill(i, np.clip(mean, 0.0, 1.0))
             else:
                 key = (spec.slot, spec.thresholds)
                 if key not in chain_cache:
@@ -184,13 +187,13 @@ class ConstitutionEvaluator:
                     sigma = np.maximum(std, SIGMA_FLOOR_M)
                     q = interval_probabilities(mean, sigma, spec.thresholds)
                     chain_cache[key] = chain_parameters(q)
-                params[:, i] = chain_cache[key][spec.index]
+                fill(i, chain_cache[key][spec.index])
         return params
 
     def parameter_matrix(self, states: np.ndarray, measurements: np.ndarray) -> np.ndarray:
-        """(N, k) Bernoulli parameters for (N, 2) states and matching (N, 2)
-        measurements, or one (1, 2) measurement that every state shares;
-        NaN entries where a slot's point is flagged or outside its layer."""
+        """(N, k) Bernoulli parameters for (N, 2) states and (m, 2)
+        measurements that fill the rows as in parameter_rows; NaN entries
+        where a slot's point is flagged or outside its layer."""
         points = {"state": states, "measurement": measurements}
         return self.parameter_rows(
             len(states), lambda layer, at: interpolate_many(layer, points[at]))
@@ -214,14 +217,11 @@ class ConstitutionEvaluator:
         return np.clip(out, 0.0, 1.0)
 
     def particle_probabilities(self, positions, z) -> np.ndarray:
-        """Per-particle compliance (direct mode); NaN where undefined.
-
-        Positions and the measurement z, one shared (2,) point or one
-        (N, 2) row per position, are clamped into the layers' common bbox
-        (constant extrapolation at the map edge). A shared z is clamped and
-        read once.
-        """
-        states = clamp_to_bbox(positions, self._bbox)
-        z = np.asarray(z, dtype=float)
-        meas = z[None] if z.shape == (2,) else np.broadcast_to(z, states.shape)
-        return self.probabilities(states, clamp_to_bbox(meas, self._bbox))
+        """(A, N) compliance (direct mode) of the (A, N, 2) positions of A
+        arms, each arm's (2,) row of z read once for its N particles; NaN
+        where undefined. Both are clamped into the layers' common bbox
+        (constant extrapolation at the map edge)."""
+        positions = np.asarray(positions, dtype=float)
+        states = clamp_to_bbox(positions.reshape(-1, 2), self._bbox)
+        meas = clamp_to_bbox(np.reshape(z, (-1, 2)), self._bbox)
+        return self.probabilities(states, meas).reshape(positions.shape[:-1])

@@ -4,8 +4,9 @@ When the environment and measurement policy are static, evaluating the
 constitution on a grid once and interpolating afterwards replaces per-point
 inference in the tracking loop (field mode). Field mode and direct mode
 (ConstitutionEvaluator) share the per-particle protocol
-particle_probabilities(positions, z) -> (N,), with z of shape (2,) or
-(N, 2): both clamp positions into the bbox (field mode inside
+particle_probabilities(positions, z) -> (A, N), for the (A, N, 2)
+positions and (A, 2) measurements of A filter arms: both clamp
+positions into the bbox (field mode inside
 grids.bilinear_clamped, direct mode through grids.clamp_to_bbox), and
 both return NaN wherever the interpolation gives a flagged node a
 nonzero weight. What the filter does with NaN is decided by
@@ -56,12 +57,11 @@ class ConstitutionField:
         return bilinear_clamped(self.grid, self.values, points, self._masked)
 
     def particle_probabilities(self, positions, z) -> np.ndarray:
-        """Per-particle compliance (field mode); NaN where undefined.
-
-        z is not read: the field fixed the measurement when it was
-        precomputed.
-        """
-        return self.at_clamped(positions)
+        """(A, N) compliance (field mode) of (A, N, 2) positions; NaN where
+        undefined. z is not read: the field fixed the measurement when it
+        was precomputed."""
+        positions = np.asarray(positions, dtype=float)
+        return self.at_clamped(positions.reshape(-1, 2)).reshape(positions.shape[:-1])
 
     def to_json(self) -> dict:
         return {

@@ -8,8 +8,10 @@ measurement sequences, initial clouds, and random draws. The comparison
 is trust.sweep, the same tau experiment calibration runs: its tau = 0
 arm is the plain filter, bit for bit, and serves as the baseline. The
 filter reads the scenario field through its particle_probabilities, the
-same field-mode evaluator the CLI uses. An agent treats a NaN field value
-as acceptance 0; the filter leaves NaN to particlefilter._compliance_factor.
+same field-mode evaluator the CLI uses, which takes the (A, N, 2)
+positions of a sweep's A arms and their (A, 2) measurements and reads the
+positions only. An agent treats a NaN field value as acceptance 0; the
+filter leaves NaN to particlefilter._compliance_factor.
 """
 
 from __future__ import annotations

@@ -292,6 +292,8 @@ def _track_from_json(entry: dict, key: str) -> Track:
     vessel_id = jsonio.typed(entry["vessel_id"], str, f"{key}.vessel_id")
     positions = jsonio.points(jsonio.typed(entry["positions"], list, f"{key}.positions"),
                               f"{key}.positions", lo=-MAX_COORD, hi=MAX_COORD)
+    if len(positions) < 2:
+        raise FormatError(f"{key}.positions must hold at least 2 points, got {len(positions)}")
     try:  # an older file has no t0, and dt null on a track it did not resample
         t0 = jsonio.number(entry.get("t0"), f"{key}.t0")
         dt = jsonio.number(entry.get("dt"), f"{key}.dt", above=0)
@@ -305,6 +307,9 @@ def _track_from_json(entry: dict, key: str) -> Track:
             jsonio.number(metadata[name], f"{key}.metadata.{name}")
     # resample_track's grid, so a loaded track has the bits it was saved with
     times = t0 + dt * np.arange(len(positions))
+    if (np.diff(times) <= 0).any():
+        raise FormatError(f"{key}.dt = {dt!r} is too small beside t0 = {t0!r} for the times "
+                          "to increase; write the tracks file again with ingest")
     return Track(vessel_id=vessel_id, times=times, positions=positions, metadata=metadata,
                  dt=dt)
 

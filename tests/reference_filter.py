@@ -156,7 +156,8 @@ def stepwise_run(measurements, config, seed, evaluate, tau, t0=0.0):
                                                      config.measurement_model)
             mean_prob = None
             if evaluate is not None and tau > 0.0:
-                probs = np.asarray(evaluate(_positions(states), z), dtype=float)
+                probs = np.asarray(evaluate(_positions(states)[None], np.reshape(z, (1, 2))),
+                                   dtype=float)[0]
                 defined = probs[~np.isnan(probs)]
                 mean_prob = float(defined.mean()) if defined.size else None
                 weights = update_constitution(weights, probs, tau)

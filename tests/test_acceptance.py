@@ -356,7 +356,7 @@ def test_criterion_09_filter_statistics():
     states, weights = belief(
         rng.normal(scale=20.0, size=(n, 2)), rng.normal(size=(n, 2))
     )
-    process = ProcessModel.constant_velocity(1.0, 0.3)
+    process = ProcessModel(1.0, 0.3)
     meas = MeasurementModel.isotropic(15.0)
     z = np.zeros(2)
     for step in range(10_000):

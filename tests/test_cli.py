@@ -907,7 +907,7 @@ class TestTrack:
         ("t0", "x"), ("t0", True), pytest.param("t0", 10**400, id="t0-10**400"),
         ("t0", Missing()), ("positions", "3 wide"), ("positions", "null row"),
         ("vessel_type", "70"), ("sog_median_kn", [0.1]), ("draft", "deep"),
-        ("positions", "nested"),
+        ("positions", "nested"), ("positions", "one row"), ("dt", "1 at t0 1e17"),
     ])
     def test_malformed_tracks_file_is_user_error_and_writes_nothing(
             self, paths, tmp_path, capsys, key, value):
@@ -919,6 +919,8 @@ class TestTrack:
         bad = dict(good, vessel_id="bad", metadata=dict(good["metadata"]))
         if isinstance(value, Missing):
             del bad[key]
+        elif value == "1 at t0 1e17":  # the times t0 + dt * k round to equal values
+            bad.update(t0=1e17, dt=1.0)
         elif key in ("dt", "t0"):
             bad[key] = value
         elif key in ("vessel_type", "draft", "sog_median_kn"):
@@ -928,6 +930,8 @@ class TestTrack:
         elif value == "null row":
             bad[key] = list(good[key])
             bad[key][5] = [None, None]
+        elif value == "one row":
+            bad[key] = good[key][:1]
         else:
             bad[key] = [[row] for row in good[key]]
         doc["tracks"] = [good, bad, dict(good, vessel_id="last")]
@@ -944,7 +948,8 @@ class TestTrack:
                        "--out-summary", out / "s.json")
         assert code == 2
         err = capsys.readouterr().err
-        assert "error: bad tracks JSON" in err and "Traceback" not in err
+        assert "error: bad tracks JSON: tracks[1]." in err and key in err
+        assert "Traceback" not in err
         assert (f"tracks[1].{key} " in err and "again with ingest" in err) == (key in ("dt", "t0"))
         assert list(out.iterdir()) == []
 

@@ -258,6 +258,9 @@ class TestEvaluatorBatch:
     @pytest.mark.parametrize("z", [(37.5, 61.0), (-400.0, 1e5), (0.0, 0.0)],
                              ids=["inside", "outside", "flagged"])
     def test_a_shared_z_is_read_once_per_layer_with_the_bits_of_a_row_each(self, z):
+        # Three arms of 100 particles, each with its own measurement: the
+        # first arm's is the case's, the other two lie inside the layers
+        # and beyond their east edge. Each Z slot reads 3 points, not 300.
         program = parse(
             "0.9 :: constitution(X, Z) :- over(Z, land), over(X, land), "
             "distance(Z, way) < 40.\n"
@@ -268,7 +271,8 @@ class TestEvaluatorBatch:
         flagged = StaRMapLayer(relation=way.relation, tag=way.tag, grid=way.grid,
                                mean=mean, std=way.std.copy(), sample_count=2)
         ev = ConstitutionEvaluator(program, [gradient_layer("over", "land"), flagged])
-        positions = np.random.default_rng(9).uniform(-20.0, 120.0, size=(300, 2))
+        positions = np.random.default_rng(9).uniform(-20.0, 120.0, size=(3, 100, 2))
+        zs = np.array([z, (12.5, 80.0), (250.0, 40.0)])
         reads = []
 
         def counting_interpolate_many(layer, points):
@@ -277,16 +281,51 @@ class TestEvaluatorBatch:
 
         with mock.patch.object(environment_module, "interpolate_many",
                                counting_interpolate_many):
-            got = ev.particle_probabilities(positions, np.array(z))
-        assert sorted(reads) == [("land", 1), ("land", 300), ("way", 1)]
+            got = ev.particle_probabilities(positions, zs)
+        assert sorted(reads) == [("land", 3), ("land", 300), ("way", 3)]
+        assert got.shape == (3, 100)
         bbox = way.grid.bbox
-        want = ev.probabilities(clamp_to_bbox(positions, bbox),
-                                clamp_to_bbox(np.broadcast_to(z, positions.shape), bbox))
+        want = ev.probabilities(clamp_to_bbox(positions.reshape(-1, 2), bbox),
+                                clamp_to_bbox(np.repeat(zs, 100, axis=0), bbox))
         assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got[1:]).all()
         if z == (0.0, 0.0):
-            assert np.isnan(got).all()
+            assert np.isnan(got[0]).all()
         else:
-            assert np.isfinite(got).all()
+            assert np.isfinite(got[0]).all()
+
+    @settings(deadline=None, max_examples=40)
+    @given(arms=st.integers(1, 4), particles=st.integers(1, 6),
+           kind=st.sampled_from(["one", "per arm", "per row"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_measurement_rows_fill_runs_of_rows_with_the_bits_of_one_each(
+            self, arms, particles, kind, seed):
+        # m measurements fill n = m * r rows, r consecutive rows each; the
+        # bits are those of one measurement per row, batched or row by row,
+        # across flagged cells and points outside the layers.
+        program = parse(
+            "0.8 :: constitution(X, Z) :- over(Z, land), over(X, land), "
+            "distance(Z, way) < 40, distance(X, way) > 10.\n"
+        )
+        rng = np.random.default_rng(seed)
+        way = gradient_layer("distance", "way")
+        mean = way.mean * 100.0
+        mean[rng.uniform(size=mean.shape) < 0.2] = np.nan
+        layers = [gradient_layer("over", "land"),
+                  StaRMapLayer(relation=way.relation, tag=way.tag, grid=way.grid,
+                               mean=mean, std=rng.uniform(0.0, 20.0, size=mean.shape),
+                               sample_count=2)]
+        ev = ConstitutionEvaluator(program, layers)
+        n = arms * particles
+        m = {"one": 1, "per arm": arms, "per row": n}[kind]
+        states = rng.uniform(-20.0, 120.0, size=(n, 2))
+        measurements = rng.uniform(-20.0, 120.0, size=(m, 2))
+        per_row = np.repeat(measurements, n // m, axis=0)
+        got = ev.parameter_matrix(states, measurements)
+        assert got.tobytes() == ev.parameter_matrix(states, per_row).tobytes()
+        for i in range(n):
+            row = ev.parameter_matrix(states[i:i + 1], per_row[i:i + 1])
+            assert got[i:i + 1].tobytes() == row.tobytes()
 
     def test_particle_probabilities_clamp_into_the_layer_bbox(self):
         program = parse("1.0 :: constitution(X, Z) :- over(X, land), over(Z, land).")

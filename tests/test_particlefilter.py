@@ -45,18 +45,19 @@ def single_particle(p, v):
 class TestPredict:
     def test_deterministic_transition(self):
         states, weights = single_particle((0.0, 0.0), (1.0, 2.0))
-        process = ProcessModel(dt=1.0, Q=np.zeros((4, 4)))
+        process = ProcessModel(dt=1.0, sigma_a=0.0)
         out, _ = predict(states, weights, process, np.random.default_rng(0))
         np.testing.assert_array_equal(out[:, :2], [[1.0, 2.0]])
         np.testing.assert_array_equal(out[:, 2:], [[1.0, 2.0]])
 
     def test_zero_dt_rejected_but_tiny_ok(self):
-        with pytest.raises(ConfigurationError):
-            ProcessModel(dt=0.0, Q=np.zeros((4, 4)))
+        for dt in (0.0, float("nan")):
+            with pytest.raises(ConfigurationError):
+                ProcessModel(dt=dt, sigma_a=0.0)
 
     def test_identity_with_zero_q_and_velocity(self):
         states, weights = single_particle((3.0, 4.0), (0.0, 0.0))
-        process = ProcessModel(dt=5.0, Q=np.zeros((4, 4)))
+        process = ProcessModel(dt=5.0, sigma_a=0.0)
         out, _ = predict(states, weights, process, np.random.default_rng(0))
         np.testing.assert_array_equal(out[:, :2], states[:, :2])
 
@@ -65,21 +66,29 @@ class TestPredict:
         sigma_a, dt, n = 0.5, 2.0, 100_000
         q = cv_process_noise(dt, sigma_a)
         states, weights = belief(np.zeros((n, 2)), np.zeros((n, 2)))
-        process = ProcessModel(dt=dt, Q=q)
+        process = ProcessModel(dt=dt, sigma_a=sigma_a)
         out, _ = predict(states, weights, process, np.random.default_rng(7))
         sample_cov = np.cov(out[:, :2].T)
         np.testing.assert_allclose(
             sample_cov, q[:2, :2], rtol=0.05, atol=0.05 * q[0, 0]
         )
 
+    @pytest.mark.parametrize("dt, sigma_a", [(1e-8, 1e8), (1e8, 1e3)])
+    def test_extreme_configs_construct(self, dt, sigma_a):
+        # Q is positive semidefinite by construction; at these scales an
+        # eigenvalue check reads a rounding error as a negative eigenvalue.
+        process = FilterConfig(dt=dt, sigma_a=sigma_a).process_model
+        assert np.array_equal(process.Q, cv_process_noise(dt, sigma_a))
+        assert np.isfinite(process.noise_factor).all()
+
     def test_weights_unchanged(self):
         states, weights = belief([(0, 0), (1, 1)], [(0, 0), (0, 0)], weights=[0.25, 0.75])
-        process = ProcessModel.constant_velocity(1.0, 0.1)
+        process = ProcessModel(1.0, 0.1)
         _, out = predict(states, weights, process, np.random.default_rng(0))
         np.testing.assert_array_equal(out, weights)
 
     def test_cached_factor_gives_the_bits_of_a_fresh_one(self):
-        process = ProcessModel.constant_velocity(2.0, 0.5)
+        process = ProcessModel(2.0, 0.5)
         states, weights = belief(np.zeros((50, 2)), np.ones((50, 2)))
         out, _ = predict(*predict(states, weights, process, np.random.default_rng(4)),
                          process, np.random.default_rng(5))
@@ -122,7 +131,7 @@ class TestMove:
         assert [seed.n_children_spawned for seed in self.seeds] == [0, 0]
 
     def test_each_stream_draws_once_per_step_for_all_its_arms(self):
-        process = ProcessModel.constant_velocity(2.0, 0.5)
+        process = ProcessModel(2.0, 0.5)
         w, q = np.linalg.eigh(process.Q)
         fresh_factor = q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
         stream_of = np.array([0, 1, 0, 0, 1])
@@ -141,14 +150,14 @@ class TestMove:
                 assert move.bit_generator.state == rng.bit_generator.state
 
     def test_a_stream_without_arms_draws_nothing(self):
-        process = ProcessModel.constant_velocity(1.0, 0.3)
+        process = ProcessModel(1.0, 0.3)
         moves = [self.children(k)[0] for k in (0, 1)]
         idle = self.children(1)[0].bit_generator.state
         _move(self.stack()[:2], process, moves, np.array([0, 0]))
         assert moves[1].bit_generator.state == idle
 
     def test_zero_q_draws_nothing(self):
-        process = ProcessModel(dt=3.0, Q=np.zeros((4, 4)))
+        process = ProcessModel(dt=3.0, sigma_a=0.0)
         moves = [self.children(k)[0] for k in (0, 1)]
         before = [rng.bit_generator.state for rng in moves]
         states = self.stack()
@@ -159,7 +168,7 @@ class TestMove:
         assert [rng.bit_generator.state for rng in moves] == before
 
     def test_non_finite_states_raise(self):
-        process = ProcessModel.constant_velocity(1.0, 0.3)
+        process = ProcessModel(1.0, 0.3)
         moves = [self.children(k)[0] for k in (0, 1)]
         states = self.stack()
         states[3, 7, 2] = np.inf
@@ -168,7 +177,7 @@ class TestMove:
         states = self.stack()
         states[1, 0, 0] = np.nan
         with pytest.raises(ConfigurationError, match="non-finite"):
-            _move(states, ProcessModel(dt=1.0, Q=np.zeros((4, 4))), moves,
+            _move(states, ProcessModel(dt=1.0, sigma_a=0.0), moves,
                   np.array([0, 1, 0, 0, 1]))
 
 
@@ -350,7 +359,7 @@ class TestKernelBoundaries:
                               ess_ratio=0.5, init_position_std=0.0, init_speed_std=0.0)
         _, failures, records = filter_arms(
             [np.zeros((2, 2))], config, [np.random.SeedSequence(0)], [1.0],
-            evaluate=lambda positions, z: np.tile([1.0, 1.0, 0.0, 0.0], len(positions) // 4),
+            evaluate=lambda positions, z: np.tile([1.0, 1.0, 0.0, 0.0], (len(positions), 1)),
             log=True)
         assert failures == [None]
         assert records[0][0].n_eff == 2.0
@@ -400,7 +409,7 @@ class TestWeightSimplexFuzz:
         states, weights = belief(
             rng.normal(scale=30.0, size=(n, 2)), rng.normal(size=(n, 2))
         )
-        process = ProcessModel.constant_velocity(1.0, 0.3)
+        process = ProcessModel(1.0, 0.3)
         meas = MeasurementModel.isotropic(20.0)
         for _ in range(5):
             states, weights = predict(states, weights, process, rng)
@@ -440,8 +449,8 @@ class TestRunFilter:
         calls = []
 
         def evaluate(p, z):
-            calls.append(len(p))
-            return np.full(len(p), 0.5)
+            calls.append(p.shape)
+            return np.full(p.shape[:2], 0.5)
 
         a, _ = run_filter(noisy, config, np.random.SeedSequence(3))
         b, _ = run_filter(noisy, config, np.random.SeedSequence(3),
@@ -450,7 +459,7 @@ class TestRunFilter:
         assert calls == []
         # The counter does see an active compliance step: one call per step.
         run_filter(noisy, config, np.random.SeedSequence(3), evaluate=evaluate, tau=0.5)
-        assert calls == [200] * (len(truth) - 1)
+        assert calls == [(1, 200, 2)] * (len(truth) - 1)
 
     def test_layer_flagged_everywhere_tracks_like_tau_zero(self):
         # No particle has a defined compliance, so every tau = 1 step keeps
@@ -485,7 +494,7 @@ class TestRunFilter:
                               measurement_noise_std=30.0)
 
         def evaluate(p, z):
-            return np.exp(-0.5 * (p[:, 1] / 10.0) ** 2)
+            return np.exp(-0.5 * (p[..., 1] / 10.0) ** 2)
 
         base, _ = run_filter(noisy, config, np.random.SeedSequence(5))
         guided, _ = run_filter(noisy, config, np.random.SeedSequence(5),
@@ -688,7 +697,7 @@ class TestFilterArms:
         measurements, config, field_eval = _arms_world(seed, field_kind)
 
         def evaluate(p, z):
-            return field_eval(p, z) * np.exp(-np.square(p - z).sum(axis=1) / 400.0)
+            return field_eval(p, z) * np.exp(-np.square(p - z[:, None]).sum(axis=2) / 400.0)
 
         sequences = [measurements[min(start, 8 - length):][:length]
                      for start, length, _, _ in arms]
@@ -761,13 +770,65 @@ class TestFilterArms:
         calls = []
 
         def evaluate(p, z):
-            calls.append(len(p))
+            calls.append(p.shape)
             return field_eval(p, z)
 
         taus = (0.0, 0.3, 1.0)
         filter_arms([measurements] * len(taus), config,
                     [np.random.SeedSequence(1) for _ in taus], taus, evaluate=evaluate)
-        assert calls == [2 * config.particles] * (len(measurements) - 1)
+        assert calls == [(2, config.particles, 2)] * (len(measurements) - 1)
+
+    @pytest.mark.parametrize("path", ["sweep", "block"])
+    def test_evaluate_gets_each_live_arm_its_positions_and_current_measurement(self, path):
+        # A recording evaluator checks the protocol: (A, N, 2) positions and
+        # (A, 2) measurements of the live arms at tau > 0, in arm order. On
+        # the block path arm 1 retires after step 3, arm 2's measurement
+        # jumps 1e5 m at step 3 (its measurement update degenerates before
+        # the compliance update), and the evaluator zeroes arm 3 at step 5
+        # (its compliance update degenerates after it is read).
+        config = FilterConfig(particles=30, dt=1.0, sigma_a=0.5, measurement_noise_std=3.0)
+        truth = np.column_stack([np.arange(8) * 4.0, np.arange(8) * 1.5])
+        noisy = truth + np.random.default_rng(3).normal(scale=3.0, size=truth.shape)
+        taus = [1.0, 0.5, 1.0, 1.0, 0.0]
+        if path == "sweep":
+            sequences = [noisy] * len(taus)
+            live = {step: [0, 1, 2, 3] for step in range(1, 8)}
+        else:
+            sequences = [noisy + (0.0, 1000.0 * k) for k in range(len(taus))]
+            sequences[1] = sequences[1][:4]
+            sequences[2][3] += 1e5
+            live = {step: [k for k in (0, 1, 2, 3)
+                           if not (k == 1 and step >= 4) and not (k == 2 and step >= 3)
+                           and not (k == 3 and step > 5)]
+                    for step in range(1, 8)}
+        poison = sequences[3][5]
+        seen = []
+
+        def evaluate(positions, z):
+            seen.append((positions.copy(), z.copy()))
+            out = np.full(positions.shape[:2], 0.5)
+            if path == "block":
+                out[(z == poison).all(axis=1)] = 0.0
+            return out
+
+        estimates, failures, _ = filter_arms(
+            sequences, config, [np.random.SeedSequence(4)] * len(taus), taus,
+            evaluate=evaluate)
+        assert len(seen) == 7
+        for step, (positions, z) in enumerate(seen, start=1):
+            arms = live[step]
+            assert positions.shape == (len(arms), config.particles, 2)
+            assert z.shape == (len(arms), 2)
+            np.testing.assert_array_equal(z, [sequences[k][step] for k in arms])
+            # Each row of positions is that arm's cloud, near its measurement.
+            assert (np.abs(positions - z[:, None]) < 100.0).all()
+        if path == "block":
+            assert failures[:2] == [None, None] and failures[4] is None
+            assert "measurement update" in failures[2]
+            assert "compliance update" in failures[3]
+            assert np.isnan(estimates[2]).all() and np.isnan(estimates[3]).all()
+        else:
+            assert failures == [None] * len(taus)
 
     def test_log_gives_the_run_filter_records(self):
         measurements, config, evaluate = _arms_world(6, "nan")

@@ -107,7 +107,7 @@ class TestMae:
 
 def corridor_evaluator(width=15.0):
     def evaluate(positions, z):
-        return np.exp(-0.5 * (positions[:, 1] / width) ** 2)
+        return np.exp(-0.5 * (positions[..., 1] / width) ** 2)
 
     return evaluate
 
@@ -204,7 +204,7 @@ class TestCalibrate:
         # only track is skipped and the bucket falls back to default_tau.
         track = make_track({"vessel_type": 70, "sog_median_kn": 8.0})
         table, report = calibrate(
-            [track], lambda p, z: np.zeros(len(p)), self.config(),
+            [track], lambda p, z: np.zeros(p.shape[:2]), self.config(),
             tau_grid=(0.0, 1.0), seed=2, default_tau=0.3,
         )
         bucket = report.buckets[0]
