@@ -61,8 +61,10 @@ def _check_spsd(mat: np.ndarray, name: str) -> np.ndarray:
     return mat
 
 
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """A read-only F with F F^T = cov; models cache it and share it."""
+def psd_factor(cov: np.ndarray) -> np.ndarray:
+    """A read-only F with F F^T = cov, from eigh: unlike a Cholesky
+    factor it also exists for a singular cov. Models cache it and share
+    it."""
     if not cov.any():
         factor = np.zeros_like(cov)
     else:
@@ -94,7 +96,7 @@ class ProcessModel:
     @cached_property
     def noise_factor(self) -> np.ndarray:
         """F with F F^T = Q, computed once per model."""
-        return _psd_factor(self.Q)
+        return psd_factor(self.Q)
 
 
 @dataclass(frozen=True)
@@ -119,26 +121,35 @@ class MeasurementModel:
     @cached_property
     def noise_factor(self) -> np.ndarray:
         """F with F F^T = R, computed once per model."""
-        return _psd_factor(self.R)
+        return psd_factor(self.R)
 
     @cached_property
-    def _inverse_and_norm(self) -> tuple[np.ndarray, float]:
+    def _inverse_and_norm(self) -> tuple[np.ndarray, float, bool]:
         inv = np.linalg.inv(self.R)
         inv.setflags(write=False)
-        return inv, 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(self.R)))
+        norm = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(self.R)))
+        return inv, norm, bool(inv[0, 1] or inv[1, 0])
 
-    def likelihood(self, deltas: np.ndarray) -> np.ndarray:
-        """Density of N(0, R) at each (..., 2) row of deltas."""
-        inv, norm = self._inverse_and_norm
-        d0, d1 = deltas[..., 0], deltas[..., 1]
-        # d^T R^-1 d term by term in row-major order, the summation order
-        # of numpy's generic contraction for three or more rows; the tests
-        # check the bits against it.
-        quad = d0 * inv[0, 0] * d0
-        quad += d0 * inv[0, 1] * d1
-        quad += d1 * inv[1, 0] * d0
-        quad += d1 * inv[1, 1] * d1
-        return norm * np.exp(-0.5 * quad)
+    def likelihood(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """Density of N(0, R) at each delta (dx, dy), given as two planes of
+        one shape.
+
+        d^T R^-1 d goes term by term in row-major order, the summation
+        order of numpy's generic contraction for three or more rows; the
+        tests check the bits against it. When R^-1 is diagonal (an
+        isotropic R among others) the two cross terms are skipped: for
+        finite deltas each adds a signed zero to a sum that is +0.0 or
+        more, which leaves its bits as they are. The filter passes finite
+        deltas only, as its states and measurements are finite.
+        """
+        inv, norm, cross = self._inverse_and_norm
+        quad = dx * inv[0, 0] * dx
+        if cross:
+            quad += dx * inv[0, 1] * dy
+            quad += dy * inv[1, 0] * dx
+        quad += dy * inv[1, 1] * dy
+        quad *= -0.5
+        return norm * np.exp(quad, out=quad)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +160,12 @@ class MeasurementModel:
 # operation is elementwise or reduces each arm's own row, so an arm's bits
 # do not depend on which other arms share the stack. Elementwise work on
 # state columns goes one column at a time: numpy is several times faster on
-# one long strided column than on many rows of two.
+# one long strided column than on many rows of two. So the measurement
+# update hands the likelihood two contiguous (A, N) planes, x and y minus
+# each arm's measurement. The arms that resample in a step share one pass,
+# _resample_indices: it counts the slots below each cumulative weight
+# instead of searching each slot in the weights, which gives the same
+# indices without a binary search per arm.
 
 
 def _move(states: np.ndarray, process: ProcessModel, streams, stream_of: np.ndarray) -> None:
@@ -200,13 +216,11 @@ def _streams(seeds) -> tuple[list[np.random.Generator], np.ndarray, list[np.rand
     return moves, stream_of, [np.random.default_rng(resample_children[k]) for k in stream_of]
 
 
-def _positions(states: np.ndarray, offset=(0.0, 0.0)) -> np.ndarray:
-    """(..., 2) copy of the positions (columns 0 and 1) minus offset, one
-    (2,) point or, for an (A, N, 4) stack, one (A, 2) row per arm."""
-    offset = np.asarray(offset, dtype=float)
+def _positions(states: np.ndarray) -> np.ndarray:
+    """(..., 2) copy of the positions, columns 0 and 1 of the states."""
     out = np.empty((*states.shape[:-1], 2))
     for i in (0, 1):
-        np.subtract(states[..., i], offset[..., i, None], out=out[..., i])
+        out[..., i] = states[..., i]
     return out
 
 
@@ -240,13 +254,58 @@ def _compliance_factor(weights: np.ndarray, probs: np.ndarray, taus: np.ndarray
     return factor, changed
 
 
-def _resample_index(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Systematic resampling: the particle each of N uniform slots copies."""
-    n = len(weights)
-    u = (rng.uniform() + np.arange(n)) / n
-    cumulative = np.cumsum(weights)
-    cumulative[-1] = 1.0
-    return np.searchsorted(cumulative, u, side="left")
+def _slot_breaks(counts: np.ndarray, cumulative: np.ndarray, r: np.ndarray, n: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Where counts break their definition as the number of slots
+    (r + j) / n, j >= 0, at or below cumulative: the masks of the counts
+    one too high and one too low."""
+    slot = counts - 1.0
+    slot += r
+    slot /= n
+    high = slot > cumulative
+    np.add(counts, r, out=slot)
+    slot /= n
+    return high, slot <= cumulative
+
+
+def _resample_indices(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Systematic resampling of each row of weights (R, N) with its uniform
+    r: the (R, N) particles that its N slots (r + j) / n copy.
+
+    A binary search of a row's cumulative weights c puts slot j on the
+    number of particles i with c_i < (r + j) / n. As the slots rise with
+    j, that is the number of particles whose count
+    K_i = #{j < n : (r + j) / n <= c_i} is at most j. K_i starts at
+    floor(c_i n - r) + 1, and the entries that break the definition move
+    one slot at a time, each slot computed as (r + j) / n is in floats, so
+    the counts are exact and every index is the binary search's, bit for
+    bit. One bincount and cumsum over all rows turn the counts into
+    indices.
+    """
+    rows, n = weights.shape
+    cumulative = np.cumsum(weights, axis=1)
+    cumulative[:, -1] = 1.0
+    r = uniforms[:, None]
+    counts = np.multiply(cumulative, n)
+    counts -= r
+    np.floor(counts, out=counts)
+    counts += 1.0
+    high, low = _slot_breaks(counts, cumulative, r, n)
+    high |= low
+    fix = np.flatnonzero(high)
+    low = low.reshape(-1)[fix]
+    flat, cumulative = counts.reshape(-1), cumulative.reshape(-1)
+    while fix.size:
+        flat[fix] += np.where(low, 1.0, -1.0)
+        high, low = _slot_breaks(flat[fix], cumulative[fix], uniforms[fix // n], n)
+        keep = high | low
+        fix, low = fix[keep], low[keep]
+    # A cumulative weight a rounding above 1 counts slot n too.
+    np.minimum(counts, n, out=counts)
+    indices = counts.astype(np.intp)
+    indices += np.arange(0, rows * (n + 1), n + 1)[:, None]
+    per_slot = np.bincount(indices.reshape(-1), minlength=rows * (n + 1))
+    return np.cumsum(per_slot.reshape(rows, n + 1)[:, :n], axis=1, out=indices)
 
 
 def _covariance_trace(weights: np.ndarray, states: np.ndarray, mean: np.ndarray) -> float:
@@ -461,7 +520,10 @@ def filter_arms(
         if not len(ids):
             break
         _move(states, process, moves, stream_of)
-        raw = weights * meas_model.likelihood(_positions(states, zs[ids, step]))
+        z = zs[ids, step]
+        dx = states[..., 0] - z[:, :1]
+        dy = states[..., 1] - z[:, 1:]
+        raw = weights * meas_model.likelihood(dx, dy)
         weights, norms, alive = _renormalize(raw)
         norm_consts[ids] = norms
         if not alive.all():
@@ -491,9 +553,13 @@ def filter_arms(
             break
         ess = 1.0 / np.square(weights).sum(axis=1)
         resampled = ess < config.ess_ratio * n
-        for row in np.flatnonzero(resampled):
-            states[row] = states[row].take(_resample_index(weights[row], resamplers[row]), axis=0)
-            weights[row] = 1.0 / n
+        rows = np.flatnonzero(resampled)
+        if len(rows):
+            uniforms = np.array([resamplers[row].uniform() for row in rows])
+            indices = _resample_indices(weights[rows], uniforms)
+            for row, index in zip(rows, indices):
+                states[row] = states[row].take(index, axis=0)
+            weights[rows] = 1.0 / n
         means = [w @ arm_states for w, arm_states in zip(weights, states)]
         estimates[ids, step - 1] = np.array(means)[:, :2]
         if log:

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import ConfigurationError, FormatError
+from .particlefilter import psd_factor
 from .projection import LocalFrame
 
 
@@ -71,12 +72,7 @@ class FeaturePerturbation:
     @cached_property
     def _translation_factor(self) -> np.ndarray:
         """F with F F^T = translation_cov, computed once per perturbation."""
-        cov = np.asarray(self.translation_cov, dtype=float)
-        if not cov.any():
-            return np.zeros((2, 2))
-        # PSD-safe factor; plain Cholesky rejects singular covariances.
-        w, q = np.linalg.eigh(cov)
-        return q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+        return psd_factor(np.asarray(self.translation_cov, dtype=float))
 
 @dataclass(frozen=True)
 class MapFeature:

@@ -3,12 +3,15 @@
 A belief is a pair of plain arrays: (N, 4) states in state order
 (px, py, vx, vy) and (N,) weights on the simplex. predict,
 update_measurement, update_constitution, resample and estimate are the
-steps of one lone filter on that pair, built on the same kernels as
-particlefilter.filter_arms. stepwise_run composes them into the filter
-loop one step at a time; tests compare every arm of filter_arms with it
-bit for bit. It lays out the random streams on its own: a filter seed
-spawns a move child, which draws the start cloud and each step's noise,
-and a resampling child, which draws each resampling step's uniform.
+steps of one lone filter on that pair, built on the kernels of
+particlefilter.filter_arms, but for resampling: _resample_index
+binary-searches each slot in one arm's cumulative weights, as the filter
+did before it counted the slots of all its resampling arms in one pass.
+stepwise_run composes the steps into the filter loop one step at a time;
+tests compare every arm of filter_arms with it bit for bit. It lays out
+the random streams on its own: a filter seed spawns a move child, which
+draws the start cloud and each step's noise, and a resampling child,
+which draws each resampling step's uniform.
 run_filter is the one-arm case of filter_arms itself, with the step
 records built and a degenerate run raised.
 """
@@ -29,7 +32,6 @@ from cstrack.particlefilter import (
     _move,
     _positions,
     _renormalize,
-    _resample_index,
     filter_arms,
 )
 
@@ -88,7 +90,7 @@ def update_measurement(states, weights, z, meas):
     Carlo estimate of the measurement's marginal density).
     """
     z = np.asarray(z, dtype=float)
-    raw = weights * meas.likelihood(_positions(states, z))
+    raw = weights * meas.likelihood(states[:, 0] - z[0], states[:, 1] - z[1])
     out, norm, alive = _renormalize(raw[None])
     if not alive[0]:
         raise DegenerateBeliefError(_MEASUREMENT_DEGENERATE)
@@ -116,6 +118,17 @@ def update_constitution(weights, probs, tau):
     if not alive[0]:
         raise DegenerateBeliefError(_COMPLIANCE_DEGENERATE)
     return out[0]
+
+
+def _resample_index(weights, rng):
+    """Systematic resampling: the particle each of N uniform slots (r + j) / n
+    copies, by a binary search of the cumulative weights, one arm at a
+    time."""
+    n = len(weights)
+    u = (rng.uniform() + np.arange(n)) / n
+    cumulative = np.cumsum(weights)
+    cumulative[-1] = 1.0
+    return np.searchsorted(cumulative, u, side="left")
 
 
 def resample(states, weights, rng):

@@ -16,7 +16,7 @@ from cstrack.particlefilter import (
     ProcessModel,
     _compliance_factor,
     _move,
-    _resample_index,
+    _resample_indices,
     _streams,
     cv_process_noise,
     filter_arms,
@@ -25,6 +25,7 @@ from cstrack.relations import RelationKind
 from cstrack.starmap import StaRMapLayer
 from reference_filter import (
     DegenerateBeliefError,
+    _resample_index,
     belief,
     effective_sample_size,
     estimate,
@@ -221,7 +222,7 @@ class TestMeasurementUpdate:
         deltas = np.random.default_rng(6).normal(0.0, 3.0, (40, 2))
         meas = MeasurementModel(R=R)
         for _ in range(2):  # the second call reads the cached terms
-            got = meas.likelihood(deltas)
+            got = meas.likelihood(deltas[:, 0], deltas[:, 1])
             quad = np.einsum("ni,ij,nj->n", deltas, np.linalg.inv(R), deltas)
             fresh = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(R))) * np.exp(-0.5 * quad)
             np.testing.assert_array_equal(got, fresh)
@@ -342,14 +343,53 @@ class TestKernelBoundaries:
     """The kernels on exact ties and rounding edges."""
 
     def test_last_slot_stays_in_range_when_the_weights_sum_below_one(self):
-        weights = np.full(10, 0.1)
-        assert np.cumsum(weights)[-1] < 1.0
-        index = _resample_index(weights, FixedUniform(np.nextafter(1.0, 0.0)))
-        assert (index < 10).all() and index[-1] == 9
+        weights = np.full((2, 10), 0.1)
+        assert np.cumsum(weights[0])[-1] < 1.0
+        index = _resample_indices(weights, np.array([np.nextafter(1.0, 0.0), 0.5]))
+        assert (index < 10).all() and (index[:, -1] == 9).all()
 
     def test_slot_on_a_cumulative_boundary_copies_the_particle_below_it(self):
-        index = _resample_index(np.full(4, 0.25), FixedUniform(0.0))
-        np.testing.assert_array_equal(index, [0, 0, 1, 2])
+        index = _resample_indices(np.full((2, 4), 0.25), np.zeros(2))
+        np.testing.assert_array_equal(index, [[0, 0, 1, 2]] * 2)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.integers(1, 12),
+           st.sampled_from(["plain", "zero runs", "subnormal", "on slots", "below slots",
+                            "above slots"]),
+           st.sampled_from(["random", "zero", "below one"]))
+    def test_counted_slots_match_the_binary_search(self, seed, n, rows, shape, edge):
+        # The slot counts of every row give the indices of a binary search
+        # of that row's cumulative weights, bit for bit.
+        rng = np.random.default_rng(seed)
+        uniforms = rng.uniform(size=rows)
+        if edge != "random":
+            uniforms[rng.integers(rows)] = 0.0 if edge == "zero" else np.nextafter(1.0, 0.0)
+        weights = rng.exponential(size=(rows, n))
+        if shape == "zero runs":
+            for row in weights:
+                start = rng.integers(n)
+                row[start:start + rng.integers(1, n + 1)] = 0.0
+            weights[:, rng.integers(n)] += 1.0
+        elif shape == "subnormal":
+            weights[rng.uniform(size=(rows, n)) < 0.5] = 5e-324
+            weights[:, 0] += 1e-300
+        if not shape.endswith("slots"):
+            weights /= weights.sum(axis=1, keepdims=True)
+        else:
+            # Every cumulative sum on a slot value (r + j) / n, or one step
+            # beside it, j rising by 0 or 1 a particle: each weight is the
+            # difference of two such sums, exact (Sterbenz) for j >= 2.
+            toward = {"on slots": None, "below slots": -np.inf, "above slots": np.inf}[shape]
+            for row, r in zip(weights, uniforms):
+                sums = (r + np.minimum(np.cumsum(rng.integers(0, 2, n)) + 2, n - 1)) / n
+                if toward is not None:
+                    sums = np.nextafter(sums, toward)
+                row[:] = np.diff(sums, prepend=0.0)
+                np.testing.assert_array_equal(np.cumsum(row), sums)
+        got = _resample_indices(weights, uniforms)
+        assert got.shape == (rows, n)
+        for row, r, index in zip(weights, uniforms, got):
+            np.testing.assert_array_equal(index, _resample_index(row, FixedUniform(r)))
 
     def test_ess_exactly_at_the_threshold_does_not_resample(self):
         # Particles start at one point and never move, so the measurement
@@ -556,24 +596,37 @@ class TestRunFilter:
 
 class TestEinsumFreeStep:
     """The step's hand-written sums give the bits of np.einsum over
-    particle counts and isotropic and full R. For one or two rows einsum
-    itself sums the quadratic form in another order, so with a
-    non-diagonal R the likelihood matches from three rows on."""
+    particle counts and isotropic, diagonal and full R. For one or two
+    rows einsum itself sums the quadratic form in another order, so with a
+    non-diagonal R the likelihood matches from three rows on. With a
+    diagonal R the likelihood skips the cross terms, each a signed zero,
+    and matches at every count, on extreme finite deltas too."""
 
-    @settings(deadline=None, max_examples=60)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.booleans())
-    def test_likelihood_matches_einsum(self, seed, n, isotropic):
-        assume(isotropic or n >= 3)
+    @settings(deadline=None, max_examples=90)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000),
+           st.sampled_from(["isotropic", "diagonal", "full"]))
+    def test_likelihood_matches_einsum(self, seed, n, kind):
+        assume(kind != "full" or n >= 3)
         rng = np.random.default_rng(seed)
-        if isotropic:
+        if kind == "isotropic":
             meas = MeasurementModel.isotropic(rng.uniform(0.5, 300.0))
+        elif kind == "diagonal":
+            meas = MeasurementModel(R=np.diag(rng.uniform(0.25, 9e4, 2)))
         else:
             a = rng.normal(scale=30.0, size=(2, 2))
             meas = MeasurementModel(R=a @ a.T + np.eye(2))
         deltas = rng.normal(scale=rng.uniform(0.1, 500.0), size=(n, 2))
+        if kind != "full":
+            # Signed zeros, subnormals, and deltas whose square overflows.
+            extreme = np.array([0.0, -0.0, 5e-324, -5e-324, 2e-310, 1e160, -1e160])
+            pick = rng.uniform(size=(n, 2)) < 0.3
+            deltas[pick] = rng.choice(extreme, size=pick.sum())
         inv, norm = np.linalg.inv(meas.R), 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(meas.R)))
-        quad = np.einsum("ni,ij,nj->n", deltas, inv, deltas)
-        np.testing.assert_array_equal(meas.likelihood(deltas), norm * np.exp(-0.5 * quad))
+        dx, dy = deltas.T.copy()  # contiguous planes, as the filter passes them
+        with np.errstate(over="ignore"):  # 1e160 squared is inf, a density of 0
+            quad = np.einsum("ni,ij,nj->n", deltas, inv, deltas)
+            got = meas.likelihood(dx, dy)
+        np.testing.assert_array_equal(got, norm * np.exp(-0.5 * quad))
 
     @pytest.mark.parametrize("n", [8191, 100_000])
     def test_large_counts_match_einsum(self, n):
@@ -582,7 +635,7 @@ class TestEinsumFreeStep:
         meas = MeasurementModel(R=a @ a.T + np.eye(2))
         deltas = rng.normal(scale=80.0, size=(n, 2))
         quad = np.einsum("ni,ij,nj->n", deltas, np.linalg.inv(meas.R), deltas)
-        np.testing.assert_array_equal(meas.likelihood(deltas),
+        np.testing.assert_array_equal(meas.likelihood(*deltas.T.copy()),
                                       meas._inverse_and_norm[1] * np.exp(-0.5 * quad))
         states, weights = belief(deltas, rng.normal(size=(n, 2)),
                                  weights=rng.uniform(size=n))
