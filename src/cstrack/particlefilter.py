@@ -140,16 +140,22 @@ class MeasurementModel:
         isotropic R among others) the two cross terms are skipped: for
         finite deltas each adds a signed zero to a sum that is +0.0 or
         more, which leaves its bits as they are. The filter passes finite
-        deltas only, as its states and measurements are finite.
+        deltas only, as its states and measurements are finite. The planes
+        are left as they are; the result is a new array.
         """
         inv, norm, cross = self._inverse_and_norm
-        quad = dx * inv[0, 0] * dx
+        quad = np.multiply(dx, inv[0, 0])
+        quad *= dx
         if cross:
             quad += dx * inv[0, 1] * dy
             quad += dy * inv[1, 0] * dx
-        quad += dy * inv[1, 1] * dy
+        term = np.multiply(dy, inv[1, 1])
+        term *= dy
+        quad += term
         quad *= -0.5
-        return norm * np.exp(quad, out=quad)
+        np.exp(quad, out=quad)
+        quad *= norm
+        return quad
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +171,9 @@ class MeasurementModel:
 # each arm's measurement. The arms that resample in a step share one pass,
 # _resample_indices: it counts the slots below each cumulative weight
 # instead of searching each slot in the weights, which gives the same
-# indices without a binary search per arm.
+# indices without a binary search per arm. The step log likewise takes
+# every logged arm's covariance trace from one reduction,
+# _covariance_traces.
 
 
 def _move(states: np.ndarray, process: ProcessModel, streams, stream_of: np.ndarray) -> None:
@@ -216,31 +224,41 @@ def _streams(seeds) -> tuple[list[np.random.Generator], np.ndarray, list[np.rand
     return moves, stream_of, [np.random.default_rng(resample_children[k]) for k in stream_of]
 
 
-def _positions(states: np.ndarray) -> np.ndarray:
-    """(..., 2) copy of the positions, columns 0 and 1 of the states."""
-    out = np.empty((*states.shape[:-1], 2))
+def _positions(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), N, 2) copy of the positions, columns 0 and 1, of the
+    given ascending rows of the states. Only those two columns are read,
+    and when rows are all of them the whole stack is read without a
+    gather."""
+    out = np.empty((len(rows), states.shape[1], 2))
+    whole = len(rows) == len(states)
     for i in (0, 1):
-        out[..., i] = states[..., i]
+        out[..., i] = states[..., i] if whole else states[rows, :, i]
     return out
 
 
 def _renormalize(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each arm's row divided by its sum; returns weights, sums and the
-    mask of arms whose sum is positive and finite (the others are dead)."""
+    """Each arm's row divided by its sum, in place: raw itself becomes the
+    weights. Returns them, the sums and the mask of arms whose sum is
+    positive and finite (the others are dead)."""
     norm = raw.sum(axis=1)
     alive = np.isfinite(norm) & (norm > 0.0)
-    return raw / np.where(alive, norm, 1.0)[:, None], norm, alive
+    raw /= np.where(alive, norm, 1.0)[:, None]
+    return raw, norm, alive
 
 
 def _compliance_factor(weights: np.ndarray, probs: np.ndarray, taus: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """tau * probs + (1 - tau) per arm under the NaN policy (module
     docstring); returns the factors and the mask of arms the step changes
-    (those with a defined particle that carries weight)."""
-    if ((probs < -1e-9) | (probs > 1.0 + 1e-9)).any():
+    (those with a defined particle that carries weight). The range check
+    ignores NaN: fmin and fmax skip it, as a comparison is false on it."""
+    if (np.fmin.reduce(probs, axis=None) < -1e-9
+            or np.fmax.reduce(probs, axis=None) > 1.0 + 1e-9):
         raise ConfigurationError("evaluator returned probabilities outside [0, 1]")
     taus = taus[:, None]
-    factor = taus * np.clip(probs, 0.0, 1.0) + (1.0 - taus)
+    factor = np.clip(probs, 0.0, 1.0)
+    factor *= taus
+    factor += 1.0 - taus
     undefined = np.isnan(factor)
     changed = np.ones(len(factor), dtype=bool)
     for arm in np.flatnonzero(undefined.any(axis=1)):
@@ -308,18 +326,32 @@ def _resample_indices(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.cumsum(per_slot.reshape(rows, n + 1)[:, :n], axis=1, out=indices)
 
 
-def _covariance_trace(weights: np.ndarray, states: np.ndarray, mean: np.ndarray) -> float:
-    """Trace of the weighted covariance sum(w * (s - mean)(s - mean)^T).
+def _covariance_traces(weights: np.ndarray, states: np.ndarray, means: np.ndarray
+                       ) -> list[float]:
+    """Each arm's trace of the weighted covariance
+    sum(w * (s - mean)(s - mean)^T), from weights (A, N), states (A, N, 4)
+    and means (A, 4).
 
     Each diagonal entry is summed sequentially over the particles, as
     numpy's generic contraction sums, so the logged trace keeps the bits
-    the tests check against it.
+    the tests check against it. The (N, A, 4) terms go through one
+    reduction over the outer, particle axis: numpy adds whole rows there in
+    order and sums pairwise only along the contiguous inner axis.
     """
-    trace = 0.0
-    for i in range(states.shape[1]):
-        centered = states[:, i] - mean[i]
-        trace += np.cumsum(weights * centered * centered)[-1]
-    return float(trace)
+    arms, n = weights.shape
+    terms = np.empty((n, arms, states.shape[2]))
+    for i in range(states.shape[2]):
+        centered = states[..., i] - means[:, i, None]
+        term = weights * centered
+        term *= centered
+        terms[:, :, i] = term.T
+    traces = []
+    for diagonal in np.add.reduce(terms, axis=0).tolist():
+        trace = 0.0
+        for entry in diagonal:
+            trace += entry
+        traces.append(trace)
+    return traces
 
 
 _MEASUREMENT_DEGENERATE = "all particle weights vanished in the measurement update"
@@ -523,7 +555,8 @@ def filter_arms(
         z = zs[ids, step]
         dx = states[..., 0] - z[:, :1]
         dy = states[..., 1] - z[:, 1:]
-        raw = weights * meas_model.likelihood(dx, dy)
+        raw = meas_model.likelihood(dx, dy)
+        raw *= weights
         weights, norms, alive = _renormalize(raw)
         norm_consts[ids] = norms
         if not alive.all():
@@ -533,17 +566,20 @@ def filter_arms(
         if len(active):
             # A local, so the array lives to the end of the step: freeing it
             # at once made sweeps about 5% slower (allocator pattern).
-            positions = _positions(states[active])
+            positions = _positions(states, active)
             probs = np.asarray(evaluate(positions, zs[ids[active], step]), dtype=float)
             if probs.shape != (len(active), n):
                 raise ConfigurationError("evaluator returned a wrong-sized probability vector")
             if log:
-                for arm, arm_probs in zip(ids[active], probs):
-                    defined = arm_probs[~np.isnan(arm_probs)]
+                has_nan = np.isnan(probs).any(axis=1).tolist()
+                for arm, arm_probs, nan in zip(ids[active].tolist(), probs, has_nan):
+                    defined = arm_probs[~np.isnan(arm_probs)] if nan else arm_probs
                     mean_probs[arm] = float(defined.mean()) if defined.size else None
             factor, changed = _compliance_factor(weights[active], probs, taus[active])
-            active = active[changed]
-            blended, _, alive = _renormalize(weights[active] * factor[changed])
+            if not changed.all():
+                active, factor = active[changed], factor[changed]
+            factor *= weights[active]
+            blended, _, alive = _renormalize(factor)
             weights[active] = blended
             if not alive.all():
                 dead = np.zeros(len(ids), dtype=bool)
@@ -560,21 +596,22 @@ def filter_arms(
             for row, index in zip(rows, indices):
                 states[row] = states[row].take(index, axis=0)
             weights[rows] = 1.0 / n
-        means = [w @ arm_states for w, arm_states in zip(weights, states)]
-        estimates[ids, step - 1] = np.array(means)[:, :2]
+        means = np.array([w @ arm_states for w, arm_states in zip(weights, states)])
+        estimates[ids, step - 1] = means[:, :2]
         if log:
-            for row, arm in enumerate(ids):
-                mean = means[row]
+            columns = zip(ids.tolist(), means.tolist(), _covariance_traces(weights, states, means),
+                          ess.tolist(), norm_consts[ids].tolist(), resampled.tolist())
+            for arm, mean, trace, n_eff, norm_const, was_resampled in columns:
                 records[arm].append(
                     StepRecord(
                         t=t0s[arm] + step * config.dt,
-                        estimate_position=(float(mean[0]), float(mean[1])),
-                        estimate_velocity=(float(mean[2]), float(mean[3])),
-                        covariance_trace=_covariance_trace(weights[row], states[row], mean),
-                        n_eff=float(ess[row]),
-                        norm_const=float(norm_consts[arm]),
+                        estimate_position=(mean[0], mean[1]),
+                        estimate_velocity=(mean[2], mean[3]),
+                        covariance_trace=trace,
+                        n_eff=n_eff,
+                        norm_const=norm_const,
                         mean_constitution_prob=mean_probs.get(arm),
-                        resampled=bool(resampled[row]),
+                        resampled=was_resampled,
                     )
                 )
     for arm, reason in enumerate(failures):

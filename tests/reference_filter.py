@@ -4,9 +4,12 @@ A belief is a pair of plain arrays: (N, 4) states in state order
 (px, py, vx, vy) and (N,) weights on the simplex. predict,
 update_measurement, update_constitution, resample and estimate are the
 steps of one lone filter on that pair, built on the kernels of
-particlefilter.filter_arms, but for resampling: _resample_index
-binary-searches each slot in one arm's cumulative weights, as the filter
-did before it counted the slots of all its resampling arms in one pass.
+particlefilter.filter_arms, but for three that work on one arm here:
+_resample_index binary-searches each slot in one arm's cumulative
+weights, as the filter did before it counted the slots of all its
+resampling arms in one pass; _covariance_trace sums one arm's diagonal
+with a cumsum per state column, as the filter did before it reduced all
+its logged arms in one pass; and _positions copies one arm's positions.
 stepwise_run composes the steps into the filter loop one step at a time;
 tests compare every arm of filter_arms with it bit for bit. It lays out
 the random streams on its own: a filter seed spawns a move child, which
@@ -28,9 +31,7 @@ from cstrack.particlefilter import (
     _MEASUREMENT_DEGENERATE,
     StepRecord,
     _compliance_factor,
-    _covariance_trace,
     _move,
-    _positions,
     _renormalize,
     filter_arms,
 )
@@ -135,6 +136,24 @@ def resample(states, weights, rng):
     """Systematic resampling to uniform weights."""
     idx = _resample_index(weights, rng)
     return states[idx], np.full(len(weights), 1.0 / len(weights))
+
+
+def _covariance_trace(weights, states, mean):
+    """Trace of the weighted covariance sum(w * (s - mean)(s - mean)^T) of
+    one arm, each diagonal entry summed sequentially over the particles."""
+    trace = 0.0
+    for i in range(states.shape[1]):
+        centered = states[:, i] - mean[i]
+        trace += np.cumsum(weights * centered * centered)[-1]
+    return float(trace)
+
+
+def _positions(states):
+    """(..., 2) copy of the positions, columns 0 and 1 of the states."""
+    out = np.empty((*states.shape[:-1], 2))
+    for i in (0, 1):
+        out[..., i] = states[..., i]
+    return out
 
 
 def estimate(states, weights):

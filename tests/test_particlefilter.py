@@ -15,6 +15,7 @@ from cstrack.particlefilter import (
     MeasurementModel,
     ProcessModel,
     _compliance_factor,
+    _covariance_traces,
     _move,
     _resample_indices,
     _streams,
@@ -25,6 +26,7 @@ from cstrack.relations import RelationKind
 from cstrack.starmap import StaRMapLayer
 from reference_filter import (
     DegenerateBeliefError,
+    _covariance_trace,
     _resample_index,
     belief,
     effective_sample_size,
@@ -227,6 +229,20 @@ class TestMeasurementUpdate:
             fresh = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(R))) * np.exp(-0.5 * quad)
             np.testing.assert_array_equal(got, fresh)
 
+    @pytest.mark.parametrize("R", [np.eye(2) * 9.0, np.array([[9.0, 2.5], [2.5, 4.0]])])
+    def test_likelihood_leaves_its_planes_as_they_are(self, R):
+        # Contiguous planes, as filter_arms passes them, and strided column
+        # views of one (N, 2) array.
+        deltas = np.random.default_rng(8).normal(0.0, 3.0, (50, 2))
+        before = deltas.copy()
+        meas = MeasurementModel(R=R)
+        dx, dy = deltas.T.copy()
+        planes = meas.likelihood(dx, dy)
+        np.testing.assert_array_equal(np.column_stack([dx, dy]), before)
+        views = meas.likelihood(deltas[:, 0], deltas[:, 1])
+        np.testing.assert_array_equal(deltas, before)
+        np.testing.assert_array_equal(views, planes)
+
     def test_normalization_constant_is_marginal_density(self):
         states, weights = belief([(0.0, 0.0)], [(0.0, 0.0)])
         _, norm = update_measurement(states, weights, (0.0, 0.0),
@@ -404,6 +420,30 @@ class TestKernelBoundaries:
         assert failures == [None]
         assert records[0][0].n_eff == 2.0
         assert not records[0][0].resampled
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.5])
+    def test_range_check_sees_past_nan(self, bad):
+        weights = np.full((2, 3), 1.0 / 3.0)
+        for row in ([np.nan, bad, 0.5], [bad, np.nan, np.nan]):
+            with pytest.raises(ConfigurationError, match="outside"):
+                _compliance_factor(weights, np.array([[0.5] * 3, row]), np.array([0.5, 1.0]))
+
+    def test_an_all_nan_row_is_in_range(self):
+        weights = np.full((2, 3), 1.0 / 3.0)
+        factor, changed = _compliance_factor(
+            weights, np.array([[np.nan] * 3, [0.2, np.nan, 0.8]]), np.array([1.0, 1.0]))
+        assert changed.tolist() == [False, True]
+        _, changed = _compliance_factor(weights, np.full((2, 3), np.nan), np.array([1.0, 1.0]))
+        assert changed.tolist() == [False, False]
+
+    @pytest.mark.parametrize("edge, beyond", [(-1e-9, -np.inf), (1.0 + 1e-9, np.inf)])
+    def test_range_check_edges(self, edge, beyond):
+        weights = np.full((1, 3), 1.0 / 3.0)
+        probs = np.array([[0.5, edge, np.nan]])
+        _compliance_factor(weights, probs, np.array([1.0]))
+        probs[0, 1] = np.nextafter(edge, beyond)
+        with pytest.raises(ConfigurationError, match="outside"):
+            _compliance_factor(weights, probs, np.array([1.0]))
 
     def test_subnormal_defined_mass_still_sets_the_undefined_factor(self):
         weights = np.array([[1e-310, 1.0]])
@@ -659,6 +699,33 @@ class TestEinsumFreeStep:
         assert trace == float(np.trace(cov))
 
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 3000))
+    def test_batched_traces_match_the_per_arm_oracle_and_einsum(self, seed, arms, n):
+        # Positions up to 1e6 m, zero and subnormal weights, and deltas of
+        # +0.0 (a state on its mean) and -0.0 (a -0.0 state on a 0.0 mean).
+        rng = np.random.default_rng(seed)
+        states = rng.normal(size=(arms, n, 4))
+        states[..., :2] *= 10.0 ** rng.uniform(-3.0, 6.0, (arms, 1, 1))
+        weights = rng.uniform(size=(arms, n))
+        weights /= weights.sum(axis=1, keepdims=True)
+        pick = rng.uniform(size=weights.shape) < 0.2
+        weights[pick] = rng.choice([0.0, 5e-324, 1e-310], size=pick.sum())
+        means = np.array([w @ s for w, s in zip(weights, states)])
+        means[rng.uniform(size=means.shape) < 0.3] = 0.0
+        for arm, i in zip(*np.nonzero(rng.uniform(size=(arms, 4)) < 0.5)):
+            pick = rng.uniform(size=n) < 0.3
+            states[arm, pick, i] = means[arm, i] if means[arm, i] else rng.choice(
+                [0.0, -0.0], size=pick.sum())
+        traces = _covariance_traces(weights, states, means)
+        assert len(traces) == arms
+        for w, s, mean, trace in zip(weights, states, means, traces):
+            assert type(trace) is float
+            assert trace == _covariance_trace(w, s, mean)
+            centered = s - mean
+            assert trace == float(np.trace(np.einsum("n,ni,nj->ij", w, centered, centered)))
+
+
 def _arms_world(seed: int, field_kind: str):
     """A short noisy track and a field-mode evaluator on a 5 x 5 grid:
     field_kind "zero" (tau = 1 degenerates), "nan" (random values with
@@ -882,6 +949,60 @@ class TestFilterArms:
             assert np.isnan(estimates[2]).all() and np.isnan(estimates[3]).all()
         else:
             assert failures == [None] * len(taus)
+
+    def test_mean_compliance_has_the_oracles_bits_with_and_without_nan(self):
+        # One flagged node on the track's path puts NaN into the rows of
+        # the steps that pass it, and not into the others; a field flagged
+        # everywhere gives all-NaN rows. Each kind of row must log the
+        # oracle's mean.
+        measurements, config, _ = _arms_world(1, "random")
+        grid = GridSpec(bbox=(-20.0, -20.0, 50.0, 30.0), rows=11, cols=15)
+        values = np.random.default_rng(1).uniform(size=(11, 15))
+        values[5, 7] = np.nan  # the node at (15, 5), passed near step 4
+        taus = (0.3, 0.0, 1.0, 0.6)
+        seen = {"some nan": 0, "no nan": 0, "all nan": 0}
+        for values in (values, np.full((11, 15), np.nan)):
+            field_eval = ConstitutionField(grid, values).particle_probabilities
+
+            def evaluate(p, z):
+                probs = field_eval(p, z)
+                nan, all_nan = np.isnan(probs).any(axis=1), np.isnan(probs).all(axis=1)
+                seen["some nan"] += int((nan & ~all_nan).sum())
+                seen["no nan"] += int((~nan).sum())
+                seen["all nan"] += int(all_nan.sum())
+                return probs
+
+            filter_seed = np.random.SeedSequence(6)
+            _, failures, logged = filter_arms([measurements] * len(taus), config,
+                                              [filter_seed] * len(taus), taus,
+                                              evaluate=evaluate, log=True)
+            assert failures == [None] * len(taus)
+            for arm, tau in enumerate(taus):
+                _, _, oracle = stepwise_run(measurements, config, filter_seed, field_eval, tau)
+                got = [r.mean_constitution_prob for r in logged[arm]]
+                want = [r.mean_constitution_prob for r in oracle]
+                assert [None if v is None else v.hex() for v in got] == [
+                    None if v is None else v.hex() for v in want]
+        assert min(seen.values()) > 0, seen
+
+    def test_a_logged_step_computes_every_trace_in_one_call(self):
+        measurements, config, evaluate = _arms_world(7, "random")
+        taus = (0.0, 0.5, 1.0)
+        calls = []
+
+        def traces(weights, states, means):
+            calls.append(len(weights))
+            return _covariance_traces(weights, states, means)
+
+        with mock.patch.object(particlefilter, "_covariance_traces", traces):
+            filter_arms([measurements] * len(taus), config,
+                        [np.random.SeedSequence(3)] * len(taus), taus, evaluate=evaluate)
+            assert calls == []
+            _, failures, _ = filter_arms([measurements] * len(taus), config,
+                                         [np.random.SeedSequence(3)] * len(taus), taus,
+                                         evaluate=evaluate, log=True)
+        assert failures == [None] * len(taus)
+        assert calls == [len(taus)] * (len(measurements) - 1)
 
     def test_log_gives_the_run_filter_records(self):
         measurements, config, evaluate = _arms_world(6, "nan")
