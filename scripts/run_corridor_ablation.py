@@ -15,56 +15,13 @@ import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from cstrack.demo import CORRIDOR_STARTS, corridor_scenario  # noqa: E402
 from cstrack.evalbench import load_scenario, run_ablation  # noqa: E402
-from cstrack.projection import LocalFrame  # noqa: E402
-
-ORIGIN = (-74.02, 40.64)
-FRAME = LocalFrame(origin_lon=ORIGIN[0], origin_lat=ORIGIN[1])
-
-
-def lonlat(x, y):
-    lon, lat = FRAME.to_lonlat(x, y)
-    return [float(lon), float(lat)]
-
-
-def corridor_spec(mode: str, seed: int, n_seeds: int, steps: int,
-                  particles: int) -> dict:
-    half = 25.0
-    ring = [lonlat(-200, -half), lonlat(3600, -half), lonlat(3600, half),
-            lonlat(-200, half), lonlat(-200, -half)]
-    start_y = 0.0 if mode == "compliant" else 140.0
-    return {
-        "name": f"corridor-{mode}",
-        "seed": seed,
-        "map": {"inline": {
-            "type": "FeatureCollection",
-            "features": [{
-                "type": "Feature",
-                "properties": {"tags": ["corridor"]},
-                "geometry": {"type": "Polygon", "coordinates": [ring]},
-            }],
-        }},
-        "perturbations": {"inline": {"corridor": {"translation_std_m": 12.0}}},
-        "constitution": {"inline": (
-            "1.0 :: constitution(X, Z) :- over(X, corridor).\n"
-            "0.02 :: constitution(X, Z).\n"
-        )},
-        "grid": {"bbox": [-300.0, -300.0, 3900.0, 300.0], "rows": 21, "cols": 43},
-        "starmap_samples": 50,
-        "taus": [0.0, 0.25, 0.5, 0.75, 1.0],
-        "n_seeds": n_seeds,
-        "agents": {"count": 3, "mode": mode, "start": [0.0, start_y],
-                   "velocity": [5.0, 0.0], "steps": steps, "dt": 10.0,
-                   "kick_std": 0.05},
-        "filter": {"particles": particles, "dt": 10.0, "sigma_a": 0.3,
-                   "measurement_noise_std": 50.0},
-    }
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--mode", choices=("compliant", "incompliant"),
-                        default="compliant")
+    parser.add_argument("--mode", choices=tuple(CORRIDOR_STARTS), default="compliant")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--n-seeds", type=int, default=10)
     parser.add_argument("--steps", type=int, default=40)
@@ -73,8 +30,8 @@ def main() -> int:
                         help="write report.json and runs.csv here")
     args = parser.parse_args()
 
-    spec = corridor_spec(args.mode, args.seed, args.n_seeds, args.steps,
-                         args.particles)
+    spec = corridor_scenario(args.mode, seed=args.seed, n_seeds=args.n_seeds, agents=3,
+                             steps=args.steps, particles=args.particles)
     with tempfile.TemporaryDirectory() as tmp:
         spec_path = pathlib.Path(tmp) / "scenario.json"
         spec_path.write_text(json.dumps(spec))

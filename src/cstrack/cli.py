@@ -26,9 +26,9 @@ import numpy as np
 from . import __version__, jsonio
 from .constitution import (
     ConstitutionEvaluator,
-    environment_atoms,
     parse_file,
     precompute_field,
+    program_relations,
 )
 from .errors import ConfigurationError, CstrackError
 from .evalbench import load_scenario, run_ablation
@@ -195,9 +195,7 @@ def cmd_build_starmap(args) -> int:
         relations = _parse_relations(args.relations)
     elif args.constitution:
         program = parse_file(args.constitution)
-        relations = sorted(
-            {(RelationKind(p), t) for p, _, t in environment_atoms(program)}
-        )
+        relations = program_relations(program)
         if not relations:
             raise ConfigurationError(
                 f"{args.constitution} references no environment relations"

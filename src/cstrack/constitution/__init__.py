@@ -25,7 +25,7 @@ from .terms import (
 from .parser import parse, parse_file
 from .grounder import GroundProgram, GroundRule, ground
 from .inference import CompiledQuery
-from .environment import ConstitutionEvaluator, environment_atoms
+from .environment import ConstitutionEvaluator, environment_atoms, program_relations
 from .field import ConstitutionField, precompute_field
 
 __all__ = [
@@ -52,4 +52,5 @@ __all__ = [
     "parse",
     "parse_file",
     "precompute_field",
+    "program_relations",
 ]

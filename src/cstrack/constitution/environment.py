@@ -88,6 +88,11 @@ def environment_atoms(program: Program) -> list[tuple[str, str, str]]:
     return seen
 
 
+def program_relations(program: Program) -> list[tuple[RelationKind, str]]:
+    """The sorted, distinct (relation, tag) layers the program reads."""
+    return sorted({(RelationKind(p), tag) for p, _, tag in environment_atoms(program)})
+
+
 def _slot_plan(program: Program, layers: list[StaRMapLayer]):
     """Resolve environment occurrences to layers and query-point roles."""
     roles = _query_roles(program)

@@ -1,15 +1,21 @@
-"""A small self-contained harbor world for demos, docs, and benchmarks.
+"""Two small self-contained worlds for demos, docs, tests, and benchmarks.
 
-The map is a ~4 x 4 km channel between two land banks, a marked waterway
-along the channel axis, an anchorage pocket, and a lattice of depth
-soundings (deep in the channel, shoaling toward the banks). The bundled
-rule program encodes cargo-vessel conduct: stay afloat, keep under-keel
-clearance, hold near the marked lane while underway, anchor only inside
-the anchorage.
+The harbor map is a ~4 x 4 km channel between two land banks, a marked
+waterway along the channel axis, an anchorage pocket, and a lattice of
+depth soundings (deep in the channel, shoaling toward the banks). The
+bundled rule program encodes cargo-vessel conduct: stay afloat, keep
+under-keel clearance, hold near the marked lane while underway, anchor
+only inside the anchorage.
+
+The corridor world is the ablation experiment: one tagged 50 m wide
+corridor with softened edges, a two-clause rule program with a small leak
+probability, and bench agents that run along the corridor (compliant) or
+start off it and keep away (incompliant) under 50 m measurement noise.
 """
 
 from __future__ import annotations
 
+import copy
 import pathlib
 
 import numpy as np
@@ -56,14 +62,14 @@ HARBOR_PERTURBATIONS = {
 }
 
 
-def _lonlat(x: float, y: float) -> list[float]:
-    lon, lat = _FRAME.to_lonlat(x, y)
+def _lonlat(x: float, y: float, frame: LocalFrame = _FRAME) -> list[float]:
+    lon, lat = frame.to_lonlat(x, y)
     return [float(lon), float(lat)]
 
 
-def _polygon(points, tags) -> dict:
-    ring = [_lonlat(x, y) for x, y in points]
-    ring.append(ring[0])
+def _polygon(points, tags, frame: LocalFrame = _FRAME) -> dict:
+    ring = [_lonlat(x, y, frame) for x, y in points]
+    ring.append(list(ring[0]))
     return {
         "type": "Feature",
         "properties": {"tags": tags},
@@ -137,3 +143,64 @@ def write_demo(directory) -> dict[str, pathlib.Path]:
     with jsonio.atomic_write(paths["constitution"]) as fh:
         fh.write(MARINE_CONSTITUTION)
     return paths
+
+
+# ---------------------------------------------------------------------------
+# The corridor world
+
+CORRIDOR_ORIGIN = (-74.02, 40.64)  # lon, lat
+_CORRIDOR_FRAME = LocalFrame(origin_lon=CORRIDOR_ORIGIN[0], origin_lat=CORRIDOR_ORIGIN[1])
+
+CORRIDOR_CONSTITUTION = (
+    "1.0 :: constitution(X, Z) :- over(X, corridor).\n"
+    "0.02 :: constitution(X, Z).\n"
+)
+
+CORRIDOR_PERTURBATIONS = {"corridor": {"translation_std_m": 12.0}}
+
+CORRIDOR_GRID = {"bbox": [-300.0, -300.0, 3900.0, 300.0], "rows": 21, "cols": 43}
+
+# Agent kinematics: compliant agents start on the corridor axis, incompliant
+# ones 140 m off it; all head east at 5 m/s, one position every
+# CORRIDOR_DT_S, with N(0, CORRIDOR_KICK_STD^2) m/s velocity kicks.
+CORRIDOR_STARTS = {"compliant": (0.0, 0.0), "incompliant": (0.0, 140.0)}
+CORRIDOR_VELOCITY = (5.0, 0.0)
+CORRIDOR_DT_S = 10.0
+CORRIDOR_KICK_STD = 0.05
+
+# The filter's model: every FilterConfig field but the particle count.
+CORRIDOR_FILTER = {"dt": CORRIDOR_DT_S, "sigma_a": 0.3, "measurement_noise_std": 50.0}
+
+
+def corridor_geojson() -> dict:
+    """The corridor polygon, 3.8 km along x and 50 m wide, tagged corridor."""
+    corridor = _polygon(
+        [(-200, -25), (3600, -25), (3600, 25), (-200, 25)], ["corridor"],
+        _CORRIDOR_FRAME,
+    )
+    return {"type": "FeatureCollection", "features": [corridor]}
+
+
+def corridor_scenario(mode: str = "compliant", *, seed: int, n_seeds: int, agents: int,
+                      steps: int, particles: int, samples: int = 50,
+                      taus=(0.0, 0.25, 0.5, 0.75, 1.0)) -> dict:
+    """The corridor ablation as a bench scenario spec named corridor-{mode}:
+    agents of the given mode, samples starmap variants, n_seeds filter seeds
+    per trust ratio in taus."""
+    if mode not in CORRIDOR_STARTS:
+        raise ValueError(f"unknown agent mode {mode!r}")
+    return copy.deepcopy({
+        "name": f"corridor-{mode}",
+        "seed": seed,
+        "map": {"inline": corridor_geojson()},
+        "perturbations": {"inline": CORRIDOR_PERTURBATIONS},
+        "constitution": {"inline": CORRIDOR_CONSTITUTION},
+        "grid": CORRIDOR_GRID,
+        "starmap_samples": samples,
+        "taus": list(taus),
+        "n_seeds": n_seeds,
+        "agents": {"count": agents, "mode": mode, "start": list(CORRIDOR_STARTS[mode]),
+                   "velocity": list(CORRIDOR_VELOCITY), "steps": steps,
+                   "dt": CORRIDOR_DT_S, "kick_std": CORRIDOR_KICK_STD},
+        "filter": {"particles": particles, **CORRIDOR_FILTER},
+    })

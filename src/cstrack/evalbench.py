@@ -23,19 +23,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .constitution import environment_atoms, parse, parse_file, precompute_field
+from .constitution import parse, parse_file, precompute_field, program_relations
 from .constitution.field import ConstitutionField
 from .errors import ConfigurationError, FormatError, StuckAgentError
 from .grids import MAX_COORD, GridSpec
 from .ingest import MAX_STEPS
 from .particlefilter import FilterConfig
-from .relations import RelationKind
 from .starmap import build_starmap
 from .trust import sweep
 from .vectormap import load_geojson, load_perturbation_config, perturbations_from_config
 
 MAX_REJECTIONS = 1000
 MAX_SEEDS, MAX_AGENTS = 1000, 1000  # per sweep, scenario
+
+
+def _check_agent(grid: GridSpec, start, mode: str) -> None:
+    """Reject an unknown agent mode or a start outside the grid's bbox."""
+    if mode not in ("compliant", "incompliant"):
+        raise ConfigurationError(f"unknown agent mode {mode!r}")
+    if not grid.contains(start)[0]:
+        x, y = np.asarray(start, dtype=float).tolist()
+        raise ConfigurationError(f"start ({x}, {y}) outside the field bbox")
 
 
 def simulate_agent(
@@ -55,12 +63,9 @@ def simulate_agent(
     (compliant mode) or its complement (incompliant mode). Returns the
     (steps + 1, 2) position sequence including the start.
     """
-    if mode not in ("compliant", "incompliant"):
-        raise ConfigurationError(f"unknown agent mode {mode!r}")
+    _check_agent(f.grid, start, mode)
     p = np.asarray(start, dtype=float).copy()
     v = np.asarray(velocity, dtype=float).copy()
-    if not f.grid.contains(p.reshape(1, 2))[0]:
-        raise ConfigurationError(f"start {tuple(p)} outside the field bbox")
     out = np.empty((steps + 1, 2))
     out[0] = p
     for step in range(1, steps + 1):
@@ -281,18 +286,16 @@ def load_scenario(path) -> Scenario:
     _check_arms(taus, n_seeds)
     if not 1 <= count <= MAX_AGENTS:
         raise ConfigurationError(f"bench needs at least 1 agent, at most {MAX_AGENTS}: {count}")
+    _check_agent(grid, start, mode)
 
     vmap, _ = _inline_or_path(map_entry, base, load_geojson)
     perturb_cfg = _inline_or_path(perturb_entry, base, load_perturbation_config)
     program = _inline_or_path(constitution_entry, base, _parse_program)
 
-    relations = sorted(
-        {(RelationKind(pred), tag) for pred, _, tag in environment_atoms(program)}
-    )
     perturbations = perturbations_from_config(vmap, perturb_cfg)
     seeds = np.random.SeedSequence(seed).spawn(2)
     layers = build_starmap(
-        vmap, perturbations, relations, grid, n=samples,
+        vmap, perturbations, program_relations(program), grid, n=samples,
         rng=np.random.default_rng(seeds[0]),
     )
     f = precompute_field(program, layers, grid)

@@ -32,17 +32,28 @@ from wmc_oracle import oracle_probability, random_program
 from cstrack.cli import main as cli_main
 from cstrack.constitution import (
     ConstitutionEvaluator,
-    environment_atoms,
     ground,
     parse,
     precompute_field,
+    program_relations,
 )
 from cstrack.demo import (
+    CORRIDOR_CONSTITUTION,
+    CORRIDOR_DT_S,
+    CORRIDOR_FILTER,
+    CORRIDOR_GRID,
+    CORRIDOR_KICK_STD,
+    CORRIDOR_ORIGIN,
+    CORRIDOR_PERTURBATIONS,
+    CORRIDOR_STARTS,
+    CORRIDOR_VELOCITY,
     HARBOR_BBOX_M,
     HARBOR_ORIGIN,
     HARBOR_PERTURBATIONS,
     MARINE_CONSTITUTION,
     channel_track,
+    corridor_geojson,
+    corridor_scenario,
     harbor_geojson,
 )
 from cstrack.evalbench import Scenario, run_ablation, simulate_agent
@@ -87,9 +98,7 @@ def criterion(label):
 # Shared pipelines
 
 
-CORRIDOR_CONFIG = FilterConfig(
-    particles=2000, dt=10.0, sigma_a=0.3, measurement_noise_std=50.0
-)
+CORRIDOR_CONFIG = FilterConfig(particles=2000, **CORRIDOR_FILTER)
 
 
 def _as_track(positions: np.ndarray, dt: float, vessel_id: str) -> Track:
@@ -105,22 +114,20 @@ def _as_track(positions: np.ndarray, dt: float, vessel_id: str) -> Track:
 @pytest.fixture(scope="module")
 def corridor():
     """Corridor world built through the full pipeline (map -> layers -> field)."""
-    vmap, _ = load_geojson(world.corridor_geojson(), origin=world.ORIGIN)
-    program = parse(world.CONSTITUTION)
-    relations = sorted(
-        {(RelationKind(p), t) for p, _, t in environment_atoms(program)}
-    )
-    perturbations = perturbations_from_config(vmap, world.PERTURBATIONS)
-    grid = GridSpec.from_json(world.GRID)
-    layers = build_starmap(vmap, perturbations, relations, grid, n=50, rng=7)
+    vmap, _ = load_geojson(corridor_geojson(), origin=CORRIDOR_ORIGIN)
+    program = parse(CORRIDOR_CONSTITUTION)
+    perturbations = perturbations_from_config(vmap, CORRIDOR_PERTURBATIONS)
+    grid = GridSpec.from_json(CORRIDOR_GRID)
+    layers = build_starmap(vmap, perturbations, program_relations(program), grid,
+                           n=50, rng=7)
     f = precompute_field(program, layers, grid)
 
-    def agents(mode, count, seed, start_y=0.0):
+    def agents(mode, count, seed):
         rng = np.random.default_rng(seed)
         return [
             simulate_agent(
-                f, (0.0, start_y), (5.0, 0.0), steps=30, dt=10.0, mode=mode,
-                rng=rng, kick_std=0.05,
+                f, CORRIDOR_STARTS[mode], CORRIDOR_VELOCITY, steps=30, dt=CORRIDOR_DT_S,
+                mode=mode, rng=rng, kick_std=CORRIDOR_KICK_STD,
             )
             for _ in range(count)
         ]
@@ -133,12 +140,10 @@ def harbor():
     """Demo harbor with a 100 x 100 starmap and compliance field."""
     vmap, _ = load_geojson(harbor_geojson(), origin=HARBOR_ORIGIN)
     program = parse(MARINE_CONSTITUTION)
-    relations = sorted(
-        {(RelationKind(p), t) for p, _, t in environment_atoms(program)}
-    )
     perturbations = perturbations_from_config(vmap, HARBOR_PERTURBATIONS)
     grid = GridSpec(bbox=HARBOR_BBOX_M, rows=100, cols=100)
-    layers = build_starmap(vmap, perturbations, relations, grid, n=40, rng=13)
+    layers = build_starmap(vmap, perturbations, program_relations(program), grid,
+                           n=40, rng=13)
     f = precompute_field(program, layers, grid)
     return {"field": f, "layers": layers, "program": program, "grid": grid}
 
@@ -230,7 +235,7 @@ def test_criterion_04_comparison_compilation():
 def test_criterion_05_compliant_improvement(corridor):
     started = time.perf_counter()
     training = [
-        _as_track(p, 10.0, f"train{i}")
+        _as_track(p, CORRIDOR_DT_S, f"train{i}")
         for i, p in enumerate(corridor["agents"]("compliant", 3, seed=301))
     ]
     evaluate = corridor["field"].particle_probabilities
@@ -261,10 +266,8 @@ def test_criterion_05_compliant_improvement(corridor):
 @criterion("6 incompliant-scenario safety (tau = 0 selected; baseline MAE exact)")
 def test_criterion_06_incompliant_safety(corridor):
     training = [
-        _as_track(p, 10.0, f"bad{i}")
-        for i, p in enumerate(
-            corridor["agents"]("incompliant", 3, seed=401, start_y=140.0)
-        )
+        _as_track(p, CORRIDOR_DT_S, f"bad{i}")
+        for i, p in enumerate(corridor["agents"]("incompliant", 3, seed=401))
     ]
     evaluate = corridor["field"].particle_probabilities
     table, report = calibrate(
@@ -274,8 +277,9 @@ def test_criterion_06_incompliant_safety(corridor):
     tau_star = table.lookup(extract_features(training[0]))
     assert tau_star == 0.0, f"calibration picked tau = {tau_star}"
 
-    truth = corridor["agents"]("incompliant", 1, seed=403, start_y=140.0)[0]
-    noisy = truth + np.random.default_rng(404).normal(scale=50.0, size=truth.shape)
+    truth = corridor["agents"]("incompliant", 1, seed=403)[0]
+    noisy = truth + np.random.default_rng(404).normal(
+        scale=CORRIDOR_FILTER["measurement_noise_std"], size=truth.shape)
     base_est, _ = run_filter(noisy, CORRIDOR_CONFIG, np.random.SeedSequence(405))
     guided_est, _ = run_filter(
         noisy, CORRIDOR_CONFIG, np.random.SeedSequence(405),
@@ -386,7 +390,7 @@ def test_criterion_09_filter_statistics():
 
 def c10_starmap_argv(paths, out_dir):
     return ["build-starmap", "--map", paths["map"], "--perturb", paths["perturb"],
-            "--constitution", paths["constitution"], "--bbox=-300,-300,3900,300",
+            "--constitution", paths["constitution"], world.BBOX_FLAG,
             "--rows", 10, "--cols", 22, "--samples", 12, "--seed", 2,
             "--out", out_dir / "starmap.json"]
 
@@ -416,7 +420,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     ingest_dir = twice(
         "ingest",
         lambda sub: ["ingest", "--csv", paths["csv"], "--out", sub / "tracks.json",
-                     "--dt", 60, f"--origin={world.ORIGIN[0]},{world.ORIGIN[1]}",
+                     "--dt", 60, world.ORIGIN_FLAG,
                      "--seed", 1],
         ["tracks.json"],
     )
@@ -448,8 +452,8 @@ def test_criterion_10_cli_determinism(tmp_path):
         ["trust.json", "report.json", "hist.csv"],
     )
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(world.scenario_spec(
-        taus=(0.0, 0.5), n_seeds=1, steps=15, particles=120, samples=8)))
+    scenario.write_text(json.dumps(corridor_scenario(
+        seed=11, n_seeds=1, agents=2, steps=15, particles=120, samples=8, taus=(0.0, 0.5))))
     twice(
         "bench",
         lambda sub: ["bench", "--scenario", scenario, "--out-dir", sub,

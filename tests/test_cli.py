@@ -23,7 +23,14 @@ from hypothesis import given, settings, strategies as st
 from cstrack import cli, jsonio
 from cstrack.cli import main
 from cstrack.constitution import ConstitutionEvaluator, ConstitutionField, parse, precompute_field
-from cstrack.demo import write_demo
+from cstrack.demo import (
+    CORRIDOR_CONSTITUTION,
+    CORRIDOR_GRID,
+    CORRIDOR_PERTURBATIONS,
+    corridor_geojson,
+    corridor_scenario,
+    write_demo,
+)
 from cstrack.grids import ENCODING, GridSpec
 from cstrack.ingest import Track, load_tracks, save_tracks
 from cstrack.particlefilter import FilterConfig
@@ -41,6 +48,11 @@ def paths(tmp_path):
     return world.write_world(tmp_path)
 
 
+def bench_scenario(**sizes) -> dict:
+    """The corridor bench scenario at test sizes: seed 11, two agents."""
+    return corridor_scenario(seed=11, agents=2, **sizes)
+
+
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
@@ -50,7 +62,7 @@ def build_starmap(paths, tmp_path, out="starmap.json", seed=3):
     code = run_cli(
         "build-starmap", "--map", paths["map"], "--perturb", paths["perturb"],
         "--constitution", paths["constitution"],
-        "--bbox=-300,-300,3900,300", "--rows", 12, "--cols", 22,
+        world.BBOX_FLAG, "--rows", 12, "--cols", 22,
         "--samples", 16, "--seed", seed, "--out", out_path,
     )
     assert code == 0
@@ -60,7 +72,7 @@ def build_starmap(paths, tmp_path, out="starmap.json", seed=3):
 def flagged_centre_starmap(tmp_path):
     """3 x 3 over:corridor starmap over the world's bbox; the centre cell,
     which the recorded track crosses, is flagged."""
-    grid = GridSpec(bbox=(-300.0, -300.0, 3900.0, 300.0), rows=3, cols=3)
+    grid = GridSpec(bbox=tuple(CORRIDOR_GRID["bbox"]), rows=3, cols=3)
     mean, std = np.ones((3, 3)), np.zeros((3, 3))
     mean[1, 1] = std[1, 1] = np.nan
     layer = StaRMapLayer(relation=RelationKind.OVER, tag="corridor", grid=grid,
@@ -80,7 +92,7 @@ def strict_loads(text):
 
 def empty_starmap(tmp_path):
     out = tmp_path / "empty.json"
-    out.write_text(json.dumps({"bbox": [-300, -300, 3900, 300], "resolution": [3, 3],
+    out.write_text(json.dumps({"bbox": CORRIDOR_GRID["bbox"], "resolution": [3, 3],
                                "sample_count": 2, "origin_lonlat": None,
                                "encoding": ENCODING, "layers": []}))
     return out
@@ -89,7 +101,7 @@ def empty_starmap(tmp_path):
 def ingest(paths, tmp_path, out="tracks.json"):
     out_path = tmp_path / out
     code = run_cli("ingest", "--csv", paths["csv"], "--out", out_path,
-                   "--dt", 60, f"--origin={world.ORIGIN[0]},{world.ORIGIN[1]}")
+                   "--dt", 60, world.ORIGIN_FLAG)
     assert code == 0
     return out_path
 
@@ -246,7 +258,7 @@ class TestBuildStarmap:
                                                                capsys, samples):
         code = run_cli(
             "build-starmap", "--map", paths["map"], "--perturb", paths["perturb"],
-            "--relations", "over:corridor", "--bbox=-300,-300,3900,300",
+            "--relations", "over:corridor", world.BBOX_FLAG,
             "--rows", 4, "--cols", 4, "--samples", samples, "--out", tmp_path / "sm.json",
         )
         assert code == 2
@@ -260,7 +272,7 @@ class TestBuildStarmap:
     def test_too_small_grid_is_user_error_and_writes_nothing(self, paths, tmp_path, capsys,
                                                              flag, value):
         argv = ["build-starmap", "--map", paths["map"], "--perturb", paths["perturb"],
-                "--relations", "over:corridor", "--bbox=-300,-300,3900,300",
+                "--relations", "over:corridor", world.BBOX_FLAG,
                 "--rows", 4, "--cols", 4, "--samples", 4, "--out", tmp_path / "sm.json"]
         argv[argv.index(flag) + 1] = value
         assert run_cli(*argv) == 2
@@ -274,7 +286,7 @@ class TestBuildStarmap:
         code = run_cli(
             "build-starmap", "--map", paths["map"], "--perturb", paths["perturb"],
             "--relations", "over:corridor,distance:corridor",
-            "--bbox=-300,-300,3900,300", "--rows", 6, "--cols", 10,
+            world.BBOX_FLAG, "--rows", 6, "--cols", 10,
             "--samples", 8, "--out", tmp_path / "sm.json", "--pgm-dir", pgm_dir,
         )
         assert code == 0
@@ -287,7 +299,7 @@ class TestBuildStarmap:
             code = run_cli(
                 "build-starmap", "--map", paths["map"], "--perturb", paths["perturb"],
                 "--relations", "over:corridor,distance:corridor",
-                "--bbox=-300,-300,3900,300", "--rows", 6, "--cols", 10,
+                world.BBOX_FLAG, "--rows", 6, "--cols", 10,
                 "--samples", 8, "--out", tmp_path / out, *flags,
             )
             assert code == 0
@@ -403,7 +415,7 @@ def build_starmap_from_docs(directory, geojson, perturbations, *flags):
     directory = pathlib.Path(directory)
     (directory / "map.geojson").write_text(json.dumps(geojson))
     (directory / "perturb.json").write_text(json.dumps(perturbations))
-    (directory / "rules.cst").write_text(world.CONSTITUTION)
+    (directory / "rules.cst").write_text(CORRIDOR_CONSTITUTION)
     out = directory / "sm.json"
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -414,8 +426,14 @@ def build_starmap_from_docs(directory, geojson, perturbations, *flags):
     return code, err.getvalue(), out
 
 
+# The world's perturbations with a catch-all entry, so that a buoy added to
+# the map, or a feature whose tags a mutation changed, is perturbed, not
+# refused.
+CATCH_ALL_PERTURBATIONS = {**CORRIDOR_PERTURBATIONS, "*": {}}
+
+
 def with_buoy(coordinates):
-    geojson = world.corridor_geojson()
+    geojson = corridor_geojson()
     geojson["features"].append({"type": "Feature", "properties": {"tags": ["buoy"]},
                                 "geometry": {"type": "Point", "coordinates": coordinates}})
     return geojson
@@ -431,10 +449,10 @@ def input_docs() -> dict:
         paths["csv"].write_text(world.ais_csv_text(steps=6))
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_cli("ingest", "--csv", paths["csv"], "--out", tmp / "tracks.json",
-                           "--dt", 60, f"--origin={world.ORIGIN[0]},{world.ORIGIN[1]}") == 0
+                           "--dt", 60, world.ORIGIN_FLAG) == 0
             assert run_cli("build-starmap", "--map", paths["map"], "--perturb",
                            paths["perturb"], "--constitution", paths["constitution"],
-                           "--bbox=-300,-300,3900,300", "--rows", 3, "--cols", 4,
+                           world.BBOX_FLAG, "--rows", 3, "--cols", 4,
                            "--samples", 3, "--seed", 2, "--out", tmp / "starmap.json") == 0
         docs = {name: json.loads((tmp / f"{name}.json").read_text())
                 for name in ("tracks", "starmap")}
@@ -442,8 +460,8 @@ def input_docs() -> dict:
         {"vessel_type": "cargo", "waterway_bound": True, "anchoring": False, "tau": 0.6}]}
     docs["filter"] = {"particles": 40, "dt": 60.0, "sigma_a": 0.05,
                       "measurement_noise_std": 40.0, "ess_ratio": 0.5}
-    docs["scenario"] = world.scenario_spec(taus=(0.0, 0.5), n_seeds=1, steps=4,
-                                           particles=30, samples=3)
+    docs["scenario"] = bench_scenario(taus=(0.0, 0.5), n_seeds=1, steps=4,
+                                      particles=30, samples=3)
     return docs
 
 
@@ -459,7 +477,7 @@ def run_on_docs(directory, command, docs, *flags):
     directory = pathlib.Path(directory)
     for name, doc in {**input_docs(), **docs}.items():
         (directory / f"{name}.json").write_text(json.dumps(doc))
-    (directory / "rules.cst").write_text(world.CONSTITUTION)
+    (directory / "rules.cst").write_text(CORRIDOR_CONSTITUTION)
     out = directory / "out"
     out.mkdir()
     reads = ["--constitution", directory / "rules.cst",
@@ -608,24 +626,24 @@ HUGE_SIZES = [
 
 class TestMapInputs:
     @pytest.mark.parametrize("geojson, perturbations", [
-        (with_buoy([-74.0]), world.PERTURBATIONS),
-        (with_buoy("ab"), world.PERTURBATIONS),
-        (mutate(world.corridor_geojson(), ("features", 0, "geometry", "coordinates", 0, 2),
-                "replace", "ab"), world.PERTURBATIONS),
-        (mutate(world.corridor_geojson(), ("features", 0), "replace", 7),
-         world.PERTURBATIONS),
-        (with_buoy([-74.0, float("nan")]), world.PERTURBATIONS),
-        (with_buoy([1e308, 40.6]), world.PERTURBATIONS),
-        (world.corridor_geojson(), {"*": {"translation_std_m": "x"}}),
-        (world.corridor_geojson(), {"*": {"translation_std_m": None}}),
-        (world.corridor_geojson(), {"*": {"translation_std_m": [1]}}),
-        (world.corridor_geojson(), {"*": {"translation_std_m": -1.0}}),
-        (world.corridor_geojson(), {"*": {"translation_std_m": 1e200}}),
-        (world.corridor_geojson(), {"*": {"rotation_std_rad": "nan"}}),
-        (world.corridor_geojson(), {"*": {"rotation_std_rad": float("nan")}}),
-        (world.corridor_geojson(), {"*": {"scale_std": True}}),
-        (world.corridor_geojson(), {"*": {"scale_std": 1e300}}),
-        (world.corridor_geojson(), {"*": {"translation_std_m": 1e150}}),
+        (with_buoy([-74.0]), CATCH_ALL_PERTURBATIONS),
+        (with_buoy("ab"), CATCH_ALL_PERTURBATIONS),
+        (mutate(corridor_geojson(), ("features", 0, "geometry", "coordinates", 0, 2),
+                "replace", "ab"), CATCH_ALL_PERTURBATIONS),
+        (mutate(corridor_geojson(), ("features", 0), "replace", 7),
+         CATCH_ALL_PERTURBATIONS),
+        (with_buoy([-74.0, float("nan")]), CATCH_ALL_PERTURBATIONS),
+        (with_buoy([1e308, 40.6]), CATCH_ALL_PERTURBATIONS),
+        (corridor_geojson(), {"*": {"translation_std_m": "x"}}),
+        (corridor_geojson(), {"*": {"translation_std_m": None}}),
+        (corridor_geojson(), {"*": {"translation_std_m": [1]}}),
+        (corridor_geojson(), {"*": {"translation_std_m": -1.0}}),
+        (corridor_geojson(), {"*": {"translation_std_m": 1e200}}),
+        (corridor_geojson(), {"*": {"rotation_std_rad": "nan"}}),
+        (corridor_geojson(), {"*": {"rotation_std_rad": float("nan")}}),
+        (corridor_geojson(), {"*": {"scale_std": True}}),
+        (corridor_geojson(), {"*": {"scale_std": 1e300}}),
+        (corridor_geojson(), {"*": {"translation_std_m": 1e150}}),
     ], ids=["point-one-coordinate", "point-string", "ring-string-pair", "feature-number",
             "point-nan-latitude", "point-longitude-out-of-range", "translation-string",
             "translation-null", "translation-list", "translation-negative",
@@ -641,7 +659,7 @@ class TestMapInputs:
     @settings(deadline=None, max_examples=300)
     @given(st.data())
     def test_mutated_map_inputs_exit_0_or_2(self, data):
-        docs = {"map": world.corridor_geojson(), "perturb": world.PERTURBATIONS}
+        docs = {"map": corridor_geojson(), "perturb": CATCH_ALL_PERTURBATIONS}
         for _ in range(data.draw(st.integers(1, 2), label="mutations")):
             name = data.draw(st.sampled_from(sorted(docs)), label="document")
             # sampled_from favours early entries: put the deepest values,
@@ -651,7 +669,7 @@ class TestMapInputs:
             docs[name] = mutate(docs[name], path,
                                 data.draw(st.sampled_from(["replace", "delete", "empty"])),
                                 data.draw(st.sampled_from(FUZZ_VALUES)))
-        flags = data.draw(st.sampled_from([(), ("--bbox=-300,-300,3900,300",)]))
+        flags = data.draw(st.sampled_from([(), (world.BBOX_FLAG,)]))
         with tempfile.TemporaryDirectory() as tmp:
             code, err, out = build_starmap_from_docs(tmp, docs["map"], docs["perturb"],
                                                      *flags)
@@ -686,8 +704,8 @@ class TestMapInputs:
             check_outcome(code, err, out)
         else:
             if command == "build-starmap":
-                code, err, out = build_starmap_from_docs(tmp_path, world.corridor_geojson(),
-                                                         world.PERTURBATIONS, f"--bbox={bbox}")
+                code, err, out = build_starmap_from_docs(tmp_path, corridor_geojson(),
+                                                         CORRIDOR_PERTURBATIONS, f"--bbox={bbox}")
             else:  # a depth layer on the demo harbor crashed in relations at -1e300
                 files = write_demo(tmp_path)
                 out = tmp_path / "sm.json"
@@ -710,8 +728,8 @@ class TestMapInputs:
                                                        flags):
         flags = [*flags, str(10**12)] if flags else []
         if command == "build-starmap":
-            code, err, out = build_starmap_from_docs(tmp_path, world.corridor_geojson(),
-                                                     world.PERTURBATIONS, *flags)
+            code, err, out = build_starmap_from_docs(tmp_path, corridor_geojson(),
+                                                     CORRIDOR_PERTURBATIONS, *flags)
             assert code == 2, err
             assert "error:" in err and "Traceback" not in err and not out.exists()
             return
@@ -1133,7 +1151,7 @@ def block_world(tmp_path_factory):
     track at tau = 1 degenerates; and a program that reads both the state
     and the measurement."""
     directory = tmp_path_factory.mktemp("blocks")
-    grid = GridSpec(bbox=(-300.0, -300.0, 3900.0, 300.0), rows=5, cols=15)
+    grid = GridSpec(bbox=tuple(CORRIDOR_GRID["bbox"]), rows=5, cols=15)
     xs = grid.node_points()[:, 0].reshape(5, 15)
     mean = np.where(xs <= 1800.0, np.random.default_rng(14).uniform(0.3, 1.0, (5, 15)), 0.0)
     std = np.zeros((5, 15))
@@ -1161,7 +1179,7 @@ def write_block_tracks(path, cases, seed):
         tracks.append(Track(vessel_id=f"v{k}", times=times, positions=positions, dt=dt,
                             metadata={"vessel_type": VESSEL_TYPES[kind], "draft": None,
                                       "sog_median_kn": None}))
-    save_tracks(tracks, LocalFrame(*world.ORIGIN), path)
+    save_tracks(tracks, world.FRAME, path)
 
 
 def lone_track_outputs(tracks_path, starmap, program_path, mode, table, seed):
@@ -1315,7 +1333,7 @@ class TestCalibrate:
 class TestBench:
     def test_runs_and_reruns_identically(self, tmp_path):
         spec = tmp_path / "scenario.json"
-        spec.write_text(json.dumps(world.scenario_spec(
+        spec.write_text(json.dumps(bench_scenario(
             taus=(0.0,), n_seeds=1, steps=15, particles=120, samples=8)))
         outs = []
         for name in ("out1", "out2"):
@@ -1333,12 +1351,28 @@ class TestBench:
         assert run_cli("bench", "--scenario", spec, "--out-dir", tmp_path / "o") == 2
 
     def test_scenario_missing_map_is_user_error(self, tmp_path):
-        doc = world.scenario_spec(taus=(0.0,), n_seeds=1, steps=5, particles=50,
-                                  samples=4)
+        doc = bench_scenario(taus=(0.0,), n_seeds=1, steps=5, particles=50,
+                             samples=4)
         del doc["map"]
         spec = tmp_path / "scenario.json"
         spec.write_text(json.dumps(doc))
         assert run_cli("bench", "--scenario", spec, "--out-dir", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("agents, message", [
+        ({"mode": "reckless"}, "unknown agent mode 'reckless'"),
+        ({"start": [1e6, 0.0]}, "start (1000000.0, 0.0) outside the field bbox"),
+    ])
+    def test_bad_agent_is_user_error_before_the_starmap(self, tmp_path, capsys, agents,
+                                                        message):
+        doc = bench_scenario(taus=(0.0,), n_seeds=1, steps=5, particles=50, samples=4)
+        doc["agents"].update(agents)
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps(doc))
+        with mock.patch("cstrack.evalbench.build_starmap") as built:
+            assert run_cli("bench", "--scenario", spec, "--out-dir", tmp_path / "o") == 2
+        built.assert_not_called()
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key, entry", [
         ("map", {"geojson": {}}),
@@ -1347,8 +1381,8 @@ class TestBench:
         ("agents", {"count": 1}),
     ])
     def test_malformed_entry_is_user_error(self, tmp_path, capsys, key, entry):
-        doc = world.scenario_spec(taus=(0.0,), n_seeds=1, steps=5, particles=50,
-                                  samples=4)
+        doc = bench_scenario(taus=(0.0,), n_seeds=1, steps=5, particles=50,
+                             samples=4)
         doc[key] = entry
         spec = tmp_path / "scenario.json"
         spec.write_text(json.dumps(doc))
@@ -1364,8 +1398,8 @@ class TestBench:
         ({"agents": {"count": 0}}, []),
     ])
     def test_sweep_that_runs_nothing_is_user_error(self, tmp_path, capsys, change, flags):
-        doc = world.scenario_spec(taus=(0.0,), n_seeds=1, steps=5, particles=50,
-                                  samples=4)
+        doc = bench_scenario(taus=(0.0,), n_seeds=1, steps=5, particles=50,
+                             samples=4)
         for key, value in change.items():
             doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
         spec = tmp_path / "scenario.json"
@@ -1382,8 +1416,8 @@ class TestBench:
         # scenario load exactly like the same content inline.
         outs = []
         for name in ("inline", "paths"):
-            doc = world.scenario_spec(taus=(0.0, 1.0), n_seeds=1, steps=8,
-                                      particles=60, samples=4)
+            doc = bench_scenario(taus=(0.0, 1.0), n_seeds=1, steps=8,
+                                 particles=60, samples=4)
             if name == "paths":
                 for key, file_key in (("map", "map"), ("perturbations", "perturb"),
                                       ("constitution", "constitution")):
@@ -1432,7 +1466,7 @@ class TestNumberFlags:
                     "--out-table", out / "t.json", "--out-report", out / "r.json"]
         else:
             spec = tmp_path / "scenario.json"
-            spec.write_text(json.dumps(world.scenario_spec(
+            spec.write_text(json.dumps(bench_scenario(
                 taus=(0.0,), n_seeds=1, steps=5, particles=50, samples=4)))
             argv = ["--scenario", spec, "--out-dir", out / "bench"]
         capsys.readouterr()
@@ -1495,8 +1529,8 @@ class TestStrictJson:
                        "--tau-grid", "0,1", "--particles", 100, "--meas-std", 40,
                        "--out-table", tmp_path / "table.json",
                        "--out-report", tmp_path / "calibration.json") == 0
-        doc = world.scenario_spec(taus=(0.0, 1.0), n_seeds=1, steps=8,
-                                  particles=60, samples=4)
+        doc = bench_scenario(taus=(0.0, 1.0), n_seeds=1, steps=8,
+                             particles=60, samples=4)
         doc["constitution"] = {
             "inline": "0.0 :: constitution(X, Z) :- over(X, corridor).\n"
         }

@@ -1,3 +1,7 @@
+import pathlib
+import sys
+import types
+
 import numpy as np
 import pytest
 
@@ -6,18 +10,20 @@ from cstrack.constitution import (
     environment_atoms,
     parse,
     precompute_field,
+    program_relations,
 )
 from cstrack.demo import (
+    CORRIDOR_STARTS,
     HARBOR_BBOX_M,
     HARBOR_ORIGIN,
     HARBOR_PERTURBATIONS,
     MARINE_CONSTITUTION,
     channel_track,
+    corridor_scenario,
     harbor_geojson,
     write_demo,
 )
 from cstrack.grids import GridSpec
-from cstrack.relations import RelationKind
 from cstrack.starmap import build_starmap
 from cstrack.vectormap import load_geojson, perturbations_from_config
 
@@ -26,12 +32,10 @@ from cstrack.vectormap import load_geojson, perturbations_from_config
 def harbor():
     vmap, _ = load_geojson(harbor_geojson(), origin=HARBOR_ORIGIN)
     program = parse(MARINE_CONSTITUTION)
-    relations = sorted(
-        {(RelationKind(p), t) for p, _, t in environment_atoms(program)}
-    )
     perturbations = perturbations_from_config(vmap, HARBOR_PERTURBATIONS)
     grid = GridSpec(bbox=HARBOR_BBOX_M, rows=36, cols=36)
-    layers = build_starmap(vmap, perturbations, relations, grid, n=24, rng=3)
+    layers = build_starmap(vmap, perturbations, program_relations(program), grid,
+                           n=24, rng=3)
     return {
         "layers": layers,
         "grid": grid,
@@ -120,3 +124,41 @@ def test_channel_track_runs_up_the_channel():
     assert track.shape == (10, 2)
     assert (np.diff(track[:, 1]) > 0).all()
     assert (track[:, 0] == 0.0).all()
+
+
+def test_corridor_scenario_puts_each_mode_at_its_start():
+    for mode, start in CORRIDOR_STARTS.items():
+        spec = corridor_scenario(mode, seed=1, n_seeds=2, agents=3, steps=4, particles=5)
+        assert spec["name"] == f"corridor-{mode}"
+        assert spec["agents"]["mode"] == mode
+        assert spec["agents"]["start"] == list(start)
+    with pytest.raises(ValueError, match="unknown agent mode 'reckless'"):
+        corridor_scenario("reckless", seed=1, n_seeds=2, agents=3, steps=4, particles=5)
+
+
+def test_corridor_scenarios_share_no_objects():
+    a = corridor_scenario(seed=1, n_seeds=2, agents=3, steps=4, particles=5)
+    a["perturbations"]["inline"]["corridor"]["translation_std_m"] = 0.0
+    a["grid"]["bbox"][0] = 0.0
+    assert corridor_scenario(seed=1, n_seeds=2, agents=3, steps=4, particles=5) != a
+
+
+PERFBENCH_INPUTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+
+
+@pytest.mark.parametrize("sizes", [
+    {"seed": 7, "n_seeds": 10, "agents": 3, "steps": 40, "particles": 2000},
+    {"seed": 0, "n_seeds": 2, "agents": 5, "steps": 3, "particles": 50},
+])
+def test_perfbench_corridor_scenario_is_the_demo_scenario(monkeypatch, sizes):
+    """perfbench/inputs.py keeps its own copy of the compliant corridor
+    scenario, on whose bytes its filter-sweeps digests rest. This pins the
+    copy to cstrack.demo.corridor_scenario; it goes when perfbench imports
+    the builder. The file is compiled from its text, so no bytecode is
+    written next to it."""
+    inputs = types.ModuleType("perfbench_inputs")
+    inputs.__file__ = str(PERFBENCH_INPUTS)
+    monkeypatch.setitem(sys.modules, inputs.__name__, inputs)
+    exec(compile(PERFBENCH_INPUTS.read_text(encoding="utf-8"), inputs.__file__, "exec"),
+         inputs.__dict__)
+    assert inputs.corridor_scenario(**sizes) == corridor_scenario(**sizes)

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -26,10 +28,12 @@ def test_make_harbor_demo_writes_the_demo_world(tmp_path):
     assert "constitution" in (tmp_path / "marine.cst").read_text()
 
 
-def test_corridor_ablation_writes_report_and_runs(tmp_path):
-    out = run_script("run_corridor_ablation.py", "--n-seeds", 1, "--steps", 5,
-                     "--particles", 50, "--out-dir", tmp_path)
+@pytest.mark.parametrize("mode", ["compliant", "incompliant"])
+def test_corridor_ablation_writes_report_and_runs(tmp_path, mode):
+    out = run_script("run_corridor_ablation.py", "--mode", mode, "--n-seeds", 1,
+                     "--steps", 5, "--particles", 50, "--out-dir", tmp_path)
     assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith(f"scenario: corridor-{mode}, 3 agents,")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "runs.csv"]
     report = json.loads((tmp_path / "report.json").read_text())
     # 3 agents x 1 seed x 5 trust ratios, one row each in both files.

@@ -1,8 +1,7 @@
-"""A miniature corridor world shared by CLI and acceptance tests.
+"""The corridor world of cstrack.demo as files, for CLI and acceptance tests.
 
-One tagged corridor polygon in lon/lat, a perturbation config that softens
-its edges, a two-clause rule program with a small leak probability, and an
-AIS recording of a vessel running along the corridor axis.
+Its map, perturbation config and constitution, and an AIS recording of a
+vessel running along the corridor axis.
 """
 
 from __future__ import annotations
@@ -10,50 +9,21 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 
+from cstrack.demo import (
+    CORRIDOR_CONSTITUTION,
+    CORRIDOR_GRID,
+    CORRIDOR_ORIGIN,
+    CORRIDOR_PERTURBATIONS,
+    corridor_geojson,
+)
 from cstrack.projection import LocalFrame
 
-ORIGIN = (-74.02, 40.64)  # lon, lat
-FRAME = LocalFrame(origin_lon=ORIGIN[0], origin_lat=ORIGIN[1])
+FRAME = LocalFrame(*CORRIDOR_ORIGIN)
 
-CORRIDOR_HALF_WIDTH_M = 25.0
-CORRIDOR_LENGTH_M = 3600.0
-
-CONSTITUTION = (
-    "% A vessel in good standing keeps to the marked corridor; a small\n"
-    "% leak keeps the program from declaring any position impossible.\n"
-    "1.0 :: constitution(X, Z) :- over(X, corridor).\n"
-    "0.02 :: constitution(X, Z).\n"
-)
-
-PERTURBATIONS = {"corridor": {"translation_std_m": 12.0}, "*": {}}
-
-GRID = {"bbox": [-300.0, -300.0, 3900.0, 300.0], "rows": 21, "cols": 43}
-
-
-def _lonlat(x: float, y: float) -> list[float]:
-    lon, lat = FRAME.to_lonlat(x, y)
-    return [float(lon), float(lat)]
-
-
-def corridor_geojson() -> dict:
-    h = CORRIDOR_HALF_WIDTH_M
-    ring = [
-        _lonlat(-200.0, -h),
-        _lonlat(CORRIDOR_LENGTH_M, -h),
-        _lonlat(CORRIDOR_LENGTH_M, h),
-        _lonlat(-200.0, h),
-        _lonlat(-200.0, -h),
-    ]
-    return {
-        "type": "FeatureCollection",
-        "features": [
-            {
-                "type": "Feature",
-                "properties": {"tags": ["corridor"]},
-                "geometry": {"type": "Polygon", "coordinates": [ring]},
-            }
-        ],
-    }
+# The world's origin and grid bbox as CLI flags: --origin=-74.02,40.64 and
+# --bbox=-300,-300,3900,300.
+ORIGIN_FLAG = f"--origin={CORRIDOR_ORIGIN[0]},{CORRIDOR_ORIGIN[1]}"
+BBOX_FLAG = "--bbox=" + ",".join(f"{v:g}" for v in CORRIDOR_GRID["bbox"])
 
 
 def ais_csv_text(steps: int = 30, dt_s: float = 60.0, speed_mps: float = 1.8,
@@ -74,7 +44,7 @@ def ais_csv_text(steps: int = 30, dt_s: float = 60.0, speed_mps: float = 1.8,
     return "\n".join(lines) + "\n"
 
 
-def write_world(tmp_path, starmap_samples: int = 24):
+def write_world(tmp_path):
     """Write map, perturbations, constitution, and AIS CSV; return paths."""
     paths = {
         "map": tmp_path / "corridor.geojson",
@@ -83,37 +53,7 @@ def write_world(tmp_path, starmap_samples: int = 24):
         "csv": tmp_path / "ais.csv",
     }
     paths["map"].write_text(json.dumps(corridor_geojson(), indent=1))
-    paths["perturb"].write_text(json.dumps(PERTURBATIONS, indent=1))
-    paths["constitution"].write_text(CONSTITUTION)
+    paths["perturb"].write_text(json.dumps(CORRIDOR_PERTURBATIONS, indent=1))
+    paths["constitution"].write_text(CORRIDOR_CONSTITUTION)
     paths["csv"].write_text(ais_csv_text())
     return paths
-
-
-def scenario_spec(taus=(0.0, 1.0), n_seeds=2, steps=30, particles=300,
-                  samples=16) -> dict:
-    return {
-        "name": "corridor",
-        "seed": 11,
-        "map": {"inline": corridor_geojson()},
-        "perturbations": {"inline": PERTURBATIONS},
-        "constitution": {"inline": CONSTITUTION},
-        "grid": GRID,
-        "starmap_samples": samples,
-        "taus": list(taus),
-        "n_seeds": n_seeds,
-        "agents": {
-            "count": 2,
-            "mode": "compliant",
-            "start": [0.0, 0.0],
-            "velocity": [5.0, 0.0],
-            "steps": steps,
-            "dt": 10.0,
-            "kick_std": 0.05,
-        },
-        "filter": {
-            "particles": particles,
-            "dt": 10.0,
-            "sigma_a": 0.3,
-            "measurement_noise_std": 50.0,
-        },
-    }
