@@ -31,7 +31,7 @@ from .constitution import (
     program_relations,
 )
 from .errors import ConfigurationError, CstrackError
-from .evalbench import load_scenario, run_ablation
+from .evalbench import check_arms, load_scenario, run_ablation
 from .grids import GridSpec
 from .ingest import (
     DEFAULT_DT_S,
@@ -43,11 +43,11 @@ from .ingest import (
     save_tracks,
     segment_tracks,
 )
-from .particlefilter import FilterConfig, filter_arms
+from .particlefilter import FilterConfig, check_tau, filter_arms
 from .projection import LocalFrame
 from .relations import RelationKind
 from .starmap import build_starmap, load_starmap, save_starmap, write_layer_pgm
-from .trust import TrustTable, calibrate, extract_features, position_mae
+from .trust import TrustTable, calibrate, check_tau_grid, extract_features, position_mae
 from .vectormap import load_geojson, load_perturbation_config, perturbations_from_config
 
 log = logging.getLogger("cstrack")
@@ -272,8 +272,10 @@ def cmd_track(args) -> int:
     lines and entries are written in input order before the next block
     runs. A degenerate track writes no step lines and gets a failure entry.
     """
-    tracks, _ = load_tracks(args.tracks)
+    if args.tau is not None:
+        check_tau(args.tau)
     config = _load_filter_config(args)
+    tracks, _ = load_tracks(args.tracks)
     use_constitution = not args.no_constitution
     trust_table = TrustTable.load(args.trust_table) if args.trust_table else None
     evaluate = None
@@ -335,17 +337,19 @@ def cmd_track(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    tau_grid = check_tau_grid(_parse_numbers(args.tau_grid, "--tau-grid"))
+    TrustTable(entries=(), default_tau=args.default_tau)  # checks --default-tau
+    config = _load_filter_config(args)
     tracks, _ = load_tracks(args.tracks)
     if not tracks:
         raise ConfigurationError("no tracks in input")
     dts = {t.dt for t in tracks}
     if len(dts) != 1:
         raise ConfigurationError(f"tracks carry mixed dt values {sorted(dts)}")
-    config = dataclasses.replace(_load_filter_config(args), dt=float(dts.pop()))
+    config = dataclasses.replace(config, dt=float(dts.pop()))
     program = parse_file(args.constitution)
     layers, _ = load_starmap(args.starmap)
     evaluate = _evaluator_for(program, layers, args.mode)
-    tau_grid = _parse_numbers(args.tau_grid, "--tau-grid")
     started = time.perf_counter()
     table, report = calibrate(
         tracks, evaluate, config, tau_grid=tau_grid, seed=args.seed,
@@ -364,11 +368,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    scenario = load_scenario(args.scenario)
     taus = _parse_numbers(args.taus, "--taus") if args.taus is not None else None
-    n_seeds = args.n_seeds
+    check_arms(taus, args.n_seeds)
+    scenario = load_scenario(args.scenario)
     started = time.perf_counter()
-    report = run_ablation(scenario, taus=taus, n_seeds=n_seeds)
+    report = run_ablation(scenario, taus=taus, n_seeds=args.n_seeds)
     elapsed = time.perf_counter() - started
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

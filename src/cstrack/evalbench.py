@@ -174,13 +174,14 @@ class MetricReport:
                 )
 
 
-def _check_arms(taus, n_seeds: int) -> None:
-    """Reject a sweep that would run nothing or cannot run."""
-    if not taus:
+def check_arms(taus, n_seeds: int | None) -> None:
+    """Reject a sweep that would run nothing or cannot run; None (for an
+    override not given) passes."""
+    if taus is not None and not taus:
         raise ConfigurationError("bench needs at least 1 trust ratio")
-    if any(not 0.0 <= tau <= 1.0 for tau in taus):
+    if taus is not None and any(not 0.0 <= tau <= 1.0 for tau in taus):
         raise ConfigurationError("bench trust ratios must lie in [0, 1]")
-    if not 1 <= n_seeds <= MAX_SEEDS:
+    if n_seeds is not None and not 1 <= n_seeds <= MAX_SEEDS:
         raise ConfigurationError(f"bench needs at least 1 seed, at most {MAX_SEEDS}: {n_seeds}")
 
 
@@ -196,7 +197,7 @@ def run_ablation(scenario: Scenario, taus=None, n_seeds=None) -> MetricReport:
     """
     taus = tuple(float(t) for t in (taus if taus is not None else scenario.taus))
     n_seeds = n_seeds if n_seeds is not None else scenario.n_seeds
-    _check_arms(taus, n_seeds)
+    check_arms(taus, n_seeds)
     arms = sorted({0.0, *taus})
     column = [arms.index(tau) for tau in taus]
     evaluate = scenario.field.particle_probabilities
@@ -283,7 +284,7 @@ def load_scenario(path) -> Scenario:
         raise FormatError(f"bad scenario spec {path}: {exc}") from exc
     if dt != filter_cfg.dt:
         raise ConfigurationError("agent dt must match the filter dt")
-    _check_arms(taus, n_seeds)
+    check_arms(taus, n_seeds)
     if not 1 <= count <= MAX_AGENTS:
         raise ConfigurationError(f"bench needs at least 1 agent, at most {MAX_AGENTS}: {count}")
     _check_agent(grid, start, mode)

@@ -50,17 +50,6 @@ def cv_process_noise(dt: float, sigma_a: float) -> np.ndarray:
     return np.kron(block, np.eye(2))
 
 
-def _check_spsd(mat: np.ndarray, name: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if not np.isfinite(mat).all():
-        raise ConfigurationError(f"{name} must be finite")
-    if not np.allclose(mat, mat.T):
-        raise ConfigurationError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(mat).min() < -1e-9:
-        raise ConfigurationError(f"{name} must be positive semidefinite")
-    return mat
-
-
 def psd_factor(cov: np.ndarray) -> np.ndarray:
     """A read-only F with F F^T = cov, from eigh: unlike a Cholesky
     factor it also exists for a singular cov. Models cache it and share
@@ -101,55 +90,43 @@ class ProcessModel:
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Position-only measurements: z = H x + noise, noise ~ N(0, R)."""
+    """Position-only measurements: z = H x + noise, noise ~ N(0, std^2 I),
+    isotropic with one std in meters, positive and at most the coordinate
+    bound, whose square is not 0."""
 
-    R: np.ndarray  # (2, 2)
+    std: float
 
     def __post_init__(self):
-        R = np.asarray(self.R, dtype=float)
-        if R.shape != (2, 2):
-            raise ConfigurationError(f"measurement noise R must be 2x2, got {R.shape}")
-        R = _check_spsd(R, "measurement noise R")
-        if np.linalg.eigvalsh(R).min() <= 0:
-            raise ConfigurationError("measurement noise R must be positive definite")
-        object.__setattr__(self, "R", R)
-
-    @classmethod
-    def isotropic(cls, std_m: float) -> "MeasurementModel":
-        return cls(R=np.eye(2) * float(std_m) ** 2)
+        std = float(self.std)
+        if not 0.0 < std <= MAX_COORD or std**2 == 0.0:
+            raise ConfigurationError(
+                f"measurement noise std must lie in (0, {MAX_COORD:g}] with a nonzero "
+                f"square, got {self.std}")
+        object.__setattr__(self, "std", std)
 
     @cached_property
-    def noise_factor(self) -> np.ndarray:
-        """F with F F^T = R, computed once per model."""
-        return psd_factor(self.R)
-
-    @cached_property
-    def _inverse_and_norm(self) -> tuple[np.ndarray, float, bool]:
-        inv = np.linalg.inv(self.R)
-        inv.setflags(write=False)
-        norm = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(self.R)))
-        return inv, norm, bool(inv[0, 1] or inv[1, 0])
+    def _inverse_and_norm(self) -> tuple[float, float]:
+        """1 / std^2 and the density's normalizer. The normalizer takes the
+        determinant of std^2 I, as the filter always has: std^2 * std^2
+        differs from it in the last bit at many stds, 50 m among them."""
+        variance = self.std**2
+        norm = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(np.eye(2) * variance)))
+        return 1.0 / variance, norm
 
     def likelihood(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        """Density of N(0, R) at each delta (dx, dy), given as two planes of
-        one shape.
+        """Density of N(0, std^2 I) at each delta (dx, dy), given as two
+        planes of one shape.
 
-        d^T R^-1 d goes term by term in row-major order, the summation
-        order of numpy's generic contraction for three or more rows; the
-        tests check the bits against it. When R^-1 is diagonal (an
-        isotropic R among others) the two cross terms are skipped: for
-        finite deltas each adds a signed zero to a sum that is +0.0 or
-        more, which leaves its bits as they are. The filter passes finite
-        deltas only, as its states and measurements are finite. The planes
-        are left as they are; the result is a new array.
+        The quadratic form is dx dx / std^2 + dy dy / std^2, each term in
+        that order. That gives the bits of numpy's generic contraction of
+        d^T (std^2 I)^-1 d, whose two cross terms are signed zeros for the
+        finite deltas the filter passes; the tests check the bits against
+        it. The planes are left as they are; the result is a new array.
         """
-        inv, norm, cross = self._inverse_and_norm
-        quad = np.multiply(dx, inv[0, 0])
+        inv, norm = self._inverse_and_norm
+        quad = np.multiply(dx, inv)
         quad *= dx
-        if cross:
-            quad += dx * inv[0, 1] * dy
-            quad += dy * inv[1, 0] * dx
-        term = np.multiply(dy, inv[1, 1])
+        term = np.multiply(dy, inv)
         term *= dy
         quad += term
         quad *= -0.5
@@ -377,7 +354,6 @@ class FilterConfig:
     dt: float = 60.0
     sigma_a: float = 0.05
     measurement_noise_std: float = 50.0
-    R: tuple | None = None  # full 2x2 covariance; overrides the isotropic std
     ess_ratio: float = 0.5
     init_position_std: float | None = None  # default: measurement noise std
     init_speed_std: float = 2.0
@@ -387,13 +363,14 @@ class FilterConfig:
             jsonio.number(self.particles, "particles", integer=True, lo=1, hi=MAX_PARTICLES)
             jsonio.number(self.ess_ratio, "ess_ratio", above=0.0, hi=1.0)
             # The model parameters and the start cloud's spreads, within the
-            # coordinate bound: the models square and cube them.
-            for name in ("dt", "sigma_a", "measurement_noise_std", "init_position_std",
-                         "init_speed_std"):
+            # coordinate bound: the models square and cube them. A spread is
+            # not negative, and the measurement noise std is positive.
+            jsonio.number(self.dt, "dt", lo=-MAX_COORD, hi=MAX_COORD)
+            jsonio.number(self.measurement_noise_std, "measurement_noise_std", above=0.0,
+                          hi=MAX_COORD)
+            for name in ("sigma_a", "init_position_std", "init_speed_std"):
                 if getattr(self, name) is not None or name != "init_position_std":
-                    jsonio.number(getattr(self, name), name, lo=-MAX_COORD, hi=MAX_COORD)
-            if self.R is not None:  # a ragged R fails in the model
-                jsonio.floats([value for row in self.R for value in row], "R", 4)
+                    jsonio.number(getattr(self, name), name, lo=0.0, hi=MAX_COORD)
             self.process_model, self.measurement_model
         except ConfigurationError as exc:
             raise ConfigurationError(f"filter config: {exc}") from exc
@@ -419,13 +396,11 @@ class FilterConfig:
 
     @cached_property
     def measurement_model(self) -> MeasurementModel:
-        if self.R is not None:
-            return MeasurementModel(R=np.asarray(self.R, dtype=float))
-        return MeasurementModel.isotropic(self.measurement_noise_std)
+        return MeasurementModel(self.measurement_noise_std)
 
     def draw_measurement_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """(n, 2) noise consistent with the configured measurement model."""
-        return rng.standard_normal((n, 2)) @ self.measurement_model.noise_factor.T
+        """(n, 2) noise of the measurement model: std times standard normals."""
+        return self.measurement_model.std * rng.standard_normal((n, 2))
 
 
 @dataclass(frozen=True)
@@ -454,6 +429,12 @@ class StepRecord:
             "mean_constitution_prob": self.mean_constitution_prob,
             "resampled": self.resampled,
         }
+
+
+def check_tau(tau: float) -> None:
+    """Reject a trust ratio outside [0, 1]."""
+    if not 0.0 <= tau <= 1.0:
+        raise ConfigurationError(f"tau must lie in [0, 1], got {tau}")
 
 
 def filter_arms(
@@ -499,8 +480,7 @@ def filter_arms(
     if len(taus) != n_arms:
         raise ConfigurationError("need one seed per trust ratio")
     for tau in taus:
-        if not 0.0 <= tau <= 1.0:
-            raise ConfigurationError(f"tau must lie in [0, 1], got {tau}")
+        check_tau(tau)
     t0s = [0.0] * n_arms if t0s is None else [float(t0) for t0 in t0s]
     if len(measurements) != n_arms or len(t0s) != n_arms:
         raise ConfigurationError("need one measurement sequence and one t0 per arm")

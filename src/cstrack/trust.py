@@ -243,6 +243,17 @@ def sweep(truths, track_seeds, config: FilterConfig, evaluate, taus) -> np.ndarr
     return mae
 
 
+def check_tau_grid(tau_grid) -> tuple[float, ...]:
+    """The ratios of a calibration grid in ascending order; rejects a grid
+    that is empty, leaves [0, 1] or lacks 0."""
+    tau_grid = tuple(sorted(float(t) for t in tau_grid))
+    if not tau_grid or any(not 0.0 <= t <= 1.0 for t in tau_grid):
+        raise ConfigurationError("tau grid must be a nonempty subset of [0, 1]")
+    if 0.0 not in tau_grid:
+        raise ConfigurationError("tau grid must contain 0 (the safety fallback)")
+    return tau_grid
+
+
 def calibrate(
     tracks: list[Track],
     evaluate,
@@ -259,11 +270,8 @@ def calibrate(
     compliance evaluator shared by all runs (None tracks nothing but
     still exercises the grid; useful for smoke tests).
     """
-    tau_grid = tuple(sorted(float(t) for t in tau_grid))
-    if not tau_grid or any(not 0.0 <= t <= 1.0 for t in tau_grid):
-        raise ConfigurationError("tau grid must be a nonempty subset of [0, 1]")
-    if 0.0 not in tau_grid:
-        raise ConfigurationError("tau grid must contain 0 (the safety fallback)")
+    tau_grid = check_tau_grid(tau_grid)
+    TrustTable(entries=(), default_tau=default_tau)  # checks it before the sweep
     if not tracks:
         raise ConfigurationError("no tracks to calibrate on")
 

@@ -10,6 +10,9 @@ weights, as the filter did before it counted the slots of all its
 resampling arms in one pass; _covariance_trace sums one arm's diagonal
 with a cumsum per state column, as the filter did before it reduced all
 its logged arms in one pass; and _positions copies one arm's positions.
+draw_measurement_noise is the measurement noise as the filter drew it from
+a 2x2 covariance, standard normals times its eigh factor; the filter's
+std times standard normals must keep its bits.
 stepwise_run composes the steps into the filter loop one step at a time;
 tests compare every arm of filter_arms with it bit for bit. It lays out
 the random streams on its own: a filter seed spawns a move child, which
@@ -34,6 +37,7 @@ from cstrack.particlefilter import (
     _move,
     _renormalize,
     filter_arms,
+    psd_factor,
 )
 
 
@@ -82,6 +86,12 @@ def predict(states, weights, process, rng):
     moved = states[None].copy()
     _move(moved, process, (rng,), np.zeros(1, dtype=int))
     return moved[0], weights
+
+
+def draw_measurement_noise(std, rng, n):
+    """(n, 2) noise of N(0, std^2 I): standard normals times the eigh
+    factor of the covariance matrix, through a BLAS product."""
+    return rng.standard_normal((n, 2)) @ psd_factor(np.eye(2) * float(std) ** 2).T
 
 
 def update_measurement(states, weights, z, meas):

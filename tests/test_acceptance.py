@@ -361,7 +361,7 @@ def test_criterion_09_filter_statistics():
         rng.normal(scale=20.0, size=(n, 2)), rng.normal(size=(n, 2))
     )
     process = ProcessModel(1.0, 0.3)
-    meas = MeasurementModel.isotropic(15.0)
+    meas = MeasurementModel(15.0)
     z = np.zeros(2)
     for step in range(10_000):
         states, weights = predict(states, weights, process, rng)

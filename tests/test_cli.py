@@ -600,6 +600,15 @@ MALFORMED_INPUTS = [
     *[("bench", "scenario", ("filter", name), 1e200)
       for name in ("dt", "sigma_a", "measurement_noise_std")],
     *[("track", "filter", (name,), 1e200) for name in ("dt", "sigma_a", "measurement_noise_std")],
+    # negative spreads, and a measurement noise std that is not positive:
+    # a negative std mirrored the filter's start cloud
+    *[("track", "filter", (name,), -0.2)
+      for name in ("sigma_a", "measurement_noise_std", "init_position_std", "init_speed_std")],
+    ("track", "filter", ("measurement_noise_std",), -50),
+    ("track", "filter", ("measurement_noise_std",), 0),
+    ("calibrate", "filter", ("measurement_noise_std",), -50),
+    ("bench", "scenario", ("filter", "measurement_noise_std"), -50),
+    ("bench", "scenario", ("filter", "sigma_a"), -0.2),
     ("calibrate", "filter", ("dt",), -1e200),
     # coerced by a lax reader
     ("bench", "scenario", ("seed",), 1.5),
@@ -1073,7 +1082,8 @@ class TestTrack:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [("constitution_mode", "direct"),
-                                            ("constitution_samples", 100)])
+                                            ("constitution_samples", 100),
+                                            ("R", [[2500.0, 0.0], [0.0, 2500.0]])])
     def test_removed_filter_config_keys_rejected(self, paths, tmp_path, capsys,
                                                  key, value):
         tracks = ingest(paths, tmp_path)
@@ -1088,7 +1098,7 @@ class TestTrack:
 
     @pytest.mark.parametrize("text", ["{not json", "5", '["particles"]',
                                       '{"particles": "many"}', '{"particles": 200.5}',
-                                      '{"sigma_a": "x"}', '{"R": [[1, 0], [0]]}'])
+                                      '{"sigma_a": "x"}'])
     def test_malformed_filter_config_is_user_error(self, paths, tmp_path, capsys,
                                                    text):
         tracks = ingest(paths, tmp_path)
@@ -1428,6 +1438,57 @@ class TestBench:
             assert run_cli("bench", "--scenario", spec, "--out-dir", out_dir) == 0
             outs.append((out_dir / "runs.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestFlagsCheckedFirst:
+    """A bad flag value exits 2 before any input is loaded or built: no
+    filter run, no starmap build and no field precompute."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("inputs")
+        paths = world.write_world(tmp_path)
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps(bench_scenario(
+            taus=(0.0,), n_seeds=1, steps=5, particles=50, samples=4)))
+        return {"tracks": ingest(paths, tmp_path), "starmap": build_starmap(paths, tmp_path),
+                "constitution": paths["constitution"], "scenario": spec}
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("calibrate", "--default-tau=2", "default tau 2.0 outside [0, 1]"),
+        ("calibrate", "--tau-grid=0.5,1", "tau grid must contain 0"),
+        ("calibrate", "--meas-std=-50", "measurement_noise_std must be"),
+        ("bench", "--n-seeds=0", "bench needs at least 1 seed"),
+        ("bench", "--taus=2", "bench trust ratios must lie in [0, 1]"),
+        ("track", "--tau=2", "tau must lie in [0, 1], got 2.0"),
+        ("track", "--meas-std=-50", "measurement_noise_std must be"),
+        ("track", "--sigma-a=-0.2", "sigma_a must be"),
+    ])
+    def test_bad_flag_is_user_error_before_the_work(self, inputs, tmp_path, capsys, command,
+                                                    flag, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        reads = ["--constitution", inputs["constitution"], "--starmap", inputs["starmap"]]
+        argv = {
+            "calibrate": ["--tracks", inputs["tracks"], *reads, "--particles", 50,
+                          "--out-table", out / "t.json", "--out-report", out / "r.json"],
+            "bench": ["--scenario", inputs["scenario"], "--out-dir", out / "bench"],
+            "track": ["--tracks", inputs["tracks"], *reads, "--particles", 50,
+                      "--out-logs", out / "l.jsonl", "--out-summary", out / "s.json"],
+        }[command]
+        with mock.patch.object(cli, "filter_arms", wraps=cli.filter_arms) as filtered, \
+                mock.patch("cstrack.trust.filter_arms", wraps=cli.filter_arms) as swept, \
+                mock.patch("cstrack.evalbench.build_starmap") as built, \
+                mock.patch.object(cli, "precompute_field",
+                                  wraps=cli.precompute_field) as precomputed, \
+                mock.patch("cstrack.evalbench.precompute_field") as scenario_field:
+            assert run_cli(command, *argv, flag) == 2
+        for called in (filtered, swept, built, precomputed, scenario_field):
+            called.assert_not_called()
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 class TestNumberFlags:

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cstrack.constitution import ConstitutionEvaluator, parse, precompute_field
 from cstrack.constitution.field import ConstitutionField
@@ -29,6 +29,7 @@ from reference_filter import (
     _covariance_trace,
     _resample_index,
     belief,
+    draw_measurement_noise,
     effective_sample_size,
     estimate,
     predict,
@@ -187,8 +188,7 @@ class TestMove:
 class TestMeasurementUpdate:
     def test_symmetric_particles_equal_weights(self):
         states, weights = belief([(0.0, 1.0), (0.0, -1.0)], np.zeros((2, 2)))
-        out, _ = update_measurement(states, weights, (0.0, 0.0),
-                                    MeasurementModel.isotropic(1.0))
+        out, _ = update_measurement(states, weights, (0.0, 0.0), MeasurementModel(1.0))
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_weight_ratio_at_three_sigma(self):
@@ -196,13 +196,12 @@ class TestMeasurementUpdate:
         # away is exp(4.5).
         std = 2.0
         states, weights = belief([(0.0, 0.0), (3.0 * std, 0.0)], np.zeros((2, 2)))
-        out, _ = update_measurement(states, weights, (0.0, 0.0),
-                                    MeasurementModel.isotropic(std))
+        out, _ = update_measurement(states, weights, (0.0, 0.0), MeasurementModel(std))
         ratio = out[0] / out[1]
         assert ratio == pytest.approx(math.exp(4.5), rel=1e-9)
 
     def test_flat_likelihood_keeps_priors(self):
-        # R = 1e6 * I over a sub-meter particle cloud: the likelihood is
+        # A 1000 m std over a sub-meter particle cloud: the likelihood is
         # flat to ~1e-6, so posterior weights match priors at that scale.
         rng = np.random.default_rng(3)
         weights = rng.uniform(0.1, 1.0, 16)
@@ -210,32 +209,29 @@ class TestMeasurementUpdate:
             rng.uniform(-0.5, 0.5, (16, 2)), np.zeros((16, 2)), weights=weights
         )
         out, _ = update_measurement(
-            states, weights, (0.0, 0.0), MeasurementModel(R=np.eye(2) * 1e6)
+            states, weights, (0.0, 0.0), MeasurementModel(1e3)
         )
         np.testing.assert_allclose(out, weights, atol=1e-6)
 
     def test_degenerate_update_raises(self):
         states, weights = belief([(1e9, 1e9)], [(0.0, 0.0)])
         with pytest.raises(DegenerateBeliefError):
-            update_measurement(states, weights, (0.0, 0.0), MeasurementModel.isotropic(1.0))
+            update_measurement(states, weights, (0.0, 0.0), MeasurementModel(1.0))
 
     def test_cached_inverse_gives_the_bits_of_a_fresh_one(self):
-        R = np.array([[9.0, 2.5], [2.5, 4.0]])
         deltas = np.random.default_rng(6).normal(0.0, 3.0, (40, 2))
-        meas = MeasurementModel(R=R)
+        meas = MeasurementModel(2.7)
         for _ in range(2):  # the second call reads the cached terms
             got = meas.likelihood(deltas[:, 0], deltas[:, 1])
-            quad = np.einsum("ni,ij,nj->n", deltas, np.linalg.inv(R), deltas)
-            fresh = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(R))) * np.exp(-0.5 * quad)
-            np.testing.assert_array_equal(got, fresh)
+            np.testing.assert_array_equal(got, einsum_likelihood(2.7, deltas))
 
-    @pytest.mark.parametrize("R", [np.eye(2) * 9.0, np.array([[9.0, 2.5], [2.5, 4.0]])])
-    def test_likelihood_leaves_its_planes_as_they_are(self, R):
+    @pytest.mark.parametrize("std", [3.0, 2.7])
+    def test_likelihood_leaves_its_planes_as_they_are(self, std):
         # Contiguous planes, as filter_arms passes them, and strided column
         # views of one (N, 2) array.
         deltas = np.random.default_rng(8).normal(0.0, 3.0, (50, 2))
         before = deltas.copy()
-        meas = MeasurementModel(R=R)
+        meas = MeasurementModel(std)
         dx, dy = deltas.T.copy()
         planes = meas.likelihood(dx, dy)
         np.testing.assert_array_equal(np.column_stack([dx, dy]), before)
@@ -245,9 +241,41 @@ class TestMeasurementUpdate:
 
     def test_normalization_constant_is_marginal_density(self):
         states, weights = belief([(0.0, 0.0)], [(0.0, 0.0)])
-        _, norm = update_measurement(states, weights, (0.0, 0.0),
-                                     MeasurementModel.isotropic(1.0))
+        _, norm = update_measurement(states, weights, (0.0, 0.0), MeasurementModel(1.0))
         assert norm == pytest.approx(1.0 / (2 * math.pi), rel=1e-12)
+
+
+class TestMeasurementNoise:
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(1e-3, 1e8), st.integers(0, 300), st.integers(0, 2**32 - 1))
+    def test_draw_has_the_bits_of_the_matrix_product(self, std, n, seed):
+        got_rng, expect_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = FilterConfig(measurement_noise_std=std).draw_measurement_noise(got_rng, n)
+        expect = draw_measurement_noise(std, expect_rng, n)
+        assert got.shape == (n, 2) and got.tobytes() == expect.tobytes()
+        assert got_rng.bit_generator.state == expect_rng.bit_generator.state
+
+    @pytest.mark.parametrize("key, value", [
+        ("measurement_noise_std", -50.0), ("measurement_noise_std", 0.0),
+        ("measurement_noise_std", -0.0), ("measurement_noise_std", 1.5e8),
+        ("sigma_a", -0.2), ("init_position_std", -1.0), ("init_speed_std", -1e-300),
+    ])
+    def test_negative_spread_or_nonpositive_std_is_user_error(self, key, value):
+        with pytest.raises(FormatError, match=f"{key} must be"):
+            FilterConfig(**{key: value})
+
+    def test_zero_spreads_are_allowed(self):
+        config = FilterConfig(sigma_a=0.0, init_position_std=0.0, init_speed_std=0.0)
+        assert not config.process_model.Q.any()
+
+    @pytest.mark.parametrize("std", [0.0, -1.0, 1e-170, 1.5e8, float("nan"), float("inf")])
+    def test_model_rejects_a_std_out_of_range_or_with_a_zero_square(self, std):
+        with pytest.raises(ConfigurationError, match="measurement noise std"):
+            MeasurementModel(std)
+
+    def test_config_rejects_a_positive_std_whose_square_is_0(self):
+        with pytest.raises(ConfigurationError, match="nonzero square"):
+            FilterConfig(measurement_noise_std=1e-170)
 
 
 class TestConstitutionUpdate:
@@ -490,7 +518,7 @@ class TestWeightSimplexFuzz:
             rng.normal(scale=30.0, size=(n, 2)), rng.normal(size=(n, 2))
         )
         process = ProcessModel(1.0, 0.3)
-        meas = MeasurementModel.isotropic(20.0)
+        meas = MeasurementModel(20.0)
         for _ in range(5):
             states, weights = predict(states, weights, process, rng)
             z = states[rng.integers(n), :2] + rng.normal(scale=5.0, size=2)
@@ -583,16 +611,6 @@ class TestRunFilter:
         guided_err = np.abs(guided[:, 1] - 0.0).mean()
         assert guided_err < base_err
 
-    def test_full_r_matrix_config(self):
-        config = FilterConfig(particles=32, R=((2500.0, 400.0), (400.0, 900.0)))
-        R = config.measurement_model.R
-        np.testing.assert_array_equal(R, [[2500.0, 400.0], [400.0, 900.0]])
-        noise = config.draw_measurement_noise(np.random.default_rng(0), 50_000)
-        np.testing.assert_allclose(np.cov(noise.T), R, rtol=0.05, atol=50.0)
-        from_file = FilterConfig.from_json({"particles": 32,
-                                            "R": [[2500.0, 400.0], [400.0, 900.0]]})
-        np.testing.assert_array_equal(from_file.measurement_model.R, R)
-
     def test_malformed_config_file_is_format_error(self, tmp_path):
         path = tmp_path / "filter.json"
         path.write_text("{not json")
@@ -600,8 +618,7 @@ class TestRunFilter:
             FilterConfig.load(path)
 
     @pytest.mark.parametrize("obj", [{"particles": 200.5}, {"particles": True},
-                                     {"sigma_a": "x"}, {"dt": float("nan")},
-                                     {"R": [[1, 0], [0]]}, {"R": [[1.0]]}])
+                                     {"sigma_a": "x"}, {"dt": float("nan")}])
     def test_wrongly_typed_config_is_user_error(self, obj):
         with pytest.raises(CstrackError, match="filter config"):
             FilterConfig.from_json(obj)
@@ -621,7 +638,7 @@ class TestRunFilter:
             config = FilterConfig.from_json(obj)
         except CstrackError:
             return
-        assert config.particles >= 1 and config.measurement_model.R.shape == (2, 2)
+        assert config.particles >= 1 and config.measurement_model.std > 0.0
 
     def test_records_fields(self):
         truth = self.track(steps=5)
@@ -634,49 +651,44 @@ class TestRunFilter:
         }
 
 
+def einsum_likelihood(std, deltas):
+    """The density of N(0, R) at (N, 2) deltas from the covariance matrix
+    R = std^2 I: its inverse and determinant from numpy.linalg, and the
+    quadratic form from numpy's generic contraction."""
+    R = np.eye(2) * float(std) ** 2
+    norm = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(R)))
+    return norm * np.exp(-0.5 * np.einsum("ni,ij,nj->n", deltas, np.linalg.inv(R), deltas))
+
+
 class TestEinsumFreeStep:
     """The step's hand-written sums give the bits of np.einsum over
-    particle counts and isotropic, diagonal and full R. For one or two
-    rows einsum itself sums the quadratic form in another order, so with a
-    non-diagonal R the likelihood matches from three rows on. With a
-    diagonal R the likelihood skips the cross terms, each a signed zero,
-    and matches at every count, on extreme finite deltas too."""
+    particle counts and stds. The likelihood skips the contraction's two
+    cross terms, each a signed zero, and matches at every count, on
+    extreme finite deltas too."""
 
     @settings(deadline=None, max_examples=90)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000),
-           st.sampled_from(["isotropic", "diagonal", "full"]))
-    def test_likelihood_matches_einsum(self, seed, n, kind):
-        assume(kind != "full" or n >= 3)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000))
+    def test_likelihood_matches_einsum(self, seed, n):
         rng = np.random.default_rng(seed)
-        if kind == "isotropic":
-            meas = MeasurementModel.isotropic(rng.uniform(0.5, 300.0))
-        elif kind == "diagonal":
-            meas = MeasurementModel(R=np.diag(rng.uniform(0.25, 9e4, 2)))
-        else:
-            a = rng.normal(scale=30.0, size=(2, 2))
-            meas = MeasurementModel(R=a @ a.T + np.eye(2))
+        std = rng.uniform(0.5, 300.0)
         deltas = rng.normal(scale=rng.uniform(0.1, 500.0), size=(n, 2))
-        if kind != "full":
-            # Signed zeros, subnormals, and deltas whose square overflows.
-            extreme = np.array([0.0, -0.0, 5e-324, -5e-324, 2e-310, 1e160, -1e160])
-            pick = rng.uniform(size=(n, 2)) < 0.3
-            deltas[pick] = rng.choice(extreme, size=pick.sum())
-        inv, norm = np.linalg.inv(meas.R), 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(meas.R)))
+        # Signed zeros, subnormals, and deltas whose square overflows.
+        extreme = np.array([0.0, -0.0, 5e-324, -5e-324, 2e-310, 1e160, -1e160])
+        pick = rng.uniform(size=(n, 2)) < 0.3
+        deltas[pick] = rng.choice(extreme, size=pick.sum())
         dx, dy = deltas.T.copy()  # contiguous planes, as the filter passes them
         with np.errstate(over="ignore"):  # 1e160 squared is inf, a density of 0
-            quad = np.einsum("ni,ij,nj->n", deltas, inv, deltas)
-            got = meas.likelihood(dx, dy)
-        np.testing.assert_array_equal(got, norm * np.exp(-0.5 * quad))
+            expect = einsum_likelihood(std, deltas)
+            got = MeasurementModel(std).likelihood(dx, dy)
+        np.testing.assert_array_equal(got, expect)
 
     @pytest.mark.parametrize("n", [8191, 100_000])
     def test_large_counts_match_einsum(self, n):
         rng = np.random.default_rng(n)
-        a = rng.normal(scale=30.0, size=(2, 2))
-        meas = MeasurementModel(R=a @ a.T + np.eye(2))
+        std = rng.uniform(0.5, 300.0)
         deltas = rng.normal(scale=80.0, size=(n, 2))
-        quad = np.einsum("ni,ij,nj->n", deltas, np.linalg.inv(meas.R), deltas)
-        np.testing.assert_array_equal(meas.likelihood(*deltas.T.copy()),
-                                      meas._inverse_and_norm[1] * np.exp(-0.5 * quad))
+        np.testing.assert_array_equal(MeasurementModel(std).likelihood(*deltas.T.copy()),
+                                      einsum_likelihood(std, deltas))
         states, weights = belief(deltas, rng.normal(size=(n, 2)),
                                  weights=rng.uniform(size=n))
         mean, trace = estimate(states, weights)
