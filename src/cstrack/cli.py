@@ -1,8 +1,9 @@
 """Command-line entry point wiring the whole pipeline.
 
 Subcommands: ingest, build-starmap, field, track, calibrate, bench. Every
-command takes one --seed (the logged master seed) from which all child
-seeds derive, except bench, whose seeds derive from the scenario's seed.
+command takes one --seed (the logged master seed). build-starmap, track
+and calibrate derive all their child seeds from it; ingest and field draw
+no random numbers, and bench's seeds derive from the scenario's seed.
 Every command writes byte-identical outputs on reruns with identical
 inputs. Exit codes: 0 success, 2 user or configuration error, 3 internal
 invariant violation.
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma-a", type=float)
 
     p = sub.add_parser("ingest", help="AIS CSV -> uniform tracks JSON")
-    common(p)
+    common(p, seed_help="logged only: ingest draws no random numbers")
     p.add_argument("--csv", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--gap-s", type=float, default=DEFAULT_GAP_S,
@@ -443,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_build_starmap)
 
     p = sub.add_parser("field", help="constitution + starmap -> compliance raster")
-    common(p)
+    common(p, seed_help="logged only: field draws no random numbers")
     p.add_argument("--constitution", required=True)
     p.add_argument("--starmap", required=True)
     p.add_argument("--out", required=True)

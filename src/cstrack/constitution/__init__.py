@@ -10,7 +10,6 @@ once per grid node for field mode.
 from .terms import (
     Atom,
     AtomLiteral,
-    BernoulliSpec,
     CategoricalClause,
     Comparison,
     Constant,
@@ -31,7 +30,6 @@ from .field import ConstitutionField, precompute_field
 __all__ = [
     "Atom",
     "AtomLiteral",
-    "BernoulliSpec",
     "CategoricalClause",
     "Comparison",
     "CompiledQuery",

@@ -34,7 +34,6 @@ from scipy.special import ndtr
 from ..errors import GroundingError, UnsupportedProgramError
 from .terms import (
     AtomLiteral,
-    BernoulliSpec,
     CategoricalClause,
     Comparison,
     ContinuousClause,
@@ -239,18 +238,6 @@ def ground(program: Program) -> GroundProgram:
             "environment first"
         )
     clauses = _instantiate(program)
-
-    # Bernoulli-distributed "continuous" heads are plain categorical facts.
-    normalized = []
-    for clause in clauses:
-        if isinstance(clause, ContinuousClause) and isinstance(clause.dist, BernoulliSpec):
-            normalized.append(
-                CategoricalClause(prob=clause.dist.p, head=clause.head,
-                                  body=clause.body, line=clause.line, slot=clause.slot)
-            )
-        else:
-            normalized.append(clause)
-    clauses = normalized
 
     continuous: dict[str, ContinuousClause] = {}
     categorical: list[CategoricalClause] = []

@@ -20,7 +20,8 @@ Grammar (comments run from ``%`` to end of line)::
 
 Identifiers start with a lowercase letter; variables with an uppercase
 letter or underscore. A clause without an explicit probability is
-deterministic (probability 1).
+deterministic (probability 1), and ``atom ~ bernoulli(p)`` parses as
+``p :: atom``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from ..errors import DslSyntaxError
 from .terms import (
     Atom,
     AtomLiteral,
-    BernoulliSpec,
     CategoricalClause,
     Comparison,
     Constant,
@@ -204,11 +204,14 @@ class _Parser:
             self.next()
             dist = self.parse_distribution()
             body = self.parse_rule_tail()
+            if isinstance(dist, float):  # bernoulli(p) is sugar for p ::
+                return CategoricalClause(prob=dist, head=head, body=body, line=line)
             return ContinuousClause(head=head, dist=dist, body=body, line=line)
         body = self.parse_rule_tail()
         return CategoricalClause(prob=1.0, head=head, body=body, line=line)
 
-    def parse_distribution(self):
+    def parse_distribution(self) -> NormalSpec | float:
+        """A normal's NormalSpec, or a bernoulli's probability."""
         tok = self.expect("IDENT", "a distribution name")
         if tok.text == "normal":
             self.expect("LPAREN")
@@ -229,7 +232,7 @@ class _Parser:
                 raise DslSyntaxError(f"probability {p_tok.text} outside [0, 1]",
                                      p_tok.line, p_tok.col)
             self.expect("RPAREN")
-            return BernoulliSpec(p=p)
+            return p
         raise DslSyntaxError(f"unknown distribution {tok.text!r} "
                              "(expected normal or bernoulli)", tok.line, tok.col)
 

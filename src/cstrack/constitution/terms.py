@@ -102,14 +102,6 @@ class NormalSpec:
 
 
 @dataclass(frozen=True)
-class BernoulliSpec:
-    p: float
-
-
-DistributionSpec = NormalSpec | BernoulliSpec
-
-
-@dataclass(frozen=True)
 class CategoricalClause:
     prob: float
     head: Atom
@@ -123,7 +115,7 @@ class CategoricalClause:
 @dataclass(frozen=True)
 class ContinuousClause:
     head: Atom
-    dist: DistributionSpec
+    dist: NormalSpec
     body: tuple[Literal, ...] = ()
     line: int = field(default=0, compare=False)
     slot: str | None = field(default=None, compare=False)
@@ -195,10 +187,7 @@ def format_clause(clause: Clause) -> str:
     if isinstance(clause, CategoricalClause):
         head = f"{_format_number(clause.prob)} :: {format_atom(clause.head)}"
     else:
-        if isinstance(clause.dist, NormalSpec):
-            dist = f"normal({_format_number(clause.dist.mean)}, {_format_number(clause.dist.std)})"
-        else:
-            dist = f"bernoulli({_format_number(clause.dist.p)})"
+        dist = f"normal({_format_number(clause.dist.mean)}, {_format_number(clause.dist.std)})"
         head = f"{format_atom(clause.head)} ~ {dist}"
     if clause.body:
         return f"{head} :- {_format_body(clause.body)}."

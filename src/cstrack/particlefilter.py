@@ -50,19 +50,6 @@ def cv_process_noise(dt: float, sigma_a: float) -> np.ndarray:
     return np.kron(block, np.eye(2))
 
 
-def psd_factor(cov: np.ndarray) -> np.ndarray:
-    """A read-only F with F F^T = cov, from eigh: unlike a Cholesky
-    factor it also exists for a singular cov. Models cache it and share
-    it."""
-    if not cov.any():
-        factor = np.zeros_like(cov)
-    else:
-        w, q = np.linalg.eigh(cov)
-        factor = q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    factor.setflags(write=False)
-    return factor
-
-
 @dataclass(frozen=True)
 class ProcessModel:
     """Constant-velocity transition over dt seconds, driven by white-noise
@@ -84,34 +71,42 @@ class ProcessModel:
 
     @cached_property
     def noise_factor(self) -> np.ndarray:
-        """F with F F^T = Q, computed once per model."""
-        return psd_factor(self.Q)
+        """Read-only F with F F^T = Q, computed once per model, from eigh:
+        unlike a Cholesky factor it also exists for a singular Q."""
+        w, q = np.linalg.eigh(self.Q)
+        factor = q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+        factor.setflags(write=False)
+        return factor
 
 
 @dataclass(frozen=True)
 class MeasurementModel:
     """Position-only measurements: z = H x + noise, noise ~ N(0, std^2 I),
     isotropic with one std in meters, positive and at most the coordinate
-    bound, whose square is not 0."""
+    bound. 1 / std^2 and the density's normalizer must be finite and
+    positive, which holds for every std from about 1.25e-81 m up."""
 
     std: float
 
     def __post_init__(self):
-        std = float(self.std)
-        if not 0.0 < std <= MAX_COORD or std**2 == 0.0:
+        object.__setattr__(self, "std", float(self.std))
+        if not (0.0 < self.std <= MAX_COORD
+                and all(0.0 < value < np.inf for value in self._inverse_and_norm)):
             raise ConfigurationError(
-                f"measurement noise std must lie in (0, {MAX_COORD:g}] with a nonzero "
-                f"square, got {self.std}")
-        object.__setattr__(self, "std", std)
+                f"measurement noise std must lie in (0, {MAX_COORD:g}] with a finite "
+                f"1/std^2 and density normalizer, got {self.std}")
 
     @cached_property
     def _inverse_and_norm(self) -> tuple[float, float]:
-        """1 / std^2 and the density's normalizer. The normalizer takes the
-        determinant of std^2 I, as the filter always has: std^2 * std^2
-        differs from it in the last bit at many stds, 50 m among them."""
+        """1 / std^2 and the density's normalizer, inf where either overflows
+        or divides by a variance or determinant that underflows to 0. The
+        normalizer takes the determinant of std^2 I, as the filter always
+        has: std^2 * std^2 differs from it in the last bit at many stds,
+        50 m among them."""
         variance = self.std**2
-        norm = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(np.eye(2) * variance)))
-        return 1.0 / variance, norm
+        with np.errstate(divide="ignore", over="ignore"):
+            return (np.divide(1.0, variance),
+                    1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(np.eye(2) * variance))))
 
     def likelihood(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """Density of N(0, std^2 I) at each delta (dx, dy), given as two

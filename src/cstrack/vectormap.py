@@ -16,63 +16,34 @@ from __future__ import annotations
 
 import fnmatch
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from . import jsonio
 from .errors import ConfigurationError, FormatError
-from .particlefilter import psd_factor
 from .projection import LocalFrame
 
 
 @dataclass(frozen=True)
 class FeaturePerturbation:
-    """Distribution over rigid-ish transforms applied to one feature.
+    """Distribution over rigid-ish transforms applied to one feature: the
+    three spreads of a perturbation config entry, each at least 0.
 
     The linear part is an isotropic scale times a rotation about the frame
-    origin: scale ~ N(1, scale_std^2), angle ~ N(0, rotation_std^2). The
-    translation is N(translation_mean, translation_cov) in meters. All-zero
-    spreads reproduce the input vertices exactly.
+    origin: scale ~ N(1, scale_std^2), angle ~ N(0, rotation_std_rad^2).
+    The translation is isotropic, N(0, translation_std_m^2 I) in meters.
+    All-zero spreads (the default) reproduce the input vertices exactly.
     """
 
-    translation_mean: tuple[float, float] = (0.0, 0.0)
-    translation_cov: tuple[tuple[float, float], tuple[float, float]] = (
-        (0.0, 0.0),
-        (0.0, 0.0),
-    )
-    rotation_std: float = 0.0
+    translation_std_m: float = 0.0
+    rotation_std_rad: float = 0.0
     scale_std: float = 0.0
 
     def __post_init__(self):
-        cov = np.asarray(self.translation_cov, dtype=float)
-        if cov.shape != (2, 2) or not np.allclose(cov, cov.T):
-            raise ConfigurationError("translation covariance must be symmetric 2x2")
-        eigvals = np.linalg.eigvalsh(cov)
-        if eigvals.min() < -1e-12:
-            raise ConfigurationError("translation covariance must be PSD")
-        if self.rotation_std < 0 or self.scale_std < 0:
+        if not all(spread >= 0 for spread in astuple(self)):
             raise ConfigurationError("perturbation spreads must be nonnegative")
 
-    @classmethod
-    def identity(cls) -> "FeaturePerturbation":
-        return cls()
-
-    @classmethod
-    def isotropic(cls, translation_std_m: float = 0.0, rotation_std_rad: float = 0.0,
-                  scale_std: float = 0.0) -> "FeaturePerturbation":
-        v = float(translation_std_m) ** 2
-        return cls(
-            translation_cov=((v, 0.0), (0.0, v)),
-            rotation_std=float(rotation_std_rad),
-            scale_std=float(scale_std),
-        )
-
-    @cached_property
-    def _translation_factor(self) -> np.ndarray:
-        """F with F F^T = translation_cov, computed once per perturbation."""
-        return psd_factor(np.asarray(self.translation_cov, dtype=float))
 
 @dataclass(frozen=True)
 class MapFeature:
@@ -225,8 +196,8 @@ def sample_vertex_variants(
     The draw takes four standard normals per feature per variant,
     variant-major: r = standard_normal((n, n_features, 4)), so the stream
     lines up across configurations sharing a seed. For feature f in
-    variant k, angle = rotation_std * r[k, f, 0], scale = 1 + scale_std *
-    r[k, f, 1] and translation = translation_mean + F @ r[k, f, 2:]. The
+    variant k, angle = rotation_std_rad * r[k, f, 0], scale = 1 + scale_std
+    * r[k, f, 1] and translation = translation_std_m * r[k, f, 2:]. The
     linear map and the translation are applied to all the feature's
     vertices; edges, tags and depths are untouched by construction.
     """
@@ -237,15 +208,14 @@ def sample_vertex_variants(
     for fid in range(vmap.n_features):
         idx = np.flatnonzero(vmap.feature_of_vertex == fid)
         p, r = perturbations[fid], raw[:, fid]
-        angle = p.rotation_std * r[:, 0]
+        angle = p.rotation_std_rad * r[:, 0]
         scale = 1.0 + p.scale_std * r[:, 1]
         c, s = np.cos(angle), np.sin(angle)
         phi = np.stack([scale * c, -scale * s, scale * s, scale * c], axis=1).reshape(n, 2, 2)
         # These operand layouts give each variant the bits of a one-variant
         # `vertices @ phi.T + t`: BLAS picks its kernel by layout.
-        t = (np.asarray(p.translation_mean, dtype=float)
-             + (p._translation_factor @ r[:, 2:, None])[..., 0])
-        out[:, idx] = vmap.vertices[idx][None] @ phi.transpose(0, 2, 1) + t[:, None]
+        t = p.translation_std_m * r[:, None, 2:]
+        out[:, idx] = vmap.vertices[idx][None] @ phi.transpose(0, 2, 1) + t
     return out
 
 
@@ -276,7 +246,7 @@ def perturbations_from_config(vmap: VectorMap, config: dict) -> dict[int, Featur
         spreads = {key: jsonio.number(value, f"perturbation {key} under {pattern!r}", lo=0,
                                       hi=MAX_SPREADS[key])
                    for key, value in params.items()}
-        entries.append((pattern, FeaturePerturbation.isotropic(**spreads)))
+        entries.append((pattern, FeaturePerturbation(**spreads)))
     out: dict[int, FeaturePerturbation] = {}
     for fid, tags in enumerate(vmap.tags_of_feature):
         for pattern, perturbation in entries:

@@ -75,7 +75,9 @@ def distance(points: np.ndarray, segments: np.ndarray, rings: list[np.ndarray]) 
 
 
 def vertex_variants(vmap, perturbations, n: int, seed: int) -> np.ndarray:
-    """(n, V, 2) variants drawn one feature at a time, one eigh per draw."""
+    """(n, V, 2) variants drawn one feature at a time: the translation is
+    an eigh factor of the covariance std^2 I times the normals, one eigh
+    per draw."""
     rng = np.random.default_rng(seed)
     out = np.empty((n, len(vmap.vertices), 2))
     for k in range(n):
@@ -83,16 +85,16 @@ def vertex_variants(vmap, perturbations, n: int, seed: int) -> np.ndarray:
         for fid in range(vmap.n_features):
             p = perturbations[fid]
             raw = rng.standard_normal(4)
-            angle = p.rotation_std * raw[0]
+            angle = p.rotation_std_rad * raw[0]
             scale = 1.0 + p.scale_std * raw[1]
             c, s = np.cos(angle), np.sin(angle)
             phi = np.array([[scale * c, -scale * s], [scale * s, scale * c]])
-            cov = np.asarray(p.translation_cov, dtype=float)
+            cov = np.eye(2) * p.translation_std_m**2
             factor = np.zeros((2, 2))
             if cov.any():
                 w, q = np.linalg.eigh(cov)
                 factor = q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-            t = np.asarray(p.translation_mean, dtype=float) + factor @ raw[2:]
+            t = np.zeros(2) + factor @ raw[2:]
             mine = vmap.feature_of_vertex == fid
             out[k, mine] = vmap.vertices[mine] @ phi.T + t
     return out

@@ -37,7 +37,6 @@ from cstrack.particlefilter import (
     _move,
     _renormalize,
     filter_arms,
-    psd_factor,
 )
 
 
@@ -91,7 +90,8 @@ def predict(states, weights, process, rng):
 def draw_measurement_noise(std, rng, n):
     """(n, 2) noise of N(0, std^2 I): standard normals times the eigh
     factor of the covariance matrix, through a BLAS product."""
-    return rng.standard_normal((n, 2)) @ psd_factor(np.eye(2) * float(std) ** 2).T
+    w, q = np.linalg.eigh(np.eye(2) * float(std) ** 2)
+    return rng.standard_normal((n, 2)) @ (q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))).T
 
 
 def update_measurement(states, weights, z, meas):

@@ -194,7 +194,7 @@ def test_criterion_03_moment_estimators():
     square = VectorMap.build(
         [polygon_feature([(0, 0), (10, 0), (10, 10), (0, 10)], ["land"])]
     )
-    identity = {0: FeaturePerturbation.identity()}
+    identity = {0: FeaturePerturbation()}
     grid = GridSpec(bbox=(25.0, 5.0, 26.0, 6.0), rows=2, cols=2)
     (layer,) = build_starmap(
         square, identity, [(RelationKind.DISTANCE, "land")], grid, n=32, rng=0
@@ -207,7 +207,7 @@ def test_criterion_03_moment_estimators():
 
     sigma, d, n = 1.0, 100.0, 10_000
     line = VectorMap.build([line_feature([(-1e7, 0.0), (1e7, 0.0)], ["way"])])
-    perturb = {0: FeaturePerturbation(translation_cov=((0.0, 0.0), (0.0, sigma**2)))}
+    perturb = {0: FeaturePerturbation(translation_std_m=sigma)}
     grid = GridSpec(bbox=(0.0, d, 1.0, d + 1.0), rows=2, cols=2)
     (layer,) = build_starmap(
         line, perturb, [(RelationKind.DISTANCE, "way")], grid, n=n, rng=5

@@ -1462,6 +1462,7 @@ class TestFlagsCheckedFirst:
         ("bench", "--taus=2", "bench trust ratios must lie in [0, 1]"),
         ("track", "--tau=2", "tau must lie in [0, 1], got 2.0"),
         ("track", "--meas-std=-50", "measurement_noise_std must be"),
+        ("track", "--meas-std=1e-82", "finite 1/std^2 and density normalizer, got 1e-82"),
         ("track", "--sigma-a=-0.2", "sigma_a must be"),
     ])
     def test_bad_flag_is_user_error_before_the_work(self, inputs, tmp_path, capsys, command,

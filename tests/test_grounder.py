@@ -81,6 +81,12 @@ class TestGrounding:
         spec = gp.fact_params[0]
         assert isinstance(spec, StaticParam) and spec.value == 0.3
 
+    @pytest.mark.parametrize("p", ["0.0", "0.3", "1.0"])
+    def test_bernoulli_rule_grounds_as_its_categorical_rule(self, p):
+        facts = "0.5 :: b. q :- a."
+        assert (q(f"a ~ bernoulli({p}) :- b. {facts}", "q")
+                == q(f"{p} :: a :- b. {facts}", "q"))
+
 
 class TestComparisonCompilation:
     def test_single_threshold_makes_one_chain_atom(self):

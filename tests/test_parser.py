@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from cstrack.constitution import (
     Atom,
     AtomLiteral,
-    BernoulliSpec,
     CategoricalClause,
     Comparison,
     Constant,
@@ -37,7 +36,7 @@ class TestBasicClauses:
     def test_bernoulli_fact(self):
         program = parse("busy ~ bernoulli(0.3).")
         (clause,) = program.clauses
-        assert clause.dist == BernoulliSpec(p=0.3)
+        assert clause == CategoricalClause(prob=0.3, head=Atom("busy"))
 
     def test_rule_with_negation(self):
         program = parse(r"1.0 :: a :- b, \+ c.")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -269,13 +270,46 @@ class TestMeasurementNoise:
         assert not config.process_model.Q.any()
 
     @pytest.mark.parametrize("std", [0.0, -1.0, 1e-170, 1.5e8, float("nan"), float("inf")])
-    def test_model_rejects_a_std_out_of_range_or_with_a_zero_square(self, std):
+    def test_model_rejects_a_std_out_of_range(self, std):
         with pytest.raises(ConfigurationError, match="measurement noise std"):
             MeasurementModel(std)
 
-    def test_config_rejects_a_positive_std_whose_square_is_0(self):
-        with pytest.raises(ConfigurationError, match="nonzero square"):
-            FilterConfig(measurement_noise_std=1e-170)
+    @pytest.mark.parametrize("std", [1e-82, 1e-100, 1e-154, 1e-160, 1e-170])
+    def test_config_rejects_a_std_whose_density_is_not_finite(self, std):
+        # Below about 1.25e-81 m the determinant of std^2 I underflows to
+        # 0, and below about 7e-155 m so does std^2: the check refuses the
+        # std before any division by 0 can warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="finite 1/std"):
+                FilterConfig(measurement_noise_std=std)
+
+    def test_smallest_accepted_std_runs_without_a_warning(self):
+        def accepted(std):
+            try:
+                MeasurementModel(std)
+            except ConfigurationError:
+                return False
+            return True
+
+        lo, hi = np.array([1e-82, 1e-80]).view(np.int64)  # refused, accepted
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if accepted(float(np.int64(mid).view(float))) else (mid, hi)
+        smallest = float(np.int64(hi).view(float))
+        assert 1.2e-81 < smallest < 1.3e-81
+        # Still particles on a still track keep a finite density of
+        # 7e160; on a moving track every density is 0 and the arm
+        # degenerates. Neither warns.
+        config = FilterConfig(particles=50, dt=1.0, sigma_a=0.0, measurement_noise_std=smallest,
+                              init_position_std=0.0, init_speed_std=0.0)
+        still, moving = np.zeros((6, 2)), np.column_stack([np.arange(6.0), np.zeros(6)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimates, reasons, logs = filter_arms(
+                [still, moving], config, [np.random.SeedSequence(1)] * 2, [0.0, 0.0], log=True)
+        assert reasons[0] is None and reasons[1] is not None
+        assert len(logs[0]) == 5 and not estimates[0].any()
 
 
 class TestConstitutionUpdate:

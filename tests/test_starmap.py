@@ -39,7 +39,7 @@ def square_map(points=SQUARE, tag="land"):
 
 
 def identity_for(vmap):
-    return {f: FeaturePerturbation.identity() for f in range(vmap.n_features)}
+    return {f: FeaturePerturbation() for f in range(vmap.n_features)}
 
 
 def point_moments(vmap, perturbations, rel, tag, point, n, rng):
@@ -104,7 +104,7 @@ class TestEstimateMoments:
         # Same samples, independently recomputed with the textbook two-pass
         # 1/(N-1) formula.
         vmap = square_map()
-        pert = {0: FeaturePerturbation.isotropic(translation_std_m=3.0)}
+        pert = {0: FeaturePerturbation(translation_std_m=3.0)}
         n = 64
         mean, std = point_moments(
             vmap, pert, RelationKind.DISTANCE, "land", (30.0, 5.0), n=n, rng=123
@@ -135,7 +135,7 @@ class TestEstimateMoments:
         # and derives membership directly from the drawn translations.
         vmap = square_map()
         sigma = 2.0
-        pert = {0: FeaturePerturbation(translation_cov=((sigma**2, 0.0), (0.0, sigma**2)))}
+        pert = {0: FeaturePerturbation(translation_std_m=sigma)}
         point = (10.5, 5.0)
         n = 4000
         mean, _ = point_moments(
@@ -152,14 +152,15 @@ class TestEstimateMoments:
         assert mean == hits / n
 
     def test_line_feature_perpendicular_noise(self):
-        # Long straight tagged line translated only perpendicular by
-        # N(0, sigma^2); point at distance d >> sigma sees distance
-        # |d - t|, so mean ~ d and std ~ sigma within 3 sigma / sqrt(N).
+        # Long straight tagged line translated by N(0, sigma^2 I); a point
+        # at distance d >> sigma off its middle sees distance |d - t_y|
+        # (a shift along a 2e7 m line moves nothing), so mean ~ d and
+        # std ~ sigma within 3 sigma / sqrt(N).
         from cstrack.vectormap import line_feature
 
         sigma, d, n = 1.0, 100.0, 10_000
         vmap = VectorMap.build([line_feature([(-1e7, 0.0), (1e7, 0.0)], ["way"])])
-        pert = {0: FeaturePerturbation(translation_cov=((0.0, 0.0), (0.0, sigma**2)))}
+        pert = {0: FeaturePerturbation(translation_std_m=sigma)}
         mean, std = point_moments(
             vmap, pert, RelationKind.DISTANCE, "way", (0.0, d), n=n, rng=5
         )
@@ -206,7 +207,7 @@ class TestBuildStarmap:
         # A cell of a 3 x 3 layer equals the same node built alone for the
         # same seed, because the variant set is drawn once and shared.
         vmap = square_map()
-        pert = {0: FeaturePerturbation.isotropic(translation_std_m=2.0)}
+        pert = {0: FeaturePerturbation(translation_std_m=2.0)}
         grid = GridSpec(bbox=(-20.0, -20.0, 30.0, 30.0), rows=3, cols=3)
         layers = build_starmap(
             vmap, pert, [(RelationKind.DISTANCE, "land")], grid, n=32, rng=11
@@ -235,7 +236,7 @@ class TestBuildStarmap:
         # Point far from the boundary relative to 6 sigma of translation
         # noise keeps mean >= 0.99 at N >= 1000.
         vmap = square_map(BIG_SQUARE)
-        pert = {0: FeaturePerturbation.isotropic(translation_std_m=5.0)}
+        pert = {0: FeaturePerturbation(translation_std_m=5.0)}
         grid = GridSpec(bbox=(-10.0, -10.0, 10.0, 10.0), rows=2, cols=2)
         layers = build_starmap(
             vmap, pert, [(RelationKind.OVER, "land")], grid, n=1000, rng=2
@@ -434,7 +435,7 @@ class TestPersistence:
         grid = GridSpec(bbox=(-20.0, -20.0, 30.0, 30.0), rows=3, cols=4)
         layers = build_starmap(
             vmap,
-            {0: FeaturePerturbation.isotropic(translation_std_m=1.0)},
+            {0: FeaturePerturbation(translation_std_m=1.0)},
             [(RelationKind.OVER, "land"), (RelationKind.DISTANCE, "land")],
             grid,
             n=8,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from cstrack.demo import HARBOR_PERTURBATIONS, harbor_geojson
 from cstrack.errors import ConfigurationError, FormatError
 from cstrack.projection import LocalFrame
 from cstrack.vectormap import (
+    MAX_SPREADS,
     FeaturePerturbation,
     MapFeature,
     VectorMap,
@@ -29,7 +31,7 @@ def square_map(tags=("land",)):
 
 
 def identity_for(vmap):
-    return {f: FeaturePerturbation.identity() for f in range(vmap.n_features)}
+    return {f: FeaturePerturbation() for f in range(vmap.n_features)}
 
 
 def one_variant(vmap, perturbations, rng):
@@ -77,12 +79,6 @@ class TestPerturbationSampling:
         out = one_variant(vmap, identity_for(vmap), rng=3)
         assert (out == vmap.vertices).all()
 
-    def test_deterministic_translation_shifts_every_vertex(self):
-        vmap = square_map()
-        pert = {0: FeaturePerturbation(translation_mean=(10.0, 0.0))}
-        out = one_variant(vmap, pert, rng=3)
-        np.testing.assert_array_equal(out, vmap.vertices + [10.0, 0.0])
-
     def test_missing_entry_is_configuration_error(self):
         vmap = square_map()
         with pytest.raises(ConfigurationError):
@@ -90,18 +86,17 @@ class TestPerturbationSampling:
 
     def test_same_seed_bit_identical(self):
         vmap = square_map()
-        pert = {0: FeaturePerturbation.isotropic(translation_std_m=2.0,
-                                                 rotation_std_rad=0.01)}
+        pert = {0: FeaturePerturbation(translation_std_m=2.0, rotation_std_rad=0.01)}
         a = sample_vertex_variants(vmap, pert, 5, rng=42)
         b = sample_vertex_variants(vmap, pert, 5, rng=42)
         assert (a == b).all()
 
     def test_translation_noise_law_of_large_numbers(self):
-        # Monte Carlo oracle: with t ~ N(0, diag(4, 4)) m^2 the per-vertex
+        # Monte Carlo oracle: with t ~ N(0, 4 I) m^2 the per-vertex
         # sample mean over 10,000 variants lies within 3 * (2 / 100) m of
         # the original vertex per coordinate.
         vmap = square_map()
-        pert = {0: FeaturePerturbation(translation_cov=((4.0, 0.0), (0.0, 4.0)))}
+        pert = {0: FeaturePerturbation(translation_std_m=2.0)}
         variants = sample_vertex_variants(vmap, pert, 10_000, rng=7)
         mean = variants.mean(axis=0)
         bound = 3.0 * 2.0 / np.sqrt(10_000)
@@ -110,14 +105,14 @@ class TestPerturbationSampling:
     def test_rigid_per_feature_moves(self):
         # Both vertices of one feature receive the same draw per variant.
         vmap = VectorMap.build([line_feature([(0, 0), (100, 0)], ["way"])])
-        pert = {0: FeaturePerturbation.isotropic(translation_std_m=5.0)}
+        pert = {0: FeaturePerturbation(translation_std_m=5.0)}
         variants = sample_vertex_variants(vmap, pert, 50, rng=1)
         deltas = variants - vmap.vertices
         np.testing.assert_allclose(deltas[:, 0, :], deltas[:, 1, :], atol=1e-12)
 
     def test_rotation_applies_about_frame_origin(self):
         vmap = VectorMap.build([point_feature((1.0, 0.0), ["buoy"])])
-        pert = {0: FeaturePerturbation(rotation_std=0.5)}
+        pert = {0: FeaturePerturbation(rotation_std_rad=0.5)}
         got = sample_vertex_variants(vmap, pert, 1, rng=9)
         np.testing.assert_array_equal(got, brute_force.vertex_variants(vmap, pert, 1, 9))
         # A pure rotation about the origin keeps the vertex's distance to it.
@@ -134,8 +129,8 @@ class TestPerturbationSampling:
             ]
         )
         pert = {
-            0: FeaturePerturbation.isotropic(translation_std_m=4.0),
-            1: FeaturePerturbation.isotropic(rotation_std_rad=0.05),
+            0: FeaturePerturbation(translation_std_m=4.0),
+            1: FeaturePerturbation(rotation_std_rad=0.05),
         }
         variant = one_variant(vmap, pert, rng=21)
         parent = list(range(len(vmap.vertices)))
@@ -172,28 +167,33 @@ class TestPerturbationSampling:
         assert abs(samples[:, 0].mean() - 10.0) < 0.3
 
     def test_harbor_variants_match_a_factor_per_draw(self):
-        # The translation factor is computed once per perturbation; the
-        # reference recomputes it (an eigh) on every draw.
+        # The translation is the std times the normals; the reference
+        # takes an eigh factor of the covariance on every draw.
         vmap, _ = load_geojson(harbor_geojson())
         pert = perturbations_from_config(vmap, HARBOR_PERTURBATIONS)
         got = sample_vertex_variants(vmap, pert, 5, rng=11)
         np.testing.assert_array_equal(got, brute_force.vertex_variants(vmap, pert, 5, 11))
 
-    def test_correlated_translation_matches_a_factor_per_draw(self):
-        vmap = VectorMap.build([polygon_feature(SQUARE, ["land"]),
-                                line_feature([(50, 0), (60, 5)], ["way"])])
-        shared = FeaturePerturbation(translation_mean=(1.0, -2.0),
-                                     translation_cov=((4.0, 1.5), (1.5, 2.0)),
-                                     rotation_std=0.01, scale_std=0.02)
-        pert = {0: shared, 1: shared}
-        got = sample_vertex_variants(vmap, pert, 20, rng=3)
-        np.testing.assert_array_equal(got, brute_force.vertex_variants(vmap, pert, 20, 3))
+    @pytest.mark.parametrize("std", [1e-73, 7.136704829382428e-74, 1e-100, 1e-300])
+    def test_tiny_translation_is_the_std_times_the_normals(self, std):
+        # Below about 1e-73 m an eigh factor of std^2 I can differ from
+        # std in the last bit (as at the second std here), or vanish (at
+        # 1e-300); the translation stays std * r.
+        vmap = VectorMap.build([point_feature((0.0, 0.0), ["buoy"])])
+        got = sample_vertex_variants(vmap, {0: FeaturePerturbation(translation_std_m=std)},
+                                     50, rng=4)
+        r = np.random.default_rng(4).standard_normal((50, 1, 4))
+        assert got.tobytes() == (std * r[:, :, 2:]).tobytes()
 
-    def test_invalid_covariance_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FeaturePerturbation(translation_cov=((1.0, 2.0), (0.0, 1.0)))
-        with pytest.raises(ConfigurationError):
-            FeaturePerturbation(translation_cov=((-1.0, 0.0), (0.0, 1.0)))
+    @pytest.mark.parametrize("key", ["translation_std_m", "rotation_std_rad", "scale_std"])
+    @pytest.mark.parametrize("value", [-1.0, -5e-324, float("nan")])
+    def test_negative_or_nan_spread_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            FeaturePerturbation(**{key: value})
+
+    def test_fields_are_the_config_spreads(self):
+        fields = [f.name for f in dataclasses.fields(FeaturePerturbation)]
+        assert fields == list(MAX_SPREADS)
 
 
 spread = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
@@ -201,24 +201,14 @@ spread = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
 
 @st.composite
 def perturbation(draw):
-    """Identity, isotropic, correlated or singular (rank-one) translation."""
-    kind = draw(st.sampled_from(["identity", "isotropic", "correlated", "singular"]))
-    if kind == "identity":
-        return FeaturePerturbation.identity()
-    if kind == "isotropic":
-        return FeaturePerturbation.isotropic(
-            translation_std_m=draw(st.one_of(st.just(0.0), st.floats(0.1, 50.0))),
-            rotation_std_rad=draw(spread), scale_std=draw(spread))
-    a = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4)))
-    a = a.reshape(2, 2)
-    if kind == "singular":
-        a[:, 1] = 0.0  # cov = a a^T has rank at most one
-    cov = a @ a.T
+    """Identity, or spreads with a translation std of 0 or log-uniform from
+    1e-70 to 1e7 m."""
+    if draw(st.booleans()):
+        return FeaturePerturbation()
     return FeaturePerturbation(
-        translation_mean=tuple(draw(st.lists(st.floats(-100.0, 100.0),
-                                             min_size=2, max_size=2))),
-        translation_cov=tuple(map(tuple, cov)),
-        rotation_std=draw(spread), scale_std=draw(spread))
+        translation_std_m=draw(st.one_of(st.just(0.0),
+                                         st.floats(-70.0, 7.0).map(lambda e: 10.0**e))),
+        rotation_std_rad=draw(spread), scale_std=draw(spread))
 
 
 @st.composite
@@ -246,13 +236,12 @@ def perturbed_map(draw):
 
 
 def buoys_case():
-    """Single-vertex features with rotation, scale and a correlated
-    translation: the case where operand layout decides the last bit."""
+    """Single-vertex features with rotation, scale and a translation: the
+    case where operand layout decides the last bit."""
     vmap = VectorMap.build([point_feature((x, 0.5 * x - 300.0), ["buoy"])
                             for x in (1.0, -2500.0, 4000.0)])
-    shared = FeaturePerturbation(translation_mean=(3.0, -1.0),
-                                 translation_cov=((9.0, 2.0), (2.0, 4.0)),
-                                 rotation_std=0.05, scale_std=0.02)
+    shared = FeaturePerturbation(translation_std_m=3.0, rotation_std_rad=0.05,
+                                 scale_std=0.02)
     return vmap, {f: shared for f in range(vmap.n_features)}
 
 
@@ -275,8 +264,8 @@ class TestPerturbationConfig:
             "*": {"translation_std_m": 1.0},
         }
         table = perturbations_from_config(vmap, config)
-        assert table[0].translation_cov[0][0] == 25.0
-        assert table[1].translation_cov[0][0] == 1.0
+        assert table[0] == FeaturePerturbation(translation_std_m=5.0)
+        assert table[1] == FeaturePerturbation(translation_std_m=1.0)
 
     def test_unmatched_feature_is_error(self):
         vmap = square_map()
