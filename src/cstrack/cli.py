@@ -497,11 +497,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to sys.stderr as it is at the time."""
+
+    def emit(self, record):
+        self.stream = sys.stderr
+        super().emit(record)
+
+
+def _configure_logging(verbose: bool) -> None:
+    """Set the cstrack logger's level for this call. Its stderr handler is
+    attached once per process; the root logger is left alone."""
+    log.setLevel(logging.INFO if verbose else logging.WARNING)
+    if not any(isinstance(h, _StderrHandler) for h in log.handlers):
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        log.addHandler(handler)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
+    _configure_logging(args.verbose)
     log.info("master seed: %d", args.seed)
     try:
         return args.handler(args)

@@ -29,7 +29,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import GroundingError, UnsupportedProgramError
 from .terms import (
@@ -96,6 +95,8 @@ def interval_probabilities(mean, std, thresholds: tuple[float, ...]) -> np.ndarr
 
     Accepts scalar or (N,) mean/std; returns (m+1,) or (m+1, N).
     """
+    from scipy.special import ndtr  # imported here: most commands never call it
+
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
     cdf = np.stack([ndtr((b - mean) / std) for b in thresholds])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 BANDWIDTH_FLOOR = 1e-3
 
@@ -44,6 +43,8 @@ class BoundedDensity:
         )
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
+        from scipy.special import ndtr  # imported here: most commands never call it
+
         h = self.bandwidth
         # Mass of the reflected estimate on [0, 1]: for a kernel at s the
         # three images (s, -s, 2 - s) contribute Phi((1+s)/h) + Phi((2-s)/h) - 1.

@@ -46,18 +46,25 @@ in every variant against its candidates only. Points sharing a candidate
 set are measured together; the minimum over a point's candidates is the
 minimum over all segments, bit for bit, in any order.
 
-Depth ranks each point's soundings over one candidate set per call. In
-every variant the k soundings nearest x in the reference lie within U(x),
-the largest |x - ref_j| + b_j among them, so a sounding with
-|x - ref_j| - b_j > U(x) is strictly farther than the k-th nearest and never
-ranks. One k-d tree over the reference positions (Bentley, CACM 1975)
-finds the candidates. Points with the same number c of candidates are
-ranked together, so that every pass runs over whole rows rather than
-over the c candidates of one point: each point's coordinates repeat
-across its c candidates, a block of B variants gives one (B, P, c) array
-of squared distances, and the k nearest are gathered rank by rank, by
-flat offsets, into (k, B, P) squared distances and depths whose k rows
-_idw adds in rank order.
+Depth ranks each point's soundings over one candidate set per call. Let
+U(x) be the k-th smallest |x - ref_j| + b_j over any set of soundings: in
+every variant k of them lie within U(x) of x, so a sounding with
+|x - ref_j| - b_j > U(x) is strictly farther than the k-th nearest and
+never ranks. A uniform-grid bucket index over the reference positions
+(Bentley, Weide and Yao, ACM TOMS 1980), square cells of about one
+sounding each, finds the candidates in two passes over all points at
+once. First it searches ring by ring around each point's cell until the
+block of rings holds k soundings, and takes U over them. Then it lists
+every sounding within that U + max b of x, each row of cells over the
+disk's chord, and takes U again over all of them: they hold the k nearest
+in the reference, so this U is never looser than the largest
+|x - ref_j| + b_j among those k. Points with the same number c of
+candidates are ranked together, so that every pass runs over whole rows
+rather than over the c candidates of one point: each point's coordinates
+repeat across its c candidates, a block of B variants gives one (B, P, c)
+array of squared distances, and the k nearest are gathered rank by rank,
+by flat offsets, into (k, B, P) squared distances and depths whose k
+rows _idw adds in rank order.
 
 Every bound is widened by a margin far above the rounding of the distances
 it compares (_CANDIDATE_SLACK); a wider margin only tests more points or
@@ -69,10 +76,8 @@ distance NaN).
 from __future__ import annotations
 
 import enum
-import itertools
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import NoDepthDataError
 from .vectormap import VectorMap
@@ -84,7 +89,8 @@ _IDW_NEIGHBORS = 4
 # compare, of the crossing abscissa and of the squares' underflow.
 _CANDIDATE_SLACK = 1e-9
 
-# Cap on the cells of one (variants x points [x candidates]) block.
+# Cap on the cells of one (variants x points [x candidates]) block, and
+# on the (points x soundings) slots of one block of the depth bucket search.
 _BLOCK_CELLS = 32_768
 
 
@@ -275,33 +281,165 @@ def _idw(nd2: np.ndarray, nval: np.ndarray) -> np.ndarray:
     return out
 
 
+def _runs(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integers starts[i], ..., starts[i] + counts[i] - 1, run after run,
+    and the run i each one belongs to."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts), run
+
+
+def _kth_smallest(values: np.ndarray, owner: np.ndarray, owners: int, k: int) -> np.ndarray:
+    """The k-th smallest of each owner's values, given owner by owner (owner
+    ascending); every owner has at least k."""
+    counts = np.bincount(owner, minlength=owners)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    padded = np.full((owners, counts.max()), np.inf)
+    padded[owner, rank] = values
+    return np.partition(padded, k - 1, axis=1)[:, k - 1]
+
+
+def _point_blocks(counts: np.ndarray):
+    """Index arrays of the points, taken in order of their positive counts,
+    in blocks whose length times largest count is at most _BLOCK_CELLS (or
+    one point)."""
+    order = np.argsort(counts, kind="stable")
+    size = counts[order]
+    lo = 0
+    while lo < len(order):
+        widest = size[min(len(order), lo + max(1, _BLOCK_CELLS // size[lo])) - 1]
+        hi = lo + max(1, _BLOCK_CELLS // widest)
+        yield order[lo:hi]
+        lo = hi
+
+
+class _Buckets:
+    """A uniform-grid bucket index of m positions (Bentley, Weide and Yao,
+    ACM TOMS 1980): square cells of side h over the positions' bbox, about
+    one position per cell, the positions listed cell by cell (row by row,
+    index-sorted within a cell), and a summed-area table of the counts."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        m = len(x)
+        self.x0, self.y0 = x.min(), y.min()
+        wide, high = x.max() - self.x0, y.max() - self.y0
+        h = max(np.sqrt(wide) * np.sqrt(high / m), max(wide, high) / m)
+        self.h = h if h > 0 else 1.0  # coincident positions: one cell
+        self.cols = int(np.floor(wide / self.h)) + 1
+        self.rows = int(np.floor(high / self.h)) + 1
+        cell = self.row(y) * self.cols + self.col(x)
+        self.order = np.argsort(cell, kind="stable")
+        count = np.bincount(cell, minlength=self.rows * self.cols)
+        self.start = np.concatenate([[0], np.cumsum(count)])
+        table = np.zeros((self.rows + 1, self.cols + 1), dtype=np.intp)
+        table[1:, 1:] = count.reshape(self.rows, self.cols).cumsum(axis=0).cumsum(axis=1)
+        self.table = table.ravel()
+
+    # Cell coordinates are clipped before the cast, so that no coordinate
+    # overflows intp; a clipped range still holds every cell it should.
+    def col(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(np.floor((x - self.x0) / self.h), 0, self.cols - 1).astype(np.intp)
+
+    def row(self, y: np.ndarray) -> np.ndarray:
+        return np.clip(np.floor((y - self.y0) / self.h), 0, self.rows - 1).astype(np.intp)
+
+    def count(self, c0, c1, r0, r1) -> np.ndarray:
+        """Positions in each block of columns c0..c1 and rows r0..r1."""
+        t, w = self.table, self.cols + 1
+        lo, hi = r0 * w, (r1 + 1) * w
+        return t[hi + c1 + 1] - t[lo + c1 + 1] - t[hi + c0] + t[lo + c0]
+
+    def members(self, row, c0, c1) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the positions in columns c0..c1 of each given row (one
+        run of the cell-by-cell list each), and the row each belongs to."""
+        base = row * self.cols
+        lo = self.start[base + c0]
+        pos, run = _runs(lo, self.start[base + c1 + 1] - lo)
+        return self.order[pos], run
+
+
 def _depth_candidates(points: np.ndarray, soundings: np.ndarray, k: int):
     """Candidate soundings per point: a superset of the k nearest in every
     variant of the (n, m, 2) stack. Returns one (sel, cand) group per
     candidate count c: the indices of the points with c candidates and
     their (len(sel), c) candidates, index-sorted along each row."""
     ref, b = _reference(soundings)
-    tree = cKDTree(ref)
-    d_k, i_k = tree.query(points, k=k)
-    upper = (d_k.reshape(len(points), k) + b[i_k.reshape(len(points), k)]).max(axis=1)
-    slack = _slack(upper, points, soundings)
-    upper += slack
-    # The ball holds every sounding the filter below keeps, with room for
-    # the tree's own rounding.
-    found = tree.query_ball_point(points, upper + b.max() + slack, return_sorted=True)
-    counts = np.fromiter(map(len, found), dtype=int, count=len(found))
-    flat = np.fromiter(itertools.chain.from_iterable(found), dtype=int, count=counts.sum())
-    rows = np.repeat(np.arange(len(points)), counts)
-    gap = points[rows] - ref[flat]
-    keep = np.hypot(gap[:, 0], gap[:, 1]) - b[flat] <= upper[rows]
-    rows, flat = rows[keep], flat[keep]
+    rx, ry = ref[:, 0].copy(), ref[:, 1].copy()
+    m = len(ref)
+    px, py = points[:, 0], points[:, 1]
+
+    def ref_distance(owner, j):
+        """|x - ref_j| of each (point, sounding) pair."""
+        dx = px[owner] - rx[j]
+        dy = py[owner] - ry[j]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return np.sqrt(dx, out=dx)
+
+    index = _Buckets(rx, ry)
+    # Ring by ring around each point's cell (clipped into the grid), until
+    # the block of rings holds k soundings.
+    home_c, home_r = index.col(px), index.row(py)
+    ring = np.zeros(len(points), dtype=np.intp)
+    active = np.arange(len(points))
+    while len(active):
+        r = ring[active]
+        found = index.count(np.maximum(home_c[active] - r, 0),
+                            np.minimum(home_c[active] + r, index.cols - 1),
+                            np.maximum(home_r[active] - r, 0),
+                            np.minimum(home_r[active] + r, index.rows - 1))
+        active = active[found < k]
+        ring[active] += 1
+    c0, c1 = np.maximum(home_c - ring, 0), np.minimum(home_c + ring, index.cols - 1)
+    r0, r1 = np.maximum(home_r - ring, 0), np.minimum(home_r + ring, index.rows - 1)
+    # First bound: the k-th smallest |x - ref_j| + b_j in the block.
+    reach = np.empty(len(points))
+    for blk in _point_blocks(index.count(c0, c1, r0, r1)):
+        row, owner = _runs(r0[blk], r1[blk] - r0[blk] + 1)
+        j, run = index.members(row, c0[blk][owner], c1[blk][owner])
+        owner = owner[run]
+        reach[blk] = _kth_smallest(ref_distance(blk[owner], j) + b[j], owner, len(blk), k)
+    slack = _slack(reach, points, soundings)
+    # Every sounding the filter below keeps lies within reach, with room
+    # for the cells' rounding.
+    reach += b.max() + 2.0 * slack
+    c0, c1 = index.col(px - reach), index.col(px + reach)
+    r0, r1 = index.row(py - reach), index.row(py + reach)
+    half_h = index.h / 2
+    keys = []
+    for blk in _point_blocks(index.count(c0, c1, r0, r1)):
+        row, owner = _runs(r0[blk], r1[blk] - r0[blk] + 1)
+        # The columns of each row that the disk of radius reach meets.
+        x, rad = px[blk][owner], reach[blk][owner]
+        dy = np.abs(row * index.h + (index.y0 + half_h) - py[blk][owner])
+        dy -= half_h
+        np.maximum(dy, 0.0, out=dy)
+        dy *= dy
+        half = np.square(rad, out=rad)
+        half -= dy
+        half = np.sqrt(np.maximum(half, 0.0, out=half), out=half)
+        j, run = index.members(row, index.col(x - half), index.col(x + half))
+        owner = owner[run]
+        node = blk[owner]
+        d = ref_distance(node, j)
+        bj = b[j]
+        # U(x), over every sounding within the first bound; they hold the
+        # k nearest in the reference.
+        upper = _kth_smallest(d + bj, owner, len(blk), k)
+        upper += slack[blk]
+        d -= bj
+        keep = d <= upper[owner]
+        keys.append(node[keep] * m + j[keep])
+    keys = np.sort(np.concatenate(keys))
+    rows = keys // m
+    flat = keys - rows * m
     counts = np.bincount(rows, minlength=len(points))
-    flat = flat[np.argsort(counts[rows], kind="stable")]
-    groups, lo = [], 0
+    first = np.cumsum(counts) - counts
+    groups = []
     for c in np.unique(counts):
         sel = np.flatnonzero(counts == c)
-        groups.append((sel, flat[lo : lo + len(sel) * c].reshape(len(sel), c)))
-        lo += len(sel) * c
+        groups.append((sel, flat[first[sel, None] + np.arange(c)]))
     return groups
 
 

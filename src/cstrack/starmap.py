@@ -92,7 +92,12 @@ def _moment_arrays(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = samples.shape[0]
     with np.errstate(invalid="ignore"):
         mean = samples.sum(axis=0) / n
-        var = ((samples - mean) ** 2).sum(axis=0) / (n - 1)
+        # Squared in place, so that one (n, nodes) temporary lives at a
+        # time wherever numpy does not elide temporaries itself.
+        dev = samples - mean
+        dev *= dev
+        var = dev.sum(axis=0) / (n - 1)
+        del dev
         std = np.sqrt(var)
     bad = ~np.isfinite(samples).all(axis=0)
     mean = np.where(bad, np.nan, mean)

@@ -214,7 +214,7 @@ class TestIngest:
                                           "2,240.0,0.0,0.001\n")
         caplog.set_level(logging.INFO, logger="cstrack")
         assert run_cli("ingest", "--csv", tmp_path / "ais.csv", "--out", tmp_path / "t.json",
-                       "--dt", 0.001) == 0
+                       "--dt", 0.001, "-v") == 0
         tracks, _ = load_tracks(tmp_path / "t.json")
         assert [(t.vessel_id, len(t.times)) for t in tracks] == [("1", 1001)]
         assert any("into 1 tracks (1 skipped" in r.getMessage() for r in caplog.records)
@@ -364,6 +364,24 @@ class TestBuildStarmap:
         # nearest segment.
         assert 1.0 <= float(counts[1]) <= int(counts[2]) <= 7
         assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()
+
+    @pytest.mark.parametrize("order", [("", "-v"), ("-v", "")], ids=["quiet-first", "loud-first"])
+    def test_each_call_in_a_process_sets_its_own_log_level(self, paths, tmp_path, capsys,
+                                                          order):
+        root = logging.getLogger()
+        root_state = (root.level, list(root.handlers))
+        err = {}
+        for flag in order:
+            code = run_cli("build-starmap", "--map", paths["map"], "--perturb", paths["perturb"],
+                           "--relations", "over:corridor", world.BBOX_FLAG, "--rows", 3,
+                           "--cols", 3, "--samples", 2, "--out", tmp_path / "sm.json",
+                           *filter(None, [flag]))
+            assert code == 0
+            err[flag] = capsys.readouterr().err
+        assert err[""] == ""
+        assert err["-v"].startswith("INFO cstrack: master seed: 0\n")
+        assert "INFO cstrack.starmap: layer over:corridor: " in err["-v"]
+        assert (root.level, root.handlers) == root_state
 
 
 def json_paths(doc, prefix=()):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cstrack import relations
 from cstrack.errors import NoDepthDataError
+from cstrack.grids import MAX_COORD
 from cstrack.relations import RelationKind, eval_relation_many
 from cstrack.vectormap import (
     VectorMap,
@@ -176,8 +177,8 @@ free_point = st.tuples(st.floats(-40, 40), st.floats(-40, 40))
 class TestDepthMatchesBruteForce:
     @settings(deadline=None, max_examples=200)
     @given(
-        # Past 16 soundings the k-d tree splits its leaves and stops
-        # breaking ties by index.
+        # Up to 40 soundings: the bucket index spans many cells, and the
+        # ring search several rings.
         positions=st.lists(st.one_of(lattice, free_point), min_size=1, max_size=40),
         queries=st.lists(
             st.one_of(
@@ -324,6 +325,59 @@ class TestStackedDepth:
         for v, verts in enumerate(stack):
             one = eval_relation_many(vmap, RelationKind.DEPTH, points, "water", vertices=verts)
             assert got[v].tobytes() == one.tobytes()
+            assert got[v].tobytes() == brute_force.depth(points, verts, depths).tobytes()
+
+
+def sounding_layout(rng, layout, m):
+    """m sounding positions about the origin: scattered, all at one place,
+    or on one line."""
+    if layout == "scattered":
+        return rng.uniform(-200.0, 200.0, (m, 2))
+    if layout == "coincident":
+        return np.broadcast_to(rng.uniform(-200.0, 200.0, 2), (m, 2)).copy()
+    turn = rng.uniform(0.0, 2.0 * np.pi)
+    return rng.uniform(-200.0, 200.0, (m, 1)) * [np.cos(turn), np.sin(turn)]
+
+
+class TestBucketIndexCandidates:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        layout=st.sampled_from(["scattered", "coincident", "collinear"]),
+        m=st.one_of(st.just(1), st.integers(2, 40)),
+        # Near MAX_COORD a point MAX_COORD away is 1e21 cells of 1e-13 m
+        # from the soundings, past the range of intp.
+        offset=st.sampled_from([0.0, MAX_COORD - 300.0, 300.0 - MAX_COORD]),
+        spread=st.sampled_from([0.0, 1e-12, 0.5, 20.0]),
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_hold_every_variants_k_nearest(self, layout, m, offset, spread, n, seed):
+        rng = np.random.default_rng(seed)
+        base = offset + sounding_layout(rng, layout, m)
+        stack = base + rng.normal(0.0, spread, (n, m, 2))
+        far = [(x, y) for x in (-MAX_COORD, 0.0, MAX_COORD) for y in (-MAX_COORD, MAX_COORD)]
+        points = np.vstack([offset + rng.uniform(-300.0, 300.0, (20, 2)),
+                            offset + 1e6 * rng.choice([-1.0, 1.0], (4, 2)), far,
+                            stack[rng.integers(n), rng.integers(m, size=3)]])
+        k = min(4, m)
+        groups = relations._depth_candidates(points, stack, k)
+        rows = {}
+        for sel, cand in groups:
+            assert (np.diff(cand, axis=1) > 0).all()
+            rows.update(zip(sel.tolist(), map(set, cand.tolist())))
+        assert sorted(rows) == list(range(len(points)))
+        for verts in stack:
+            dx = points[:, 0, None] - verts[:, 0]
+            dy = points[:, 1, None] - verts[:, 1]
+            d2 = dx * dx + dy * dy
+            index = np.broadcast_to(np.arange(m), d2.shape)
+            nearest = np.lexsort((index, d2))[:, :k]
+            for p, row in enumerate(nearest):
+                assert set(row.tolist()) <= rows[p]
+        depths = rng.permutation(m) + 1.0
+        got = eval_relation_many(sounding_map(base, depths), RelationKind.DEPTH, points,
+                                 "water", vertices=stack)
+        for v, verts in enumerate(stack):
             assert got[v].tobytes() == brute_force.depth(points, verts, depths).tobytes()
 
 

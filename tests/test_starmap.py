@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,32 @@ class TestEstimateMoments:
         bound = 3.0 * sigma / math.sqrt(n)
         assert abs(mean - d) < bound
         assert abs(std - sigma) < bound
+
+    def test_moment_arrays_bits_equal_the_out_of_place_formula(self):
+        # Wide, tiny and huge magnitudes, a column at 1e200 whose squares
+        # overflow, and NaN and inf columns that read NaN.
+        rng = np.random.default_rng(7)
+        samples = rng.normal(size=(37, 500)) * 10.0 ** rng.integers(-150, 150, 500)
+        samples[:, 3] = 1e200 * np.arange(37)
+        samples[5, 10], samples[0, 11], samples[9, 12] = np.nan, np.inf, -np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = starmap._moment_arrays(samples)
+            expect_mean = samples.sum(axis=0) / 37
+            expect_std = np.sqrt(((samples - expect_mean) ** 2).sum(axis=0) / 36)
+        expect_mean[10:13] = expect_std[10:13] = np.nan
+        assert mean.tobytes() == expect_mean.tobytes()
+        assert std.tobytes() == expect_std.tobytes()
+        assert np.isinf(std[3])
+
+    def test_moment_arrays_hold_one_temporary_of_the_samples_size(self):
+        samples = np.random.default_rng(8).normal(size=(100, 10_000))
+        tracemalloc.start()
+        try:
+            starmap._moment_arrays(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * samples.nbytes
 
 
 class TestBuildStarmap:
