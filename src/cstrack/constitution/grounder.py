@@ -17,14 +17,19 @@ choice among them, and every comparison becomes a disjunction over the
 intervals it covers. Multiple comparisons on the same quantity therefore
 stay mutually consistent (e.g. v > 100 implies v > 50).
 
-The dependency graph of ground atoms must be acyclic, which also makes
-negation stratified: every probabilistic-fact assignment induces a unique
-two-valued model, computed by one bottom-up pass in topological order.
+A guarded quantity's body (``d ~ normal(..) :- body``) is one derived
+atom, ``d#guard``, that every comparison on d reads.
+
+One depth-first walk from the query through rule bodies, positive and
+negative literals alike, keeps the atoms it reaches and rejects a cycle
+among them, which also makes negation stratified: every
+probabilistic-fact assignment induces a unique two-valued model. ``rules``
+lists each head's rules together, in the order the walk finishes their
+heads, so one pass over it evaluates the program bottom-up.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -81,8 +86,7 @@ class GroundProgram:
     atom_names: tuple[str, ...]
     fact_atoms: tuple[int, ...]  # probabilistic atoms, ascending
     fact_params: tuple[ParamSpec, ...]
-    rules: tuple[GroundRule, ...]
-    topo_order: tuple[int, ...]  # derived atoms in evaluation order
+    rules: tuple[GroundRule, ...]  # each head's rules together, in evaluation order
     query: int
 
     @property
@@ -204,7 +208,7 @@ class _Builder:
     def __init__(self):
         self.names: list[str] = []
         self.index: dict[str, int] = {}
-        self.rules: list[GroundRule] = []
+        self.rules: dict[int, list[GroundRule]] = {}  # by head
         self.fact_params: dict[int, ParamSpec] = {}
 
     def atom(self, name: str) -> int:
@@ -223,14 +227,14 @@ class _Builder:
         return idx
 
     def rule(self, head: int, body: list[int]):
-        self.rules.append(GroundRule(head=head, body=tuple(body)))
+        self.rules.setdefault(head, []).append(GroundRule(head=head, body=tuple(body)))
 
 
 def ground(program: Program) -> GroundProgram:
     """Ground a program into the propositional form that inference compiles to a BDD.
 
-    The program's query must be ground; only clauses backward-reachable
-    from it are kept.
+    The program's query must be ground; only what it reaches is kept, and
+    a cycle among those atoms raises UnsupportedProgramError naming it.
     """
     query = program.query
     if not query.is_ground():
@@ -301,22 +305,11 @@ def ground(program: Program) -> GroundProgram:
             builder.fact(f"{key}#c{j + 1}", spec) for j, spec in enumerate(specs)
         ]
 
-    expanding: list[str] = []
-
-    def continuous_body_literals(key: str) -> list[int]:
-        if key in expanding:
-            raise UnsupportedProgramError(
-                f"continuous quantity {key} guards itself through its own body"
-            )
-        expanding.append(key)
-        try:
-            out = []
-            for lit in continuous[key].body:
-                out.extend(_literal_codes(lit))
-            return out
-        finally:
-            expanding.pop()
-
+    # A guarded quantity's body is one derived atom, key#guard, that every
+    # comparison on the quantity reads. Its rule is built from a worklist,
+    # so a quantity that guards itself is an ordinary cycle.
+    guard_atoms: dict[str, int] = {}
+    unbuilt_guards: list[str] = []
     cmp_atom_cache: dict[tuple, int] = {}
 
     def _comparison_atom(lit: Comparison) -> int:
@@ -328,8 +321,13 @@ def ground(program: Program) -> GroundProgram:
         chain = chain_atoms[key]
         name = f"{key}#cmp[{lit.op}{','.join(repr(b) for b in lit.bounds)}]"
         idx = builder.atom(name)
+        guard = []
+        if continuous[key].body:
+            if key not in guard_atoms:
+                guard_atoms[key] = builder.atom(f"{key}#guard")
+                unbuilt_guards.append(key)
+            guard.append(guard_atoms[key] + 1)
         lo, hi = comparison_interval_range(lit.op, lit.bounds, cuts)
-        guard = continuous_body_literals(key)
         m = len(cuts)
         for j in range(lo, hi + 1):
             body = list(guard)
@@ -340,19 +338,17 @@ def ground(program: Program) -> GroundProgram:
         cmp_atom_cache[cache_key] = idx
         return idx
 
-    def _literal_codes(lit) -> list[int]:
+    def _literal_code(lit) -> int:
         if isinstance(lit, Comparison):
-            return [_comparison_atom(lit) + 1]
+            return _comparison_atom(lit) + 1
         idx = builder.atom(lit.atom.key())
-        return [-(idx + 1) if lit.negated else idx + 1]
+        return -(idx + 1) if lit.negated else idx + 1
 
     aux_counter: dict[str, int] = {}
     for clause in categorical:
         head_key = clause.head.key()
         head_idx = builder.atom(head_key)
-        body = []
-        for lit in clause.body:
-            body.extend(_literal_codes(lit))
+        body = [_literal_code(lit) for lit in clause.body]
         if clause.slot is None and clause.prob == 1.0:
             builder.rule(head_idx, body)
             continue
@@ -361,62 +357,48 @@ def ground(program: Program) -> GroundProgram:
         spec = StaticParam(clause.prob) if clause.slot is None else SlotParam(clause.slot)
         aux = builder.fact(f"{head_key}#p{n}", spec)
         builder.rule(head_idx, body + [aux + 1])
+    while unbuilt_guards:
+        key = unbuilt_guards.pop()
+        builder.rule(guard_atoms[key], [_literal_code(lit) for lit in continuous[key].body])
 
     query_idx = builder.index.get(query.key())
-    rule_heads = {r.head for r in builder.rules}
-    if query_idx is None or query_idx not in rule_heads:
+    if query_idx not in builder.rules:
         raise GroundingError(f"query atom {query.key()} is not defined by any clause")
 
-    # Backward closure from the query: drop unreachable rules and facts.
-    reachable = {query_idx}
-    changed = True
-    while changed:
-        changed = False
-        for rule in builder.rules:
-            if rule.head in reachable:
-                for code in rule.body:
-                    atom = abs(code) - 1
-                    if atom not in reachable:
-                        reachable.add(atom)
-                        changed = True
-    rules = [r for r in builder.rules if r.head in reachable]
-    fact_atoms = sorted(a for a in builder.fact_params if a in reachable)
+    def body_atoms(head: int):
+        return (abs(code) - 1 for rule in builder.rules[head] for code in rule.body)
 
-    # Acyclicity over the kept ground atoms (positive and negative edges
-    # alike), which yields the bottom-up evaluation order.
-    derived = sorted({r.head for r in rules})
-    derived_set = set(derived)
-    pending: dict[int, set[int]] = {h: set() for h in derived}
-    dependents: dict[int, list[int]] = {h: [] for h in derived}
-    for rule in rules:
-        for code in rule.body:
-            dep = abs(code) - 1
-            if dep in derived_set and dep not in pending[rule.head]:
-                pending[rule.head].add(dep)
-                dependents[dep].append(rule.head)
-    ready = [h for h in derived if not pending[h]]
-    heapq.heapify(ready)
+    # One depth-first walk from the query through rule bodies, positive and
+    # negative literals alike. A derived atom finishes after every atom its
+    # rules read, which is the evaluation order; an atom met again while it
+    # is still on the walk's stack closes a cycle.
+    reached = {query_idx: True}  # atom -> still on the stack
+    stack = [(query_idx, body_atoms(query_idx))]
     order: list[int] = []
-    while ready:
-        atom = heapq.heappop(ready)
-        order.append(atom)
-        for h in dependents[atom]:
-            pending[h].discard(atom)
-            if not pending[h]:
-                heapq.heappush(ready, h)
-    if len(order) != len(derived):
-        cyclic = sorted(derived_set - set(order))
-        names = ", ".join(builder.names[a] for a in cyclic[:5])
-        raise UnsupportedProgramError(
-            f"cyclic dependencies among ground atoms (e.g. {names}); "
-            "only acyclic (stratified) programs are supported"
-        )
+    while stack:
+        for atom in stack[-1][1]:
+            if reached.get(atom):
+                path = [head for head, _ in stack]
+                cycle = " -> ".join(builder.names[a] for a in path[path.index(atom):] + [atom])
+                raise UnsupportedProgramError(
+                    f"cyclic dependencies among ground atoms ({cycle}); "
+                    "only acyclic (stratified) programs are supported"
+                )
+            if atom not in reached:
+                reached[atom] = atom in builder.rules
+                if reached[atom]:
+                    stack.append((atom, body_atoms(atom)))
+                    break
+        else:
+            head = stack.pop()[0]
+            reached[head] = False
+            order.append(head)
+    fact_atoms = sorted(a for a in builder.fact_params if a in reached)
 
     return GroundProgram(
         atom_names=tuple(builder.names),
         fact_atoms=tuple(fact_atoms),
         fact_params=tuple(builder.fact_params[a] for a in fact_atoms),
-        rules=tuple(rules),
-        topo_order=tuple(order),
+        rules=tuple(rule for head in order for rule in builder.rules[head]),
         query=query_idx,
     )

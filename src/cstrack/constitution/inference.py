@@ -1,7 +1,8 @@
 """Exact inference by compiling the ground query to a reduced ordered BDD.
 
-One bottom-up pass over the ground program's topological order builds the
-binary decision diagram (Bryant, IEEE TC 1986) of every derived atom from
+One bottom-up pass over the ground program's rules, which come in
+evaluation order with each head's rules together, builds the binary
+decision diagram (Bryant, IEEE TC 1986) of every derived atom from
 those of its rule bodies, with AND, OR and NOT over one unique table and
 one memo, as ProbLog does (Fierens et al., TPLP 2015). Variable i is the
 probabilistic atom gp.fact_atoms[i], so each interval-selector chain stays
@@ -20,8 +21,10 @@ maps an (N, k) batch of parameter vectors to (N,) query probabilities.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
+from operator import attrgetter
 
 import numpy as np
 
@@ -110,13 +113,10 @@ class CompiledQuery:
         self.k = gp.n_probabilistic
         bdd = _Diagram(self.k)
         f = {atom: bdd.node(i, 0, 1) for i, atom in enumerate(gp.fact_atoms)}
-        rules_by_head: dict[int, list] = {}
-        for rule in gp.rules:
-            rules_by_head.setdefault(rule.head, []).append(rule)
         try:
-            for atom in gp.topo_order:
+            for atom, rules in itertools.groupby(gp.rules, key=attrgetter("head")):
                 bodies = []
-                for rule in rules_by_head[atom]:
+                for rule in rules:
                     lits = []
                     for code in rule.body:
                         lit = f.get(abs(code) - 1, 0)  # undefined atoms are false

@@ -175,12 +175,15 @@ class MetricReport:
 
 
 def check_arms(taus, n_seeds: int | None) -> None:
-    """Reject a sweep that would run nothing or cannot run; None (for an
-    override not given) passes."""
+    """Reject a sweep that would run nothing, cannot run or repeats a
+    ratio; None (for an override not given) passes."""
     if taus is not None and not taus:
         raise ConfigurationError("bench needs at least 1 trust ratio")
     if taus is not None and any(not 0.0 <= tau <= 1.0 for tau in taus):
         raise ConfigurationError("bench trust ratios must lie in [0, 1]")
+    repeated = sorted(tau for tau in taus or () if taus.count(tau) > 1)
+    if repeated:
+        raise ConfigurationError(f"bench trust ratio {repeated[0]} is listed more than once")
     if n_seeds is not None and not 1 <= n_seeds <= MAX_SEEDS:
         raise ConfigurationError(f"bench needs at least 1 seed, at most {MAX_SEEDS}: {n_seeds}")
 

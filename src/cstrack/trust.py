@@ -245,12 +245,15 @@ def sweep(truths, track_seeds, config: FilterConfig, evaluate, taus) -> np.ndarr
 
 def check_tau_grid(tau_grid) -> tuple[float, ...]:
     """The ratios of a calibration grid in ascending order; rejects a grid
-    that is empty, leaves [0, 1] or lacks 0."""
+    that is empty, leaves [0, 1], lacks 0 or repeats a ratio."""
     tau_grid = tuple(sorted(float(t) for t in tau_grid))
     if not tau_grid or any(not 0.0 <= t <= 1.0 for t in tau_grid):
         raise ConfigurationError("tau grid must be a nonempty subset of [0, 1]")
     if 0.0 not in tau_grid:
         raise ConfigurationError("tau grid must contain 0 (the safety fallback)")
+    for a, b in zip(tau_grid, tau_grid[1:]):
+        if a == b:
+            raise ConfigurationError(f"tau grid lists {b} more than once")
     return tau_grid
 
 

@@ -102,14 +102,13 @@ def vertex_variants(vmap, perturbations, n: int, seed: int) -> np.ndarray:
 
 def satisfying_count(gp) -> int:
     """Assignments of a ground program's probabilistic atoms whose unique
-    model makes its query true, by evaluating the rules under each one."""
+    model makes its query true, by evaluating the rules under each one in
+    the program's order."""
     count = 0
     for bits in itertools.product((False, True), repeat=gp.n_probabilistic):
         true = {atom for atom, bit in zip(gp.fact_atoms, bits) if bit}
-        for atom in gp.topo_order:
-            if any(rule.head == atom
-                   and all((abs(code) - 1 in true) == (code > 0) for code in rule.body)
-                   for rule in gp.rules):
-                true.add(atom)
+        for rule in gp.rules:
+            if all((abs(code) - 1 in true) == (code > 0) for code in rule.body):
+                true.add(rule.head)
         count += gp.query in true
     return count

@@ -804,6 +804,19 @@ class TestField:
         assert code == 0
         assert set(ConstitutionField.load(out).values.ravel().tolist()) == {1.0}
 
+    def test_guards_nested_400_deep(self, tmp_path):
+        # x_i holds above 0 only where x_(i+1) does: P = P(N(1, 1) > 0)^400.
+        n = 400
+        cst = tmp_path / "nested.cst"
+        cst.write_text("\n".join(
+            [f"x{i} ~ normal(1, 1) :- x{i + 1} > 0." for i in range(n - 1)]
+            + [f"x{n - 1} ~ normal(1, 1).", "constitution(X, Z) :- x0 > 0."]))
+        out = tmp_path / "field.json"
+        assert run_cli("field", "--constitution", cst, "--starmap",
+                       flagged_centre_starmap(tmp_path), "--out", out) == 0
+        expected = (0.5 * math.erfc(-1 / math.sqrt(2))) ** n
+        np.testing.assert_allclose(ConstitutionField.load(out).values, expected, rtol=1e-9)
+
     def test_values_in_unit_interval(self, paths, tmp_path):
         starmap = build_starmap(paths, tmp_path)
         out = tmp_path / "field.json"
@@ -1477,7 +1490,9 @@ class TestFlagsCheckedFirst:
         ("calibrate", "--tau-grid=0.5,1", "tau grid must contain 0"),
         ("calibrate", "--meas-std=-50", "measurement_noise_std must be"),
         ("bench", "--n-seeds=0", "bench needs at least 1 seed"),
+        ("calibrate", "--tau-grid=0,0.5,0.5", "tau grid lists 0.5 more than once"),
         ("bench", "--taus=2", "bench trust ratios must lie in [0, 1]"),
+        ("bench", "--taus=0.5,0.5", "bench trust ratio 0.5 is listed more than once"),
         ("track", "--tau=2", "tau must lie in [0, 1], got 2.0"),
         ("track", "--meas-std=-50", "measurement_noise_std must be"),
         ("track", "--meas-std=1e-82", "finite 1/std^2 and density normalizer, got 1e-82"),

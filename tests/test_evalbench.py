@@ -216,11 +216,16 @@ class TestRunAblation:
         assert [(row.track, row.tau) for row in report.rows] == [(1, 0.0), (1, 0.5)]
 
     def test_rows_keep_caller_tau_order(self):
-        report = run_ablation(small_scenario(taus=(1.0, 0.0, 1.0), n_seeds=1))
-        assert [row.tau for row in report.rows] == [1.0, 0.0, 1.0] * 2
+        report = run_ablation(small_scenario(taus=(1.0, 0.0, 0.5), n_seeds=1))
+        assert [row.tau for row in report.rows] == [1.0, 0.0, 0.5] * 2
         first = report.rows[:3]
-        assert first[0].mae_filter == first[2].mae_filter
         assert first[1].mae_filter == first[1].mae_baseline
+
+    @pytest.mark.parametrize("taus, value", [((0.5, 0.5), "0.5"), ((1.0, 0.0, 1.0), "1.0"),
+                                             ((0.0, -0.0), "0.0")])
+    def test_repeated_tau_rejected(self, taus, value):
+        with pytest.raises(ConfigurationError, match=f"ratio {value} is listed more than once"):
+            run_ablation(small_scenario(n_seeds=1), taus=taus)
 
     def test_taus_outside_unit_interval_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -300,6 +305,7 @@ class TestScenarioLoading:
 
     @pytest.mark.parametrize("change", [
         {"n_seeds": 0}, {"n_seeds": -1}, {"taus": []}, {"taus": [0.5, 2.0]},
+        {"taus": [0.5, 0.0, 0.5]},
     ])
     def test_bad_sweep_rejected_before_building(self, tmp_path, change):
         path = self.write_scenario(tmp_path)

@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -147,6 +150,15 @@ class TestRoundTrip:
         program = parse(MARINE_EXAMPLE)
         again = parse(format_program(program))
         assert again == program
+
+    def test_readme_dsl_example_round_trips(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## The constitution DSL \(`\.cst`\)\n+```\n(.*?)```", readme,
+                          re.DOTALL)
+        assert block, "README has no DSL example block"
+        program = parse(block.group(1))
+        assert len(program.clauses) == 5
+        assert parse(format_program(program)) == program
 
     def test_round_trip_simple_rule(self):
         program = parse(r"1.0 :: a :- b, \+ c.")

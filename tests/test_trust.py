@@ -179,6 +179,11 @@ class TestCalibrate:
             calibrate([track], corridor_evaluator(), self.config(),
                       tau_grid=(0.5, 1.0))
 
+    def test_grid_must_not_repeat_a_ratio(self):
+        with pytest.raises(ConfigurationError, match="tau grid lists 0.5 more than once"):
+            calibrate([make_track()], corridor_evaluator(), self.config(),
+                      tau_grid=(0.0, 0.5, 0.5))
+
     def test_determinism(self):
         tracks = [make_track({"vessel_type": 70, "sog_median_kn": 8.0})]
         kwargs = dict(tau_grid=(0.0, 0.5), seed=9)
