@@ -237,9 +237,6 @@ def cmd_field(args) -> int:
     started = time.perf_counter()
     f = precompute_field(program, layers, grid, measurement=measurement)
     elapsed = time.perf_counter() - started
-    finite = f.values[np.isfinite(f.values)]
-    if finite.size and ((finite < 0).any() or (finite > 1).any()):
-        raise AssertionError("field values escaped [0, 1]")
     log.info("field %dx%d: NaN fraction %.4f", grid.rows, grid.cols,
              float(np.isnan(f.values).mean()))
     f.save(args.out)

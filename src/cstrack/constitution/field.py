@@ -12,9 +12,9 @@ both return NaN wherever the interpolation gives a flagged node a
 nonzero weight. What the filter does with NaN is decided by
 particlefilter._compliance_factor alone.
 
-A field file stores the raster as a starmap stores a layer: the grid's
-bbox and resolution, and the values as one grids.encode_raster string, so
-every value survives bit for bit and NaN marks a flagged node.
+A field file is a raster file (jsonio.dump_rasters) as a starmap is: a
+header line of the grid's bbox and resolution, then the values as raw
+float64, so every value survives bit for bit and NaN marks a flagged node.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import jsonio
-from ..errors import ConfigurationError, FormatError
-from ..grids import (ENCODING, GridSpec, bilinear_clamped, decode_raster, encode_raster,
-                     raster_grid, write_pgm)
+from ..errors import ConfigurationError
+from ..grids import GridSpec, bilinear_clamped, raster_grid, write_pgm
 from ..starmap import StaRMapLayer, interpolate_many, moments_at_nodes
 from .environment import ConstitutionEvaluator
 from .terms import Program
@@ -63,29 +62,18 @@ class ConstitutionField:
         positions = np.asarray(positions, dtype=float)
         return self.at_clamped(positions.reshape(-1, 2)).reshape(positions.shape[:-1])
 
-    def to_json(self) -> dict:
-        return {
-            "bbox": list(self.grid.bbox),
-            "resolution": [self.grid.rows, self.grid.cols],
-            "encoding": ENCODING,
-            "values": encode_raster(self.values),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ConstitutionField":
-        try:
-            grid = raster_grid(obj)
-            values = decode_raster(obj["values"], "values", grid)
-        except (KeyError, TypeError, FormatError) as exc:
-            raise FormatError(f"bad field JSON: {exc}") from exc
-        return cls(grid=grid, values=values)
-
     def save(self, path) -> None:
-        jsonio.dump(self.to_json(), path)
+        jsonio.dump_rasters({"bbox": list(self.grid.bbox),
+                             "resolution": [self.grid.rows, self.grid.cols]},
+                            [self.values], path)
 
     @classmethod
     def load(cls, path) -> "ConstitutionField":
-        return cls.from_json(jsonio.load(path, "field file"))
+        def parse(header, rasters):
+            grid = raster_grid(header)
+            return cls(grid=grid, values=rasters(1, grid.rows, grid.cols)[0])
+
+        return jsonio.load_rasters(path, "field file", parse)
 
     def write_pgm(self, path) -> None:
         write_pgm(path, self.values, vmin=0.0, vmax=1.0)

@@ -1,27 +1,25 @@
-"""Raster grid support: grid specification, the raster file codec, bilinear
-interpolation, PGM dumps.
+"""Raster grid support: grid specification, the grid of a raster file,
+bilinear interpolation, PGM dumps.
 
 A grid is a lattice of sample nodes spanning the bbox inclusively:
 column j sits at xmin + j * (xmax - xmin) / (cols - 1), and analogously for
 rows along y. Row 0 is the southern edge (smallest y). Flat arrays are
 row-major: index = row * cols + col.
 
-A starmap's layers and a compliance field are the rasters cstrack writes.
-Both files hold their grid as bbox and resolution [rows, cols], read by
-raster_grid, and each raster as one encode_raster string, read back bit
-for bit by decode_raster.
+A starmap's layers and a compliance field are the rasters cstrack writes,
+each in a raster file (jsonio.dump_rasters): a JSON header line, then the
+raw float64 values. Both headers hold the grid as bbox and resolution
+[rows, cols], read by raster_grid.
 """
 
 from __future__ import annotations
 
-import base64
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jsonio
-from .errors import ConfigurationError, FormatError
+from .errors import ConfigurationError
 
 # Queries this close (in node units) to an exact node snap onto it, so that
 # node lookups return stored values bit-for-bit.
@@ -35,11 +33,6 @@ MAX_GRID_NODES = 1_000_000
 # spreads: far beyond any local frame on Earth, and small enough that
 # squared distances and the filter's squared residuals stay finite.
 MAX_COORD = 1e8
-
-# How a file stores a raster: one base64 string of the row-major,
-# little-endian float64 values, so every value survives bit for bit and
-# NaN marks a flagged cell.
-ENCODING = "base64-float64-le"
 
 
 @dataclass(frozen=True)
@@ -93,41 +86,12 @@ class GridSpec:
                    cols=jsonio.number(obj["cols"], prefix + "cols", integer=True))
 
 
-def raster_grid(obj: dict) -> GridSpec:
-    """The grid of a starmap or field file: bbox and resolution [rows,
-    cols]; FormatError unless its encoding is ENCODING."""
-    jsonio.floats(obj["resolution"], "resolution", 2)
-    rows, cols = obj["resolution"]
-    grid = GridSpec.from_json({"bbox": obj["bbox"], "rows": rows, "cols": cols})
-    encoding = obj.get("encoding")
-    if encoding != ENCODING:
-        raise FormatError(f"encoding must be {ENCODING!r}, got {reprlib.repr(encoding)}; "
-                          "write the file again with build-starmap or field")
-    return grid
-
-
-def encode_raster(values: np.ndarray) -> str:
-    """The file string of a raster; every non-finite value, whatever its
-    bits, is written as NaN."""
-    values = np.where(np.isfinite(values), values, np.nan)
-    return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
-
-
-def decode_raster(text, key: str, grid: GridSpec) -> np.ndarray:
-    """The inverse of encode_raster: a read-only (rows, cols) float array;
-    FormatError naming key unless text is a strict base64 string of
-    rows * cols float64 values, none of them infinite."""
-    try:
-        raw = base64.b64decode(jsonio.typed(text, str, key), validate=True)
-    except ValueError:  # not base64 (binascii.Error) or not ASCII
-        raw = b""
-    size = grid.rows * grid.cols
-    arr = (np.frombuffer(raw, dtype="<f8").astype(float, copy=False)
-           if len(raw) == 8 * size else None)
-    if arr is None or np.isinf(arr).any():
-        raise FormatError(f"{key} must be base64 of {size} little-endian float64 values, "
-                          f"none infinite, got {reprlib.repr(text)}")
-    return arr.reshape(grid.rows, grid.cols)
+def raster_grid(header: dict) -> GridSpec:
+    """The grid of a starmap or field file's header: bbox and resolution
+    [rows, cols]; FormatError naming the key of a malformed value."""
+    jsonio.floats(header["resolution"], "resolution", 2)
+    rows, cols = header["resolution"]
+    return GridSpec.from_json({"bbox": header["bbox"], "rows": rows, "cols": cols})
 
 
 def _axis(coords: np.ndarray, lo: float, hi: float, n: int):

@@ -1,16 +1,18 @@
-"""The on-disk JSON convention shared by every file cstrack reads or writes.
+"""The on-disk convention shared by every file cstrack reads or writes.
 
-Files are UTF-8 with indent=1 and a trailing newline. Every non-finite
-float is written as null and read back as NaN; writers pass their float
-arrays through floats_to_json (or one value through float_to_json), and
-the encoder runs with allow_nan=False, so a stray NaN raises instead of
-writing a token that RFC 8259 does not allow. The one exception is the
-rasters, a starmap's layers and a compliance field's values: each is one
-string of binary float64 values (grids.encode_raster), in which NaN is
-stored as its bits. A file that does not parse raises FormatError("bad
-<what> <path>: ..."). Every file cstrack writes, JSON or not, goes through
-atomic_write: it is written to a temporary file next to the target and
-renamed over the target, so a failed write leaves the old file as it was.
+JSON files are UTF-8 with indent=1 and a trailing newline. Every
+non-finite float is written as null and read back as NaN; writers pass
+their float arrays through floats_to_json (or one value through
+float_to_json), and the encoder runs with allow_nan=False, so a stray NaN
+raises instead of writing a token that RFC 8259 does not allow. The
+rasters, a starmap's layers and a compliance field's values, go in raster
+files (dump_rasters, load_rasters): one JSON header line, then the rasters
+back to back as row-major little-endian float64, so every value keeps its
+bits and NaN marks a flagged cell. The header holds no byte offsets, so
+any other file length is refused. A file that does not parse raises
+FormatError("bad <what> <path>: ..."). Every file cstrack writes goes
+through atomic_write: it is written to a temporary file next to the target
+and renamed over the target, so a failed write leaves the old file as it was.
 
 Readers hold what they parse to one number rule: a number is a JSON number
 (not true or false) and finite, an integer a JSON integer. number(),
@@ -32,7 +34,10 @@ import shutil
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import CstrackError, FormatError
+
+# The "encoding" of a raster file's header (dump_rasters).
+RASTER_ENCODING = "float64-le-after-header"
 
 
 def floats_to_json(values) -> list:
@@ -120,8 +125,8 @@ def dumps_line(obj) -> str:
 
 
 @contextlib.contextmanager
-def atomic_write(path, encoding: str = "utf-8", newline: str | None = None):
-    """A text file handle whose contents replace path when the block ends.
+def atomic_write(path, encoding: str = "utf-8", newline: str | None = None, binary=False):
+    """A text (binary: bytes) file handle whose contents replace path on exit.
 
     The handle writes a temporary file next to the target; a clean exit
     renames it over the target, any exception removes it, so path holds
@@ -129,7 +134,8 @@ def atomic_write(path, encoding: str = "utf-8", newline: str | None = None):
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding=encoding, newline=newline) as fh:
+        with (open(tmp, "wb") if binary
+              else open(tmp, "w", encoding=encoding, newline=newline)) as fh:
             yield fh
         with contextlib.suppress(FileNotFoundError):
             shutil.copymode(path, tmp)  # as open(path, "w") keeps it
@@ -161,3 +167,48 @@ def load_source(source, what: str):
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         return load(source, what)
     return source
+
+
+def dump_rasters(header: dict, rasters, path) -> None:
+    """Write header, with its encoding, as one line, then each array of
+    rasters as row-major little-endian float64, every non-finite value as
+    NaN; whole or not at all."""
+    with atomic_write(path, binary=True) as fh:
+        fh.write(dumps_line({"encoding": RASTER_ENCODING, **header}).encode() + b"\n")
+        for values in rasters:
+            fh.write(np.where(np.isfinite(values), values, np.nan).astype("<f8").tobytes())
+
+
+def load_rasters(path, what: str, parse):
+    """parse(header, rasters) of the raster file at path: header is line 1,
+    a JSON object of encoding RASTER_ENCODING, and rasters(count, rows,
+    cols) the read-only float array after it if it holds that many values,
+    none infinite. Else, or if parse raises a CstrackError, KeyError,
+    TypeError or ValueError, FormatError("bad <what> <path>: ...")."""
+    with open(path, "rb", buffering=0) as fh:  # one read into one buffer, no copy
+        data = fh.read()
+    start = data.find(b"\n") + 1  # of the rasters; 0 if there is no header line
+
+    def rasters(count: int, rows: int, cols: int) -> np.ndarray:
+        size = count * rows * cols
+        if len(data) - start != 8 * size:
+            raise FormatError(f"the rasters after the header must be {count} x {rows} x "
+                              f"{cols} float64 values ({8 * size} bytes), got {len(data) - start}")
+        arr = np.frombuffer(data, dtype="<f8", offset=start).astype(float, copy=False)
+        if np.isinf(arr).any():
+            raise FormatError(f"raster value {np.flatnonzero(np.isinf(arr))[0]} is infinite")
+        return arr.reshape(count, rows, cols)
+
+    try:
+        try:
+            header = json.loads(data[:start].decode("utf-8"))
+        except ValueError:  # no line, not UTF-8 or not JSON: a file of another format
+            header = None
+        encoding = header.get("encoding") if type(header) is dict else None
+        if encoding != RASTER_ENCODING:
+            raise FormatError(f"line 1 must be a JSON header with encoding "
+                              f"{RASTER_ENCODING!r}, got {reprlib.repr(data[:start or 40])}; "
+                              "write the file again with build-starmap or field")
+        return parse(header, rasters)
+    except (CstrackError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad {what} {path}: {exc}") from exc

@@ -31,8 +31,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import ConfigurationError, FormatError, NoDepthDataError
-from .grids import (ENCODING, GridSpec, bilinear, decode_raster, encode_raster,
-                    nodes_read_exactly, raster_grid, write_pgm)
+from .grids import GridSpec, bilinear, nodes_read_exactly, raster_grid, write_pgm
 from .relations import RelationKind, eval_relation_many
 from .vectormap import FeaturePerturbation, VectorMap, sample_vertex_variants
 
@@ -80,11 +79,18 @@ class StaRMapLayer:
     def validate(self) -> None:
         ok = ~self.flagged
         if (self.std[ok] < 0).any():
-            raise ConfigurationError("layer has negative std cells")
+            raise ConfigurationError(f"layer {':'.join(self.key)} has negative std cells")
         if self.relation is RelationKind.OVER:
             vals = self.mean[ok]
             if ((vals < 0) | (vals > 1)).any():
-                raise ConfigurationError("over layer has mean outside [0, 1]")
+                raise ConfigurationError(f"layer over:{self.tag} has mean outside [0, 1]")
+
+
+def _check_unique(keys) -> None:
+    """ConfigurationError naming the first (relation, tag) key listed twice."""
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ConfigurationError(f"layers[{i}] repeats layer {key[0]}:{key[1]}")
 
 
 def _moment_arrays(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,12 +133,7 @@ def build_starmap(
                                  f"at most {MAX_SAMPLES}, got {n}")
     if not relations:
         raise ConfigurationError("no (relation, tag) pairs requested")
-    seen = set()
-    for rel, tag in relations:
-        key = (RelationKind(rel).value, tag)
-        if key in seen:
-            raise ConfigurationError(f"duplicate layer requested: {key}")
-        seen.add(key)
+    _check_unique([(RelationKind(rel).value, tag) for rel, tag in relations])
     variants = sample_vertex_variants(vmap, perturbations, n, rng)
     points = grid.node_points()
     layers = []
@@ -196,61 +197,58 @@ def find_layer(layers: list[StaRMapLayer], rel: RelationKind, tag: str) -> StaRM
 
 
 # ---------------------------------------------------------------------------
-# Persistence: each layer's mean and std as one grids.encode_raster string.
+# Persistence: a jsonio raster file of each layer's mean then its std, in
+# the order of the header's layers list.
 
 
-def starmap_to_json(layers: list[StaRMapLayer],
-                    origin_lonlat: tuple[float, float] | None = None) -> dict:
+def save_starmap(layers: list[StaRMapLayer], path,
+                 origin_lonlat: tuple[float, float] | None = None) -> None:
     if not layers:
         raise ConfigurationError("no layers to save")
     grid = layers[0].grid
-    for layer in layers:
-        if layer.grid != grid:
-            raise ConfigurationError("layers in one starmap must share a grid")
-    return {
+    if any(layer.grid != grid for layer in layers):
+        raise ConfigurationError("layers in one starmap must share a grid")
+    header = {
         "bbox": list(grid.bbox),
         "resolution": [grid.rows, grid.cols],
         "sample_count": layers[0].sample_count,
         "origin_lonlat": list(origin_lonlat) if origin_lonlat is not None else None,
-        "encoding": ENCODING,
-        "layers": [
-            {
-                "relation": layer.relation.value,
-                "tag": layer.tag,
-                "mean": encode_raster(layer.mean),
-                "std": encode_raster(layer.std),
-            }
-            for layer in layers
-        ],
+        "layers": [{"relation": layer.relation.value, "tag": layer.tag} for layer in layers],
     }
+    jsonio.dump_rasters(header, [layer.moments for layer in layers], path)
 
 
-def starmap_from_json(obj: dict) -> tuple[list[StaRMapLayer], tuple[float, float] | None]:
-    try:
-        grid = raster_grid(obj)
-        n = jsonio.number(obj["sample_count"], "sample_count", integer=True)
-        layers = []
-        for i, entry in enumerate(obj["layers"]):
-            mean, std = (decode_raster(entry[name], f"layers[{i}].{name}", grid)
-                         for name in ("mean", "std"))
-            relation, tag = (jsonio.typed(entry[name], str, f"layers[{i}].{name}")
-                             for name in ("relation", "tag"))
-            layers.append(StaRMapLayer(RelationKind.parse(relation), tag, grid, mean, std, n))
-        origin = obj.get("origin_lonlat")
-        origin = None if origin is None else jsonio.point(origin, "origin_lonlat")
-    except (KeyError, TypeError, ValueError, FormatError) as exc:
-        raise FormatError(f"bad starmap JSON: {exc}") from exc
-    if not layers:
+def _starmap_from_file(header: dict, rasters):
+    """The layers and origin of a starmap header and its rasters, held to
+    the checks build_starmap makes: a sample count in [2, MAX_SAMPLES],
+    each (relation, tag) once, and each layer's validate()."""
+    grid = raster_grid(header)
+    n = jsonio.number(header["sample_count"], "sample_count", integer=True, lo=2,
+                      hi=MAX_SAMPLES)
+    entries = jsonio.typed(header["layers"], list, "layers")
+    if not entries:
         raise FormatError("starmap has no layers")
+    keys = []
+    for i, entry in enumerate(entries):
+        extra = sorted(set(jsonio.typed(entry, dict, f"layers[{i}]")) - {"relation", "tag"})
+        if extra:
+            raise FormatError(f"layers[{i}] must hold only relation and tag, got {extra}")
+        relation, tag = (jsonio.typed(entry[name], str, f"layers[{i}].{name}")
+                         for name in ("relation", "tag"))
+        keys.append((RelationKind.parse(relation).value, tag))
+    _check_unique(keys)
+    moments = rasters(2 * len(keys), grid.rows, grid.cols)
+    layers = [StaRMapLayer(RelationKind(relation), tag, grid, *moments[2 * i:2 * i + 2], n)
+              for i, (relation, tag) in enumerate(keys)]
+    for layer in layers:
+        layer.validate()
+    origin = header.get("origin_lonlat")
+    origin = None if origin is None else jsonio.point(origin, "origin_lonlat")
     return layers, origin
 
 
-def save_starmap(layers, path, origin_lonlat=None) -> None:
-    jsonio.dump(starmap_to_json(layers, origin_lonlat), path)
-
-
 def load_starmap(path) -> tuple[list[StaRMapLayer], tuple[float, float] | None]:
-    return starmap_from_json(jsonio.load(path, "starmap file"))
+    return jsonio.load_rasters(path, "starmap file", _starmap_from_file)
 
 
 def write_layer_pgm(layer: StaRMapLayer, path) -> None:

@@ -462,13 +462,14 @@ def test_criterion_10_cli_determinism(tmp_path):
     )
 
 
-# The SHA-256 of criterion 10's raster files. They came out the same under
-# OpenBLAS's SkylakeX, Haswell and Nehalem kernels and with numpy's X86_V3
-# and X86_V4 dispatch off, so a change that moves a raster bit must update
-# them and say so.
+# The SHA-256 of criterion 10's raster files (a JSON header line, then the
+# raw float64 rasters). Their values came out the same under OpenBLAS's
+# SkylakeX, Haswell and Nehalem kernels and with numpy's X86_V3 and X86_V4
+# dispatch off, so a change that moves a raster bit, or the file layout,
+# must update them and say so.
 C10_RASTER_SHA256 = {
-    "starmap.json": "657c53577b2e96af65407194dbda56b3de4708ec2c4a7e51e8849ed7d65a6a24",
-    "field.json": "8e47c76615e06b2ef185f96dabe1946a5619bf3a9bbdce5682e4597c1a354fd4",
+    "starmap.json": "b9868b8cf6b2c48d92525b3fbf7daf057aa6c1834a2595c61bf2f2cd5f0252a5",
+    "field.json": "612e76a8693bdbb2afa69aa5d9cebe292e8066efa33b0b850aa64ac48898c27e",
 }
 
 

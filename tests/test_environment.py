@@ -18,6 +18,7 @@ from cstrack.constitution import (
     precompute_field,
 )
 import cstrack.constitution.environment as environment_module
+from cstrack import jsonio
 from cstrack.constitution.field import ConstitutionField
 from cstrack.errors import ConfigurationError, FormatError
 from cstrack.grids import GridSpec, clamp_to_bbox
@@ -467,13 +468,15 @@ class TestPrecomputeField:
                                   values)
         path = tmp_path / "field.json"
         field.save(path)
-        doc = json.loads(path.read_text())
-        assert doc["encoding"] == "base64-float64-le" and isinstance(doc["values"], str)
+        line, body = path.read_bytes().split(b"\n", 1)
+        assert json.loads(line) == {"encoding": jsonio.RASTER_ENCODING,
+                                    "bbox": [0.0, 0.0, 10.0, 10.0], "resolution": [2, 3]}
+        assert body == values.astype("<f8").tobytes()
         loaded = ConstitutionField.load(path)
         assert loaded.grid == field.grid
         np.testing.assert_array_equal(loaded.values.view(np.uint64), values.view(np.uint64))
 
-    @pytest.mark.parametrize("encoding", [None, "float64"])
+    @pytest.mark.parametrize("encoding", [None, "float64", "base64-float64-le"])
     def test_number_list_field_file_is_refused(self, tmp_path, encoding):
         doc = {"bbox": [0.0, 0.0, 10.0, 10.0], "resolution": [2, 2],
                "values": [0.5, None, 1.0, 0.0]}
@@ -481,8 +484,10 @@ class TestPrecomputeField:
             doc["encoding"] = encoding
         path = tmp_path / "field.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="^bad field JSON: encoding must be "
-                                              "'base64-float64-le', got "):
+        with pytest.raises(FormatError, match=f"^bad field file {path}: line 1 must be a "
+                                              "JSON header with encoding "
+                                              f"'{jsonio.RASTER_ENCODING}', got .*; write "
+                                              "the file again with build-starmap or field$"):
             ConstitutionField.load(path)
 
     def test_clamped_interpolation(self):

@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstrack import jsonio
+from cstrack.constitution import ConstitutionField
 from cstrack.errors import FormatError
+from cstrack.grids import GridSpec
+from cstrack.relations import RelationKind
+from cstrack.starmap import StaRMapLayer, load_starmap, save_starmap
 
 
 def test_floats_round_trip_with_null_for_non_finite():
@@ -248,12 +252,14 @@ def test_points_has_the_result_and_the_error_of_per_row_points(rows, bound):
 
 
 def test_only_jsonio_parses_json_and_applies_the_number_rule():
-    # One JSON reader and writer (jsonio) and one raster codec (grids).
+    # One JSON and raster file reader and writer (jsonio), which alone
+    # opens a file in binary mode; no base64 anywhere.
     src = pathlib.Path(jsonio.__file__).parent
     patterns = {
         "jsonio.py": re.compile(r"json\.(dump|load)|JSONDecodeError|JSONEncoder"
-                                r"|numbers\.(Real|Integral)|isinstance\([^)]*\bbool\b"),
-        "grids.py": re.compile(r"base64"),
+                                r"|numbers\.(Real|Integral)|isinstance\([^)]*\bbool\b"
+                                r"|[\"'][rwax]\+?b\+?[\"']|(read|write)_bytes|fromfile|tofile"),
+        "": re.compile(r"base64"),
     }
     offenders = [f"{path.relative_to(src)}:{line}"
                  for path in sorted(src.rglob("*.py"))
@@ -261,3 +267,84 @@ def test_only_jsonio_parses_json_and_applies_the_number_rule():
                  for line, text in enumerate(path.read_text().splitlines(), 1)
                  if pattern.search(text)]
     assert offenders == []
+
+
+def test_raster_file_is_the_header_line_then_the_raw_values(tmp_path):
+    path = tmp_path / "r.json"
+    a, b = np.array([[1.5, -0.0], [np.inf, 2.0]]), np.array([[np.nan, 5e-324]])
+    jsonio.dump_rasters({"resolution": [1, 2], "tag": "\u00e9\n"}, [a, b], path)
+    nan = np.array(np.nan, dtype="<f8").tobytes()
+    assert path.read_bytes() == (
+        b'{"encoding": "' + jsonio.RASTER_ENCODING.encode() + b'", "resolution": [1, 2], '
+        b'"tag": "\\u00e9\\n"}\n' + a[0].astype("<f8").tobytes() + nan
+        + a[1, 1:].astype("<f8").tobytes() + b.astype("<f8").tobytes())
+
+    def parse(header, rasters):
+        return header, rasters(3, 1, 2)
+
+    header, back = jsonio.load_rasters(path, "raster file", parse)
+    assert header == {"encoding": jsonio.RASTER_ENCODING, "resolution": [1, 2], "tag": "\u00e9\n"}
+    expect = np.array([1.5, -0.0, np.nan, 2.0, np.nan, 5e-324]).reshape(3, 1, 2)
+    np.testing.assert_array_equal(back.view(np.uint64), expect.view(np.uint64))
+    assert not back.flags.writeable
+
+
+# Raster values whose bits a round trip must keep: NaN, signed zeros,
+# subnormals and the ends of the float range.
+SPECIAL = [np.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+           np.finfo(float).max, 1 / 3]
+RASTER = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(allow_infinity=False, allow_nan=False, width=64))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 4), st.integers(2, 5), st.data())
+def test_rasters_round_trip_bit_for_bit(tmp_path_factory, rows, cols, data):
+    # Through both raster files: a distance layer (any mean, a std of
+    # NaN, -0.0 or at least 0), an over layer (a mean in [0, 1]), a field.
+    tmp = tmp_path_factory.mktemp("rasters")
+    grid = GridSpec(bbox=(-5.0, 0.0, 1e3, 7.5), rows=rows, cols=cols)
+    cells = st.lists(RASTER, min_size=rows * cols, max_size=rows * cols)
+    mean, std, over, values = (np.array(data.draw(cells), dtype=float).reshape(rows, cols)
+                               for _ in range(4))
+    std = np.where(std > 0, std, np.where(np.isnan(std), np.nan, -0.0))
+    over = np.where(np.isnan(over) | ((over >= 0) & (over <= 1)), over, 0.5)
+    layers = [StaRMapLayer(RelationKind.DISTANCE, "land", grid, mean, std, 7),
+              StaRMapLayer(RelationKind.OVER, "sea", grid, over, std[::-1], 7)]
+    save_starmap(layers, tmp / "s.json", origin_lonlat=(-74.0, 40.5))
+    back, origin = load_starmap(tmp / "s.json")
+    assert origin == (-74.0, 40.5)
+    for a, b in zip(layers, back):
+        assert (a.key, a.grid, a.sample_count) == (b.key, b.grid, b.sample_count)
+        np.testing.assert_array_equal(b.moments.view(np.uint64), a.moments.view(np.uint64))
+    field = ConstitutionField(grid, values)
+    field.save(tmp / "f.json")
+    loaded = ConstitutionField.load(tmp / "f.json")
+    assert loaded.grid == grid
+    np.testing.assert_array_equal(loaded.values.view(np.uint64), values.view(np.uint64))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw[:-1], r"the rasters after the header must be 1 x 2 x 3 float64 values "
+                           r"\(48 bytes\), got 47$"),
+    (lambda raw: raw + b"\0", r"the rasters after the header must be 1 x 2 x 3 float64 values "
+                               r"\(48 bytes\), got 49$"),
+    (lambda raw: raw[:-8] + np.array(-np.inf, dtype="<f8").tobytes(),
+     r"raster value 5 is infinite"),
+    (lambda raw: b"{\n" + raw, r"line 1 must be a JSON header with encoding "
+                               r"'float64-le-after-header', got b'\{\\n'; write the file "
+                               r"again with build-starmap or field"),
+    (lambda raw: raw.replace(b'"encoding": "', b'"encoding": "x'),
+     r"line 1 must be a JSON header"),
+    (lambda raw: raw.replace(b'"resolution": [2, 3]', b'"resolution": [2, 3.5]'),
+     r"cols must be an integer, got 3.5"),
+    (lambda raw: raw.replace(b'"bbox"', b'"box"'), r"'bbox'"),
+], ids=["one-byte-short", "one-byte-long", "minus-inf", "pre-change-json", "other-encoding",
+        "float-cols", "no-bbox"])
+def test_malformed_field_file_is_format_error_naming_the_file(tmp_path, edit, message):
+    path = tmp_path / "f.json"
+    ConstitutionField(GridSpec((0.0, 0.0, 1.0, 1.0), rows=2, cols=3), np.full((2, 3), 0.5)
+                      ).save(path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(FormatError, match=f"^bad field file {re.escape(str(path))}: {message}"):
+        ConstitutionField.load(path)

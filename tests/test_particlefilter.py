@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cstrack.constitution import ConstitutionEvaluator, parse, precompute_field
 from cstrack.constitution.field import ConstitutionField
+from cstrack.demo import CORRIDOR_FILTER
 from cstrack.errors import ConfigurationError, CstrackError, FormatError
 from cstrack import particlefilter
 from cstrack.grids import GridSpec
@@ -25,6 +26,7 @@ from cstrack.particlefilter import (
 )
 from cstrack.relations import RelationKind
 from cstrack.starmap import StaRMapLayer
+from kalman_oracle import kalman_positions
 from reference_filter import (
     DegenerateBeliefError,
     _covariance_trace,
@@ -1083,3 +1085,60 @@ class TestFilterArms:
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError, match="SeedSequence per trust ratio"):
             filter_arms([measurements] * 2, config, [rng, rng], (0.0, 0.5))
+
+
+def random_walk_tracks(seed: int, count: int, steps: int, walk: float = 10.0,
+                       std: float = 50.0) -> list[np.ndarray]:
+    """count tracks of steps + 1 measurements each: a position random walk
+    with N(0, walk^2) steps per axis, seen with N(0, std^2) noise."""
+    rng = np.random.default_rng(seed)
+    return [np.cumsum(walk * rng.standard_normal((steps + 1, 2)), axis=0)
+            + std * rng.standard_normal((steps + 1, 2)) for _ in range(count)]
+
+
+class TestKalmanOracle:
+    """At tau = 0, filter_arms against the exact posterior mean of its
+    model (kalman_oracle): the whole loop of start cloud, move, likelihood,
+    renormalization, resampling and estimate, no bit of it relied on.
+
+    The statistic is the mean, over every step of 40 random-walk tracks
+    (one filter seed each), of |m_PF - m_KF|^2 / tr P_KF: the squared
+    distance of the particle estimate from the Kalman position mean, in
+    units of the Kalman position variance. The filter is the corridor
+    filter (dt 10 s, sigma_a 0.3, measurement std 50 m) at 2000 particles.
+    Measured on 30-step tracks over six track seeds:
+
+    | filter | statistic |
+    |---|---|
+    | as it is | 0.0040-0.0054 |
+    | noise factor transposed (a bug) | 0.36-0.39 |
+    | velocity noise halved (a bug) | 0.047-0.055 |
+
+    so the bound 0.02 sits about four times above the filter and below
+    half the smaller bug. A 5-10% error in a model parameter stays under
+    it; this oracle checks structure, not calibration. With sigma_a 0 the
+    move adds no noise, so resampled copies never spread again and the
+    cloud collapses, as a bootstrap filter's does: the statistic reads
+    0.003-0.005 at 5 steps, 0.014-0.030 at 10 and 1.0-1.8 at 30. That case
+    runs 5 steps.
+    """
+
+    BOUND = 0.02
+
+    @pytest.mark.parametrize("extra, steps", [
+        ({}, 30),
+        ({"init_position_std": 20.0, "init_speed_std": 0.5}, 30),
+        ({"sigma_a": 0.0}, 5),
+    ], ids=["corridor", "start-spreads-set", "no-process-noise"])
+    def test_estimates_follow_the_kalman_posterior(self, extra, steps):
+        config = FilterConfig(particles=2000, **{**CORRIDOR_FILTER, **extra})
+        tracks = random_walk_tracks(1, 40, steps)
+        estimates, failures, _ = filter_arms(
+            tracks, config, [np.random.SeedSequence(k) for k in range(len(tracks))],
+            [0.0] * len(tracks))
+        assert failures == [None] * len(tracks)
+        ratios = []
+        for zs, pf_means in zip(tracks, estimates):
+            kf_means, kf_traces = kalman_positions(zs, config)
+            ratios.append(np.square(pf_means - kf_means).sum(axis=1) / kf_traces)
+        assert np.mean(ratios) < self.BOUND

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cstrack import demo, starmap
+from cstrack import demo, jsonio, starmap
 from cstrack.errors import ConfigurationError
 from cstrack.grids import MAX_COORD, GridSpec, bilinear, nodes_read_exactly
 from cstrack.relations import RelationKind, eval_relation_many
@@ -18,8 +18,6 @@ from cstrack.starmap import (
     load_starmap,
     moments_at_nodes,
     save_starmap,
-    starmap_from_json,
-    starmap_to_json,
     write_layer_pgm,
 )
 from cstrack.vectormap import (
@@ -485,25 +483,32 @@ class TestPersistence:
         grid = GridSpec(bbox=(0.0, 0.0, 10.0, 10.0), rows=2, cols=3)
         layer = StaRMapLayer(RelationKind.DISTANCE, "land", grid, mean, std, sample_count=2)
         path = tmp_path / "star.json"
-        save_starmap([layer], path)
-        doc = json.loads(path.read_text())
-        assert doc["encoding"] == "base64-float64-le"
-        assert isinstance(doc["layers"][0]["mean"], str)
+        save_starmap([layer], path, origin_lonlat=(-74.0, 40.7))
+        line, body = path.read_bytes().split(b"\n", 1)
+        assert json.loads(line) == {
+            "encoding": jsonio.RASTER_ENCODING, "bbox": [0.0, 0.0, 10.0, 10.0],
+            "resolution": [2, 3], "sample_count": 2, "origin_lonlat": [-74.0, 40.7],
+            "layers": [{"relation": "distance", "tag": "land"}]}
+        assert body == mean.astype("<f8").tobytes() + std.astype("<f8").tobytes()
         (back,), _ = load_starmap(path)
         np.testing.assert_array_equal(back.mean.view(np.uint64), mean.view(np.uint64))
         np.testing.assert_array_equal(back.std.view(np.uint64), std.view(np.uint64))
         np.testing.assert_array_equal(back.flagged, [[True, False, False], [True, False, False]])
 
-    def test_every_non_finite_cell_is_written_as_nan(self):
+    def test_every_non_finite_cell_is_written_as_nan(self, tmp_path):
         # Infinities and a NaN with the sign bit and a payload set (0/0
-        # on x86 sets the sign bit) all read back as the NaN of np.nan:
-        # a flagged cell.
+        # on x86 sets the sign bit) all are written as the NaN of np.nan
+        # and read back as it: a flagged cell.
         odd_nan = np.array([0xFFF8_0000_0000_0001], dtype=np.uint64).view(float)[0]
         mean = np.array([[np.inf, -np.inf], [odd_nan, 1.0]])
         grid = GridSpec(bbox=(0.0, 0.0, 10.0, 10.0), rows=2, cols=2)
         layer = StaRMapLayer(RelationKind.OVER, "land", grid, mean, np.zeros((2, 2)), 2)
-        (back,), _ = starmap_from_json(starmap_to_json([layer]))
+        path = tmp_path / "star.json"
+        save_starmap([layer], path)
         expect = np.array([[np.nan, np.nan], [np.nan, 1.0]])
+        body = path.read_bytes().split(b"\n", 1)[1]
+        assert body[:32] == expect.astype("<f8").tobytes()
+        (back,), _ = load_starmap(path)
         np.testing.assert_array_equal(back.mean.view(np.uint64), expect.view(np.uint64))
 
     def test_find_layer(self):
