@@ -33,7 +33,7 @@ from .constitution import (
 )
 from .errors import ConfigurationError, CstrackError
 from .evalbench import check_arms, load_scenario, run_ablation
-from .grids import GridSpec
+from .grids import MAX_COORD, GridSpec
 from .ingest import (
     DEFAULT_DT_S,
     DEFAULT_GAP_S,
@@ -146,8 +146,8 @@ def _evaluator_for(program, layers, mode: str):
 
 
 def cmd_ingest(args) -> int:
-    gap_s, dt = (jsonio.number(value, flag, above=0)
-                 for flag, value in (("--gap-s", args.gap_s), ("--dt", args.dt)))
+    gap_s = jsonio.number(args.gap_s, "--gap-s", above=0)
+    dt = jsonio.number(args.dt, "--dt", above=0, hi=MAX_COORD)  # the tracks file's bound
     records, stats = read_ais_csv(args.csv, column_map=_column_map(args.columns))
     if not records:
         raise ConfigurationError(f"{args.csv}: no valid records")

@@ -296,7 +296,7 @@ def _track_from_json(entry: dict, key: str) -> Track:
         raise FormatError(f"{key}.positions must hold at least 2 points, got {len(positions)}")
     try:  # an older file has no t0, and dt null on a track it did not resample
         t0 = jsonio.number(entry.get("t0"), f"{key}.t0")
-        dt = jsonio.number(entry.get("dt"), f"{key}.dt", above=0)
+        dt = jsonio.number(entry.get("dt"), f"{key}.dt", above=0, hi=MAX_COORD)
     except FormatError as exc:
         raise FormatError(f"{exc}; write the tracks file again with ingest") from exc
     if not math.isfinite(t0 + dt * (len(positions) - 1)):

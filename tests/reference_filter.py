@@ -79,11 +79,11 @@ def effective_sample_size(weights) -> float:
     return float(1.0 / np.square(weights).sum())
 
 
-def predict(states, weights, process, rng):
-    """Advance every particle by the constant-velocity model plus Q noise;
-    the weights pass through."""
+def predict(states, weights, config, rng):
+    """Advance every particle by the config's constant-velocity move plus
+    its Q noise; the weights pass through."""
     moved = states[None].copy()
-    _move(moved, process, (rng,), np.zeros(1, dtype=int))
+    _move(moved, config, (rng,), np.zeros(1, dtype=int))
     return moved[0], weights
 
 
@@ -94,14 +94,14 @@ def draw_measurement_noise(std, rng, n):
     return rng.standard_normal((n, 2)) @ (q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))).T
 
 
-def update_measurement(states, weights, z, meas):
-    """Weight particles by the measurement likelihood; renormalize.
+def update_measurement(states, weights, z, config):
+    """Weight particles by the config's measurement likelihood; renormalize.
 
     Returns the new weights and the normalization constant (the Monte
     Carlo estimate of the measurement's marginal density).
     """
     z = np.asarray(z, dtype=float)
-    raw = weights * meas.likelihood(states[:, 0] - z[0], states[:, 1] - z[1])
+    raw = weights * config.likelihood(states[:, 0] - z[0], states[:, 1] - z[1])
     out, norm, alive = _renormalize(raw[None])
     if not alive[0]:
         raise DegenerateBeliefError(_MEASUREMENT_DEGENERATE)
@@ -193,9 +193,8 @@ def stepwise_run(measurements, config, seed, evaluate, tau, t0=0.0):
     estimates, records = [], []
     for step, z in enumerate(measurements[1:], start=1):
         try:
-            states, weights = predict(states, weights, config.process_model, move_rng)
-            weights, norm_const = update_measurement(states, weights, z,
-                                                     config.measurement_model)
+            states, weights = predict(states, weights, config, move_rng)
+            weights, norm_const = update_measurement(states, weights, z, config)
             mean_prob = None
             if evaluate is not None and tau > 0.0:
                 probs = np.asarray(evaluate(_positions(states)[None], np.reshape(z, (1, 2))),

@@ -60,11 +60,7 @@ from cstrack.evalbench import Scenario, run_ablation, simulate_agent
 from cstrack.grids import GridSpec
 from cstrack.ingest import Track
 from cstrack.kde import BoundedDensity
-from cstrack.particlefilter import (
-    FilterConfig,
-    MeasurementModel,
-    ProcessModel,
-)
+from cstrack.particlefilter import FilterConfig
 from cstrack.relations import RelationKind, eval_relation_many
 from cstrack.starmap import build_starmap
 from cstrack.trust import calibrate, extract_features, position_mae
@@ -360,13 +356,12 @@ def test_criterion_09_filter_statistics():
     states, weights = belief(
         rng.normal(scale=20.0, size=(n, 2)), rng.normal(size=(n, 2))
     )
-    process = ProcessModel(1.0, 0.3)
-    meas = MeasurementModel(15.0)
+    config = FilterConfig(dt=1.0, sigma_a=0.3, measurement_noise_std=15.0)
     z = np.zeros(2)
     for step in range(10_000):
-        states, weights = predict(states, weights, process, rng)
+        states, weights = predict(states, weights, config, rng)
         z = states[int(rng.integers(n)), :2] + rng.normal(scale=5.0, size=2)
-        weights, _ = update_measurement(states, weights, z, meas)
+        weights, _ = update_measurement(states, weights, z, config)
         validate(states, weights)
         weights = update_constitution(
             weights, rng.uniform(size=n), tau=float(rng.uniform())

@@ -31,6 +31,7 @@ from cstrack.demo import (
     corridor_scenario,
     write_demo,
 )
+from cstrack.errors import ConfigurationError
 from cstrack.grids import GridSpec
 from cstrack.ingest import Track, load_tracks, save_tracks
 from cstrack.particlefilter import FilterConfig
@@ -189,7 +190,7 @@ class TestIngest:
         assert "error: --origin must lie in lon [-180, 180], lat [-90, 90] degrees" in err
 
     @pytest.mark.parametrize("flag, value", [
-        ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--dt", "-60"),
+        ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--dt", "-60"), ("--dt", "1.5e8"),
         ("--gap-s", "nan"), ("--gap-s", "inf"), ("--gap-s", "0"), ("--gap-s", "-600"),
     ])
     def test_bad_dt_or_gap_is_user_error_and_writes_nothing(self, paths, tmp_path, capsys,
@@ -200,7 +201,8 @@ class TestIngest:
         err = capsys.readouterr().err
         check_outcome(code, err, tmp_path / "out")
         assert code == 2
-        assert f"error: {flag} must be a finite number, > 0, got" in err
+        bound = ", <= 100000000.0" if flag == "--dt" else ""
+        assert f"error: {flag} must be a finite number, > 0{bound}, got" in err
 
     @pytest.mark.parametrize("dt", ["1e-9", "1e-300"])
     def test_track_of_too_many_samples_is_not_written(self, paths, tmp_path, capsys, dt):
@@ -1055,9 +1057,9 @@ class TestTrack:
         assert outs["tau0"] == outs["none"]
 
     def test_track_failing_partway_keeps_the_old_step_log(self, paths, tmp_path, capsys):
-        # The second track's dt is beyond the filter's bound, so track fails
-        # in its block, after the first block's records; the step log of
-        # the earlier run stays.
+        # The second track has a dt of its own, so it runs in a block of its
+        # own, after the first block's records; that block fails, and the
+        # step log of the earlier run stays.
         tracks = ingest(paths, tmp_path)
         logs = tmp_path / "steps.jsonl"
         args = ["--no-constitution", "--particles", 50, "--out-logs", logs,
@@ -1065,16 +1067,25 @@ class TestTrack:
         assert run_cli("track", "--tracks", tracks, "--seed", 9, *args) == 0
         before = logs.read_bytes()
         (track,), frame = load_tracks(tracks)
-        late = Track(vessel_id="late", times=track.times[0] + 2e8 * np.arange(track.size),
-                     positions=track.positions, metadata=track.metadata, dt=2e8)
+        dt = 2.0 * track.dt
+        late = Track(vessel_id="late", times=track.times[0] + dt * np.arange(track.size),
+                     positions=track.positions, metadata=track.metadata, dt=dt)
         bad = tmp_path / "bad_tracks.json"
         save_tracks([track, late], frame, bad)
-        filter_arms = mock.Mock(side_effect=cli.filter_arms)
+        real = cli.filter_arms
+
+        def first_block_only(*call_args, **call_kwargs):
+            if filter_arms.call_count > 1:
+                raise ConfigurationError("prediction produced non-finite states")
+            return real(*call_args, **call_kwargs)
+
+        filter_arms = mock.Mock(side_effect=first_block_only)
         capsys.readouterr()
         with mock.patch.object(cli, "filter_arms", filter_arms):
             assert run_cli("track", "--tracks", bad, "--seed", 10, *args) == 2
-        assert filter_arms.call_count == 1
-        assert "error: bad filter config: dt must be a finite number" in capsys.readouterr().err
+        assert filter_arms.call_count == 2
+        assert [call.args[1].dt for call in filter_arms.call_args_list] == [track.dt, dt]
+        assert "error: prediction produced non-finite states" in capsys.readouterr().err
         assert logs.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -1084,6 +1095,7 @@ class TestTrack:
         ("t0", Missing()), ("positions", "3 wide"), ("positions", "null row"),
         ("vessel_type", "70"), ("sog_median_kn", [0.1]), ("draft", "deep"),
         ("positions", "nested"), ("positions", "one row"), ("dt", "1 at t0 1e17"),
+        ("dt", 1e9),
     ])
     def test_malformed_tracks_file_is_user_error_and_writes_nothing(
             self, paths, tmp_path, capsys, key, value):

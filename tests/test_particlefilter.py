@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import pathlib
+import re
 import warnings
 from unittest import mock
 
@@ -14,19 +17,16 @@ from cstrack import particlefilter
 from cstrack.grids import GridSpec
 from cstrack.particlefilter import (
     FilterConfig,
-    MeasurementModel,
-    ProcessModel,
     _compliance_factor,
     _covariance_traces,
     _move,
     _resample_indices,
     _streams,
-    cv_process_noise,
     filter_arms,
 )
 from cstrack.relations import RelationKind
 from cstrack.starmap import StaRMapLayer
-from kalman_oracle import kalman_positions
+from kalman_oracle import kalman_positions, process_noise
 from reference_filter import (
     DegenerateBeliefError,
     _covariance_trace,
@@ -52,29 +52,32 @@ def single_particle(p, v):
 class TestPredict:
     def test_deterministic_transition(self):
         states, weights = single_particle((0.0, 0.0), (1.0, 2.0))
-        process = ProcessModel(dt=1.0, sigma_a=0.0)
-        out, _ = predict(states, weights, process, np.random.default_rng(0))
+        config = FilterConfig(dt=1.0, sigma_a=0.0)
+        out, _ = predict(states, weights, config, np.random.default_rng(0))
         np.testing.assert_array_equal(out[:, :2], [[1.0, 2.0]])
         np.testing.assert_array_equal(out[:, 2:], [[1.0, 2.0]])
 
     def test_zero_dt_rejected_but_tiny_ok(self):
-        for dt in (0.0, float("nan")):
-            with pytest.raises(ConfigurationError):
-                ProcessModel(dt=dt, sigma_a=0.0)
+        for dt in (0.0, float("nan"), -1.0):
+            with pytest.raises(FormatError, match="dt must be a finite number, > 0.0"):
+                FilterConfig(dt=dt, sigma_a=0.0)
+        config = FilterConfig(dt=5e-324, sigma_a=0.0)
+        assert config.dt == 5e-324 and not config.Q.any()
 
     def test_identity_with_zero_q_and_velocity(self):
         states, weights = single_particle((3.0, 4.0), (0.0, 0.0))
-        process = ProcessModel(dt=5.0, sigma_a=0.0)
-        out, _ = predict(states, weights, process, np.random.default_rng(0))
+        config = FilterConfig(dt=5.0, sigma_a=0.0)
+        out, _ = predict(states, weights, config, np.random.default_rng(0))
         np.testing.assert_array_equal(out[:, :2], states[:, :2])
 
     def test_noise_covariance_matches_q(self):
         # Monte Carlo vs the analytic position block of Q.
         sigma_a, dt, n = 0.5, 2.0, 100_000
-        q = cv_process_noise(dt, sigma_a)
+        q = process_noise(dt, sigma_a)
         states, weights = belief(np.zeros((n, 2)), np.zeros((n, 2)))
-        process = ProcessModel(dt=dt, sigma_a=sigma_a)
-        out, _ = predict(states, weights, process, np.random.default_rng(7))
+        config = FilterConfig(dt=dt, sigma_a=sigma_a)
+        assert np.array_equal(config.Q, q)
+        out, _ = predict(states, weights, config, np.random.default_rng(7))
         sample_cov = np.cov(out[:, :2].T)
         np.testing.assert_allclose(
             sample_cov, q[:2, :2], rtol=0.05, atol=0.05 * q[0, 0]
@@ -84,22 +87,22 @@ class TestPredict:
     def test_extreme_configs_construct(self, dt, sigma_a):
         # Q is positive semidefinite by construction; at these scales an
         # eigenvalue check reads a rounding error as a negative eigenvalue.
-        process = FilterConfig(dt=dt, sigma_a=sigma_a).process_model
-        assert np.array_equal(process.Q, cv_process_noise(dt, sigma_a))
-        assert np.isfinite(process.noise_factor).all()
+        config = FilterConfig(dt=dt, sigma_a=sigma_a)
+        assert np.array_equal(config.Q, process_noise(dt, sigma_a))
+        assert np.isfinite(config.noise_factor).all()
 
     def test_weights_unchanged(self):
         states, weights = belief([(0, 0), (1, 1)], [(0, 0), (0, 0)], weights=[0.25, 0.75])
-        process = ProcessModel(1.0, 0.1)
-        _, out = predict(states, weights, process, np.random.default_rng(0))
+        config = FilterConfig(dt=1.0, sigma_a=0.1)
+        _, out = predict(states, weights, config, np.random.default_rng(0))
         np.testing.assert_array_equal(out, weights)
 
     def test_cached_factor_gives_the_bits_of_a_fresh_one(self):
-        process = ProcessModel(2.0, 0.5)
+        config = FilterConfig(dt=2.0, sigma_a=0.5)
         states, weights = belief(np.zeros((50, 2)), np.ones((50, 2)))
-        out, _ = predict(*predict(states, weights, process, np.random.default_rng(4)),
-                         process, np.random.default_rng(5))
-        w, q = np.linalg.eigh(process.Q)
+        out, _ = predict(*predict(states, weights, config, np.random.default_rng(4)),
+                         config, np.random.default_rng(5))
+        w, q = np.linalg.eigh(config.Q)
         fresh = q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
         expect = states
         for seed in (4, 5):
@@ -138,8 +141,8 @@ class TestMove:
         assert [seed.n_children_spawned for seed in self.seeds] == [0, 0]
 
     def test_each_stream_draws_once_per_step_for_all_its_arms(self):
-        process = ProcessModel(2.0, 0.5)
-        w, q = np.linalg.eigh(process.Q)
+        config = FilterConfig(dt=2.0, sigma_a=0.5)
+        w, q = np.linalg.eigh(config.Q)
         fresh_factor = q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
         stream_of = np.array([0, 1, 0, 0, 1])
         moves = [self.children(k)[0] for k in (0, 1)]
@@ -148,7 +151,7 @@ class TestMove:
         for _ in range(3):
             expect = states.copy()
             noises = [rng.standard_normal((40, 4)) @ fresh_factor.T for rng in fresh]
-            _move(states, process, moves, stream_of)
+            _move(states, config, moves, stream_of)
             for arm, k in enumerate(stream_of):
                 expect[arm, :, :2] += expect[arm, :, 2:] * 2.0
                 expect[arm] += noises[k]
@@ -157,41 +160,42 @@ class TestMove:
                 assert move.bit_generator.state == rng.bit_generator.state
 
     def test_a_stream_without_arms_draws_nothing(self):
-        process = ProcessModel(1.0, 0.3)
+        config = FilterConfig(dt=1.0, sigma_a=0.3)
         moves = [self.children(k)[0] for k in (0, 1)]
         idle = self.children(1)[0].bit_generator.state
-        _move(self.stack()[:2], process, moves, np.array([0, 0]))
+        _move(self.stack()[:2], config, moves, np.array([0, 0]))
         assert moves[1].bit_generator.state == idle
 
     def test_zero_q_draws_nothing(self):
-        process = ProcessModel(dt=3.0, sigma_a=0.0)
+        config = FilterConfig(dt=3.0, sigma_a=0.0)
         moves = [self.children(k)[0] for k in (0, 1)]
         before = [rng.bit_generator.state for rng in moves]
         states = self.stack()
         expect = states.copy()
         expect[..., :2] += expect[..., 2:] * 3.0
-        _move(states, process, moves, np.array([0, 1, 0, 0, 1]))
+        _move(states, config, moves, np.array([0, 1, 0, 0, 1]))
         assert np.array_equal(states, expect)
         assert [rng.bit_generator.state for rng in moves] == before
 
     def test_non_finite_states_raise(self):
-        process = ProcessModel(1.0, 0.3)
+        config = FilterConfig(dt=1.0, sigma_a=0.3)
         moves = [self.children(k)[0] for k in (0, 1)]
         states = self.stack()
         states[3, 7, 2] = np.inf
         with pytest.raises(ConfigurationError, match="non-finite"):
-            _move(states, process, moves, np.array([0, 1, 0, 0, 1]))
+            _move(states, config, moves, np.array([0, 1, 0, 0, 1]))
         states = self.stack()
         states[1, 0, 0] = np.nan
         with pytest.raises(ConfigurationError, match="non-finite"):
-            _move(states, ProcessModel(dt=1.0, sigma_a=0.0), moves,
+            _move(states, FilterConfig(dt=1.0, sigma_a=0.0), moves,
                   np.array([0, 1, 0, 0, 1]))
 
 
 class TestMeasurementUpdate:
     def test_symmetric_particles_equal_weights(self):
         states, weights = belief([(0.0, 1.0), (0.0, -1.0)], np.zeros((2, 2)))
-        out, _ = update_measurement(states, weights, (0.0, 0.0), MeasurementModel(1.0))
+        out, _ = update_measurement(states, weights, (0.0, 0.0),
+                                    FilterConfig(measurement_noise_std=1.0))
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_weight_ratio_at_three_sigma(self):
@@ -199,7 +203,8 @@ class TestMeasurementUpdate:
         # away is exp(4.5).
         std = 2.0
         states, weights = belief([(0.0, 0.0), (3.0 * std, 0.0)], np.zeros((2, 2)))
-        out, _ = update_measurement(states, weights, (0.0, 0.0), MeasurementModel(std))
+        out, _ = update_measurement(states, weights, (0.0, 0.0),
+                                    FilterConfig(measurement_noise_std=std))
         ratio = out[0] / out[1]
         assert ratio == pytest.approx(math.exp(4.5), rel=1e-9)
 
@@ -212,20 +217,21 @@ class TestMeasurementUpdate:
             rng.uniform(-0.5, 0.5, (16, 2)), np.zeros((16, 2)), weights=weights
         )
         out, _ = update_measurement(
-            states, weights, (0.0, 0.0), MeasurementModel(1e3)
+            states, weights, (0.0, 0.0), FilterConfig(measurement_noise_std=1e3)
         )
         np.testing.assert_allclose(out, weights, atol=1e-6)
 
     def test_degenerate_update_raises(self):
         states, weights = belief([(1e9, 1e9)], [(0.0, 0.0)])
         with pytest.raises(DegenerateBeliefError):
-            update_measurement(states, weights, (0.0, 0.0), MeasurementModel(1.0))
+            update_measurement(states, weights, (0.0, 0.0),
+                               FilterConfig(measurement_noise_std=1.0))
 
     def test_cached_inverse_gives_the_bits_of_a_fresh_one(self):
         deltas = np.random.default_rng(6).normal(0.0, 3.0, (40, 2))
-        meas = MeasurementModel(2.7)
+        config = FilterConfig(measurement_noise_std=2.7)
         for _ in range(2):  # the second call reads the cached terms
-            got = meas.likelihood(deltas[:, 0], deltas[:, 1])
+            got = config.likelihood(deltas[:, 0], deltas[:, 1])
             np.testing.assert_array_equal(got, einsum_likelihood(2.7, deltas))
 
     @pytest.mark.parametrize("std", [3.0, 2.7])
@@ -234,17 +240,18 @@ class TestMeasurementUpdate:
         # views of one (N, 2) array.
         deltas = np.random.default_rng(8).normal(0.0, 3.0, (50, 2))
         before = deltas.copy()
-        meas = MeasurementModel(std)
+        config = FilterConfig(measurement_noise_std=std)
         dx, dy = deltas.T.copy()
-        planes = meas.likelihood(dx, dy)
+        planes = config.likelihood(dx, dy)
         np.testing.assert_array_equal(np.column_stack([dx, dy]), before)
-        views = meas.likelihood(deltas[:, 0], deltas[:, 1])
+        views = config.likelihood(deltas[:, 0], deltas[:, 1])
         np.testing.assert_array_equal(deltas, before)
         np.testing.assert_array_equal(views, planes)
 
     def test_normalization_constant_is_marginal_density(self):
         states, weights = belief([(0.0, 0.0)], [(0.0, 0.0)])
-        _, norm = update_measurement(states, weights, (0.0, 0.0), MeasurementModel(1.0))
+        _, norm = update_measurement(states, weights, (0.0, 0.0),
+                                     FilterConfig(measurement_noise_std=1.0))
         assert norm == pytest.approx(1.0 / (2 * math.pi), rel=1e-12)
 
 
@@ -269,12 +276,15 @@ class TestMeasurementNoise:
 
     def test_zero_spreads_are_allowed(self):
         config = FilterConfig(sigma_a=0.0, init_position_std=0.0, init_speed_std=0.0)
-        assert not config.process_model.Q.any()
+        assert not config.Q.any()
 
     @pytest.mark.parametrize("std", [0.0, -1.0, 1e-170, 1.5e8, float("nan"), float("inf")])
     def test_model_rejects_a_std_out_of_range(self, std):
-        with pytest.raises(ConfigurationError, match="measurement noise std"):
-            MeasurementModel(std)
+        # The range rule first; a std in range whose density is not finite
+        # is refused by the normalizer check.
+        error = ConfigurationError if std == 1e-170 else FormatError
+        with pytest.raises(error, match="measurement_noise_std must"):
+            FilterConfig(measurement_noise_std=std)
 
     @pytest.mark.parametrize("std", [1e-82, 1e-100, 1e-154, 1e-160, 1e-170])
     def test_config_rejects_a_std_whose_density_is_not_finite(self, std):
@@ -289,7 +299,7 @@ class TestMeasurementNoise:
     def test_smallest_accepted_std_runs_without_a_warning(self):
         def accepted(std):
             try:
-                MeasurementModel(std)
+                FilterConfig(measurement_noise_std=std)
             except ConfigurationError:
                 return False
             return True
@@ -553,12 +563,11 @@ class TestWeightSimplexFuzz:
         states, weights = belief(
             rng.normal(scale=30.0, size=(n, 2)), rng.normal(size=(n, 2))
         )
-        process = ProcessModel(1.0, 0.3)
-        meas = MeasurementModel(20.0)
+        config = FilterConfig(dt=1.0, sigma_a=0.3, measurement_noise_std=20.0)
         for _ in range(5):
-            states, weights = predict(states, weights, process, rng)
+            states, weights = predict(states, weights, config, rng)
             z = states[rng.integers(n), :2] + rng.normal(scale=5.0, size=2)
-            weights, _ = update_measurement(states, weights, z, meas)
+            weights, _ = update_measurement(states, weights, z, config)
             validate(states, weights)
             weights = update_constitution(
                 weights, rng.uniform(size=n), tau=float(rng.uniform())
@@ -674,7 +683,16 @@ class TestRunFilter:
             config = FilterConfig.from_json(obj)
         except CstrackError:
             return
-        assert config.particles >= 1 and config.measurement_model.std > 0.0
+        assert config.particles >= 1 and 0.0 < config.dt and config.measurement_noise_std > 0.0
+        assert all(0.0 < value < np.inf for value in config._inverse_and_norm)
+
+    def test_readme_filter_config_bullet_names_every_field(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        bullet = re.search(r"^- \*\*Filter config\*\*.*?(?=^- |^#|\Z)", readme,
+                           re.DOTALL | re.MULTILINE)
+        assert bullet, "README has no Filter config bullet"
+        names = [field.name for field in dataclasses.fields(FilterConfig)]
+        assert [name for name in names if f"`{name}`" not in bullet.group()] == []
 
     def test_records_fields(self):
         truth = self.track(steps=5)
@@ -715,7 +733,7 @@ class TestEinsumFreeStep:
         dx, dy = deltas.T.copy()  # contiguous planes, as the filter passes them
         with np.errstate(over="ignore"):  # 1e160 squared is inf, a density of 0
             expect = einsum_likelihood(std, deltas)
-            got = MeasurementModel(std).likelihood(dx, dy)
+            got = FilterConfig(measurement_noise_std=std).likelihood(dx, dy)
         np.testing.assert_array_equal(got, expect)
 
     @pytest.mark.parametrize("n", [8191, 100_000])
@@ -723,7 +741,8 @@ class TestEinsumFreeStep:
         rng = np.random.default_rng(n)
         std = rng.uniform(0.5, 300.0)
         deltas = rng.normal(scale=80.0, size=(n, 2))
-        np.testing.assert_array_equal(MeasurementModel(std).likelihood(*deltas.T.copy()),
+        config = FilterConfig(measurement_noise_std=std)
+        np.testing.assert_array_equal(config.likelihood(*deltas.T.copy()),
                                       einsum_likelihood(std, deltas))
         states, weights = belief(deltas, rng.normal(size=(n, 2)),
                                  weights=rng.uniform(size=n))
