@@ -18,9 +18,9 @@ The ConstitutionEvaluator binds each environment atom to an open
 thousands of (state, measurement) rows at once. Program structure never
 depends on the interpolated values, only on the program text and on which
 layers exist, so all rows share one compiled structure. A row that reads a
-flagged layer cell or a point outside a layer is NaN; particle_probabilities
-(direct mode) first clamps positions and measurements into the layers'
-common bbox, exactly as field mode clamps into the field's bbox.
+flagged layer cell is NaN. Each layer is read through grids.bilinear,
+which clamps a point outside the layer's bbox onto its edge, exactly as
+field mode reads the field.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..grids import clamp_to_bbox
 from ..relations import RelationKind
 from ..starmap import StaRMapLayer, find_layer, interpolate_many
 from .grounder import (
@@ -148,14 +147,6 @@ class ConstitutionEvaluator:
     def __init__(self, program: Program, layers: list[StaRMapLayer]):
         plan = _slot_plan(program, layers)
         self._slots = {entry["slot"]: entry for entry in plan}
-        # Intersection of the slot layers' bboxes (unbounded without slots).
-        bboxes = [entry["layer"].grid.bbox for entry in plan]
-        self._bbox = (
-            max((b[0] for b in bboxes), default=-np.inf),
-            max((b[1] for b in bboxes), default=-np.inf),
-            min((b[2] for b in bboxes), default=np.inf),
-            min((b[3] for b in bboxes), default=np.inf),
-        )
         self.ground_program = ground(_bind(program, plan, _template_clause))
         self.compiled = CompiledQuery(self.ground_program)
 
@@ -198,15 +189,14 @@ class ConstitutionEvaluator:
     def parameter_matrix(self, states: np.ndarray, measurements: np.ndarray) -> np.ndarray:
         """(N, k) Bernoulli parameters for (N, 2) states and (m, 2)
         measurements that fill the rows as in parameter_rows; NaN entries
-        where a slot's point is flagged or outside its layer."""
+        where a slot's interpolation reads a flagged cell."""
         points = {"state": states, "measurement": measurements}
         return self.parameter_rows(
             len(states), lambda layer, at: interpolate_many(layer, points[at]))
 
     def probabilities(self, states: np.ndarray, measurements: np.ndarray) -> np.ndarray:
         """P(constitution | state, measurement) per row, measurements as in
-        parameter_matrix; NaN where a row reads a flagged layer cell or a
-        point outside a layer."""
+        parameter_matrix; NaN where a row reads a flagged layer cell."""
         return self.row_probabilities(self.parameter_matrix(states, measurements))
 
     def row_probabilities(self, params: np.ndarray) -> np.ndarray:
@@ -224,9 +214,7 @@ class ConstitutionEvaluator:
     def particle_probabilities(self, positions, z) -> np.ndarray:
         """(A, N) compliance (direct mode) of the (A, N, 2) positions of A
         arms, each arm's (2,) row of z read once for its N particles; NaN
-        where undefined. Both are clamped into the layers' common bbox
-        (constant extrapolation at the map edge)."""
+        where undefined."""
         positions = np.asarray(positions, dtype=float)
-        states = clamp_to_bbox(positions.reshape(-1, 2), self._bbox)
-        meas = clamp_to_bbox(np.reshape(z, (-1, 2)), self._bbox)
-        return self.probabilities(states, meas).reshape(positions.shape[:-1])
+        return self.probabilities(positions.reshape(-1, 2),
+                                  np.reshape(z, (-1, 2))).reshape(positions.shape[:-1])

@@ -5,11 +5,11 @@ constitution on a grid once and interpolating afterwards replaces per-point
 inference in the tracking loop (field mode). Field mode and direct mode
 (ConstitutionEvaluator) share the per-particle protocol
 particle_probabilities(positions, z) -> (A, N), for the (A, N, 2)
-positions and (A, 2) measurements of A filter arms: both clamp
-positions into the bbox (field mode inside
-grids.bilinear_clamped, direct mode through grids.clamp_to_bbox), and
-both return NaN wherever the interpolation gives a flagged node a
-nonzero weight. What the filter does with NaN is decided by
+positions and (A, 2) measurements of A filter arms. Both read their
+rasters through grids.bilinear, which clamps every point into the
+raster's bbox, so a point outside reads the edge in either mode; both
+return NaN wherever the interpolation gives a flagged node a nonzero
+weight. What the filter does with NaN is decided by
 particlefilter._compliance_factor alone.
 
 A field file is a raster file (jsonio.dump_rasters) as a starmap is: a
@@ -19,13 +19,13 @@ float64, so every value survives bit for bit and NaN marks a flagged node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import jsonio
 from ..errors import ConfigurationError
-from ..grids import GridSpec, bilinear_clamped, raster_grid, write_pgm
+from ..grids import GridSpec, bilinear, raster_grid, write_pgm
 from ..starmap import StaRMapLayer, interpolate_many, moments_at_nodes
 from .environment import ConstitutionEvaluator
 from .terms import Program
@@ -37,7 +37,6 @@ class ConstitutionField:
 
     grid: GridSpec
     values: np.ndarray  # (rows, cols)
-    _masked: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.values.shape != (self.grid.rows, self.grid.cols):
@@ -46,14 +45,10 @@ class ConstitutionField:
                 f"{self.grid.rows}x{self.grid.cols}"
             )
         self.values.setflags(write=False)
-        # Lookups need zero-weight masks only if some cell is NaN, infinite
-        # or carries a sign bit; the values never change.
-        masked = not (np.isfinite(self.values) & ~np.signbit(self.values)).all()
-        object.__setattr__(self, "_masked", bool(masked))
 
     def at_clamped(self, points) -> np.ndarray:
         """Bilinear interpolation with points clamped into the bbox."""
-        return bilinear_clamped(self.grid, self.values, points, self._masked)
+        return bilinear(self.grid, self.values, points)
 
     def particle_probabilities(self, positions, z) -> np.ndarray:
         """(A, N) compliance (field mode) of (A, N, 2) positions; NaN where
@@ -85,8 +80,9 @@ def precompute_field(program: Program, layers: list[StaRMapLayer], grid: GridSpe
 
     measurement policy: the string "state" evaluates each node with the
     measurement bound to the node itself; a 2-sequence fixes one
-    measurement for all nodes. Nodes over flagged starmap cells (or outside
-    the starmap bbox) are flagged NaN rather than aborting the build.
+    measurement for all nodes. Nodes over flagged starmap cells are
+    flagged NaN rather than aborting the build; a node or measurement
+    outside a layer's bbox reads the layer's edge.
 
     The values are those of ConstitutionEvaluator.probabilities at the
     node points, bit for bit; a layer on the field's own grid is read at

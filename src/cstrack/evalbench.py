@@ -176,14 +176,16 @@ class MetricReport:
 
 def check_arms(taus, n_seeds: int | None) -> None:
     """Reject a sweep that would run nothing, cannot run or repeats a
-    ratio; None (for an override not given) passes."""
+    ratio, naming the taus key (the scenario's, or --taus); None (for an
+    override not given) passes."""
     if taus is not None and not taus:
-        raise ConfigurationError("bench needs at least 1 trust ratio")
-    if taus is not None and any(not 0.0 <= tau <= 1.0 for tau in taus):
-        raise ConfigurationError("bench trust ratios must lie in [0, 1]")
+        raise ConfigurationError("taus: bench needs at least 1 trust ratio")
+    for i, tau in enumerate(taus or ()):
+        if not 0.0 <= tau <= 1.0:
+            raise ConfigurationError(f"taus[{i}] is {tau}: bench trust ratios must lie in [0, 1]")
     repeated = sorted(tau for tau in taus or () if taus.count(tau) > 1)
     if repeated:
-        raise ConfigurationError(f"bench trust ratio {repeated[0]} is listed more than once")
+        raise ConfigurationError(f"taus: bench trust ratio {repeated[0]} is listed more than once")
     if n_seeds is not None and not 1 <= n_seeds <= MAX_SEEDS:
         raise ConfigurationError(f"bench needs at least 1 seed, at most {MAX_SEEDS}: {n_seeds}")
 
@@ -266,10 +268,12 @@ def load_scenario(path) -> Scenario:
         grid = GridSpec.from_json(jsonio.typed(spec["grid"], dict, "grid"), "grid.")
         samples = jsonio.number(spec.get("starmap_samples", 50), "starmap_samples", integer=True)
         taus = tuple(jsonio.floats(spec.get("taus", [0.0, 0.5, 1.0]), "taus").tolist())
-        n_seeds = jsonio.number(spec.get("n_seeds", 5), "n_seeds", integer=True)
+        n_seeds = jsonio.number(spec.get("n_seeds", 5), "n_seeds", integer=True, lo=1,
+                                hi=MAX_SEEDS)
         filter_cfg = FilterConfig.from_json(spec.get("filter", {}))
         agents = jsonio.typed(spec["agents"], dict, "agents")
-        count = jsonio.number(agents.get("count", 1), "agents.count", integer=True)
+        count = jsonio.number(agents.get("count", 1), "agents.count", integer=True, lo=1,
+                              hi=MAX_AGENTS)
         steps = jsonio.number(agents["steps"], "agents.steps", integer=True, lo=1, hi=MAX_STEPS)
         dt = jsonio.number(agents.get("dt", filter_cfg.dt), "agents.dt")
         mode = jsonio.typed(agents.get("mode", "compliant"), str, "agents.mode")
@@ -288,8 +292,6 @@ def load_scenario(path) -> Scenario:
     if dt != filter_cfg.dt:
         raise ConfigurationError("agent dt must match the filter dt")
     check_arms(taus, n_seeds)
-    if not 1 <= count <= MAX_AGENTS:
-        raise ConfigurationError(f"bench needs at least 1 agent, at most {MAX_AGENTS}: {count}")
     _check_agent(grid, start, mode)
 
     vmap, _ = _inline_or_path(map_entry, base, load_geojson)

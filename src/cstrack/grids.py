@@ -1,6 +1,10 @@
 """Raster grid support: grid specification, the grid of a raster file,
 bilinear interpolation, PGM dumps.
 
+bilinear is the one raster read: starmap layers and compliance fields
+alike are read through it, and it clamps every point into the raster's
+bbox, so a point outside reads the edge.
+
 A grid is a lattice of sample nodes spanning the bbox inclusively:
 column j sits at xmin + j * (xmax - xmin) / (cols - 1), and analogously for
 rows along y. Row 0 is the southern edge (smallest y). Flat arrays are
@@ -167,20 +171,6 @@ def _blend(rasters: np.ndarray, k: np.ndarray, corners, dead=None) -> np.ndarray
     return out
 
 
-def _lookup(rasters: np.ndarray, pts: np.ndarray, grid: GridSpec, masked: bool):
-    """_blend of every raster at the points clamped into the bbox, from one
-    stencil, and the stencil's near positions. masked drops the corners at
-    weight 0 (NaN * 0 would be NaN); only near points have such corners,
-    so only they are blended again with the masks."""
-    k, corners, near = _stencil(grid, pts)
-    out = _blend(rasters, k, corners)
-    if masked and near.size:
-        corners = [(offset, wy[near], wx[near]) for offset, wy, wx in corners]
-        out[:, near] = _blend(rasters, k[near], corners,
-                              [(wy == 0) | (wx == 0) for _, wy, wx in corners])
-    return out, near
-
-
 def nodes_read_exactly(grid: GridSpec) -> bool:
     """Whether bilinear at grid.node_points() returns the stored values
     plus 0.0: each node's fractional index snaps to its own integer (the
@@ -199,43 +189,27 @@ def bilinear(grid: GridSpec, values: np.ndarray, points: np.ndarray) -> np.ndarr
     or of an (m, rows, cols) stack of rasters, giving (m, N), through one
     stencil.
 
-    Points outside the bbox yield NaN. A NaN cell propagates into a query
-    exactly when it has a nonzero weight there, so a query on a grid line
-    or at a node reads only the nodes it lies between, and a query at a
-    node returns its stored value.
+    Each point is clamped into the bbox first, so a point outside reads
+    the raster's edge (constant extrapolation) and a NaN point reads NaN.
+    A NaN cell propagates into a query exactly when it has a nonzero
+    weight there, so a query on a grid line or at a node reads only the
+    nodes it lies between, and a query at a node returns its stored value.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[-2:] != (grid.rows, grid.cols) or values.ndim not in (2, 3):
         raise ConfigurationError(
             f"raster shape {values.shape} does not match grid {grid.rows}x{grid.cols}"
         )
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out, near = _lookup(values.reshape(-1, grid.rows * grid.cols), pts, grid, masked=True)
-    # Every point outside the bbox is a near point: it was clipped.
-    out[:, near[~grid.contains(pts[near])]] = np.nan
+    rasters = values.reshape(-1, grid.rows * grid.cols)
+    k, corners, near = _stencil(grid, np.atleast_2d(np.asarray(points, dtype=float)))
+    out = _blend(rasters, k, corners)
+    # Only near points have corners at weight 0, whose NaN * 0 would be
+    # NaN: blend them again with those corners dropped.
+    if near.size:
+        corners = [(offset, wy[near], wx[near]) for offset, wy, wx in corners]
+        out[:, near] = _blend(rasters, k[near], corners,
+                              [(wy == 0) | (wx == 0) for _, wy, wx in corners])
     return out if values.ndim == 3 else out[0]
-
-
-def bilinear_clamped(grid: GridSpec, values: np.ndarray, points,
-                     masked: bool) -> np.ndarray:
-    """bilinear(grid, values, clamp_to_bbox(points, grid.bbox)), bit for bit,
-    without the bbox test (a NaN point reads NaN through the arithmetic).
-    masked=False also skips the zero-weight masks: exact if every cell is
-    finite with a clear sign bit, so that a corner at weight 0 adds +0.0."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out, _ = _lookup(np.asarray(values, dtype=float).reshape(1, -1), pts, grid, masked)
-    return out[0]
-
-
-def clamp_to_bbox(points, bbox) -> np.ndarray:
-    """(N, 2) points with each coordinate clipped into bbox (xmin, ymin,
-    xmax, ymax): constant extrapolation at the edge of a raster."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    xmin, ymin, xmax, ymax = bbox
-    out = np.empty((len(pts), 2))
-    for col, lo, hi in ((0, xmin, xmax), (1, ymin, ymax)):
-        np.minimum(np.maximum(pts[:, col], lo), hi, out=out[:, col])
-    return out
 
 
 def write_pgm(path, values: np.ndarray, vmin: float | None = None,

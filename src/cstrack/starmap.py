@@ -168,8 +168,8 @@ def build_starmap(
 
 def interpolate_many(layer: StaRMapLayer,
                      points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear (mean, std) at each point, through one stencil; NaN outside
-    the layer bbox."""
+    """Bilinear (mean, std) at each point, through one stencil; a point
+    outside the layer bbox reads the layer's edge."""
     mean, std = bilinear(layer.grid, layer.moments, points)
     return mean, std
 

@@ -127,10 +127,10 @@ class TrustTable:
             entries = tuple(
                 (TrustFeatures(*(jsonio.typed(e[name], kind, f"entries[{i}].{name}")
                                  for name, kind in _FEATURE_TYPES)),
-                 jsonio.number(e["tau"], f"entries[{i}].tau"))
+                 jsonio.number(e["tau"], f"entries[{i}].tau", lo=0, hi=1))
                 for i, e in enumerate(obj["entries"])
             )
-            default_tau = jsonio.number(obj.get("default_tau", 0.0), "default_tau")
+            default_tau = jsonio.number(obj.get("default_tau", 0.0), "default_tau", lo=0, hi=1)
         except (KeyError, TypeError, FormatError) as exc:
             raise FormatError(f"bad trust table: {exc}") from exc
         return cls(entries=entries, default_tau=default_tau)

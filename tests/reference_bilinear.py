@@ -1,13 +1,14 @@
 """Reference path for bilinear interpolation: the kernel as it stood before
-grids.bilinear shared one stencil per point batch.
+grids.bilinear shared one stencil per point batch and clamped every point
+into the bbox.
 
 _fractional_index computes every point's fractional index and snaps it
 onto its node when within _NODE_SNAP node units; _blend sums the four
 corner terms v * wy * wx corner by corner. bilinear and bilinear_clamped
-run them on one raster at a time, bilinear_clamped on a clamped copy of
-the points. Tests compare grids.bilinear, grids.bilinear_clamped,
+run them on one raster at a time, bilinear_clamped on a copy of the
+points clamped by clamp_to_bbox. Tests compare grids.bilinear,
 starmap.interpolate_many and grids.nodes_read_exactly with them bit for
-bit.
+bit at clamped points.
 """
 
 from __future__ import annotations
@@ -15,9 +16,20 @@ from __future__ import annotations
 import numpy as np
 
 from cstrack.errors import ConfigurationError
-from cstrack.grids import GridSpec, clamp_to_bbox
+from cstrack.grids import GridSpec
 
 _NODE_SNAP = 1e-9
+
+
+def clamp_to_bbox(points, bbox) -> np.ndarray:
+    """(N, 2) points with each coordinate clipped into bbox (xmin, ymin,
+    xmax, ymax); a NaN coordinate stays NaN."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    xmin, ymin, xmax, ymax = bbox
+    out = np.empty((len(pts), 2))
+    for col, lo, hi in ((0, xmin, xmax), (1, ymin, ymax)):
+        np.minimum(np.maximum(pts[:, col], lo), hi, out=out[:, col])
+    return out
 
 
 def _fractional_index(coords: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:

@@ -18,21 +18,17 @@ from cstrack.constitution import CompiledQuery
 from cstrack.constitution.environment import SIGMA_FLOOR_M, _bind, _slot_plan
 from cstrack.constitution.grounder import StaticParam
 from cstrack.constitution.terms import CategoricalClause, ContinuousClause, NormalSpec
-from cstrack.errors import ConfigurationError, CstrackError
+from cstrack.errors import ConfigurationError
 from cstrack.starmap import interpolate_many
-
-
-class OutOfBoundsError(CstrackError):
-    """A binding point outside a layer's bounding box."""
 
 
 def bind_environment(program, layers, state, measurement):
     """Concrete binding: environment facts with interpolated parameters.
 
-    Raises OutOfBoundsError for a point outside a layer's bbox and
-    ConfigurationError for a point whose interpolation reads a flagged
-    cell. Facts whose ground head the program already defines are left to
-    the program text (user override).
+    A point outside a layer's bbox binds the parameters of the layer's
+    edge. Raises ConfigurationError for a point whose interpolation reads
+    a flagged cell. Facts whose ground head the program already defines
+    are left to the program text (user override).
     """
     points = {
         "state": np.asarray(state, dtype=float),
@@ -41,11 +37,6 @@ def bind_environment(program, layers, state, measurement):
 
     def clause_for(entry):
         point = points[entry["at"]]
-        grid = entry["layer"].grid
-        if not grid.contains(point)[0]:
-            raise OutOfBoundsError(
-                f"point ({point[0]}, {point[1]}) outside grid bbox {grid.bbox}"
-            )
         mean, std = interpolate_many(entry["layer"], point.reshape(1, 2))
         mean, std = float(mean[0]), float(std[0])
         if not (np.isfinite(mean) and np.isfinite(std)):

@@ -659,6 +659,12 @@ MALFORMED_INPUTS = [
     *[("field", "starmap", ("origin_lonlat",), v) for v in (True, 7, -1, 1.5, 1e308, 10**400)],
     ("track", "trust", ("entries", 0, "tau"), 10**400),
     ("track", "trust", ("default_tau",), 10**400),
+    # out of range: the messages named no key
+    ("track", "trust", ("entries", 0, "tau"), 1.5),
+    ("track", "trust", ("default_tau",), 1.5),
+    ("bench", "scenario", ("taus", 0), 2.0),
+    ("bench", "scenario", ("n_seeds",), 0),
+    ("bench", "scenario", ("agents", "count"), 0),
     ("track", "tracks", ("origin_lonlat",), []),
     ("track", "tracks", ("origin_lonlat",), [-74.0]),
     ("track", "tracks", ("tracks", 0, "dt"), 10**400),
@@ -822,6 +828,13 @@ class TestMapInputs:
         assert code == 2, err
         check_outcome(code, err, out)
         assert [key for key in path if isinstance(key, str)][-1] in err
+
+    def test_out_of_range_entry_tau_names_its_entry(self, tmp_path):
+        # The generic test above finds "tau", which the old message held.
+        doc = mutate(input_docs()["trust"], ("entries", 0, "tau"), "replace", 1.5)
+        code, err, out = run_on_docs(tmp_path, "track", {"trust": doc})
+        assert code == 2, err
+        assert "error: bad trust table: entries[0].tau must be a finite number, >= 0, <= 1" in err
 
     @pytest.mark.parametrize("edit", sorted(RASTER_FILE_EDITS))
     def test_malformed_starmap_file_is_user_error_naming_the_file(self, tmp_path, edit):
@@ -996,6 +1009,43 @@ class TestField:
         assert "error:" in err and "at least 2x2 nodes" in err
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
+
+    # Reads the corridor layer at the state and at the measurement.
+    BOTH_SIDES = ("0.9 :: constitution(X, Z) :- over(X, corridor), over(Z, corridor).\n"
+                  "0.05 :: constitution(X, Z).\n")
+
+    def test_measurement_outside_the_starmap_reads_its_edge(self, paths, tmp_path):
+        starmap = build_starmap(paths, tmp_path)
+        cst = tmp_path / "both.cst"
+        cst.write_text(self.BOTH_SIDES)
+        xmax = CORRIDOR_GRID["bbox"][2]
+        outs = []
+        for name, z in (("outside", "1e6,0"), ("edge", f"{xmax:g},0")):
+            out = tmp_path / f"{name}.json"
+            assert run_cli("field", "--constitution", cst, "--starmap", starmap,
+                           f"--measurement={z}", "--out", out) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert np.isfinite(ConstitutionField.load(tmp_path / "outside.json").values).all()
+
+    def test_bbox_wider_than_the_starmap_reads_its_edge(self, paths, tmp_path):
+        # Twice the starmap's width and height: three quarters of the nodes
+        # lie outside it and read the layers' edge, as direct mode does.
+        starmap = build_starmap(paths, tmp_path)
+        cst = tmp_path / "both.cst"
+        cst.write_text(self.BOTH_SIDES)
+        out = tmp_path / "wide.json"
+        assert run_cli("field", "--constitution", cst, "--starmap", starmap,
+                       "--bbox=-2400,-600,6000,600", "--rows", 9, "--cols", 17,
+                       "--out", out) == 0
+        field = ConstitutionField.load(out)
+        nodes = field.grid.node_points()
+        layers, _ = load_starmap(starmap)
+        direct = ConstitutionEvaluator(parse(self.BOTH_SIDES), layers).probabilities(
+            nodes, nodes)
+        assert field.values.tobytes() == direct.tobytes()
+        assert np.isfinite(field.values).all()
+        assert (~layers[0].grid.contains(nodes)).mean() > 0.7
 
     def test_rerun_byte_identical(self, paths, tmp_path):
         starmap = build_starmap(paths, tmp_path)
@@ -1561,15 +1611,16 @@ class TestBench:
         assert run_cli("bench", "--scenario", spec, "--out-dir", tmp_path / "o") == 2
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("change, flags", [
-        ({}, ["--n-seeds", "-2"]),
-        ({}, ["--n-seeds", "0"]),
-        ({"n_seeds": -1}, []),
-        ({"n_seeds": 0}, []),
-        ({"taus": []}, []),
-        ({"agents": {"count": 0}}, []),
+    @pytest.mark.parametrize("change, flags, message", [
+        ({}, ["--n-seeds", "-2"], "bench needs at least 1 seed"),
+        ({}, ["--n-seeds", "0"], "bench needs at least 1 seed"),
+        ({"n_seeds": -1}, [], "n_seeds must be an integer, >= 1"),
+        ({"n_seeds": 0}, [], "n_seeds must be an integer, >= 1"),
+        ({"taus": []}, [], "taus: bench needs at least 1 trust ratio"),
+        ({"agents": {"count": 0}}, [], "agents.count must be an integer, >= 1"),
     ])
-    def test_sweep_that_runs_nothing_is_user_error(self, tmp_path, capsys, change, flags):
+    def test_sweep_that_runs_nothing_is_user_error(self, tmp_path, capsys, change, flags,
+                                                   message):
         doc = bench_scenario(taus=(0.0,), n_seeds=1, steps=5, particles=50,
                              samples=4)
         for key, value in change.items():
@@ -1579,7 +1630,7 @@ class TestBench:
         out_dir = tmp_path / "o"
         assert run_cli("bench", "--scenario", spec, "--out-dir", out_dir, *flags) == 2
         err = capsys.readouterr().err
-        assert "error:" in err and "at least 1" in err
+        assert "error:" in err and message in err
         assert "Traceback" not in err
         assert not out_dir.exists()
 

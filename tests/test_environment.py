@@ -21,11 +21,12 @@ import cstrack.constitution.environment as environment_module
 from cstrack import jsonio
 from cstrack.constitution.field import ConstitutionField
 from cstrack.errors import ConfigurationError, FormatError
-from cstrack.grids import GridSpec, clamp_to_bbox
+from cstrack.grids import GridSpec
 from cstrack.relations import RelationKind
 from cstrack.starmap import StaRMapLayer, interpolate_many
 
-from reference_binding import OutOfBoundsError, bind_environment, exact_probability
+from reference_bilinear import clamp_to_bbox
+from reference_binding import bind_environment, exact_probability
 
 
 def flat_layer(rel, tag, mean, std, bbox=(0.0, 0.0, 100.0, 100.0), rows=3, cols=3):
@@ -117,12 +118,23 @@ class TestBindEnvironment:
         with pytest.raises(ConfigurationError):
             bind_environment(program, [], (50, 50), (50, 50))
 
-    def test_out_of_bbox_raises(self):
-        program = parse("1.0 :: constitution(X, Z) :- over(X, land).")
-        with pytest.raises(OutOfBoundsError):
-            bind_environment(
-                program, [flat_layer("over", "land", 1, 0)], (500, 50), (50, 50)
-            )
+    def test_outside_point_binds_the_edge_parameters(self):
+        program = parse(
+            "0.9 :: constitution(X, Z) :- over(X, land), distance(Z, way) < 60.\n"
+        )
+        way = gradient_layer("distance", "way")
+        layers = [gradient_layer("over", "land"),
+                  StaRMapLayer(way.relation, way.tag, way.grid, way.mean * 100.0,
+                               way.std + 5.0, sample_count=2)]
+        bbox = way.grid.bbox
+        for state, meas in [((500.0, 50.0), (-30.0, 40.0)),
+                            ((-1e6, 1e6), (250.0, -250.0)),
+                            ((37.0, 140.0), (61.0, 12.0))]:
+            bound = bind_environment(program, layers, state, meas)
+            edge = bind_environment(program, layers, *clamp_to_bbox([state, meas], bbox))
+            assert bound == edge
+            fast = constitution_probability(program, layers, state, meas)
+            assert fast == pytest.approx(exact_probability(ground(bound)), abs=1e-12)
 
     def test_flagged_cell_is_configuration_error(self):
         program = parse("1.0 :: constitution(X, Z) :- over(X, land).")
@@ -243,7 +255,7 @@ class TestEvaluatorBatch:
         for i in range(len(pts)):
             assert ev.probabilities(pts[i : i + 1], pts[i : i + 1])[0] == batch[i]
 
-    def test_outside_and_flagged_points_are_nan(self):
+    def test_outside_rows_read_their_clamped_rows_and_flagged_rows_are_nan(self):
         program = parse("1.0 :: constitution(X, Z) :- over(X, land).")
         layer = gradient_layer("over", "land")
         mean = layer.mean.copy()
@@ -251,10 +263,14 @@ class TestEvaluatorBatch:
         flagged = StaRMapLayer(relation=layer.relation, tag=layer.tag, grid=layer.grid,
                                mean=mean, std=layer.std.copy(), sample_count=2)
         ev = ConstitutionEvaluator(program, [flagged])
-        pts = np.array([[50.0, 50.0], [500.0, 50.0], [10.0, 10.0]])
+        # Inside, outside east, next to the flagged node (0, 0), and
+        # outside beyond that node.
+        pts = np.array([[50.0, 50.0], [500.0, 50.0], [10.0, 10.0], [-500.0, -500.0]])
         out = ev.probabilities(pts, pts)
-        assert out[0] == 0.5
-        assert np.isnan(out[1]) and np.isnan(out[2])
+        clamped = clamp_to_bbox(pts, layer.grid.bbox)
+        assert out.tobytes() == ev.probabilities(clamped, clamped).tobytes()
+        assert out[0] == 0.5 and out[1] == 1.0
+        assert np.isnan(out[2]) and np.isnan(out[3])
 
     @pytest.mark.parametrize("z", [(37.5, 61.0), (-400.0, 1e5), (0.0, 0.0)],
                              ids=["inside", "outside", "flagged"])
@@ -359,13 +375,21 @@ class TestPrecomputeField:
             direct = constitution_probability(program, layers, node, node)
             assert field.values.ravel()[idx] == direct
 
-    def test_field_grid_larger_than_starmap_flags_outside(self):
-        program = parse("1.0 :: constitution(X, Z) :- over(X, land).")
-        layers = [gradient_layer("over", "land")]
-        grid = GridSpec(bbox=(0.0, 0.0, 200.0, 100.0), rows=3, cols=5)
-        field = precompute_field(program, layers, grid)
-        assert np.isnan(field.values[:, -1]).all()
-        assert np.isfinite(field.values[:, 0]).all()
+    def test_field_grid_twice_as_wide_as_the_starmap_has_the_bits_of_direct_mode(self):
+        # The outer half of the field's nodes lies outside the starmap:
+        # each reads the layers' edge, as direct mode does.
+        starmap = GridSpec(bbox=(-50.0, 20.0, 150.0, 120.0), rows=9, cols=13)
+        layers = self.flagged_layers(starmap)
+        grid = GridSpec(bbox=(-150.0, 20.0, 250.0, 120.0), rows=9, cols=25)
+        field = precompute_field(self.NODE_PROGRAM, layers, grid)
+        nodes = grid.node_points()
+        ev = ConstitutionEvaluator(self.NODE_PROGRAM, layers)
+        self.assert_bits_equal(field.values.ravel(), ev.probabilities(nodes, nodes))
+        edge = clamp_to_bbox(nodes, starmap.bbox)
+        self.assert_bits_equal(field.values.ravel(), ev.probabilities(edge, edge))
+        outer = ~starmap.contains(nodes)
+        assert outer.mean() == pytest.approx(0.5, abs=0.05)
+        assert np.isfinite(field.values.ravel()[outer]).any()
 
     def test_fixed_measurement_policy(self):
         program = parse("1.0 :: constitution(X, Z) :- over(Z, land).")
@@ -414,8 +438,12 @@ class TestPrecomputeField:
         field = precompute_field(self.NODE_PROGRAM, layers, grid, measurement=z)
         direct = ConstitutionEvaluator(self.NODE_PROGRAM, layers).probabilities(
             nodes, np.broadcast_to(z, nodes.shape))
+        # Outside, z reads the corner (150, 20), flagged in the way layer.
         assert np.isnan(direct).all() == (where != "inside")
         self.assert_bits_equal(field.values.ravel(), direct)
+        if where == "outside":
+            edge = precompute_field(self.NODE_PROGRAM, layers, grid, measurement=(150.0, 20.0))
+            self.assert_bits_equal(field.values, edge.values)
 
     def test_field_on_the_layers_grid_has_the_bits_of_direct_mode_at_its_nodes(self):
         grid = GridSpec(bbox=(-50.0, 20.0, 150.0, 120.0), rows=9, cols=13)

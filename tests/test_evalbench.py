@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cstrack.constitution.field import ConstitutionField
-from cstrack.errors import ConfigurationError, StuckAgentError
+from cstrack.errors import ConfigurationError, FormatError, StuckAgentError
 from cstrack.evalbench import (
     MetricReport,
     RunRow,
@@ -303,24 +303,28 @@ class TestScenarioLoading:
         with pytest.raises(ConfigurationError, match="at least 2 samples"):
             load_scenario(path)
 
-    @pytest.mark.parametrize("change", [
-        {"n_seeds": 0}, {"n_seeds": -1}, {"taus": []}, {"taus": [0.5, 2.0]},
-        {"taus": [0.5, 0.0, 0.5]},
+    @pytest.mark.parametrize("change, error, message", [
+        ({"n_seeds": 0}, FormatError, "n_seeds must be an integer, >= 1, <= 1000, got 0"),
+        ({"n_seeds": -1}, FormatError, "n_seeds must be an integer, >= 1, <= 1000, got -1"),
+        ({"taus": []}, ConfigurationError, "taus: bench needs at least 1 trust ratio"),
+        ({"taus": [0.5, 2.0]}, ConfigurationError, "taus[1] is 2.0: "),
+        ({"taus": [0.5, 0.0, 0.5]}, ConfigurationError, "taus: bench trust ratio 0.5 is "),
     ])
-    def test_bad_sweep_rejected_before_building(self, tmp_path, change):
+    def test_bad_sweep_rejected_before_building(self, tmp_path, change, error, message):
         path = self.write_scenario(tmp_path)
         spec = json.loads(path.read_text())
         # A map that cannot load shows that nothing is built first.
         path.write_text(json.dumps({**spec, **change, "map": "missing.geojson"}))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(error) as caught:
             load_scenario(path)
+        assert message in str(caught.value)
 
     def test_no_agents_rejected(self, tmp_path):
         path = self.write_scenario(tmp_path)
         spec = json.loads(path.read_text())
         spec["agents"]["count"] = 0
         path.write_text(json.dumps(spec))
-        with pytest.raises(ConfigurationError, match="at least 1 agent"):
+        with pytest.raises(FormatError, match=r"agents\.count must be an integer, >= 1, "):
             load_scenario(path)
 
     def test_loading_deterministic(self, tmp_path):

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 import reference_bilinear as reference
 from cstrack.constitution import ConstitutionField
 from cstrack.errors import ConfigurationError
-from cstrack.grids import (MAX_COORD, GridSpec, bilinear, bilinear_clamped, clamp_to_bbox,
-                           nodes_read_exactly)
+from cstrack.grids import MAX_COORD, GridSpec, bilinear, nodes_read_exactly
 from cstrack.relations import RelationKind
 from cstrack.starmap import StaRMapLayer, interpolate_many
 
@@ -14,7 +13,8 @@ from cstrack.starmap import StaRMapLayer, interpolate_many
 @np.errstate(invalid="ignore")  # its snap and cast of NaN and inf points
 def oracle_bilinear(grid, values, points):
     """The bilinear formula as first written: 2-D gathers and one np.where
-    per node, the outside points masked at the end."""
+    per node, the outside points masked at the end (NaN); the tests read it
+    at points clamped into the bbox."""
     values = np.asarray(values, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     inside = grid.contains(pts)
@@ -83,12 +83,12 @@ def grid_case(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(grid_case())
-def test_bilinear_and_clamp_give_the_oracle_bits(case):
+def test_bilinear_gives_the_oracle_bits_at_the_clamped_points(case):
     grid, values, pts = case
-    assert same_bits(bilinear(grid, values, pts), oracle_bilinear(grid, values, pts))
-    clamped = clamp_to_bbox(pts, grid.bbox)
-    assert np.array_equal(clamped, oracle_clamp(pts, grid.bbox), equal_nan=True)
-    assert same_bits(bilinear(grid, values, clamped), oracle_bilinear(grid, values, clamped))
+    clamped = oracle_clamp(pts, grid.bbox)
+    expect = oracle_bilinear(grid, values, clamped)
+    assert same_bits(bilinear(grid, values, pts), expect)
+    assert same_bits(bilinear(grid, values, clamped), expect)
 
 
 def same_bits(a, b):
@@ -98,8 +98,6 @@ def same_bits(a, b):
 @settings(deadline=None, max_examples=200)
 @given(grid_case(), st.sampled_from(["as drawn", "probabilities", "with NaN", "signed zero"]))
 def test_field_lookup_is_bilinear_of_the_clamped_points(case, raster):
-    # at_clamped skips the bbox test, the clipping and, on a raster of
-    # finite cells with clear sign bits, the zero-weight masks.
     grid, values, pts = case
     rng = np.random.default_rng(values.size)
     if raster != "as drawn":
@@ -111,9 +109,9 @@ def test_field_lookup_is_bilinear_of_the_clamped_points(case, raster):
         values[rng.integers(grid.rows), rng.integers(grid.cols)] = -0.0
     field = ConstitutionField(grid, values)
     for points in (pts, pts[23:], pts[:20]):  # with and without NaN points
-        expect = bilinear(grid, values, clamp_to_bbox(points, grid.bbox))
+        expect = bilinear(grid, values, oracle_clamp(points, grid.bbox))
         assert same_bits(field.at_clamped(points), expect)
-        assert same_bits(bilinear_clamped(grid, values, points, masked=True), expect)
+        assert same_bits(bilinear(grid, values, points), expect)
 
 
 @st.composite
@@ -161,25 +159,27 @@ def kernel_case(draw):
 def test_kernel_has_the_bits_of_the_reference(case):
     # The reference snaps and casts NaN and inf points with warnings.
     grid, values, pts = case
+    clamped = reference.clamp_to_bbox(pts, grid.bbox)
     with np.errstate(invalid="ignore"):
-        expect = reference.bilinear(grid, values, pts)
-        expect_clamped = reference.bilinear_clamped(grid, values, pts, masked=True)
-        # Finite cells with clear sign bits: the unmasked lookup is exact.
+        expect = reference.bilinear_clamped(grid, values, pts, masked=True)
+        on_clamped = reference.bilinear(grid, values, clamped)
+        # Finite cells with clear sign bits: a corner at weight 0 adds
+        # +0.0 unmasked, so the masked lookup has the unmasked bits.
         clear = np.abs(np.nan_to_num(values, nan=0.5))
-        expect_unmasked = reference.bilinear_clamped(grid, clear, pts, masked=False)
-        expect_std = reference.bilinear(grid, clear, pts)
+        expect_clear = reference.bilinear_clamped(grid, clear, pts, masked=False)
     assert same_bits(bilinear(grid, values, pts), expect)
-    assert same_bits(bilinear_clamped(grid, values, pts, masked=True), expect_clamped)
-    assert same_bits(bilinear_clamped(grid, clear, pts, masked=False), expect_unmasked)
+    assert same_bits(bilinear(grid, values, clamped), on_clamped)
+    assert same_bits(bilinear(grid, clear, pts), expect_clear)
     layer = StaRMapLayer(RelationKind.DISTANCE, "way", grid, values, clear, sample_count=2)
     mean, std = interpolate_many(layer, pts)
-    assert same_bits(mean, expect) and same_bits(std, expect_std)
+    assert same_bits(mean, expect) and same_bits(std, expect_clear)
     assert nodes_read_exactly(grid) == reference.nodes_read_exactly(grid)
 
 
 def test_one_point_clamps_to_one_row():
-    out = clamp_to_bbox([5.0, -5.0], (0.0, 0.0, 1.0, 1.0))
-    np.testing.assert_array_equal(out, [[1.0, 0.0]])
+    grid = GridSpec((0.0, 0.0, 1.0, 1.0), rows=2, cols=2)
+    out = bilinear(grid, np.array([[0.0, 1.0], [2.0, 3.0]]), [5.0, -5.0])
+    np.testing.assert_array_equal(out, [1.0])
 
 
 def test_bbox_is_bounded_by_the_coordinate_bound():

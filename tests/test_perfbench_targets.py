@@ -13,7 +13,6 @@ SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # Targets that resolve nowhere today. A change that renames a wrapped
 # function fails here; one that makes a target resolve again removes it.
 UNRESOLVED = {
-    "cstrack.constitution.field.bilinear",
     "cstrack.cli.parse",
     "cstrack.particlefilter.predict",
     "cstrack.particlefilter.update_measurement",

@@ -324,8 +324,16 @@ class TestInterpolate:
         mean, _ = interpolate(layer, (0.5, 0.0))
         assert mean == pytest.approx(0.5, abs=1e-12)
 
-    def test_outside_is_nan(self):
-        mean, std = interpolate(self.layer(), (1.5, 0.5))
+    def test_outside_reads_the_edge(self):
+        # A point outside the bbox reads the edge it clamps onto: east of
+        # the cell at y = 0.5 is the east edge's midpoint, beyond a corner
+        # the corner node.
+        layer = self.layer()
+        assert interpolate(layer, (1.5, 0.5)) == interpolate(layer, (1.0, 0.5))
+        assert interpolate(layer, (1.5, 0.5))[0] == 2.0
+        assert interpolate(layer, (-7.0, 1e6)) == (2.0, 0.3)
+        assert interpolate(layer, (np.inf, -np.inf)) == (1.0, 0.2)
+        mean, std = interpolate(layer, (np.nan, 0.5))
         assert math.isnan(mean) and math.isnan(std)
 
     @settings(deadline=None, max_examples=80)
