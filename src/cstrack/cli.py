@@ -32,7 +32,7 @@ from .constitution import (
     program_relations,
 )
 from .errors import ConfigurationError, CstrackError
-from .evalbench import check_arms, load_scenario, run_ablation
+from .evalbench import MAX_SEEDS, load_scenario, run_ablation
 from .grids import MAX_COORD, GridSpec
 from .ingest import (
     DEFAULT_DT_S,
@@ -44,11 +44,18 @@ from .ingest import (
     save_tracks,
     segment_tracks,
 )
-from .particlefilter import FilterConfig, check_tau, filter_arms
+from .particlefilter import FilterConfig, filter_arms
 from .projection import LocalFrame
 from .relations import RelationKind
 from .starmap import build_starmap, load_starmap, save_starmap, write_layer_pgm
-from .trust import TrustTable, calibrate, check_tau_grid, extract_features, position_mae
+from .trust import (
+    TrustTable,
+    calibrate,
+    calibration_grid,
+    check_taus,
+    extract_features,
+    position_mae,
+)
 from .vectormap import load_geojson, load_perturbation_config, perturbations_from_config
 
 log = logging.getLogger("cstrack")
@@ -230,10 +237,8 @@ def cmd_field(args) -> int:
     layers, _ = load_starmap(args.starmap)
     starmap_grid = layers[0].grid
     grid = _grid_from_args(args, starmap_grid.bbox, starmap_grid.rows, starmap_grid.cols)
-    measurement = (
-        _parse_numbers(args.measurement, "--measurement", "x,y")
-        if args.measurement is not None else "state"
-    )
+    measurement = (None if args.measurement is None
+                   else _parse_numbers(args.measurement, "--measurement", "x,y"))
     started = time.perf_counter()
     f = precompute_field(program, layers, grid, measurement=measurement)
     elapsed = time.perf_counter() - started
@@ -271,7 +276,7 @@ def cmd_track(args) -> int:
     runs. A degenerate track writes no step lines and gets a failure entry.
     """
     if args.tau is not None:
-        check_tau(args.tau)
+        jsonio.number(args.tau, "--tau", lo=0, hi=1)
     config = _load_filter_config(args)
     tracks, _ = load_tracks(args.tracks)
     use_constitution = not args.no_constitution
@@ -335,8 +340,8 @@ def cmd_track(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    tau_grid = check_tau_grid(_parse_numbers(args.tau_grid, "--tau-grid"))
-    TrustTable(entries=(), default_tau=args.default_tau)  # checks --default-tau
+    tau_grid = calibration_grid(_parse_numbers(args.tau_grid, "--tau-grid"), "--tau-grid")
+    jsonio.number(args.default_tau, "--default-tau", lo=0, hi=1)
     config = _load_filter_config(args)
     tracks, _ = load_tracks(args.tracks)
     if not tracks:
@@ -366,11 +371,15 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    taus = _parse_numbers(args.taus, "--taus") if args.taus is not None else None
-    check_arms(taus, args.n_seeds)
-    scenario = load_scenario(args.scenario)
+    overrides = {}
+    if args.taus is not None:
+        overrides["taus"] = check_taus(_parse_numbers(args.taus, "--taus"), "--taus")
+    if args.n_seeds is not None:
+        overrides["n_seeds"] = jsonio.number(args.n_seeds, "--n-seeds", integer=True, lo=1,
+                                             hi=MAX_SEEDS)
+    scenario = dataclasses.replace(load_scenario(args.scenario), **overrides)
     started = time.perf_counter()
-    report = run_ablation(scenario, taus=taus, n_seeds=args.n_seeds)
+    report = run_ablation(scenario)
     elapsed = time.perf_counter() - started
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

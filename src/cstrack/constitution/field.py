@@ -75,14 +75,14 @@ class ConstitutionField:
 
 
 def precompute_field(program: Program, layers: list[StaRMapLayer], grid: GridSpec,
-                     measurement="state") -> ConstitutionField:
+                     measurement=None) -> ConstitutionField:
     """Evaluate the constitution at every grid node.
 
-    measurement policy: the string "state" evaluates each node with the
-    measurement bound to the node itself; a 2-sequence fixes one
-    measurement for all nodes. Nodes over flagged starmap cells are
-    flagged NaN rather than aborting the build; a node or measurement
-    outside a layer's bbox reads the layer's edge.
+    measurement: None evaluates each node with the measurement bound to
+    the node itself; an (x, y) point fixes one measurement for all nodes.
+    Nodes over flagged starmap cells are flagged NaN rather than aborting
+    the build; a node or measurement outside a layer's bbox reads the
+    layer's edge.
 
     The values are those of ConstitutionEvaluator.probabilities at the
     node points, bit for bit; a layer on the field's own grid is read at
@@ -90,15 +90,7 @@ def precompute_field(program: Program, layers: list[StaRMapLayer], grid: GridSpe
     """
     evaluator = ConstitutionEvaluator(program, layers)
     n = grid.rows * grid.cols
-    if isinstance(measurement, str):
-        if measurement != "state":
-            raise ConfigurationError(
-                f"unknown measurement policy {measurement!r}; "
-                "use 'state' or a fixed point"
-            )
-        fixed = None
-    else:
-        fixed = np.asarray(measurement, dtype=float).reshape(1, 2)
+    fixed = None if measurement is None else np.asarray(measurement, dtype=float).reshape(1, 2)
 
     def moments(layer, at):
         if at == "measurement" and fixed is not None:

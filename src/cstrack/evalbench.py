@@ -29,8 +29,8 @@ from .errors import ConfigurationError, FormatError, StuckAgentError
 from .grids import MAX_COORD, GridSpec
 from .ingest import MAX_STEPS
 from .particlefilter import FilterConfig
-from .starmap import build_starmap
-from .trust import sweep
+from .starmap import MAX_SAMPLES, build_starmap
+from .trust import check_taus, sweep
 from .vectormap import load_geojson, load_perturbation_config, perturbations_from_config
 
 MAX_REJECTIONS = 1000
@@ -174,41 +174,24 @@ class MetricReport:
                 )
 
 
-def check_arms(taus, n_seeds: int | None) -> None:
-    """Reject a sweep that would run nothing, cannot run or repeats a
-    ratio, naming the taus key (the scenario's, or --taus); None (for an
-    override not given) passes."""
-    if taus is not None and not taus:
-        raise ConfigurationError("taus: bench needs at least 1 trust ratio")
-    for i, tau in enumerate(taus or ()):
-        if not 0.0 <= tau <= 1.0:
-            raise ConfigurationError(f"taus[{i}] is {tau}: bench trust ratios must lie in [0, 1]")
-    repeated = sorted(tau for tau in taus or () if taus.count(tau) > 1)
-    if repeated:
-        raise ConfigurationError(f"taus: bench trust ratio {repeated[0]} is listed more than once")
-    if n_seeds is not None and not 1 <= n_seeds <= MAX_SEEDS:
-        raise ConfigurationError(f"bench needs at least 1 seed, at most {MAX_SEEDS}: {n_seeds}")
+def run_ablation(scenario: Scenario) -> MetricReport:
+    """Baseline vs rule-aware runs over the scenario's seeds x tracks x
+    trust ratios.
 
-
-def run_ablation(scenario: Scenario, taus=None, n_seeds=None) -> MetricReport:
-    """Baseline vs rule-aware runs over seeds x tracks x trust ratios.
-
-    Each seed runs one trust.sweep over the distinct ratios plus 0: per
-    track, the baseline (the tau = 0 arm) and every tau arm filter the same
-    noisy measurements from the same filter seed, so arms differ in the
-    trust ratio alone. A track whose baseline degenerates is dropped;
-    other degenerate runs are recorded as NaN rows. Rows follow the
-    caller's tau order.
+    Each seed runs one trust.sweep over the ratios plus 0: per track, the
+    baseline (the tau = 0 arm) and every tau arm filter the same noisy
+    measurements from the same filter seed, so arms differ in the trust
+    ratio alone. A track whose baseline degenerates is dropped; other
+    degenerate runs are recorded as NaN rows. Rows follow the scenario's
+    tau order.
     """
-    taus = tuple(float(t) for t in (taus if taus is not None else scenario.taus))
-    n_seeds = n_seeds if n_seeds is not None else scenario.n_seeds
-    check_arms(taus, n_seeds)
+    taus = scenario.taus
     arms = sorted({0.0, *taus})
     column = [arms.index(tau) for tau in taus]
     evaluate = scenario.field.particle_probabilities
     tracks = scenario.truth_tracks
     report = MetricReport()
-    for s, seed_root in enumerate(np.random.SeedSequence(scenario.seed).spawn(n_seeds)):
+    for s, seed_root in enumerate(np.random.SeedSequence(scenario.seed).spawn(scenario.n_seeds)):
         mae = sweep(tracks, seed_root.spawn(len(tracks)), scenario.filter_config,
                     evaluate, arms)
         for t, row in enumerate(mae):
@@ -266,8 +249,9 @@ def load_scenario(path) -> Scenario:
         name = jsonio.typed(spec.get("name", path.stem), str, "name")
         seed = jsonio.number(spec.get("seed", 0), "seed", integer=True, lo=0)
         grid = GridSpec.from_json(jsonio.typed(spec["grid"], dict, "grid"), "grid.")
-        samples = jsonio.number(spec.get("starmap_samples", 50), "starmap_samples", integer=True)
-        taus = tuple(jsonio.floats(spec.get("taus", [0.0, 0.5, 1.0]), "taus").tolist())
+        samples = jsonio.number(spec.get("starmap_samples", 50), "starmap_samples", integer=True,
+                                lo=2, hi=MAX_SAMPLES)
+        taus = check_taus(jsonio.typed(spec.get("taus", [0.0, 0.5, 1.0]), list, "taus"), "taus")
         n_seeds = jsonio.number(spec.get("n_seeds", 5), "n_seeds", integer=True, lo=1,
                                 hi=MAX_SEEDS)
         filter_cfg = FilterConfig.from_json(spec.get("filter", {}))
@@ -291,7 +275,6 @@ def load_scenario(path) -> Scenario:
         raise FormatError(f"bad scenario spec {path}: {exc}") from exc
     if dt != filter_cfg.dt:
         raise ConfigurationError("agent dt must match the filter dt")
-    check_arms(taus, n_seeds)
     _check_agent(grid, start, mode)
 
     vmap, _ = _inline_or_path(map_entry, base, load_geojson)

@@ -393,12 +393,6 @@ class StepRecord:
         }
 
 
-def check_tau(tau: float) -> None:
-    """Reject a trust ratio outside [0, 1]."""
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigurationError(f"tau must lie in [0, 1], got {tau}")
-
-
 def filter_arms(
     measurements,
     config: FilterConfig,
@@ -412,7 +406,8 @@ def filter_arms(
 
     measurements: one (T_a, 2) position sequence per arm, whose first row
     initializes the arm's belief; seeds, taus and t0s (default 0): one
-    numpy SeedSequence, one trust ratio and one start time per arm. One
+    numpy SeedSequence, one trust ratio in [0, 1] (FormatError naming
+    taus[i] otherwise) and one start time per arm. One
     config, and so one dt, covers every arm. Step order: predict,
     measurement update, compliance update, conditional resampling,
     estimate. Each seed gives two streams (see _streams): arms on equal
@@ -437,12 +432,10 @@ def filter_arms(
         if m.ndim != 2 or m.shape[1] != 2 or len(m) < 2:
             raise ConfigurationError("need a (T, 2) measurement array with T >= 2 per arm")
     moves, stream_of, resamplers = _streams(list(seeds))
-    taus = np.array(taus, dtype=float).reshape(-1)
+    taus = np.array([jsonio.number(tau, f"taus[{i}]", lo=0, hi=1) for i, tau in enumerate(taus)])
     n_arms = len(resamplers)
     if len(taus) != n_arms:
         raise ConfigurationError("need one seed per trust ratio")
-    for tau in taus:
-        check_tau(tau)
     t0s = [0.0] * n_arms if t0s is None else [float(t0) for t0 in t0s]
     if len(measurements) != n_arms or len(t0s) != n_arms:
         raise ConfigurationError("need one measurement sequence and one t0 per arm")

@@ -16,6 +16,7 @@ runs the same sweep, with the tau = 0 arm as its baseline.
 from __future__ import annotations
 
 import csv
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,17 +96,23 @@ class TrustTable:
     default_tau: float = 0.0
 
     def __post_init__(self):
-        for _, tau in self.entries:
-            if not 0.0 <= tau <= 1.0:
-                raise ConfigurationError(f"stored tau {tau} outside [0, 1]")
-        if not 0.0 <= self.default_tau <= 1.0:
-            raise ConfigurationError(f"default tau {self.default_tau} outside [0, 1]")
+        """Each ratio as a float under the number rule; no triple twice."""
+        try:
+            entries = tuple((features, jsonio.number(tau, f"entries[{i}].tau", lo=0, hi=1))
+                            for i, (features, tau) in enumerate(self.entries))
+            default_tau = jsonio.number(self.default_tau, "default_tau", lo=0, hi=1)
+            triples = [features for features, _ in entries]
+            for i, features in enumerate(triples):
+                if triples.index(features) != i:
+                    raise FormatError(f"entries[{i}] repeats the features {features.key()} "
+                                      f"of entries[{triples.index(features)}]")
+        except FormatError as exc:
+            raise FormatError(f"bad trust table: {exc}") from exc
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "default_tau", default_tau)
 
     def lookup(self, features: TrustFeatures) -> float:
-        for stored, tau in self.entries:
-            if stored == features:
-                return tau
-        return self.default_tau
+        return dict(self.entries).get(features, self.default_tau)
 
     def to_json(self) -> dict:
         return {
@@ -126,11 +133,10 @@ class TrustTable:
         try:
             entries = tuple(
                 (TrustFeatures(*(jsonio.typed(e[name], kind, f"entries[{i}].{name}")
-                                 for name, kind in _FEATURE_TYPES)),
-                 jsonio.number(e["tau"], f"entries[{i}].tau", lo=0, hi=1))
+                                 for name, kind in _FEATURE_TYPES)), e["tau"])
                 for i, e in enumerate(obj["entries"])
             )
-            default_tau = jsonio.number(obj.get("default_tau", 0.0), "default_tau", lo=0, hi=1)
+            default_tau = obj.get("default_tau", 0.0)
         except (KeyError, TypeError, FormatError) as exc:
             raise FormatError(f"bad trust table: {exc}") from exc
         return cls(entries=entries, default_tau=default_tau)
@@ -243,18 +249,29 @@ def sweep(truths, track_seeds, config: FilterConfig, evaluate, taus) -> np.ndarr
     return mae
 
 
-def check_tau_grid(tau_grid) -> tuple[float, ...]:
-    """The ratios of a calibration grid in ascending order; rejects a grid
-    that is empty, leaves [0, 1], lacks 0 or repeats a ratio."""
-    tau_grid = tuple(sorted(float(t) for t in tau_grid))
-    if not tau_grid or any(not 0.0 <= t <= 1.0 for t in tau_grid):
-        raise ConfigurationError("tau grid must be a nonempty subset of [0, 1]")
-    if 0.0 not in tau_grid:
-        raise ConfigurationError("tau grid must contain 0 (the safety fallback)")
-    for a, b in zip(tau_grid, tau_grid[1:]):
-        if a == b:
-            raise ConfigurationError(f"tau grid lists {b} more than once")
-    return tau_grid
+def check_taus(taus, key: str) -> tuple[float, ...]:
+    """The trust ratios of a list, as floats in its order: FormatError
+    naming key if it is empty, key[i] for an entry outside [0, 1] under
+    the number rule, or for one that repeats an earlier ratio (-0.0
+    repeats 0.0)."""
+    if not taus:
+        raise FormatError(f"{key} must list at least 1 trust ratio, got {reprlib.repr(taus)}")
+    out = tuple(jsonio.number(tau, f"{key}[{i}]", lo=0, hi=1) for i, tau in enumerate(taus))
+    for i, tau in enumerate(out):
+        if out.index(tau) != i:
+            raise FormatError(f"{key}[{i}] lists the trust ratio of {key}[{out.index(tau)}] "
+                              f"again, got {tau!r}")
+    return out
+
+
+def calibration_grid(tau_grid, key: str) -> tuple[float, ...]:
+    """check_taus(tau_grid, key) in ascending order; FormatError naming
+    key unless it holds 0, the plain filter a bucket falls back on."""
+    grid = tuple(sorted(check_taus(tau_grid, key)))
+    if grid[0] != 0.0:
+        raise FormatError(f"{key} must contain 0 (the safety fallback), "
+                          f"got {reprlib.repr(list(tau_grid))}")
+    return grid
 
 
 def calibrate(
@@ -273,8 +290,8 @@ def calibrate(
     compliance evaluator shared by all runs (None tracks nothing but
     still exercises the grid; useful for smoke tests).
     """
-    tau_grid = check_tau_grid(tau_grid)
-    TrustTable(entries=(), default_tau=default_tau)  # checks it before the sweep
+    tau_grid = calibration_grid(tau_grid, "tau_grid")
+    default_tau = jsonio.number(default_tau, "default_tau", lo=0, hi=1)
     if not tracks:
         raise ConfigurationError("no tracks to calibrate on")
 

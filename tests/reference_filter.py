@@ -28,6 +28,7 @@ import copy
 
 import numpy as np
 
+from cstrack import jsonio
 from cstrack.errors import ConfigurationError, CstrackError
 from cstrack.particlefilter import (
     _COMPLIANCE_DEGENERATE,
@@ -111,12 +112,12 @@ def update_measurement(states, weights, z, config):
 def update_constitution(weights, probs, tau):
     """Blend per-particle compliance probabilities into the weights.
 
-    probs: P(constitution | particle) in [0, 1], NaN where undefined. tau =
-    0, or a step in which no defined particle carries weight, returns the
+    probs: P(constitution | particle) in [0, 1], NaN where undefined; tau:
+    a trust ratio in [0, 1], FormatError naming tau otherwise. tau = 0, or
+    a step in which no defined particle carries weight, returns the
     weights object itself.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigurationError(f"tau must lie in [0, 1], got {tau}")
+    jsonio.number(tau, "tau", lo=0, hi=1)
     if tau == 0.0:
         return weights
     probs = np.asarray(probs, dtype=float).reshape(-1)

@@ -540,10 +540,11 @@ def write_doc(path, name, doc) -> None:
     path.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(rasters))
 
 
-def run_on_docs(directory, command, docs, *flags):
+def run_on_docs(directory, command, docs, *flags, trust_table=True):
     """Run command on the given documents (the rest from input_docs) in
     directory, writing into directory/out; return exit code, stderr and
-    the output directory."""
+    the output directory. track reads the trust table unless trust_table
+    is false (for a --tau flag)."""
     directory = pathlib.Path(directory)
     for name, doc in {**input_docs(), **docs}.items():
         write_doc(directory / f"{name}.json", name, doc)
@@ -556,7 +557,8 @@ def run_on_docs(directory, command, docs, *flags):
               "--filter-config", directory / "filter.json"]
     argv = {
         "field": [*reads, "--out", out / "field.json", "--pgm", out / "field.pgm"],
-        "track": [*tracks, *reads, "--trust-table", directory / "trust.json",
+        "track": [*tracks, *reads, *(["--trust-table", directory / "trust.json"]
+                                     if trust_table else []),
                   "--out-logs", out / "steps.jsonl", "--out-summary", out / "summary.json"],
         "calibrate": [*tracks, *reads, "--tau-grid", "0,0.5",
                       "--out-table", out / "table.json", "--out-report", out / "report.json",
@@ -665,6 +667,10 @@ MALFORMED_INPUTS = [
     ("bench", "scenario", ("taus", 0), 2.0),
     ("bench", "scenario", ("n_seeds",), 0),
     ("bench", "scenario", ("agents", "count"), 0),
+    ("bench", "scenario", ("starmap_samples",), 1),
+    ("bench", "scenario", ("grid", "rows"), 1),
+    # a feature triple listed twice: lookup took the first entry
+    ("track", "trust", ("entries",), Edit("twice", lambda entries: entries + entries)),
     ("track", "tracks", ("origin_lonlat",), []),
     ("track", "tracks", ("origin_lonlat",), [-74.0]),
     ("track", "tracks", ("tracks", 0, "dt"), 10**400),
@@ -1612,11 +1618,11 @@ class TestBench:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("change, flags, message", [
-        ({}, ["--n-seeds", "-2"], "bench needs at least 1 seed"),
-        ({}, ["--n-seeds", "0"], "bench needs at least 1 seed"),
+        ({}, ["--n-seeds", "-2"], "--n-seeds must be an integer, >= 1, <= 1000, got -2"),
+        ({}, ["--n-seeds", "0"], "--n-seeds must be an integer, >= 1, <= 1000, got 0"),
         ({"n_seeds": -1}, [], "n_seeds must be an integer, >= 1"),
         ({"n_seeds": 0}, [], "n_seeds must be an integer, >= 1"),
-        ({"taus": []}, [], "taus: bench needs at least 1 trust ratio"),
+        ({"taus": []}, [], "taus must list at least 1 trust ratio, got []"),
         ({"agents": {"count": 0}}, [], "agents.count must be an integer, >= 1"),
     ])
     def test_sweep_that_runs_nothing_is_user_error(self, tmp_path, capsys, change, flags,
@@ -1668,14 +1674,28 @@ class TestFlagsCheckedFirst:
                 "constitution": paths["constitution"], "scenario": spec}
 
     @pytest.mark.parametrize("command, flag, message", [
-        ("calibrate", "--default-tau=2", "default tau 2.0 outside [0, 1]"),
-        ("calibrate", "--tau-grid=0.5,1", "tau grid must contain 0"),
+        ("calibrate", "--default-tau=2", "--default-tau must be a finite number, >= 0, <= 1, "
+                                         "got 2.0"),
+        ("calibrate", "--default-tau=nan", "--default-tau must be a finite number, >= 0, "
+                                           "<= 1, got nan"),
+        ("calibrate", "--tau-grid=0.5,1", "--tau-grid must contain 0 (the safety fallback), "
+                                          "got [0.5, 1.0]"),
         ("calibrate", "--meas-std=-50", "measurement_noise_std must be"),
-        ("bench", "--n-seeds=0", "bench needs at least 1 seed"),
-        ("calibrate", "--tau-grid=0,0.5,0.5", "tau grid lists 0.5 more than once"),
-        ("bench", "--taus=2", "bench trust ratios must lie in [0, 1]"),
-        ("bench", "--taus=0.5,0.5", "bench trust ratio 0.5 is listed more than once"),
-        ("track", "--tau=2", "tau must lie in [0, 1], got 2.0"),
+        ("bench", "--n-seeds=0", "--n-seeds must be an integer, >= 1, <= 1000, got 0"),
+        ("calibrate", "--tau-grid=0,0.5,0.5", "--tau-grid[2] lists the trust ratio of "
+                                              "--tau-grid[1] again, got 0.5"),
+        ("calibrate", "--tau-grid=0,-0", "--tau-grid[1] lists the trust ratio of "
+                                         "--tau-grid[0] again, got -0.0"),
+        ("calibrate", "--tau-grid=0,nan", "--tau-grid must be a comma-separated list of "
+                                          "finite numbers, got '0,nan'"),
+        ("bench", "--taus=2", "--taus[0] must be a finite number, >= 0, <= 1, got 2.0"),
+        ("bench", "--taus=0.5,0.5", "--taus[1] lists the trust ratio of --taus[0] again, "
+                                    "got 0.5"),
+        ("bench", "--taus=0,-0", "--taus[1] lists the trust ratio of --taus[0] again, got -0.0"),
+        ("bench", "--taus=nan", "--taus must be a comma-separated list of finite numbers, "
+                                "got 'nan'"),
+        ("track", "--tau=2", "--tau must be a finite number, >= 0, <= 1, got 2.0"),
+        ("track", "--tau=nan", "--tau must be a finite number, >= 0, <= 1, got nan"),
         ("track", "--meas-std=-50", "measurement_noise_std must be"),
         ("track", "--meas-std=1e-82", "finite 1/std^2 and density normalizer, got 1e-82"),
         ("track", "--sigma-a=-0.2", "sigma_a must be"),
@@ -1705,6 +1725,49 @@ class TestFlagsCheckedFirst:
         assert message in err
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
+
+
+# Every flag and key that holds a trust ratio or the bench seed count:
+# (command, flag or (document, path), bad value, the message naming it).
+TRUST_RATIO_ENTRIES = [
+    ("track", "--tau", "1.5", "--tau must be a finite number, >= 0, <= 1, got 1.5"),
+    ("calibrate", "--default-tau", "-0.5",
+     "--default-tau must be a finite number, >= 0, <= 1, got -0.5"),
+    ("calibrate", "--tau-grid", "0,2", "--tau-grid[1] must be a finite number, >= 0, <= 1, "
+                                       "got 2.0"),
+    ("calibrate", "--tau-grid", "0,-0", "--tau-grid[1] lists the trust ratio of --tau-grid[0] "
+                                        "again, got -0.0"),
+    ("bench", "--taus", "0.5,1.5", "--taus[1] must be a finite number, >= 0, <= 1, got 1.5"),
+    ("bench", "--taus", "1,1", "--taus[1] lists the trust ratio of --taus[0] again, got 1.0"),
+    ("bench", "--n-seeds", "0", "--n-seeds must be an integer, >= 1, <= 1000, got 0"),
+    ("track", ("trust", ("entries", 0, "tau")), 1.5,
+     "bad trust table: entries[0].tau must be a finite number, >= 0, <= 1, got 1.5"),
+    ("track", ("trust", ("default_tau",)), -1,
+     "bad trust table: default_tau must be a finite number, >= 0, <= 1, got -1"),
+    ("bench", ("scenario", ("taus", 1)), 2, "taus[1] must be a finite number, >= 0, <= 1, "
+                                            "got 2"),
+    ("bench", ("scenario", ("taus", 1)), 0, "taus[1] lists the trust ratio of taus[0] again, "
+                                            "got 0.0"),
+]
+
+
+class TestTrustRatios:
+    @pytest.mark.parametrize("command, entry, value, message", TRUST_RATIO_ENTRIES,
+                             ids=[f"{command}-{entry if isinstance(entry, str) else entry[0]}-"
+                                  f"{value}" for command, entry, value, _ in TRUST_RATIO_ENTRIES])
+    def test_bad_value_is_user_error_naming_its_flag_or_key(self, tmp_path, command, entry,
+                                                            value, message):
+        if isinstance(entry, str):
+            code, err, out = run_on_docs(tmp_path, command, {}, f"{entry}={value}",
+                                         trust_table=entry != "--tau")
+        else:
+            name, path = entry
+            doc = mutate(input_docs()[name], path, "replace", value)
+            code, err, out = run_on_docs(tmp_path, command, {name: doc})
+        assert code == 2, err
+        check_outcome(code, err, out)
+        assert [line for line in err.splitlines() if line.startswith("error: ")][-1].endswith(
+            f" {message}")
 
 
 class TestNumberFlags:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from cstrack.evalbench import (
 )
 from cstrack.grids import GridSpec
 from cstrack.particlefilter import FilterConfig
+from cstrack.trust import check_taus
 
 
 def constant_field(value=1.0, bbox=(-200.0, -200.0, 3200.0, 200.0), rows=5, cols=25):
@@ -221,20 +223,32 @@ class TestRunAblation:
         first = report.rows[:3]
         assert first[1].mae_filter == first[1].mae_baseline
 
-    @pytest.mark.parametrize("taus, value", [((0.5, 0.5), "0.5"), ((1.0, 0.0, 1.0), "1.0"),
-                                             ((0.0, -0.0), "0.0")])
-    def test_repeated_tau_rejected(self, taus, value):
-        with pytest.raises(ConfigurationError, match=f"ratio {value} is listed more than once"):
-            run_ablation(small_scenario(n_seeds=1), taus=taus)
+    @pytest.mark.parametrize("taus, message", [
+        ((0.5, 0.5), "taus[1] lists the trust ratio of taus[0] again, got 0.5"),
+        ((1.0, 0.0, 1.0), "taus[2] lists the trust ratio of taus[0] again, got 1.0"),
+        ((0.0, -0.0), "taus[1] lists the trust ratio of taus[0] again, got -0.0"),
+    ])
+    def test_repeated_tau_rejected(self, taus, message):
+        # the check load_scenario makes of a scenario's taus, and bench of --taus
+        with pytest.raises(FormatError) as caught:
+            check_taus(taus, "taus")
+        assert str(caught.value) == message
 
     def test_taus_outside_unit_interval_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_ablation(small_scenario(n_seeds=1), taus=(-0.5,))
+        # A scenario built in code reaches filter_arms, which checks each arm.
+        scenario = dataclasses.replace(small_scenario(n_seeds=1), taus=(-0.5,))
+        with pytest.raises(FormatError, match=r"must be a finite number, >= 0, <= 1, got -0.5"):
+            run_ablation(scenario)
 
     @pytest.mark.parametrize("kwargs", [{"n_seeds": 0}, {"n_seeds": -2}, {"taus": ()}])
-    def test_sweep_that_runs_nothing_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError, match="at least"):
-            run_ablation(small_scenario(n_seeds=1), **kwargs)
+    def test_sweep_that_runs_nothing_rejected(self, tmp_path, kwargs):
+        # A scenario file's sweep is checked as it loads, before the build.
+        path = TestScenarioLoading().write_scenario(tmp_path)
+        spec = json.loads(path.read_text())
+        path.write_text(json.dumps({**spec, **kwargs, "map": "missing.geojson"}))
+        with pytest.raises(FormatError, match=r"n_seeds must be an integer, >= 1|"
+                                              r"taus must list at least 1 trust ratio"):
+            load_scenario(path)
 
     def test_reruns_identical(self):
         a = run_ablation(small_scenario(n_seeds=2))
@@ -293,22 +307,28 @@ class TestScenarioLoading:
         assert scenario.name == "corridor-mini"
         assert len(scenario.truth_tracks) == 1
         assert scenario.truth_tracks[0].shape == (31, 2)
-        report = run_ablation(scenario, taus=(0.0,), n_seeds=1)
+        report = run_ablation(dataclasses.replace(scenario, taus=(0.0,), n_seeds=1))
         assert report.rows and report.rows[0].relative == 1.0
 
     def test_one_starmap_sample_is_configuration_error(self, tmp_path):
         path = self.write_scenario(tmp_path)
         spec = json.loads(path.read_text())
         path.write_text(json.dumps({**spec, "starmap_samples": 1}))
-        with pytest.raises(ConfigurationError, match="at least 2 samples"):
+        with pytest.raises(FormatError, match=r"starmap_samples must be an integer, >= 2, "
+                                              r"<= 10000, got 1$"):
             load_scenario(path)
 
     @pytest.mark.parametrize("change, error, message", [
         ({"n_seeds": 0}, FormatError, "n_seeds must be an integer, >= 1, <= 1000, got 0"),
         ({"n_seeds": -1}, FormatError, "n_seeds must be an integer, >= 1, <= 1000, got -1"),
-        ({"taus": []}, ConfigurationError, "taus: bench needs at least 1 trust ratio"),
-        ({"taus": [0.5, 2.0]}, ConfigurationError, "taus[1] is 2.0: "),
-        ({"taus": [0.5, 0.0, 0.5]}, ConfigurationError, "taus: bench trust ratio 0.5 is "),
+        ({"taus": []}, FormatError, "taus must list at least 1 trust ratio, got []"),
+        ({"taus": [0.5, 2.0]}, FormatError,
+         "taus[1] must be a finite number, >= 0, <= 1, got 2.0"),
+        ({"taus": [0.5, 0.0, 0.5]}, FormatError,
+         "taus[2] lists the trust ratio of taus[0] again, got 0.5"),
+        ({"taus": 0.5}, FormatError, "taus must be a list, got 0.5"),
+        ({"grid": {"bbox": [-300.0, -300.0, 3300.0, 300.0], "rows": 1, "cols": 19}},
+         FormatError, "grid.rows must be an integer, >= 2, <= 500000, got 1"),
     ])
     def test_bad_sweep_rejected_before_building(self, tmp_path, change, error, message):
         path = self.write_scenario(tmp_path)

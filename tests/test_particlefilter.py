@@ -357,7 +357,8 @@ class TestConstitutionUpdate:
 
     def test_invalid_tau_rejected(self):
         _, weights = belief([(0, 0)], [(0, 0)])
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(FormatError, match=r"^tau must be a finite number, >= 0, <= 1, "
+                                              r"got 1\.5$"):
             update_constitution(weights, [1.0], tau=1.5)
 
     def test_undefined_particles_keep_their_weights(self):
@@ -1080,10 +1081,14 @@ class TestFilterArms:
         assert logged == [records]
         assert [r.t for r in records] == [100.0 + step for step in range(1, 8)]
 
-    @pytest.mark.parametrize("taus", [(0.0, -0.1), (1.5,), (float("nan"),)])
-    def test_tau_outside_unit_interval_rejected(self, taus):
+    @pytest.mark.parametrize("taus, message", [
+        ((0.0, -0.1), r"taus\[1\] must be a finite number, >= 0, <= 1, got -0.1"),
+        ((1.5,), r"taus\[0\] must be a finite number, >= 0, <= 1, got 1.5"),
+        ((float("nan"),), r"taus\[0\] must be a finite number, >= 0, <= 1, got nan"),
+    ])
+    def test_tau_outside_unit_interval_rejected(self, taus, message):
         measurements, config, evaluate = _arms_world(0, "random")
-        with pytest.raises(ConfigurationError, match="tau must lie in"):
+        with pytest.raises(FormatError, match=message):
             filter_arms([measurements] * len(taus), config,
                         [np.random.SeedSequence(0) for _ in taus], taus, evaluate=evaluate)
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from cstrack.errors import ConfigurationError
+from cstrack.errors import ConfigurationError, FormatError
 from cstrack.ingest import Track
 from cstrack.particlefilter import FilterConfig
 from cstrack.trust import (
     TrustFeatures,
     TrustTable,
     calibrate,
+    check_taus,
     extract_features,
     position_mae,
     vessel_type_name,
@@ -77,8 +78,43 @@ class TestTrustTable:
         assert TrustTable.load(path) == table
 
     def test_invalid_tau_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(FormatError, match=r"^bad trust table: entries\[0\]\.tau must be a "
+                                              r"finite number, >= 0, <= 1, got 1\.5$"):
             TrustTable(entries=((TrustFeatures("cargo", True, False), 1.5),))
+
+    def test_features_listed_twice_rejected(self):
+        # lookup would take the first of the two entries and ignore the other
+        cargo = TrustFeatures("cargo", True, False)
+        entries = ((cargo, 0.8), (TrustFeatures("towing", False, True), 0.0), (cargo, 0.2))
+        with pytest.raises(FormatError, match=r"^bad trust table: entries\[2\] repeats the "
+                                              r"features cargo\|1\|0 of entries\[0\]$"):
+            TrustTable(entries=entries)
+
+    def test_ratios_are_kept_as_floats(self):
+        table = TrustTable(entries=((TrustFeatures("cargo", True, False), 1),), default_tau=0)
+        assert [type(tau) for _, tau in table.entries] == [float]
+        assert type(table.default_tau) is float
+
+
+class TestCheckTaus:
+    def test_returns_the_ratios_as_floats_in_order(self):
+        out = check_taus([1, 0.25, 0], "taus")
+        assert out == (1.0, 0.25, 0.0)
+        assert {type(tau) for tau in out} == {float}
+
+    @pytest.mark.parametrize("taus, message", [
+        ([], "taus must list at least 1 trust ratio, got []"),
+        ((0.5, 1.5), "taus[1] must be a finite number, >= 0, <= 1, got 1.5"),
+        ([0.0, -0.5], "taus[1] must be a finite number, >= 0, <= 1, got -0.5"),
+        ([float("nan")], "taus[0] must be a finite number, >= 0, <= 1, got nan"),
+        ([0.5, True], "taus[1] must be a finite number, >= 0, <= 1, got True"),
+        ([0.5, None], "taus[1] must be a finite number, >= 0, <= 1, got None"),
+        ([-0.0, 1.0, 0], "taus[2] lists the trust ratio of taus[0] again, got 0.0"),
+    ])
+    def test_bad_list_is_format_error_naming_the_entry(self, taus, message):
+        with pytest.raises(FormatError) as caught:
+            check_taus(taus, "taus")
+        assert str(caught.value) == message
 
 
 class TestMae:
@@ -175,12 +211,14 @@ class TestCalibrate:
 
     def test_grid_must_contain_zero(self):
         track = make_track()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(FormatError, match=r"^tau_grid must contain 0 \(the safety "
+                                              r"fallback\), got \[0\.5, 1\.0\]$"):
             calibrate([track], corridor_evaluator(), self.config(),
                       tau_grid=(0.5, 1.0))
 
     def test_grid_must_not_repeat_a_ratio(self):
-        with pytest.raises(ConfigurationError, match="tau grid lists 0.5 more than once"):
+        with pytest.raises(FormatError, match=r"^tau_grid\[2\] lists the trust ratio of "
+                                              r"tau_grid\[1\] again, got 0\.5$"):
             calibrate([make_track()], corridor_evaluator(), self.config(),
                       tau_grid=(0.0, 0.5, 0.5))
 
