@@ -84,11 +84,10 @@ class GridSpec:
     @classmethod
     def from_json(cls, obj: dict, prefix: str = "") -> "GridSpec":
         """The grid of a JSON object's bbox [xmin, ymin, xmax, ymax], rows and
-        cols (2 to MAX_GRID_NODES // 2 each); FormatError naming prefix + key."""
-        rows, cols = (jsonio.number(obj[key], prefix + key, integer=True, lo=2,
-                                    hi=MAX_GRID_NODES // 2) for key in ("rows", "cols"))
+        cols (at least 2 each); FormatError naming prefix + the key."""
         return cls(bbox=tuple(jsonio.floats(obj["bbox"], prefix + "bbox", 4).tolist()),
-                   rows=rows, cols=cols)
+                   rows=jsonio.number(obj["rows"], prefix + "rows", integer=True, lo=2),
+                   cols=jsonio.number(obj["cols"], prefix + "cols", integer=True, lo=2))
 
 
 def raster_grid(header: dict) -> GridSpec:

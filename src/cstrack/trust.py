@@ -112,7 +112,8 @@ class TrustTable:
         object.__setattr__(self, "default_tau", default_tau)
 
     def lookup(self, features: TrustFeatures) -> float:
-        return dict(self.entries).get(features, self.default_tau)
+        return next((tau for stored, tau in self.entries if stored == features),
+                    self.default_tau)
 
     def to_json(self) -> dict:
         return {
@@ -254,9 +255,9 @@ def check_taus(taus, key: str) -> tuple[float, ...]:
     naming key if it is empty, key[i] for an entry outside [0, 1] under
     the number rule, or for one that repeats an earlier ratio (-0.0
     repeats 0.0)."""
-    if not taus:
-        raise FormatError(f"{key} must list at least 1 trust ratio, got {reprlib.repr(taus)}")
     out = tuple(jsonio.number(tau, f"{key}[{i}]", lo=0, hi=1) for i, tau in enumerate(taus))
+    if not out:
+        raise FormatError(f"{key} must list at least 1 trust ratio, got []")
     for i, tau in enumerate(out):
         if out.index(tau) != i:
             raise FormatError(f"{key}[{i}] lists the trust ratio of {key}[{out.index(tau)}] "
@@ -267,11 +268,11 @@ def check_taus(taus, key: str) -> tuple[float, ...]:
 def calibration_grid(tau_grid, key: str) -> tuple[float, ...]:
     """check_taus(tau_grid, key) in ascending order; FormatError naming
     key unless it holds 0, the plain filter a bucket falls back on."""
-    grid = tuple(sorted(check_taus(tau_grid, key)))
-    if grid[0] != 0.0:
+    taus = check_taus(tau_grid, key)
+    if 0.0 not in taus:
         raise FormatError(f"{key} must contain 0 (the safety fallback), "
-                          f"got {reprlib.repr(list(tau_grid))}")
-    return grid
+                          f"got {reprlib.repr(list(taus))}")
+    return tuple(sorted(taus))
 
 
 def calibrate(

@@ -540,11 +540,10 @@ def write_doc(path, name, doc) -> None:
     path.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(rasters))
 
 
-def run_on_docs(directory, command, docs, *flags, trust_table=True):
+def run_on_docs(directory, command, docs, *flags):
     """Run command on the given documents (the rest from input_docs) in
     directory, writing into directory/out; return exit code, stderr and
-    the output directory. track reads the trust table unless trust_table
-    is false (for a --tau flag)."""
+    the output directory."""
     directory = pathlib.Path(directory)
     for name, doc in {**input_docs(), **docs}.items():
         write_doc(directory / f"{name}.json", name, doc)
@@ -557,8 +556,7 @@ def run_on_docs(directory, command, docs, *flags, trust_table=True):
               "--filter-config", directory / "filter.json"]
     argv = {
         "field": [*reads, "--out", out / "field.json", "--pgm", out / "field.pgm"],
-        "track": [*tracks, *reads, *(["--trust-table", directory / "trust.json"]
-                                     if trust_table else []),
+        "track": [*tracks, *reads, "--trust-table", directory / "trust.json",
                   "--out-logs", out / "steps.jsonl", "--out-summary", out / "summary.json"],
         "calibrate": [*tracks, *reads, "--tau-grid", "0,0.5",
                       "--out-table", out / "table.json", "--out-report", out / "report.json",
@@ -577,6 +575,18 @@ def assert_numbers_finite(value):
     elif isinstance(value, (dict, list)):
         for item in value.values() if isinstance(value, dict) else value:
             assert_numbers_finite(item)
+
+
+# The whole error of each trust-ratio case of MALFORMED_INPUTS: the
+# messages of a trust table and a scenario name the entry and its value.
+TRUST_RATIO_ERRORS = {
+    ("trust", ("entries", 0, "tau"), 1.5):
+        "bad trust table: entries[0].tau must be a finite number, >= 0, <= 1, got 1.5",
+    ("trust", ("default_tau",), 1.5):
+        "bad trust table: default_tau must be a finite number, >= 0, <= 1, got 1.5",
+    ("scenario", ("taus", 0), 2.0): "taus[0] must be a finite number, >= 0, <= 1, got 2.0",
+    ("scenario", ("taus", 1), 0.0): "taus[1] lists the trust ratio of taus[0] again, got 0.0",
+}
 
 
 # How a raster file starts: its header's encoding marker.
@@ -665,6 +675,7 @@ MALFORMED_INPUTS = [
     ("track", "trust", ("entries", 0, "tau"), 1.5),
     ("track", "trust", ("default_tau",), 1.5),
     ("bench", "scenario", ("taus", 0), 2.0),
+    ("bench", "scenario", ("taus", 1), 0.0),
     ("bench", "scenario", ("n_seeds",), 0),
     ("bench", "scenario", ("agents", "count"), 0),
     ("bench", "scenario", ("starmap_samples",), 1),
@@ -834,6 +845,9 @@ class TestMapInputs:
         assert code == 2, err
         check_outcome(code, err, out)
         assert [key for key in path if isinstance(key, str)][-1] in err
+        if isinstance(value, float) and (name, path, value) in TRUST_RATIO_ERRORS:
+            error = [line for line in err.splitlines() if line.startswith("error: ")][-1]
+            assert error.endswith(f" {TRUST_RATIO_ERRORS[name, path, value]}")
 
     def test_out_of_range_entry_tau_names_its_entry(self, tmp_path):
         # The generic test above finds "tau", which the old message held.
@@ -1678,6 +1692,10 @@ class TestFlagsCheckedFirst:
                                          "got 2.0"),
         ("calibrate", "--default-tau=nan", "--default-tau must be a finite number, >= 0, "
                                            "<= 1, got nan"),
+        ("calibrate", "--default-tau=-0.5", "--default-tau must be a finite number, >= 0, "
+                                            "<= 1, got -0.5"),
+        ("calibrate", "--tau-grid=0,2", "--tau-grid[1] must be a finite number, >= 0, <= 1, "
+                                        "got 2.0"),
         ("calibrate", "--tau-grid=0.5,1", "--tau-grid must contain 0 (the safety fallback), "
                                           "got [0.5, 1.0]"),
         ("calibrate", "--meas-std=-50", "measurement_noise_std must be"),
@@ -1689,12 +1707,14 @@ class TestFlagsCheckedFirst:
         ("calibrate", "--tau-grid=0,nan", "--tau-grid must be a comma-separated list of "
                                           "finite numbers, got '0,nan'"),
         ("bench", "--taus=2", "--taus[0] must be a finite number, >= 0, <= 1, got 2.0"),
+        ("bench", "--taus=0.5,1.5", "--taus[1] must be a finite number, >= 0, <= 1, got 1.5"),
         ("bench", "--taus=0.5,0.5", "--taus[1] lists the trust ratio of --taus[0] again, "
                                     "got 0.5"),
         ("bench", "--taus=0,-0", "--taus[1] lists the trust ratio of --taus[0] again, got -0.0"),
         ("bench", "--taus=nan", "--taus must be a comma-separated list of finite numbers, "
                                 "got 'nan'"),
         ("track", "--tau=2", "--tau must be a finite number, >= 0, <= 1, got 2.0"),
+        ("track", "--tau=-0.5", "--tau must be a finite number, >= 0, <= 1, got -0.5"),
         ("track", "--tau=nan", "--tau must be a finite number, >= 0, <= 1, got nan"),
         ("track", "--meas-std=-50", "measurement_noise_std must be"),
         ("track", "--meas-std=1e-82", "finite 1/std^2 and density normalizer, got 1e-82"),
@@ -1725,49 +1745,6 @@ class TestFlagsCheckedFirst:
         assert message in err
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
-
-
-# Every flag and key that holds a trust ratio or the bench seed count:
-# (command, flag or (document, path), bad value, the message naming it).
-TRUST_RATIO_ENTRIES = [
-    ("track", "--tau", "1.5", "--tau must be a finite number, >= 0, <= 1, got 1.5"),
-    ("calibrate", "--default-tau", "-0.5",
-     "--default-tau must be a finite number, >= 0, <= 1, got -0.5"),
-    ("calibrate", "--tau-grid", "0,2", "--tau-grid[1] must be a finite number, >= 0, <= 1, "
-                                       "got 2.0"),
-    ("calibrate", "--tau-grid", "0,-0", "--tau-grid[1] lists the trust ratio of --tau-grid[0] "
-                                        "again, got -0.0"),
-    ("bench", "--taus", "0.5,1.5", "--taus[1] must be a finite number, >= 0, <= 1, got 1.5"),
-    ("bench", "--taus", "1,1", "--taus[1] lists the trust ratio of --taus[0] again, got 1.0"),
-    ("bench", "--n-seeds", "0", "--n-seeds must be an integer, >= 1, <= 1000, got 0"),
-    ("track", ("trust", ("entries", 0, "tau")), 1.5,
-     "bad trust table: entries[0].tau must be a finite number, >= 0, <= 1, got 1.5"),
-    ("track", ("trust", ("default_tau",)), -1,
-     "bad trust table: default_tau must be a finite number, >= 0, <= 1, got -1"),
-    ("bench", ("scenario", ("taus", 1)), 2, "taus[1] must be a finite number, >= 0, <= 1, "
-                                            "got 2"),
-    ("bench", ("scenario", ("taus", 1)), 0, "taus[1] lists the trust ratio of taus[0] again, "
-                                            "got 0.0"),
-]
-
-
-class TestTrustRatios:
-    @pytest.mark.parametrize("command, entry, value, message", TRUST_RATIO_ENTRIES,
-                             ids=[f"{command}-{entry if isinstance(entry, str) else entry[0]}-"
-                                  f"{value}" for command, entry, value, _ in TRUST_RATIO_ENTRIES])
-    def test_bad_value_is_user_error_naming_its_flag_or_key(self, tmp_path, command, entry,
-                                                            value, message):
-        if isinstance(entry, str):
-            code, err, out = run_on_docs(tmp_path, command, {}, f"{entry}={value}",
-                                         trust_table=entry != "--tau")
-        else:
-            name, path = entry
-            doc = mutate(input_docs()[name], path, "replace", value)
-            code, err, out = run_on_docs(tmp_path, command, {name: doc})
-        assert code == 2, err
-        check_outcome(code, err, out)
-        assert [line for line in err.splitlines() if line.startswith("error: ")][-1].endswith(
-            f" {message}")
 
 
 class TestNumberFlags:

@@ -240,16 +240,6 @@ class TestRunAblation:
         with pytest.raises(FormatError, match=r"must be a finite number, >= 0, <= 1, got -0.5"):
             run_ablation(scenario)
 
-    @pytest.mark.parametrize("kwargs", [{"n_seeds": 0}, {"n_seeds": -2}, {"taus": ()}])
-    def test_sweep_that_runs_nothing_rejected(self, tmp_path, kwargs):
-        # A scenario file's sweep is checked as it loads, before the build.
-        path = TestScenarioLoading().write_scenario(tmp_path)
-        spec = json.loads(path.read_text())
-        path.write_text(json.dumps({**spec, **kwargs, "map": "missing.geojson"}))
-        with pytest.raises(FormatError, match=r"n_seeds must be an integer, >= 1|"
-                                              r"taus must list at least 1 trust ratio"):
-            load_scenario(path)
-
     def test_reruns_identical(self):
         a = run_ablation(small_scenario(n_seeds=2))
         b = run_ablation(small_scenario(n_seeds=2))
@@ -321,6 +311,7 @@ class TestScenarioLoading:
     @pytest.mark.parametrize("change, error, message", [
         ({"n_seeds": 0}, FormatError, "n_seeds must be an integer, >= 1, <= 1000, got 0"),
         ({"n_seeds": -1}, FormatError, "n_seeds must be an integer, >= 1, <= 1000, got -1"),
+        ({"n_seeds": -2}, FormatError, "n_seeds must be an integer, >= 1, <= 1000, got -2"),
         ({"taus": []}, FormatError, "taus must list at least 1 trust ratio, got []"),
         ({"taus": [0.5, 2.0]}, FormatError,
          "taus[1] must be a finite number, >= 0, <= 1, got 2.0"),
@@ -328,7 +319,7 @@ class TestScenarioLoading:
          "taus[2] lists the trust ratio of taus[0] again, got 0.5"),
         ({"taus": 0.5}, FormatError, "taus must be a list, got 0.5"),
         ({"grid": {"bbox": [-300.0, -300.0, 3300.0, 300.0], "rows": 1, "cols": 19}},
-         FormatError, "grid.rows must be an integer, >= 2, <= 500000, got 1"),
+         FormatError, "grid.rows must be an integer, >= 2, got 1"),
     ])
     def test_bad_sweep_rejected_before_building(self, tmp_path, change, error, message):
         path = self.write_scenario(tmp_path)

@@ -337,7 +337,7 @@ def test_rasters_round_trip_bit_for_bit(tmp_path_factory, rows, cols, data):
     (lambda raw: raw.replace(b'"encoding": "', b'"encoding": "x'),
      r"line 1 must be a JSON header"),
     (lambda raw: raw.replace(b'"resolution": [2, 3]', b'"resolution": [2, 3.5]'),
-     r"cols must be an integer, >= 2, <= 500000, got 3.5"),
+     r"cols must be an integer, >= 2, got 3.5"),
     (lambda raw: raw.replace(b'"bbox"', b'"box"'), r"'bbox'"),
 ], ids=["one-byte-short", "one-byte-long", "minus-inf", "pre-change-json", "other-encoding",
         "float-cols", "no-bbox"])

@@ -110,6 +110,8 @@ class TestCheckTaus:
         ([0.5, True], "taus[1] must be a finite number, >= 0, <= 1, got True"),
         ([0.5, None], "taus[1] must be a finite number, >= 0, <= 1, got None"),
         ([-0.0, 1.0, 0], "taus[2] lists the trust ratio of taus[0] again, got 0.0"),
+        (np.array([]), "taus must list at least 1 trust ratio, got []"),
+        (np.array([0.5, 0.5]), "taus[1] lists the trust ratio of taus[0] again, got 0.5"),
     ])
     def test_bad_list_is_format_error_naming_the_entry(self, taus, message):
         with pytest.raises(FormatError) as caught:
@@ -221,6 +223,11 @@ class TestCalibrate:
                                               r"tau_grid\[1\] again, got 0\.5$"):
             calibrate([make_track()], corridor_evaluator(), self.config(),
                       tau_grid=(0.0, 0.5, 0.5))
+
+    def test_grid_may_be_a_numpy_array(self):
+        _, report = calibrate([make_track()], corridor_evaluator(), self.config(),
+                              tau_grid=np.array([0.5, 0.0]))
+        assert report.buckets[0].tau_grid == (0.0, 0.5)
 
     def test_determinism(self):
         tracks = [make_track({"vessel_type": 70, "sog_median_kn": 8.0})]
